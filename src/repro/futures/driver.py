@@ -22,10 +22,17 @@ runs many concurrent blocking jobs against one cluster: each job is an
 ordinary driver program, parked and resumed cooperatively.  Handoffs
 follow spawn order among runnable drivers, so the interleaving is a
 deterministic function of the program, not of OS scheduling.
+
+Runnable drivers wait in a heap keyed by spawn index: a driver enters it
+when spawned and again when the event it parked on is processed (a
+callback on that event, so no engine events are added).  Each hand-off
+pops the earliest-spawned runnable driver in O(log n), however many
+drivers the host has served.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -40,8 +47,12 @@ class DriverError(RuntimeError):
 class _DriverChannel:
     """One cooperatively scheduled driver thread and its handoff state."""
 
-    def __init__(self, host: "DriverHost", name: str, label: Optional[str]) -> None:
+    def __init__(
+        self, host: "DriverHost", index: int, name: str, label: Optional[str]
+    ) -> None:
         self.host = host
+        #: Spawn order on the host: the ready heap's key.
+        self.index = index
         self.name = name
         #: Opaque tag for work submitted while this driver runs (the jobs
         #: layer sets it to the job id so tasks are attributed).
@@ -55,19 +66,15 @@ class _DriverChannel:
         #: Simulation event triggered with the body's result at completion
         #: (what :meth:`DriverHost.join` blocks on).
         self.done: Event = host.env.event()
-        self.reaped = False
         self.thread: Optional[threading.Thread] = None
+        #: Appended to the callbacks of the event this driver parks on.  A
+        #: plain function, not a bound method: the self-profiler names an
+        #: event's dispatch after its first callback's owner.
+        self.on_wake: Callable[[Event], None] = lambda _event: host._wake(self)
 
     @property
     def finished(self) -> bool:
         return self.outcome is not None
-
-    @property
-    def runnable(self) -> bool:
-        """True when the controller may hand this driver the CPU."""
-        if self.outcome is not None:
-            return False
-        return self.wake is None or self.wake.processed
 
     def start(self, fn: Callable[..., Any], args: Any, kwargs: Any) -> None:
         """Launch the thread; it parks until the controller resumes it."""
@@ -141,8 +148,12 @@ class DriverHost:
         #: subdriver lifecycles publish ``driver.spawn``/``driver.finish``.
         self.bus = bus
         self._sim_sem = threading.Semaphore(0)
+        #: Live drivers of the active run, in spawn order; a driver leaves
+        #: when it is reaped.
         self._channels: Dict[threading.Thread, _DriverChannel] = {}
-        self._order: List[_DriverChannel] = []
+        #: Runnable drivers as ``(spawn index, channel)``.
+        self._ready: List[Tuple[int, _DriverChannel]] = []
+        self._spawned = itertools.count()
         self._seq = itertools.count()
         self._active = False
 
@@ -173,16 +184,14 @@ class DriverHost:
         self._active = True
         try:
             primary = self._make_channel(fn, args, kwargs, name="driver", label=None)
+            ready = self._ready
             while not primary.finished:
-                channel = self._next_runnable()
-                if channel is not None:
-                    self._hand_off(channel)
+                if ready:
+                    self._hand_off(heapq.heappop(ready)[1])
                     continue
                 if self.env.peek() == float("inf"):
                     parked = ", ".join(
-                        f"{c.name} on {c.wake!r}"
-                        for c in self._order
-                        if not c.finished
+                        f"{c.name} on {c.wake!r}" for c in self._channels.values()
                     )
                     raise DriverError(
                         f"simulation deadlock at t={self.env.now}: drivers "
@@ -194,7 +203,7 @@ class DriverHost:
             kind, value = primary.outcome  # type: ignore[misc]
             if kind == "err":
                 raise value
-            live = [c.name for c in self._order if not c.finished]
+            live = [c.name for c in self._channels.values()]
             if live:
                 raise DriverError(
                     f"primary driver returned with subdrivers still "
@@ -204,7 +213,7 @@ class DriverHost:
         finally:
             self._active = False
             self._channels.clear()
-            self._order.clear()
+            self._ready.clear()
 
     def _make_channel(
         self,
@@ -214,27 +223,30 @@ class DriverHost:
         name: str,
         label: Optional[str],
     ) -> _DriverChannel:
-        channel = _DriverChannel(self, name=name, label=label)
+        channel = _DriverChannel(self, next(self._spawned), name=name, label=label)
         channel.start(fn, args, kwargs)
         assert channel.thread is not None
         self._channels[channel.thread] = channel
-        self._order.append(channel)
+        heapq.heappush(self._ready, (channel.index, channel))
         return channel
 
-    def _next_runnable(self) -> Optional[_DriverChannel]:
-        """The runnable driver that spawned earliest (deterministic)."""
-        for channel in self._order:
-            if channel.runnable:
-                return channel
-        return None
+    def _wake(self, channel: _DriverChannel) -> None:
+        """The event ``channel`` parked on was processed: make it runnable.
+
+        Only live drivers of the active run enter the heap.  A driver left
+        parked by an aborted run keeps its callback on a pending event;
+        when that fires during a later run, the driver stays parked.
+        """
+        if self._channels.get(channel.thread) is channel:  # type: ignore[arg-type]
+            heapq.heappush(self._ready, (channel.index, channel))
 
     def _hand_off(self, channel: _DriverChannel) -> None:
         """Run ``channel`` until it parks or finishes; then reap."""
         channel.wake = None
         channel.sem.release()
         self._sim_sem.acquire()
-        if channel.finished and not channel.reaped:
-            channel.reaped = True
+        if channel.finished:
+            del self._channels[channel.thread]  # type: ignore[arg-type]
             kind, value = channel.outcome  # type: ignore[misc]
             if self.bus is not None and channel.label is not None:
                 self.bus.emit(
@@ -263,6 +275,10 @@ class DriverHost:
                 "from inside a Runtime.run() driver function"
             )
         channel.wake = event
+        if event.processed:
+            heapq.heappush(self._ready, (channel.index, channel))
+        else:
+            event.callbacks.append(channel.on_wake)
         self._sim_sem.release()
         channel.sem.acquire()
         return event.value

@@ -8,8 +8,9 @@ alternatives the ablation benchmarks select from the registry.
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict, deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import seeded_rng
 from repro.futures.policies.base import (
@@ -382,6 +383,9 @@ class FairShareDispatchPolicy:
     top via shared concurrent-slot caps.  Unregistered work (plain
     single-driver runs, retried in-flight tasks) bypasses fairness and
     launches immediately.
+
+    Backlogged jobs wait in a heap ordered by ``(vtime, job_id)``, so each
+    launch costs O(log n) in the number of jobs.
     """
 
     name = "fair-share"
@@ -402,6 +406,10 @@ class FairShareDispatchPolicy:
         self._inflight: Dict[TaskRecord, str] = {}
         self._inflight_by_job: Dict[str, int] = defaultdict(int)
         self._inflight_by_tenant: Dict[str, int] = defaultdict(int)
+        #: Lazy heap of ``(vtime, job_id)``: one live entry per job with a
+        #: non-empty queue.  An entry whose job is gone or whose key no
+        #: longer matches the job's virtual time is stale; pops skip it.
+        self._ready: List[Tuple[float, str]] = []
 
     # -- job registry -------------------------------------------------------
     def register_job(
@@ -440,6 +448,8 @@ class FairShareDispatchPolicy:
         self._weights.pop(job_id, None)
         self._tenant_of.pop(job_id, None)
         self._vtime.pop(job_id, None)
+        if not self._inflight_by_job.get(job_id):
+            self._inflight_by_job.pop(job_id, None)
         stragglers = [
             record
             for record in queue
@@ -475,8 +485,11 @@ class FairShareDispatchPolicy:
             # A retry of a task that still holds its slot (executor or
             # node failure): re-launch without re-charging.
             return DispatchOutcome(launch=[record])
-        self._queues[job_id].append(record)
-        note = ParkNote(job_id=job_id, queued=len(self._queues[job_id]))
+        queue = self._queues[job_id]
+        queue.append(record)
+        if len(queue) == 1:
+            heapq.heappush(self._ready, (self._vtime[job_id], job_id))
+        note = ParkNote(job_id=job_id, queued=len(queue))
         outcome = self._pump(ctx)
         outcome.parked = note
         return outcome
@@ -488,43 +501,54 @@ class FairShareDispatchPolicy:
         job_id = self._inflight.pop(record, None)
         if job_id is None:
             return DispatchOutcome()
-        if self._inflight_by_job.get(job_id, 0) > 0:
-            self._inflight_by_job[job_id] -= 1
+        count = self._inflight_by_job[job_id] - 1
+        if count or job_id in self._queues:
+            self._inflight_by_job[job_id] = count
+        else:
+            del self._inflight_by_job[job_id]  # the job is gone
         tenant = self._tenant_of.get(job_id)
         if tenant is not None and self._inflight_by_tenant.get(tenant, 0) > 0:
             self._inflight_by_tenant[tenant] -= 1
         return self._pump(ctx)
-
-    def _eligible(self, job_id: str) -> bool:
-        if not self._queues[job_id]:
-            return False
-        tenant = self._tenant_of.get(job_id)
-        if tenant is None:
-            return True
-        cap = self._tenant_caps.get(tenant)
-        return cap is None or self._inflight_by_tenant[tenant] < cap
 
     def _pump(self, ctx: DispatchContext) -> DispatchOutcome:
         """Release queued tasks while slots remain, smallest virtual
         time first (ties broken by job id for determinism)."""
         launch: List[TaskRecord] = []
         picks: List[str] = []
-        while len(self._inflight) < ctx.total_slots:
-            candidates = [job for job in self._queues if self._eligible(job)]
-            if not candidates:
-                break
-            best = min(candidates, key=lambda job: (self._vtime[job], job))
-            record = self._queues[best].popleft()
+        ready = self._ready
+        capped: List[Tuple[float, str]] = []
+        while ready and len(self._inflight) < ctx.total_slots:
+            entry = heapq.heappop(ready)
+            vtime, job = entry
+            queue = self._queues.get(job)
+            if not queue or self._vtime[job] != vtime:
+                continue  # stale
+            tenant = self._tenant_of[job]
+            if tenant is not None:
+                cap = self._tenant_caps.get(tenant)
+                if cap is not None and self._inflight_by_tenant.get(tenant, 0) >= cap:
+                    # In-flight counts only grow during a pump, so the job
+                    # stays capped until it ends.
+                    capped.append(entry)
+                    continue
+            record = queue.popleft()
             if record.phase in (TaskPhase.FINISHED, TaskPhase.FAILED):
                 # Failed while parked (e.g. a lost dependency); drop it.
+                if queue:
+                    heapq.heappush(ready, entry)
                 continue
-            self._vclock = self._vtime[best]
-            self._vtime[best] += 1.0 / self._weights[best]
-            self._inflight[record] = best
-            self._inflight_by_job[best] += 1
-            tenant = self._tenant_of.get(best)
+            self._vclock = vtime
+            vtime += 1.0 / self._weights[job]
+            self._vtime[job] = vtime
+            if queue:
+                heapq.heappush(ready, (vtime, job))
+            self._inflight[record] = job
+            self._inflight_by_job[job] += 1
             if tenant is not None:
                 self._inflight_by_tenant[tenant] += 1
             launch.append(record)
-            picks.append(best)
+            picks.append(job)
+        for entry in capped:
+            heapq.heappush(ready, entry)
         return DispatchOutcome(launch=launch, picks=tuple(picks))

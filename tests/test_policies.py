@@ -7,12 +7,14 @@ exist, and fall through gracefully when all candidates are blacklisted
 or the affinity hint is dead.  A chaos-matrix integration test then
 checks the same alive-nodes-only invariant end to end under every fault
 kind, replaying the event stream against the death/restart timeline.
+Fair-share dispatch is checked against a brute-force reference over
+random job lifecycles.
 """
 
 from typing import List, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.harness import (
@@ -34,12 +36,16 @@ from repro.futures import (
     register_policy,
 )
 from repro.futures.policies import (
+    DispatchContext,
+    DispatchOutcome,
     NodeCandidate,
     PlacementDecision,
     PlacementRequest,
     StagedPlacementPolicy,
 )
+from repro.futures.policies.defaults import FairShareDispatchPolicy
 from repro.futures.policies.registry import _REGISTRY
+from repro.futures.task import TaskPhase, TaskRecord
 
 
 # -- registry -----------------------------------------------------------------
@@ -203,6 +209,153 @@ def test_staged_policy_empty_stage_result_is_ignored():
     )
     assert decision.stage == "fallback"
     assert decision.node_id == NodeId(0)
+
+
+# -- fair-share dispatch ------------------------------------------------------
+class _BruteForceFairShare(FairShareDispatchPolicy):
+    """Fair share whose every pick is a full scan: the smallest
+    ``(vtime, job_id)`` over the jobs with a queued task and tenant room."""
+
+    def _has_room(self, job):
+        tenant = self._tenant_of[job]
+        cap = self._tenant_caps.get(tenant) if tenant is not None else None
+        return cap is None or self._inflight_by_tenant[tenant] < cap
+
+    def _pump(self, ctx):
+        launch, picks = [], []
+        while len(self._inflight) < ctx.total_slots:
+            eligible = [
+                job for job, queue in self._queues.items()
+                if queue and self._has_room(job)
+            ]
+            if not eligible:
+                break
+            best = min(eligible, key=lambda job: (self._vtime[job], job))
+            record = self._queues[best].popleft()
+            if record.phase in (TaskPhase.FINISHED, TaskPhase.FAILED):
+                continue
+            self._vclock = self._vtime[best]
+            self._vtime[best] += 1.0 / self._weights[best]
+            self._inflight[record] = best
+            self._inflight_by_job[best] += 1
+            tenant = self._tenant_of[best]
+            if tenant is not None:
+                self._inflight_by_tenant[tenant] += 1
+            launch.append(record)
+            picks.append(best)
+        return DispatchOutcome(launch=launch, picks=tuple(picks))
+
+
+_JOBS = ["j0", "j1", "j2", "j3"]
+_SLOTS = st.integers(1, 3)
+_REGISTRATION = st.tuples(
+    st.sampled_from([0.5, 1.0, 3.0]),  # weight
+    st.sampled_from([None, "a", "b"]),  # tenant
+    st.sampled_from([None, 1, 2]),  # tenant slot cap
+)
+_SUBMIT = st.tuples(st.just("submit"), st.sampled_from(_JOBS), _SLOTS)
+_DONE = st.tuples(st.just("done"), st.integers(0, 99), _SLOTS)
+#: Every job registers first; later ops may unregister and re-register.
+_LIFECYCLE = st.tuples(
+    st.lists(_REGISTRATION, min_size=len(_JOBS), max_size=len(_JOBS)),
+    st.lists(
+        st.one_of(
+            _SUBMIT, _SUBMIT, _SUBMIT, _DONE, _DONE,
+            st.tuples(st.just("submit"), st.none(), _SLOTS),
+            st.tuples(st.just("retry"), st.integers(0, 99), _SLOTS),
+            st.tuples(st.just("fail_parked"), st.integers(0, 99)),
+            st.tuples(st.just("unregister"), st.sampled_from(_JOBS), _SLOTS),
+            st.tuples(st.just("register"), st.sampled_from(_JOBS), _REGISTRATION),
+        ),
+        min_size=20,
+        max_size=80,
+    ),
+).map(
+    lambda parts: [("register", job, reg) for job, reg in zip(_JOBS, parts[0])]
+    + parts[1]
+)
+
+
+#: A job unregistered with a parked task leaves a stale ``(1.0, "j0")``
+#: heap entry; re-registered at virtual time 0 with weight 0.5, its
+#: second launch must come at virtual time 2, not at the stale 1.
+_STALE_REREGISTRATION = [
+    ("register", job, (1.0, None, None)) for job in _JOBS
+] + [
+    ("submit", "j0", 1), ("submit", "j0", 1), ("unregister", "j0", 1),
+    ("register", "j0", (0.5, None, None)),
+    ("submit", "j0", 1), ("submit", "j0", 1), ("done", 0, 3),
+]
+
+#: j0's tenant is at its one-slot cap while j0 holds the smallest virtual
+#: time: the pump must set j0 aside and launch j1's second task.
+_CAPPED_FIRST = [
+    ("register", "j0", (3.0, "a", 1)), ("register", "j1", (1.0, None, None)),
+    ("submit", "j0", 3), ("submit", "j0", 3), ("submit", "j1", 3),
+    ("submit", "j1", 3),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_LIFECYCLE)
+@example(ops=_STALE_REREGISTRATION)
+@example(ops=_CAPPED_FIRST)
+def test_fair_share_picks_match_brute_force(ops):
+    """Over random register/submit/task_done/unregister sequences (with
+    weights, tenant caps, re-registered ids and tasks that fail while
+    parked), every outcome equals the brute-force pick sequence."""
+    heap, reference = FairShareDispatchPolicy(), _BruteForceFairShare()
+    job_of, inflight, parked = {}, [], []
+
+    def check(new, ref):
+        assert [id(r) for r in new.launch] == [id(r) for r in ref.launch]
+        assert new.picks == ref.picks
+        assert new.parked == ref.parked
+        assert (heap._vtime, heap._vclock) == (reference._vtime, reference._vclock)
+        # No in-flight count outlives its job.
+        assert all(n or job in heap._queues for job, n in heap._inflight_by_job.items())
+        for record in new.launch:
+            if record in parked:
+                parked.remove(record)
+            inflight.append(record)
+
+    for op, *args in ops:
+        if op == "register":
+            job, (weight, tenant, cap) = args
+            if job not in heap._queues:
+                for policy in (heap, reference):
+                    policy.register_job(
+                        job, weight=weight, tenant=tenant, tenant_task_slots=cap
+                    )
+        elif op == "submit":
+            job, slots = args
+            record = TaskRecord(spec=None)
+            job_of[record] = job
+            ctx = DispatchContext(total_slots=slots)
+            outcome = heap.submit(record, job, ctx)
+            if outcome.parked is not None:
+                parked.append(record)
+            check(outcome, reference.submit(record, job, ctx))
+        elif op in ("done", "retry") and inflight:
+            index, slots = args
+            ctx = DispatchContext(total_slots=slots)
+            if op == "done":
+                record = inflight.pop(index % len(inflight))
+                record.phase = TaskPhase.FINISHED
+                check(heap.task_done(record, ctx), reference.task_done(record, ctx))
+            else:
+                record = inflight.pop(index % len(inflight))
+                job = job_of[record]
+                outcome = heap.submit(record, job, ctx)
+                if outcome.parked is not None:  # a straggler, queued afresh
+                    parked.append(record)
+                check(outcome, reference.submit(record, job, ctx))
+        elif op == "fail_parked" and parked:
+            parked.pop(args[0] % len(parked)).phase = TaskPhase.FAILED
+        elif op == "unregister":
+            job, slots = args
+            ctx = DispatchContext(total_slots=slots)
+            check(heap.unregister_job(job, ctx), reference.unregister_job(job, ctx))
 
 
 # -- chaos matrix integration -------------------------------------------------

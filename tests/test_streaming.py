@@ -14,11 +14,15 @@ Covers the tier's contracts:
 - hundreds-of-tenants open-loop fleets run through admission + fair
   share with every record latency-accounted, and the obs report's
   streaming section renders exact global + per-tenant percentiles;
+- a smoke-sized fleet's simulated results are pinned by a golden digest,
+  and the control plane's per-job state stays bounded by the live jobs;
 - batch-only runs emit zero ``stream.*`` events (the tier is unused
   unless asked for).
 """
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -31,7 +35,8 @@ from repro.aggregation.app import (
     _streaming_reduce_cost,
 )
 from repro.common.errors import JobControlError
-from repro.jobs import JobSpec, StreamSpec, job_runner
+from repro.futures import Runtime
+from repro.jobs import JobSpec, StreamSpec, TenantQuota, TenantSpec, job_runner
 from repro.metrics.core import TimeSeries
 from repro.obs.report import RunReport, record_run
 from repro.obs.trace import derive_spans
@@ -46,6 +51,7 @@ from repro.streaming import (
     open_loop_workload,
     run_open_loop,
     run_streaming_job,
+    streaming_node_spec,
 )
 from repro.workloads import PageviewDataset
 
@@ -424,7 +430,80 @@ class TestStreamingEvents:
         assert not rt.bus.events_of("stream")
 
 
+#: The smoke-sized fleet below (20 tenants at 3 Hz for 20 s, 4 nodes,
+#: seed 0), captured before the control plane's hand-off and fair-share
+#: picks moved from linear scans to heaps.
+GOLDEN_OPEN_LOOP_DIGEST = (
+    "063bab1a3211eec639d2cfb6600d42d6e586a7989129a391fb615bfd7408f4d0"
+)
+
+
+def _fleet_digest(report) -> str:
+    payload = {
+        "duration": report.duration,
+        "latency": {q: report.latency[q] for q in ("p50", "p99", "p999")},
+        "tenant_records": {
+            tenant: int(summary["count"])
+            for tenant, summary in report.tenant_latency.items()
+        },
+        "stats": report.stats,
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 class TestOpenLoopFleet:
+    def test_smoke_fleet_is_bit_for_bit_pinned(self):
+        tenants, specs = open_loop_workload(
+            0, 20, rate_hz=3.0, duration_s=20.0, window_s=6.0
+        )
+        rt = Runtime.create(streaming_node_spec(), 4)
+        report = run_open_loop(specs, tenants, runtime=rt)
+        assert report.all_done and report.records == 1194
+        assert _fleet_digest(report) == GOLDEN_OPEN_LOOP_DIGEST
+
+    def test_control_plane_state_holds_only_live_jobs(self):
+        """200 jobs through 25 tenants (2 running, 8 queued each, with
+        tenant slot caps): whenever a job's driver spawns, the driver
+        registry holds no finished driver and the fair-share policy no
+        in-flight count of a finished job; afterwards both are empty."""
+        _, specs = open_loop_workload(0, 200, rate_hz=1.0, duration_s=3.0, window_s=3.0)
+        tenants = [
+            TenantSpec(
+                name=f"tenant-{i:02d}", weight=1.0 + i % 3,
+                quota=TenantQuota(max_task_slots=2),
+            )
+            for i in range(25)
+        ]
+        specs = [
+            dataclasses.replace(spec, tenant=tenants[i % 25].name)
+            for i, spec in enumerate(specs)
+        ]
+        rt = Runtime.create(streaming_node_spec(), 2)
+        host = rt._driver
+        seen = []
+
+        def check(event):
+            if event.kind != "driver.spawn":
+                return
+            policy = rt.scheduler.dispatch_policy
+            seen.append((
+                len(host._channels),
+                [c.name for c in host._channels.values() if c.finished],
+                [
+                    job for job, count in policy._inflight_by_job.items()
+                    if not count and job not in policy._queues
+                ],
+            ))
+
+        rt.bus.subscribe(check)
+        report = run_open_loop(specs, tenants, runtime=rt)
+        assert report.all_done and len(seen) == 200
+        assert all(finished == [] and idle == [] for _, finished, idle in seen)
+        # The primary plus at most two running jobs per tenant.
+        assert max(live for live, _, _ in seen) <= 1 + 2 * 25
+        assert host._channels == {}
+        assert rt.scheduler.dispatch_policy._inflight_by_job == {}
+
     def test_fleet_runs_under_admission_and_fair_share(self):
         tenants, specs = open_loop_workload(
             seed=1, num_tenants=8, duration_s=16.0, window_s=4.0
