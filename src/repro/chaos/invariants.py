@@ -22,14 +22,12 @@ validates:
   everything when lineage reconstruction is disabled by config.
 - **Task completion** -- every submitted task reached a terminal phase
   (a task parked in ``WAITING_DEPS``/``QUEUED`` forever is a lost wakeup).
-- **Per-job accounting** -- when the multi-tenant jobs layer is active
-  (``runtime.job_counters`` non-empty), every attributable counter's
-  per-job buckets sum exactly to the global counter: no work is double-
-  charged and none escapes attribution.
-- **Metric dimensions** -- for every counter in the runtime's
-  :class:`~repro.obs.registry.MetricRegistry`, each populated dimension
-  axis (per-node, per-job) sums exactly to the counter's global series:
-  the registry's lockstep-write contract held for the whole run.
+- **Per-job accounting (metric dimensions)** -- the runtime's
+  :class:`~repro.obs.registry.MetricRegistry` is its one counter store:
+  ``runtime.counters`` is the global series and the per-job values are
+  its job axis.  For every counter, each populated axis (per-node,
+  per-job) sums exactly to the global series: no work is double-charged
+  and none escapes attribution.
 
 ``check()`` returns human-readable violation strings (empty = healthy);
 ``assert_clean()`` raises :class:`~repro.common.errors.InvariantViolationError`.
@@ -64,7 +62,6 @@ class InvariantChecker:
         violations.extend(self._check_spill_accounting())
         violations.extend(self._check_durability())
         violations.extend(self._check_task_completion())
-        violations.extend(self._check_job_accounting())
         violations.extend(self._check_metric_dimensions())
         return violations
 
@@ -253,45 +250,17 @@ class InvariantChecker:
         memo[oid] = ok
         return ok
 
-    # -- per-job accounting ------------------------------------------------------
-    def _check_job_accounting(self) -> List[str]:
-        """Per-job counter buckets must sum to the global counters.
-
-        Only counters that appear in some job bucket are checked: charges
-        flow through ``Runtime.charge_task``/``charge_object``, which add
-        to a bucket and the global counters together, so any key present
-        in a bucket is fully attributed by construction -- drift means a
-        call site bypassed the charge path.  Skipped entirely when the
-        jobs layer never ran (no buckets exist).
-        """
-        out = []
-        buckets = self.runtime.job_counters
-        if not buckets:
-            return out
-        keys: Set[str] = set()
-        for bucket in buckets.values():
-            keys.update(bucket)
-        for key in sorted(keys):
-            total = sum(bucket.get(key) for bucket in buckets.values())
-            global_value = self.runtime.counters.get(key)
-            tolerance = max(1e-6, 1e-9 * abs(global_value))
-            if abs(total - global_value) > tolerance:
-                out.append(
-                    f"counter {key!r}: job buckets sum to {total:g} but the "
-                    f"global counter reads {global_value:g} (attribution drift)"
-                )
-        return out
-
-    # -- metric-registry dimension accounting -------------------------------------
+    # -- per-job accounting: metric-registry dimensions ---------------------------
     def _check_metric_dimensions(self) -> List[str]:
         """Every populated axis of every registry counter sums to its
         global series.
 
-        The :class:`~repro.obs.registry.MetricRegistry` writes the global
-        series and each populated dimension in lockstep; a mismatch means
-        some call site wrote one side without the other (or mutated a
-        snapshot in place).  Runtimes without a registry (hand-built test
-        doubles) are skipped.
+        A dimensioned write (``Runtime.charge_task``/``charge_object``)
+        charges the global series and the job axis together, so the one
+        drift left is a global-only ``runtime.counters.add`` on a
+        job-attributed counter -- a call site that bypassed the charge
+        path.  Runtimes without a registry (hand-built test doubles) are
+        skipped.
         """
         out: List[str] = []
         registry = getattr(self.runtime, "metrics", None)
@@ -309,7 +278,7 @@ class InvariantChecker:
                     out.append(
                         f"metric {name!r}: {axis} dimension sums to "
                         f"{axis_sum:g} but the global series reads {total:g} "
-                        f"(lockstep-write drift)"
+                        f"(attribution drift)"
                     )
         return out
 

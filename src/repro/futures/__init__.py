@@ -33,7 +33,7 @@ from repro.futures.refs import ObjectRef
 from repro.futures.remote import RemoteFunction
 from repro.futures.retry import RetryPolicy
 from repro.futures.runtime import UNATTRIBUTED_JOB, Runtime
-from repro.futures.scheduler import FairShareScheduler, Scheduler
+from repro.futures.scheduler import Scheduler
 from repro.futures.task import CostContext, TaskOptions, TaskPhase
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "CostContext",
     "DriverHandle",
     "Scheduler",
-    "FairShareScheduler",
     "LineageManager",
     "UNATTRIBUTED_JOB",
     "POLICY_KINDS",

@@ -57,14 +57,13 @@ from repro.futures.task import (
     TaskRecord,
     TaskSpec,
 )
-from repro.metrics.core import Counters
 from repro.obs.events import EventBus
-from repro.obs.registry import MetricRegistry
+from repro.obs.registry import UNATTRIBUTED, MetricRegistry
 from repro.simcore import Environment, Event
 
-#: Per-job accounting bucket for work carrying no job id (plain
-#: single-driver runs, or background restores not tied to any task).
-UNATTRIBUTED_JOB = "<unattributed>"
+#: Job dimension for work carrying no job id (plain single-driver runs,
+#: or background restores not tied to any task).
+UNATTRIBUTED_JOB = UNATTRIBUTED
 
 
 class Runtime:
@@ -84,14 +83,16 @@ class Runtime:
         self.cluster = cluster
         self.config = config or RuntimeConfig()
         self.ids: IdGenerator = cluster.ids
-        self.counters = Counters()
         #: Structured event bus (repro.obs): every subsystem publishes
         #: typed, causally linked events here; exported by the tracer
         #: and the run reporter.
         self.bus = EventBus(clock=lambda: self.env.now)
-        #: Dimensioned metrics (per-node / per-job counters, gauges,
-        #: histograms) fed alongside the flat ``counters``.
+        #: The one accounting store: dimensioned counters, gauges and
+        #: histograms.  ``counters`` is its global series (a bare
+        #: ``counters.add`` charges no job); :meth:`job_stats` reads its
+        #: job axis.
         self.metrics = MetricRegistry()
+        self.counters = self.metrics.counters
         #: The resolved policy stack (placement, memory, spill, dispatch)
         #: named by the config and instantiated from the registry; the
         #: scheduler and every node manager consult it.
@@ -99,11 +100,6 @@ class Runtime:
         #: Fault tolerance: node-death handling, retry pacing, and
         #: lineage reconstruction (§4.2.3) live here.
         self.lineage = LineageManager(self)
-        #: Per-job counter buckets keyed by job id (multi-tenant control
-        #: plane); every charge path adds to both the global counters and
-        #: the owning job's bucket, so bucket sums equal the global value
-        #: exactly (checked by the chaos invariant checker).
-        self.job_counters: Dict[str, Counters] = {}
         self.payloads: Dict[ObjectId, Any] = {}
         self.directory = ObjectDirectory(on_refcount_zero=self._evict_object)
         self.tasks: Dict[TaskId, TaskRecord] = {}
@@ -208,48 +204,36 @@ class Runtime:
         return ActorClass(self, cls, TaskOptions(**options))
 
     # -- per-job accounting ---------------------------------------------------
-    def job_bucket(self, job_id: Optional[str]) -> Counters:
-        """The per-job counter bucket for ``job_id`` (created on demand);
-        unattributed work lands in the :data:`UNATTRIBUTED_JOB` bucket."""
-        key = job_id if job_id is not None else UNATTRIBUTED_JOB
-        bucket = self.job_counters.get(key)
-        if bucket is None:
-            bucket = self.job_counters[key] = Counters()
-        return bucket
-
     def charge_task(
         self, options: TaskOptions, name: str, amount: float = 1.0
     ) -> None:
-        """Increment a counter globally *and* in the owning job's bucket.
+        """Increment a counter globally *and* on the owning job's series.
 
         Every task-attributable counter must go through here (not
-        ``self.counters.add``) so per-job buckets sum exactly to the
-        global totals -- the accounting invariant the chaos checker
-        asserts when the jobs layer is active.
+        ``self.counters.add``, which charges the global series only) so
+        per-job values sum exactly to the global totals -- the
+        accounting invariant the chaos checker asserts.
         """
-        self.counters.add(name, amount)
-        self.job_bucket(options.job_id).add(name, amount)
-        key = options.job_id if options.job_id is not None else UNATTRIBUTED_JOB
-        self.metrics.counter(name, amount, job=key)
+        job_id = options.job_id
+        self.metrics.counter(
+            name, amount, job=job_id if job_id is not None else UNATTRIBUTED_JOB
+        )
 
     def charge_object(
         self, object_id: ObjectId, name: str, amount: float = 1.0
     ) -> None:
-        """Per-job side of an object-attributed charge (spill bytes).
-
-        The spill manager already adds the global total itself; this maps
-        the object back to its creating task's job and mirrors the amount
-        into that bucket only.
-        """
+        """An object-attributed charge (spill bytes): the object maps back
+        to its creating task's job, and the amount is charged globally
+        and to that job together."""
         job_id: Optional[str] = None
         creator = self._object_creator.get(object_id)
         if creator is not None:
             record = self.tasks.get(creator)
             if record is not None:
                 job_id = record.spec.options.job_id
-        self.job_bucket(job_id).add(name, amount)
-        key = job_id if job_id is not None else UNATTRIBUTED_JOB
-        self.metrics.counter(name, amount, job=key)
+        self.metrics.counter(
+            name, amount, job=job_id if job_id is not None else UNATTRIBUTED_JOB
+        )
 
     # -- submission (driver-side, non-blocking) -----------------------------
     def submit_task(
@@ -976,12 +960,9 @@ class Runtime:
         return out
 
     def job_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-job counter snapshots keyed by job id (buckets filled by
-        :meth:`charge_task` / :meth:`charge_object`)."""
-        return {
-            job_id: bucket.snapshot()
-            for job_id, bucket in self.job_counters.items()
-        }
+        """Per-job counter snapshots keyed by job id: the registry's job
+        axis, charged by :meth:`charge_task` / :meth:`charge_object`."""
+        return self.metrics.counters_by("job")
 
     def sample_gauges(self) -> None:
         """Sample point-in-time per-node gauges into :attr:`metrics`.

@@ -17,10 +17,10 @@ load, argument bytes), asks the runtime's
 happens when a task's dependencies are all created, so locality
 information is fresh.
 
-:class:`FairShareScheduler` is the back-compat subclass pinning the
-``"fair-share"`` dispatch policy (weighted virtual-time queueing for
-the multi-tenant job control plane, :mod:`repro.jobs`); any scheduler
-whose dispatch policy ``supports_jobs`` exposes the same job surface.
+A scheduler whose dispatch policy ``supports_jobs`` (the
+``"fair-share"`` policy: weighted virtual-time queueing for the
+multi-tenant job control plane, :mod:`repro.jobs`) exposes the job
+surface.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.futures.policies.base import (
     PlacementPolicy,
     PlacementRequest,
 )
-from repro.futures.policies.defaults import FairShareDispatchPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.futures.runtime import Runtime
@@ -275,26 +274,3 @@ class Scheduler:
     def _load(manager: object) -> float:
         return manager.pending_tasks / manager.node.spec.cores  # type: ignore[attr-defined]
 
-
-class FairShareScheduler(Scheduler):
-    """A scheduler pinned to the ``"fair-share"`` dispatch policy.
-
-    Kept as a named class for back-compat (the jobs control plane
-    historically type-checked it); the behaviour -- weighted
-    virtual-time fair queueing with tenant slot caps -- lives in
-    :class:`~repro.futures.policies.FairShareDispatchPolicy`, and any
-    scheduler whose dispatch policy ``supports_jobs`` is equivalent.
-    """
-
-    def __init__(self, runtime: "Runtime", slots_per_core: float = 1.0) -> None:
-        super().__init__(
-            runtime,
-            dispatch_policy=FairShareDispatchPolicy(
-                slots_per_core=slots_per_core
-            ),
-        )
-
-    @property
-    def slots_per_core(self) -> float:
-        """Concurrent task slots granted per alive core."""
-        return self.dispatch_policy.slots_per_core

@@ -88,7 +88,7 @@ class SpillManager:
         directory: "ObjectDirectory",
         config: "RuntimeConfig",
         counters: Counters,
-        charge: Optional[Callable[[ObjectId, str, float], None]] = None,
+        charge: Callable[[ObjectId, str, float], None],
         bus: Optional["EventBus"] = None,
         policy: Optional[SpillPolicy] = None,
     ) -> None:
@@ -107,9 +107,8 @@ class SpillManager:
         #: Optional structured event bus; spill writes, restore reads,
         #: and filesystem fallbacks publish begin/end events into it.
         self.bus = bus
-        #: Optional per-object charge hook ``(object_id, counter, amount)``
-        #: mirroring spill I/O into per-job accounting buckets (the global
-        #: counters above are always charged directly).
+        #: Per-object charge hook ``(object_id, counter, amount)`` that
+        #: charges spill I/O globally and to the object's job together.
         self.charge = charge
         self._file_ids = itertools.count()
         self._slots: Dict[ObjectId, SpillSlot] = {}
@@ -231,12 +230,10 @@ class SpillManager:
         for oid, _size in batch:
             self.store.pin(oid)  # data must stay while being written
         self._in_flight += 1
-        self.counters.add("spill_bytes_written", total)
+        for oid, size in batch:
+            self.charge(oid, "spill_bytes_written", size)
         self.counters.add("spill_files", 1)
         self.counters.add("disk_bytes_written", total)
-        if self.charge is not None:
-            for oid, size in batch:
-                self.charge(oid, "spill_bytes_written", size)
         begin = None
         if self.bus is not None:
             begin = self.bus.emit(
@@ -268,12 +265,10 @@ class SpillManager:
         for oid, _size in batch:
             self.store.pin(oid)  # data must stay while being written
         self._in_flight += 1
-        self.counters.add("spill_bytes_written", total)
+        for oid, size in batch:
+            self.charge(oid, "spill_bytes_written", size)
         self.counters.add("spill_files", 1)
         self.counters.add("shared_bytes_written", total)
-        if self.charge is not None:
-            for oid, size in batch:
-                self.charge(oid, "spill_bytes_written", size)
         begin = None
         if self.bus is not None:
             begin = self.bus.emit(
@@ -425,10 +420,8 @@ class SpillManager:
         sequential = file.next_index is not None and slot.index == file.next_index
         file.next_index = slot.index + 1
         latency = 0.0 if sequential else None
-        self.counters.add("spill_bytes_read", slot.size)
+        self.charge(object_id, "spill_bytes_read", slot.size)
         self.counters.add("disk_bytes_read", slot.size)
-        if self.charge is not None:
-            self.charge(object_id, "spill_bytes_read", slot.size)
         begin = None
         if self.bus is not None:
             begin = self.bus.emit(
@@ -460,10 +453,8 @@ class SpillManager:
         the tier durable against node loss.
         """
         size = self.shared.size_of(object_id)
-        self.counters.add("spill_bytes_read", size)
+        self.charge(object_id, "spill_bytes_read", size)
         self.counters.add("shared_bytes_read", size)
-        if self.charge is not None:
-            self.charge(object_id, "spill_bytes_read", size)
         begin = None
         if self.bus is not None:
             begin = self.bus.emit(

@@ -11,14 +11,15 @@ shuffle libraries themselves:
 - :class:`AdmissionController` -- per-tenant quotas (concurrent jobs,
   aggregate store bytes, task slots) with bounded queueing and
   backpressure;
-- :class:`~repro.futures.FairShareScheduler` integration -- admitted
-  jobs' tasks dispatch by weighted virtual-time fair queueing instead of
-  global FIFO, composing with the existing locality/blacklist placement;
+- fair-share scheduling -- admitted jobs' tasks dispatch by weighted
+  virtual-time fair queueing (the ``"fair-share"`` dispatch policy)
+  instead of global FIFO, composing with the existing locality/blacklist
+  placement;
 - :class:`ShufflePlanner` -- a cost model ranking every shuffle variant
   from the cluster profile and job shape (``variant="auto"``);
 - per-job/per-tenant metrics -- every charge lands in the global
-  counters *and* the owning job's bucket, an exact-sum invariant the
-  chaos checker asserts.
+  series *and* the owning job's series of the runtime's metric
+  registry, an exact-sum invariant the chaos checker asserts.
 
 ``python -m repro.jobs --smoke`` runs a mixed multi-tenant workload
 (including a quota rejection and a chaos plan under concurrent jobs) as

@@ -6,15 +6,15 @@
 - jobs are submitted against registered tenants and pass through the
   :class:`~repro.jobs.admission.AdmissionController` (typed rejections,
   bounded queues);
-- admitted jobs register with the runtime's
-  :class:`~repro.futures.FairShareScheduler` (weight = tenant weight x
-  job weight, tenant task-slot caps) and run as labeled cooperative
-  subdrivers, so every task they submit is stamped with their job id and
-  both scheduling and accounting see job boundaries;
+- admitted jobs register with the runtime's fair-share scheduler
+  (weight = tenant weight x job weight, tenant task-slot caps) and run
+  as labeled cooperative subdrivers, so every task they submit is
+  stamped with their job id and both scheduling and accounting see job
+  boundaries;
 - ``variant="auto"`` jobs are resolved by the
   :class:`~repro.jobs.planner.ShufflePlanner` cost model before launch;
-- per-job metrics (queue wait, task-seconds, bytes) accumulate in the
-  runtime's per-job counter buckets and a queue-wait
+- per-job metrics (queue wait, task-seconds, bytes) accumulate on the
+  job axis of the runtime's metric registry and in a queue-wait
   :class:`~repro.metrics.Histogram`.
 
 Job bodies never leak exceptions into the simulation: a failing job is
@@ -29,7 +29,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.chaos.harness import make_inputs, submit_variant
 from repro.common.errors import JobControlError
-from repro.futures import DriverHandle, FairShareScheduler, Runtime
+from repro.futures import DriverHandle, Runtime, Scheduler
+from repro.futures.policies import FairShareDispatchPolicy
 from repro.jobs.admission import AdmissionController
 from repro.jobs.planner import JobShape, ShufflePlanner
 from repro.jobs.spec import Job, JobSpec, JobState, TenantSpec
@@ -83,8 +84,11 @@ class JobManager:
         if getattr(runtime.scheduler, "supports_fair_share", False):
             self.fair = runtime.scheduler
         else:
-            self.fair = FairShareScheduler(
-                runtime, slots_per_core=slots_per_core
+            self.fair = Scheduler(
+                runtime,
+                dispatch_policy=FairShareDispatchPolicy(
+                    slots_per_core=slots_per_core
+                ),
             )
             runtime.scheduler = self.fair
         self.admission = AdmissionController()
@@ -316,19 +320,19 @@ class JobManager:
 
     # -- metrics --------------------------------------------------------------
     def job_metrics(self, job_id: str) -> Dict[str, float]:
-        """One job's counter bucket (task-seconds, bytes, retries, ...)."""
-        bucket = self.runtime.job_counters.get(job_id)
-        return bucket.snapshot() if bucket is not None else {}
+        """One job's counters (task-seconds, bytes, retries, ...)."""
+        return self.runtime.job_stats().get(job_id, {})
 
     def tenant_metrics(self) -> Dict[str, Dict[str, float]]:
-        """Counter buckets aggregated per tenant."""
+        """Per-job counters aggregated per tenant."""
+        job_stats = self.runtime.job_stats()
         out: Dict[str, Dict[str, float]] = {}
         for job_id, job in self.jobs.items():
-            bucket = self.runtime.job_counters.get(job_id)
-            if bucket is None:
+            counters = job_stats.get(job_id)
+            if counters is None:
                 continue
             agg = out.setdefault(job.spec.tenant, {})
-            for key, value in bucket.snapshot().items():
+            for key, value in counters.items():
                 agg[key] = agg.get(key, 0.0) + value
         return out
 

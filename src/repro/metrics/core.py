@@ -39,8 +39,7 @@ class Counters:
         return self.as_dict()
 
     def merge(self, other: "Counters") -> None:
-        """Fold another counter set into this one (summing shared keys) --
-        e.g. aggregating per-job buckets into a per-tenant total."""
+        """Fold another counter set into this one (summing shared keys)."""
         for name, amount in other.as_dict().items():
             self._values[name] += amount
 
@@ -53,6 +52,9 @@ class Counters:
 
     def __getitem__(self, name: str) -> float:
         return self.get(name)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._values
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._values)

@@ -39,7 +39,7 @@ and is the CI gate for this package:
    attempt spans carry the causal flow arrows, and a JSONL export that
    round-trips losslessly into an identical report;
 2. two labeled jobs on a spill-heavy cluster must charge spill bytes
-   into per-job buckets that sum *exactly* to the global spill counter,
+   to per-job series that sum *exactly* to the global spill counter,
    with the metric-dimension invariant family clean;
 3. the reporter must render every section from the recorded file alone;
 4. the perf layer must attribute the chaos run's critical path with the
@@ -183,10 +183,7 @@ def _smoke_spill_accounting(seed: int, out_dir: Path) -> int:
     rt.run(driver)
     rt.env.run()
     global_spill = rt.counters.get("spill_bytes_written")
-    per_job = {
-        job_id: bucket.get("spill_bytes_written")
-        for job_id, bucket in rt.job_counters.items()
-    }
+    per_job = rt.metrics.counter_by("spill_bytes_written", "job")
     failures += _check(
         global_spill > 0, f"spilling occurred ({global_spill / MIB:.1f} MiB)"
     )

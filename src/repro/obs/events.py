@@ -115,7 +115,7 @@ EVENT_KINDS: Dict[str, str] = {
     # chaos
     "chaos.fault": "the injector fired a fault (attrs: fault)",
     # synthetic
-    "run.summary": "trailing export record: counters and per-job buckets",
+    "run.summary": "trailing export record: counters and per-job counters",
 }
 
 

@@ -1,12 +1,15 @@
 """Dimensioned metrics: counters, gauges, and histograms by node and job.
 
-The runtime's flat :class:`~repro.metrics.core.Counters` answer "how
-much, in total"; the registry answers "how much, *where* and *for
-whom*".  Every series is a metric name plus an optional ``node`` and/or
-``job`` dimension; writes always update both the dimensioned series and
-the undimensioned global, so per-dimension values sum exactly to the
-global for every populated axis -- the accounting invariant the chaos
-checker's metric-dimension family asserts.
+The registry is the runtime's one accounting store.  Every counter
+lives in one :class:`~repro.metrics.core.Counters` for the global
+series plus one per dimension value (``node`` or ``job``); the
+runtime's flat ``rt.counters`` *is* the global series and
+``rt.job_stats()`` reads the job axis, so both are views, not copies.
+A dimensioned write (``counter(name, node=..., job=...)``) adds to the
+global series and to each populated dimension at once, so per-dimension
+values sum exactly to the global for every populated axis -- the
+accounting invariant the chaos checker's metric-dimension family
+asserts.  A bare ``rt.counters.add`` charges the global series only.
 
 ``snapshot()`` captures everything as plain nested dicts and
 ``delta()`` closes a measurement interval against a previous snapshot,
@@ -17,14 +20,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.metrics.core import Histogram
+from repro.metrics.core import Counters, Histogram
 
 #: The dimension key used for the undimensioned (global) series.
 GLOBAL_DIM = "<all>"
 
-#: Job dimension for work not attributed to any job (mirrors
-#: ``repro.futures.runtime.UNATTRIBUTED_JOB`` without importing it --
-#: the registry must not depend on the runtime).
+#: Job dimension for work not attributed to any job (plain single-driver
+#: runs, or background restores not tied to any task).
 UNATTRIBUTED = "<unattributed>"
 
 _AXES = ("node", "job")
@@ -44,8 +46,13 @@ class MetricRegistry:
     """Per-run metric store with node and job dimensions."""
 
     def __init__(self) -> None:
-        # name -> axis ("<all>"/"node"/"job") -> dim value -> number
-        self._counters: Dict[str, Dict[str, Dict[str, float]]] = {}
+        #: The global series of every counter (the runtime's
+        #: ``rt.counters``).
+        self.counters = Counters()
+        # axis ("node"/"job") -> dim value -> that value's counters
+        self._by_dim: Dict[str, Dict[str, Counters]] = {
+            axis: {} for axis in _AXES
+        }
         self._gauges: Dict[str, Dict[str, Dict[str, float]]] = {}
         # (name, axis, dim value) -> Histogram
         self._histograms: Dict[Tuple[str, str, str], Histogram] = {}
@@ -60,29 +67,49 @@ class MetricRegistry:
         job: Optional[str] = None,
     ) -> None:
         """Add to a monotonic counter, charging the global series and
-        every populated dimension axis in lockstep."""
-        series = self._counters.setdefault(name, {})
-        series.setdefault(GLOBAL_DIM, {}).setdefault(GLOBAL_DIM, 0.0)
-        series[GLOBAL_DIM][GLOBAL_DIM] += amount
-        for axis, value in _dims(node, job):
-            bucket = series.setdefault(axis, {})
-            bucket[value] = bucket.get(value, 0.0) + amount
+        every populated dimension axis together."""
+        self.counters.add(name, amount)
+        if node is not None:
+            self._series("node", node).add(name, amount)
+        if job is not None:
+            self._series("job", job).add(name, amount)
+
+    def _series(self, axis: str, value: Any) -> Counters:
+        """The counters of one dimension value (created on first write)."""
+        values = self._by_dim[axis]
+        key = str(value)
+        series = values.get(key)
+        if series is None:
+            series = values[key] = Counters()
+        return series
+
+    def _axis(self, axis: str) -> Dict[str, Counters]:
+        if axis not in _AXES:
+            raise ValueError(f"unknown axis {axis!r}; expected one of {_AXES}")
+        return self._by_dim[axis]
 
     def counter_total(self, name: str) -> float:
         """The global value of a counter (0 if never touched)."""
-        return self._counters.get(name, {}).get(GLOBAL_DIM, {}).get(
-            GLOBAL_DIM, 0.0
-        )
+        return self.counters.get(name)
 
     def counter_by(self, name: str, axis: str) -> Dict[str, float]:
         """One axis of a counter (``"node"`` or ``"job"``) as a dict."""
-        if axis not in _AXES:
-            raise ValueError(f"unknown axis {axis!r}; expected one of {_AXES}")
-        return dict(self._counters.get(name, {}).get(axis, {}))
+        return {
+            value: series.get(name)
+            for value, series in self._axis(axis).items()
+            if name in series
+        }
+
+    def counters_by(self, axis: str) -> Dict[str, Dict[str, float]]:
+        """Every counter of each value on one axis, ``{value: {name:
+        amount}}`` (the shape of ``rt.job_stats()``)."""
+        return {
+            value: series.snapshot() for value, series in self._axis(axis).items()
+        }
 
     def counter_names(self) -> List[str]:
         """Every counter name ever written, sorted."""
-        return sorted(self._counters)
+        return sorted(self.counters)
 
     # -- gauges --------------------------------------------------------------
     def gauge_set(
@@ -151,13 +178,23 @@ class MetricRegistry:
         return self._histograms.get(key) or Histogram(name)
 
     # -- snapshot / delta ------------------------------------------------------
+    def _counter_series(self) -> Dict[str, Dict[str, Dict[str, float]]]:
+        """name -> axis (``"<all>"``/``"node"``/``"job"``) -> dim value ->
+        amount; axes a counter never populated are absent."""
+        out = {
+            name: {GLOBAL_DIM: {GLOBAL_DIM: total}}
+            for name, total in self.counters.as_dict().items()
+        }
+        for axis, values in self._by_dim.items():
+            for value, series in values.items():
+                for name, amount in series.as_dict().items():
+                    out[name].setdefault(axis, {})[value] = amount
+        return out
+
     def snapshot(self) -> Dict[str, Any]:
         """Everything as nested plain dicts (JSON-serialisable)."""
         return {
-            "counters": {
-                name: {axis: dict(vals) for axis, vals in series.items()}
-                for name, series in self._counters.items()
-            },
+            "counters": self._counter_series(),
             "gauges": {
                 name: {axis: dict(vals) for axis, vals in series.items()}
                 for name, series in self._gauges.items()
@@ -176,7 +213,7 @@ class MetricRegistry:
         """
         prev = previous.get("counters", {})
         out: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for name, series in self._counters.items():
+        for name, series in self._counter_series().items():
             for axis, values in series.items():
                 for dim, value in values.items():
                     before = prev.get(name, {}).get(axis, {}).get(dim, 0.0)
@@ -187,6 +224,6 @@ class MetricRegistry:
 
     def __repr__(self) -> str:
         return (
-            f"<MetricRegistry counters={len(self._counters)} "
+            f"<MetricRegistry counters={len(self.counter_names())} "
             f"gauges={len(self._gauges)} histograms={len(self._histograms)}>"
         )

@@ -2,7 +2,7 @@
 
 ``record_run`` exports a runtime's bus as JSONL with a trailing
 synthetic ``run.summary`` event carrying the flat counters, the per-job
-buckets, and the dimensioned metric snapshot -- one file is the whole
+counters, and the dimensioned metric snapshot -- one file is the whole
 run.  :class:`RunReport` loads that file (or a live event list) and
 renders the sections behind ``python -m repro.obs``:
 
@@ -41,7 +41,7 @@ def record_run(runtime: Any, path: str) -> int:
 
     Samples the per-node gauges first, then appends a synthetic
     ``run.summary`` event holding ``runtime.stats()``, the per-job
-    counter buckets, and the metric-registry snapshot, so the file is
+    counters, and the metric-registry snapshot, so the file is
     self-sufficient for offline reporting.  Returns the number of lines
     written.  ``runtime`` is duck-typed (needs ``bus``, ``stats``,
     ``job_stats``, ``metrics``, ``sample_gauges``).

@@ -102,7 +102,6 @@ class BackpressureController:
                 inflight=len(self._inflight),
                 backlog_bytes=rt.allocation_backlog(),
             )
-            rt.metrics.counter("stream.backpressure_stalls", job=self.job_id)
             oldest_ref: ObjectRef = self._inflight[0][1]
             rt.wait([oldest_ref], num_returns=1)
 

@@ -237,7 +237,6 @@ def run_streaming_job(
     if windows_run:
         final_states = [ref for ref in rounds.finish() if ref is not None]
         rt.wait(final_states, num_returns=len(final_states))
-    rt.metrics.counter("stream.records_total", total_records, job=job_id)
     latency = rt.metrics.histogram(RECORD_LATENCY_METRIC, job=job_id)
     return StreamingJobResult(
         job_id=job_id,

@@ -240,3 +240,39 @@ def test_profile_isolation_catches_observed_plane_imports(tmp_path):
     assert len(violations) == 3
     assert all("rogue.py" in v for v in violations)
     assert all("self_profiler" in v for v in violations)
+
+
+def test_runtime_keeps_a_single_accounting_store():
+    """Outside ``repro.metrics``, ``repro.obs.registry`` and the baseline
+    engines, nothing builds a ``Counters``: the metric registry is the
+    runtime's one counter store."""
+    lint = _lint()
+    violations = lint.check_single_accounting_store(REPO / "src" / "repro")
+    assert violations == []
+
+
+def test_single_store_check_catches_a_second_store(tmp_path):
+    """A synthetic runtime module keeping its own ``Counters`` (by name
+    or through the module) is flagged; the owners stay exempt."""
+    lint = _lint()
+    src_root = tmp_path / "src" / "repro"
+    for pkg in ("futures", "metrics", "obs", "baselines"):
+        (src_root / pkg).mkdir(parents=True)
+        (src_root / pkg / "__init__.py").write_text("")
+    (src_root / "__init__.py").write_text("")
+    (src_root / "futures" / "rogue.py").write_text(
+        textwrap.dedent(
+            """
+            from repro.metrics import core
+            from repro.metrics.core import Counters
+            job_counters = {"j": Counters()}
+            spare = core.Counters()
+            """
+        )
+    )
+    (src_root / "metrics" / "core.py").write_text("x = Counters()\n")
+    (src_root / "obs" / "registry.py").write_text("x = Counters()\n")
+    (src_root / "baselines" / "engine.py").write_text("x = Counters()\n")
+    violations = lint.check_single_accounting_store(src_root)
+    assert len(violations) == 2
+    assert all("futures/rogue.py" in v for v in violations)

@@ -205,13 +205,13 @@ class TestMetricDimensions:
 
     def test_invariant_family_catches_lockstep_drift(self):
         rt = _chain_runtime()
-        name = rt.metrics.counter_names()[0]
-        # Corrupt one dimension bucket behind the registry's back.
-        rt.metrics._counters[name]["job"] = {"rogue": 123.0}
+        # A global-only add on a job-attributed counter bypasses the
+        # charge path: the job axis no longer sums to the global series.
+        rt.counters.add("tasks_finished", 1)
         violations = [
             v for v in InvariantChecker(rt).check() if v.startswith("metric")
         ]
-        assert violations and name in violations[0]
+        assert len(violations) == 1 and "'tasks_finished'" in violations[0]
 
     def test_registry_snapshot_and_delta(self):
         reg = MetricRegistry()
@@ -231,6 +231,22 @@ class TestMetricDimensions:
         assert "job" not in moved["counters"]["bytes"] or moved["counters"][
             "bytes"
         ]["job"] == {"j1": 5.0}
+
+    def test_runtime_counters_are_the_registry_global_series(self):
+        rt = _chain_runtime()
+        assert rt.counters is rt.metrics.counters
+        assert rt.metrics.counter_total("tasks_finished") == rt.stats()[
+            "tasks_finished"
+        ]
+        assert rt.job_stats() == rt.metrics.counters_by("job")
+        # A bare add charges the global series only: it shows up in the
+        # snapshot with no dimension axes.
+        rt.counters.add("global_only", 2)
+        series = rt.metrics.snapshot()["counters"]["global_only"]
+        assert series == {GLOBAL_DIM: {GLOBAL_DIM: 2.0}}
+        assert rt.metrics.counter_by("global_only", "job") == {}
+        with pytest.raises(ValueError):
+            rt.metrics.counters_by("tenant")
 
     def test_counters_snapshot_and_merge(self):
         a = Counters()

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Layering lint: the policy plane must stay mechanism-free, and the
-streaming tier must stay optional.
+"""Layering lint: the policy plane must stay mechanism-free, the
+streaming tier must stay optional, and counters live in one store.
 
 ``repro.futures.policies`` holds pure decision rules; the refactor that
 extracted them is only worth keeping if they *stay* extracted.  This
@@ -26,6 +26,12 @@ would make it load-bearing in batch-only runs, breaking the
 zero-cost-when-off contract the golden digest tests pin.  Run as
 ``python tools/check_layering.py`` (CI does; nonzero exit on
 violation).
+
+The last check keeps the runtime's accounting in one place: the
+:class:`~repro.obs.registry.MetricRegistry` holds every counter, and
+only the modules in :data:`COUNTERS_OWNERS` may build a ``Counters``.
+A second store elsewhere would need its own proof that it agrees with
+the first.
 """
 
 from __future__ import annotations
@@ -114,6 +120,15 @@ PLAN_FORBIDDEN_IMPORTERS = (
 #: The single module under a forbidden package allowed to import
 #: ``repro.plan`` (the legacy wrapper).
 PLAN_IMPORT_EXEMPT = ("repro.shuffle.select",)
+
+#: Modules allowed to construct a ``Counters``: the class's own package,
+#: the metric registry (the runtime's one accounting store), and the
+#: baseline engines, which are separate systems with their own books.
+COUNTERS_OWNERS = (
+    "repro.metrics",
+    "repro.obs.registry",
+    "repro.baselines",
+)
 
 
 def _allowed(module: str) -> bool:
@@ -389,6 +404,31 @@ def check_plan_isolation(src_root: Path) -> List[str]:
     return violations
 
 
+def check_single_accounting_store(src_root: Path) -> List[str]:
+    """Modules outside :data:`COUNTERS_OWNERS` that call ``Counters(``."""
+    violations: List[str] = []
+    for path in sorted(src_root.rglob("*.py")):
+        module = _module_name(path, src_root)
+        if any(
+            module == pkg or module.startswith(pkg + ".")
+            for pkg in COUNTERS_OWNERS
+        ):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", "")
+            if name == "Counters":
+                violations.append(
+                    f"{path}:{node.lineno}: constructs a Counters "
+                    f"(only {', '.join(COUNTERS_OWNERS)} may; charge "
+                    f"runtime.metrics instead of keeping a second store)"
+                )
+    return violations
+
+
 def main(argv: List[str] = None) -> int:
     """Entry point: check the tree, print violations, exit nonzero."""
     args = list(sys.argv[1:] if argv is None else argv)
@@ -409,6 +449,7 @@ def main(argv: List[str] = None) -> int:
         violations += check_live_isolation(SRC_ROOT)
         violations += check_profile_isolation(SRC_ROOT)
         violations += check_plan_isolation(SRC_ROOT)
+        violations += check_single_accounting_store(SRC_ROOT)
     for violation in violations:
         print(violation)
     if violations:
