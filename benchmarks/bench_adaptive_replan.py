@@ -13,8 +13,8 @@ access-pattern model), while push's merged runs restore near-
 sequentially and its fewer tasks pipeline the stalled disk.
 
 Both arms lower the same expression through :mod:`repro.plan` with the
-empirical crossover rule (the ``select.py`` legacy: in-memory below 150
-partitions -> simple) and pick ``simple`` on the healthy cluster.  The
+empirical crossover rule (:func:`repro.plan.empirical_variant`:
+in-memory below 150 partitions -> simple) and pick ``simple`` on the healthy cluster.  The
 static arm (``replan="off"``) keeps that plan to the end.  The adaptive
 arm (``replan="on"``) re-lowers the remaining stages at the stage
 boundary against the *effective* profile -- a fresh sample of the

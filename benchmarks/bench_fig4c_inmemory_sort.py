@@ -5,7 +5,7 @@ in memory.  Paper shape: ES-simple is 20-70% *faster* than ES-push* at 80
 partitions (merging only adds overhead when disk I/O is free), and
 ES-push* wins once partitions reach 200+ (better pipelining of many small
 tasks).  This crossover is the motivation for run-time shuffle selection
-(`repro.shuffle.choose_shuffle`).
+(`repro.plan.empirical_variant`, the plan layer's ``rule="empirical"``).
 """
 
 import pytest

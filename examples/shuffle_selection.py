@@ -5,7 +5,9 @@ The most performant shuffle depends on data size, layout, and hardware.
 Because every algorithm here is just a library function over the same
 data plane, an application can pick per job -- no second system to
 deploy.  This demo sweeps data sizes on one cluster and shows the
-selector switching algorithms right where the measured crossover is.
+paper's empirical rule (``repro.plan.empirical_variant``, the
+``rule="empirical"`` lowering) switching algorithms right where the
+measured crossover is.
 
 Run:  python examples/shuffle_selection.py
 """
@@ -13,7 +15,7 @@ Run:  python examples/shuffle_selection.py
 from repro.cluster import ClusterSpec, I3_2XLARGE
 from repro.common.units import GB, GIB
 from repro.futures import Runtime
-from repro.shuffle.select import describe_choice
+from repro.plan import ClusterProfile, empirical_variant
 from repro.sort import SortJobConfig, run_sort
 
 
@@ -35,7 +37,9 @@ def measure(variant: str, data_bytes: int, partitions: int) -> float:
 
 def main() -> None:
     node = I3_2XLARGE.with_object_store(2 * GIB)
-    probe_rt = Runtime(ClusterSpec.homogeneous(node, 4))
+    store = ClusterProfile.from_runtime(
+        Runtime(ClusterSpec.homogeneous(node, 4))
+    ).store_bytes
 
     print(f"{'data':>8s} {'parts':>6s} {'simple':>8s} {'push*':>8s} "
           f"{'winner':>8s} {'selector':>16s}")
@@ -44,8 +48,8 @@ def main() -> None:
         t_simple = measure("simple", data, partitions)
         t_push = measure("push*", data, partitions)
         winner = "simple" if t_simple < t_push else "push*"
-        choice = describe_choice(probe_rt, data, partitions)["algorithm"]
-        short = "simple" if "simple" in choice else "push*"
+        choice = empirical_variant(store, data, partitions)
+        short = "simple" if choice == "simple" else "push*"
         print(
             f"{data_gb:6d}GB {partitions:6d} {t_simple:7.1f}s {t_push:7.1f}s "
             f"{winner:>8s} {short:>16s}"

@@ -2,9 +2,10 @@
 """Export a Chrome/Perfetto trace of a shuffle's execution.
 
 Runs a push-based sort, prints the per-phase summary, and writes a
-``chrome://tracing``-compatible JSON timeline of every task on every
-node -- the observability workflow used to eyeball pipelining in real
-deployments.
+``chrome://tracing``-compatible JSON timeline of every task, transfer
+and spill on every node, with per-node usage counters alongside -- the
+observability workflow used to eyeball pipelining in real deployments.
+Both views are derived from the runtime's event bus.
 
 Run:  python examples/trace_timeline.py [--out trace.json]
 """
@@ -14,7 +15,7 @@ import argparse
 from repro.cluster import ClusterSpec, D3_2XLARGE
 from repro.common.units import GB, GIB
 from repro.futures import Runtime
-from repro.metrics import export_chrome_trace, phase_summary
+from repro.obs import RunReport, write_chrome_trace
 from repro.sort import SortJobConfig, run_sort
 
 
@@ -37,9 +38,9 @@ def main() -> None:
     )
     print(f"sorted 10 GB with {args.variant} in {result.sort_seconds:.1f}s "
           f"(simulated)\n")
-    print(phase_summary(rt).render())
-    count = export_chrome_trace(rt, args.out)
-    print(f"\nwrote {count} task events to {args.out}")
+    print(RunReport(rt.bus.events).phase_table().render())
+    count = write_chrome_trace(rt.bus.events, args.out)
+    print(f"\nwrote {count} span events to {args.out}")
     print("open chrome://tracing or https://ui.perfetto.dev and load it")
 
 

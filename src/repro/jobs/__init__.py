@@ -15,8 +15,9 @@ shuffle libraries themselves:
   virtual-time fair queueing (the ``"fair-share"`` dispatch policy)
   instead of global FIFO, composing with the existing locality/blacklist
   placement;
-- :class:`ShufflePlanner` -- a cost model ranking every shuffle variant
-  from the cluster profile and job shape (``variant="auto"``);
+- ``variant="auto"`` -- resolved before launch by lowering a
+  :class:`repro.plan.ShuffleExpr` through the runtime's planner (the
+  cost-model lowering rule by default);
 - per-job/per-tenant metrics -- every charge lands in the global
   series *and* the owning job's series of the runtime's metric
   registry, an exact-sum invariant the chaos checker asserts.
@@ -28,12 +29,6 @@ a CI gate; see ``docs/jobs.md`` for the full tour.
 
 from repro.jobs.admission import AdmissionController
 from repro.jobs.manager import JobManager, job_runner, register_job_runner
-from repro.jobs.planner import (
-    ClusterProfile,
-    JobShape,
-    PlanEstimate,
-    ShufflePlanner,
-)
 from repro.jobs.spec import (
     Job,
     JobSpec,
@@ -53,15 +48,11 @@ from repro.jobs.workload import (
 
 __all__ = [
     "AdmissionController",
-    "ClusterProfile",
     "Job",
     "JobManager",
-    "JobShape",
     "JobSpec",
     "JobState",
     "JobsRunReport",
-    "PlanEstimate",
-    "ShufflePlanner",
     "StreamSpec",
     "TERMINAL_STATES",
     "TenantQuota",

@@ -11,8 +11,8 @@
   as labeled cooperative subdrivers, so every task they submit is
   stamped with their job id and both scheduling and accounting see job
   boundaries;
-- ``variant="auto"`` jobs are resolved by the
-  :class:`~repro.jobs.planner.ShufflePlanner` cost model before launch;
+- ``variant="auto"`` jobs are resolved before launch by lowering a
+  :class:`~repro.plan.ShuffleExpr` through the runtime's planner;
 - per-job metrics (queue wait, task-seconds, bytes) accumulate on the
   job axis of the runtime's metric registry and in a queue-wait
   :class:`~repro.metrics.Histogram`.
@@ -32,10 +32,9 @@ from repro.common.errors import JobControlError
 from repro.futures import DriverHandle, Runtime, Scheduler
 from repro.futures.policies import FairShareDispatchPolicy
 from repro.jobs.admission import AdmissionController
-from repro.jobs.planner import JobShape, ShufflePlanner
 from repro.jobs.spec import Job, JobSpec, JobState, TenantSpec
 from repro.metrics import Histogram
-from repro.plan import ShuffleExpr, planner_for_runtime
+from repro.plan import JobShape, ShuffleExpr, planner_for_runtime
 
 
 #: Pluggable job-runner bodies keyed by mode name.  A runner is called
@@ -75,7 +74,6 @@ class JobManager:
         runtime: Runtime,
         *,
         slots_per_core: float = 1.0,
-        planner: Optional[ShufflePlanner] = None,
     ) -> None:
         self.runtime = runtime
         # Duck-typed: any scheduler whose dispatch policy supports jobs
@@ -92,11 +90,10 @@ class JobManager:
             )
             runtime.scheduler = self.fair
         self.admission = AdmissionController()
-        # The planning surface behind ``variant="auto"``: by default the
-        # runtime's shared :class:`repro.plan.AdaptivePlanner` (honouring
-        # the ``planner=`` / ``replan=`` config knobs); a legacy
-        # :class:`ShufflePlanner` passed explicitly still works.
-        self.planner = planner or planner_for_runtime(runtime)
+        # The planning surface behind ``variant="auto"``: the runtime's
+        # shared :class:`repro.plan.AdaptivePlanner` (honouring the
+        # ``planner=`` / ``replan=`` config knobs).
+        self.planner = planner_for_runtime(runtime)
         #: Every job ever submitted, keyed by job id, in submission order.
         self.jobs: Dict[str, Job] = {}
         #: Queue-wait distribution (seconds from submission to admission).
@@ -215,8 +212,7 @@ class JobManager:
         A ``spec.plan`` hook wins: an already-lowered plan is executed
         as-is, an expression is lowered by the manager's planner.  Then
         explicit variants pass straight through, and ``"auto"`` lowers
-        the shape-derived expression -- with the cost model by default,
-        exactly as the legacy :class:`ShufflePlanner` path did.
+        the shape-derived expression -- with the cost model by default.
         """
         spec = job.spec
         if spec.plan is not None and hasattr(spec.plan, "estimate"):
@@ -255,16 +251,8 @@ class JobManager:
                 ),
                 label=spec.name,
             )
-        if hasattr(self.planner, "plan"):
-            plan = self.planner.plan(
-                expr, default_rule="cost", job=job.job_id
-            )
-            job.plan = plan
-            return plan.variant
-        # Legacy planners (bare ShufflePlanner) only see the shape.
-        if spec.stream is not None:
-            return "streaming"
-        return self.planner.choose(expr.shape)
+        job.plan = self.planner.plan(expr, default_rule="cost", job=job.job_id)
+        return job.plan.variant
 
     def _run_job(self, job: Job) -> Job:
         """The per-job subdriver body: plan, submit, block, record.

@@ -136,8 +136,8 @@ class JobSpec:
     """A declarative description of one shuffle job.
 
     ``variant`` names a :data:`repro.chaos.SHUFFLE_VARIANTS` entry or
-    ``"auto"`` to let the :class:`~repro.jobs.planner.ShufflePlanner`
-    choose from the cost model.  ``weight`` multiplies the owning
+    ``"auto"`` to let the plan layer choose (a
+    :class:`~repro.plan.ShuffleExpr` lowered with the cost-model rule).  ``weight`` multiplies the owning
     tenant's weight for fair sharing.  ``store_bytes_estimate`` feeds
     admission control; when ``None`` a size heuristic from the job shape
     is used.

@@ -2,20 +2,10 @@
 
 from repro.metrics.core import Counters, Histogram, TimeSeries
 from repro.metrics.tables import ResultTable
-from repro.metrics.timeline import (
-    chrome_trace_events,
-    export_chrome_trace,
-    phase_summary,
-    task_spans,
-)
 
 __all__ = [
     "Counters",
     "Histogram",
     "TimeSeries",
     "ResultTable",
-    "task_spans",
-    "phase_summary",
-    "chrome_trace_events",
-    "export_chrome_trace",
 ]

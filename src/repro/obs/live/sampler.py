@@ -45,6 +45,11 @@ Series maintained (names are ``scope:key:track``):
 - ``cluster:inflight`` / ``cluster:stall_rate`` (stalls per interval)
   / ``cluster:faults`` / ``cluster:retries``.
 
+The state behind those series lives in :class:`GaugeFold`, which
+:func:`repro.obs.perf.derive_usage` replays too: the per-node usage
+tracks and the ``node:*`` series are one derivation, one read point
+by point and the other at interval boundaries.
+
 Tenants are resolved from the ``tenant`` attr that the jobs control
 plane stamps on ``job.*`` events and the streaming tier stamps on
 ``stream.backpressure``; tasks map to tenants through their job.
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EventBus, ObsEvent
 
@@ -157,6 +162,175 @@ class FeedEntry:
         }
 
 
+class GaugeFold:
+    """A run's current gauges, folded from its events one at a time.
+
+    The one place task, disk, transfer, object-store and spill events
+    become numbers: :class:`TimeSeriesSampler` samples :attr:`gauges`
+    at interval boundaries, and :func:`repro.obs.perf.derive_usage`
+    replays the same fold, recording each ``node:*`` write (reported
+    through ``on_change(name, value)``) as a step point.
+    """
+
+    def __init__(
+        self, on_change: Optional[Callable[[str, float], None]] = None
+    ) -> None:
+        #: Series name -> current value.
+        self.gauges: Dict[str, float] = {}
+        self.on_change = on_change
+        self._running_on: Dict[str, str] = {}  # task -> node of live attempt
+        self._disk_begin: Dict[int, str] = {}  # begin seq -> node
+        self._nic_begin: Dict[int, Tuple[str, ...]] = {}  # begin seq -> nodes
+        self._begin_bytes: Dict[int, float] = {}  # begin seq -> bytes
+        self._residency: Dict[str, Dict[str, float]] = {}  # obj -> node -> B
+        self._parked: Dict[str, List[str]] = {}  # node -> parked obj ids
+        self._job_tenant: Dict[str, str] = {}  # job id -> tenant
+        self._job_of_task: Dict[str, Optional[str]] = {}
+
+    def _set(self, name: str, value: float) -> None:
+        self.gauges[name] = value
+        if self.on_change is not None:
+            self.on_change(name, value)
+
+    def _bump(self, name: str, delta: float) -> None:
+        self._set(name, max(0.0, self.gauges.get(name, 0.0) + delta))
+
+    def _tenant_of(self, event: ObsEvent) -> Optional[str]:
+        tenant = event.attrs.get("tenant")
+        if tenant is not None:
+            return str(tenant)
+        if event.job is not None:
+            return self._job_tenant.get(event.job)
+        return None
+
+    def _end_of_attempt(self, task: Optional[str]) -> None:
+        """Close the running attempt of ``task`` (if any) on its node."""
+        if task is None:
+            return
+        node = self._running_on.pop(task, None)
+        if node is not None:
+            self._bump(f"node:{node}:cpu", -1.0)
+
+    def _kill_node_attempts(self, node: Optional[str]) -> None:
+        """A node died or was removed: its executing attempts vanish."""
+        if node is None:
+            return
+        doomed = [t for t, n in self._running_on.items() if n == node]
+        for task in doomed:
+            del self._running_on[task]
+        if doomed:
+            self._set(f"node:{node}:cpu", 0.0)
+
+    def _settle_task(self, event: ObsEvent) -> None:
+        job = self._job_of_task.pop(event.task, None) if event.task else None
+        self._bump("cluster:inflight", -1.0)
+        if job is not None:
+            self._bump(f"job:{job}:inflight", -1.0)
+
+    def _store_add(
+        self, node: Optional[str], obj: Optional[str], size: float
+    ) -> None:
+        if node is None or size <= 0:
+            return
+        if obj is not None:
+            self._residency.setdefault(obj, {})[node] = size
+        self._bump(f"node:{node}:store", size)
+
+    def _unpark(self, node: Optional[str], obj: Optional[str]) -> None:
+        parked = self._parked.get(node) if node is not None else None
+        if parked and obj in parked:
+            parked.remove(obj)
+            self._bump(f"node:{node}:spill_queue", -1.0)
+
+    def apply(self, event: ObsEvent) -> None:  # noqa: C901 - one dispatch
+        """Fold one event into the gauges."""
+        kind = event.kind
+        attrs = event.attrs
+        tenant = self._tenant_of(event)
+        if kind == "task.submit":
+            self._bump("cluster:inflight", +1.0)
+            if event.task is not None:
+                self._job_of_task[event.task] = event.job
+            if event.job is not None:
+                self._bump(f"job:{event.job}:inflight", +1.0)
+        elif kind == "task.run":
+            if event.task is not None and event.node is not None:
+                self._end_of_attempt(event.task)  # superseded attempt
+                self._running_on[event.task] = event.node
+                self._bump(f"node:{event.node}:cpu", +1.0)
+        elif kind == "task.finish":
+            self._end_of_attempt(event.task)
+            self._settle_task(event)
+            if event.job is not None:
+                self._bump(f"job:{event.job}:finished", +1.0)
+            if tenant is not None:
+                self._bump(f"tenant:{tenant}:finished", +1.0)
+        elif kind == "task.fail":
+            self._end_of_attempt(event.task)
+            self._settle_task(event)
+        elif kind == "task.retry":
+            self._end_of_attempt(event.task)
+            self._bump("cluster:retries", +1.0)
+        elif kind == "chaos.fault":
+            self._bump("cluster:faults", +1.0)
+        elif kind in ("node.death", "executor.failure"):
+            self._kill_node_attempts(event.node)
+        elif kind == "cluster.membership":
+            if attrs.get("action") == "remove":
+                self._kill_node_attempts(event.node)
+        elif kind in (
+            "spill.write.begin", "spill.restore.begin", "disk.write.begin"
+        ):
+            if event.node is not None:
+                self._disk_begin[event.seq] = event.node
+                self._begin_bytes[event.seq] = float(attrs.get("bytes", 0.0))
+                self._bump(f"node:{event.node}:disk", +1.0)
+        elif kind in ("spill.write.end", "spill.restore.end", "disk.write.end"):
+            node = self._disk_begin.pop(event.cause, None) or event.node
+            size = self._begin_bytes.pop(event.cause, 0.0)
+            if node is not None:
+                self._bump(f"node:{node}:disk", -1.0)
+            if kind == "spill.restore.end":
+                self._store_add(event.node, event.obj, size)
+            elif kind == "spill.write.end" and attrs.get("ok", True):
+                if event.node is not None:
+                    self._bump(f"node:{event.node}:store", -size)
+        elif kind == "transfer.begin":
+            nodes = tuple(
+                n for n in (event.node, attrs.get("src")) if n is not None
+            )
+            self._nic_begin[event.seq] = tuple(str(n) for n in nodes)
+            self._begin_bytes[event.seq] = float(attrs.get("bytes", 0.0))
+            for node in nodes:
+                self._bump(f"node:{node}:nic", +1.0)
+        elif kind == "transfer.end":
+            for node in self._nic_begin.pop(event.cause, ()):
+                self._bump(f"node:{node}:nic", -1.0)
+            size = self._begin_bytes.pop(event.cause, 0.0)
+            if attrs.get("ok", True):
+                self._store_add(event.node, event.obj, size)
+        elif kind == "object.create":
+            self._store_add(event.node, event.obj, float(attrs.get("bytes", 0.0)))
+            self._unpark(event.node, event.obj)
+        elif kind == "object.evict":
+            if event.obj is not None:
+                for node, size in self._residency.pop(event.obj, {}).items():
+                    self._bump(f"node:{node}:store", -size)
+        elif kind == "store.pressure":
+            if event.node is not None:
+                self._parked.setdefault(event.node, []).append(event.obj or "")
+                self._bump(f"node:{event.node}:spill_queue", +1.0)
+        elif kind == "spill.fallback":
+            self._unpark(event.node, event.obj)
+        elif kind == "stream.backpressure":
+            self._bump("cluster:stalls", +1.0)
+            if tenant is not None:
+                self._bump(f"tenant:{tenant}:stalls", +1.0)
+        elif kind in ("job.submit", "job.admit", "job.start"):
+            if event.job is not None and attrs.get("tenant") is not None:
+                self._job_tenant[event.job] = str(attrs["tenant"])
+
+
 class TimeSeriesSampler:
     """Ring-buffered fixed-interval series derived from the event bus."""
 
@@ -186,17 +360,9 @@ class TimeSeriesSampler:
         self._clock: Optional[Any] = None
         self._next_boundary: Optional[float] = None
         self._boundary_index = 0
-        # -- live state the series sample ----------------------------------
-        self._running_on: Dict[str, str] = {}  # task -> node of live attempt
-        self._disk_begin: Dict[int, str] = {}  # begin seq -> node
-        self._nic_begin: Dict[int, Tuple[str, ...]] = {}  # begin seq -> nodes
-        self._store_bytes: Dict[int, float] = {}  # begin seq -> bytes
-        self._residency: Dict[str, Dict[str, float]] = {}  # obj -> node -> B
-        self._parked: Dict[str, List[str]] = {}  # node -> parked obj ids
-        self._gauges: Dict[str, float] = {}  # series name -> current value
-        self._job_tenant: Dict[str, str] = {}  # job id -> tenant
-        self._job_of_task: Dict[str, Optional[str]] = {}
-        self._interval_stalls = 0  # stalls inside the current interval
+        #: The live state the series sample.
+        self.fold = GaugeFold()
+        self._stalls_sampled = 0.0  # cluster:stalls at the last boundary
         self._feed_index: Dict[int, ObsEvent] = {}  # seq -> feed-kind event
 
     # -- wiring ----------------------------------------------------------------
@@ -246,7 +412,15 @@ class TimeSeriesSampler:
             self._next_boundary = self.t0 + self.interval_s
         while event.ts > self._next_boundary:
             self._emit_sample()
-        self._apply(event)
+        self.fold.apply(event)
+        if event.kind in FEED_KINDS:
+            self._feed_index[event.seq] = event
+            self.feed.append(self._feed_entry(event))
+        elif event.kind == "run.summary":
+            # Replay of a recorded file: adopt the capacities snapshot.
+            cluster = event.attrs.get("cluster")
+            if cluster and not self.capacities:
+                self.capacities = dict(cluster)
         self.last_event_ts = event.ts
         self.events_seen += 1
 
@@ -274,177 +448,25 @@ class TimeSeriesSampler:
     def _emit_sample(self) -> None:
         """Record one sample row at the current boundary for every
         series, then advance the boundary."""
-        # Touch the per-interval rate series so it samples even at zero.
-        self._gauges["cluster:stall_rate"] = float(self._interval_stalls)
-        self._interval_stalls = 0
-        for name, value in self._gauges.items():
-            ring = self.series.get(name)
-            if ring is None:
-                ring = self.series[name] = SeriesRing(self.capacity)
-                # Backfill zeros so every ring is index-aligned: a series
-                # born mid-run was zero at all earlier boundaries.
-                for _ in range(min(self._boundary_index, self.capacity)):
-                    ring.push(0.0)
-                ring.start = max(0, self._boundary_index - self.capacity)
-            ring.push(value)
+        # The per-interval rate series samples even at zero.
+        stalls = self.fold.gauges.get("cluster:stalls", 0.0)
+        self._push("cluster:stall_rate", stalls - self._stalls_sampled)
+        self._stalls_sampled = stalls
+        for name, value in self.fold.gauges.items():
+            self._push(name, value)
         self._boundary_index += 1
         self._next_boundary += self.interval_s
 
-    # -- state transitions -----------------------------------------------------
-    def _bump(self, name: str, delta: float, floor: float = 0.0) -> None:
-        value = max(floor, self._gauges.get(name, 0.0) + delta)
-        self._gauges[name] = value
-
-    def _set(self, name: str, value: float) -> None:
-        self._gauges[name] = value
-
-    def _tenant_of(self, event: ObsEvent) -> Optional[str]:
-        tenant = event.attrs.get("tenant")
-        if tenant is not None:
-            return str(tenant)
-        if event.job is not None:
-            return self._job_tenant.get(event.job)
-        return None
-
-    def _node_track(self, node: Optional[str], track: str) -> Optional[str]:
-        return None if node is None else f"node:{node}:{track}"
-
-    def _end_of_attempt(self, task: Optional[str]) -> None:
-        """Close the running attempt of ``task`` (if any) on its node."""
-        if task is None:
-            return
-        node = self._running_on.pop(task, None)
-        if node is not None:
-            self._bump(f"node:{node}:cpu", -1.0)
-
-    def _kill_node_attempts(self, node: Optional[str]) -> None:
-        """A node died or was removed: its executing attempts vanish."""
-        if node is None:
-            return
-        doomed = [t for t, n in self._running_on.items() if n == node]
-        for task in doomed:
-            del self._running_on[task]
-        if doomed:
-            self._set(f"node:{node}:cpu", 0.0)
-
-    def _settle_task(self, event: ObsEvent) -> None:
-        job = self._job_of_task.pop(event.task, None) if event.task else None
-        self._bump("cluster:inflight", -1.0)
-        if job is not None:
-            self._bump(f"job:{job}:inflight", -1.0)
-
-    def _apply(self, event: ObsEvent) -> None:  # noqa: C901 - one dispatch
-        kind = event.kind
-        attrs = event.attrs
-        tenant = self._tenant_of(event)
-        if kind == "task.submit":
-            self._bump("cluster:inflight", +1.0)
-            if event.task is not None:
-                self._job_of_task[event.task] = event.job
-            if event.job is not None:
-                self._bump(f"job:{event.job}:inflight", +1.0)
-        elif kind == "task.run":
-            if event.task is not None and event.node is not None:
-                self._end_of_attempt(event.task)  # superseded attempt
-                self._running_on[event.task] = event.node
-                self._bump(f"node:{event.node}:cpu", +1.0)
-        elif kind == "task.finish":
-            self._end_of_attempt(event.task)
-            self._settle_task(event)
-            if event.job is not None:
-                self._bump(f"job:{event.job}:finished", +1.0)
-            if tenant is not None:
-                self._bump(f"tenant:{tenant}:finished", +1.0)
-        elif kind == "task.fail":
-            self._end_of_attempt(event.task)
-            self._settle_task(event)
-        elif kind == "task.retry":
-            self._end_of_attempt(event.task)
-            self._bump("cluster:retries", +1.0)
-        elif kind == "chaos.fault":
-            self._bump("cluster:faults", +1.0)
-        elif kind in ("node.death", "executor.failure"):
-            self._kill_node_attempts(event.node)
-        elif kind == "cluster.membership":
-            if attrs.get("action") == "remove":
-                self._kill_node_attempts(event.node)
-        elif kind in (
-            "spill.write.begin", "spill.restore.begin", "disk.write.begin"
-        ):
-            if event.node is not None:
-                self._disk_begin[event.seq] = event.node
-                self._store_bytes[event.seq] = float(attrs.get("bytes", 0.0))
-                self._bump(f"node:{event.node}:disk", +1.0)
-        elif kind in ("spill.write.end", "spill.restore.end", "disk.write.end"):
-            node = self._disk_begin.pop(event.cause, None) or event.node
-            size = self._store_bytes.pop(event.cause, 0.0)
-            if node is not None:
-                self._bump(f"node:{node}:disk", -1.0)
-            if kind == "spill.restore.end":
-                self._store_add(event.node, event.obj, size)
-            elif kind == "spill.write.end" and attrs.get("ok", True):
-                if event.node is not None:
-                    self._bump(f"node:{event.node}:store", -size)
-        elif kind == "transfer.begin":
-            nodes = tuple(
-                n for n in (event.node, attrs.get("src")) if n is not None
-            )
-            self._nic_begin[event.seq] = tuple(str(n) for n in nodes)
-            self._store_bytes[event.seq] = float(attrs.get("bytes", 0.0))
-            for node in nodes:
-                self._bump(f"node:{node}:nic", +1.0)
-        elif kind == "transfer.end":
-            for node in self._nic_begin.pop(event.cause, ()):
-                self._bump(f"node:{node}:nic", -1.0)
-            size = self._store_bytes.pop(event.cause, 0.0)
-            if attrs.get("ok", True):
-                self._store_add(event.node, event.obj, size)
-        elif kind == "object.create":
-            self._store_add(event.node, event.obj, float(attrs.get("bytes", 0.0)))
-            if event.node is not None:
-                parked = self._parked.get(event.node)
-                if parked and event.obj in parked:
-                    parked.remove(event.obj)
-                    self._bump(f"node:{event.node}:spill_queue", -1.0)
-        elif kind == "object.evict":
-            if event.obj is not None:
-                for node, size in self._residency.pop(event.obj, {}).items():
-                    self._bump(f"node:{node}:store", -size)
-        elif kind == "store.pressure":
-            if event.node is not None:
-                self._parked.setdefault(event.node, []).append(event.obj or "")
-                self._bump(f"node:{event.node}:spill_queue", +1.0)
-        elif kind == "spill.fallback":
-            if event.node is not None:
-                parked = self._parked.get(event.node)
-                if parked and event.obj in parked:
-                    parked.remove(event.obj)
-                    self._bump(f"node:{event.node}:spill_queue", -1.0)
-        elif kind == "stream.backpressure":
-            self._interval_stalls += 1
-            self._bump("cluster:stalls", +1.0)
-            if tenant is not None:
-                self._bump(f"tenant:{tenant}:stalls", +1.0)
-        elif kind in ("job.submit", "job.admit", "job.start"):
-            if event.job is not None and attrs.get("tenant") is not None:
-                self._job_tenant[event.job] = str(attrs["tenant"])
-        elif kind == "run.summary":
-            # Replay of a recorded file: adopt the capacities snapshot.
-            cluster = attrs.get("cluster")
-            if cluster and not self.capacities:
-                self.capacities = dict(cluster)
-        if kind in FEED_KINDS:
-            self._feed_index[event.seq] = event
-            self.feed.append(self._feed_entry(event))
-
-    def _store_add(
-        self, node: Optional[str], obj: Optional[str], size: float
-    ) -> None:
-        if node is None or size <= 0:
-            return
-        if obj is not None:
-            self._residency.setdefault(obj, {})[node] = size
-        self._bump(f"node:{node}:store", size)
+    def _push(self, name: str, value: float) -> None:
+        ring = self.series.get(name)
+        if ring is None:
+            ring = self.series[name] = SeriesRing(self.capacity)
+            # Backfill zeros so every ring is index-aligned: a series
+            # born mid-run was zero at all earlier boundaries.
+            for _ in range(min(self._boundary_index, self.capacity)):
+                ring.push(0.0)
+            ring.start = max(0, self._boundary_index - self.capacity)
+        ring.push(value)
 
     def _feed_entry(self, event: ObsEvent) -> FeedEntry:
         chain: List[str] = []
@@ -514,11 +536,12 @@ class TimeSeriesSampler:
         return self.series.get(name) or SeriesRing(self.capacity)
 
     def current(self, name: str) -> float:
-        """The *instantaneous* value of a series -- the state after the
+        """The *instantaneous* value of a gauge -- the state after the
         newest event, which the next boundary sample would record.  The
         dashboard's "now" numbers read this, so they never lag a
-        partial interval behind the last flushed sample."""
-        return self._gauges.get(name, 0.0)
+        partial interval behind the last flushed sample.  The
+        per-interval ``cluster:stall_rate`` exists only as samples."""
+        return self.fold.gauges.get(name, 0.0)
 
     # -- export ----------------------------------------------------------------
     def series_digest(self) -> str:

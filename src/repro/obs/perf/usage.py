@@ -2,9 +2,12 @@
 
 Every track is a step function reconstructed purely from recorded
 events -- no runtime access needed, so the same analysis runs on a
-live bus or a ``record_run`` JSONL file:
+live bus or a ``record_run`` JSONL file.  The tracks are the ``node:*``
+gauges of the live sampler's :class:`~repro.obs.live.sampler.GaugeFold`,
+replayed and kept point by point instead of sampled at intervals:
 
-- ``cpu`` -- concurrently executing task attempts (from task spans);
+- ``cpu`` -- executing task attempts (``task.run`` opens, the
+  attempt's finish, failure, retry or node death closes);
 - ``disk`` -- in-flight disk requests: spill writes, spill restores,
   and direct ``output_to_disk`` writes (the simulated disk is a FIFO
   byte server, so coverage *is* utilization);
@@ -12,9 +15,11 @@ live bus or a ``record_run`` JSONL file:
   destination;
 - ``store`` -- object-store occupancy in bytes, from
   ``object.create`` / ``transfer.end`` / ``spill.restore.end`` adds
-  and ``spill.write.end`` / ``object.evict`` removals (clamped at
-  zero: spill writes report file bytes, not per-object residency, so
-  this is an approximation biased low under heavy fusing);
+  and ``spill.write.end`` / ``object.evict`` removals, clamped at zero
+  and, point by point, at the recorded capacity.  An approximation:
+  spill writes report file bytes rather than per-object residency,
+  fallback allocations are counted at full size, and restores feeding
+  remote reads never re-enter the store (see ``docs/perf.md``);
 - ``spill_queue`` -- allocations parked under memory pressure
   (``store.pressure`` opens, the matching ``object.create`` or
   ``spill.fallback`` closes).
@@ -36,14 +41,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.tables import ResultTable
 from repro.obs.events import ObsEvent
-from repro.obs.trace import Span, derive_spans, node_pids
+from repro.obs.live.sampler import NODE_TRACKS, GaugeFold
+from repro.obs.trace import Span, node_pids
 
 #: Cluster utilization at or above this fraction marks a resource
 #: *saturated* (the binding constraint, not just the busiest thing).
 SATURATION_THRESHOLD = 0.85
-
-#: The track names every node gets.
-TRACKS = ("cpu", "disk", "nic", "store", "spill_queue")
 
 
 class StepTrack:
@@ -59,18 +62,6 @@ class StepTrack:
             return
         self._ts.append(ts)
         self._values.append(value)
-
-    def add(
-        self,
-        ts: float,
-        delta: float,
-        floor: float = 0.0,
-        ceiling: Optional[float] = None,
-    ) -> None:
-        value = max(floor, self.value_at(ts) + delta)
-        if ceiling is not None:
-            value = min(value, ceiling)
-        self.set(ts, value)
 
     @property
     def points(self) -> List[Tuple[float, float]]:
@@ -350,132 +341,49 @@ class UsageTimeline:
         return "\n".join(parts)
 
 
-def _transfer_bytes(
-    end_event: ObsEvent, begin_index: Dict[int, ObsEvent]
-) -> float:
-    begin = (
-        begin_index.get(end_event.cause)
-        if end_event.cause is not None
-        else None
-    )
-    return float(begin.attrs.get("bytes", 0.0)) if begin is not None else 0.0
-
-
 def derive_usage(
     events: Sequence[ObsEvent],
-    spans: Optional[List[Span]] = None,
     cluster: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> UsageTimeline:
     """Build the per-node usage timeline for a recorded run.
 
-    ``cluster`` overrides the capacities; by default they come from the
-    trailing ``run.summary`` event (recorded by ``record_run``).
+    Replays the live sampler's :class:`~repro.obs.live.sampler.GaugeFold`
+    and records every ``node:*`` gauge write as a step point, so these
+    tracks and the sampler's series are one derivation.  ``cluster``
+    overrides the capacities; by default they come from the trailing
+    ``run.summary`` event (recorded by ``record_run``).
     """
-    if spans is None:
-        spans = derive_spans(events)
     capacities: Dict[str, Dict[str, Any]] = dict(cluster or {})
     if not capacities:
         for event in reversed(events):
             if event.kind == "run.summary":
                 capacities = dict(event.attrs.get("cluster", {}))
                 break
-    t0 = events[0].ts if events else 0.0
-    t1 = max(
-        max((e.ts for e in events), default=0.0),
-        max((s.end for s in spans), default=0.0),
-    )
     tracks: Dict[str, Dict[str, StepTrack]] = {
-        name: {} for name in TRACKS
+        name: {} for name in NODE_TRACKS
     }
+    now = 0.0
 
-    def get(name: str, node: str) -> StepTrack:
-        track = tracks[name].get(node)
-        if track is None:
-            track = tracks[name][node] = StepTrack()
-        return track
-
-    # Concurrency tracks come from spans: collect +1/-1 deltas and
-    # replay them in time order per (track, node).
-    deltas: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-
-    def bump(name: str, node: Optional[str], start: float, end: float) -> None:
-        if node is None or end <= start:
+    def record(name: str, value: float) -> None:
+        if not name.startswith("node:"):
             return
-        deltas.setdefault((name, node), []).append((start, +1.0))
-        deltas.setdefault((name, node), []).append((end, -1.0))
+        node, _, track = name[len("node:"):].rpartition(":")
+        if track == "store":
+            # Occupancy is "how full", capped at the recorded capacity.
+            cap = capacities.get(node, {}).get("object_store_bytes")
+            if cap:
+                value = min(value, float(cap))
+        per_node = tracks[track]
+        if node not in per_node:
+            per_node[node] = StepTrack()
+        per_node[node].set(now, value)
 
-    for span in spans:
-        if span.cat == "task":
-            bump("cpu", span.node, span.start, span.end)
-        elif span.cat in ("spill", "disk"):
-            bump("disk", span.node, span.start, span.end)
-        elif span.cat == "transfer":
-            bump("nic", span.node, span.start, span.end)
-            src = span.attrs.get("src")
-            if src:
-                bump("nic", str(src), span.start, span.end)
-    for (name, node), changes in deltas.items():
-        changes.sort(key=lambda c: c[0])
-        track = get(name, node)
-        value = 0.0
-        for ts, delta in changes:
-            value += delta
-            track.set(ts, max(0.0, value))
-
-    # Byte/queue tracks come from the raw events, replayed in order.
-    begin_index = {
-        e.seq: e
-        for e in events
-        if e.kind in ("transfer.begin", "spill.write.begin",
-                      "spill.restore.begin")
-    }
-    #: obj -> node -> resident bytes (for evict accounting).
-    residency: Dict[str, Dict[str, float]] = {}
-    #: node -> objs whose allocation is parked (for queue depth).
-    parked: Dict[str, List[str]] = {}
-
-    def store_cap(node: str) -> Optional[float]:
-        cap = capacities.get(node, {}).get("object_store_bytes")
-        return float(cap) if cap else None
-
-    def store_add(node: Optional[str], obj: Optional[str],
-                  size: float, ts: float) -> None:
-        if node is None or size <= 0:
-            return
-        if obj is not None:
-            residency.setdefault(obj, {})[node] = size
-        # Capped at the recorded capacity: restores feeding remote
-        # streams never actually re-enter the store, so the raw sum of
-        # adds overshoots -- occupancy is "how full", not "how much
-        # traffic".
-        get("store", node).add(ts, size, ceiling=store_cap(node))
-
+    fold = GaugeFold(on_change=record)
     for event in events:
-        if event.kind == "object.create":
-            store_add(event.node, event.obj, float(event.attrs.get("bytes", 0.0)), event.ts)
-            if event.node in parked and event.obj in parked[event.node]:
-                parked[event.node].remove(event.obj)
-                get("spill_queue", event.node).add(event.ts, -1.0)
-        elif event.kind == "transfer.end" and event.attrs.get("ok", True):
-            store_add(event.node, event.obj, _transfer_bytes(event, begin_index), event.ts)
-        elif event.kind == "spill.restore.end":
-            store_add(event.node, event.obj, _transfer_bytes(event, begin_index), event.ts)
-        elif event.kind == "spill.write.end" and event.node is not None:
-            if event.attrs.get("ok", True):
-                get("store", event.node).add(
-                    event.ts, -_transfer_bytes(event, begin_index)
-                )
-        elif event.kind == "object.evict" and event.obj is not None:
-            for node, size in residency.pop(event.obj, {}).items():
-                get("store", node).add(event.ts, -size)
-        elif event.kind == "store.pressure" and event.node is not None:
-            parked.setdefault(event.node, []).append(event.obj or "")
-            get("spill_queue", event.node).add(event.ts, +1.0)
-        elif event.kind == "spill.fallback" and event.node is not None:
-            if event.node in parked and event.obj in parked[event.node]:
-                parked[event.node].remove(event.obj)
-                get("spill_queue", event.node).add(event.ts, -1.0)
-
+        now = event.ts
+        fold.apply(event)
+    t0 = events[0].ts if events else 0.0
+    t1 = max((e.ts for e in events), default=0.0)
     return UsageTimeline(t0, t1, tracks, capacities)
 
 
@@ -497,10 +405,9 @@ def usage_chrome_events(
     Uses the same node -> pid mapping as the span exporter, so in
     Perfetto each node's counter rows sit directly under its span
     lanes (object-store occupancy next to the tasks that filled it).
+    ``spans`` only feeds that mapping; pass them when already derived.
     """
-    if spans is None:
-        spans = derive_spans(events)
-    timeline = derive_usage(events, spans=spans)
+    timeline = derive_usage(events)
     pid_of = node_pids(events, spans)
     out: List[Dict[str, Any]] = []
     for name, per_node in timeline.tracks.items():

@@ -423,11 +423,12 @@ def write_chrome_trace(
     span lanes, so Perfetto shows memory pressure against the tasks
     that caused it.
     """
-    chrome = span_chrome_events(events)
+    spans = derive_spans(events)
+    chrome = span_chrome_events(events, spans)
     if counters:
         from repro.obs.perf.usage import usage_chrome_events
 
-        chrome = chrome + usage_chrome_events(events)
+        chrome = chrome + usage_chrome_events(events, spans)
     Path(path).write_text(json.dumps({"traceEvents": chrome}))
     return sum(1 for e in chrome if e.get("ph") == "X")
 

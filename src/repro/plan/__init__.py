@@ -5,11 +5,11 @@ flows through: :class:`JobSpec <repro.jobs.JobSpec>` resolution, the
 dataframe's repartition/join/sort shuffles, the aggregation app, and
 streaming jobs.  Applications build an abstract :class:`ShuffleExpr`,
 optionally :meth:`~PlanNode.simplify` it, and lower it against a
-:class:`ClusterProfile` to a concrete :class:`ShufflePlan`; the two
-pre-existing planning surfaces -- the empirical two-way rule of
-:mod:`repro.shuffle.select` and the six-variant cost model of
-:mod:`repro.jobs.planner` -- survive as this layer's *lowering rules*
-(and those modules as thin wrappers).
+:class:`ClusterProfile` to a concrete :class:`ShufflePlan`.  The paper's
+empirical two-way rule (:func:`empirical_variant`) and the six-variant
+cost model (:func:`rank_variants` / :func:`cheapest_feasible`) are this
+layer's two *lowering rules*; callers that want a bare decision call
+those functions directly -- there is no other planning surface.
 
 The :class:`AdaptivePlanner` closes the loop: subscribed to the event
 bus, it can re-lower the remaining plan at stage/round boundaries when

@@ -1,9 +1,7 @@
 """The lowering rules: per-variant cost estimates and the empirical rule.
 
-This module is the arithmetic core both legacy planning surfaces now
-delegate to.  The cost model (moved verbatim from
-``repro.jobs.planner.ShufflePlanner``) prices every shuffle variant with
-additive terms for task scheduling, per-block metadata/fetch overhead,
+This module is the arithmetic core of every shuffle choice.  The cost
+model prices every shuffle variant with additive terms for task scheduling, per-block metadata/fetch overhead,
 network transfer, and disk spill traffic, with push-style variants
 overlapping network against disk.  Absolute seconds are not predictions;
 only the ordering is meaningful, and the tests assert orderings:
@@ -19,8 +17,7 @@ only the ordering is meaningful, and the tests assert orderings:
   network;
 - ``streaming`` is only *feasible* for jobs declared as streaming.
 
-The empirical rule (moved from ``repro.shuffle.select``) is the paper's
-two-way crossover: simple when the data fits in memory and partitions
+The empirical rule is the paper's two-way crossover: simple when the data fits in memory and partitions
 are few, push otherwise (§5.1.3, §7).
 """
 

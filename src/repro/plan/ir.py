@@ -9,11 +9,11 @@ work), and :meth:`ShuffleExpr.lower` against a
 :class:`ShufflePlan` naming one executable variant plus the ranked
 estimates that justified it.
 
-Lowering is where the two legacy planning surfaces became rules of one
-layer: ``rule="cost"`` runs the six-variant cost model
-(:func:`~repro.plan.cost.rank_variants`, previously
-``jobs.planner.ShufflePlanner``), ``rule="empirical"`` runs the paper's
-two-way crossover (previously ``shuffle.select``).  A non-``"auto"``
+Lowering is where the two planning rules live side by side:
+``rule="cost"`` runs the six-variant cost model
+(:func:`~repro.plan.cost.rank_variants`), ``rule="empirical"`` runs
+the paper's two-way crossover
+(:func:`~repro.plan.cost.empirical_variant`).  A non-``"auto"``
 ``backend`` pins the variant explicitly and skips both.
 
 The IR is deliberately pure: nodes are frozen dataclasses, lowering is

@@ -3,14 +3,12 @@
 Both lowering rules -- the empirical two-way rule and the cost model --
 decide against the same two inputs: a :class:`ClusterProfile` (what the
 hardware can do right now) and a :class:`JobShape` (what the job will
-ask of it).  They moved here from :mod:`repro.jobs.planner` so that the
-plan layer owns the vocabulary and the legacy entry points re-export it.
+ask of it).  The plan layer owns this vocabulary; callers import it
+from :mod:`repro.plan`.
 
 The in-memory-fit predicate lives here too, as the single shared
-:func:`fits_in_memory`: previously ``shuffle/select.py`` and
-``jobs/planner.py`` each encoded it against :data:`MEMORY_HEADROOM`
-independently, and a drift between them would have made the two
-planning surfaces silently disagree.
+:func:`fits_in_memory`, so the two rules cannot drift apart on what
+"fits in memory" means.
 """
 
 from __future__ import annotations

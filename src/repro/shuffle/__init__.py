@@ -17,6 +17,11 @@ All take the same shape of arguments: a runtime, a list of map inputs
 ``reduce_fn(*blocks) -> output``, and return one object ref per reduce
 partition without blocking -- callers pipeline on the refs with
 ``rt.get`` / ``rt.wait`` exactly as the paper's applications do.
+
+Choosing among them is not this package's job: ``variant="auto"``
+callers lower a :class:`repro.plan.ShuffleExpr`, and the paper's
+empirical simple-vs-push rule is :func:`repro.plan.empirical_variant`.
+The variants never import the planner.
 """
 
 from repro.shuffle.simple import simple_shuffle
@@ -25,7 +30,6 @@ from repro.shuffle.riffle_dynamic import riffle_shuffle_dynamic
 from repro.shuffle.magnet import magnet_shuffle
 from repro.shuffle.push import push_based_shuffle
 from repro.shuffle.streaming import streaming_shuffle
-from repro.shuffle.select import choose_shuffle
 
 __all__ = [
     "simple_shuffle",
@@ -34,5 +38,4 @@ __all__ = [
     "magnet_shuffle",
     "push_based_shuffle",
     "streaming_shuffle",
-    "choose_shuffle",
 ]

@@ -8,7 +8,7 @@ from repro.common.units import MB
 from repro.dataframe import DistributedFrame
 from repro.futures import RuntimeConfig
 from repro.graphs import execute_graph
-from repro.metrics import phase_summary, task_spans
+from repro.obs import RunReport
 from repro.shuffle import simple_shuffle
 from repro.sort import SortJobConfig, cloudsort_cost, run_sort
 
@@ -31,11 +31,12 @@ class TestSortThenReport:
             "d3.2xlarge", 4, result.sort_seconds, result.total_bytes
         )
         assert cost.total_dollars > 0
-        summary = phase_summary(rt)
+        report = RunReport(rt.bus.events)
+        summary = report.phase_table()
         assert {"gen_virtual", "reduce"} <= set(summary.column("phase"))
         # The timeline's spans cover the job duration.
-        spans = task_spans(rt)
-        assert max(s["end"] for s in spans) <= rt.now + 1e-9
+        spans = report.task_spans()
+        assert max(s.end for s in spans) <= rt.now + 1e-9
 
 
 class TestEtlPipeline:

@@ -1,8 +1,8 @@
 """Smoke tests: every example script parses, documents itself, and the
-fast ones run end to end."""
+fast ones run end to end; every script's ``repro`` imports resolve."""
 
 import ast
-import runpy
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +11,7 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+BENCHMARKS = sorted((EXAMPLES_DIR.parent / "benchmarks").glob("*.py"))
 
 
 def test_examples_exist():
@@ -51,3 +52,38 @@ def test_fault_tolerance_example_runs_end_to_end():
     assert proc.returncode == 0, proc.stderr
     assert "recovery overhead" in proc.stdout
     assert "validated=True" in proc.stdout
+
+
+def _repro_imports(path):
+    """``(module, name)`` for every ``repro`` import in a script, at any
+    depth (``name`` is None for a plain ``import repro.x``)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, None
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module.split(".")[0] == "repro":
+                for alias in node.names:
+                    yield module, alias.name
+
+
+@pytest.mark.parametrize(
+    "path",
+    EXAMPLES + BENCHMARKS,
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_script_repro_imports_resolve(path):
+    """Most scripts never run in the suite; a deleted or renamed library
+    name would otherwise only surface when someone runs them."""
+    missing = []
+    for module, name in _repro_imports(path):
+        mod = importlib.import_module(module)
+        if name is None or hasattr(mod, name):
+            continue
+        try:
+            importlib.import_module(f"{module}.{name}")
+        except ModuleNotFoundError:
+            missing.append(f"{module}.{name}")
+    assert not missing, f"{path.name} imports missing names {missing}"

@@ -14,14 +14,19 @@ from repro.common.errors import (
 from repro.common.rng import JOB_ARRIVAL_STREAM, named_rng, register_stream
 from repro.jobs import (
     JobManager,
-    JobShape,
     JobSpec,
     JobState,
-    ShufflePlanner,
     TenantQuota,
     TenantSpec,
     mixed_workload,
     run_jobs,
+)
+from repro.plan import (
+    ClusterProfile,
+    JobShape,
+    ShuffleExpr,
+    cheapest_feasible,
+    rank_variants,
 )
 
 
@@ -203,49 +208,51 @@ class TestAccounting:
 
 
 class TestPlanner:
-    def make_planner(self):
+    def profile(self):
         rt = make_runtime(num_nodes=4, store_mib=256)
-        return ShufflePlanner.for_runtime(rt)
+        return ClusterProfile.from_runtime(rt)
+
+    def choose(self, shape):
+        return cheapest_feasible(rank_variants(self.profile(), shape)).variant
 
     def test_small_in_memory_few_partitions_prefers_simple(self):
-        planner = self.make_planner()
         shape = JobShape(total_bytes=10 * 1024**2, num_maps=8, num_reduces=4)
-        assert planner.choose(shape) == "simple"
+        assert self.choose(shape) == "simple"
 
     def test_many_partitions_prefers_block_coalescing(self):
-        planner = self.make_planner()
         shape = JobShape(
             total_bytes=10 * 1024**2, num_maps=500, num_reduces=500
         )
-        assert planner.choose(shape) != "simple"
+        assert self.choose(shape) != "simple"
 
     def test_spilling_job_prefers_push(self):
-        planner = self.make_planner()
         spill = JobShape(
             total_bytes=8 * 1024**3, num_maps=64, num_reduces=64
         )
-        assert planner.choose(spill) == "push"
+        assert self.choose(spill) == "push"
 
     def test_streaming_only_feasible_when_declared(self):
-        planner = self.make_planner()
+        profile = self.profile()
         batch = JobShape(total_bytes=1024**2, num_maps=8, num_reduces=4)
-        ranked = {e.variant: e for e in planner.rank(batch)}
+        ranked = {e.variant: e for e in rank_variants(profile, batch)}
         assert not ranked["streaming"].feasible
         stream = JobShape(
             total_bytes=1024**2, num_maps=8, num_reduces=4, streaming=True
         )
-        assert {e.variant: e for e in planner.rank(stream)}[
+        assert {e.variant: e for e in rank_variants(profile, stream)}[
             "streaming"
         ].feasible
 
     def test_rank_orders_by_cost_and_explains(self):
-        planner = self.make_planner()
+        profile = self.profile()
         shape = JobShape(total_bytes=1024**2, num_maps=8, num_reduces=4)
-        ranked = planner.rank(shape)
+        ranked = rank_variants(profile, shape)
         feasible = [e for e in ranked if e.feasible]
         costs = [e.est_seconds for e in feasible]
         assert costs == sorted(costs)
-        assert set(planner.explain(shape)) == {e.variant for e in ranked}
+        plan = ShuffleExpr(shape).lower(profile)
+        assert plan.variant == feasible[0].variant
+        assert set(plan.explain()) == {e.variant for e in ranked}
 
 
 class TestDeterminism:

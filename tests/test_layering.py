@@ -169,8 +169,8 @@ def test_self_profiler_is_not_imported_by_the_observed_planes():
 
 def test_plan_layer_isolation_holds_in_the_real_tree():
     """``repro.plan`` imports no mechanism layer, and no mechanism
-    layer (futures / simcore / cluster / shuffle, minus the legacy
-    ``shuffle.select`` wrapper) imports ``repro.plan``."""
+    layer (futures / simcore / cluster / shuffle) imports
+    ``repro.plan``."""
     lint = _lint()
     violations = lint.check_plan_isolation(REPO / "src" / "repro")
     assert violations == []
@@ -178,8 +178,8 @@ def test_plan_layer_isolation_holds_in_the_real_tree():
 
 def test_plan_isolation_catches_both_directions(tmp_path):
     """A synthetic plan module importing the runtime is flagged, as is
-    a shuffle variant importing the planner; ``shuffle.select`` and the
-    call-site layers (jobs, dataframe) stay exempt."""
+    every shuffle module importing the planner -- a selection helper
+    included; the call-site layers (jobs, dataframe) stay exempt."""
     lint = _lint()
     src_root = tmp_path / "src" / "repro"
     for pkg in ("plan", "shuffle", "jobs"):
@@ -207,9 +207,10 @@ def test_plan_isolation_catches_both_directions(tmp_path):
         "from repro.plan import planner_for_runtime\n"
     )
     violations = lint.check_plan_isolation(src_root)
-    assert len(violations) == 3
+    assert len(violations) == 4
     assert sum("rogue.py" in v for v in violations) == 2
     assert sum("push.py" in v for v in violations) == 1
+    assert sum("select.py" in v for v in violations) == 1
 
 
 def test_profile_isolation_catches_observed_plane_imports(tmp_path):

@@ -22,7 +22,7 @@ from repro.chaos.harness import expected_output, make_inputs, submit_variant
 from repro.chaos.injector import ChaosInjector
 from repro.common.units import MIB
 from repro.futures import RetryPolicy, RuntimeConfig
-from repro.metrics import Counters, export_chrome_trace, task_spans
+from repro.metrics import Counters
 from repro.obs import (
     EVENT_KINDS,
     EventBus,
@@ -32,6 +32,7 @@ from repro.obs import (
     derive_spans,
     record_run,
     span_chrome_events,
+    write_chrome_trace,
 )
 from repro.obs.trace import lineage_parents
 
@@ -308,14 +309,15 @@ class TestChromeTraceSchema:
 
         rt.run(driver)
         rt.env.run()
-        assert all(s["job_id"] == "spiller" for s in task_spans(rt))
+        task_spans = RunReport(rt.bus.events).task_spans()
+        assert task_spans and all(s.job == "spiller" for s in task_spans)
         path = tmp_path / "trace.json"
-        export_chrome_trace(rt, str(path))
+        write_chrome_trace(rt.bus.events, str(path))
         events = json.loads(path.read_text())["traceEvents"]
         cats = {e.get("cat") for e in events}
-        assert "spill" in cats  # bus-derived I/O rides along with tasks
+        assert "spill" in cats  # I/O spans ride along with tasks
         assert all(
-            e["args"]["job_id"] == "spiller"
+            e["args"]["job"] == "spiller"
             for e in events
             if e.get("cat") == "task"
         )

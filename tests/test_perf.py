@@ -9,6 +9,7 @@ config-fingerprint refusal; and the CLI gate's exit codes are checked
 end to end.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -218,6 +219,81 @@ def test_usage_store_clamped_to_capacity():
     )
     timeline = derive_usage(sorted(events, key=lambda e: (e.ts, e.seq)))
     assert timeline.track("store", "N0").max_value() <= 100.0
+
+
+#: sha256 of ``json.dumps({node: track.points})`` per usage track on
+#: two recorded runs.  A change to the fold that moves one of these
+#: tracks must update the pin deliberately.  (The chaos run does no
+#: disk I/O and parks nothing: both tracks are ``{}``.)
+_EMPTY = "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"
+USAGE_GOLDEN = {
+    "chaos": {
+        "cpu": "81f36e01033dbdb31e916891abad5fdb9063603191ed5819d54d09bf63f5f3f1",
+        "disk": _EMPTY,
+        "nic": "07ddd6cc0f5fe071d20c8278eaa7aad2f79c88dd983fd7191809d465f62621e2",
+        "spill_queue": _EMPTY,
+    },
+    "sort": {
+        "cpu": "0f146c26f521515b14d9974db0c3b0c8981085030d0c0986d1755e1f834735ca",
+        "disk": "6c4c36a5f3ca4c5607cabed14d34977a142ff213534a15e5e30c11acad1b8fbf",
+        "nic": "4052b839824ecb2d7493e971133353cc2fc4b85e16409c1fd861f1ea59624d07",
+        "spill_queue": "992507d1eac5831d219ce3194e9b5a9c59c2c7e46910c924972cc95f4734b244",
+    },
+}
+
+
+def _recorded_run(name):
+    """Run one pinned workload; returns its runtime."""
+    if name == "chaos":
+        from repro.obs.__main__ import _chaos_workload
+
+        rt, driver = _chaos_workload(0)
+        rt.run(driver)
+        rt.env.run()
+        return rt
+    from repro.sort import SortJobConfig, run_sort
+
+    rt = make_runtime(num_nodes=2, store_mib=192)
+    config = SortJobConfig(
+        variant="push",
+        num_partitions=8,
+        partition_bytes=(2 * GB) // 8,
+        virtual=True,
+        output_to_disk=True,
+    )
+    assert run_sort(rt, config).validated
+    return rt
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_GOLDEN))
+def test_usage_tracks_match_golden_digests(name, tmp_path):
+    path = tmp_path / "run.events.jsonl"
+    record_run(_recorded_run(name), str(path))
+    timeline = derive_usage(EventBus.load_jsonl(str(path)))
+    digests = {}
+    for track in USAGE_GOLDEN[name]:
+        per_node = timeline.tracks[track]
+        points = {node: per_node[node].points for node in sorted(per_node)}
+        digests[track] = hashlib.sha256(
+            json.dumps(points).encode()
+        ).hexdigest()
+    assert digests == USAGE_GOLDEN[name]
+
+
+def test_usage_store_track_is_clamped_point_by_point():
+    """Occupancy past capacity reads as full, and a removal lands on
+    the fold's running total rather than on the clamped value."""
+    events = _events(
+        (0.0, "object.create", dict(obj="O1", node="N0", task="T",
+                                    bytes=80)),
+        (1.0, "object.create", dict(obj="O2", node="N0", task="T",
+                                    bytes=80)),
+        (2.0, "object.evict", dict(obj="O1")),
+        (3.0, "run.summary",
+         dict(cluster={"N0": {"cores": 1, "object_store_bytes": 100}})),
+    )
+    track = derive_usage(events).track("store", "N0")
+    assert track.points == [(0.0, 80.0), (1.0, 100.0), (2.0, 80.0)]
 
 
 def test_chrome_trace_has_counter_tracks(tmp_path):

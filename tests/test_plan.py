@@ -3,11 +3,10 @@
 Three layers of pinning:
 
 - *equivalence*: lowering an abstract :class:`ShuffleExpr` with the
-  ``"cost"`` rule reproduces the legacy ``jobs.planner.ShufflePlanner``
-  choice (checked against an inlined verbatim copy of the pre-refactor
-  formulas, not just the wrapper), and the ``"empirical"`` rule
-  reproduces ``shuffle.select``'s two-way crossover -- property-tested
-  over random shapes and profiles;
+  ``"cost"`` rule reproduces the original cost model's choice, and the
+  ``"empirical"`` rule reproduces the paper's two-way crossover -- each
+  checked against an inlined independent oracle, property-tested over
+  random shapes and profiles;
 - *zero cost when off*: with ``replan="off"`` (the default) the plan
   layer emits nothing and a multi-tenant jobs run is bit-for-bit
   identical to the pre-plan-layer build (golden full-event digest);
@@ -26,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chaos.harness import SHUFFLE_VARIANTS, default_node_spec
 from repro.dataframe import DistributedFrame
 from repro.futures import Runtime, RuntimeConfig
-from repro.jobs import JobManager, JobSpec, ShufflePlanner, TenantSpec, mixed_workload
+from repro.jobs import JobManager, JobSpec, TenantSpec, mixed_workload
 from repro.jobs.spec import StreamSpec
 from repro.plan import (
     PLAN_VARIANTS,
@@ -42,14 +41,12 @@ from repro.plan import (
     planner_for_runtime,
     rank_variants,
 )
-from repro.shuffle.select import _decide
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# The pre-refactor cost model, inlined verbatim as an independent oracle
-# (from jobs/planner.py before it became a wrapper).  If the plan layer
-# drifts from these formulas, the equivalence property below fails even
-# though the wrapper now shares code with the layer it wraps.
+# The original cost model, inlined verbatim as an independent oracle.  If
+# the plan layer drifts from these formulas, the equivalence property
+# below fails.
 # ---------------------------------------------------------------------------
 
 _SCHEDULE_S = 5e-4
@@ -155,12 +152,6 @@ class TestSharedPredicate:
         assert fits_in_memory(1000, 400)
         assert not fits_in_memory(1000, 401)
 
-    def test_crossover_constants_are_reexported_by_the_wrapper(self):
-        from repro.shuffle import select
-
-        assert select.MEMORY_HEADROOM is MEMORY_HEADROOM
-        assert select.PARTITION_CROSSOVER is PARTITION_CROSSOVER
-
 
 class TestEquivalence:
     @settings(max_examples=200, deadline=None)
@@ -175,17 +166,15 @@ class TestEquivalence:
             return
         plan = expr.lower(profile, rule="cost")
         assert plan.variant == expected
-        assert plan.variant == ShufflePlanner(profile).choose(shape)
 
     @settings(max_examples=200, deadline=None)
     @given(profile=profiles, shape=shapes)
     def test_empirical_rule_matches_the_select_crossover(self, profile, shape):
         plan = ShuffleExpr(shape=shape).lower(profile, rule="empirical")
         partitions = max(shape.num_maps, shape.num_reduces)
-        legacy = _decide(shape.total_bytes, partitions, profile.store_bytes)
-        assert plan.variant == {
-            "simple_shuffle": "simple", "push_based_shuffle": "push"
-        }[legacy.__name__]
+        in_memory = shape.total_bytes <= MEMORY_HEADROOM * profile.store_bytes
+        few = partitions < PARTITION_CROSSOVER
+        assert plan.variant == ("simple" if in_memory and few else "push")
         assert plan.variant == empirical_variant(
             profile.store_bytes, shape.total_bytes, partitions
         )

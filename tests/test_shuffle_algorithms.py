@@ -5,8 +5,8 @@ import pytest
 from repro.blocks import total_records
 from repro.common.units import MB
 from repro.futures import RuntimeConfig
-from repro.shuffle import choose_shuffle, simple_shuffle, streaming_shuffle
-from repro.shuffle.select import describe_choice
+from repro.plan import ClusterProfile, JobShape, ShuffleExpr, empirical_variant
+from repro.shuffle import streaming_shuffle
 from repro.sort import SortJobConfig, run_sort, theoretical_sort_seconds
 
 from tests.conftest import make_node_spec, make_runtime
@@ -156,33 +156,33 @@ class TestStreamingShuffle:
         assert rt.run(driver)
 
 
+def _choose(rt, total_data_bytes, num_partitions):
+    store = ClusterProfile.from_runtime(rt).store_bytes
+    return empirical_variant(store, total_data_bytes, num_partitions)
+
+
 class TestShuffleSelection:
     def test_small_in_memory_prefers_simple(self):
         rt = make_runtime(num_nodes=4, store_mib=2048)
-        chosen = choose_shuffle(rt, total_data_bytes=100 * MB, num_partitions=50)
-        assert chosen is simple_shuffle
+        assert _choose(rt, 100 * MB, 50) == "simple"
 
     def test_large_data_prefers_push(self):
         rt = make_runtime(num_nodes=4, store_mib=2048)
-        from repro.shuffle import push_based_shuffle
-
-        chosen = choose_shuffle(
-            rt, total_data_bytes=100_000 * MB, num_partitions=50
-        )
-        assert chosen is push_based_shuffle
+        assert _choose(rt, 100_000 * MB, 50) == "push"
 
     def test_many_partitions_prefer_push_even_in_memory(self):
         rt = make_runtime(num_nodes=4, store_mib=2048)
-        from repro.shuffle import push_based_shuffle
-
-        chosen = choose_shuffle(rt, total_data_bytes=10 * MB, num_partitions=500)
-        assert chosen is push_based_shuffle
+        assert _choose(rt, 10 * MB, 500) == "push"
 
     def test_describe_choice_reports_inputs(self):
         rt = make_runtime(num_nodes=2)
-        info = describe_choice(rt, 10 * MB, 10)
-        assert info["algorithm"] == "simple_shuffle"
-        assert info["num_partitions"] == 10
+        shape = JobShape(total_bytes=10 * MB, num_maps=10, num_reduces=10)
+        plan = ShuffleExpr(shape=shape).lower(
+            ClusterProfile.from_runtime(rt), rule="empirical"
+        )
+        info = plan.to_dict()
+        assert info["variant"] == "simple"
+        assert info["shape"]["num_reduces"] == 10
 
 
 class TestSortWithFailure:

@@ -107,19 +107,14 @@ PLAN_ALLOWED_PREFIXES = (
 #: the planner chooses *between*.  A shuffle variant importing the
 #: planner (or the futures runtime importing it for its duck-typed
 #: ``Runtime.planner`` slot) would create a cycle where the mechanism
-#: depends on the policy that selects it.  ``repro.shuffle.select`` is
-#: the one exemption: it *is* the legacy selection surface, kept as a
-#: thin re-export wrapper over the plan layer.
+#: depends on the policy that selects it.  There are no exemptions:
+#: callers choose a variant through ``repro.plan`` and then call it.
 PLAN_FORBIDDEN_IMPORTERS = (
     "repro.futures",
     "repro.simcore",
     "repro.cluster",
     "repro.shuffle",
 )
-
-#: The single module under a forbidden package allowed to import
-#: ``repro.plan`` (the legacy wrapper).
-PLAN_IMPORT_EXEMPT = ("repro.shuffle.select",)
 
 #: Modules allowed to construct a ``Counters``: the class's own package,
 #: the metric registry (the runtime's one accounting store), and the
@@ -358,14 +353,13 @@ def check_plan_isolation(src_root: Path) -> List[str]:
     the futures runtime, the simulator core, or the shuffle variants
     (the planner ranks variants by *name*; executing them is the call
     sites' job).  Reverse: the mechanism layers in
-    :data:`PLAN_FORBIDDEN_IMPORTERS` must never import ``repro.plan``,
-    except the legacy wrapper modules in :data:`PLAN_IMPORT_EXEMPT`.
+    :data:`PLAN_FORBIDDEN_IMPORTERS` must never import ``repro.plan``.
     """
     violations: List[str] = []
     for path in sorted(src_root.rglob("*.py")):
         module = _module_name(path, src_root)
         in_plan = module == "repro.plan" or module.startswith("repro.plan.")
-        forbidden = module not in PLAN_IMPORT_EXEMPT and any(
+        forbidden = any(
             module == pkg or module.startswith(pkg + ".")
             for pkg in PLAN_FORBIDDEN_IMPORTERS
         )
@@ -397,9 +391,7 @@ def check_plan_isolation(src_root: Path) -> List[str]:
                         f"{path}:{node.lineno}: imports {target!r} "
                         f"(mechanism layers -- "
                         f"{', '.join(PLAN_FORBIDDEN_IMPORTERS)} -- must "
-                        f"not depend on the planning layer; only "
-                        f"{', '.join(PLAN_IMPORT_EXEMPT)} may, as the "
-                        f"legacy wrapper)"
+                        f"not depend on the planning layer)"
                     )
     return violations
 
