@@ -21,8 +21,7 @@ repeatable rather than hand-picked.  This package supplies that layer:
   intentionally freed, and lineage suffices to reconstruct any live
   object.
 - :mod:`repro.chaos.harness` -- a small seeded shuffle workload used by
-  the failure-matrix test suite and the ``python -m repro.chaos --smoke``
-  CI entry point.
+  the failure-matrix test suite (``tests/test_chaos_matrix.py``).
 """
 
 from repro.chaos.spec import ChaosPlan, FaultKind, FaultSpec, matrix_plan

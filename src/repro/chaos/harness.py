@@ -100,7 +100,7 @@ def expected_output(
 
 
 def default_node_spec() -> NodeSpec:
-    """The homogeneous node shape chaos runs (and the jobs smoke
+    """The homogeneous node shape chaos runs (and the jobs mixed
     workload) build clusters from: small store, modest disk and NIC, so
     spilling and transfer effects show up at toy scales."""
     return NodeSpec(

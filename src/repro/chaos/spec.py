@@ -190,7 +190,8 @@ class ChaosPlan:
 
 def matrix_plan(kind: FaultKind, *, at_time: float = 1.0, seed: int = 0) -> ChaosPlan:
     """A canonical one-fault plan per kind, used by the failure-matrix
-    test suite and the CI smoke: moderate severity, seeded victim."""
+    test suite and the ``obs`` CLI's chaos workload: moderate severity,
+    seeded victim."""
     presets = {
         FaultKind.NODE_CRASH: FaultSpec(kind, at_time=at_time, duration=4.0),
         FaultKind.SLOW_NODE: FaultSpec(kind, at_time=at_time, duration=8.0, severity=4.0),

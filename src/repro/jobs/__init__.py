@@ -22,9 +22,7 @@ shuffle libraries themselves:
   series *and* the owning job's series of the runtime's metric
   registry, an exact-sum invariant the chaos checker asserts.
 
-``python -m repro.jobs --smoke`` runs a mixed multi-tenant workload
-(including a quota rejection and a chaos plan under concurrent jobs) as
-a CI gate; see ``docs/jobs.md`` for the full tour.
+See ``docs/jobs.md`` for the full tour.
 """
 
 from repro.jobs.admission import AdmissionController

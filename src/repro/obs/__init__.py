@@ -13,7 +13,7 @@ into:
   :class:`~repro.futures.Runtime`);
 - :mod:`repro.obs.trace` -- derives causal spans (task lifecycle,
   transfers, spill/restore I/O, job admission-to-completion) from the
-  bus and exports Chrome-trace JSON and JSONL;
+  bus and exports Chrome-trace JSON;
 - :class:`~repro.obs.registry.MetricRegistry` -- counters, gauges, and
   histograms with per-node and per-job dimensions plus snapshot/delta
   reports;
@@ -61,7 +61,6 @@ from repro.obs.report import RunReport, record_run
 from repro.obs.trace import (
     Span,
     derive_spans,
-    export_span_jsonl,
     span_chrome_events,
     write_chrome_trace,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "Span",
     "derive_spans",
     "span_chrome_events",
-    "export_span_jsonl",
     "write_chrome_trace",
     "CriticalPath",
     "critical_path",

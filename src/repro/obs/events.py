@@ -195,10 +195,6 @@ class EventBus:
         kind absent from :data:`EVENT_KINDS`."""
         self._kinds[kind] = description
 
-    def known_kinds(self) -> Dict[str, str]:
-        """The taxonomy this bus accepts (kind -> description)."""
-        return dict(self._kinds)
-
     # -- emission -----------------------------------------------------------
     def emit(
         self,

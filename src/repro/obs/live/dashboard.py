@@ -13,7 +13,7 @@ text panels -- from the sampler's current series:
 - the scrolling causal fault -> retry feed.
 
 Frames are pure functions of the sampler state plus a pluggable
-``clock``, so tests (and ``repro.obs live --smoke``) drive rendering
+``clock``, so tests (and ``repro.obs live TRACE``) drive rendering
 deterministically frame by frame; the interactive path simply calls
 :meth:`LiveDashboard.render_frame` on a timer.  :func:`follow_runtime`
 attaches a sampler to an in-process runtime and snapshots frames at

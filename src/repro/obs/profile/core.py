@@ -17,9 +17,8 @@ sums-to-makespan invariant.
 Attachment works by shadowing hot methods on *instances* -- never by
 editing classes and never by the data plane importing this module:
 
-- ``Environment.step`` is replaced with an instrumented twin that
-  times the heap pop (``engine.pop``) and the callback dispatch,
-  keyed by the subsystem the popped event resumes
+- ``Environment.step`` (heap pop plus callback dispatch) is timed
+  under the subsystem the next queued event resumes
   (``engine.dispatch.task``, ``engine.dispatch.driver``, ...);
 - ``Environment._schedule`` / ``_schedule_callback`` count heap pushes;
 - ``EventBus.emit`` is timed as ``bus.publish``;
@@ -37,14 +36,10 @@ runs) by ``tests/test_self_profile.py``'s budget test.
 
 from __future__ import annotations
 
-import heapq
 import time
 import tracemalloc
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
-
-#: Category charged for heap pops + simulated-clock advancement.
-ENGINE_POP = "engine.pop"
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 #: Prefix of the per-subsystem handler-dispatch categories.
 DISPATCH_PREFIX = "engine.dispatch."
@@ -104,7 +99,7 @@ class SelfProfiler:
         self.clock = clock
         #: Exclusive seconds per category.
         self.seconds: Dict[str, float] = {}
-        #: Hot-loop counters (events_processed, heap_pushes, heap_pops,
+        #: Hot-loop counters (events_processed, heap_pushes,
         #: bus_publications, metric_charges, driver_handoffs, ...).
         self.counts: Dict[str, int] = {}
         #: Exclusive seconds per scope *path* (folded-stack data for the
@@ -211,7 +206,16 @@ class SelfProfiler:
         self._runtime = runtime
         env = runtime.env
         self._env_now_at_attach = env.now
-        self._shadow(env, "step", self._instrumented_step(env))
+        queue = env._queue
+        self._shadow(
+            env,
+            "step",
+            self._scoped(
+                env.step,
+                lambda: _dispatch_category(queue[0][2]),
+                "events_processed",
+            ),
+        )
         self._shadow(env, "_schedule", self._counting(env._schedule, "heap_pushes"))
         self._shadow(
             env,
@@ -301,64 +305,29 @@ class SelfProfiler:
 
         return wrapper
 
-    def _scoped(self, fn: Callable, category: str, counter: str) -> Callable:
-        """A wrapper timing ``fn`` under ``category`` and counting calls."""
+    def _scoped(
+        self,
+        fn: Callable,
+        category: Union[str, Callable[[], str]],
+        counter: str,
+    ) -> Callable:
+        """A wrapper timing ``fn`` under ``category`` and counting calls.
+        A callable ``category`` names the scope at call time (the engine
+        step keys it by the event about to be popped)."""
         counts = self.counts
         enter = self._enter
         exit_ = self._exit
+        dynamic = callable(category)
 
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             counts[counter] = counts.get(counter, 0) + 1
-            enter(category)
+            enter(category() if dynamic else category)
             try:
                 return fn(*args, **kwargs)
             finally:
                 exit_()
 
         return wrapper
-
-    def _instrumented_step(self, env: Any) -> Callable[[], None]:
-        """The timed twin of :meth:`repro.simcore.Environment.step`.
-
-        Must stay in sync with the pristine implementation: pop the next
-        (when, seq, event) entry, check monotonicity, advance the clock,
-        process callbacks.  The pop interval is charged to
-        :data:`ENGINE_POP`; the callback interval opens a dispatch scope
-        keyed by :func:`_dispatch_category`, so nested bus/metrics
-        scopes subtract out of it.
-        """
-        heappop = heapq.heappop
-        clock = self.clock
-        seconds = self.seconds
-        counts = self.counts
-        stack = self._stack
-        folded = self.folded
-
-        def step() -> None:
-            t0 = clock()
-            when, _seq, event = heappop(env._queue)
-            if when < env.now:
-                raise RuntimeError("event queue went backwards in time")
-            env.now = when
-            t1 = clock()
-            seconds[ENGINE_POP] = seconds.get(ENGINE_POP, 0.0) + (t1 - t0)
-            if stack:  # pop time is a child of any enclosing scope
-                stack[-1][2] += t1 - t0
-                pop_path = stack[-1][3] + (ENGINE_POP,)
-            else:
-                pop_path = (ENGINE_POP,)
-            folded[pop_path] = folded.get(pop_path, 0.0) + (t1 - t0)
-            counts["events_processed"] = counts.get("events_processed", 0) + 1
-            counts["heap_pops"] = counts.get("heap_pops", 0) + 1
-            category = _dispatch_category(event)
-            path = stack[-1][3] + (category,) if stack else (category,)
-            stack.append([category, t1, 0.0, path])
-            try:
-                event._process_callbacks()
-            finally:
-                self._exit()
-
-        return step
 
     # -- results -----------------------------------------------------------
     def tracked_s(self) -> float:

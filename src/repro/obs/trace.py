@@ -431,12 +431,3 @@ def write_chrome_trace(
         chrome = chrome + usage_chrome_events(events, spans)
     Path(path).write_text(json.dumps({"traceEvents": chrome}))
     return sum(1 for e in chrome if e.get("ph") == "X")
-
-
-def export_span_jsonl(events: Sequence[ObsEvent], path: str) -> int:
-    """Write derived spans as JSON lines; returns the span count."""
-    spans = derive_spans(events)
-    with Path(path).open("w") as fh:
-        for span in spans:
-            fh.write(json.dumps(span.to_dict()) + "\n")
-    return len(spans)

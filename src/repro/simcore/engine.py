@@ -74,9 +74,7 @@ class Environment:
         ``run``/``run_until_event`` call ``self.step()``, so an
         *instance* attribute shadowing this method takes effect for a
         whole run -- the self-profiler (``repro.obs.profile``) attaches
-        exactly that way and restores the class method on detach.  Any
-        shadow must preserve this body's semantics bit-for-bit: pop,
-        monotonicity check, clock advance, callback processing.
+        exactly that way and restores the class method on detach.
         """
         when, _seq, event = heapq.heappop(self._queue)
         if when < self.now:

@@ -29,8 +29,7 @@ a :class:`~repro.jobs.spec.StreamSpec` dispatches here; the data-plane
 core never imports this tier (enforced by ``tools/check_layering.py``),
 keeping it optional and zero-cost when unused.
 
-``python -m repro.streaming --smoke`` runs the CI gate; see
-``docs/streaming.md`` for the full tour.
+See ``docs/streaming.md`` for the full tour.
 """
 
 from repro.jobs.manager import register_job_runner

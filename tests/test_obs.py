@@ -362,3 +362,25 @@ class TestRunReport:
         total = report.summary["stats"]["spill_bytes_written"]
         assert total > 0
         assert sum(per_job.values()) == total
+
+    def test_policy_decisions_reconstruct_affinity_offline(self, tmp_path):
+        from repro.obs.__main__ import _chaos_workload
+
+        rt, driver = _chaos_workload(0)
+        rt.run(driver)
+        rt.env.run()  # drain the node restart
+        path = tmp_path / "run.jsonl"
+        record_run(rt, str(path))
+        report = RunReport.load(str(path))
+        places = [
+            e for e in report.events
+            if e.kind == "policy.decision" and e.attrs.get("decision") == "place"
+        ]
+        affinity = report.affinity_summary()
+        assert places
+        assert affinity["honoured"] > 0
+        assert (
+            affinity["honoured"] + affinity["fell_through"] + affinity["no_hint"]
+            == len(places)
+        )
+        assert "Policy decisions" in report.render()

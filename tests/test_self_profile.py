@@ -86,7 +86,7 @@ def _profiled_sort(**sort_kwargs):
 def scope_programs(draw):
     """Random well-nested scope programs over a small category alphabet:
     a sequence of enter/exit ops that never underflows and fully closes."""
-    categories = ("engine.pop", "engine.dispatch.task", "bus.publish",
+    categories = ("engine.dispatch.job", "engine.dispatch.task", "bus.publish",
                   "metrics.charge", "driver.exec")
     ops = []
     depth = 0
@@ -140,7 +140,6 @@ def test_breakdown_sums_to_total_on_a_real_run():
     assert prof.coverage_error() < 0.01
     # Engine categories dominate a headless run of the engine loop.
     assert any(c.startswith("engine.dispatch.") for c in breakdown)
-    assert breakdown["engine.pop"] > 0
 
 
 def test_scope_nesting_is_exclusive():
@@ -296,8 +295,7 @@ def test_throughput_and_counters():
     assert thr["sim_s_per_wall_s"] > 0
     assert thr["sim_time_s"] == pytest.approx(prof.sim_time_s)
     counts = prof.counts
-    assert counts["events_processed"] == counts["heap_pops"] > 0
-    assert counts["heap_pushes"] >= counts["heap_pops"]
+    assert counts["heap_pushes"] >= counts["events_processed"] > 0
     assert counts["bus_publications"] > 0
     assert counts["metric_charges"] > 0
     payload = prof.to_dict()
@@ -544,4 +542,6 @@ def test_cli_profile_trace_mode_profiles_the_pipeline(tmp_path, capsys):
     # Self-profile of the offline pipeline over the recording...
     assert "trace.load" in out
     # ...plus the engine profile recorded inside the trace itself.
-    assert "recorded in trace" in out.lower() or "engine" in out.lower()
+    _pipeline, marker, recorded = out.partition("recorded run.summary profile")
+    assert marker
+    assert "engine.dispatch." in recorded
