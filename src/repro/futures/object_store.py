@@ -16,7 +16,7 @@ transfer; pinned entries are never dropped or spilled.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.ids import NodeId, ObjectId
@@ -86,9 +86,12 @@ class ObjectStore:
         #: Bytes of entries currently pinned by executing/fetching tasks.
         #: The prefetcher gates on this to bound fetch-ahead memory.
         self.pinned_bytes = 0
-        # Insertion-ordered so eviction/spill candidates come out oldest
-        # first, approximating Ray's creation-order spilling.
-        self._entries: "OrderedDict[ObjectId, _Entry]" = OrderedDict()
+        # A plain dict, insertion-ordered, so eviction/spill candidates
+        # come out oldest first, approximating Ray's creation-order spilling.
+        self._entries: Dict[ObjectId, _Entry] = {}
+        # Entries that are cached (not primary) and unpinned: the eviction
+        # scan is skipped while this is zero.
+        self._evictable = 0
         self._queue: Deque[AllocationRequest] = deque()
         self._on_pressure = on_pressure or (lambda: None)
         self._on_evict_cached = on_evict_cached or (lambda oid: None)
@@ -151,7 +154,7 @@ class ObjectStore:
         existing = self._entries.get(object_id)
         if existing is not None:
             if primary:
-                existing.primary = True
+                self._make_primary(existing)
             if pin:
                 self.pin(object_id)
             done = Event(self.env)
@@ -180,11 +183,12 @@ class ObjectStore:
         Used by restore and prefetch paths that have a cheaper fallback
         (reading through from disk) and must not park in the queue.
         """
-        if object_id in self._entries:
+        existing = self._entries.get(object_id)
+        if existing is not None:
             if pin:
                 self.pin(object_id)
             if primary:
-                self._entries[object_id].primary = True
+                self._make_primary(existing)
             return True
         request = AllocationRequest(self.env, object_id, size, primary, pin)
         return self._try_grant(request)
@@ -207,7 +211,14 @@ class ObjectStore:
         )
         if request.pin:
             self.pinned_bytes += request.size
+        elif not request.primary:
+            self._evictable += 1
         request.event.succeed("memory")
+
+    def _make_primary(self, entry: _Entry) -> None:
+        if not entry.primary and entry.pins == 0:
+            self._evictable -= 1
+        entry.primary = True
 
     def _evict_cached(
         self, needed: int, request: Optional[AllocationRequest] = None
@@ -215,8 +226,11 @@ class ObjectStore:
         """Drop unpinned cached copies until ``needed`` bytes are freed.
 
         The memory policy orders the victims; the default drops oldest
-        (insertion order) first.
+        (insertion order) first.  Neither the scan nor the policy runs
+        when no entry is cached and unpinned.
         """
+        if self._evictable == 0:
+            return 0
         freed = 0
         cached = [
             CachedCopyView(object_id=oid, size=entry.size)
@@ -237,9 +251,11 @@ class ObjectStore:
         for victim in self.policy.eviction_order(view, cached):
             if freed >= needed:
                 break
-            entry = self._entries.pop(victim.object_id, None)
+            entry = self._entries.get(victim.object_id)
             if entry is None or entry.primary or entry.pins > 0:
                 continue  # policy returned something no longer evictable
+            del self._entries[victim.object_id]
+            self._evictable -= 1
             self.used_bytes -= entry.size
             freed += entry.size
             self.cached_evictions += 1
@@ -290,6 +306,8 @@ class ObjectStore:
         entry = self._entries[object_id]
         if entry.pins == 0:
             self.pinned_bytes += entry.size
+            if not entry.primary:
+                self._evictable -= 1
         entry.pins += 1
 
     def unpin(self, object_id: ObjectId) -> None:
@@ -299,13 +317,17 @@ class ObjectStore:
             entry.pins -= 1
             if entry.pins == 0:
                 self.pinned_bytes -= entry.size
+                if not entry.primary:
+                    self._evictable += 1
 
     def demote_to_cached(self, object_id: ObjectId) -> None:
         """Mark an entry re-fetchable (its authoritative copy is elsewhere,
         e.g. it was just spilled to disk)."""
         entry = self._entries.get(object_id)
-        if entry is not None:
+        if entry is not None and entry.primary:
             entry.primary = False
+            if entry.pins == 0:
+                self._evictable += 1
 
     # -- release -----------------------------------------------------------------
     def free(self, object_id: ObjectId) -> bool:
@@ -316,6 +338,8 @@ class ObjectStore:
         self.used_bytes -= entry.size
         if entry.pins > 0:
             self.pinned_bytes -= entry.size
+        elif not entry.primary:
+            self._evictable -= 1
         self.pump()
         return True
 
@@ -346,14 +370,13 @@ class ObjectStore:
         """
         chosen: List[Tuple[ObjectId, int]] = []
         total = 0
-        for oid, entry in self._entries.items():
+        for oid, size in self.spillable_entries():
             if total >= max_bytes:
                 break
-            if entry.primary and entry.pins == 0:
-                if skip is not None and skip(oid):
-                    continue
-                chosen.append((oid, entry.size))
-                total += entry.size
+            if skip is not None and skip(oid):
+                continue
+            chosen.append((oid, size))
+            total += size
         return chosen
 
     def clear(self) -> List[ObjectId]:
@@ -366,6 +389,7 @@ class ObjectStore:
         self._entries.clear()
         self.used_bytes = 0
         self.pinned_bytes = 0
+        self._evictable = 0
         queue, self._queue = self._queue, deque()
         for request in queue:
             if not request.event.triggered:

@@ -1,12 +1,27 @@
 """Property-based tests on the object store's accounting invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.ids import NodeId, ObjectId
 from repro.futures.object_store import ObjectStore
+from repro.futures.policies import (
+    CachedCopyView,
+    InsertionOrderMemoryPolicy,
+    NewestFirstMemoryPolicy,
+)
 from repro.simcore import Environment
 
 CAPACITY = 1000
+
+
+def _cached_copies(store: ObjectStore) -> list:
+    """Brute force: the entries eviction may drop (cached, unpinned) as
+    ``(object_id, size)``, oldest first."""
+    return [
+        (oid, store.entry_size(oid))
+        for oid in store.objects()
+        if not store.is_primary(oid) and not store.is_pinned(oid)
+    ]
 
 
 def _check_invariants(store: ObjectStore) -> None:
@@ -14,12 +29,31 @@ def _check_invariants(store: ObjectStore) -> None:
     assert store.used_bytes == sum(sizes)
     assert 0 <= store.used_bytes <= store.capacity
     assert 0 <= store.pinned_bytes <= store.used_bytes
+    assert store._evictable == len(_cached_copies(store))
+
+
+def _expected_victims(store: ObjectStore, newest_first: bool, size: int) -> list:
+    """Reference eviction for admitting ``size`` fresh bytes: cached,
+    unpinned copies in the policy's order until the shortfall is freed."""
+    needed = size - store.spare_bytes
+    cached = _cached_copies(store)
+    if newest_first:
+        cached.reverse()
+    victims, freed = [], 0
+    for oid, entry_size in cached:
+        if freed >= needed:
+            break
+        victims.append(oid)
+        freed += entry_size
+    return victims
 
 
 # Each step: (op_code, object_index, size, primary)
 step_strategy = st.tuples(
-    st.sampled_from(["alloc", "try_alloc", "free", "pin", "unpin", "demote"]),
-    st.integers(min_value=0, max_value=19),
+    st.sampled_from(
+        ["alloc", "try_alloc", "evict_alloc", "free", "pin", "unpin", "demote", "clear"]
+    ),
+    st.integers(min_value=0, max_value=5),
     st.integers(min_value=1, max_value=400),
     st.booleans(),
 )
@@ -27,29 +61,100 @@ step_strategy = st.tuples(
 
 @settings(max_examples=120, deadline=None)
 @given(steps=st.lists(step_strategy, min_size=1, max_size=60))
+@example(  # a cached copy through every pin state, then upgraded and freed
+    steps=[
+        ("try_alloc", 0, 100, False),
+        ("pin", 0, 1, False),
+        ("unpin", 0, 1, False),
+        ("alloc", 0, 100, True),
+        ("demote", 0, 1, False),
+        ("free", 0, 1, False),
+    ]
+)
 def test_store_accounting_invariants_hold_under_any_sequence(steps):
+    for policy_cls in (InsertionOrderMemoryPolicy, NewestFirstMemoryPolicy):
+        env = Environment()
+        victims = []
+        store = ObjectStore(
+            env, NodeId(0), CAPACITY, on_evict_cached=victims.append,
+            policy=policy_cls(),
+        )
+        newest_first = policy_cls is NewestFirstMemoryPolicy
+        for op, index, size, primary in steps:
+            oid = ObjectId(index)
+            resident = store.objects()
+            # Aim pin, unpin, demote and free at entries whose state they change.
+            targets = {
+                "pin": resident,
+                "unpin": [o for o in resident if store.is_pinned(o)],
+                "demote": [o for o in resident if store.is_primary(o)],
+                "free": resident,
+            }.get(op)
+            if targets:
+                oid = targets[index % len(targets)]
+            if op == "evict_alloc":
+                # Just past the spare bytes, so any cached copy must go.
+                oid = ObjectId(100 + index)
+                size = min(CAPACITY, store.spare_bytes + size)
+            expected = None
+            if op in ("alloc", "try_alloc", "evict_alloc") and not store.contains(oid):
+                expected = _expected_victims(store, newest_first, size)
+            victims.clear()
+            if op == "alloc":
+                store.allocate(oid, size, primary=primary)
+            elif op in ("try_alloc", "evict_alloc"):
+                store.try_allocate(oid, size, primary=primary)
+            elif op == "free":
+                store.free(oid)
+            elif op == "pin":
+                if store.contains(oid):
+                    store.pin(oid)
+            elif op == "unpin":
+                store.unpin(oid)
+            elif op == "demote":
+                store.demote_to_cached(oid)
+            elif op == "clear":
+                store.clear()
+            env.run()
+            if expected is not None:
+                assert victims == expected
+            _check_invariants(store)
+
+
+class _StaleViewPolicy(InsertionOrderMemoryPolicy):
+    """Puts views of entries that are not evictable ahead of the real
+    candidates, and names every real candidate twice."""
+
+    def __init__(self, stale):
+        self.stale = stale
+
+    def eviction_order(self, request, cached):
+        return [*self.stale, *(view for view in cached for _ in (0, 1))]
+
+
+def test_eviction_skips_victims_that_are_not_evictable():
     env = Environment()
-    store = ObjectStore(env, NodeId(0), CAPACITY)
-    alloc_counter = 0
-    for op, index, size, primary in steps:
-        oid = ObjectId(index)
-        if op == "alloc":
-            alloc_counter += 1
-            # Use a unique id for queued allocations to avoid aliasing.
-            store.allocate(oid, size, primary=primary)
-        elif op == "try_alloc":
-            store.try_allocate(oid, size, primary=primary)
-        elif op == "free":
-            store.free(oid)
-        elif op == "pin":
-            if store.contains(oid):
-                store.pin(oid)
-        elif op == "unpin":
-            store.unpin(oid)
-        elif op == "demote":
-            store.demote_to_cached(oid)
-        env.run()
-        _check_invariants(store)
+    primary, pinned, old, new = (ObjectId(i) for i in range(4))
+    policy = _StaleViewPolicy(
+        [
+            CachedCopyView(object_id=primary, size=300),
+            CachedCopyView(object_id=pinned, size=200),
+        ]
+    )
+    store = ObjectStore(env, NodeId(0), CAPACITY, policy=policy)
+    store.try_allocate(primary, 300, primary=True)
+    store.try_allocate(pinned, 200, primary=False, pin=True)
+    store.try_allocate(old, 200, primary=False)
+    store.try_allocate(new, 200, primary=False)
+    # 100 bytes spare: admitting 400 needs 300 freed, i.e. both copies.
+    assert store.try_allocate(ObjectId(9), 400, primary=True)
+    assert store.contains(primary) and store.is_primary(primary)
+    assert store.contains(pinned) and store.is_pinned(pinned)
+    assert not store.contains(old) and not store.contains(new)
+    assert store.used_bytes == sum(store.entry_size(oid) for oid in store.objects())
+    assert store.pinned_bytes == 200
+    assert store.cached_evictions == 2
+    assert store._evictable == len(_cached_copies(store)) == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,6 +22,7 @@ from repro.chaos.harness import (
     make_inputs,
     submit_variant,
 )
+from repro.cluster import D3_2XLARGE
 from repro.common.units import MB
 from repro.futures import RetryPolicy, Runtime, RuntimeConfig
 from repro.sort import SortJobConfig, run_sort
@@ -44,6 +45,10 @@ DIGEST_KINDS = (
 
 GOLDEN_SORT_DIGEST = "6c9ea3eebc9f3616787ca86d3857b36a0ac5a7d35f11246300acbf461acd5e52"
 GOLDEN_CHAOS_DIGEST = "85b3dde0667f3fbff2b666047d751dd947b917fce83fb81e88fa092691afdbbf"
+#: The smoke-sized spill shape (``push*``, data 5.3x the aggregate store,
+#: outputs to disk), captured before the object store learned to skip
+#: its cached-copy scan when nothing is evictable.
+GOLDEN_SPILL_SHAPE_DIGEST = "cc68b047aeef89b2afe29d0d2f1a83e5c6b861482efd21738c3cc7edfcb3724e"
 
 
 def digest_events(events) -> str:
@@ -99,6 +104,32 @@ def _chaos_run() -> str:
     return digest_events(rt.bus.events)
 
 
+def _spill_shape_run() -> str:
+    """Two d3.2xlarge nodes with the store shrunk tenfold, 40 partitions
+    of data 5.3x the aggregate store: the store evicts cached copies,
+    spills and restores.  Most eviction scans find nothing to drop and a
+    few do, so the digest pins both paths."""
+    node = D3_2XLARGE.with_object_store(D3_2XLARGE.object_store_bytes // 10)
+    rt = Runtime.create(node, 2)
+    result = run_sort(
+        rt,
+        SortJobConfig(
+            variant="push*",
+            num_partitions=40,
+            partition_bytes=int(5.3 * node.object_store_bytes * 2) // 40,
+            virtual=True,
+            output_to_disk=True,
+            seed=0,
+        ),
+    )
+    assert result.validated
+    assert rt.stats()["objects_evicted"] > 0
+    stats = sorted(rt.stats().items())
+    return hashlib.sha256(
+        f"{digest_events(rt.bus.events)}|{stats!r}".encode()
+    ).hexdigest()
+
+
 def test_sort_digest_matches_pre_refactor_behaviour():
     digest, _rt = _sort_run()
     assert digest == GOLDEN_SORT_DIGEST
@@ -106,6 +137,10 @@ def test_sort_digest_matches_pre_refactor_behaviour():
 
 def test_chaos_digest_matches_pre_refactor_behaviour():
     assert _chaos_run() == GOLDEN_CHAOS_DIGEST
+
+
+def test_spill_shape_digest_matches_golden():
+    assert _spill_shape_run() == GOLDEN_SPILL_SHAPE_DIGEST
 
 
 def test_digest_is_deterministic_across_runs():
