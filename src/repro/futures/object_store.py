@@ -146,22 +146,14 @@ class ObjectStore:
 
         The returned event succeeds once the entry is resident.  Objects
         already resident are granted immediately (idempotent; a cached
-        entry is upgraded to primary if requested).
+        entry is upgraded to primary if requested), and so is a queued
+        request whose object became resident while it waited.
         """
         if size < 0:
             raise ValueError("negative allocation size")
         self.total_allocations += 1
-        existing = self._entries.get(object_id)
-        if existing is not None:
-            if primary:
-                self._make_primary(existing)
-            if pin:
-                self.pin(object_id)
-            done = Event(self.env)
-            done.succeed("resident")
-            return done
         request = AllocationRequest(self.env, object_id, size, primary, pin)
-        if self._try_grant(request):
+        if self._grant(request):
             return request.event
         self._queue.append(request)
         if self.bus is not None:
@@ -183,15 +175,27 @@ class ObjectStore:
         Used by restore and prefetch paths that have a cheaper fallback
         (reading through from disk) and must not park in the queue.
         """
-        existing = self._entries.get(object_id)
-        if existing is not None:
-            if pin:
-                self.pin(object_id)
-            if primary:
-                self._make_primary(existing)
-            return True
         request = AllocationRequest(self.env, object_id, size, primary, pin)
+        return self._serve_resident(request) or self._try_grant(request)
+
+    def _grant(self, request: AllocationRequest) -> bool:
+        """Grant ``request`` now if its object is resident or it fits."""
+        if self._serve_resident(request):
+            request.event.succeed("resident")
+            return True
         return self._try_grant(request)
+
+    def _serve_resident(self, request: AllocationRequest) -> bool:
+        """Upgrade and pin the object's resident entry as ``request``
+        asks; False when none (a second entry would double-count)."""
+        entry = self._entries.get(request.object_id)
+        if entry is None:
+            return False
+        if request.primary:
+            self._make_primary(entry)
+        if request.pin:
+            self.pin(request.object_id)
+        return True
 
     def _try_grant(self, request: AllocationRequest) -> bool:
         if request.size > self.capacity - self.used_bytes:
@@ -273,7 +277,7 @@ class ObjectStore:
         if getattr(self.policy, "strict_fifo", True):
             while self._queue:
                 request = self._queue[0]
-                if not self._try_grant(request):
+                if not self._grant(request):
                     break
                 self._queue.popleft()
         else:
@@ -290,7 +294,7 @@ class ObjectStore:
                 if not 0 <= index < len(self._queue):
                     index = 0
                 request = self._queue[index]
-                if not self._try_grant(request):
+                if not self._grant(request):
                     break
                 del self._queue[index]
         if self._queue:

@@ -42,14 +42,9 @@ from repro.chaos.harness import default_node_spec, make_inputs, submit_variant
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.spec import FaultKind, matrix_plan
 from repro.futures import RetryPolicy, Runtime, RuntimeConfig
+from repro.obs.events import EventBus
 from repro.obs.report import RunReport
 from repro.obs.trace import derive_spans
-
-
-def _load_events(path: str):
-    from repro.obs.events import EventBus
-
-    return EventBus.load_jsonl(path)
 
 
 def _cmd_critpath(argv) -> int:
@@ -67,7 +62,7 @@ def _cmd_critpath(argv) -> int:
     args = parser.parse_args(argv)
     from repro.obs.perf import critical_path
 
-    path = critical_path(_load_events(args.trace))
+    path = critical_path(EventBus.load_jsonl(args.trace))
     if args.json:
         print(json.dumps(path.to_dict(), indent=2))
     else:
@@ -87,7 +82,7 @@ def _cmd_usage(argv) -> int:
     args = parser.parse_args(argv)
     from repro.obs.perf import derive_usage
 
-    print(derive_usage(_load_events(args.trace)).render(bins=args.bins))
+    print(derive_usage(EventBus.load_jsonl(args.trace)).render(bins=args.bins))
     return 0
 
 
@@ -105,7 +100,8 @@ def _cmd_diff(argv) -> int:
     from repro.obs.perf.diff import (
         DEFAULT_REL_TOLERANCE,
         BenchMismatchError,
-        compare_files,
+        compare_benches,
+        load_bench,
     )
 
     parser = argparse.ArgumentParser(
@@ -167,8 +163,12 @@ def _cmd_diff(argv) -> int:
             failures += 1
             continue
         try:
-            report = compare_files(
-                str(base_path), str(cand_path), rel_tolerance=tolerance
+            report = compare_benches(
+                load_bench(str(base_path)),
+                load_bench(str(cand_path)),
+                rel_tolerance=tolerance,
+                baseline_label=str(base_path),
+                candidate_label=str(cand_path),
             )
         except BenchMismatchError as exc:
             print(f"FAIL {exc}")
@@ -263,8 +263,9 @@ def _cmd_live(argv) -> int:
     )
     args = parser.parse_args(argv)
     from repro.obs.live import follow_runtime, replay_frames
+    from repro.obs.live.dashboard import ANSI_CLEAR
 
-    separator = "\x1b[2J\x1b[H" if args.clear else "\n" + "=" * 72 + "\n"
+    separator = ANSI_CLEAR if args.clear else "\n" + "=" * 72 + "\n"
     if args.follow:
         rt, driver = _chaos_workload(args.seed)
 
@@ -287,7 +288,7 @@ def _cmd_live(argv) -> int:
         parser.error("expected a trace file or --follow")
         return 2
     for frame in replay_frames(
-        _load_events(args.trace),
+        EventBus.load_jsonl(args.trace),
         frames=args.frames,
         interval_s=args.interval,
         window=args.window,
@@ -363,7 +364,7 @@ def _cmd_profile(argv) -> int:
     else:
         prof.start()
         with prof.scope("trace.load"):
-            events = _load_events(args.trace)
+            events = EventBus.load_jsonl(args.trace)
         with prof.scope("span.derive"):
             derive_spans(events)
         with prof.scope("report.render"):
@@ -382,17 +383,8 @@ def _cmd_profile(argv) -> int:
         print(prof.render())
         if recorded:
             print()
-            print(
-                f"recorded run.summary profile: "
-                f"{recorded['events_processed']} simulated events in "
-                f"{recorded['wall_time_s']:.3f}s wall "
-                f"({recorded['events_per_wall_s']:,.0f} events/s)"
-            )
-            for row in recorded["top_categories"]:
-                print(
-                    f"  {row['category']:<28} {row['seconds']:9.4f}s  "
-                    f"{100 * row['share']:5.1f}%"
-                )
+            print("recorded run.summary profile")
+            print(report.engine_section())
     folded = capture.folded() if capture is not None else folded_from_profiler(prof)
     if args.flame:
         title = (
@@ -436,7 +428,7 @@ def _cmd_html(argv) -> int:
     args = parser.parse_args(argv)
     from repro.obs.live import TimeSeriesSampler, write_html
 
-    events = _load_events(args.trace)
+    events = EventBus.load_jsonl(args.trace)
     sampler = TimeSeriesSampler.replay(events, interval_s=args.interval)
     out = args.out or str(Path(args.trace).with_suffix("")) + ".explorer.html"
     write_html(
@@ -486,18 +478,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.trace:
         try:
-            events = _load_events(args.trace)
+            events = EventBus.load_jsonl(args.trace)
+            report = RunReport(events)
             if args.json:
-                print(
-                    json.dumps(
-                        RunReport(events).to_dict(top_k=args.top), indent=2
-                    )
-                )
+                print(json.dumps(report.to_dict(top_k=args.top), indent=2))
                 return 0
-            print(RunReport(events).render(top_k=args.top))
+            print(report.render(top_k=args.top))
             from repro.obs.perf import critical_path, derive_usage
 
-            path = critical_path(events)
+            path = critical_path(events, report.spans)
             if path.segments:
                 print()
                 print(path.render(top_k=0))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 
 #: The registered event taxonomy: kind -> one-line description.  The
@@ -168,6 +168,28 @@ class ObsEvent:
         return f"<ObsEvent #{self.seq} t={self.ts:g} {self.kind} {axes}>"
 
 
+def causal_chain(event: ObsEvent, index: Dict[int, ObsEvent]) -> List[ObsEvent]:
+    """The event plus its transitive causes, effect first; the walk
+    stops at a cause missing from ``index`` (seq -> event)."""
+    chain = [event]
+    seen = {event.seq}
+    while chain[-1].cause is not None:
+        parent = index.get(chain[-1].cause)
+        if parent is None or parent.seq in seen:
+            break
+        chain.append(parent)
+        seen.add(parent.seq)
+    return chain
+
+
+def run_summary(events: Sequence[ObsEvent]) -> Dict[str, Any]:
+    """The attrs of the last ``run.summary`` event ({} when absent)."""
+    for event in reversed(events):
+        if event.kind == "run.summary":
+            return event.attrs
+    return {}
+
+
 class EventBus:
     """Collects and fans out :class:`ObsEvent` records for one run.
 
@@ -273,16 +295,7 @@ class EventBus:
 
     def causal_chain(self, event: ObsEvent) -> List[ObsEvent]:
         """The event plus its transitive causes, effect first."""
-        index = self.by_seq()
-        chain = [event]
-        seen = {event.seq}
-        while chain[-1].cause is not None:
-            parent = index.get(chain[-1].cause)
-            if parent is None or parent.seq in seen:
-                break
-            chain.append(parent)
-            seen.add(parent.seq)
-        return chain
+        return causal_chain(event, self.by_seq())
 
     def clear(self) -> None:
         """Drop recorded events (sequence numbers keep increasing)."""

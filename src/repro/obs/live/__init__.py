@@ -21,17 +21,13 @@ from repro.obs.live.dashboard import (
 )
 from repro.obs.live.html import explorer_data, render_html, write_html
 from repro.obs.live.sampler import (
-    FEED_KINDS,
     NODE_TRACKS,
-    FeedEntry,
     SeriesRing,
     TimeSeriesSampler,
 )
 
 __all__ = [
-    "FEED_KINDS",
     "NODE_TRACKS",
-    "FeedEntry",
     "LiveDashboard",
     "SeriesRing",
     "TimeSeriesSampler",

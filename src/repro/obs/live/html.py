@@ -25,6 +25,7 @@ behind ``prefers-color-scheme`` and a ``data-theme`` override).
 
 from __future__ import annotations
 
+import html
 import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
@@ -67,9 +68,9 @@ def render_html(
     data = explorer_data(events, sampler=sampler, title=title)
     # "</" must not appear inside an inline <script> payload.
     payload = json.dumps(data, sort_keys=True).replace("</", "<\\/")
-    return _TEMPLATE.replace("__TITLE__", _escape(title)).replace(
-        "__DATA__", payload
-    )
+    return _TEMPLATE.replace(
+        "__TITLE__", html.escape(title, quote=False)
+    ).replace("__DATA__", payload)
 
 
 def write_html(
@@ -83,12 +84,6 @@ def write_html(
         render_html(events, sampler=sampler, title=title)
     )
     return path
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
 
 
 #: The document shell.  Palette hexes are the validated reference

@@ -54,9 +54,11 @@ Tenants are resolved from the ``tenant`` attr that the jobs control
 plane stamps on ``job.*`` events and the streaming tier stamps on
 ``stream.backpressure``; tasks map to tenants through their job.
 
-The sampler also keeps a bounded causal *fault feed* -- fault / churn /
-death / retry events with their causal chains resolved at arrival time
--- which the dashboard scrolls and the HTML explorer lists.
+The sampler also keeps a bounded causal *fault feed* of
+:class:`~repro.obs.trace.FaultEntry` lines -- fault / churn / death /
+retry events with their causal chains resolved at arrival time, the
+same lines as the run report's timeline -- which the dashboard scrolls
+and the HTML explorer lists.
 """
 
 from __future__ import annotations
@@ -66,16 +68,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EventBus, ObsEvent
-
-#: Event kinds kept (with their causal ancestry) for the fault feed.
-FEED_KINDS = (
-    "chaos.fault",
-    "node.death",
-    "node.restart",
-    "cluster.membership",
-    "executor.failure",
-    "task.retry",
-)
+from repro.obs.trace import FAULT_KINDS, FaultEntry
 
 #: Per-node track names, in display order.
 NODE_TRACKS = ("cpu", "disk", "nic", "store", "spill_queue")
@@ -123,43 +116,6 @@ class SeriesRing:
             f"<SeriesRing {len(self._samples)}/{self.capacity} "
             f"start={self.start}>"
         )
-
-
-class FeedEntry:
-    """One fault-feed line: the event plus its resolved causal chain."""
-
-    __slots__ = ("ts", "kind", "where", "detail", "chain")
-
-    def __init__(
-        self,
-        ts: float,
-        kind: str,
-        where: str,
-        detail: Optional[str],
-        chain: Tuple[str, ...],
-    ) -> None:
-        self.ts = ts
-        self.kind = kind
-        self.where = where
-        self.detail = detail
-        #: Ancestor kinds, nearest cause first (excludes the event itself).
-        self.chain = chain
-
-    def render(self) -> str:
-        """The one-line feed form the dashboard scrolls."""
-        detail = f" ({self.detail})" if self.detail is not None else ""
-        suffix = "  <= " + " <= ".join(self.chain) if self.chain else ""
-        return f"t={self.ts:10.3f}  {self.kind:<18} {self.where}{detail}{suffix}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-serialisable form for the HTML explorer."""
-        return {
-            "ts": self.ts,
-            "kind": self.kind,
-            "where": self.where,
-            "detail": self.detail,
-            "chain": list(self.chain),
-        }
 
 
 class GaugeFold:
@@ -352,7 +308,7 @@ class TimeSeriesSampler:
         self.last_event_ts = 0.0
         self.events_seen = 0
         self.series: Dict[str, SeriesRing] = {}
-        self.feed: Deque[FeedEntry] = deque(maxlen=feed_capacity)
+        self.feed: Deque[FaultEntry] = deque(maxlen=feed_capacity)
         #: node id -> spec capacities, from ``on_attach`` (live) or the
         #: trailing ``run.summary`` (replay); display-only -- never an
         #: input to the sampled values, so live/replay stay bit-equal.
@@ -413,9 +369,10 @@ class TimeSeriesSampler:
         while event.ts > self._next_boundary:
             self._emit_sample()
         self.fold.apply(event)
-        if event.kind in FEED_KINDS:
+        if event.kind in FAULT_KINDS:
+            # Chains resolve through feed events only, as at arrival.
             self._feed_index[event.seq] = event
-            self.feed.append(self._feed_entry(event))
+            self.feed.append(FaultEntry.of(event, self._feed_index))
         elif event.kind == "run.summary":
             # Replay of a recorded file: adopt the capacities snapshot.
             cluster = event.attrs.get("cluster")
@@ -468,31 +425,6 @@ class TimeSeriesSampler:
             ring.start = max(0, self._boundary_index - self.capacity)
         ring.push(value)
 
-    def _feed_entry(self, event: ObsEvent) -> FeedEntry:
-        chain: List[str] = []
-        cause = event.cause
-        seen = {event.seq}
-        while cause is not None and cause not in seen:
-            seen.add(cause)
-            parent = self._feed_index.get(cause)
-            if parent is None:
-                break
-            chain.append(parent.kind)
-            cause = parent.cause
-        detail = (
-            event.attrs.get("fault")
-            or event.attrs.get("action")
-            or event.attrs.get("attempt")
-        )
-        where = event.node or event.task or event.job or ""
-        return FeedEntry(
-            event.ts,
-            event.kind,
-            str(where),
-            None if detail is None else str(detail),
-            tuple(chain),
-        )
-
     # -- queries ---------------------------------------------------------------
     @property
     def samples_taken(self) -> int:
@@ -507,29 +439,25 @@ class TimeSeriesSampler:
             for i in range(len(ring))
         ]
 
+    def _scoped(self, scope: str) -> List[str]:
+        """Keys with at least one ``scope:key:*`` series, sorted."""
+        prefix = scope + ":"
+        return sorted(
+            {name.split(":", 2)[1] for name in self.series
+             if name.startswith(prefix)}
+        )
+
     def nodes(self) -> List[str]:
         """Node ids with at least one per-node series, sorted."""
-        out = set()
-        for name in self.series:
-            if name.startswith("node:"):
-                out.add(name.split(":", 2)[1])
-        return sorted(out)
+        return self._scoped("node")
 
     def tenants(self) -> List[str]:
         """Tenant names with at least one per-tenant series, sorted."""
-        out = set()
-        for name in self.series:
-            if name.startswith("tenant:"):
-                out.add(name.split(":", 2)[1])
-        return sorted(out)
+        return self._scoped("tenant")
 
     def jobs(self) -> List[str]:
         """Job ids with at least one per-job series, sorted."""
-        out = set()
-        for name in self.series:
-            if name.startswith("job:"):
-                out.add(name.split(":", 2)[1])
-        return sorted(out)
+        return self._scoped("job")
 
     def get(self, name: str) -> SeriesRing:
         """A series ring by name (an empty ring when never sampled)."""

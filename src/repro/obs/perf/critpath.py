@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.tables import ResultTable
 from repro.obs.events import ObsEvent
-from repro.obs.trace import Span, derive_spans
+from repro.obs.trace import Span, creators, derive_spans, task_submits
 
 #: Attribution categories, in reporting order.
 CATEGORIES = (
@@ -271,24 +271,8 @@ class _Index:
 
     def __init__(self, events: Sequence[ObsEvent], spans: List[Span]) -> None:
         self.elements = [s for s in spans if s.cat in _ELEMENT_CATS]
-        self.creator_of: Dict[str, str] = {}
-        self.deps_of: Dict[str, List[str]] = {}
-        self.returns_of: Dict[str, List[str]] = {}
-        self.submit_ts: Dict[str, float] = {}
-        self.retry_seqs = set()
-        for event in events:
-            if event.kind == "task.submit" and event.task is not None:
-                self.submit_ts.setdefault(event.task, event.ts)
-                self.deps_of[event.task] = list(event.attrs.get("deps", ()))
-                returns = [str(o) for o in event.attrs.get("returns", ())]
-                self.returns_of[event.task] = returns
-                for obj in returns:
-                    self.creator_of[obj] = event.task
-            elif event.kind == "object.create" and event.obj and event.task:
-                self.creator_of.setdefault(event.obj, event.task)
-            elif event.kind == "task.retry":
-                self.retry_seqs.add(event.seq)
-
+        self.submits = task_submits(events)
+        self.creator_of = creators(self.submits)
         self.task_spans: Dict[str, List[Span]] = {}
         self.transfers_to: Dict[Tuple[str, str], List[Span]] = {}
         self.restores_on: Dict[Tuple[str, str], List[Span]] = {}
@@ -334,6 +318,11 @@ class _Index:
                 return span
         return None
 
+    def submitted(self, span: Span, attr: str) -> Sequence[Any]:
+        """``attr`` (``deps`` or ``returns``) of the span's task submit."""
+        submit = self.submits.get(span.task or "")
+        return submit.attrs.get(attr, ()) if submit is not None else ()
+
     def best(self, spans: Sequence[Span], before: float) -> Optional[Span]:
         """The latest-ending span finishing at or before ``before``."""
         best: Optional[Span] = None
@@ -350,8 +339,7 @@ class _Index:
         """Transfers/restores that delivered this task's inputs to its
         node -- coverage candidates for both its gap and its interior."""
         out = []
-        deps = self.deps_of.get(span.task or "", [])
-        for dep in deps:
+        for dep in self.submitted(span, "deps"):
             for t in self.transfers_to.get((dep, span.node or ""), []):
                 out.append(
                     (t.start, t.end, "transfer", f"fetch {dep}", t.node, span.task)
@@ -376,7 +364,7 @@ def _decompose_task_interval(span: Span, index: _Index) -> List[PathSegment]:
     but it may have been triggered by a neighbour.
     """
     candidates = []
-    for obj in index.returns_of.get(span.task or "", []):
+    for obj in map(str, index.submitted(span, "returns")):
         for w in index.disk_writes.get(obj, []):
             if w.node == span.node:
                 candidates.append(
@@ -419,8 +407,9 @@ def _decompose_gap(
     covered, free = _cover((lo, hi), candidates)
     for f_start, f_end in free:
         if span.cat == "task":
+            # A task span's parent is the task.retry that re-ran it.
             retried = (
-                span.parent in index.retry_seqs
+                span.parent is not None
                 or int(span.attrs.get("attempt", 1)) > 1
             )
             if retried:
@@ -431,13 +420,14 @@ def _decompose_gap(
                     )
                 )
                 continue
-            submit = index.submit_ts.get(span.task or "")
-            if submit is None:
+            submit_event = index.submits.get(span.task or "")
+            if submit_event is None:
                 covered.append(
                     PathSegment(f_start, f_end, "queue",
                                 f"waiting {span.task}", span.node, span.task)
                 )
                 continue
+            submit = submit_event.ts
             if f_start < submit - _EPS:
                 covered.append(
                     PathSegment(
@@ -478,11 +468,11 @@ def _find_predecessor(span: Span, index: _Index) -> Optional[Span]:
         if best is not None and best is not span:
             candidates.append(best)
     if span.cat == "task":
-        for parent in _lineage_parents_of(span, index):
+        for parent in span.attrs.get("parents", ()):
             best = index.best(index.task_spans.get(parent, []), span.start)
             if best is not None:
                 candidates.append(best)
-        for dep in index.deps_of.get(span.task or "", []):
+        for dep in index.submitted(span, "deps"):
             best = index.best(
                 index.transfers_to.get((dep, span.node or ""), []), span.start
             )
@@ -512,18 +502,6 @@ def _find_predecessor(span: Span, index: _Index) -> Optional[Span]:
     if candidates:
         return max(candidates, key=lambda s: (s.end, s.start))
     return None
-
-
-def _lineage_parents_of(span: Span, index: _Index) -> List[str]:
-    parents = span.attrs.get("parents")
-    if parents:
-        return list(parents)
-    out = set()
-    for dep in index.deps_of.get(span.task or "", []):
-        creator = index.creator_of.get(dep)
-        if creator is not None:
-            out.add(creator)
-    return sorted(out)
 
 
 def critical_path(

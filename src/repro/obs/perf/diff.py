@@ -433,20 +433,3 @@ def compare_benches(
         trajectory=trajectory_rows(baseline, candidate),
         notes=notes,
     )
-
-
-def compare_files(
-    baseline_path: str,
-    candidate_path: str,
-    rel_tolerance: float = DEFAULT_REL_TOLERANCE,
-    tolerances: Optional[Dict[str, float]] = None,
-) -> DiffReport:
-    """File-path convenience wrapper around :func:`compare_benches`."""
-    return compare_benches(
-        load_bench(baseline_path),
-        load_bench(candidate_path),
-        rel_tolerance=rel_tolerance,
-        tolerances=tolerances,
-        baseline_label=str(baseline_path),
-        candidate_label=str(candidate_path),
-    )

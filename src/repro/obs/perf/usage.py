@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.metrics.tables import ResultTable
-from repro.obs.events import ObsEvent
+from repro.obs.events import ObsEvent, run_summary
 from repro.obs.live.sampler import NODE_TRACKS, GaugeFold
 from repro.obs.trace import Span, node_pids
 
@@ -74,36 +74,32 @@ class StepTrack:
     def max_value(self) -> float:
         return max(self._values, default=0.0)
 
-    def integral(self, start: float, end: float) -> float:
-        """Integral of the track over ``[start, end]`` (value-seconds)."""
+    def _steps(self, start: float, end: float) -> Iterator[Tuple[float, float]]:
+        """``(value, seconds)`` for each constant piece of ``[start, end]``."""
         if end <= start or not self._ts:
-            return 0.0
-        total = 0.0
+            return
         value = self.value_at(start)
         cursor = start
         i = bisect.bisect_right(self._ts, start)
         while i < len(self._ts) and self._ts[i] < end:
-            total += value * (self._ts[i] - cursor)
+            yield value, self._ts[i] - cursor
             cursor, value = self._ts[i], self._values[i]
             i += 1
-        total += value * (end - cursor)
+        yield value, end - cursor
+
+    def integral(self, start: float, end: float) -> float:
+        """Integral of the track over ``[start, end]`` (value-seconds)."""
+        total = 0.0
+        for value, seconds in self._steps(start, end):
+            total += value * seconds
         return total
 
     def busy_time(self, start: float, end: float) -> float:
         """Seconds in ``[start, end]`` where the value is positive."""
-        if end <= start or not self._ts:
-            return 0.0
         total = 0.0
-        value = self.value_at(start)
-        cursor = start
-        i = bisect.bisect_right(self._ts, start)
-        while i < len(self._ts) and self._ts[i] < end:
+        for value, seconds in self._steps(start, end):
             if value > 0:
-                total += self._ts[i] - cursor
-            cursor, value = self._ts[i], self._values[i]
-            i += 1
-        if value > 0:
-            total += end - cursor
+                total += seconds
         return total
 
 
@@ -353,12 +349,9 @@ def derive_usage(
     overrides the capacities; by default they come from the trailing
     ``run.summary`` event (recorded by ``record_run``).
     """
-    capacities: Dict[str, Dict[str, Any]] = dict(cluster or {})
-    if not capacities:
-        for event in reversed(events):
-            if event.kind == "run.summary":
-                capacities = dict(event.attrs.get("cluster", {}))
-                break
+    capacities: Dict[str, Dict[str, Any]] = dict(
+        cluster or run_summary(events).get("cluster", {})
+    )
     tracks: Dict[str, Dict[str, StepTrack]] = {
         name: {} for name in NODE_TRACKS
     }

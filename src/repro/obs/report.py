@@ -32,8 +32,8 @@ from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.metrics.tables import ResultTable
-from repro.obs.events import EventBus, ObsEvent
-from repro.obs.trace import Span, derive_spans
+from repro.obs.events import EventBus, ObsEvent, run_summary
+from repro.obs.trace import FAULT_KINDS, FaultEntry, Span, derive_spans
 
 
 def record_run(runtime: Any, path: str) -> int:
@@ -76,11 +76,15 @@ class RunReport:
         self.spans: List[Span] = derive_spans(self.events)
         self._index = {e.seq: e for e in self.events}
         #: The trailing ``run.summary`` attrs ({} when absent).
-        self.summary: Dict[str, Any] = {}
-        for event in reversed(self.events):
-            if event.kind == "run.summary":
-                self.summary = dict(event.attrs)
-                break
+        self.summary: Dict[str, Any] = run_summary(self.events)
+        #: The recorded end of the run (the last event's time without one).
+        self.t_end: float = self.summary.get("stats", {}).get(
+            "time", max((e.ts for e in self.events), default=0.0)
+        )
+        #: job -> its admission wait (``job.submit`` -> ``job.admit``).
+        self._job_waits: Dict[str, float] = {
+            s.job: s.duration for s in self.spans if s.cat == "job.wait"
+        }
 
     @classmethod
     def load(cls, path: str) -> "RunReport":
@@ -103,9 +107,6 @@ class RunReport:
         grouped: Dict[str, List[Span]] = defaultdict(list)
         for span in self.task_spans():
             grouped[span.name].append(span)
-        admission = {
-            s.job: s.duration for s in self.spans if s.cat == "job.wait"
-        }
         table = ResultTable(
             "Phase breakdown",
             [
@@ -121,7 +122,7 @@ class RunReport:
         for name in sorted(grouped):
             spans = grouped[name]
             waits = [s.attrs.get("queue_delay", 0.0) for s in spans]
-            admissions = [admission.get(s.job, 0.0) for s in spans]
+            admissions = [self._job_waits.get(s.job, 0.0) for s in spans]
             table.add_row(
                 phase=name,
                 tasks=len(spans),
@@ -167,9 +168,6 @@ class RunReport:
         job_stats: Dict[str, Dict[str, float]] = self.summary.get(
             "job_stats", {}
         )
-        waits = {
-            s.job: s.duration for s in self.spans if s.cat == "job.wait"
-        }
         runs = {s.job: s for s in self.spans if s.cat == "job"}
         jobs = sorted(set(job_stats) | set(runs))
         table = ResultTable(
@@ -191,7 +189,7 @@ class RunReport:
                 job=job,
                 tenant=(span.attrs.get("tenant") if span else None) or "-",
                 status=(span.attrs.get("status") if span else None) or "-",
-                queue_wait_s=waits.get(job, 0.0),
+                queue_wait_s=self._job_waits.get(job, 0.0),
                 duration_s=span.duration if span else 0.0,
                 tasks=bucket.get("tasks_finished", 0.0),
                 spill_bytes=bucket.get("spill_bytes_written", 0.0),
@@ -354,32 +352,11 @@ class RunReport:
         """Chronological fault / churn / death / retry lines with causal
         chains (membership changes are part of the same story: a drain
         fault causes a membership remove, which causes task retries)."""
-        lines = []
-        for event in self.events:
-            if event.kind not in (
-                "chaos.fault",
-                "cluster.membership",
-                "node.death",
-                "node.restart",
-                "executor.failure",
-                "task.retry",
-            ):
-                continue
-            chain = self._chain(event)
-            suffix = ""
-            if len(chain) > 1:
-                suffix = "  <= " + " <= ".join(e.kind for e in chain[1:])
-            where = event.node or event.task or event.job or ""
-            detail = (
-                event.attrs.get("fault")
-                or event.attrs.get("action")
-                or event.attrs.get("attempt")
-            )
-            detail_s = f" ({detail})" if detail is not None else ""
-            lines.append(
-                f"t={event.ts:10.3f}  {event.kind:<18} {where}{detail_s}{suffix}"
-            )
-        return lines
+        return [
+            FaultEntry.of(e, self._index).render()
+            for e in self.events
+            if e.kind in FAULT_KINDS
+        ]
 
     def membership_summary(self) -> Dict[str, int]:
         """Cluster-churn accounting from ``cluster.membership`` events
@@ -506,29 +483,29 @@ class RunReport:
             )
         return table
 
-    def _chain(self, event: ObsEvent) -> List[ObsEvent]:
-        chain = [event]
-        seen = {event.seq}
-        while chain[-1].cause is not None:
-            parent = self._index.get(chain[-1].cause)
-            if parent is None or parent.seq in seen:
-                break
-            chain.append(parent)
-            seen.add(parent.seq)
-        return chain
+    def engine_section(self) -> str:
+        """The Engine section as printed: the category table plus its
+        throughput line ("" without a profile)."""
+        engine = self.engine_summary()
+        if not engine:
+            return ""
+        return (
+            f"{self.engine_table().render()}\n"
+            f"engine: {engine['events_processed']} events in "
+            f"{engine['wall_time_s']:.3f}s wall "
+            f"({engine['events_per_wall_s']:,.0f} events/s, "
+            f"{engine['sim_s_per_wall_s']:.2f} sim-s/wall-s)"
+        )
 
     # -- export ---------------------------------------------------------------
     def to_dict(self, top_k: int = 10) -> Dict[str, Any]:
         """Every section as plain JSON-safe data -- the machine-readable
         twin of :meth:`render`, consumed by ``report --json`` and the
         HTML run explorer."""
-        stats = self.summary.get("stats", {})
         return {
             "events": len(self.events),
-            "t_end": stats.get(
-                "time", max((e.ts for e in self.events), default=0.0)
-            ),
-            "stats": stats,
+            "t_end": self.t_end,
+            "stats": self.summary.get("stats", {}),
             "phase_table": self.phase_table().to_dict(),
             "slowest_tasks": self.slowest_tasks(top_k).to_dict(),
             "job_table": self.job_table().to_dict(),
@@ -550,12 +527,7 @@ class RunReport:
     # -- rendering ------------------------------------------------------------
     def render(self, top_k: int = 10) -> str:
         """The full multi-section report as one printable string."""
-        parts: List[str] = []
-        stats = self.summary.get("stats", {})
-        parts.append(
-            f"Run of {len(self.events)} events, "
-            f"t_end={stats.get('time', max((e.ts for e in self.events), default=0.0)):g}s"
-        )
+        parts = [f"Run of {len(self.events)} events, t_end={self.t_end:g}s"]
         if self.task_spans():
             parts.append("")
             parts.append(self.phase_table().render())
@@ -623,16 +595,10 @@ class RunReport:
                 f"{membership['removes']} removes, "
                 f"{membership['reconstructions']} lineage recomputes"
             )
-        engine = self.engine_summary()
+        engine = self.engine_section()
         if engine:
             parts.append("")
-            parts.append(self.engine_table().render())
-            parts.append(
-                f"engine: {engine['events_processed']} events in "
-                f"{engine['wall_time_s']:.3f}s wall "
-                f"({engine['events_per_wall_s']:,.0f} events/s, "
-                f"{engine['sim_s_per_wall_s']:.2f} sim-s/wall-s)"
-            )
+            parts.append(engine)
         timeline = self.fault_timeline()
         if timeline:
             parts.append("")

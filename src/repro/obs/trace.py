@@ -18,8 +18,9 @@ A :class:`Span` is a closed interval derived from the event stream:
   round's processing tail until the aggregate is visible).
 
 Task spans additionally carry ``parents``: the creating tasks of their
-argument objects, reconstructed from ``task.submit``/``object.create``
-events -- the lineage graph, recovered purely from the trace.
+argument objects, reconstructed from the ``deps`` and ``returns`` of
+``task.submit`` events -- the lineage graph, recovered purely from the
+trace.
 
 ``span_chrome_events``/``write_chrome_trace`` render spans as standard
 ``chrome://tracing`` / Perfetto JSON: one process per node (plus a
@@ -31,21 +32,26 @@ events ("ph": "s"/"f") drawing the fault -> retried-attempt arrows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.events import ObsEvent
+from repro.obs.events import ObsEvent, causal_chain
 
-#: Event kinds rendered as Chrome instant events.
-_INSTANT_KINDS = {
+#: Fault / churn / death / retry kinds: the report's fault timeline and
+#: the live sampler's fault feed.
+FAULT_KINDS = (
     "chaos.fault",
+    "cluster.membership",
     "node.death",
     "node.restart",
     "executor.failure",
     "task.retry",
-    "spill.fallback",
-}
+)
+
+#: Event kinds rendered as Chrome instant events: the fault kinds but
+#: membership changes, plus filesystem fallbacks.
+_INSTANT_KINDS = set(FAULT_KINDS) - {"cluster.membership"} | {"spill.fallback"}
 
 #: Begin/end pairs derived into spans: begin kind -> (end kind, category).
 _PAIRED_KINDS = {
@@ -99,26 +105,76 @@ class Span:
         return out
 
 
+@dataclass(frozen=True)
+class FaultEntry:
+    """One line of the report's fault timeline and of the live fault
+    feed: the event plus its resolved causal chain."""
+
+    ts: float
+    kind: str
+    where: str
+    detail: Optional[str]
+    #: Ancestor kinds, nearest cause first (excludes the event itself).
+    chain: Tuple[str, ...]
+
+    @classmethod
+    def of(cls, event: ObsEvent, index: Dict[int, ObsEvent]) -> "FaultEntry":
+        """The entry for ``event``, its chain walked through ``index``."""
+        detail = (
+            event.attrs.get("fault")
+            or event.attrs.get("action")
+            or event.attrs.get("attempt")
+        )
+        return cls(
+            event.ts,
+            event.kind,
+            str(event.node or event.task or event.job or ""),
+            None if detail is None else str(detail),
+            tuple(e.kind for e in causal_chain(event, index)[1:]),
+        )
+
+    def render(self) -> str:
+        """The one-line form the report and the dashboard print."""
+        detail = f" ({self.detail})" if self.detail is not None else ""
+        suffix = "  <= " + " <= ".join(self.chain) if self.chain else ""
+        return f"t={self.ts:10.3f}  {self.kind:<18} {self.where}{detail}{suffix}"
+
+    def to_dict(self) -> Dict[str, Any]:
+        """A JSON-serialisable form for the HTML explorer."""
+        return {**asdict(self), "chain": list(self.chain)}
+
+
+def task_submits(events: Sequence[ObsEvent]) -> Dict[str, ObsEvent]:
+    """task id -> its ``task.submit`` event (the runtime emits one per
+    task; a re-execution emits ``task.retry``)."""
+    return {e.task: e for e in events if e.kind == "task.submit" and e.task}
+
+
+def creators(submits: Dict[str, ObsEvent]) -> Dict[str, str]:
+    """object id -> the task whose submit declared it as a return."""
+    return {
+        str(obj): task
+        for task, submit in submits.items()
+        for obj in submit.attrs.get("returns", ())
+    }
+
+
 def lineage_parents(events: Sequence[ObsEvent]) -> Dict[str, List[str]]:
     """task id -> creating tasks of its argument objects, from the trace.
 
-    Reconstructed purely from ``task.submit`` (which records ``deps``)
-    and ``object.create`` / ``task.submit`` return registration -- the
-    same parent structure the runtime's lineage log holds, so a test can
-    assert trace causality matches runtime truth.
+    Reconstructed purely from ``task.submit`` (which records ``deps``
+    and ``returns``) -- the same parent structure the runtime's lineage
+    log holds, so a test can assert trace causality matches runtime
+    truth.
     """
-    creator_of: Dict[str, str] = {}
-    deps_of: Dict[str, List[str]] = {}
-    for event in events:
-        if event.kind == "task.submit" and event.task is not None:
-            deps_of[event.task] = list(event.attrs.get("deps", ()))
-            for obj in event.attrs.get("returns", ()):
-                creator_of[str(obj)] = event.task
-        elif event.kind == "object.create" and event.obj and event.task:
-            creator_of[event.obj] = event.task
+    submits = task_submits(events)
+    creator_of = creators(submits)
     return {
-        task: sorted({creator_of[d] for d in deps if d in creator_of})
-        for task, deps in deps_of.items()
+        task: sorted(
+            {creator_of[d] for d in submit.attrs.get("deps", ())
+             if d in creator_of}
+        )
+        for task, submit in submits.items()
     }
 
 
@@ -149,9 +205,7 @@ def derive_spans(events: Sequence[ObsEvent]) -> List[Span]:
 
     # -- task attempt spans --------------------------------------------------
     open_runs: Dict[str, ObsEvent] = {}
-    submit_by_task = {
-        e.task: e for e in events if e.kind == "task.submit" and e.task
-    }
+    submit_by_task = task_submits(events)
 
     def close(run: ObsEvent, end_ts: float, status: str,
               interrupted_by: Optional[int] = None) -> None:
@@ -305,8 +359,7 @@ def span_chrome_events(
         spans = derive_spans(events)
     index = {e.seq: e for e in events}
     pid_of = node_pids(events, spans)
-    nodes = sorted(pid_of)
-    jobs_pid = len(nodes)
+    jobs_pid = len(pid_of)
     out: List[Dict[str, Any]] = []
     for node, pid in pid_of.items():
         out.append(
@@ -391,24 +444,12 @@ def span_chrome_events(
                     "ts": event.ts * 1e6,
                     "args": {
                         "cause_chain": [
-                            e.kind for e in _chain(event, index)
+                            e.kind for e in causal_chain(event, index)
                         ],
                     },
                 }
             )
     return out
-
-
-def _chain(event: ObsEvent, index: Dict[int, ObsEvent]) -> List[ObsEvent]:
-    chain = [event]
-    seen = {event.seq}
-    while chain[-1].cause is not None:
-        parent = index.get(chain[-1].cause)
-        if parent is None or parent.seq in seen:
-            break
-        chain.append(parent)
-        seen.add(parent.seq)
-    return chain
 
 
 def write_chrome_trace(

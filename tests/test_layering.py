@@ -277,3 +277,14 @@ def test_single_store_check_catches_a_second_store(tmp_path):
     violations = lint.check_single_accounting_store(src_root)
     assert len(violations) == 2
     assert all("futures/rogue.py" in v for v in violations)
+
+
+def test_size_check_keeps_obs_below_futures(tmp_path):
+    """The real tree passes; an ``obs`` as long as ``futures`` fails."""
+    lint = _lint()
+    assert lint.check_obs_below_futures(REPO / "src" / "repro") == []
+    for pkg, lines in (("futures", 3), ("obs", 2), ("obs/live", 1)):
+        (tmp_path / pkg).mkdir()
+        (tmp_path / pkg / "mod.py").write_text("x = 1\n" * lines)
+    violations = lint.check_obs_below_futures(tmp_path)
+    assert len(violations) == 1 and "3 lines" in violations[0]

@@ -48,6 +48,16 @@ def _expected_victims(store: ObjectStore, newest_first: bool, size: int) -> list
     return victims
 
 
+class _NewestQueuedFirstPolicy(InsertionOrderMemoryPolicy):
+    """Admits the allocation queue newest first, so the store pumps in
+    policy order rather than strictly FIFO."""
+
+    strict_fifo = False
+
+    def next_grant(self, queue):
+        return len(queue) - 1
+
+
 # Each step: (op_code, object_index, size, primary)
 step_strategy = st.tuples(
     st.sampled_from(
@@ -71,8 +81,21 @@ step_strategy = st.tuples(
         ("free", 0, 1, False),
     ]
 )
+@example(  # one object queued twice, both granted when memory frees
+    steps=[
+        ("alloc", 0, 400, True),
+        ("alloc", 1, 400, True),
+        ("alloc", 2, 300, True),
+        ("alloc", 2, 300, False),
+        ("free", 0, 1, False),
+    ]
+)
 def test_store_accounting_invariants_hold_under_any_sequence(steps):
-    for policy_cls in (InsertionOrderMemoryPolicy, NewestFirstMemoryPolicy):
+    for policy_cls in (
+        InsertionOrderMemoryPolicy,
+        NewestFirstMemoryPolicy,
+        _NewestQueuedFirstPolicy,
+    ):
         env = Environment()
         victims = []
         store = ObjectStore(

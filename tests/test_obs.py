@@ -13,6 +13,7 @@ Covers the ISSUE-3 acceptance surface:
   the run reporter's sections.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -123,6 +124,14 @@ class TestEventBus:
     def test_every_emitted_kind_is_in_the_taxonomy(self):
         rt = _chaos_runtime()
         assert {e.kind for e in rt.bus.events} <= set(EVENT_KINDS)
+
+    def test_reader_kind_tables_name_registered_kinds(self):
+        """A typo in a reader's kind table would silently drop events."""
+        from repro.obs.trace import _INSTANT_KINDS, _PAIRED_KINDS, FAULT_KINDS
+
+        ends = {end for end, _category in _PAIRED_KINDS.values()}
+        named = {*FAULT_KINDS, *_INSTANT_KINDS, *_PAIRED_KINDS, *ends}
+        assert named - set(EVENT_KINDS) == set()
 
 
 class TestCausality:
@@ -384,3 +393,53 @@ class TestRunReport:
             == len(places)
         )
         assert "Policy decisions" in report.render()
+
+
+#: sha256 of ``json.dumps(..., sort_keys=True, default=str)`` of each
+#: post-hoc reader's output over a recorded run (the two runs behind
+#: ``tests/test_perf.py::USAGE_GOLDEN``; the chaos run has five fault
+#: lines).  Pins the fault timeline, the critical-path segments, the
+#: Chrome events and the fault feed, which no other test pins.  A
+#: reader change that moves one of them must update the pin on purpose.
+READER_GOLDEN = {
+    "chaos": {
+        "report": "3f6091ebb011aa722d347be59f86cdc7bb204bb77165d33f2fb6be42f45be82a",
+        "critpath": "84d4822492a458d9eb73bfd3908aab693072fc0bb1ed471dc44786dc2e2ab793",
+        "chrome": "771411cd388c585f4ed49a7e64935e1a2ff1c221f47424a5088f84a126821e30",
+        "feed": "26af91ffa84257d648cbc921aa39cb28349bc78ee8bda97491ef0bbdf579eb54",
+    },
+    "sort": {
+        "report": "7192f110d26b89007824f4aa821c474498ff9897dd3fbab8193dd6b0b9557ff8",
+        "critpath": "a87cf25c85044dbf0c3553ede424a09bb5693a63c2add8803d5ce68a37bf507e",
+        "chrome": "d7e0fde567e27e7b3d82f332b11c4d8ad2eadc53b6c740a9a7790954be83430e",
+        "feed": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    },
+}
+
+
+def _reader_outputs(events):
+    from repro.obs.live import TimeSeriesSampler
+    from repro.obs.perf import critical_path, usage_chrome_events
+
+    return {
+        "report": RunReport(events).to_dict(),
+        "critpath": [s.to_dict() for s in critical_path(events).segments],
+        "chrome": span_chrome_events(events) + usage_chrome_events(events),
+        "feed": [e.to_dict() for e in TimeSeriesSampler.replay(events).feed],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(READER_GOLDEN))
+def test_reader_outputs_match_golden_digests(name, tmp_path):
+    from tests.test_perf import _recorded_run
+
+    path = tmp_path / "run.events.jsonl"
+    record_run(_recorded_run(name), str(path))
+    outputs = _reader_outputs(EventBus.load_jsonl(str(path)))
+    digests = {
+        key: hashlib.sha256(
+            json.dumps(value, sort_keys=True, default=str).encode()
+        ).hexdigest()
+        for key, value in outputs.items()
+    }
+    assert digests == READER_GOLDEN[name]

@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Layering lint: the policy plane must stay mechanism-free, the
-streaming tier must stay optional, and counters live in one store.
+streaming tier must stay optional, counters live in one store, and the
+observability plane stays smaller than the runtime it observes.
 
 ``repro.futures.policies`` holds pure decision rules; the refactor that
 extracted them is only worth keeping if they *stay* extracted.  This
@@ -32,6 +33,11 @@ The last check keeps the runtime's accounting in one place: the
 only the modules in :data:`COUNTERS_OWNERS` may build a ``Counters``.
 A second store elsewhere would need its own proof that it agrees with
 the first.
+
+The size check keeps ``src/repro/obs`` below ``src/repro/futures`` in
+lines of ``*.py`` (as ``cat ... | wc -l`` counts them) and prints both
+counts.  The observer growing past the runtime it observes is the sign
+that a reader derives a fact some other reader already derives.
 """
 
 from __future__ import annotations
@@ -421,6 +427,25 @@ def check_single_accounting_store(src_root: Path) -> List[str]:
     return violations
 
 
+def package_lines(root: Path) -> int:
+    """Lines of every ``*.py`` under ``root`` (newlines, as ``wc -l``)."""
+    return sum(path.read_bytes().count(b"\n") for path in root.rglob("*.py"))
+
+
+def check_obs_below_futures(src_root: Path) -> List[str]:
+    """A violation unless ``obs`` has fewer lines than ``futures``."""
+    obs = package_lines(src_root / "obs")
+    futures = package_lines(src_root / "futures")
+    print(f"size: obs {obs} lines, futures {futures} lines")
+    if obs < futures:
+        return []
+    return [
+        f"{src_root / 'obs'}: {obs} lines of *.py, not below the "
+        f"{futures} of {src_root / 'futures'} (derive each trace fact "
+        f"once instead of growing the observer past the runtime)"
+    ]
+
+
 def main(argv: List[str] = None) -> int:
     """Entry point: check the tree, print violations, exit nonzero."""
     args = list(sys.argv[1:] if argv is None else argv)
@@ -442,6 +467,7 @@ def main(argv: List[str] = None) -> int:
         violations += check_profile_isolation(SRC_ROOT)
         violations += check_plan_isolation(SRC_ROOT)
         violations += check_single_accounting_store(SRC_ROOT)
+        violations += check_obs_below_futures(SRC_ROOT)
     for violation in violations:
         print(violation)
     if violations:
