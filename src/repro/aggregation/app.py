@@ -4,11 +4,9 @@ Two modes over the same inputs and operators:
 
 - ``batch``: one simple shuffle over every hourly block; the aggregate
   exists only when the whole job finishes.
-- ``streaming``: the streaming tier's round driver
-  (:func:`repro.streaming.rounds.drive_rounds`, bit-for-bit equivalent
-  to :func:`repro.shuffle.streaming_shuffle` at one in-flight round) in
-  rounds; after each round an asynchronous aggregate task computes the
-  partial ranking and its KL-divergence from the ground truth (the
+- ``streaming``: :func:`repro.shuffle.streaming_shuffle` (Listing 2)
+  in rounds; after each round an asynchronous aggregate task computes
+  the partial ranking and its KL-divergence from the ground truth (the
   paper's error metric, footnote 4), giving the error-vs-time curve of
   Fig 5.
 
@@ -27,9 +25,8 @@ import numpy as np
 from repro.futures import ObjectRef, Runtime
 from repro.metrics.core import TimeSeries
 from repro.plan import JobShape, ShuffleExpr, planner_for_runtime
-from repro.shuffle import push_based_shuffle, simple_shuffle
+from repro.shuffle import push_based_shuffle, simple_shuffle, streaming_shuffle
 from repro.shuffle.common import chunks
-from repro.streaming.rounds import drive_rounds
 from repro.workloads.pageviews import PageviewBlock, PageviewDataset
 
 
@@ -171,7 +168,7 @@ def run_online_aggregation(
     ``variant`` pins the batch arm's shuffle (``"simple"`` is Fig 5's
     contrast arm and the default); ``"auto"`` lets :mod:`repro.plan`
     choose between ``simple`` and ``push`` from the dataset size.
-    Ignored in streaming mode, which always uses the round driver.
+    Ignored in streaming mode, which always uses the streaming shuffle.
     """
     if mode not in ("streaming", "batch"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -232,7 +229,7 @@ def run_online_aggregation(
                 keepalive.append(agg_ref)
                 record_error_on_completion(agg_ref)
 
-            states = drive_rounds(
+            states = streaming_shuffle(
                 rt, rounds, map_fn, streaming_reduce, num_reduces,
                 on_round=on_round,
                 map_options={"compute": map_cost},

@@ -29,7 +29,6 @@ from repro.chaos.injector import ChaosInjector
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.harness import (
     ChaosRunReport,
-    SHUFFLE_VARIANTS,
     default_node_spec,
     expected_output,
     make_inputs,
@@ -45,7 +44,6 @@ __all__ = [
     "ChaosInjector",
     "InvariantChecker",
     "ChaosRunReport",
-    "SHUFFLE_VARIANTS",
     "default_node_spec",
     "expected_output",
     "make_inputs",

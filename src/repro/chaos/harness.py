@@ -7,7 +7,8 @@ num_reduces)``, never on scheduling, retries, or injected faults.  That
 makes the correctness oracle trivial: a chaos run must produce output
 identical to the fault-free run of the same variant and seed, and the
 failure-matrix test suite asserts exactly that for every (variant, fault
-kind) pair.
+kind) pair, over every variant the planner can lower to
+(:data:`repro.plan.PLAN_VARIANTS`).
 
 Explicit per-task compute costs stretch the job over several simulated
 seconds so that faults injected at t~=1s land mid-run rather than before
@@ -26,6 +27,7 @@ from repro.cluster import DiskSpec, NicSpec, NodeSpec
 from repro.common.rng import seeded_rng
 from repro.common.units import GIB, MIB
 from repro.futures import RetryPolicy, Runtime, RuntimeConfig
+from repro.plan import PLAN_VARIANTS
 from repro.shuffle import (
     magnet_shuffle,
     push_based_shuffle,
@@ -33,16 +35,6 @@ from repro.shuffle import (
     riffle_shuffle_dynamic,
     simple_shuffle,
     streaming_shuffle,
-)
-
-#: The shuffle variants the failure matrix sweeps, in canonical order.
-SHUFFLE_VARIANTS: Tuple[str, ...] = (
-    "simple",
-    "riffle",
-    "riffle_dynamic",
-    "magnet",
-    "push",
-    "streaming",
 )
 
 _MAP_COMPUTE_S = 1.0
@@ -182,7 +174,7 @@ def submit_variant(
             map_options=map_options, reduce_options=reduce_options,
         )
     raise ValueError(
-        f"unknown shuffle variant {variant!r}; expected one of {SHUFFLE_VARIANTS}"
+        f"unknown shuffle variant {variant!r}; expected one of {PLAN_VARIANTS}"
     )
 
 

@@ -135,7 +135,7 @@ class StreamSpec:
 class JobSpec:
     """A declarative description of one shuffle job.
 
-    ``variant`` names a :data:`repro.chaos.SHUFFLE_VARIANTS` entry or
+    ``variant`` names a :data:`repro.plan.PLAN_VARIANTS` entry or
     ``"auto"`` to let the plan layer choose (a
     :class:`~repro.plan.ShuffleExpr` lowered with the cost-model rule).  ``weight`` multiplies the owning
     tenant's weight for fair sharing.  ``store_bytes_estimate`` feeds

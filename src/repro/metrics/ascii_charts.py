@@ -164,76 +164,3 @@ def gauge(value: float, maximum: float, width: int = 24) -> str:
     frac = 0.0 if maximum <= 0 else min(1.0, max(0.0, value / maximum))
     filled = round(frac * width)
     return f"[{'#' * filled}{'.' * (width - filled)}] {frac:4.0%}"
-
-
-#: Braille dot bit for plot cell (column 0-1, row 0-3), row 0 at the top
-#: of the character cell (U+2800 + mask renders the dot pattern).
-_BRAILLE_BITS = (
-    (0x01, 0x08),
-    (0x02, 0x10),
-    (0x04, 0x20),
-    (0x40, 0x80),
-)
-
-
-def braille_line_chart(
-    title: str,
-    series: Mapping[str, Sequence[Tuple[float, float]]],
-    width: int = 60,
-    height: int = 10,
-) -> str:
-    """A braille-dot line chart with a labeled time axis.
-
-    Each character cell holds a 2x4 dot grid, so the plot resolution is
-    ``2*width`` by ``4*height`` -- dense enough for utilization tracks
-    in a terminal dashboard.  All series share one dot field (identity
-    comes from the legend ordering, not markers); consecutive points of
-    a series are connected by interpolated dots so sparse series still
-    read as lines.
-    """
-    if width <= 0 or height <= 0:
-        raise ValueError("width and height must be positive")
-    points = [(x, y) for pts in series.values() for x, y in pts]
-    if not points:
-        return title
-    xs, ys = [p[0] for p in points], [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    cols, rows = 2 * width, 4 * height
-    cells = [[0] * width for _ in range(height)]
-
-    def plot(x: float, y: float) -> None:
-        col = round((x - x_lo) / x_span * (cols - 1))
-        row = rows - 1 - round((y - y_lo) / y_span * (rows - 1))
-        bit = _BRAILLE_BITS[row % 4][col % 2]
-        cells[row // 4][col // 2] |= bit
-
-    for pts in series.values():
-        ordered = sorted(pts)
-        for i, (x, y) in enumerate(ordered):
-            plot(x, y)
-            if i + 1 < len(ordered):
-                nx, ny = ordered[i + 1]
-                steps = max(
-                    1, round(abs(nx - x) / x_span * (cols - 1))
-                )
-                for step in range(1, steps):
-                    frac = step / steps
-                    plot(x + (nx - x) * frac, y + (ny - y) * frac)
-
-    lines = [title, "-" * len(title)]
-    for row_index, row in enumerate(cells):
-        y_label = (
-            f"{y_hi:>8.3g} |" if row_index == 0
-            else f"{y_lo:>8.3g} |" if row_index == height - 1
-            else "         |"
-        )
-        lines.append(y_label + "".join(chr(0x2800 + cell) for cell in row))
-    lines.append("         +" + "-" * width)
-    lines.append(
-        f"          {x_lo:<10.3g}{'':{max(0, width - 20)}}{x_hi:>10.3g}"
-    )
-    lines.append("legend: " + ", ".join(series))
-    return "\n".join(lines)

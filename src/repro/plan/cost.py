@@ -33,9 +33,8 @@ from repro.plan.profile import (
     fits_in_memory,
 )
 
-#: The canonical variant names the plan layer can lower to.  Matches
-#: :data:`repro.chaos.SHUFFLE_VARIANTS` (asserted by tests); declared
-#: here independently so the plan layer never imports the harness.
+#: The canonical variant names the plan layer can lower to, in canonical
+#: order; the chaos harness and its failure matrix run each of them.
 PLAN_VARIANTS: Tuple[str, ...] = (
     "simple",
     "riffle",

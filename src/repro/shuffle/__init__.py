@@ -10,7 +10,9 @@ distributed-futures API, sharing the same data plane:
 - :mod:`repro.shuffle.push` -- the pipelined two-stage push shuffle of
   Listing 3 / §4.1, in ES-push and ES-push* (eager-free) variants.
 - :mod:`repro.shuffle.streaming` -- round-based streaming shuffle for
-  online aggregation (§3.2.1).
+  online aggregation (§3.2.1), and :class:`RoundDriver`, the same
+  shuffle with rounds submitted one at a time (the streaming tier's
+  windows).
 
 All take the same shape of arguments: a runtime, a list of map inputs
 (object refs or plain values), a ``map_fn(input) -> [R blocks]``, a
@@ -29,9 +31,10 @@ from repro.shuffle.riffle import riffle_shuffle
 from repro.shuffle.riffle_dynamic import riffle_shuffle_dynamic
 from repro.shuffle.magnet import magnet_shuffle
 from repro.shuffle.push import push_based_shuffle
-from repro.shuffle.streaming import streaming_shuffle
+from repro.shuffle.streaming import RoundDriver, streaming_shuffle
 
 __all__ = [
+    "RoundDriver",
     "simple_shuffle",
     "riffle_shuffle",
     "riffle_shuffle_dynamic",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.blocks.real import DEFAULT_RECORD_BYTES
-from repro.cluster import ClusterSpec, FailurePlan
+from repro.cluster import ClusterSpec, FailureInjector, FailurePlan
 from repro.common.errors import ObjectLostError
 from repro.futures import Runtime
 from repro.shuffle import (
@@ -62,6 +62,7 @@ class SortJobConfig:
     pipeline_depth: int = 3
     validate: bool = True
     seed: int = 0
+    #: Node failures, timed from the sort's start (after datagen).
     failures: Sequence[FailurePlan] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -130,8 +131,7 @@ def run_sort(rt: Runtime, config: SortJobConfig) -> SortResult:
 
         datagen_seconds = rt.timestamp()
         sort_start = rt.timestamp()
-        for plan in config.failures:
-            _schedule_failure(rt, plan, offset=sort_start)
+        FailureInjector(rt.cluster, config.failures)
 
         out_refs = _submit_shuffle(rt, config, parts, ops)
         rt.wait(out_refs, num_returns=len(out_refs))
@@ -163,18 +163,6 @@ def run_sort(rt: Runtime, config: SortJobConfig) -> SortResult:
         )
 
     return rt.run(driver)
-
-
-def _schedule_failure(rt: Runtime, plan: FailurePlan, offset: float) -> None:
-    if plan.node_index is None:
-        raise ValueError("sort failure plans must name a node_index")
-    node = rt.cluster.nodes[plan.node_index]
-
-    def kill() -> None:
-        node.fail()
-        rt.env.call_later(plan.downtime, node.restart)
-
-    rt.env.call_later(offset - rt.env.now + plan.at_time, kill)
 
 
 def _sort_cost(ctx: Any) -> float:

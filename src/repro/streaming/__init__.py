@@ -9,15 +9,13 @@ aggregation judged by *record-latency percentiles*, not makespan:
 - :mod:`repro.streaming.source` -- open-loop Poisson record sources
   with event-time watermarks, pre-drawn from the seed so offered load
   never reacts to system speed;
-- :mod:`repro.streaming.rounds` -- :class:`RoundDriver`, the
-  incremental generalisation of
-  :func:`repro.shuffle.streaming_shuffle` (bit-for-bit identical at
-  one in-flight round) that the aggregation app also re-bases on;
 - :mod:`repro.streaming.backpressure` -- bounded in-flight windows
   with source throttling, published as ``stream.backpressure`` events;
 - :mod:`repro.streaming.job` -- the long-lived job body: windows close
-  at the watermark, repartition through the shuffle operators, and
-  record source->window-close->aggregate-visible latency per record;
+  at the watermark, repartition one round each through
+  :class:`repro.shuffle.RoundDriver` (the incremental form of
+  :func:`repro.shuffle.streaming_shuffle`), and record
+  source->window-close->aggregate-visible latency per record;
 - :mod:`repro.streaming.loadgen` -- hundreds of tenants admitted
   through the :class:`~repro.jobs.admission.AdmissionController` and
   dispatched under fair share, reported as global + per-tenant
@@ -50,7 +48,6 @@ from repro.streaming.loadgen import (
     summarize_latency,
 )
 from repro.streaming.records import RecordBatch, Window, window_of
-from repro.streaming.rounds import RoundDriver, drive_rounds
 from repro.streaming.source import PoissonSource, make_sources
 
 # A JobSpec with a StreamSpec arm dispatches to this tier's runner; the
@@ -63,11 +60,9 @@ __all__ = [
     "PoissonSource",
     "RECORD_LATENCY_METRIC",
     "RecordBatch",
-    "RoundDriver",
     "StreamingJobResult",
     "TENANT_LATENCY_METRIC",
     "Window",
-    "drive_rounds",
     "make_sources",
     "open_loop_workload",
     "run_open_loop",

@@ -27,9 +27,9 @@ import numpy as np
 from repro.futures import ObjectRef, Runtime
 from repro.jobs.spec import JobSpec
 from repro.metrics.core import Histogram
+from repro.shuffle import RoundDriver
 from repro.streaming.backpressure import BackpressureController
 from repro.streaming.records import RecordBatch
-from repro.streaming.rounds import RoundDriver
 from repro.streaming.source import make_sources
 
 #: Metric holding every record's source->visible latency, dimensioned by

@@ -5,7 +5,6 @@ import pytest
 from repro.metrics.ascii_charts import (
     SPARK_BLOCKS,
     bar_chart,
-    braille_line_chart,
     gauge,
     grouped_bar_chart,
     line_chart,
@@ -84,27 +83,6 @@ class TestGauge:
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError):
             gauge(1.0, 2.0, width=0)
-
-
-class TestBrailleLineChart:
-    def test_plots_within_braille_range(self):
-        text = braille_line_chart(
-            "track", {"cpu": [(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)]}
-        )
-        dots = [
-            ch for ch in text if 0x2800 < ord(ch) <= 0x28FF
-        ]
-        assert dots, "the chart must contain braille dot characters"
-        assert "legend: cpu" in text
-
-    def test_empty_series_is_title(self):
-        assert braille_line_chart("empty", {}) == "empty"
-
-    def test_invalid_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            braille_line_chart("t", {"s": [(0.0, 1.0)]}, width=0)
-        with pytest.raises(ValueError):
-            braille_line_chart("t", {"s": [(0.0, 1.0)]}, height=0)
 
 
 class TestGroupedBarChart:

@@ -15,13 +15,13 @@ from repro.chaos import (
     ChaosPlan,
     FaultKind,
     FaultSpec,
-    SHUFFLE_VARIANTS,
     expected_output,
     matrix_plan,
     run_chaos_shuffle,
 )
 from repro.cluster import FailurePlan
 from repro.cluster.failures import FailureInjector
+from repro.plan import PLAN_VARIANTS
 
 from tests.conftest import make_runtime
 
@@ -38,7 +38,7 @@ def _baseline(variant):
 
 class TestFailureMatrix:
     @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)
-    @pytest.mark.parametrize("variant", SHUFFLE_VARIANTS)
+    @pytest.mark.parametrize("variant", PLAN_VARIANTS)
     def test_variant_survives_fault(self, variant, kind):
         baseline = _baseline(variant)
         assert baseline.output == expected_output(SEED)

@@ -81,8 +81,8 @@ def test_streaming_tier_is_not_imported_by_the_core():
 
 
 def test_streaming_isolation_catches_core_imports(tmp_path):
-    """A synthetic core module importing the tier is flagged; the tier
-    itself and the aggregation app stay exempt."""
+    """Synthetic core and app modules importing the tier are flagged;
+    the tier itself stays exempt."""
     lint = _lint()
     src_root = tmp_path / "src" / "repro"
     for pkg in ("futures", "streaming", "aggregation"):
@@ -102,11 +102,12 @@ def test_streaming_isolation_catches_core_imports(tmp_path):
         "from repro.streaming.rounds import RoundDriver\n"
     )
     (src_root / "aggregation" / "app.py").write_text(
-        "from repro.streaming.rounds import drive_rounds\n"
+        "from repro.streaming.rounds import RoundDriver\n"
     )
     violations = lint.check_streaming_isolation(src_root)
-    assert len(violations) == 2
-    assert all("rogue.py" in v for v in violations)
+    assert len(violations) == 3
+    assert sum("rogue.py" in v for v in violations) == 2
+    assert sum("app.py" in v for v in violations) == 1
 
 
 def test_live_ops_plane_is_not_imported_by_the_data_plane():

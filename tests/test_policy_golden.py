@@ -13,6 +13,7 @@ events, which renumber the stream without changing behaviour.
 """
 
 import hashlib
+import random
 
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.spec import FaultKind, matrix_plan
@@ -22,7 +23,7 @@ from repro.chaos.harness import (
     make_inputs,
     submit_variant,
 )
-from repro.cluster import D3_2XLARGE
+from repro.cluster import D3_2XLARGE, I3_2XLARGE, FailurePlan
 from repro.common.units import MB
 from repro.futures import RetryPolicy, Runtime, RuntimeConfig
 from repro.sort import SortJobConfig, run_sort
@@ -49,6 +50,11 @@ GOLDEN_CHAOS_DIGEST = "85b3dde0667f3fbff2b666047d751dd947b917fce83fb81e88fa09269
 #: outputs to disk), captured before the object store learned to skip
 #: its cached-copy scan when nothing is evictable.
 GOLDEN_SPILL_SHAPE_DIGEST = "cc68b047aeef89b2afe29d0d2f1a83e5c6b861482efd21738c3cc7edfcb3724e"
+#: The other three smoke-sized sort shapes of the end-to-end ledger,
+#: captured before the round-based shuffle became one implementation.
+GOLDEN_INMEM_FINE_SHAPE_DIGEST = "f658cc22ce0919d040d6f1394b7aaff891a382033f108a5adb7e5b01f933665e"
+GOLDEN_REAL_SHAPE_DIGEST = "30dc728b90816e557675d78c173366a236134dd6d4728691fcb30eaa56f5fabf"
+GOLDEN_RECOVER_SHAPE_DIGEST = "93d0a62c9f3496daba5847214b455f58adf29e91b7c5311da4a8e6c5374f2336"
 
 
 def digest_events(events) -> str:
@@ -104,30 +110,82 @@ def _chaos_run() -> str:
     return digest_events(rt.bus.events)
 
 
+def _shape_run(node, num_nodes, variant, partitions, data_bytes, *,
+               virtual=True, output_to_disk, failures=()) -> tuple:
+    """One seed-0 sort; returns the digest of its behaviour-defining
+    events and final counters, and the runtime."""
+    rt = Runtime.create(node, num_nodes)
+    result = run_sort(
+        rt,
+        SortJobConfig(
+            variant=variant,
+            num_partitions=partitions,
+            partition_bytes=data_bytes // partitions,
+            virtual=virtual,
+            output_to_disk=output_to_disk,
+            failures=failures,
+            seed=0,
+        ),
+    )
+    assert result.validated
+    stats = sorted(rt.stats().items())
+    digest = hashlib.sha256(
+        f"{digest_events(rt.bus.events)}|{stats!r}".encode()
+    ).hexdigest()
+    return digest, rt
+
+
+def _store_tenth(node):
+    return node.with_object_store(node.object_store_bytes // 10)
+
+
 def _spill_shape_run() -> str:
     """Two d3.2xlarge nodes with the store shrunk tenfold, 40 partitions
     of data 5.3x the aggregate store: the store evicts cached copies,
     spills and restores.  Most eviction scans find nothing to drop and a
     few do, so the digest pins both paths."""
-    node = D3_2XLARGE.with_object_store(D3_2XLARGE.object_store_bytes // 10)
-    rt = Runtime.create(node, 2)
-    result = run_sort(
-        rt,
-        SortJobConfig(
-            variant="push*",
-            num_partitions=40,
-            partition_bytes=int(5.3 * node.object_store_bytes * 2) // 40,
-            virtual=True,
-            output_to_disk=True,
-            seed=0,
-        ),
+    node = _store_tenth(D3_2XLARGE)
+    digest, rt = _shape_run(
+        node, 2, "push*", 40, int(5.3 * node.object_store_bytes * 2),
+        output_to_disk=True,
     )
-    assert result.validated
     assert rt.stats()["objects_evicted"] > 0
-    stats = sorted(rt.stats().items())
-    return hashlib.sha256(
-        f"{digest_events(rt.bus.events)}|{stats!r}".encode()
-    ).hexdigest()
+    return digest
+
+
+def _inmem_fine_shape_run() -> str:
+    """Ten i3.2xlarge nodes (store shrunk tenfold), ``simple`` over 32
+    partitions of data 0.3x the aggregate store, kept in memory."""
+    node = _store_tenth(I3_2XLARGE)
+    digest, _rt = _shape_run(
+        node, 10, "simple", 32, int(0.3 * node.object_store_bytes * 10),
+        output_to_disk=False,
+    )
+    return digest
+
+
+def _real_shape_run() -> str:
+    """Eight chaos-sized nodes, ``push*`` over 16 partitions of 50 MB of
+    real numpy records, outputs to disk."""
+    digest, _rt = _shape_run(
+        default_node_spec(), 8, "push*", 16, 50 * 10**6,
+        virtual=False, output_to_disk=True,
+    )
+    return digest
+
+
+def _recover_shape_run() -> str:
+    """The in-memory shape at 30 partitions with one worker, drawn from
+    the seed, killed 1 s into the sort for 5 s."""
+    node = _store_tenth(I3_2XLARGE)
+    victim = random.Random(0).randrange(1, 10)
+    digest, rt = _shape_run(
+        node, 10, "simple", 30, int(0.3 * node.object_store_bytes * 10),
+        output_to_disk=False,
+        failures=(FailurePlan(at_time=1.0, downtime=5.0, node_index=victim),),
+    )
+    assert rt.counters.get("node_failures") == 1
+    return digest
 
 
 def test_sort_digest_matches_pre_refactor_behaviour():
@@ -141,6 +199,18 @@ def test_chaos_digest_matches_pre_refactor_behaviour():
 
 def test_spill_shape_digest_matches_golden():
     assert _spill_shape_run() == GOLDEN_SPILL_SHAPE_DIGEST
+
+
+def test_inmem_fine_shape_digest_matches_golden():
+    assert _inmem_fine_shape_run() == GOLDEN_INMEM_FINE_SHAPE_DIGEST
+
+
+def test_real_shape_digest_matches_golden():
+    assert _real_shape_run() == GOLDEN_REAL_SHAPE_DIGEST
+
+
+def test_recover_shape_digest_matches_golden():
+    assert _recover_shape_run() == GOLDEN_RECOVER_SHAPE_DIGEST
 
 
 def test_digest_is_deterministic_across_runs():

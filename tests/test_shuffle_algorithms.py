@@ -223,3 +223,19 @@ class TestSortWithFailure:
         clean = run(())
         failed = run((FailurePlan(at_time=1.0, downtime=5.0, node_index=2),))
         assert failed > clean
+
+    @pytest.mark.parametrize("node_index", [-1, 7])
+    def test_out_of_range_victim_rejected_before_any_kill(self, node_index):
+        from repro.cluster import FailurePlan
+
+        rt = make_runtime(num_nodes=4)
+        config = SortJobConfig(
+            num_partitions=4,
+            partition_bytes=MB,
+            failures=[FailurePlan(at_time=0.0, node_index=node_index)],
+        )
+        with pytest.raises(ValueError, match="out of range"):
+            run_sort(rt, config)
+        rt.env.run()
+        assert all(node.alive for node in rt.cluster.nodes)
+        assert rt.counters.get("node_failures") == 0

@@ -3,11 +3,11 @@
 Covers the tier's contracts:
 
 - open-loop sources are deterministic, in-order, and horizon-bounded;
-- the incremental :class:`RoundDriver` is *bit-for-bit* equivalent to
-  :func:`repro.shuffle.streaming_shuffle` at one in-flight round -- and
-  the aggregation app, re-based on it, reproduces the exact Fig-5
-  error-vs-time curve and event digest of a hand-rolled
-  ``streaming_shuffle`` run (the golden parity check);
+- the round-based shuffle (:func:`repro.shuffle.streaming_shuffle`
+  over :class:`RoundDriver`) reproduces pinned results, hook calls and
+  event digest, incremental rounds match known-ahead ones, and the
+  aggregation app reproduces its pinned Fig-5 error-vs-time curve and
+  event digest;
 - backpressure invariants hold under *any* Poisson seed / window size /
   bound (hypothesis): in-flight windows never exceed the bound and runs
   always terminate once sources close;
@@ -29,24 +29,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aggregation import run_online_aggregation
-from repro.aggregation.app import (
-    _make_map_cost,
-    _make_operators,
-    _streaming_reduce_cost,
-)
 from repro.common.errors import JobControlError
 from repro.futures import Runtime
 from repro.jobs import JobSpec, StreamSpec, TenantQuota, TenantSpec, job_runner
-from repro.metrics.core import TimeSeries
 from repro.obs.report import RunReport, record_run
 from repro.obs.trace import derive_spans
-from repro.shuffle import streaming_shuffle
-from repro.shuffle.common import chunks
+from repro.shuffle import RoundDriver, streaming_shuffle
 from repro.streaming import (
     BackpressureController,
     PoissonSource,
-    RoundDriver,
-    drive_rounds,
     make_sources,
     open_loop_workload,
     run_open_loop,
@@ -140,8 +131,29 @@ def _digest(events) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _pin(value) -> str:
+    """sha256 of a value's repr; callers cast numpy scalars to ``float``
+    first, so no numpy repr enters a pin."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+#: ``streaming_shuffle`` over four 3-map rounds into two stateful
+#: reducers on two nodes: the final values and ``on_round`` hook log
+#: ``(round, refs, time)``, and the full event stream.  Captured while
+#: ``streaming_shuffle`` and the round driver were separate loops.
+GOLDEN_ROUNDS_DIGEST = "c50a790cf42b1653e43cd6ac8355abbe4360897d6a4300eda473870036044d8e"
+GOLDEN_ROUNDS_EVENTS_DIGEST = "f1f127bb19ba22311edf43d21e97dfb2716507d49922bbb1f26e4eb279d5b82c"
+
+#: The Fig-5 streaming app (12 hours, 4 per round, 4 reducers): its
+#: error-vs-time curve with the final error, and its event stream,
+#: captured at the same point.
+GOLDEN_AGGREGATION_CURVE_DIGEST = "ea43701d0b570abe56e5f65ff4c1e49bfb4bd3952d7b7506d9304049039c5594"
+GOLDEN_AGGREGATION_EVENTS_DIGEST = "80f777e3dc057b2fc6d4b34e23be7795f7dc79e2ce77098fabc43efa6b9cacd3"
+
+
 class TestRoundDriverParity:
-    """drive_rounds at one in-flight round == streaming_shuffle, exactly."""
+    """The round-based shuffle reproduces the pinned results, hook calls
+    and event stream."""
 
     @staticmethod
     def _operators():
@@ -159,22 +171,20 @@ class TestRoundDriverParity:
     def test_identical_events_and_results(self):
         map_fn, reduce_fn = self._operators()
         rounds = [[[r, r + c] for c in range(3)] for r in range(4)]
-        outcomes = []
-        for impl in (streaming_shuffle, drive_rounds):
-            rt = make_runtime(num_nodes=2)
-            hook_log = []
-            values = rt.run(
-                lambda: rt.get(
-                    impl(
-                        rt, rounds, map_fn, reduce_fn, 2,
-                        on_round=lambda rnd, refs: hook_log.append(
-                            (rnd, len(refs), rt.now)
-                        ),
-                    )
+        rt = make_runtime(num_nodes=2)
+        hook_log = []
+        values = rt.run(
+            lambda: rt.get(
+                streaming_shuffle(
+                    rt, rounds, map_fn, reduce_fn, 2,
+                    on_round=lambda rnd, refs: hook_log.append(
+                        (rnd, len(refs), rt.now)
+                    ),
                 )
             )
-            outcomes.append((values, hook_log, _digest(rt.bus.events)))
-        assert outcomes[0] == outcomes[1]
+        )
+        assert _pin((values, hook_log)) == GOLDEN_ROUNDS_DIGEST
+        assert _digest(rt.bus.events) == GOLDEN_ROUNDS_EVENTS_DIGEST
 
     def test_single_reducer_unwrap(self):
         def map_fn(part):
@@ -185,7 +195,9 @@ class TestRoundDriverParity:
 
         rt = make_runtime(num_nodes=2)
         [total] = rt.run(
-            lambda: rt.get(drive_rounds(rt, [[[1, 2]], [[3, 4]]], map_fn, reduce_fn, 1))
+            lambda: rt.get(
+                streaming_shuffle(rt, [[[1, 2]], [[3, 4]]], map_fn, reduce_fn, 1)
+            )
         )
         assert total == 10
 
@@ -194,7 +206,7 @@ class TestRoundDriverParity:
         rounds = [[[r]] for r in range(3)]
         rt1 = make_runtime(num_nodes=2)
         known = rt1.run(
-            lambda: rt1.get(drive_rounds(rt1, rounds, map_fn, reduce_fn, 2))
+            lambda: rt1.get(streaming_shuffle(rt1, rounds, map_fn, reduce_fn, 2))
         )
         rt2 = make_runtime(num_nodes=2)
 
@@ -209,7 +221,9 @@ class TestRoundDriverParity:
     def test_empty_rounds_rejected(self):
         rt = make_runtime(num_nodes=1)
         with pytest.raises(ValueError):
-            rt.run(lambda: drive_rounds(rt, [], lambda p: [p], lambda s, *b: b, 1))
+            rt.run(
+                lambda: streaming_shuffle(rt, [], lambda p: [p], lambda s, *b: b, 1)
+            )
 
     def test_finish_before_any_round_rejected(self):
         rt = make_runtime(num_nodes=1)
@@ -219,11 +233,10 @@ class TestRoundDriverParity:
 
 
 class TestAggregationGoldenParity:
-    """The re-based app reproduces the pre-rebase curve bit-for-bit."""
+    """The Fig-5 streaming app reproduces its pinned curve and events."""
 
-    @staticmethod
-    def _dataset():
-        return PageviewDataset(
+    def test_error_curve_and_events_bit_for_bit(self):
+        dataset = PageviewDataset(
             num_hours=12,
             languages=3,
             pages_per_language=50,
@@ -231,61 +244,15 @@ class TestAggregationGoldenParity:
             views_per_hour=50_000,
             seed=11,
         )
-
-    @staticmethod
-    def _reference_run(rt, dataset, num_reduces=4, hours_per_round=4):
-        """The app's pre-rebase streaming loop, verbatim, on
-        ``streaming_shuffle`` -- the golden reference."""
-        map_fn, _, streaming_reduce, error_of = _make_operators(
-            dataset, num_reduces
-        )
-        error_series = TimeSeries("partial_error")
-        map_cost = _make_map_cost(dataset.block_bytes)
-        aggregate_task = rt.remote(lambda *states: error_of(states), compute=5e-3)
-        keepalive = []
-
-        def record_error(agg_ref):
-            def on_ready(_oid, error):
-                if error is None:
-                    error_series.record(rt.env.now, rt.peek(agg_ref))
-
-            rt.directory.on_ready(agg_ref.object_id, on_ready)
-
-        def driver():
-            inputs = list(range(dataset.num_hours))
-            rounds = chunks(inputs, hours_per_round)
-
-            def on_round(_rnd, state_refs):
-                agg_ref = aggregate_task.remote(*state_refs)
-                keepalive.append(agg_ref)
-                record_error(agg_ref)
-
-            states = streaming_shuffle(
-                rt, rounds, map_fn, streaming_reduce, num_reduces,
-                on_round=on_round,
-                map_options={"compute": map_cost},
-                reduce_options={"compute": _streaming_reduce_cost},
-            )
-            finals = rt.get(states)
-            final_error = error_of(finals)
-            error_series.record(rt.timestamp(), final_error)
-            return final_error
-
-        final_error = rt.run(driver)
-        return error_series, final_error
-
-    def test_error_curve_and_events_bit_for_bit(self):
-        dataset = self._dataset()
-        rt_app = make_runtime(num_nodes=2, store_mib=2048)
+        rt = make_runtime(num_nodes=2, store_mib=2048)
         result = run_online_aggregation(
-            rt_app, dataset, num_reduces=4, mode="streaming",
-            hours_per_round=4,
+            rt, dataset, num_reduces=4, mode="streaming", hours_per_round=4,
         )
-        rt_ref = make_runtime(num_nodes=2, store_mib=2048)
-        ref_series, ref_final = self._reference_run(rt_ref, self._dataset())
-        assert result.error_series.samples == ref_series.samples
-        assert result.final_error == ref_final
-        assert _digest(rt_app.bus.events) == _digest(rt_ref.bus.events)
+        curve = [(float(t), float(v)) for t, v in result.error_series.samples]
+        assert _pin((curve, float(result.final_error))) == (
+            GOLDEN_AGGREGATION_CURVE_DIGEST
+        )
+        assert _digest(rt.bus.events) == GOLDEN_AGGREGATION_EVENTS_DIGEST
 
 
 class TestBackpressure:

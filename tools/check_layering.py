@@ -19,10 +19,9 @@ never be imported here -- policies receive frozen view dataclasses, not
 live runtime state.
 
 The second check runs in the opposite direction: ``repro.streaming``
-may depend on the jobs/futures/obs planes, but *nothing in the
-data-plane core* may import ``repro.streaming`` -- only the
-applications that explicitly build on the tier
-(:data:`STREAMING_IMPORTERS`) may.  A core module importing the tier
+may depend on the jobs/futures/obs planes, but nothing outside the
+tier (:data:`STREAMING_IMPORTERS`) may import ``repro.streaming``.
+A core module importing the tier
 would make it load-bearing in batch-only runs, breaking the
 zero-cost-when-off contract the golden digest tests pin.  Run as
 ``python tools/check_layering.py`` (CI does; nonzero exit on
@@ -62,15 +61,10 @@ DEFAULT_ROOT = Path("src") / "repro" / "futures" / "policies"
 #: The whole source tree, walked by the streaming-isolation check.
 SRC_ROOT = Path("src") / "repro"
 
-#: Packages allowed to import ``repro.streaming``: the tier itself and
-#: the applications explicitly re-based on it.  Everything else under
-#: ``src/repro`` -- futures, cluster, shuffle, jobs, obs, chaos, ... --
-#: is data-plane core or control plane and must work with the tier
-#: absent.
-STREAMING_IMPORTERS = (
-    "repro.streaming",
-    "repro.aggregation",
-)
+#: Packages allowed to import ``repro.streaming``: the tier itself.
+#: Everything else under ``src/repro`` -- futures, cluster, shuffle,
+#: jobs, obs, chaos, aggregation, ... -- must work with the tier absent.
+STREAMING_IMPORTERS = ("repro.streaming",)
 
 #: Data-plane packages that must never import the live ops plane.  The
 #: live tier (``repro.obs.live``) is a pure *consumer* of the event bus:
