@@ -37,7 +37,7 @@ class _Blob:
 
 def _run_once(object_bytes: int, fusing: bool, prefetch: bool) -> float:
     config = RuntimeConfig(
-        enable_write_fusing=fusing,
+        spill_policy="default" if fusing else "unfused",
         enable_prefetching=prefetch,
         fuse_min_bytes=100 * MB,
         # One restore stream, as in the paper's single-process

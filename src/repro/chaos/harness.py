@@ -26,7 +26,7 @@ from repro.chaos.spec import ChaosPlan
 from repro.cluster import DiskSpec, NicSpec, NodeSpec
 from repro.common.rng import seeded_rng
 from repro.common.units import GIB, MIB
-from repro.futures import RetryPolicy, Runtime, RuntimeConfig
+from repro.futures import Runtime
 from repro.plan import PLAN_VARIANTS
 from repro.shuffle import (
     magnet_shuffle,
@@ -187,26 +187,17 @@ def run_chaos_shuffle(
     num_maps: int = 8,
     num_reduces: int = 4,
     values_per_part: int = 24,
-    retry_policy: Optional[RetryPolicy] = None,
-    blacklist_cooldown_s: float = 0.0,
-    config: Optional[RuntimeConfig] = None,
-    check_invariants: bool = True,
 ) -> ChaosRunReport:
     """Run one shuffle variant under an optional chaos plan.
 
     Builds a fresh homogeneous cluster, arms ``plan`` (if any), drives
     the variant to completion, drains every trailing simulation event
-    (fault-window recoveries, node restarts), and -- unless disabled --
-    runs the :class:`InvariantChecker` over the quiesced runtime.  Pass
+    (fault-window recoveries, node restarts), and runs the
+    :class:`InvariantChecker` over the quiesced runtime.  Pass
     ``plan=None`` for the fault-free baseline the matrix tests compare
     against.
     """
-    if config is None:
-        config = RuntimeConfig(
-            retry_policy=retry_policy or RetryPolicy(),
-            blacklist_cooldown_s=blacklist_cooldown_s,
-        )
-    rt = Runtime.create(default_node_spec(), num_nodes, config=config)
+    rt = Runtime.create(default_node_spec(), num_nodes)
     injector = ChaosInjector(rt, plan) if plan is not None else None
     inputs = make_inputs(seed, num_maps, values_per_part)
 
@@ -217,7 +208,7 @@ def run_chaos_shuffle(
     values = rt.run(driver)
     duration = rt.now
     rt.env.run()  # drain recoveries/restarts so the runtime quiesces
-    violations = InvariantChecker(rt).check() if check_invariants else []
+    violations = InvariantChecker(rt).check()
     return ChaosRunReport(
         variant=variant,
         seed=seed,

@@ -1,7 +1,10 @@
 """Runtime configuration knobs.
 
-Each field corresponds to a mechanism in §4 of the paper; the Fig 7
-microbenchmark and the ablation benches toggle them individually.
+Each field corresponds to a mechanism in §4 of the paper.  A data-plane
+decision is selected in exactly one place: placement, spilling and
+autoscaling by their ``<kind>_policy`` registry names, prefetching by
+``enable_prefetching``.  Memory admission/eviction and task dispatch
+are protocols the store and scheduler take at construction, not knobs.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.units import MB
+from repro.futures.policies.registry import POLICY_KINDS
 from repro.futures.retry import RetryPolicy
 
 
@@ -36,17 +40,9 @@ class RuntimeConfig:
     per_object_overhead_s: float = 0.1e-3
 
     # -- object store ---------------------------------------------------------
-    #: Spill objects when the allocation queue is backlogged (always true in
-    #: the paper; exposed for tests).
-    enable_spilling: bool = True
-
     #: Coalesce spilled objects into files of at least this size (§4.2.2,
     #: "Ray fuses objects into at least 100 MB files").
     fuse_min_bytes: int = 100 * MB
-
-    #: When False, every spilled object becomes its own file and every
-    #: spill write pays a seek (the Fig 7 "fusing off" ablation).
-    enable_write_fusing: bool = True
 
     #: Fetch arguments of queued tasks ahead of execution using spare store
     #: memory (§4.2.2).  The Fig 7 "prefetch off" ablation disables this.
@@ -58,13 +54,6 @@ class RuntimeConfig:
     #: Fraction of store capacity that prefetched-but-unexecuted arguments
     #: may occupy, bounding thrashing from over-eager fetching.
     prefetch_capacity_fraction: float = 0.5
-
-    # -- scheduling --------------------------------------------------------
-    #: Prefer placing a task where most of its argument bytes live.
-    enable_locality_scheduling: bool = True
-
-    #: Honour soft node-affinity hints (§4.3.2).
-    enable_node_affinity: bool = True
 
     # -- fault tolerance ------------------------------------------------------
     #: Reconstruct lost objects by re-executing their creating tasks
@@ -90,28 +79,16 @@ class RuntimeConfig:
 
     # -- policy plane -------------------------------------------------------
     #: Registry name of the placement policy (``repro.futures.policies``).
-    #: The built-in ``"default"`` composes blacklist / affinity / locality
-    #: / least-loaded stages honouring the enable_* flags above; the
-    #: ablation arms select ``"load-only"`` or ``"random"`` here.
+    #: The built-in ``"default"`` stacks blacklist / soft node affinity
+    #: (§4.3.2) / data locality / least-loaded stages; the ablation arms
+    #: select ``"load-only"`` or ``"random"`` here.
     placement_policy: str = "default"
 
-    #: Registry name of the store memory policy (cached-copy eviction
-    #: order and allocation-queue admission).
-    memory_policy: str = "default"
-
     #: Registry name of the spill policy (victim selection, target
-    #: sizing, write fusing).  ``"unfused"`` forces one file per object
-    #: regardless of ``enable_write_fusing``.
+    #: sizing, write fusing).  ``"unfused"`` writes every spilled object
+    #: as its own file, paying a seek each (the Fig 7 "fusing off"
+    #: ablation).
     spill_policy: str = "default"
-
-    #: Registry name of the dispatch policy.  ``"fifo"`` launches tasks
-    #: as they become ready; ``"fair-share"`` runs weighted virtual-time
-    #: queueing (normally installed by the jobs control plane instead).
-    dispatch_policy: str = "fifo"
-
-    #: Concurrent task slots per alive core granted by slot-limited
-    #: dispatch policies (fair sharing).
-    fair_share_slots_per_core: float = 1.0
 
     #: Registry name of the autoscale policy.  ``"none"`` (the default)
     #: never changes the cluster; ``"threshold"`` grows under allocation
@@ -187,17 +164,9 @@ class RuntimeConfig:
             raise ValueError("failure detection delay must be non-negative")
         if self.blacklist_cooldown_s < 0:
             raise ValueError("blacklist cooldown must be non-negative")
-        for kind_field in (
-            "placement_policy",
-            "memory_policy",
-            "spill_policy",
-            "dispatch_policy",
-            "autoscale_policy",
-        ):
-            if not getattr(self, kind_field):
-                raise ValueError(f"{kind_field} must be a non-empty name")
-        if self.fair_share_slots_per_core <= 0:
-            raise ValueError("fair_share_slots_per_core must be positive")
+        for kind in POLICY_KINDS:
+            if not getattr(self, f"{kind}_policy"):
+                raise ValueError(f"{kind}_policy must be a non-empty name")
         if self.autoscale_min_nodes < 1:
             raise ValueError("autoscale_min_nodes must be >= 1")
         if self.autoscale_max_nodes < 0:

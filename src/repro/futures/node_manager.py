@@ -62,17 +62,15 @@ class NodeManager:
             on_pressure=self._on_pressure,
             on_evict_cached=self._on_evict_cached,
             bus=runtime.bus,
-            policy=runtime.policies.memory,
         )
         self.spill = SpillManager(
             node,
             self.store,
             runtime.directory,
-            runtime.config,
             runtime.counters,
             charge=runtime.charge_object,
-            bus=runtime.bus,
             policy=runtime.policies.spill,
+            bus=runtime.bus,
         )
         # Attach the disaggregated spill tier (None under the default
         # local backend, which keeps seed behaviour byte-for-byte).

@@ -1,17 +1,22 @@
 """Pluggable data-plane policies (the Exoshuffle thesis, applied inward).
 
-Placement, memory admission/eviction, spill batching, and dispatch
-ordering are typed :class:`~typing.Protocol` seams with string-keyed
-registry entries selected through ``RuntimeConfig``:
+Placement, memory admission/eviction, spill batching, dispatch ordering
+and autoscaling are typed :class:`~typing.Protocol` seams.  Placement,
+spill and autoscale are registry kinds (:data:`POLICY_KINDS`), each
+selected by one ``RuntimeConfig.<kind>_policy`` name; memory and
+dispatch policies are handed to the store and scheduler at
+construction:
 
 - :class:`PlacementPolicy` -- blacklist / affinity / locality / load as
   composable stages (:class:`StagedPlacementPolicy`);
-- :class:`MemoryPolicy` -- cached-copy eviction order and allocation
-  queue admission;
 - :class:`SpillPolicy` -- victim selection, target sizing, write fusing;
-- :class:`DispatchPolicy` -- FIFO vs weighted virtual-time fair sharing;
 - :class:`AutoscalePolicy` -- when the cluster grows or shrinks between
-  configured bounds (``"none"`` holds the seed fixed-shape behaviour).
+  configured bounds (``"none"`` holds the seed fixed-shape behaviour);
+- :class:`MemoryPolicy` -- cached-copy eviction order and allocation
+  queue admission (every node's store runs
+  :class:`InsertionOrderMemoryPolicy`);
+- :class:`DispatchPolicy` -- FIFO, or weighted virtual-time fair sharing
+  once :class:`repro.jobs.JobManager` installs it.
 
 This package is pure by construction: it imports only task/ref/id value
 types (enforced by ``tools/check_layering.py``), so policies can be

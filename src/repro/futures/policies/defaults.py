@@ -352,8 +352,8 @@ class FifoDispatchPolicy:
     ) -> None:
         """FIFO manages no job queues; registering is an error."""
         raise ValueError(
-            "the 'fifo' dispatch policy does not manage jobs; use "
-            "'fair-share' (RuntimeConfig.dispatch_policy) instead"
+            "the 'fifo' dispatch policy does not manage jobs; run them "
+            "through repro.jobs.JobManager, which installs 'fair-share'"
         )
 
     def unregister_job(
@@ -391,12 +391,7 @@ class FairShareDispatchPolicy:
     name = "fair-share"
     supports_jobs = True
 
-    def __init__(self, slots_per_core: float = 1.0) -> None:
-        if slots_per_core <= 0:
-            raise ValueError("slots_per_core must be positive")
-        #: Concurrent task slots granted per alive core; >1 oversubscribes
-        #: (useful when tasks are I/O heavy), <1 keeps queues deep.
-        self.slots_per_core = slots_per_core
+    def __init__(self) -> None:
         self._queues: Dict[str, Deque[TaskRecord]] = {}
         self._weights: Dict[str, float] = {}
         self._tenant_of: Dict[str, Optional[str]] = {}

@@ -1,10 +1,10 @@
 """The string-keyed policy registry and config-driven resolution.
 
 Policies are registered under ``(kind, name)`` where ``kind`` is one of
-:data:`POLICY_KINDS`.  A factory receives the runtime config (duck
-typed -- this package never imports ``RuntimeConfig``) and returns a
-policy instance, so a single name like ``"default"`` can adapt to
-config flags (``enable_node_affinity``, ``enable_write_fusing``, ...).
+:data:`POLICY_KINDS`, and ``RuntimeConfig.<kind>_policy`` names the one
+a runtime uses -- the only place each of those decisions is selected.
+A factory receives the runtime config (duck typed -- this package never
+imports ``RuntimeConfig``) and returns a policy instance.
 
 Usage::
 
@@ -28,20 +28,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.futures.policies import defaults
 from repro.futures.policies.base import (
     AutoscalePolicy,
-    DispatchPolicy,
-    MemoryPolicy,
     PlacementPolicy,
     SpillPolicy,
 )
 
-#: The five pluggable decision points of the data plane.
-POLICY_KINDS: Tuple[str, ...] = (
-    "placement",
-    "memory",
-    "spill",
-    "dispatch",
-    "autoscale",
-)
+#: The config-selected decision points of the data plane, each named by
+#: ``RuntimeConfig.<kind>_policy``.
+POLICY_KINDS: Tuple[str, ...] = ("placement", "spill", "autoscale")
 
 #: A policy factory: config in (duck typed), policy instance out.
 PolicyFactory = Callable[[Any], Any]
@@ -84,48 +77,31 @@ class PolicyStack:
     """The resolved policy instances one runtime runs with."""
 
     placement: PlacementPolicy
-    memory: MemoryPolicy
     spill: SpillPolicy
-    dispatch: DispatchPolicy
     autoscale: AutoscalePolicy
 
 
 def resolve_policies(config: Any) -> PolicyStack:
-    """Build the runtime's policy stack from config-named registry keys.
-
-    Reads ``config.placement_policy`` / ``memory_policy`` /
-    ``spill_policy`` / ``dispatch_policy`` (defaulting each to
-    ``"default"`` / ``"fifo"`` when absent, so bare config objects keep
-    working).
-    """
+    """Build the runtime's policy stack from ``config.<kind>_policy``."""
     return PolicyStack(
-        placement=create_policy(
-            "placement", getattr(config, "placement_policy", "default"), config
-        ),
-        memory=create_policy(
-            "memory", getattr(config, "memory_policy", "default"), config
-        ),
-        spill=create_policy(
-            "spill", getattr(config, "spill_policy", "default"), config
-        ),
-        dispatch=create_policy(
-            "dispatch", getattr(config, "dispatch_policy", "fifo"), config
-        ),
-        autoscale=create_policy(
-            "autoscale", getattr(config, "autoscale_policy", "none"), config
-        ),
+        **{
+            kind: create_policy(kind, getattr(config, f"{kind}_policy"), config)
+            for kind in POLICY_KINDS
+        }
     )
 
 
 # -- built-in registrations ---------------------------------------------------
 def _default_placement(config: Any) -> defaults.StagedPlacementPolicy:
-    stages: List[object] = [defaults.BlacklistStage()]
-    if getattr(config, "enable_node_affinity", True):
-        stages.append(defaults.AffinityStage())
-    if getattr(config, "enable_locality_scheduling", True):
-        stages.append(defaults.LocalityStage())
-    stages.append(defaults.LeastLoadedStage())
-    return defaults.StagedPlacementPolicy("default", stages)
+    return defaults.StagedPlacementPolicy(
+        "default",
+        [
+            defaults.BlacklistStage(),
+            defaults.AffinityStage(),
+            defaults.LocalityStage(),
+            defaults.LeastLoadedStage(),
+        ],
+    )
 
 
 def _load_only_placement(config: Any) -> defaults.StagedPlacementPolicy:
@@ -137,57 +113,32 @@ def _load_only_placement(config: Any) -> defaults.StagedPlacementPolicy:
 def _random_placement(config: Any) -> defaults.StagedPlacementPolicy:
     return defaults.StagedPlacementPolicy(
         "random",
-        [
-            defaults.BlacklistStage(),
-            defaults.RandomStage(getattr(config, "seed", 0)),
-        ],
+        [defaults.BlacklistStage(), defaults.RandomStage(config.seed)],
     )
 
 
 def _default_spill(config: Any) -> defaults.FusedSpillPolicy:
-    return defaults.FusedSpillPolicy(
-        fuse_min_bytes=getattr(config, "fuse_min_bytes", 100 * 1024 * 1024),
-        fused=getattr(config, "enable_write_fusing", True),
-        name="default",
-    )
+    return defaults.FusedSpillPolicy(config.fuse_min_bytes, name="default")
 
 
 def _unfused_spill(config: Any) -> defaults.FusedSpillPolicy:
     return defaults.FusedSpillPolicy(
-        fuse_min_bytes=getattr(config, "fuse_min_bytes", 100 * 1024 * 1024),
-        fused=False,
-        name="unfused",
-    )
-
-
-def _fair_share_dispatch(config: Any) -> defaults.FairShareDispatchPolicy:
-    return defaults.FairShareDispatchPolicy(
-        slots_per_core=getattr(config, "fair_share_slots_per_core", 1.0)
+        config.fuse_min_bytes, fused=False, name="unfused"
     )
 
 
 def _threshold_autoscale(config: Any) -> defaults.ThresholdAutoscalePolicy:
     return defaults.ThresholdAutoscalePolicy(
-        grow_pressure=getattr(config, "autoscale_grow_pressure", 2.0),
-        shrink_pressure=getattr(config, "autoscale_shrink_pressure", 0.0),
+        grow_pressure=config.autoscale_grow_pressure,
+        shrink_pressure=config.autoscale_shrink_pressure,
     )
 
 
 register_policy("placement", "default", _default_placement)
 register_policy("placement", "load-only", _load_only_placement)
 register_policy("placement", "random", _random_placement)
-register_policy(
-    "memory", "default", lambda config: defaults.InsertionOrderMemoryPolicy()
-)
-register_policy(
-    "memory", "newest-first", lambda config: defaults.NewestFirstMemoryPolicy()
-)
 register_policy("spill", "default", _default_spill)
 register_policy("spill", "unfused", _unfused_spill)
-register_policy(
-    "dispatch", "fifo", lambda config: defaults.FifoDispatchPolicy()
-)
-register_policy("dispatch", "fair-share", _fair_share_dispatch)
 register_policy(
     "autoscale", "none", lambda config: defaults.NoAutoscalePolicy()
 )

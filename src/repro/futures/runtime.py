@@ -93,8 +93,8 @@ class Runtime:
         #: job axis.
         self.metrics = MetricRegistry()
         self.counters = self.metrics.counters
-        #: The resolved policy stack (placement, memory, spill, dispatch)
-        #: named by the config and instantiated from the registry; the
+        #: The resolved policy stack (placement, spill, autoscale) named
+        #: by the config and instantiated from the registry; the
         #: scheduler and every node manager consult it.
         self.policies: PolicyStack = resolve_policies(self.config)
         #: Fault tolerance: node-death handling, retry pacing, and

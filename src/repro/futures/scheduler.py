@@ -39,6 +39,7 @@ from repro.futures.policies.base import (
     PlacementPolicy,
     PlacementRequest,
 )
+from repro.futures.policies.defaults import FifoDispatchPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.futures.runtime import Runtime
@@ -49,43 +50,35 @@ class Scheduler:
     """Places and launches dependency-ready tasks via the policy plane."""
 
     def __init__(
-        self,
-        runtime: "Runtime",
-        dispatch_policy: Optional[DispatchPolicy] = None,
-        placement_policy: Optional[PlacementPolicy] = None,
+        self, runtime: "Runtime", policy: Optional[DispatchPolicy] = None
     ) -> None:
         self.runtime = runtime
         #: Nodes to avoid until the mapped simulated time (cooldown after
         #: a failure); stale entries are pruned lazily during placement.
         self._blacklist_until: Dict[NodeId, float] = {}
-        #: Where tasks run (policy; defaults to the runtime's stack).
-        self.placement_policy: PlacementPolicy = (
-            placement_policy or runtime.policies.placement
-        )
-        #: When tasks launch (policy; defaults to the runtime's stack).
-        self.dispatch_policy: DispatchPolicy = (
-            dispatch_policy or runtime.policies.dispatch
-        )
+        #: Where tasks run (``RuntimeConfig.placement_policy``).
+        self.placement_policy: PlacementPolicy = runtime.policies.placement
+        #: When tasks launch: FIFO unless the jobs control plane installs
+        #: fair sharing.
+        self.policy: DispatchPolicy = policy or FifoDispatchPolicy()
 
     # -- dispatch -----------------------------------------------------------
     @property
     def supports_fair_share(self) -> bool:
         """True when the dispatch policy manages per-job queues (the
         jobs control plane requires this)."""
-        return bool(getattr(self.dispatch_policy, "supports_jobs", False))
+        return self.policy.supports_jobs
 
     @property
     def total_slots(self) -> int:
-        """The dispatch budget: alive cores times the policy's
-        slots-per-core (1.0 for policies without the knob)."""
+        """The dispatch budget: one task slot per alive core."""
         membership = self.runtime.membership
         cores = sum(
             manager.node.spec.cores
             for node_id, manager in self.runtime.node_managers.items()
             if manager.node.alive and membership.is_active(node_id)
         )
-        per_core = getattr(self.dispatch_policy, "slots_per_core", 1.0)
-        return max(1, int(cores * per_core))
+        return max(1, cores)
 
     def _ctx(self) -> DispatchContext:
         return DispatchContext(total_slots=self.total_slots)
@@ -93,7 +86,7 @@ class Scheduler:
     def dispatch(self, record: "TaskRecord") -> None:
         """A task became dependency-ready: let the dispatch policy
         launch it, park it, or release other queued work."""
-        outcome = self.dispatch_policy.submit(
+        outcome = self.policy.submit(
             record, record.spec.options.job_id, self._ctx()
         )
         self._enact(record, outcome)
@@ -101,7 +94,7 @@ class Scheduler:
     def task_done(self, record: "TaskRecord") -> None:
         """Hook: a dispatched task reached a terminal phase; the policy
         may free a slot and release queued work."""
-        outcome = self.dispatch_policy.task_done(record, self._ctx())
+        outcome = self.policy.task_done(record, self._ctx())
         self._enact(None, outcome)
 
     def _enact(
@@ -120,7 +113,7 @@ class Scheduler:
                 "policy.decision",
                 task=record.spec.task_id,
                 job=outcome.parked.job_id,
-                policy=f"dispatch:{self.dispatch_policy.name}",
+                policy=f"dispatch:{self.policy.name}",
                 decision="park",
                 queued=outcome.parked.queued,
                 released=len(outcome.launch),
@@ -128,7 +121,7 @@ class Scheduler:
         elif outcome.picks:
             bus.emit(
                 "policy.decision",
-                policy=f"dispatch:{self.dispatch_policy.name}",
+                policy=f"dispatch:{self.policy.name}",
                 decision="release",
                 picks=list(outcome.picks),
             )
@@ -172,7 +165,7 @@ class Scheduler:
         tenant_task_slots: Optional[int] = None,
     ) -> None:
         """Enrol a job with the dispatch policy (fair sharing)."""
-        self.dispatch_policy.register_job(
+        self.policy.register_job(
             job_id,
             weight=weight,
             tenant=tenant,
@@ -181,16 +174,16 @@ class Scheduler:
 
     def unregister_job(self, job_id: str) -> None:
         """Remove a finished job; any stragglers launch immediately."""
-        outcome = self.dispatch_policy.unregister_job(job_id, self._ctx())
+        outcome = self.policy.unregister_job(job_id, self._ctx())
         self._enact(None, outcome)
 
     def queued_tasks(self, job_id: str) -> int:
         """How many of a job's tasks are parked awaiting a slot."""
-        return self.dispatch_policy.queued_tasks(job_id)
+        return self.policy.queued_tasks(job_id)
 
     def inflight_tasks(self, job_id: str) -> int:
         """How many of a job's tasks currently occupy slots."""
-        return self.dispatch_policy.inflight_tasks(job_id)
+        return self.policy.inflight_tasks(job_id)
 
     # -- failure feedback ---------------------------------------------------
     def note_failure(self, node_id: NodeId) -> None:

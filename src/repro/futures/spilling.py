@@ -28,13 +28,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.common.ids import NodeId, ObjectId
 from repro.futures.policies.base import SpillCandidate, SpillPolicy
-from repro.futures.policies.defaults import FusedSpillPolicy
 from repro.metrics.core import Counters
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.cluster.shared_store import SharedStoreBackend
-    from repro.futures.config import RuntimeConfig
     from repro.futures.directory import ObjectDirectory
     from repro.futures.object_store import ObjectStore
     from repro.obs.events import EventBus
@@ -86,24 +84,18 @@ class SpillManager:
         node: "Node",
         store: "ObjectStore",
         directory: "ObjectDirectory",
-        config: "RuntimeConfig",
         counters: Counters,
         charge: Callable[[ObjectId, str, float], None],
+        policy: SpillPolicy,
         bus: Optional["EventBus"] = None,
-        policy: Optional[SpillPolicy] = None,
     ) -> None:
         self.node = node
         self.env = node.env
         self.store = store
         self.directory = directory
-        self.config = config
         self.counters = counters
-        #: Victim-selection/batching policy; the default reproduces the
-        #: config-flag behaviour (fusing per ``enable_write_fusing``).
-        self.policy: SpillPolicy = policy or FusedSpillPolicy(
-            fuse_min_bytes=config.fuse_min_bytes,
-            fused=config.enable_write_fusing,
-        )
+        #: Victim-selection/batching policy (``RuntimeConfig.spill_policy``).
+        self.policy = policy
         #: Optional structured event bus; spill writes, restore reads,
         #: and filesystem fallbacks publish begin/end events into it.
         self.bus = bus
@@ -160,9 +152,6 @@ class SpillManager:
         it -- the in-flight latch, dropping already-spilled memory
         copies, and the filesystem fallback that preserves liveness.
         """
-        if not self.config.enable_spilling:
-            self._fallback_if_stuck()
-            return
         if self._in_flight > 0:
             return  # current spill will re-kick on completion
         if self.store.backlog == 0:

@@ -69,25 +69,14 @@ class JobManager:
     """Drives multi-tenant jobs through admission, fair-share execution,
     and per-job accounting on one runtime."""
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        *,
-        slots_per_core: float = 1.0,
-    ) -> None:
+    def __init__(self, runtime: Runtime) -> None:
         self.runtime = runtime
-        # Duck-typed: any scheduler whose dispatch policy supports jobs
-        # works (e.g. RuntimeConfig(dispatch_policy="fair-share")); a
-        # plain FIFO scheduler is upgraded to fair sharing in place.
-        if getattr(runtime.scheduler, "supports_fair_share", False):
+        # A second manager on the same runtime shares the fair-share
+        # scheduler the first installed; a FIFO scheduler is replaced.
+        if runtime.scheduler.supports_fair_share:
             self.fair = runtime.scheduler
         else:
-            self.fair = Scheduler(
-                runtime,
-                dispatch_policy=FairShareDispatchPolicy(
-                    slots_per_core=slots_per_core
-                ),
-            )
+            self.fair = Scheduler(runtime, FairShareDispatchPolicy())
             runtime.scheduler = self.fair
         self.admission = AdmissionController()
         # The planning surface behind ``variant="auto"``: the runtime's

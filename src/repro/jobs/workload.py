@@ -130,10 +130,7 @@ def run_jobs(
     plan: Optional[ChaosPlan] = None,
     *,
     num_nodes: int = 4,
-    slots_per_core: float = 1.0,
     retry_policy: Optional[RetryPolicy] = None,
-    config: Optional[RuntimeConfig] = None,
-    check_invariants: bool = True,
 ) -> JobsRunReport:
     """Run a workload through a fresh cluster, optionally under chaos.
 
@@ -143,11 +140,10 @@ def run_jobs(
     including per-job accounting summing to the global counters -- plus
     every finished job's output against the oracle.
     """
-    if config is None:
-        config = RuntimeConfig(retry_policy=retry_policy or RetryPolicy())
+    config = RuntimeConfig(retry_policy=retry_policy or RetryPolicy())
     rt = Runtime.create(default_node_spec(), num_nodes, config=config)
     injector = ChaosInjector(rt, plan) if plan is not None else None
-    manager = JobManager(rt, slots_per_core=slots_per_core)
+    manager = JobManager(rt)
     for tenant in tenants:
         manager.add_tenant(tenant)
     for spec in specs:
@@ -155,7 +151,7 @@ def run_jobs(
     jobs = manager.run()
     duration = rt.now
     rt.env.run()  # drain recoveries/restarts so the runtime quiesces
-    violations = InvariantChecker(rt).check() if check_invariants else []
+    violations = InvariantChecker(rt).check()
     return JobsRunReport(
         jobs=jobs,
         duration=duration,

@@ -20,8 +20,8 @@ performance-analysis subcommands:
   simulator profiles *itself*: wall-clock attribution by category
   (engine dispatch, bus publish, metrics charging, span derivation),
   hot-loop counters, events-per-wall-second throughput, and
-  standalone-SVG flamegraph export (``--flame``; ``--cprofile`` for
-  function-level detail).
+  standalone-SVG flamegraph export (``--flame``; ``python -m cProfile``
+  gives function-level detail).
 
 Report mode loads a :func:`repro.obs.report.record_run` JSONL file and
 prints the full run story (phase breakdown, slowest tasks, jobs and
@@ -326,22 +326,10 @@ def _cmd_profile(argv) -> int:
         help="write collapsed-stack text (for external flamegraph tools)",
     )
     parser.add_argument(
-        "--cprofile",
-        action="store_true",
-        help="also capture cProfile for a function-level flamegraph "
-        "(inflates wall time; never used by the bench harness)",
-    )
-    parser.add_argument(
-        "--alloc",
-        action="store_true",
-        help="track allocations via tracemalloc (adds overhead)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="print the profile as JSON"
     )
     args = parser.parse_args(argv)
     from repro.obs.profile import (
-        CProfileCapture,
         SelfProfiler,
         folded_from_profiler,
         write_flamegraph,
@@ -350,10 +338,7 @@ def _cmd_profile(argv) -> int:
     if args.trace is None and args.workload is None:
         parser.error("expected a trace file or --workload")
         return 2
-    prof = SelfProfiler(trace_allocations=args.alloc)
-    capture = CProfileCapture() if args.cprofile else None
-    if capture is not None:
-        capture.start()
+    prof = SelfProfiler()
     if args.workload:
         rt, driver = _chaos_workload(args.seed)
         prof.attach(rt)
@@ -371,8 +356,6 @@ def _cmd_profile(argv) -> int:
             report = RunReport(events)
             report.render()
         recorded = report.engine_summary()
-    if capture is not None:
-        capture.stop()
     prof.finish()
     if args.json:
         payload = prof.to_dict()
@@ -385,16 +368,12 @@ def _cmd_profile(argv) -> int:
             print()
             print("recorded run.summary profile")
             print(report.engine_section())
-    folded = capture.folded() if capture is not None else folded_from_profiler(prof)
+    folded = folded_from_profiler(prof)
     if args.flame:
-        title = (
-            "cProfile (function-level)" if capture is not None
-            else "self-profile (category scopes)"
-        )
         out = write_flamegraph(
             folded,
             Path(args.flame),
-            title=title,
+            title="self-profile (category scopes)",
             folded_path=Path(args.folded) if args.folded else None,
         )
         print(f"wrote {out}")

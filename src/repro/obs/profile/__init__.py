@@ -11,14 +11,15 @@ raw-speed item).
   accounting with exclusive-time attribution (event-queue pop, handler
   dispatch keyed by subsystem, event-bus publish, metrics charging,
   driver handoffs), hot-loop counters (events processed, heap ops, bus
-  publications, opt-in ``tracemalloc`` allocation tracking), and the
-  first-class *simulated-events-per-wall-second* throughput metric.
-  The per-category breakdown plus the ``untracked`` residue sums to the
-  measured total wall time -- ``coverage_error()`` mirrors
+  publications), and the first-class *simulated-events-per-wall-second*
+  throughput metric.  The per-category breakdown plus the
+  ``untracked`` residue sums to the measured total wall time --
+  ``coverage_error()`` mirrors
   :meth:`repro.obs.perf.critpath.CriticalPath.coverage_error`.
 - :mod:`~repro.obs.profile.flame` -- collapsed-stack (folded) export
-  from the profiler's scope paths or an optional :mod:`cProfile`
-  capture, and a standalone single-file SVG flamegraph renderer.
+  from the profiler's scope paths and a standalone single-file SVG
+  flamegraph renderer.  Function-level detail is ``python -m
+  cProfile``'s job.
 
 Attachment is strictly one-directional: ``SelfProfiler.attach(runtime)``
 shadows hot methods on the *instances* (``Environment.step``,
@@ -34,8 +35,6 @@ See ``docs/profiling.md`` for the methodology and
 
 from repro.obs.profile.core import SelfProfiler
 from repro.obs.profile.flame import (
-    CProfileCapture,
-    folded_from_cprofile,
     folded_from_profiler,
     render_flamegraph_svg,
     write_flamegraph,
@@ -43,9 +42,7 @@ from repro.obs.profile.flame import (
 
 __all__ = [
     "SelfProfiler",
-    "CProfileCapture",
     "folded_from_profiler",
-    "folded_from_cprofile",
     "render_flamegraph_svg",
     "write_flamegraph",
 ]

@@ -37,7 +37,6 @@ runs) by ``tests/test_self_profile.py``'s budget test.
 from __future__ import annotations
 
 import time
-import tracemalloc
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -91,11 +90,7 @@ class SelfProfiler:
     clock runs from the first ``start()``/``attach()`` to ``finish()``.
     """
 
-    def __init__(
-        self,
-        trace_allocations: bool = False,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
         #: Exclusive seconds per category.
         self.seconds: Dict[str, float] = {}
@@ -108,7 +103,6 @@ class SelfProfiler:
         self.folded: Dict[Tuple[str, ...], float] = {}
         #: Simulated seconds advanced while attached (across runtimes).
         self.sim_time_s = 0.0
-        self.trace_allocations = trace_allocations
         # Frames are [category, start, child_s, path]; the folded-stack
         # path is built once at enter so exit stays allocation-light.
         self._stack: List[List[Any]] = []
@@ -117,32 +111,22 @@ class SelfProfiler:
         self._runtime: Optional[Any] = None
         self._patched: List[Tuple[Any, str]] = []
         self._env_now_at_attach = 0.0
-        self._started_tracemalloc = False
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
         """Start the total-wall clock (idempotent; ``attach`` calls it)."""
         if self._started_at is None:
-            if self.trace_allocations and not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
             self._started_at = self.clock()
 
     def finish(self) -> None:
         """Stop the total-wall clock (detaching first if still attached);
-        idempotent.  Allocation totals are read here when tracing."""
+        idempotent."""
         if self._finished_at is not None:
             return
         if self._runtime is not None:
             self.detach()
         if self._started_at is None:
             self._started_at = self.clock()
-        if self.trace_allocations and tracemalloc.is_tracing():
-            current, peak = tracemalloc.get_traced_memory()
-            self.counts["alloc_current_bytes"] = int(current)
-            self.counts["alloc_peak_bytes"] = int(peak)
-            if self._started_tracemalloc:
-                tracemalloc.stop()
         self._finished_at = self.clock()
 
     @property
@@ -273,12 +257,10 @@ class SelfProfiler:
 
     @classmethod
     @contextmanager
-    def attached(
-        cls, runtime: Any, trace_allocations: bool = False
-    ) -> Iterator["SelfProfiler"]:
+    def attached(cls, runtime: Any) -> Iterator["SelfProfiler"]:
         """Context manager: attach to ``runtime``, detach + finish on
         exit, yielding the profiler."""
-        profiler = cls(trace_allocations=trace_allocations)
+        profiler = cls()
         profiler.attach(runtime)
         try:
             yield profiler

@@ -1,20 +1,12 @@
 """Collapsed-stack (folded) export and standalone SVG flamegraphs.
 
-Two producers feed the same folded format (one ``parent;child;leaf
-value`` line per stack, the Brendan Gregg convention every flamegraph
-tool reads):
-
-- :func:`folded_from_profiler` -- the :class:`~repro.obs.profile.core.
-  SelfProfiler` already keeps exclusive microseconds per *scope path*
-  (category stacks like ``engine.dispatch.task;bus.publish``), so its
-  export is exact.
-- :func:`folded_from_cprofile` -- a :class:`CProfileCapture` wraps
-  :mod:`cProfile` for function-level detail; since cProfile records a
-  caller *graph* rather than stacks, stacks are reconstructed
-  approximately by distributing each function's time over its callers
-  proportionally (the flameprof technique).  Good for "which Python
-  function is hot", not for exact attribution -- the scoped profiler
-  owns the sums-to-total invariant.
+:func:`folded_from_profiler` turns the
+:class:`~repro.obs.profile.core.SelfProfiler`'s exclusive seconds per
+*scope path* (category stacks like ``engine.dispatch.task;bus.publish``)
+into the folded format -- one ``parent;child;leaf value`` line per
+stack, the Brendan Gregg convention every flamegraph tool reads -- so
+the export is exact.  For function-level detail use ``python -m
+cProfile`` and an external flamegraph tool.
 
 :func:`render_flamegraph_svg` draws the folded data as a single
 self-contained SVG string -- inline styles, embedded JS for hover
@@ -25,60 +17,12 @@ explorer pins.
 
 from __future__ import annotations
 
-import cProfile
 import html
-import pstats
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
-
-#: Maximum stack depth reconstructed from a cProfile caller graph.
-MAX_CPROFILE_DEPTH = 24
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 #: Fraction of root time below which a frame is dropped from the SVG.
 MIN_FRAME_FRACTION = 1e-4
-
-
-class CProfileCapture:
-    """Opt-in :mod:`cProfile` capture for function-level flamegraphs.
-
-    Used by ``python -m repro.obs profile --cprofile``; deliberately
-    *not* enabled by the benchmarks ``--profile`` flag, whose wall-time
-    numbers must stay honest -- cProfile's per-call hook would inflate
-    them far past the scoped profiler's <5% budget.
-    """
-
-    def __init__(self) -> None:
-        self._profile = cProfile.Profile()
-        self._running = False
-
-    def start(self) -> None:
-        """Begin capturing (idempotent)."""
-        if not self._running:
-            self._profile.enable()
-            self._running = True
-
-    def stop(self) -> None:
-        """Stop capturing (idempotent)."""
-        if self._running:
-            self._profile.disable()
-            self._running = False
-
-    def stats(self) -> pstats.Stats:
-        """The captured :class:`pstats.Stats` (stops the capture)."""
-        self.stop()
-        return pstats.Stats(self._profile)
-
-    def folded(self) -> Dict[Tuple[str, ...], float]:
-        """Approximate folded stacks (seconds per path) from the
-        capture, via :func:`folded_from_cprofile`."""
-        return folded_from_cprofile(self.stats())
-
-    def __enter__(self) -> "CProfileCapture":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
 
 
 def folded_from_profiler(profiler: Any) -> Dict[Tuple[str, ...], float]:
@@ -91,55 +35,6 @@ def folded_from_profiler(profiler: Any) -> Dict[Tuple[str, ...], float]:
     untracked = profiler.untracked_s()
     if untracked > 0:
         folded[("untracked",)] = folded.get(("untracked",), 0.0) + untracked
-    return folded
-
-
-def _frame_label(func: Tuple[str, int, str]) -> str:
-    """``file:line(name)`` label for a cProfile function triple, with
-    the path shortened to its last two components."""
-    filename, lineno, name = func
-    if filename == "~":
-        return name  # builtins: '~', 0, "<built-in method ...>"
-    short = "/".join(Path(filename).parts[-2:])
-    return f"{short}:{lineno}({name})"
-
-
-def folded_from_cprofile(
-    stats: pstats.Stats, max_depth: int = MAX_CPROFILE_DEPTH
-) -> Dict[Tuple[str, ...], float]:
-    """Approximate folded stacks from a cProfile caller graph.
-
-    cProfile stores, per function, total/cumulative time and a mapping
-    of callers with per-edge call counts and times.  True stacks are
-    gone, so each function's *own* (tt) time is attributed to a single
-    reconstructed stack by walking the most-expensive caller edge
-    upward (flameprof does a proportional split; the dominant-path walk
-    keeps the output small and is just as readable).  Recursion and
-    depth are clamped at ``max_depth``.
-    """
-    raw: Mapping[Any, Any] = stats.stats  # type: ignore[attr-defined]
-    folded: Dict[Tuple[str, ...], float] = {}
-    for func, (_cc, _nc, tt, _ct, _callers) in raw.items():
-        if tt <= 0:
-            continue
-        stack: List[str] = [_frame_label(func)]
-        node = func
-        seen = {func}
-        while len(stack) < max_depth:
-            callers = raw[node][4]
-            if not callers:
-                break
-            parent = max(
-                callers.items(), key=lambda item: item[1][3]  # edge ct
-            )[0]
-            if parent in seen:
-                break
-            seen.add(parent)
-            stack.append(_frame_label(parent))
-            node = parent
-        folded[tuple(reversed(stack))] = (
-            folded.get(tuple(reversed(stack)), 0.0) + tt
-        )
     return folded
 
 

@@ -416,7 +416,7 @@ def planner_for_runtime(rt: Any) -> AdaptivePlanner:
     replan = getattr(config, "replan", "off") == "on"
     planner = AdaptivePlanner(
         ClusterProfile.from_runtime(rt),
-        rule="default" if rule == "default" else rule,
+        rule=rule,
         replan=replan,
         profile_source=lambda: ClusterProfile.from_runtime(rt),
     )

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cluster import DiskSpec, NicSpec, NodeSpec
 from repro.common.rng import named_rng, register_stream
 from repro.common.units import GIB, MIB
-from repro.futures import Runtime, RuntimeConfig
+from repro.futures import Runtime
 from repro.jobs.manager import JobManager
 from repro.jobs.spec import (
     Job,
@@ -159,8 +159,6 @@ def run_open_loop(
     tenants: List[TenantSpec],
     *,
     num_nodes: int = 4,
-    slots_per_core: float = 1.0,
-    config: Optional[RuntimeConfig] = None,
     runtime: Optional[Runtime] = None,
 ) -> OpenLoopReport:
     """Run an open-loop fleet through a fresh cluster (blocking).
@@ -171,10 +169,8 @@ def run_open_loop(
     """
     rt = runtime
     if rt is None:
-        rt = Runtime.create(
-            streaming_node_spec(), num_nodes, config=config or RuntimeConfig()
-        )
-    manager = JobManager(rt, slots_per_core=slots_per_core)
+        rt = Runtime.create(streaming_node_spec(), num_nodes)
+    manager = JobManager(rt)
     for tenant in tenants:
         manager.add_tenant(tenant)
     for spec in specs:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.common.units import MB, MIB
-from repro.futures import RuntimeConfig
+from repro.futures import RuntimeConfig, register_policy
+from repro.futures.policies import (
+    AffinityStage,
+    BlacklistStage,
+    LeastLoadedStage,
+    StagedPlacementPolicy,
+)
+from repro.futures.policies.registry import _REGISTRY
 
 from tests.conftest import make_runtime
 
@@ -64,7 +71,9 @@ class TestSpilling:
         """Fig 7 mechanism: disabling fusing costs a seek per object."""
 
         def run(fusing):
-            config = RuntimeConfig(enable_write_fusing=fusing)
+            config = RuntimeConfig(
+                spill_policy="default" if fusing else "unfused"
+            )
             rt = make_runtime(
                 num_nodes=1, store_mib=16, seek_ms=20.0, config=config
             )
@@ -92,20 +101,6 @@ class TestSpilling:
             return len(ready)
 
         assert rt.run(driver) == 1
-        assert rt.counters.get("fallback_allocations") >= 1
-
-    def test_spilling_disabled_still_makes_progress(self):
-        config = RuntimeConfig(enable_spilling=False)
-        rt = make_runtime(num_nodes=1, store_mib=32, config=config)
-        make = rt.remote(lambda: _blob(16))
-
-        def driver():
-            refs = [make.remote() for _ in range(6)]  # 96 MB > 32 MiB
-            ready, _ = rt.wait(refs, num_returns=len(refs))
-            return len(ready)
-
-        assert rt.run(driver) == 6
-        assert rt.counters.get("spill_bytes_written") == 0
         assert rt.counters.get("fallback_allocations") >= 1
 
 
@@ -191,8 +186,21 @@ class TestFetchingAndLocality:
         assert rt.cluster.network_bytes_sent >= 50 * MB
 
     def test_locality_scheduling_avoids_network(self):
+        # The default placement minus its LocalityStage, registered
+        # through the test seam so the stage's effect shows end to end.
+        register_policy(
+            "placement",
+            "no-locality",
+            lambda config: StagedPlacementPolicy(
+                "no-locality",
+                [BlacklistStage(), AffinityStage(), LeastLoadedStage()],
+            ),
+        )
+
         def run(locality):
-            config = RuntimeConfig(enable_locality_scheduling=locality)
+            config = RuntimeConfig(
+                placement_policy="default" if locality else "no-locality"
+            )
             rt = make_runtime(num_nodes=4, config=config)
             make = rt.remote(lambda: _blob(50))
             consume = rt.remote(lambda x: x.nbytes)
@@ -206,11 +214,14 @@ class TestFetchingAndLocality:
             rt.run(driver)
             return rt.cluster.network_bytes_sent
 
-        # With locality only the tiny final result crosses the network.
-        assert run(locality=True) < 1000
-        # Without locality the consumer lands on the least-loaded node
-        # (node 0 by id order) and must pull the bytes.
-        assert run(locality=False) >= 50 * MB
+        try:
+            # With locality only the tiny final result crosses the network.
+            assert run(locality=True) < 1000
+            # Without locality the consumer lands on the least-loaded node
+            # (node 0 by id order) and must pull the bytes.
+            assert run(locality=False) >= 50 * MB
+        finally:
+            del _REGISTRY[("placement", "no-locality")]
 
     def test_node_affinity_is_soft_when_node_dead(self):
         rt = make_runtime(num_nodes=3)

@@ -184,6 +184,14 @@ class TestFairness:
         again = JobManager(rt)
         assert again.fair is manager.fair  # reused, not replaced
 
+    def test_fair_share_grants_one_slot_per_alive_core(self):
+        rt = make_runtime(num_nodes=3, store_mib=256)
+        JobManager(rt)
+        cores = sum(
+            manager.node.spec.cores for manager in rt.node_managers.values()
+        )
+        assert rt.scheduler.total_slots == cores
+
 
 class TestAccounting:
     def test_per_job_buckets_sum_to_global(self):

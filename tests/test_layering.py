@@ -73,6 +73,37 @@ def test_registry_coverage_catches_missing_kind(tmp_path):
     assert lint.main([str(tmp_path)]) == 1
 
 
+def test_registry_coverage_pairs_kinds_with_config_selectors(tmp_path):
+    lint = _lint()
+    policies = tmp_path / "policies"
+    policies.mkdir()
+    (policies / "registry.py").write_text(
+        textwrap.dedent(
+            """
+            POLICY_KINDS = ("placement", "spill")
+            def register_policy(kind, name, factory):
+                pass
+            register_policy("placement", "default", None)
+            register_policy("spill", "default", None)
+            """
+        )
+    )
+    (tmp_path / "config.py").write_text(
+        textwrap.dedent(
+            """
+            class RuntimeConfig:
+                placement_policy: str = "default"
+                memory_policy: str = "default"
+                retry_policy: RetryPolicy = None
+            """
+        )
+    )
+    violations = lint.check_registry_coverage(policies)
+    assert len(violations) == 2
+    assert "RuntimeConfig.memory_policy selects no kind" in violations[0]
+    assert "'spill' has no RuntimeConfig.spill_policy" in violations[1]
+
+
 def test_streaming_tier_is_not_imported_by_the_core():
     """Nothing in the data-plane core imports ``repro.streaming``."""
     lint = _lint()

@@ -50,12 +50,12 @@ from repro.futures.task import TaskPhase, TaskRecord
 
 # -- registry -----------------------------------------------------------------
 def test_registry_has_the_builtin_policies():
-    names = available_policies()
-    assert set(names) == set(POLICY_KINDS)
-    assert {"default", "load-only", "random"} <= set(names["placement"])
-    assert {"default", "newest-first"} <= set(names["memory"])
-    assert {"default", "unfused"} <= set(names["spill"])
-    assert {"fifo", "fair-share"} <= set(names["dispatch"])
+    assert POLICY_KINDS == ("placement", "spill", "autoscale")
+    assert available_policies() == {
+        "placement": ["default", "load-only", "random"],
+        "spill": ["default", "unfused"],
+        "autoscale": ["none", "threshold"],
+    }
 
 
 def test_unknown_policy_name_is_a_typed_error():

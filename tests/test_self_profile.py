@@ -33,9 +33,7 @@ from repro.obs.perf.diff import (
     trajectory_rows,
 )
 from repro.obs.profile import (
-    CProfileCapture,
     SelfProfiler,
-    folded_from_cprofile,
     folded_from_profiler,
     render_flamegraph_svg,
     write_flamegraph,
@@ -284,7 +282,7 @@ def test_profiler_overhead_is_under_budget():
     )
 
 
-# -- throughput, counters, allocations -------------------------------------
+# -- throughput and counters ------------------------------------------------
 
 
 def test_throughput_and_counters():
@@ -302,22 +300,6 @@ def test_throughput_and_counters():
     assert payload["coverage_error"] < 0.01
     assert set(payload["categories"]) == set(payload["fractions"])
     assert sum(payload["fractions"].values()) == pytest.approx(1.0, abs=0.02)
-
-
-def test_tracemalloc_counters_are_opt_in():
-    rt = make_runtime(num_nodes=2)
-    prof = SelfProfiler(trace_allocations=True)
-    prof.attach(rt)
-    run_sort(rt, SortJobConfig(
-        variant="push", num_partitions=4, partition_bytes=MB, virtual=True,
-    ))
-    prof.finish()
-    assert isinstance(prof.counts["alloc_peak_bytes"], int)
-    assert prof.counts["alloc_peak_bytes"] >= prof.counts[
-        "alloc_current_bytes"] >= 0
-    # ...and absent by default (the bench harness never pays for it).
-    _rt, plain, _result = _profiled_sort()
-    assert "alloc_peak_bytes" not in plain.counts
 
 
 def test_dispatch_category_classification():
@@ -379,27 +361,6 @@ def test_write_flamegraph_and_folded_lines(tmp_path):
     # Zero-value stacks are dropped from the canonical text.
     assert not any(line.startswith("dropped") for line in lines)
     assert lines == folded_lines(folded)
-
-
-def test_folded_from_cprofile_reconstructs_stacks():
-    def leaf():
-        return sum(range(2000))
-
-    def trunk():
-        return [leaf() for _ in range(50)]
-
-    with CProfileCapture() as capture:
-        trunk()
-    folded = folded_from_cprofile(capture.stats())
-    assert folded
-    labels = {frame for path in folded for frame in path}
-    assert any("leaf" in label for label in labels)
-    assert any("trunk" in label for label in labels)
-    # Reconstructed stacks nest trunk above leaf on some path.
-    assert any(
-        any("trunk" in f for f in path[:-1]) and "leaf" in path[-1]
-        for path in folded
-    )
 
 
 # -- report + explorer integration -----------------------------------------

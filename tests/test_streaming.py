@@ -452,7 +452,7 @@ class TestOpenLoopFleet:
         def check(event):
             if event.kind != "driver.spawn":
                 return
-            policy = rt.scheduler.dispatch_policy
+            policy = rt.scheduler.policy
             seen.append((
                 len(host._channels),
                 [c.name for c in host._channels.values() if c.finished],
@@ -469,7 +469,7 @@ class TestOpenLoopFleet:
         # The primary plus at most two running jobs per tenant.
         assert max(live for live, _, _ in seen) <= 1 + 2 * 25
         assert host._channels == {}
-        assert rt.scheduler.dispatch_policy._inflight_by_job == {}
+        assert rt.scheduler.policy._inflight_by_job == {}
 
     def test_fleet_runs_under_admission_and_fair_share(self):
         tenants, specs = open_loop_workload(

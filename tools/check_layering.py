@@ -170,15 +170,17 @@ def check_tree(root: Path) -> List[str]:
 
 
 def check_registry_coverage(root: Path) -> List[str]:
-    """Every declared policy kind must have >= 1 registered built-in.
+    """One registry kind per config selector, each with a built-in.
 
     Walks ``registry.py`` with :mod:`ast`, reads the ``POLICY_KINDS``
     tuple and all module-level ``register_policy(kind, name, ...)``
-    calls, and reports kinds with no built-in.  This pins the plane's
-    completeness contract as kinds are added (the autoscale kind joined
-    placement/memory/spill/dispatch this way): a new kind without a
-    registered default would fail config resolution at runtime, so the
-    lint catches it before any test builds a Runtime.
+    calls, and reports kinds with no built-in: such a kind would fail
+    config resolution at runtime, so the lint catches it before any
+    test builds a Runtime.  When ``config.py`` sits next to the package
+    (``root.parent``), it also walks ``RuntimeConfig``'s ``str`` fields
+    named ``<kind>_policy`` and reports a field whose kind is not in
+    ``POLICY_KINDS`` and a kind with no such field -- each decision the
+    registry serves is selected by exactly one config name.
     """
     registry = root / "registry.py"
     if not registry.is_file():
@@ -216,11 +218,47 @@ def check_registry_coverage(root: Path) -> List[str]:
                     registered.append(first.value)
     if not declared:
         return [f"{registry}: POLICY_KINDS tuple not found"]
-    return [
+    violations = [
         f"{registry}: policy kind {kind!r} has no registered built-in"
         for kind in declared
         if kind not in registered
     ]
+    config = root.parent / "config.py"
+    if config.is_file():
+        selectors = _config_policy_kinds(config)
+        violations += [
+            f"{config}: RuntimeConfig.{kind}_policy selects no kind in "
+            f"POLICY_KINDS"
+            for kind in selectors
+            if kind not in declared
+        ]
+        violations += [
+            f"{registry}: policy kind {kind!r} has no "
+            f"RuntimeConfig.{kind}_policy selector"
+            for kind in declared
+            if kind not in selectors
+        ]
+    return violations
+
+
+def _config_policy_kinds(config: Path) -> List[str]:
+    """Kinds named by ``RuntimeConfig``'s ``<kind>_policy: str`` fields
+    (``retry_policy``, a ``RetryPolicy`` value, is not a selector)."""
+    tree = ast.parse(config.read_text(), filename=str(config))
+    kinds: List[str] = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and node.name == "RuntimeConfig"):
+            continue
+        for field in node.body:
+            if (
+                isinstance(field, ast.AnnAssign)
+                and isinstance(field.target, ast.Name)
+                and field.target.id.endswith("_policy")
+                and isinstance(field.annotation, ast.Name)
+                and field.annotation.id == "str"
+            ):
+                kinds.append(field.target.id[: -len("_policy")])
+    return kinds
 
 
 def _module_name(path: Path, src_root: Path) -> str:
