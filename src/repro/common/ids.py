@@ -2,9 +2,16 @@
 
 The runtime tracks per-task and per-object metadata explicitly (the paper's
 "each task and object is an independent unit"), so identifiers appear in
-nearly every subsystem.  They are small immutable wrappers over an integer
-with a type tag, cheap to hash and order, and render stably in logs
-(``T00042``, ``O00317``, ``N003``).
+nearly every subsystem and key its hottest dicts and sets.  Each id is an
+``int`` subclass with no per-instance state: hashing, equality and ordering
+are the integer's own C-level operations (``hash(ObjectId(7)) == 7``), and
+only printing adds the type tag (``T00042``, ``O00317``, ``N003``).
+
+Because comparison is plain integer comparison, ids of *different* kinds
+compare by their integers: ``NodeId(3) == TaskId(3)``.  No container may
+therefore mix kinds -- every dict and set in the runtime is keyed by one
+kind only.  ``json.dumps`` also writes an id as a bare integer, so JSON
+writers stringify ids first (the event bus does for its attribution axes).
 """
 
 from __future__ import annotations
@@ -14,31 +21,36 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 
-@dataclass(frozen=True, order=True)
-class _BaseId:
+class _BaseId(int):
     """An integer identity with a short printable prefix."""
 
-    index: int
+    __slots__ = ()
     _PREFIX: ClassVar[str] = "?"
     _WIDTH: ClassVar[int] = 5
 
-    def __str__(self) -> str:
-        return f"{self._PREFIX}{self.index:0{self._WIDTH}d}"
+    @property
+    def index(self) -> int:
+        return int(self)
 
-    def __repr__(self) -> str:
-        return str(self)
+    def __str__(self) -> str:
+        return "%s%0*d" % (self._PREFIX, self._WIDTH, self)
+
+    __repr__ = __str__
 
 
 class NodeId(_BaseId):
+    __slots__ = ()
     _PREFIX = "N"
     _WIDTH = 3
 
 
 class TaskId(_BaseId):
+    __slots__ = ()
     _PREFIX = "T"
 
 
 class ObjectId(_BaseId):
+    __slots__ = ()
     _PREFIX = "O"
 
 

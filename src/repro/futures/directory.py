@@ -20,7 +20,7 @@ lost and need lineage reconstruction.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 from repro.common.ids import NodeId, ObjectId, TaskId
 
@@ -93,6 +93,17 @@ class ObjectDirectory:
         """Forget an object entirely (after global eviction)."""
         self._records.pop(object_id, None)
         self._creation_waiters.pop(object_id, None)
+
+    def total_size(self, object_ids: Iterable[ObjectId]) -> int:
+        """Summed size of ``object_ids``, each occurrence counted; unknown
+        ids count zero.  One call per task instead of one per argument."""
+        records = self._records
+        total = 0
+        for object_id in object_ids:
+            record = records.get(object_id)
+            if record is not None:
+                total += record.size
+        return total
 
     def __contains__(self, object_id: ObjectId) -> bool:
         return object_id in self._records

@@ -185,11 +185,16 @@ class DriverHost:
         try:
             primary = self._make_channel(fn, args, kwargs, name="driver", label=None)
             ready = self._ready
-            while not primary.finished:
+            env = self.env
+            inf = float("inf")
+            # Runs once per engine event: ``outcome`` is read directly
+            # rather than through ``finished``, and ``step`` is looked up on
+            # each pass so an instance shadow (the self-profiler) applies.
+            while primary.outcome is None:
                 if ready:
                     self._hand_off(heapq.heappop(ready)[1])
                     continue
-                if self.env.peek() == float("inf"):
+                if env.peek() == inf:
                     parked = ", ".join(
                         f"{c.name} on {c.wake!r}" for c in self._channels.values()
                     )
@@ -197,7 +202,7 @@ class DriverHost:
                         f"simulation deadlock at t={self.env.now}: drivers "
                         f"blocked ({parked}) but no events remain"
                     )
-                self.env.step()
+                env.step()
             if primary.thread is not None:
                 primary.thread.join(timeout=30)
             kind, value = primary.outcome  # type: ignore[misc]

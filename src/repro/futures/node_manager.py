@@ -276,15 +276,12 @@ class NodeManager:
         arguments alone exceed the budget is admitted when the store is
         quiet.
         """
-        directory = self.runtime.directory
         budget = int(
             self.runtime.config.prefetch_capacity_fraction * self.store.capacity
         )
-        task_bytes = 0
-        for oid in dict.fromkeys(spec.dependency_ids):
-            record = directory.maybe_get(oid)
-            if record is not None:
-                task_bytes += record.size
+        task_bytes = self.runtime.directory.total_size(
+            dict.fromkeys(spec.dependency_ids)
+        )
         demand = min(task_bytes, budget)
         while (
             self.store.pinned_bytes > 0
@@ -373,17 +370,22 @@ class NodeManager:
                 return True
             if self.spill.is_spilled(object_id):
                 return False
-            memory_sources = sorted(
+            # The lowest-numbered alive holder serves: a memory copy if
+            # any, else a spilled one.
+            managers = runtime.node_managers
+            sources = [
                 nid
                 for nid in record.memory_nodes
-                if nid != self.node_id and runtime.node_managers[nid].node.alive
-            )
-            spill_sources = sorted(
-                nid
-                for nid in record.spill_nodes
-                if nid != self.node_id and runtime.node_managers[nid].node.alive
-            )
-            if not memory_sources and not spill_sources:
+                if nid != self.node_id and managers[nid].node.alive
+            ]
+            from_memory = bool(sources)
+            if not from_memory:
+                sources = [
+                    nid
+                    for nid in record.spill_nodes
+                    if nid != self.node_id and managers[nid].node.alive
+                ]
+            if not sources:
                 shared = self.spill.shared
                 if shared is not None and shared.contains(object_id):
                     # The disaggregated spill tier holds the only copy --
@@ -412,8 +414,8 @@ class NodeManager:
                 placement = yield allocation
                 if placement == "resident":
                     return True  # appeared meanwhile; allocate pinned it
-                source = memory_sources[0] if memory_sources else spill_sources[0]
-                if not memory_sources:
+                source = min(sources)
+                if not from_memory:
                     # Spilled at the source: streamed from its disk (§4.2.2).
                     yield runtime.node_managers[source].spill.restore_read(
                         object_id
@@ -616,15 +618,10 @@ class NodeManager:
 
     # -- cost model -------------------------------------------------------------
     def _input_bytes(self, spec: TaskSpec) -> int:
-        directory = self.runtime.directory
-        total = 0
+        total = self.runtime.directory.total_size(spec.dependency_ids)
         for arg in spec.args:
             if isinstance(arg, PlainArg):
                 total += size_of(arg.value)
-            else:
-                record = directory.maybe_get(arg.object_id)
-                if record is not None:
-                    total += record.size
         return total
 
     def _compute_seconds(

@@ -209,7 +209,8 @@ class ObjectStore:
 
     def _admit(self, request: AllocationRequest) -> None:
         self.used_bytes += request.size
-        self.peak_used_bytes = max(self.peak_used_bytes, self.used_bytes)
+        if self.used_bytes > self.peak_used_bytes:
+            self.peak_used_bytes = self.used_bytes
         self._entries[request.object_id] = _Entry(
             request.size, request.primary, 1 if request.pin else 0
         )

@@ -27,14 +27,14 @@ class TaskPhase(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefArg:
     """A positional argument that is a distributed future."""
 
     object_id: ObjectId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlainArg:
     """A positional argument passed by value."""
 
@@ -96,10 +96,16 @@ class TaskSpec:
     is_generator: bool = False
     #: Bumped on each (re-)execution attempt, for introspection and tests.
     attempts: int = 0
+    #: The ``RefArg`` object ids in argument order (repeats kept), derived
+    #: once from ``args``, which never change after submission.
+    dependency_ids: Tuple[ObjectId, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
-    @property
-    def dependency_ids(self) -> List[ObjectId]:
-        return [arg.object_id for arg in self.args if isinstance(arg, RefArg)]
+    def __post_init__(self) -> None:
+        self.dependency_ids = tuple(
+            arg.object_id for arg in self.args if isinstance(arg, RefArg)
+        )
 
     def __repr__(self) -> str:
         return (

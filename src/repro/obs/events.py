@@ -119,9 +119,15 @@ EVENT_KINDS: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ObsEvent:
-    """One timestamped, attributed, causally linked fact about a run."""
+    """One timestamped, attributed, causally linked fact about a run.
+
+    Slotted and not frozen, because the bus builds one per emission and a
+    frozen dataclass pays ``object.__setattr__`` per field.  Events are
+    still read-only by contract: subscribers, recorders and readers share
+    the same instance, so nothing may assign to one after emission.
+    """
 
     seq: int
     ts: float
@@ -243,15 +249,15 @@ class EventBus:
                 f"the taxonomy in repro.obs.events.EVENT_KINDS"
             )
         event = ObsEvent(
-            seq=self._seq,
-            ts=float(self.clock()),
-            kind=kind,
-            node=None if node is None else str(node),
-            job=job,
-            task=None if task is None else str(task),
-            obj=None if obj is None else str(obj),
-            cause=cause,
-            attrs=attrs,
+            self._seq,
+            float(self.clock()),
+            kind,
+            None if node is None else str(node),
+            job,
+            None if task is None else str(task),
+            None if obj is None else str(obj),
+            cause,
+            attrs,
         )
         self._seq += 1
         self.events.append(event)

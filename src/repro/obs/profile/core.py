@@ -19,7 +19,8 @@ editing classes and never by the data plane importing this module:
 
 - ``Environment.step`` (heap pop plus callback dispatch) is timed
   under the subsystem the next queued event resumes
-  (``engine.dispatch.task``, ``engine.dispatch.driver``, ...);
+  (``engine.dispatch.task``, ``engine.dispatch.driver``, ...; a bare
+  callback is ``engine.dispatch.callbackevent``);
 - ``Environment._schedule`` / ``_schedule_callback`` count heap pushes;
 - ``EventBus.emit`` is timed as ``bus.publish``;
 - ``Runtime.charge_task`` / ``charge_object`` and the
@@ -46,9 +47,19 @@ DISPATCH_PREFIX = "engine.dispatch."
 #: The residue category: wall time outside every scope.
 UNTRACKED = "untracked"
 
+#: Category of a bare callback on the engine heap (``call_later``, process
+#: starts, interrupts, late ``add_callback`` deliveries).  The name is the
+#: one the engine's former ``_CallbackEvent`` wrapper produced, so profiles
+#: from before and after it was removed stay comparable.
+CALLBACK_CATEGORY = DISPATCH_PREFIX + "callbackevent"
+
 
 def _dispatch_category(event: Any) -> str:
-    """The ``engine.dispatch.<subsystem>`` category for a popped event.
+    """The ``engine.dispatch.<subsystem>`` category for a heap head.
+
+    The engine's heap holds zero-argument callables: an event's bound
+    ``_process_callbacks`` is classified by that event, any other callable
+    is :data:`CALLBACK_CATEGORY`.  An event may also be passed directly.
 
     Subsystem resolution, cheapest-first: the event's own process name
     (``Process`` completions), else the owner of its first callback
@@ -57,6 +68,10 @@ def _dispatch_category(event: Any) -> str:
     event's class name.  Name stems before the first ``-``/``:`` keep
     the category space small (``task``, ``driver``, ``job``, ...).
     """
+    if callable(event):
+        if getattr(event, "__name__", None) != "_process_callbacks":
+            return CALLBACK_CATEGORY
+        event = event.__self__
     name = getattr(event, "name", None)
     if not isinstance(name, str) or not name:
         callbacks = event.callbacks

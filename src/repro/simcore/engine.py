@@ -6,35 +6,41 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
-from repro.simcore.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.simcore.events import (
+    _PROCESSED,
+    AllOf,
+    AnyOf,
+    Event,
+    Interrupt,
+    Timeout,
+)
 
 ProcessGenerator = Generator[Event, Any, Any]
 
 
-class _CallbackEvent(Event):
-    """Internal event used to run a bare callable at a scheduled time."""
-
-    def __init__(self, env: "Environment", fn: Callable[[], None]) -> None:
-        super().__init__(env)
-        self._state = Event._TRIGGERED
-        self.add_callback(lambda _event: fn())
-
-
 class Environment:
-    """Holds simulated time and the pending-event queue."""
+    """Holds simulated time and the pending-event queue.
+
+    Every heap entry is ``(time, seq, fn)`` where ``fn`` is a zero-argument
+    callable: a triggered event's bound ``_process_callbacks`` or a bare
+    callback from :meth:`call_later`.  ``seq`` breaks time ties, so entries
+    run in the order they were scheduled and ``fn`` is never compared.
+    """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, delay: float, event: Event) -> None:
-        heapq.heappush(self._queue, (self.now + delay, next(self._seq), event))
+        heapq.heappush(
+            self._queue,
+            (self.now + delay, next(self._seq), event._process_callbacks),
+        )
 
     def _schedule_callback(self, delay: float, fn: Callable[[], None]) -> None:
-        event = _CallbackEvent(self, fn)
-        heapq.heappush(self._queue, (self.now + delay, next(self._seq), event))
+        heapq.heappush(self._queue, (self.now + delay, next(self._seq), fn))
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` simulated seconds."""
@@ -76,11 +82,11 @@ class Environment:
         whole run -- the self-profiler (``repro.obs.profile``) attaches
         exactly that way and restores the class method on detach.
         """
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, fn = heapq.heappop(self._queue)
         if when < self.now:
             raise RuntimeError("event queue went backwards in time")
         self.now = when
-        event._process_callbacks()
+        fn()
 
     def run(self, until: Optional[float] = None) -> None:
         """Process events until the queue drains or ``until`` is reached.
@@ -127,6 +133,8 @@ class Process(Event):
     process's own completion value is the generator's return value.
     """
 
+    __slots__ = ("name", "_generator", "_waiting_on")
+
     def __init__(
         self, env: Environment, generator: ProcessGenerator, name: str = ""
     ) -> None:
@@ -146,12 +154,12 @@ class Process(Event):
 
     @property
     def is_alive(self) -> bool:
-        return not self.triggered
+        return not self._state
 
     def _start(self) -> None:
-        if self.triggered:  # interrupted before it ever ran
+        if self._state:  # interrupted before it ever ran
             return
-        self._advance(lambda: self._generator.send(None))
+        self._advance(self._generator.send, None)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -159,31 +167,30 @@ class Process(Event):
         A no-op if the process already finished.  The event the process was
         waiting on is abandoned: its trigger will be ignored.
         """
-        if self.triggered:
+        if self._state:
             return
         self._waiting_on = None
         self.env._schedule_callback(
-            0.0, lambda: self._advance(lambda: self._generator.throw(Interrupt(cause)))
+            0.0, lambda: self._advance(self._generator.throw, Interrupt(cause))
         )
 
     # -- internals --------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self.triggered or event is not self._waiting_on:
+        if self._state or event is not self._waiting_on:
             return  # stale wakeup (we were interrupted past this wait)
         self._waiting_on = None
-        if event.ok:
-            value = event.value
-            self._advance(lambda: self._generator.send(value))
+        if event._exception is None:
+            self._advance(self._generator.send, event._value)
         else:
-            exception = event.exception
-            assert exception is not None
-            self._advance(lambda: self._generator.throw(exception))
+            self._advance(self._generator.throw, event._exception)
 
-    def _advance(self, step: Callable[[], Any]) -> None:
-        if self.triggered:
+    def _advance(self, step: Callable[[Any], Any], arg: Any) -> None:
+        """Run the generator to its next yield: ``step(arg)`` is its
+        ``send`` or ``throw``."""
+        if self._state:
             return
         try:
-            target = step()
+            target = step(arg)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -203,4 +210,7 @@ class Process(Event):
             )
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        if target._state == _PROCESSED:
+            target.add_callback(self._resume)
+        else:
+            target.callbacks.append(self._resume)

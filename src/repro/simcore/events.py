@@ -27,28 +27,38 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class Event:
-    """A one-shot occurrence that processes can wait on."""
+_PENDING = 0
+_TRIGGERED = 1
+_PROCESSED = 2
 
-    _PENDING = 0
-    _TRIGGERED = 1
-    _PROCESSED = 2
+
+class Event:
+    """A one-shot occurrence that processes can wait on.
+
+    The engine's own hot paths (this module, :mod:`~repro.simcore.engine`
+    and :mod:`~repro.simcore.resources`) read ``_state``/``_value``/
+    ``_exception`` directly; the properties below are the public
+    interface.  Events are slotted because nearly every engine step
+    builds one.
+    """
+
+    __slots__ = ("env", "callbacks", "_state", "_value", "_exception")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.callbacks: List[Callable[["Event"], None]] = []
-        self._state = Event._PENDING
+        self._state = _PENDING
         self._value: Any = None
         self._exception: Optional[BaseException] = None
 
     # -- state inspection ------------------------------------------------
     @property
     def triggered(self) -> bool:
-        return self._state != Event._PENDING
+        return self._state != _PENDING
 
     @property
     def processed(self) -> bool:
-        return self._state == Event._PROCESSED
+        return self._state == _PROCESSED
 
     @property
     def ok(self) -> bool:
@@ -70,37 +80,37 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._state:
             raise RuntimeError(f"{self!r} already triggered")
         self._value = value
-        self._state = Event._TRIGGERED
+        self._state = _TRIGGERED
         self.env._schedule(0.0, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an error; waiters will see it raised."""
-        if self.triggered:
+        if self._state:
             raise RuntimeError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
-        self._state = Event._TRIGGERED
+        self._state = _TRIGGERED
         self.env._schedule(0.0, self)
         return self
 
     # -- engine internals --------------------------------------------------
     def _process_callbacks(self) -> None:
         """Run callbacks exactly once; invoked by the engine."""
-        if self._state == Event._PROCESSED:
+        if self._state == _PROCESSED:
             return
-        self._state = Event._PROCESSED
+        self._state = _PROCESSED
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
             callback(self)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Attach ``callback``; runs immediately-ish if already processed."""
-        if self._state == Event._PROCESSED:
+        if self._state == _PROCESSED:
             # Deliver on the next engine step at the current time so that
             # callback ordering stays deterministic.
             self.env._schedule_callback(0.0, lambda: callback(self))
@@ -115,25 +125,29 @@ class Event:
 class Timeout(Event):
     """An event that succeeds ``delay`` simulated seconds after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(env)
         self.delay = delay
         self._value = value
-        self._state = Event._TRIGGERED
+        self._state = _TRIGGERED
         env._schedule(delay, self)
 
 
 class _Condition(Event):
     """Base for AllOf / AnyOf combinators."""
 
+    __slots__ = ("_events", "_pending")
+
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
         self._pending = 0
         for event in self._events:
-            if event.processed:
+            if event._state == _PROCESSED:
                 self._on_child(event)
             else:
                 self._pending += 1
@@ -141,7 +155,7 @@ class _Condition(Event):
         self._check_empty()
 
     def _check_empty(self) -> None:
-        if not self._events and not self.triggered:
+        if not self._events and not self._state:
             self.succeed(self._result())
 
     def _result(self) -> Any:
@@ -158,17 +172,19 @@ class AllOf(_Condition):
     success value is the list of child values in construction order.
     """
 
+    __slots__ = ()
+
     def _result(self) -> Any:
         return [event.value for event in self._events]
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._state:
             return
-        if not event.ok:
-            self.fail(event.exception)  # type: ignore[arg-type]
+        if event._exception is not None:
+            self.fail(event._exception)
             return
         self._pending -= 1
-        if self._pending <= 0 and all(e.triggered for e in self._events):
+        if self._pending <= 0 and all(e._state for e in self._events):
             self.succeed(self._result())
 
 
@@ -177,6 +193,8 @@ class AnyOf(_Condition):
 
     Fails only if *all* children fail, with the first failure observed.
     """
+
+    __slots__ = ("_first_error", "_failed")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         self._first_error: Optional[BaseException] = None
@@ -187,13 +205,13 @@ class AnyOf(_Condition):
         return None
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._state:
             return
-        if event.ok:
-            self.succeed(event.value)
+        if event._exception is None:
+            self.succeed(event._value)
             return
         self._failed += 1
         if self._first_error is None:
-            self._first_error = event.exception
+            self._first_error = event._exception
         if self._failed == len(self._events):
             self.fail(self._first_error)  # type: ignore[arg-type]

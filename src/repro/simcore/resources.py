@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
 
+    __slots__ = ("resource",)
+
     def __init__(self, env: "Environment", resource: "Resource") -> None:
         super().__init__(env)
         self.resource = resource
@@ -96,6 +98,8 @@ class Resource:
 
 
 class _Transfer(Event):
+    __slots__ = ("nbytes", "latency")
+
     def __init__(
         self, env: "Environment", nbytes: int, latency: float
     ) -> None:
@@ -181,7 +185,7 @@ class BandwidthResource:
             return
         while self._queue:
             pending = self._queue.popleft()
-            if not pending.triggered:
+            if not pending._state:
                 pending.fail(exc)
 
     # -- internals --------------------------------------------------------
@@ -198,7 +202,7 @@ class BandwidthResource:
         self.env.call_later(duration, lambda: self._complete(xfer))
 
     def _complete(self, xfer: _Transfer) -> None:
-        if not xfer.triggered:
+        if not xfer._state:
             xfer.succeed()
         self._serve_next()
 

@@ -71,6 +71,43 @@ class TestIds:
         assert TaskId(1) < TaskId(2)
         assert len({ObjectId(5), ObjectId(5)}) == 1
 
+    def test_hash_is_the_integer(self):
+        # Dict and set lookups run on the integer's own hash.
+        assert hash(ObjectId(317)) == 317
+        assert hash(NodeId(0)) == 0
+
+    def test_index_is_a_plain_int(self):
+        oid = ObjectId(317)
+        assert oid.index == 317
+        assert type(oid.index) is int
+
+    def test_repr_matches_str(self):
+        assert repr(TaskId(42)) == "T00042"
+        assert repr(NodeId(3)) == "N003"
+        assert repr(ObjectId(317)) == "O00317"
+        assert f"{ObjectId(317)}" == "O00317"
+        assert str([NodeId(1), NodeId(12)]) == "[N001, N012]"
+
+    def test_ids_of_one_kind_sort_by_index(self):
+        ids = [NodeId(10), NodeId(2), NodeId(7)]
+        assert sorted(ids) == [NodeId(2), NodeId(7), NodeId(10)]
+        assert min(ids) == NodeId(2)
+        assert max(TaskId(99), TaskId(100)) == TaskId(100)
+
+    @pytest.mark.parametrize("kind", [NodeId, TaskId, ObjectId])
+    def test_pickle_round_trip_keeps_the_type(self, kind):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(kind(9)))
+        assert type(copy) is kind
+        assert copy == kind(9)
+        assert str(copy) == str(kind(9))
+
+    def test_ids_carry_no_instance_state(self):
+        # A slotted int subclass: no per-id __dict__ to allocate.
+        with pytest.raises(AttributeError):
+            ObjectId(1).label = "x"
+
 
 class TestRng:
     def test_derive_seed_deterministic(self):

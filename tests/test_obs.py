@@ -121,6 +121,53 @@ class TestEventBus:
         assert written == len(rt.bus.events) == len(loaded)
         assert loaded == rt.bus.events
 
+    def test_recorded_ids_are_prefixed_strings(self, tmp_path):
+        """Ids are ``int`` subclasses, so ``json.dumps`` would write a raw
+        one as a bare integer; every recorded id must be its ``N003`` /
+        ``T00042`` / ``O00317`` string instead."""
+        import re
+
+        from repro.sort import SortJobConfig, run_sort
+
+        rt = make_runtime(num_nodes=3, store_mib=256)
+        result = run_sort(
+            rt,
+            SortJobConfig(
+                variant="simple",
+                num_partitions=6,
+                partition_bytes=8 * MIB,
+                virtual=True,
+            ),
+        )
+        assert result.validated
+        path = tmp_path / "run.jsonl"
+        record_run(rt, str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        pattern = {
+            "node": re.compile(r"N\d{3,}"),
+            "task": re.compile(r"T\d{5,}"),
+            "obj": re.compile(r"O\d{5,}"),
+        }
+        seen = {axis: 0 for axis in pattern}
+        transfers = 0
+        for record in records:
+            for axis, regex in pattern.items():
+                if axis in record:
+                    assert isinstance(record[axis], str), record
+                    assert regex.fullmatch(record[axis]), record
+                    seen[axis] += 1
+            attrs = record.get("attrs", {})
+            if record["kind"] == "transfer.begin":
+                assert isinstance(attrs["src"], str)
+                assert pattern["node"].fullmatch(attrs["src"]), record
+                transfers += 1
+            if record["kind"] == "task.submit":
+                for oid in attrs["returns"] + attrs["deps"]:
+                    assert pattern["obj"].fullmatch(oid), record
+        assert all(seen.values()) and transfers > 0
+        summary = records[-1]["attrs"]
+        assert all(pattern["node"].fullmatch(n) for n in summary["cluster"])
+
     def test_every_emitted_kind_is_in_the_taxonomy(self):
         rt = _chaos_runtime()
         assert {e.kind for e in rt.bus.events} <= set(EVENT_KINDS)

@@ -38,9 +38,10 @@ from repro.obs.profile import (
     render_flamegraph_svg,
     write_flamegraph,
 )
-from repro.obs.profile.core import _dispatch_category
+from repro.obs.profile.core import CALLBACK_CATEGORY, _dispatch_category
 from repro.obs.profile.flame import folded_lines
 from repro.obs.report import RunReport, record_run
+from repro.simcore import Environment
 from repro.sort import SortJobConfig, run_sort
 
 from tests.conftest import make_runtime
@@ -323,6 +324,51 @@ def test_dispatch_category_classification():
     unnamed = _Named(None, callbacks=[_Proc()._resume])
     assert _dispatch_category(unnamed) == "engine.dispatch.task"
     assert _dispatch_category(_Timeout()) == "engine.dispatch.timeout"
+
+
+def test_dispatch_category_of_real_heap_heads():
+    """The engine's heap holds callables.  A bare callback keeps the
+    category the retired ``_CallbackEvent`` wrapper had, so committed
+    baseline profiles stay comparable; an event's entry keeps the
+    category of the process it resumes or completes."""
+    env = Environment()
+
+    def head():
+        return _dispatch_category(env._queue[0][2])
+
+    env.call_later(1.0, lambda: None)
+    assert head() == CALLBACK_CATEGORY == "engine.dispatch.callbackevent"
+    env.run()
+
+    def body():
+        yield env.timeout(1.0)
+
+    proc = env.process(body(), name="task-7-map")
+    assert head() == CALLBACK_CATEGORY  # the process start
+    env.step()
+    assert head() == "engine.dispatch.task"  # its timeout resumes it
+    env.step()
+    assert proc.triggered
+    assert head() == "engine.dispatch.task"  # its own completion
+    env.run()
+
+    def wait(event):
+        yield event
+
+    gate = env.event()
+    env.process(wait(gate), name="driver-get")
+    env.step()
+    gate.succeed()
+    assert head() == "engine.dispatch.driver"
+    env.run()
+    proc.interrupt()  # finished: a no-op, nothing scheduled
+    assert not env._queue
+
+
+def test_profiled_run_reports_bare_callbacks_as_callbackevent():
+    _rt, prof, _result = _profiled_sort()
+    assert prof.seconds.get(CALLBACK_CATEGORY, 0.0) > 0
+    assert prof.seconds.get("engine.dispatch.task", 0.0) > 0
 
 
 # -- flamegraph export -----------------------------------------------------

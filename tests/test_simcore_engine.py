@@ -292,3 +292,104 @@ def test_process_requires_generator():
     env = Environment()
     with pytest.raises(TypeError):
         env.process(lambda: None)  # type: ignore[arg-type]
+
+
+# -- same-time ordering: every heap entry runs in scheduling order ----------
+
+
+def _same_time_schedulers(env, log, victim):
+    """One zero-delay entry of each kind, as ``(label, schedule)`` pairs;
+    each ``schedule()`` arms an entry that appends ``label`` to ``log``."""
+
+    def arm_call_later(label):
+        env.call_later(0.0, lambda: log.append(label))
+
+    def arm_timeout(label):
+        env.timeout(0.0).add_callback(lambda _e: log.append(label))
+
+    def arm_succeed(label):
+        event = env.event()
+        event.add_callback(lambda _e: log.append(label))
+        event.succeed()
+
+    def arm_process_start(label):
+        def body():
+            log.append(label)
+            yield env.timeout(0.0)
+
+        env.process(body())
+
+    def arm_interrupt(_label):
+        victim.interrupt()
+
+    return [
+        ("call_later", arm_call_later),
+        ("timeout", arm_timeout),
+        ("succeed", arm_succeed),
+        ("process_start", arm_process_start),
+        ("interrupt", arm_interrupt),
+    ]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_same_time_entries_run_in_scheduling_order(reverse):
+    """Bare callbacks (``call_later``, process starts, interrupt
+    deliveries) and triggered events (``Timeout(0)``, ``succeed()``) share
+    one heap, and at one simulated time they run in the order they were
+    scheduled, whatever their kind."""
+    env = Environment()
+    log = []
+
+    def sleeper():
+        try:
+            yield env.timeout(100.0)
+        except Interrupt:
+            log.append("interrupt")
+
+    victim = env.process(sleeper())
+    env.run(until=1.0)  # the victim is now parked on its timeout
+    schedulers = _same_time_schedulers(env, log, victim)
+    if reverse:
+        schedulers.reverse()
+    for label, arm in schedulers:
+        arm(label)
+    assert log == []  # nothing runs synchronously
+    env.run(until=1.0)
+    assert log == [label for label, _arm in schedulers]
+
+
+def test_add_callback_on_processed_event_runs_at_its_turn():
+    """A callback attached to an already-processed event is delivered at
+    the current time as a new heap entry: after entries scheduled before
+    it, before entries scheduled after it, never synchronously."""
+    env = Environment()
+    done = env.event()
+    done.succeed("value")
+    env.run()
+    assert done.processed
+    log = []
+    env.call_later(0.0, lambda: log.append("before"))
+    done.add_callback(lambda e: log.append(("late", e.value, env.now)))
+    env.call_later(0.0, lambda: log.append("after"))
+    assert log == []
+    env.run()
+    assert log == ["before", ("late", "value", env.now), "after"]
+
+
+def test_yielding_processed_event_resumes_after_earlier_entries():
+    """A process that yields an already-processed event resumes through
+    the same late-callback path, in scheduling order."""
+    env = Environment()
+    done = env.event()
+    done.succeed(7)
+    env.run()
+    log = []
+
+    def waiter():
+        env.call_later(0.0, lambda: log.append("scheduled first"))
+        value = yield done
+        log.append(("resumed", value))
+
+    env.process(waiter())
+    env.run()
+    assert log == ["scheduled first", ("resumed", 7)]
