@@ -124,8 +124,9 @@ class ChaosInjector:
         self.env.call_later(fault.at_time, begin)
         self.env.call_later(fault.at_time + fault.duration, stop)
 
-    def _log(self, kind: FaultKind, node_id: Optional[NodeId]) -> Optional[object]:
-        """Record a fired fault; returns the bus event (for causal links)."""
+    def _log(self, kind: FaultKind, node_id: Optional[NodeId]) -> Optional[int]:
+        """Record a fired fault; returns the bus event's seq (for causal
+        links)."""
         self.injected.append((self.env.now, kind.value, node_id))
         self.runtime.counters.add("chaos_faults_injected", 1)
         return self.runtime.bus.emit(
@@ -134,12 +135,10 @@ class ChaosInjector:
 
     # -- fault actions -------------------------------------------------------
     def _crash(self, fault: FaultSpec, node: "Node") -> None:
-        event = self._log(fault.kind, node.node_id)
+        seq = self._log(fault.kind, node.node_id)
         # Note the fault's event seq so the ensuing node.death (and the
         # task.retry events it triggers) link back to this fault causally.
-        self.runtime.note_fault_cause(
-            node.node_id, getattr(event, "seq", None)
-        )
+        self.runtime.note_fault_cause(node.node_id, seq)
         node.fail()
         self.env.call_later(fault.duration, lambda: self._restart(node))
 
@@ -161,8 +160,7 @@ class ChaosInjector:
         may overlap churn on one node, and half-applying a transition
         would be worse than skipping it.
         """
-        event = self._log(fault.kind, node.node_id)
-        seq = getattr(event, "seq", None)
+        seq = self._log(fault.kind, node.node_id)
         runtime = self.runtime
         if not runtime.membership.is_active(node.node_id):
             return
@@ -180,11 +178,11 @@ class ChaosInjector:
         Like :meth:`_drain`, a victim that already departed makes the
         fault a logged no-op.
         """
-        event = self._log(fault.kind, node.node_id)
+        seq = self._log(fault.kind, node.node_id)
         runtime = self.runtime
         if runtime.membership.is_removed(node.node_id):
             return
-        runtime.remove_node(node.node_id, cause=getattr(event, "seq", None))
+        runtime.remove_node(node.node_id, cause=seq)
 
     def _set_link(self, a: "Node", b: "Node", down: bool) -> None:
         # The fault models a broken cable: both directions go together.
@@ -204,8 +202,7 @@ class ChaosInjector:
         primaries become directory-*lost* objects, reconstructed on demand
         by lineage (or surfacing ``ObjectLostError`` for ``put()`` data).
         """
-        event = self._log(fault.kind, node.node_id)
-        fault_seq = getattr(event, "seq", None)
+        fault_seq = self._log(fault.kind, node.node_id)
         runtime = self.runtime
         manager = runtime.node_managers[node.node_id]
         rng = seeded_rng(self.plan.seed, "chaos-objloss", index)

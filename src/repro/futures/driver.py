@@ -44,6 +44,18 @@ class DriverError(RuntimeError):
     """The simulation deadlocked or was misused from the driver."""
 
 
+def _held_lock() -> threading.Lock:
+    """A lock created held, used as a binary semaphore with no permits.
+
+    ``release`` from any thread grants the one permit and ``acquire``
+    takes it.  The controller and the drivers alternate strictly, so a
+    permit is never released twice.
+    """
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
+
 class _DriverChannel:
     """One cooperatively scheduled driver thread and its handoff state."""
 
@@ -57,8 +69,10 @@ class _DriverChannel:
         #: Opaque tag for work submitted while this driver runs (the jobs
         #: layer sets it to the job id so tasks are attributed).
         self.label = label
-        #: Released by the controller to resume this driver.
-        self.sem = threading.Semaphore(0)
+        #: Released by the controller to resume this driver.  A lock used
+        #: as a binary semaphore (created held): the hand-off alternates
+        #: strictly, and a raw lock is cheaper than ``threading.Semaphore``.
+        self.sem = _held_lock()
         #: The event this driver is parked on (None = runnable).
         self.wake: Optional[Event] = None
         #: ("ok", value) or ("err", exc) once the body returned.
@@ -147,7 +161,9 @@ class DriverHost:
         #: Optional structured event bus (:class:`repro.obs.EventBus`);
         #: subdriver lifecycles publish ``driver.spawn``/``driver.finish``.
         self.bus = bus
-        self._sim_sem = threading.Semaphore(0)
+        #: Released by a driver when it parks or finishes; a held lock,
+        #: like each channel's ``sem``.
+        self._sim_sem = _held_lock()
         #: Live drivers of the active run, in spawn order; a driver leaves
         #: when it is reaped.
         self._channels: Dict[threading.Thread, _DriverChannel] = {}

@@ -76,14 +76,13 @@ class LineageManager:
         casualties = manager.kill()
         lost_objects = runtime.directory_objects_on(node.node_id)
         runtime.counters.add("node_failures", 1)
-        death = runtime.bus.emit(
+        death_seq = runtime.bus.emit(
             "node.death",
             node=node.node_id,
             cause=self._fault_causes.pop(node.node_id, None),
             casualties=len(casualties),
             lost_objects=len(lost_objects),
         )
-        death_seq = death.seq if death is not None else None
         self.note_node_fault_event(node.node_id, death_seq)
         runtime.scheduler.note_failure(node.node_id)
         runtime.env.call_later(

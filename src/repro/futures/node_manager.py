@@ -25,7 +25,7 @@ Execution flow per task (one simulation process each):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from repro.cluster.fabric import NodeFailure
 from repro.common.errors import ObjectLostError, TaskExecutionError
@@ -84,7 +84,10 @@ class NodeManager:
         # Spill protection consults the runtime-wide pending-consumer
         # table: a block's consumer may be queued on any node.
         self.spill.needed_soon = runtime.has_pending_consumer
-        self._inflight_fetches: Dict[ObjectId, Event] = {}
+        #: In-flight remote fetches: object -> that fetch's handle, a
+        #: one-slot list holding the waiters' event (None until a
+        #: second fetcher of the object arrives).
+        self._inflight_fetches: Dict[ObjectId, List[Optional[Event]]] = {}
         # Insertion-ordered (dicts, not sets): death handling interrupts
         # and resubmits in submission order, keeping runs deterministic --
         # set iteration order follows object hashes, which vary per run.
@@ -129,10 +132,9 @@ class NodeManager:
         self._active_records.clear()
         self.pending_tasks = 0
         self.runtime.counters.add("executor_failures", 1)
-        failure = self.runtime.bus.emit(
+        cause = self.runtime.bus.emit(
             "executor.failure", node=self.node_id, casualties=len(casualties)
         )
-        cause = failure.seq if failure is not None else None
         self.runtime.lineage.note_node_fault_event(self.node_id, cause)
 
         def requeue() -> None:
@@ -342,20 +344,30 @@ class NodeManager:
         Returns True when the caller now holds a pin on the local
         in-memory entry (initiator path); dedup waiters return False and
         must re-check + pin themselves.
+
+        Each fetch registers its own handle, a one-slot list holding the
+        wake-up event.  The first waiter creates that event; the initiator
+        succeeds it only if one exists, so an unshared fetch costs no
+        engine step.  The handle's identity keeps a fetch from removing a
+        newer fetch's entry after :meth:`kill` cleared the table.
         """
-        existing = self._inflight_fetches.get(object_id)
-        if existing is not None:
-            yield existing
+        handle = self._inflight_fetches.get(object_id)
+        if handle is not None:
+            done = handle[0]
+            if done is None:
+                done = handle[0] = self.env.event()
+            yield done
             return False
-        done = self.env.event()
-        self._inflight_fetches[object_id] = done
+        handle = [None]
+        self._inflight_fetches[object_id] = handle
         try:
             holds_pin = yield from self._fetch_remote_inner(object_id)
             return holds_pin
         finally:
-            if self._inflight_fetches.get(object_id) is done:
+            if self._inflight_fetches.get(object_id) is handle:
                 del self._inflight_fetches[object_id]
-            if not done.triggered:
+            done = handle[0]
+            if done is not None and not done.triggered:
                 done.succeed()
 
     def _fetch_remote_inner(self, object_id: ObjectId) -> Iterator[Event]:
@@ -434,7 +446,7 @@ class NodeManager:
                         "transfer.end",
                         node=self.node_id,
                         obj=object_id,
-                        cause=begin.seq if begin is not None else None,
+                        cause=begin,
                         ok=False,
                     )
                     raise
@@ -442,7 +454,7 @@ class NodeManager:
                     "transfer.end",
                     node=self.node_id,
                     obj=object_id,
-                    cause=begin.seq if begin is not None else None,
+                    cause=begin,
                     ok=True,
                 )
             except (NodeFailure, IOError):
@@ -597,7 +609,7 @@ class NodeManager:
                 "disk.write.end",
                 node=self.node_id,
                 obj=object_id,
-                cause=begin.seq if begin is not None else None,
+                cause=begin,
             )
             self.spill.adopt(object_id, size)
         else:

@@ -553,7 +553,7 @@ class Runtime:
         lost_objects = self.directory_objects_on(node_id)
         # Planned departure: no death listeners, no detection delay.
         manager.node.retire()
-        departure = self.bus.emit(
+        departure_seq = self.bus.emit(
             "cluster.membership",
             node=node_id,
             action="remove",
@@ -562,7 +562,7 @@ class Runtime:
             lost_objects=len(lost_objects),
             active=self.membership.active_count(),
         )
-        seq = departure.seq if departure is not None else cause
+        seq = departure_seq if departure_seq is not None else cause
         self.lineage.note_node_fault_event(node_id, seq)
         self.counters.add("nodes_removed", 1)
         for oid in lost_objects:

@@ -287,7 +287,7 @@ class SpillManager:
             self.bus.emit(
                 "spill.write.end",
                 node=self.node.node_id,
-                cause=getattr(begin, "seq", None),
+                cause=begin,
                 ok=ok,
                 backend="shared",
             )
@@ -326,7 +326,7 @@ class SpillManager:
             self.bus.emit(
                 "spill.write.end",
                 node=self.node.node_id,
-                cause=getattr(begin, "seq", None),
+                cause=begin,
                 ok=ok,
                 file=file.file_id,
             )
@@ -422,13 +422,12 @@ class SpillManager:
             )
         read = self.node.disk.transfer(slot.size, latency=latency)
         if self.bus is not None:
-            begin_seq = getattr(begin, "seq", None)
             read.add_callback(
                 lambda _event: self.bus.emit(
                     "spill.restore.end",
                     node=self.node.node_id,
                     obj=object_id,
-                    cause=begin_seq,
+                    cause=begin,
                 )
             )
         return read
@@ -457,13 +456,12 @@ class SpillManager:
             [self.node.nic_in.transfer(size), self.shared.read(size)]
         )
         if self.bus is not None:
-            begin_seq = getattr(begin, "seq", None)
             read.add_callback(
                 lambda _event: self.bus.emit(
                     "spill.restore.end",
                     node=self.node.node_id,
                     obj=object_id,
-                    cause=begin_seq,
+                    cause=begin,
                     backend="shared",
                 )
             )

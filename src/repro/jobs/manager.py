@@ -254,10 +254,9 @@ class JobManager:
         rt = self.runtime
         job.state = JobState.RUNNING
         job.started_at = rt.now
-        start = rt.bus.emit(
+        start_seq = rt.bus.emit(
             "job.start", job=job.job_id, tenant=job.spec.tenant
         )
-        start_seq = start.seq if start is not None else None
         try:
             if job.spec.stream is not None:
                 job.planned_variant = self._resolve_variant(job)

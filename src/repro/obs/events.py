@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 #: The registered event taxonomy: kind -> one-line description.  The
@@ -123,10 +123,10 @@ EVENT_KINDS: Dict[str, str] = {
 class ObsEvent:
     """One timestamped, attributed, causally linked fact about a run.
 
-    Slotted and not frozen, because the bus builds one per emission and a
-    frozen dataclass pays ``object.__setattr__`` per field.  Events are
-    still read-only by contract: subscribers, recorders and readers share
-    the same instance, so nothing may assign to one after emission.
+    Slotted and not frozen, because the bus builds one per recorded event
+    and a frozen dataclass pays ``object.__setattr__`` per field.  Events
+    are still read-only by contract: subscribers, recorders and readers
+    share the same instance, so nothing may assign to one once built.
     """
 
     seq: int
@@ -196,13 +196,38 @@ def run_summary(events: Sequence[ObsEvent]) -> Dict[str, Any]:
     return {}
 
 
+#: Items per raw bus record: seq, ts, kind, node, job, task, obj, cause,
+#: attrs.
+_RECORD_FIELDS = 9
+
+
+def _materialise(record: Tuple[Any, ...]) -> ObsEvent:
+    """Build the :class:`ObsEvent` for one raw bus record: ``ts`` as a
+    float and the ``node``/``task``/``obj`` ids as strings."""
+    seq, ts, kind, node, job, task, obj, cause, attrs = record
+    return ObsEvent(
+        seq,
+        float(ts),
+        kind,
+        None if node is None else str(node),
+        job,
+        None if task is None else str(task),
+        None if obj is None else str(obj),
+        cause,
+        attrs,
+    )
+
+
 class EventBus:
     """Collects and fans out :class:`ObsEvent` records for one run.
 
     ``clock`` supplies timestamps (the runtime passes its simulated
-    clock).  Emission is cheap -- an object append plus subscriber
-    callbacks -- and can be switched off wholesale with ``enabled``
-    for runs that want zero observability overhead.
+    clock).  Emission is cheap: with no subscriber, :meth:`emit` appends
+    one raw record and returns its ``seq``; the :class:`ObsEvent` (with
+    its float ``ts`` and stringified ids) is built the first time
+    :attr:`events` is read.  A subscriber makes emission build the event
+    at once to hand it over.  ``enabled=False`` switches the bus off
+    wholesale for runs that want zero observability overhead.
     """
 
     def __init__(
@@ -212,10 +237,17 @@ class EventBus:
     ) -> None:
         self.clock = clock or (lambda: 0.0)
         self.enabled = enabled
-        self.events: List[ObsEvent] = []
         self._kinds = dict(EVENT_KINDS)
         self._subscribers: List[Callable[[ObsEvent], None]] = []
         self._seq = 0
+        #: Events already read, in seq order; :attr:`events` returns this
+        #: very list, so a reader's reference keeps growing with the run.
+        self._events: List[ObsEvent] = []
+        #: Raw records emitted after the last read, with ids as passed,
+        #: stored flat: each is ``_RECORD_FIELDS`` consecutive items.  A
+        #: retained record is then no object of its own, so it adds
+        #: nothing to the garbage collector's allocation count.
+        self._pending: List[Any] = []
 
     # -- taxonomy -----------------------------------------------------------
     def register_kind(self, kind: str, description: str) -> None:
@@ -234,12 +266,13 @@ class EventBus:
         obj: Any = None,
         cause: Optional[int] = None,
         **attrs: Any,
-    ) -> Optional[ObsEvent]:
-        """Publish one event; returns it (so its ``seq`` can become a
-        later event's ``cause``), or ``None`` when the bus is disabled.
+    ) -> Optional[int]:
+        """Publish one event; returns its ``seq`` (a later event's
+        ``cause``), or ``None`` when the bus is disabled.
 
-        ``node``/``task``/``obj`` accept the typed ids and are
-        stringified for stable JSON round-trips.
+        ``node``/``task``/``obj`` accept the typed ids; they are kept as
+        passed and stringified when the event is first read, for stable
+        JSON round-trips.
         """
         if not self.enabled:
             return None
@@ -248,22 +281,17 @@ class EventBus:
                 f"unknown event kind {kind!r}; register it or use one of "
                 f"the taxonomy in repro.obs.events.EVENT_KINDS"
             )
-        event = ObsEvent(
-            self._seq,
-            float(self.clock()),
-            kind,
-            None if node is None else str(node),
-            job,
-            None if task is None else str(task),
-            None if obj is None else str(obj),
-            cause,
-            attrs,
-        )
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        record = (seq, self.clock(), kind, node, job, task, obj, cause, attrs)
+        if not self._subscribers:
+            self._pending.extend(record)
+            return seq
+        event = _materialise(record)
         self.events.append(event)
         for subscriber in self._subscribers:
             subscriber(event)
-        return event
+        return seq
 
     def subscribe(self, fn: Callable[[ObsEvent], None]) -> Callable[[], None]:
         """Stream every future event to ``fn``; returns an unsubscribe
@@ -277,8 +305,24 @@ class EventBus:
         return unsubscribe
 
     # -- queries ------------------------------------------------------------
+    @property
+    def events(self) -> List[ObsEvent]:
+        """Every recorded event in seq order.
+
+        Records emitted since the last read become :class:`ObsEvent`s
+        here and are appended to the one cached list, which is returned;
+        later reads extend that same list.
+        """
+        pending = self._pending
+        if pending:
+            fields = iter(pending)
+            records = zip(*[fields] * _RECORD_FIELDS)
+            self._events.extend(map(_materialise, records))
+            pending.clear()
+        return self._events
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._events) + len(self._pending) // _RECORD_FIELDS
 
     @property
     def next_seq(self) -> int:
@@ -305,7 +349,8 @@ class EventBus:
 
     def clear(self) -> None:
         """Drop recorded events (sequence numbers keep increasing)."""
-        self.events.clear()
+        self._events.clear()
+        self._pending.clear()
 
     # -- persistence ----------------------------------------------------------
     def to_jsonl(self, path: str, extra: Iterable[ObsEvent] = ()) -> int:
@@ -329,6 +374,6 @@ class EventBus:
 
     def __repr__(self) -> str:
         return (
-            f"<EventBus {len(self.events)} events, "
+            f"<EventBus {len(self)} events, "
             f"{'enabled' if self.enabled else 'disabled'}>"
         )

@@ -18,7 +18,7 @@ which is how the run reporter prints phase-scoped counter movement.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.core import Counters, Histogram
 
@@ -157,8 +157,22 @@ class MetricRegistry:
         node: Any = None,
         job: Optional[str] = None,
     ) -> None:
-        """Record a sample into the global histogram and each populated
-        dimension's histogram."""
+        """Record one sample (see :meth:`observe_many`)."""
+        self.observe_many(name, (value,), node=node, job=job)
+
+    def observe_many(
+        self,
+        name: str,
+        values: Iterable[float],
+        *,
+        node: Any = None,
+        job: Optional[str] = None,
+    ) -> None:
+        """Record samples, in order, into the global histogram and each
+        populated dimension's histogram; no values is a no-op."""
+        values = list(values)
+        if not values:
+            return
         keys = [(name, GLOBAL_DIM, GLOBAL_DIM)]
         keys.extend((name, axis, dim) for axis, dim in _dims(node, job))
         for key in keys:
@@ -167,7 +181,7 @@ class MetricRegistry:
                 hist = self._histograms[key] = Histogram(
                     f"{key[0]}[{key[1]}={key[2]}]"
                 )
-            hist.record(value)
+            hist.extend(values)
 
     def histogram(
         self, name: str, *, node: Any = None, job: Optional[str] = None

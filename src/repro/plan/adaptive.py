@@ -224,11 +224,7 @@ class AdaptivePlanner:
         plan = expr.lower(profile, rule=rule)
         seq: Optional[int] = None
         if self.replan and self.bus is not None:
-            event = self.bus.emit(
-                "plan.lower", job=job, **plan.to_dict()
-            )
-            if event is not None:
-                seq = event.seq
+            seq = self.bus.emit("plan.lower", job=job, **plan.to_dict())
             self.bus.emit(
                 "policy.decision",
                 job=job,
@@ -296,7 +292,7 @@ class AdaptivePlanner:
             return None
         seq: Optional[int] = None
         if self.bus is not None:
-            event = self.bus.emit(
+            seq = self.bus.emit(
                 "plan.replan",
                 job=job,
                 cause=self._plan_seq.get(id(plan)),
@@ -313,8 +309,6 @@ class AdaptivePlanner:
                 membership_changes=self.signals.membership_changes,
                 disk_faults=self.signals.disk_faults,
             )
-            if event is not None:
-                seq = event.seq
         self.plans.append(candidate)
         self._plan_seq[id(candidate)] = seq
         return candidate

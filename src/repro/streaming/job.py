@@ -169,7 +169,7 @@ def run_streaming_job(
         )
         if rt.now < first_arrival:
             rt.sleep(first_arrival - rt.now)
-        open_event = bus.emit(
+        open_seq = bus.emit(
             "stream.window.open",
             job=job_id,
             window=w,
@@ -181,10 +181,10 @@ def run_streaming_job(
         if rt.now < window_end:
             rt.sleep(window_end - rt.now)
         controller.admit()
-        close_event = bus.emit(
+        close_seq = bus.emit(
             "stream.window.close",
             job=job_id,
-            cause=None if open_event is None else open_event.seq,
+            cause=open_seq,
             window=w,
             records=records,
             bytes=sum(batch.size_bytes for batch in batches),
@@ -192,10 +192,10 @@ def run_streaming_job(
         state_refs = rounds.submit_round(batches)
         agg_ref = aggregate_task.remote(*state_refs)
         keepalive.append(agg_ref)
-        begin_event = bus.emit(
+        begin_seq = bus.emit(
             "stream.agg.begin",
             job=job_id,
-            cause=None if close_event is None else close_event.seq,
+            cause=close_seq,
             window=w,
         )
         event_times = np.concatenate([batch.event_times for batch in batches])
@@ -205,7 +205,7 @@ def run_streaming_job(
             window_index=w,
             aggregate_ref=agg_ref,
             event_times=event_times,
-            begin_seq=None if begin_event is None else begin_event.seq,
+            begin_seq=begin_seq,
             job_id=job_id,
             tenant=spec.tenant,
         )
@@ -269,12 +269,11 @@ def _track_visibility(
         if error is not None:
             return
         visible_at = rt.env.now
+        latencies = [visible_at - event_time for event_time in event_times.tolist()]
+        rt.metrics.observe_many(RECORD_LATENCY_METRIC, latencies, job=job_id)
+        rt.metrics.observe_many(TENANT_LATENCY_METRIC, latencies, job=tenant)
         window_hist = Histogram("window_latency")
-        for event_time in event_times.tolist():
-            latency = visible_at - event_time
-            rt.metrics.observe(RECORD_LATENCY_METRIC, latency, job=job_id)
-            rt.metrics.observe(TENANT_LATENCY_METRIC, latency, job=tenant)
-            window_hist.record(latency)
+        window_hist.extend(latencies)
         rt.bus.emit(
             "stream.agg.end",
             job=job_id,

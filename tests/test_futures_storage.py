@@ -1,5 +1,7 @@
 """Object store, spilling, write fusing, prefetching, and GC behaviour."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,90 @@ class TestFetchingAndLocality:
         assert rt.run(driver) == 6
         # Only one copy of the 80 MB object should cross the network.
         assert rt.cluster.network_bytes_sent < 2 * 80 * MB
+
+    @staticmethod
+    def _fetch_race(num_fetchers, kill_at=None):
+        """``num_fetchers`` processes on node B fetch one 80 MB object from
+        node A (a 0.64 s transfer) through the deduplicating fetch.  With
+        ``kill_at``, B's manager is killed then and a fresh fetcher starts
+        right after.  Returns the runtime, B's manager, the object's size,
+        the bytes sent, each fetcher's ``(holds_pin, finished_at, table
+        entry at return)`` and probes of the fetch table taken 0.1 s in."""
+        rt = make_runtime(num_nodes=2)
+        a, b = rt.cluster.node_ids
+        make = rt.remote(lambda: _blob(80))
+
+        def driver():
+            ref = make.options(node=a).remote()
+            rt.wait([ref], num_returns=1)
+            return ref
+
+        ref = rt.run(driver)
+        oid, manager, env = ref.object_id, rt.node_managers[b], rt.env
+        sent_before = rt.cluster.network_bytes_sent
+        results, probes = {}, {}
+
+        def fetcher(name):
+            holds_pin = yield from manager._fetch_remote(oid)
+            results[name] = (holds_pin, env.now, manager._inflight_fetches.get(oid))
+
+        def probe():
+            yield env.timeout(0.1)
+            probes["waiters_event"] = manager._inflight_fetches[oid][0]
+            if kill_at is not None:
+                yield env.timeout(kill_at - 0.1)
+                manager.kill()
+                assert oid not in manager._inflight_fetches
+                env.process(fetcher("after-kill"))
+                yield env.timeout(0)
+                probes["newer"] = manager._inflight_fetches[oid]
+
+        for i in range(num_fetchers):
+            env.process(fetcher(i))
+        env.process(probe())
+        env.run()
+        return SimpleNamespace(
+            rt=rt,
+            manager=manager,
+            size=rt.directory.maybe_get(oid).size,
+            sent=rt.cluster.network_bytes_sent - sent_before,
+            results=results,
+            probes=probes,
+        )
+
+    def test_unshared_fetch_creates_no_wakeup_event(self):
+        race = self._fetch_race(1)
+        assert race.probes["waiters_event"] is None
+        assert race.results[0][0] is True
+        assert race.sent == race.size
+        assert not race.manager._inflight_fetches
+
+    def test_second_same_node_fetcher_waits_on_the_first(self):
+        race = self._fetch_race(2)
+        results = race.results
+        # The second fetcher made the wake-up event; the first succeeded it.
+        assert race.probes["waiters_event"] is not None
+        assert race.probes["waiters_event"].processed
+        # Only the initiator holds a pin; the waiter re-checks and pins.
+        assert [results[i][0] for i in (0, 1)] == [True, False]
+        assert results[0][1] == results[1][1] > 0.6
+        assert race.sent == race.size
+        assert race.rt.stats()["fetched_objects"] == 1
+        assert not race.manager._inflight_fetches
+
+    def test_kill_mid_transfer_keeps_waiter_and_newer_fetch(self):
+        race = self._fetch_race(2, kill_at=0.2)
+        results, probes = race.results, race.probes
+        # The waiter on the killed fetch was still woken, and the killed
+        # fetch's cleanup left the newer fetch's entry alone.
+        assert set(results) == {0, 1, "after-kill"}
+        assert probes["waiters_event"].processed
+        assert results[0][1] == results[1][1]
+        assert results[0][2] is probes["newer"]
+        assert results["after-kill"][2] is None
+        assert results["after-kill"][1] > results[0][1]
+        assert race.sent == 2 * race.size
+        assert not race.manager._inflight_fetches
 
 
 class TestPrefetching:

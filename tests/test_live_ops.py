@@ -142,7 +142,8 @@ class TestSamplerSemantics:
         bus, _state = self._bus()
         sampler = TimeSeriesSampler(interval_s=1.0)
         bus.subscribe(sampler.on_event)
-        event = bus.emit("task.submit", task="t1", job="j")
+        bus.emit("task.submit", task="t1", job="j")
+        (event,) = bus.events
         assert sampler.finish(end=5.0) == sampler.finish(end=99.0) == 5.0
         with pytest.raises(RuntimeError):
             sampler.on_event(event)

@@ -76,6 +76,19 @@ class TestHistogram:
             assert h.percentile(q) == 42.0
         assert h.mean == 42.0
 
+    def test_extend_equals_recording_each_value(self):
+        values = [0.5, 3, 1.25, 3, -2.0, 7.75]
+        one, many = Histogram(), Histogram()
+        for value in values:
+            one.record(value)
+        many.extend(values[:2])
+        assert many.p50 == 1.75  # a read caches the sorted view ...
+        many.extend(iter(values[2:]))  # ... which extend invalidates
+        assert many.count == one.count == len(values)
+        assert many.total == one.total and many.snapshot() == one.snapshot()
+        for q in (0, 10, 50, 90, 100):
+            assert many.percentile(q) == one.percentile(q)
+
     def test_exact_percentiles_interpolate(self):
         h = Histogram()
         for v in range(1, 101):  # 1..100

@@ -21,14 +21,16 @@ import pytest
 from repro.chaos import FaultKind, InvariantChecker, matrix_plan
 from repro.chaos.harness import expected_output, make_inputs, submit_variant
 from repro.chaos.injector import ChaosInjector
+from repro.common.ids import NodeId, ObjectId, TaskId
 from repro.common.units import MIB
 from repro.futures import RetryPolicy, RuntimeConfig
-from repro.metrics import Counters
+from repro.metrics import Counters, Histogram
 from repro.obs import (
     EVENT_KINDS,
     EventBus,
     GLOBAL_DIM,
     MetricRegistry,
+    ObsEvent,
     RunReport,
     derive_spans,
     record_run,
@@ -38,6 +40,13 @@ from repro.obs import (
 from repro.obs.trace import lineage_parents
 
 from tests.conftest import make_runtime
+
+#: sha256 of the ``record_run`` JSONL of the small 3-node simple sort in
+#: ``test_recorded_run_jsonl_is_byte_stable``, captured when the bus still
+#: built every ``ObsEvent`` at emission.
+GOLDEN_RECORD_RUN_DIGEST = (
+    "ea26347c75ab0fd483f4b82a4c5afc46433c761bc0e8e477b9653092b6997c8d"
+)
 
 
 def _chain_runtime():
@@ -88,8 +97,11 @@ class TestEventBus:
         bus = EventBus()
         with pytest.raises(ValueError, match="unknown event kind"):
             bus.emit("made.up")
+        assert len(bus) == 0 and bus.next_seq == 0
         bus.register_kind("made.up", "test kind")
-        assert bus.emit("made.up").kind == "made.up"
+        seq = bus.emit("made.up")
+        assert seq == 0
+        assert [(e.seq, e.kind) for e in bus.events] == [(seq, "made.up")]
 
     def test_disabled_bus_emits_nothing(self):
         bus = EventBus(enabled=False)
@@ -102,8 +114,90 @@ class TestEventBus:
         unsubscribe = bus.subscribe(seen.append)
         first = bus.emit("chaos.fault", node="N0")
         unsubscribe()
-        bus.emit("node.death", node="N0", cause=first.seq)
+        bus.emit("node.death", node="N0", cause=first)
         assert [e.kind for e in seen] == ["chaos.fault"]
+        assert seen[0].seq == first == 0
+        assert [(e.kind, e.cause) for e in bus.events] == [
+            ("chaos.fault", None), ("node.death", first),
+        ]
+
+    def test_emit_returns_consecutive_seqs(self):
+        bus = EventBus()
+        seqs = [bus.emit("task.submit") for _ in range(4)]
+        assert seqs == [0, 1, 2, 3]
+        assert all(type(seq) is int for seq in seqs)
+        assert len(bus) == 4 and bus.next_seq == 4
+        bus.enabled = False
+        assert bus.emit("task.submit") is None
+        assert len(bus) == 4 and bus.next_seq == 4
+
+    def test_subscriber_event_equals_the_recorded_one(self):
+        bus = EventBus(clock=lambda: 2)
+        bus.emit("task.submit", task=TaskId(1))  # recorded before subscribing
+        seen = []
+        bus.subscribe(seen.append)
+        seq = bus.emit(
+            "transfer.begin", node=NodeId(1), obj=ObjectId(9), cause=0, src="N002"
+        )
+        assert [e.seq for e in seen] == [seq]
+        recorded = bus.by_seq()[seq]
+        assert recorded == seen[0] and recorded is seen[0]
+        assert (recorded.ts, recorded.node, recorded.obj) == (2.0, "N001", "O00009")
+        assert type(recorded.ts) is float
+        assert [e.seq for e in bus.events] == [0, 1]
+
+    def test_reading_events_twice_gives_one_growing_list(self):
+        bus = EventBus()
+        bus.emit("task.submit", task=TaskId(0))
+        first = bus.events
+        snapshot = list(first)
+        assert [e.kind for e in first] == ["task.submit"]
+        bus.emit("task.run", task=TaskId(0))
+        unsubscribe = bus.subscribe(lambda _event: None)
+        bus.emit("task.finish", task=TaskId(0))
+        unsubscribe()
+        bus.emit("object.evict", obj=ObjectId(3))
+        assert len(bus) == 4
+        second = bus.events
+        assert second is first
+        assert second[:1] == snapshot and second[0] is snapshot[0]
+        assert [e.seq for e in second] == [0, 1, 2, 3]
+        assert all(isinstance(e, ObsEvent) for e in second)
+        assert [e.kind for e in second] == [
+            "task.submit", "task.run", "task.finish", "object.evict",
+        ]
+        bus.clear()
+        assert len(bus) == 0 and bus.events == [] and bus.next_seq == 4
+
+    def test_typed_id_axes_read_back_as_strings(self):
+        bus = EventBus()
+        bus.emit("object.create", node=NodeId(3), obj=ObjectId(317), task=TaskId(42))
+        (event,) = bus.events
+        assert (event.node, event.obj, event.task) == ("N003", "O00317", "T00042")
+        assert all(type(axis) is str for axis in (event.node, event.obj, event.task))
+
+    def test_recorded_run_jsonl_is_byte_stable(self, tmp_path):
+        """The ``record_run`` JSONL of a small 3-node sort is pinned
+        byte-for-byte: how the bus stores and builds events must not
+        change a single recorded byte."""
+        from repro.sort import SortJobConfig, run_sort
+
+        rt = make_runtime(num_nodes=3, store_mib=256)
+        result = run_sort(
+            rt,
+            SortJobConfig(
+                variant="simple",
+                num_partitions=6,
+                partition_bytes=8 * MIB,
+                virtual=True,
+            ),
+        )
+        assert result.validated
+        path = tmp_path / "run.jsonl"
+        record_run(rt, str(path))
+        data = path.read_bytes()
+        assert len(data.splitlines()) == 247
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_RECORD_RUN_DIGEST
 
     def test_events_of_matches_prefix_and_exact_kind(self):
         rt = _chain_runtime()
@@ -288,6 +382,42 @@ class TestMetricDimensions:
         assert "job" not in moved["counters"]["bytes"] or moved["counters"][
             "bytes"
         ]["job"] == {"j1": 5.0}
+
+    def test_observe_many_matches_per_sample_observe(self):
+        import random
+
+        rng = random.Random(7)
+        visible_at = [3.0 + 0.1 * w for w in range(5)]
+        windows = [
+            [rng.uniform(0.0, 3.0) for _ in range(rng.randrange(0, 40))]
+            for _ in visible_at
+        ]
+        one, many = MetricRegistry(), MetricRegistry()
+        reference = Histogram()  # every series holds the same samples
+        for now, event_times in zip(visible_at, windows):
+            latencies = [now - t for t in event_times]
+            for latency in latencies:
+                one.observe("lat", latency, job="j1")
+                one.observe("lat_t", latency, node="N1", job="tenant")
+                reference.record(latency)
+            many.observe_many("lat", latencies, job="j1")
+            many.observe_many("lat_t", iter(latencies), node="N1", job="tenant")
+        assert many.snapshot() == one.snapshot()
+        assert list(many.snapshot()["histograms"]) == list(
+            one.snapshot()["histograms"]
+        )
+        for name, dims in [
+            ("lat", {}), ("lat", {"job": "j1"}),
+            ("lat_t", {"node": "N1"}), ("lat_t", {"job": "tenant"}),
+        ]:
+            hist = many.histogram(name, **dims)
+            assert hist.count == reference.count > 0
+            assert hist.total == reference.total
+            for q in (0, 1, 25, 50, 90, 99, 99.9, 100):
+                assert hist.percentile(q) == reference.percentile(q)
+        # No values is a no-op: no empty series appears.
+        many.observe_many("never", [], job="j1")
+        assert "never" not in str(many.snapshot()["histograms"])
 
     def test_runtime_counters_are_the_registry_global_series(self):
         rt = _chain_runtime()
