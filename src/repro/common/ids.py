@@ -11,7 +11,8 @@ Because comparison is plain integer comparison, ids of *different* kinds
 compare by their integers: ``NodeId(3) == TaskId(3)``.  No container may
 therefore mix kinds -- every dict and set in the runtime is keyed by one
 kind only.  ``json.dumps`` also writes an id as a bare integer, so JSON
-writers stringify ids first (the event bus does for its attribution axes).
+writers stringify ids first (the event bus does when an event is read,
+for its attribution axes and id-valued attrs).
 """
 
 from __future__ import annotations

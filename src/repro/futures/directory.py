@@ -20,9 +20,14 @@ lost and need lineage reconstruction.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.common.ids import NodeId, ObjectId, TaskId
+
+#: The spill map of every object never spilled: one shared read-only
+#: empty mapping instead of a dict per object.
+_NO_SPILLS: Mapping[NodeId, Any] = MappingProxyType({})
 
 
 class ObjectRecord:
@@ -46,7 +51,7 @@ class ObjectRecord:
         self.created = False
         self.error: Optional[BaseException] = None
         self.memory_nodes: Set[NodeId] = set()
-        self.spill_nodes: Dict[NodeId, Any] = {}
+        self.spill_nodes: Mapping[NodeId, Any] = _NO_SPILLS
         self.shared = False
 
     @property
@@ -192,13 +197,15 @@ class ObjectDirectory:
         """Record an on-disk copy and its spill slot (no-op if unknown)."""
         record = self._records.get(object_id)
         if record is not None:
-            record.spill_nodes[node_id] = slot
+            if record.spill_nodes is _NO_SPILLS:
+                record.spill_nodes = {}
+            record.spill_nodes[node_id] = slot  # type: ignore[index]
 
     def remove_spill_location(self, object_id: ObjectId, node_id: NodeId) -> None:
         """Forget an on-disk copy (no-op if unknown)."""
         record = self._records.get(object_id)
-        if record is not None:
-            record.spill_nodes.pop(node_id, None)
+        if record is not None and node_id in record.spill_nodes:
+            del record.spill_nodes[node_id]  # type: ignore[attr-defined]
 
     def add_shared_location(self, object_id: ObjectId) -> None:
         """Record a copy in the disaggregated spill tier (no-op if

@@ -436,7 +436,7 @@ class NodeManager:
                     "transfer.begin",
                     node=self.node_id,
                     obj=object_id,
-                    src=str(source),
+                    src=source,
                     bytes=record.size,
                 )
                 try:

@@ -57,11 +57,11 @@ class ObjectRef:
         return f"ObjectRef({self.object_id})"
 
 
-def make_ref(runtime: "Runtime", object_id: ObjectId) -> ObjectRef:
-    """Create a counted reference bound to ``runtime``.
+def weak_release(runtime: "Runtime") -> Callable[[ObjectId], None]:
+    """The release callback every ref of ``runtime`` shares.
 
-    The release callback holds only a weak reference to the runtime so that
-    dangling ``ObjectRef`` instances never keep a finished runtime alive.
+    It holds only a weak reference to the runtime so that dangling
+    ``ObjectRef`` instances never keep a finished runtime alive.
     """
     runtime_ref = weakref.ref(runtime)
 
@@ -70,5 +70,10 @@ def make_ref(runtime: "Runtime", object_id: ObjectId) -> ObjectRef:
         if live_runtime is not None:
             live_runtime.decref(oid)
 
+    return release
+
+
+def make_ref(runtime: "Runtime", object_id: ObjectId) -> ObjectRef:
+    """Create a counted reference bound to ``runtime``."""
     runtime.incref(object_id)
-    return ObjectRef(object_id, release)
+    return ObjectRef(object_id, runtime.release_ref)

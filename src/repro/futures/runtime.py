@@ -44,7 +44,7 @@ from repro.futures.driver import DriverHandle, DriverHost
 from repro.futures.lineage import LineageManager
 from repro.futures.node_manager import NodeManager
 from repro.futures.policies.registry import PolicyStack, resolve_policies
-from repro.futures.refs import ObjectRef, make_ref
+from repro.futures.refs import ObjectRef, make_ref, weak_release
 from repro.futures.remote import RemoteFunction
 from repro.futures.scheduler import Scheduler
 from repro.futures.sizing import size_of
@@ -101,6 +101,9 @@ class Runtime:
         #: lineage reconstruction (§4.2.3) live here.
         self.lineage = LineageManager(self)
         self.payloads: Dict[ObjectId, Any] = {}
+        #: The release callback shared by every :class:`ObjectRef` this
+        #: runtime hands out (weak: a dangling ref never keeps it alive).
+        self.release_ref = weak_release(self)
         self.directory = ObjectDirectory(on_refcount_zero=self._evict_object)
         self.tasks: Dict[TaskId, TaskRecord] = {}
         self._object_creator: Dict[ObjectId, TaskId] = {}
@@ -289,8 +292,8 @@ class Runtime:
             task=task_id,
             job=options.job_id,
             fn=fn_name,
-            returns=[str(oid) for oid in return_ids],
-            deps=[str(a.object_id) for a in arg_descs if isinstance(a, RefArg)],
+            returns=return_ids,
+            deps=spec.dependency_ids,
         )
         self._schedule_when_ready(record)
         return refs

@@ -139,7 +139,7 @@ class Scheduler:
             "candidates": decision.candidates,
         }
         if options.node is not None:
-            attrs["affinity"] = str(options.node)
+            attrs["affinity"] = options.node
         self.runtime.bus.emit(
             "policy.decision",
             task=record.spec.task_id,

@@ -19,10 +19,13 @@ for offline reporting (:mod:`repro.obs.report`).
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.common.ids import NodeId, ObjectId, TaskId
 
 #: The registered event taxonomy: kind -> one-line description.  The
 #: span tracer and the run reporter key off these names; extend with
@@ -119,6 +122,10 @@ EVENT_KINDS: Dict[str, str] = {
 }
 
 
+#: The optional fields of an event, in order: attribution axes and cause.
+_AXES = ("node", "job", "task", "obj", "cause")
+
+
 @dataclass(slots=True)
 class ObsEvent:
     """One timestamped, attributed, causally linked fact about a run.
@@ -142,7 +149,7 @@ class ObsEvent:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable dict (``None`` axes omitted)."""
         out: Dict[str, Any] = {"seq": self.seq, "ts": self.ts, "kind": self.kind}
-        for key in ("node", "job", "task", "obj", "cause"):
+        for key in _AXES:
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -154,21 +161,14 @@ class ObsEvent:
     def from_dict(cls, data: Dict[str, Any]) -> "ObsEvent":
         """Rebuild an event from :meth:`to_dict` output."""
         return cls(
-            seq=int(data["seq"]),
-            ts=float(data["ts"]),
-            kind=str(data["kind"]),
-            node=data.get("node"),
-            job=data.get("job"),
-            task=data.get("task"),
-            obj=data.get("obj"),
-            cause=data.get("cause"),
-            attrs=dict(data.get("attrs", {})),
+            int(data["seq"]), float(data["ts"]), str(data["kind"]),
+            *map(data.get, _AXES), dict(data.get("attrs", {})),
         )
 
     def __repr__(self) -> str:
         axes = ", ".join(
             f"{k}={getattr(self, k)}"
-            for k in ("node", "job", "task", "obj", "cause")
+            for k in _AXES
             if getattr(self, k) is not None
         )
         return f"<ObsEvent #{self.seq} t={self.ts:g} {self.kind} {axes}>"
@@ -196,38 +196,35 @@ def run_summary(events: Sequence[ObsEvent]) -> Dict[str, Any]:
     return {}
 
 
-#: Items per raw bus record: seq, ts, kind, node, job, task, obj, cause,
-#: attrs.
-_RECORD_FIELDS = 9
+#: The typed ids an attr value may hold; see :func:`_read_attr`.
+_ID_TYPES = (NodeId, TaskId, ObjectId)
+
+#: Flat items per retained record before its attr values: kind, node,
+#: job, task, obj, cause, and the record's interned attr key tuple.
+_HEAD = 7
 
 
-def _materialise(record: Tuple[Any, ...]) -> ObsEvent:
-    """Build the :class:`ObsEvent` for one raw bus record: ``ts`` as a
-    float and the ``node``/``task``/``obj`` ids as strings."""
-    seq, ts, kind, node, job, task, obj, cause, attrs = record
-    return ObsEvent(
-        seq,
-        float(ts),
-        kind,
-        None if node is None else str(node),
-        job,
-        None if task is None else str(task),
-        None if obj is None else str(obj),
-        cause,
-        attrs,
-    )
+def _read_attr(value: Any) -> Any:
+    """An attr value as readers see it: an id as its string, a tuple of
+    ids (the empty tuple included) as a list of strings, anything else
+    unchanged."""
+    if isinstance(value, _ID_TYPES):
+        return str(value)
+    if type(value) is tuple and all(isinstance(v, _ID_TYPES) for v in value):
+        return [str(v) for v in value]
+    return value
 
 
 class EventBus:
     """Collects and fans out :class:`ObsEvent` records for one run.
 
     ``clock`` supplies timestamps (the runtime passes its simulated
-    clock).  Emission is cheap: with no subscriber, :meth:`emit` appends
-    one raw record and returns its ``seq``; the :class:`ObsEvent` (with
-    its float ``ts`` and stringified ids) is built the first time
-    :attr:`events` is read.  A subscriber makes emission build the event
-    at once to hand it over.  ``enabled=False`` switches the bus off
-    wholesale for runs that want zero observability overhead.
+    clock).  Emission is cheap: :meth:`emit` appends one compact record
+    and returns its ``seq``; the :class:`ObsEvent` (with its stringified
+    ids) is built the first time :attr:`events` is read, which a
+    subscriber makes emission do at once to hand the event over.
+    ``enabled=False`` switches the bus off wholesale for runs that want
+    zero observability overhead.
     """
 
     def __init__(
@@ -243,11 +240,15 @@ class EventBus:
         #: Events already read, in seq order; :attr:`events` returns this
         #: very list, so a reader's reference keeps growing with the run.
         self._events: List[ObsEvent] = []
-        #: Raw records emitted after the last read, with ids as passed,
-        #: stored flat: each is ``_RECORD_FIELDS`` consecutive items.  A
-        #: retained record is then no object of its own, so it adds
-        #: nothing to the garbage collector's allocation count.
+        #: Records emitted after the last read, none an object of its
+        #: own.  The i-th has seq ``_first + i`` and ts ``_ts[i]``; its
+        #: ``_HEAD`` items in ``_pending`` end with its attr key tuple
+        #: (one shared tuple per key signature, see ``_keys``), and its
+        #: attr values as passed follow.
+        self._first = 0
+        self._ts = array("d")
         self._pending: List[Any] = []
+        self._keys: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     # -- taxonomy -----------------------------------------------------------
     def register_kind(self, kind: str, description: str) -> None:
@@ -270,9 +271,9 @@ class EventBus:
         """Publish one event; returns its ``seq`` (a later event's
         ``cause``), or ``None`` when the bus is disabled.
 
-        ``node``/``task``/``obj`` accept the typed ids; they are kept as
-        passed and stringified when the event is first read, for stable
-        JSON round-trips.
+        ``node``/``task``/``obj`` and attr values accept the typed ids
+        (an attr also a tuple of them); they are kept as passed and
+        stringified when the event is first read, for stable JSON.
         """
         if not self.enabled:
             return None
@@ -283,14 +284,19 @@ class EventBus:
             )
         seq = self._seq
         self._seq = seq + 1
-        record = (seq, self.clock(), kind, node, job, task, obj, cause, attrs)
-        if not self._subscribers:
-            self._pending.extend(record)
-            return seq
-        event = _materialise(record)
-        self.events.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
+        self._ts.append(self.clock())
+        pending = self._pending
+        if attrs:
+            keys = tuple(attrs)
+            pending += (kind, node, job, task, obj, cause,
+                        self._keys.setdefault(keys, keys))
+            pending += attrs.values()
+        else:
+            pending += (kind, node, job, task, obj, cause, ())
+        if self._subscribers:
+            event = self.events[-1]
+            for subscriber in self._subscribers:
+                subscriber(event)
         return seq
 
     def subscribe(self, fn: Callable[[ObsEvent], None]) -> Callable[[], None]:
@@ -315,14 +321,26 @@ class EventBus:
         """
         pending = self._pending
         if pending:
-            fields = iter(pending)
-            records = zip(*[fields] * _RECORD_FIELDS)
-            self._events.extend(map(_materialise, records))
+            append = self._events.append
+            end = 0
+            for seq, ts in enumerate(self._ts, self._first):
+                head = end + _HEAD
+                kind, node, job, task, obj, cause, keys = pending[end:head]
+                end = head + len(keys)
+                append(ObsEvent(
+                    seq, ts, kind,
+                    None if node is None else str(node), job,
+                    None if task is None else str(task),
+                    None if obj is None else str(obj), cause,
+                    dict(zip(keys, map(_read_attr, pending[head:end]))),
+                ))
             pending.clear()
+            del self._ts[:]
+            self._first = self._seq
         return self._events
 
     def __len__(self) -> int:
-        return len(self._events) + len(self._pending) // _RECORD_FIELDS
+        return len(self._events) + self._seq - self._first
 
     @property
     def next_seq(self) -> int:
@@ -351,26 +369,27 @@ class EventBus:
         """Drop recorded events (sequence numbers keep increasing)."""
         self._events.clear()
         self._pending.clear()
+        del self._ts[:]
+        self._first = self._seq
 
     # -- persistence ----------------------------------------------------------
     def to_jsonl(self, path: str, extra: Iterable[ObsEvent] = ()) -> int:
         """Write events (plus ``extra`` trailing records) as JSON lines;
         returns the number written."""
-        events = list(self.events) + list(extra)
+        written = 0
         with Path(path).open("w") as fh:
-            for event in events:
+            for event in chain(self.events, extra):
                 fh.write(json.dumps(event.to_dict()) + "\n")
-        return len(events)
+                written += 1
+        return written
 
     @staticmethod
     def load_jsonl(path: str) -> List[ObsEvent]:
         """Re-load events written by :meth:`to_jsonl`."""
-        events = []
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if line:
-                events.append(ObsEvent.from_dict(json.loads(line)))
-        return events
+        with Path(path).open() as fh:
+            return [
+                ObsEvent.from_dict(json.loads(line)) for line in fh if line.strip()
+            ]
 
     def __repr__(self) -> str:
         return (

@@ -86,12 +86,6 @@ class MetricDiff:
     status: str
 
     @property
-    def abs_delta(self) -> float:
-        if self.baseline is None or self.candidate is None:
-            return 0.0
-        return self.candidate - self.baseline
-
-    @property
     def rel_delta(self) -> float:
         if self.baseline is None or self.candidate is None:
             return 0.0

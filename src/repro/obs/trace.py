@@ -88,22 +88,6 @@ class Span:
         """Span length in (simulated) seconds."""
         return self.end - self.start
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-serialisable dict (``None`` fields omitted)."""
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "cat": self.cat,
-            "start": self.start,
-            "end": self.end,
-        }
-        for key in ("node", "job", "task", "obj", "parent"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.attrs:
-            out["attrs"] = self.attrs
-        return out
-
 
 @dataclass(frozen=True)
 class FaultEntry:
@@ -383,9 +367,11 @@ def span_chrome_events(
         instant_tid[pid] = max(lanes, default=-1) + 1
         for span, lane in zip(process_spans, lanes):
             args: Dict[str, Any] = {
-                k: v for k, v in span.to_dict().items()
-                if k not in ("name", "cat", "start", "end", "node")
+                k: getattr(span, k) for k in ("job", "task", "obj", "parent")
+                if getattr(span, k) is not None
             }
+            if span.attrs:
+                args["attrs"] = span.attrs
             out.append(
                 {
                     "name": span.name,

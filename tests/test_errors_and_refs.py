@@ -2,6 +2,7 @@
 
 import gc
 
+import numpy as np
 import pytest
 
 from repro.common.errors import (
@@ -85,3 +86,46 @@ class TestObjectRefSemantics:
         del rt
         gc.collect()
         ref.release()  # weakref target gone; must not raise
+
+    def test_refs_of_one_runtime_share_one_release_callable(self):
+        rt = make_runtime(num_nodes=1)
+        first, second = rt.ids.next_object_id(), rt.ids.next_object_id()
+        for oid in (first, second):
+            rt.directory.register(oid, creator=None)
+        refs = [make_ref(rt, first), make_ref(rt, second), make_ref(rt, first)]
+        assert all(ref._release is rt.release_ref for ref in refs)
+        refs[0].release()
+        refs[0].release()
+        assert rt.directory.get(first).refcount == 1
+
+
+class TestSpillMapSentinel:
+    def test_unspilled_objects_share_the_never_mutated_empty_map(self):
+        from repro.futures.directory import _NO_SPILLS
+
+        rt = make_runtime(num_nodes=1, store_mib=64)
+        make = rt.remote(lambda: np.zeros(16 * 10**6, dtype=np.uint8))
+
+        def driver():
+            refs = [make.remote() for _ in range(12)]  # 192 MB into 64 MiB
+            rt.wait(refs, num_returns=len(refs))
+            spilled = [
+                rt.directory.get(ref.object_id).spill_nodes for ref in refs
+            ]
+            assert any(spills for spills in spilled)
+            assert any(spills is _NO_SPILLS for spills in spilled)
+            return refs
+
+        rt.run(driver)
+        assert len(_NO_SPILLS) == 0
+        first, second = rt.ids.next_object_id(), rt.ids.next_object_id()
+        for oid in (first, second):
+            rt.directory.register(oid, creator=None)
+        node = rt.cluster.node_ids[0]
+        rt.directory.remove_spill_location(first, node)  # nothing to forget
+        rt.directory.add_spill_location(first, node, "slot")
+        assert rt.directory.get(first).spill_nodes == {node: "slot"}
+        assert rt.directory.get(second).spill_nodes is _NO_SPILLS
+        rt.directory.remove_spill_location(first, node)
+        assert rt.directory.get(first).spill_nodes == {}
+        assert len(_NO_SPILLS) == 0

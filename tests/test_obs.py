@@ -176,6 +176,107 @@ class TestEventBus:
         assert (event.node, event.obj, event.task) == ("N003", "O00317", "T00042")
         assert all(type(axis) is str for axis in (event.node, event.obj, event.task))
 
+    @staticmethod
+    def _emit_mix(bus, cause=None):
+        """One event of each record shape: no attrs and every axis
+        ``None``, a cause, id and tuple-of-ids attrs, a float tuple."""
+        bus.emit("task.submit")
+        bus.emit("transfer.end", node=NodeId(1), obj=ObjectId(7), cause=cause)
+        bus.emit(
+            "task.submit", task=TaskId(4), job="j", fn="f",
+            returns=(ObjectId(7), ObjectId(8)), deps=(),
+        )
+        bus.emit(
+            "transfer.begin", node=NodeId(1), obj=ObjectId(7), src=NodeId(2),
+            bytes=64,
+        )
+        bus.emit("policy.decision", policy="p", shares=(0.25, 0.75))
+
+    def test_compact_records_read_back_every_field(self):
+        bus = EventBus(clock=lambda: 3)
+        self._emit_mix(bus, cause=0)
+        bare, end, submit, begin, decision = bus.events
+        assert bare == ObsEvent(0, 3.0, "task.submit")
+        assert type(bare.ts) is float and bare.attrs == {}
+        assert (end.node, end.obj, end.cause, end.attrs) == ("N001", "O00007", 0, {})
+        assert (submit.task, submit.job) == ("T00004", "j")
+        assert submit.attrs == {"fn": "f", "returns": ["O00007", "O00008"], "deps": []}
+        assert list(submit.attrs) == ["fn", "returns", "deps"]
+        assert begin.attrs == {"src": "N002", "bytes": 64}
+        assert type(begin.attrs["src"]) is str
+        assert decision.attrs == {"policy": "p", "shares": (0.25, 0.75)}
+        assert type(decision.attrs["shares"]) is tuple
+        assert [e.seq for e in bus.events] == [0, 1, 2, 3, 4]
+
+    def test_subscriber_path_builds_the_compact_path_events(self):
+        compact, streamed = EventBus(clock=lambda: 1.0), EventBus(clock=lambda: 1.0)
+        seen = []
+        streamed.subscribe(seen.append)
+        self._emit_mix(compact, cause=0)
+        self._emit_mix(streamed, cause=0)
+        assert streamed.events == compact.events
+        assert all(a is b for a, b in zip(seen, streamed.events))
+        assert len(seen) == len(streamed) == 5
+
+    def test_clear_mid_stream_keeps_seqs_and_len(self):
+        bus = EventBus()
+        self._emit_mix(bus)
+        assert [e.seq for e in bus.events] == [0, 1, 2, 3, 4]
+        bus.emit("task.run", task=TaskId(0))
+        bus.clear()
+        assert len(bus) == 0 and bus.events == []
+        assert bus.emit("task.finish", task=TaskId(0)) == 6
+        self._emit_mix(bus)
+        assert len(bus) == 6 and bus.next_seq == 12
+        assert [e.seq for e in bus.events] == list(range(6, 12))
+        assert bus.events[3].attrs["returns"] == ["O00007", "O00008"]
+
+    def test_reads_interleaved_with_emits(self):
+        bus = EventBus()
+        reference = EventBus()
+        for round_ in range(4):
+            self._emit_mix(bus, cause=round_)
+            self._emit_mix(reference, cause=round_)
+            if round_ % 2:
+                assert len(bus.events) == 6 * round_ + 5
+            bus.emit("object.evict", obj=ObjectId(round_))
+            reference.emit("object.evict", obj=ObjectId(round_))
+            assert len(bus) == 6 * (round_ + 1)
+        assert bus.events == reference.events
+        assert [e.seq for e in bus.events] == list(range(24))
+
+    def test_retained_records_stay_compact(self):
+        """A retained record is no Python object of its own: 20,000 of
+        the transfer/object mix retain at most 128 B each (a record that
+        keeps its own attrs dict costs about 240 B)."""
+        import tracemalloc
+
+        bus = EventBus(clock=lambda: 1.0)
+        node, src, obj, size = NodeId(1), NodeId(2), ObjectId(3), 1 << 20
+
+        def emit_mix(records):
+            for _ in range(records // 4):
+                begin = bus.emit(
+                    "transfer.begin", node=node, obj=obj, src=src, bytes=size
+                )
+                bus.emit("transfer.end", node=node, obj=obj, cause=begin)
+                bus.emit("object.create", node=node, obj=obj, bytes=size)
+                bus.emit("object.evict", obj=obj)
+
+        emit_mix(400)  # the key tuples are interned on first use
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            emit_mix(20_000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(bus) == 20_400
+        assert retained / 20_000 <= 128
+        # One key tuple per signature, shared by every record that has it.
+        key_tuples = {id(item) for item in bus._pending if type(item) is tuple and item}
+        assert len(key_tuples) == 2
+
     def test_recorded_run_jsonl_is_byte_stable(self, tmp_path):
         """The ``record_run`` JSONL of a small 3-node sort is pinned
         byte-for-byte: how the bus stores and builds events must not
