@@ -16,22 +16,20 @@ partition/merge/sort over either, conserving record counts exactly --
 the invariant the property-based tests check.
 """
 
-from repro.blocks.real import RealBlock
-from repro.blocks.virtual import VirtualBlock
-from repro.blocks.ops import (
-    concat_blocks,
-    merge_sorted_blocks,
-    partition_block,
-    sort_block,
-    total_records,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "RealBlock",
-    "VirtualBlock",
-    "partition_block",
-    "merge_sorted_blocks",
-    "sort_block",
-    "concat_blocks",
-    "total_records",
-]
+#: Public name -> the submodule defining it, loaded on first use: only
+#: ``RealBlock`` needs numpy, and a virtual run never reads it.
+_EXPORTS = {
+    "RealBlock": "real",
+    "VirtualBlock": "virtual",
+    "partition_block": "ops",
+    "merge_sorted_blocks": "ops",
+    "sort_block": "ops",
+    "concat_blocks": "ops",
+    "total_records": "ops",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

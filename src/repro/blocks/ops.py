@@ -4,18 +4,22 @@ These are the building blocks of every map/merge/reduce function the
 shuffle libraries use.  All operations conserve record counts exactly --
 ``sum(num_records)`` is invariant under any composition -- which is how
 TB-scale virtual runs are validated.
+
+Virtual blocks are handled here; real ones are handed to
+:mod:`repro.blocks.real`, imported only when a real block arrives, so a
+virtual run never imports numpy.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import TYPE_CHECKING, List, Sequence, Union
 
-import numpy as np
-
-from repro.blocks.real import RealBlock
 from repro.blocks.virtual import VirtualBlock
 
-Block = Union[RealBlock, VirtualBlock]
+if TYPE_CHECKING:
+    from repro.blocks.real import RealBlock
+
+Block = Union["RealBlock", VirtualBlock]
 
 
 def total_records(blocks: Sequence[Block]) -> int:
@@ -45,19 +49,9 @@ def partition_block(block: Block, bounds: Sequence[int]) -> List[Block]:
         raise ValueError("partition bounds must be ascending")
     if block.is_virtual:
         return _partition_virtual(block, bounds)
-    return _partition_real(block, bounds)
+    from repro.blocks.real import partition_real
 
-
-def _partition_real(block: RealBlock, bounds: List[int]) -> List[Block]:
-    buckets = np.searchsorted(np.asarray(bounds, dtype=np.uint64), block.keys, "right")
-    order = np.argsort(buckets, kind="stable")
-    sorted_buckets = buckets[order]
-    sorted_keys = block.keys[order]
-    splits = np.searchsorted(sorted_buckets, np.arange(1, len(bounds) + 1))
-    pieces = np.split(sorted_keys, splits)
-    return [
-        RealBlock(piece, record_bytes=block.record_bytes) for piece in pieces
-    ]
+    return partition_real(block, bounds)
 
 
 def _partition_virtual(block: VirtualBlock, bounds: List[int]) -> List[Block]:
@@ -106,32 +100,26 @@ def sort_block(block: Block) -> Block:
             key_range=block.key_range,
             is_sorted=True,
         )
-    return RealBlock(
-        np.sort(block.keys), record_bytes=block.record_bytes, is_sorted=True
-    )
+    from repro.blocks.real import sort_real
+
+    return sort_real(block)
 
 
 def merge_sorted_blocks(blocks: Sequence[Block]) -> Block:
     """K-way merge of blocks into one sorted block."""
-    virtual = _check_uniform(blocks)
-    if virtual:
-        return _combine_virtual(blocks, is_sorted=True)
-    keys = np.concatenate([block.keys for block in blocks])
-    return RealBlock(
-        np.sort(keys), record_bytes=blocks[0].record_bytes, is_sorted=True
-    )
+    return _combine(blocks, is_sorted=True)
 
 
 def concat_blocks(blocks: Sequence[Block]) -> Block:
     """Concatenate blocks without sorting."""
-    virtual = _check_uniform(blocks)
-    if virtual:
-        return _combine_virtual(blocks, is_sorted=False)
-    keys = np.concatenate([block.keys for block in blocks])
-    return RealBlock(keys, record_bytes=blocks[0].record_bytes, is_sorted=False)
+    return _combine(blocks, is_sorted=False)
 
 
-def _combine_virtual(blocks: Sequence[Block], is_sorted: bool) -> VirtualBlock:
+def _combine(blocks: Sequence[Block], is_sorted: bool) -> Block:
+    if not _check_uniform(blocks):
+        from repro.blocks.real import combine_real
+
+        return combine_real(blocks, is_sorted)
     ranges = [block.key_range for block in blocks if block.key_range is not None]
     if ranges:
         key_range = (min(r[0] for r in ranges), max(r[1] for r in ranges))

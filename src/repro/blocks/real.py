@@ -1,15 +1,17 @@
-"""Blocks backed by actual numpy key arrays."""
+"""Blocks backed by actual numpy key arrays, and the operations on them.
+
+This is the only blocks module that imports numpy: :mod:`repro.blocks.ops`
+hands real blocks here and keeps virtual ones to itself, so a virtual
+run never loads it.
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: The sort benchmark's record layout: 10-byte key, 90-byte value.  Keys
-#: are modelled as uint64 draws from a bounded key space.
-DEFAULT_RECORD_BYTES = 100
-KEY_SPACE = 2**32
+from repro.blocks.layout import DEFAULT_RECORD_BYTES, KEY_SPACE, check_record_bytes
 
 
 class RealBlock:
@@ -28,8 +30,7 @@ class RealBlock:
         record_bytes: int = DEFAULT_RECORD_BYTES,
         is_sorted: bool = False,
     ) -> None:
-        if record_bytes < 8:
-            raise ValueError("records must be at least key-sized (8 bytes)")
+        check_record_bytes(record_bytes)
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.ndim != 1:
             raise ValueError("keys must be one-dimensional")
@@ -85,3 +86,31 @@ class RealBlock:
             f"RealBlock(records={self.num_records}, "
             f"bytes={self.size_bytes}, sorted={self.sorted})"
         )
+
+
+def partition_real(block: RealBlock, bounds: List[int]) -> List[RealBlock]:
+    """:func:`repro.blocks.ops.partition_block` over materialised keys."""
+    buckets = np.searchsorted(np.asarray(bounds, dtype=np.uint64), block.keys, "right")
+    order = np.argsort(buckets, kind="stable")
+    sorted_buckets = buckets[order]
+    sorted_keys = block.keys[order]
+    splits = np.searchsorted(sorted_buckets, np.arange(1, len(bounds) + 1))
+    pieces = np.split(sorted_keys, splits)
+    return [
+        RealBlock(piece, record_bytes=block.record_bytes) for piece in pieces
+    ]
+
+
+def sort_real(block: RealBlock) -> RealBlock:
+    """:func:`repro.blocks.ops.sort_block` over materialised keys."""
+    return RealBlock(
+        np.sort(block.keys), record_bytes=block.record_bytes, is_sorted=True
+    )
+
+
+def combine_real(blocks: Sequence[RealBlock], is_sorted: bool) -> RealBlock:
+    """All records of ``blocks`` in one block, sorted if ``is_sorted``."""
+    keys = np.concatenate([block.keys for block in blocks])
+    if is_sorted:
+        keys = np.sort(keys)
+    return RealBlock(keys, record_bytes=blocks[0].record_bytes, is_sorted=is_sorted)

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.blocks.real import DEFAULT_RECORD_BYTES, KEY_SPACE
+from repro.blocks.layout import (
+    DEFAULT_RECORD_BYTES,
+    KEY_SPACE,
+    MIN_RECORD_BYTES,
+    check_record_bytes,
+)
 
 
 class VirtualBlock:
@@ -26,8 +31,10 @@ class VirtualBlock:
     ) -> None:
         if num_records < 0:
             raise ValueError("negative record count")
-        if record_bytes < 8:
-            raise ValueError("records must be at least key-sized (8 bytes)")
+        if record_bytes < MIN_RECORD_BYTES:
+            # Compared inline: every block a run builds passes here, and
+            # the call would cost more than the comparison.
+            check_record_bytes(record_bytes)
         if key_range is not None and key_range[0] > key_range[1]:
             raise ValueError(f"inverted key range {key_range}")
         self._num_records = int(num_records)

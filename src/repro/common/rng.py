@@ -17,9 +17,10 @@ renaming a path is a reviewable one-line change.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_seed(root_seed: int, *names: object) -> int:
@@ -41,7 +42,13 @@ def derive_seed(root_seed: int, *names: object) -> int:
 
 
 def seeded_rng(root_seed: int, *names: object) -> np.random.Generator:
-    """Return a numpy ``Generator`` seeded from ``derive_seed``."""
+    """Return a numpy ``Generator`` seeded from ``derive_seed``.
+
+    numpy is imported here, on the first draw, so that importing this
+    module (as nearly every package does) does not load it.
+    """
+    import numpy as np
+
     return np.random.default_rng(derive_seed(root_seed, *names))
 
 

@@ -9,9 +9,8 @@ charges, not correctness.
 
 from __future__ import annotations
 
+import sys
 from typing import Any
-
-import numpy as np
 
 #: Fixed overhead charged per stored object (metadata, headers).
 OBJECT_OVERHEAD_BYTES = 64
@@ -32,9 +31,10 @@ def _payload_size(value: Any) -> int:
         return len(value)
     if isinstance(value, str):
         return len(value.encode("utf-8"))
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
-    if isinstance(value, np.generic):
+    # A value can only be a numpy array or scalar if numpy is loaded, so
+    # sizing never imports it.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, (np.ndarray, np.generic)):
         return int(value.nbytes)
     if isinstance(value, (tuple, list, set, frozenset)):
         return sum(_payload_size(item) + 8 for item in value)

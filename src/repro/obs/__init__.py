@@ -40,52 +40,35 @@ for the live ops plane, and ``docs/profiling.md`` for the
 self-profiler.
 """
 
-from repro.obs.events import EVENT_KINDS, EventBus, ObsEvent
-from repro.obs.live import (
-    LiveDashboard,
-    TimeSeriesSampler,
-    render_html,
-    write_html,
-)
-from repro.obs.perf import (
-    CriticalPath,
-    DiffReport,
-    UsageTimeline,
-    compare_benches,
-    critical_path,
-    derive_usage,
-)
-from repro.obs.profile import SelfProfiler
-from repro.obs.registry import GLOBAL_DIM, MetricRegistry
-from repro.obs.report import RunReport, record_run
-from repro.obs.trace import (
-    Span,
-    derive_spans,
-    span_chrome_events,
-    write_chrome_trace,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "EventBus",
-    "ObsEvent",
-    "MetricRegistry",
-    "GLOBAL_DIM",
-    "RunReport",
-    "record_run",
-    "Span",
-    "derive_spans",
-    "span_chrome_events",
-    "write_chrome_trace",
-    "CriticalPath",
-    "critical_path",
-    "UsageTimeline",
-    "derive_usage",
-    "DiffReport",
-    "compare_benches",
-    "TimeSeriesSampler",
-    "LiveDashboard",
-    "render_html",
-    "write_html",
-    "SelfProfiler",
-]
+#: Public name -> the submodule defining it.  Each loads on first use, so
+#: a run that only publishes to the bus never imports the readers.
+_EXPORTS = {
+    "EVENT_KINDS": "events",
+    "EventBus": "events",
+    "ObsEvent": "events",
+    "MetricRegistry": "registry",
+    "GLOBAL_DIM": "registry",
+    "RunReport": "report",
+    "record_run": "report",
+    "Span": "trace",
+    "derive_spans": "trace",
+    "span_chrome_events": "trace",
+    "write_chrome_trace": "trace",
+    "CriticalPath": "perf",
+    "critical_path": "perf",
+    "UsageTimeline": "perf",
+    "derive_usage": "perf",
+    "DiffReport": "perf",
+    "compare_benches": "perf",
+    "TimeSeriesSampler": "live",
+    "LiveDashboard": "live",
+    "render_html": "live",
+    "write_html": "live",
+    "SelfProfiler": "profile",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,13 +9,16 @@ benchmark rules.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.blocks import RealBlock, VirtualBlock
-from repro.blocks.real import DEFAULT_RECORD_BYTES, KEY_SPACE
+from repro.blocks.layout import DEFAULT_RECORD_BYTES, KEY_SPACE
+from repro.blocks.virtual import VirtualBlock
 from repro.common.rng import derive_seed
 from repro.futures import ObjectRef, Runtime
 from repro.shuffle.common import worker_nodes
+
+if TYPE_CHECKING:
+    from repro.blocks.real import RealBlock
 
 
 def generate_partitions(
@@ -46,6 +49,8 @@ def generate_partitions(
         )
 
     def gen_real(index: int) -> RealBlock:
+        from repro.blocks.real import RealBlock
+
         return RealBlock.generate(
             records_per_part,
             seed=derive_seed(seed, "datagen", index),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.blocks.real import DEFAULT_RECORD_BYTES
+from repro.blocks.layout import DEFAULT_RECORD_BYTES, check_record_bytes
 from repro.cluster import ClusterSpec, FailureInjector, FailurePlan
 from repro.common.errors import ObjectLostError
 from repro.futures import Runtime
@@ -70,8 +70,13 @@ class SortJobConfig:
             raise ValueError(
                 f"unknown variant {self.variant!r}; choose from {VARIANTS}"
             )
+        check_record_bytes(self.record_bytes)
         if self.num_partitions < 1 or self.partition_bytes < self.record_bytes:
             raise ValueError("degenerate sort size")
+        if not self.virtual:
+            # Real payloads need numpy: load it with the real-block code
+            # now, before any event is armed, not inside the run.
+            import repro.blocks.real  # noqa: F401
 
     @property
     def total_bytes(self) -> int:

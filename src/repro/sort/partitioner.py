@@ -7,11 +7,12 @@ construction, so uniform cut points are exact.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-import numpy as np
+from repro.blocks.layout import KEY_SPACE
 
-from repro.blocks.real import KEY_SPACE, RealBlock
+if TYPE_CHECKING:
+    from repro.blocks.real import RealBlock
 
 
 def uniform_bounds(num_reduces: int, key_space: int = KEY_SPACE) -> List[int]:
@@ -28,6 +29,8 @@ def sample_bounds(
     seed: int = 0,
 ) -> List[int]:
     """Boundary keys from sampled quantiles of the actual data."""
+    import numpy as np
+
     if num_reduces < 1:
         raise ValueError("need at least one reducer")
     rng = np.random.default_rng(seed)

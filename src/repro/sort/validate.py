@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.blocks.ops import Block, total_records
 
 
@@ -52,7 +50,7 @@ def validate_sorted_output(
             )
         if not block.is_virtual:
             keys = block.keys
-            if keys.size > 1 and np.any(keys[1:] < keys[:-1]):
+            if keys.size > 1 and (keys[1:] < keys[:-1]).any():
                 raise SortValidationError(f"output {r} is not sorted")
         elif not block.sorted:
             raise SortValidationError(f"virtual output {r} not marked sorted")

@@ -20,9 +20,7 @@ subdriver (the registered ``"streaming"`` runner) or directly under
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.futures import ObjectRef, Runtime
 from repro.jobs.spec import JobSpec
@@ -31,6 +29,9 @@ from repro.shuffle import RoundDriver
 from repro.streaming.backpressure import BackpressureController
 from repro.streaming.records import RecordBatch
 from repro.streaming.source import make_sources
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Metric holding every record's source->visible latency, dimensioned by
 #: job id (plus the undimensioned global series).
@@ -67,6 +68,8 @@ def make_partitioner(num_reduces: int):
 
 def fold_counts(state: Optional[KeyCounts], *batches: RecordBatch) -> KeyCounts:
     """The stateful reduce: fold one window's batches into the state."""
+    import numpy as np
+
     counts: Dict[int, int] = dict(state.counts) if state is not None else {}
     for batch in batches:
         keys, tallies = np.unique(batch.keys, return_counts=True)
@@ -115,6 +118,8 @@ def run_streaming_job(
     the ``*_options`` dicts override task options (e.g. ``compute``
     costs) for experiments that need slow reducers.
     """
+    import numpy as np
+
     stream = spec.stream
     if stream is None:
         raise ValueError(f"job spec {spec.name!r} has no stream arm")

@@ -11,9 +11,10 @@ so the simulated object store charges realistic footprints.  A
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ class RecordBatch:
         event_times: np.ndarray,
         bytes_per_record: int,
     ) -> None:
+        import numpy as np
+
         if len(keys) != len(event_times):
             raise ValueError("keys and event_times must be parallel arrays")
         self.keys = np.asarray(keys, dtype=np.int64)
@@ -65,6 +68,8 @@ class RecordBatch:
     @staticmethod
     def empty(bytes_per_record: int) -> "RecordBatch":
         """A zero-record batch (a source that sat out the window)."""
+        import numpy as np
+
         return RecordBatch(
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.float64),

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.common.rng import register_stream, seeded_rng
 from repro.streaming.records import RecordBatch, window_of
 
@@ -48,6 +46,8 @@ class PoissonSource:
         keys: int,
         bytes_per_record: int,
     ) -> None:
+        import numpy as np
+
         if rate_hz <= 0 or duration_s <= 0:
             raise ValueError("rate_hz and duration_s must be positive")
         self.index = index

@@ -320,3 +320,36 @@ def test_size_check_keeps_obs_below_futures(tmp_path):
         (tmp_path / pkg / "mod.py").write_text("x = 1\n" * lines)
     violations = lint.check_obs_below_futures(tmp_path)
     assert len(violations) == 1 and "3 lines" in violations[0]
+
+
+def test_run_path_loads_neither_numpy_nor_obs_readers():
+    """Importing the run packages and building a virtual sort's config
+    loads no numpy and no obs reader (the CI step runs this too)."""
+    lint = _lint()
+    assert lint.check_run_path_imports(REPO / "src") == []
+
+
+def test_run_path_check_catches_an_eager_package(tmp_path):
+    """A package whose ``__init__`` imports numpy eagerly is flagged; its
+    lazy twin, and a failing script, are told apart from it."""
+    lint = _lint()
+    (tmp_path / "eager").mkdir()
+    (tmp_path / "eager" / "__init__.py").write_text("import json\nimport numpy\n")
+    (tmp_path / "lazy").mkdir()
+    (tmp_path / "lazy" / "__init__.py").write_text(
+        "def array(*args):\n    import numpy\n    return numpy.array(*args)\n"
+    )
+    violations = lint.check_run_path_imports(tmp_path, "import eager\n")
+    assert len(violations) == 1 and "'numpy'" in violations[0]
+    assert lint.check_run_path_imports(tmp_path, "import lazy\n") == []
+    failed = lint.check_run_path_imports(tmp_path, "import missing_package\n")
+    assert len(failed) == 1 and "the script failed" in failed[0]
+
+
+def test_real_payload_config_loads_numpy():
+    """``SortJobConfig(virtual=False)`` loads numpy up front, so a real
+    sort pays for it in setup, not inside the run."""
+    lint = _lint()
+    script = "import repro.sort\nrepro.sort.SortJobConfig(virtual=False)\n"
+    violations = lint.check_run_path_imports(REPO / "src", script)
+    assert len(violations) == 1 and "'numpy'" in violations[0]

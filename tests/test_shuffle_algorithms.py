@@ -103,6 +103,16 @@ def test_bad_variant_rejected():
         SortJobConfig(variant="turbo")
 
 
+@pytest.mark.parametrize("virtual", [True, False])
+def test_records_narrower_than_keys_rejected_up_front(virtual):
+    """Both block kinds need key-sized records: the config refuses a
+    narrower one before any runtime starts, not as a failed datagen
+    task inside the run."""
+    with pytest.raises(ValueError, match="at least key-sized"):
+        SortJobConfig(virtual=virtual, record_bytes=4)
+    assert SortJobConfig(virtual=virtual, record_bytes=8).record_bytes == 8
+
+
 def test_theoretical_baseline_formula():
     spec = make_node_spec(disk_mb_s=100.0)
     from repro.cluster import ClusterSpec

@@ -37,6 +37,22 @@ class TestSizing:
         d = {"key": np.zeros(50, dtype=np.uint8)}
         assert size_of(d) > 50
 
+    def test_numpy_values_charge_their_bytes(self):
+        """Arrays and numpy scalars charge ``nbytes``, nested or not."""
+        assert size_of(np.zeros((4, 5), dtype=np.int32)) == 80 + OBJECT_OVERHEAD_BYTES
+        for scalar, nbytes in (
+            (np.int64(-3), 8),
+            (np.uint8(7), 1),
+            (np.float32(1.5), 4),
+            (np.bool_(True), 1),
+            (np.complex128(1j), 16),
+        ):
+            assert size_of(scalar) == nbytes + OBJECT_OVERHEAD_BYTES, scalar
+        nested = [np.ones(3), (np.int16(2), {"k": np.zeros(2, dtype=np.uint8)})]
+        # list/tuple members add 8, dict entries 16 plus key and value.
+        expected = (24 + 8) + ((2 + 8) + ((1 + 2 + 16) + 8) + 8)
+        assert size_of(nested) == expected + OBJECT_OVERHEAD_BYTES
+
     def test_opaque_objects_get_flat_charge(self):
         class Opaque:
             pass

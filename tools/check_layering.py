@@ -33,6 +33,14 @@ only the modules in :data:`COUNTERS_OWNERS` may build a ``Counters``.
 A second store elsewhere would need its own proof that it agrees with
 the first.
 
+The run-path import check runs what a driver script runs -- import
+the run packages (:data:`RUN_PATH_SCRIPT`), build a virtual sort's
+config -- in a fresh interpreter and fails if it loaded a module in
+:data:`RUN_PATH_FORBIDDEN`: numpy, which only real payloads need, or an
+obs reader, which only reads a finished run.  A virtual run simulates
+from metadata alone, and an eager import anywhere on its path would
+make every run pay for what it never uses.
+
 The size check keeps ``src/repro/obs`` below ``src/repro/futures`` in
 lines of ``*.py`` (as ``cat ... | wc -l`` counts them) and prints both
 counts.  The observer growing past the runtime it observes is the sign
@@ -42,9 +50,11 @@ that a reader derives a fact some other reader already derives.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Sequence
 
 #: Import prefixes the policy plane may use, besides the stdlib and
 #: its own (relative) modules.
@@ -123,6 +133,23 @@ COUNTERS_OWNERS = (
     "repro.metrics",
     "repro.obs.registry",
     "repro.baselines",
+)
+
+#: What a run imports: the run packages, then a virtual sort's config.
+RUN_PATH_SCRIPT = """
+import repro.sort, repro.futures, repro.cluster, repro.jobs, repro.streaming, repro.chaos
+repro.sort.SortJobConfig()
+"""
+
+#: Modules the run path must not load: numpy (real payloads load it)
+#: and the obs readers (they read a run; the run only publishes).
+RUN_PATH_FORBIDDEN = (
+    "numpy",
+    "repro.obs.live",
+    "repro.obs.perf",
+    "repro.obs.profile",
+    "repro.obs.report",
+    "repro.obs.trace",
 )
 
 
@@ -459,6 +486,32 @@ def check_single_accounting_store(src_root: Path) -> List[str]:
     return violations
 
 
+def check_run_path_imports(
+    src: Path,
+    script: str = RUN_PATH_SCRIPT,
+    forbidden: Sequence[str] = RUN_PATH_FORBIDDEN,
+) -> List[str]:
+    """Modules in ``forbidden`` that ``script`` loads.
+
+    ``script`` runs in a fresh interpreter with ``src`` as its only
+    ``PYTHONPATH`` entry; a script that fails is a violation too.
+    """
+    probe = script + "\nimport sys\nprint(*sorted(sys.modules), sep='\\n')\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+    )
+    if result.returncode != 0:
+        return [f"run-path import check: the script failed:\n{result.stderr}"]
+    loaded = set(result.stdout.split())
+    return [
+        f"{src}: the run path imports {module!r} (a virtual run must load "
+        f"neither numpy nor an obs reader; import it where it is used)"
+        for module in forbidden
+        if module in loaded
+    ]
+
+
 def package_lines(root: Path) -> int:
     """Lines of every ``*.py`` under ``root`` (newlines, as ``wc -l``)."""
     return sum(path.read_bytes().count(b"\n") for path in root.rglob("*.py"))
@@ -499,6 +552,7 @@ def main(argv: List[str] = None) -> int:
         violations += check_profile_isolation(SRC_ROOT)
         violations += check_plan_isolation(SRC_ROOT)
         violations += check_single_accounting_store(SRC_ROOT)
+        violations += check_run_path_imports(SRC_ROOT.parent)
         violations += check_obs_below_futures(SRC_ROOT)
     for violation in violations:
         print(violation)
