@@ -41,7 +41,7 @@ from repro.common.units import MB, MIB
 from repro.futures import Runtime, RuntimeConfig
 from repro.metrics import ResultTable
 from repro.plan import JobShape, ShuffleExpr, planner_for_runtime
-from repro.shuffle import push_based_shuffle, simple_shuffle
+from repro.shuffle import ShuffleOps, submit
 from repro.sort.datagen import generate_partitions
 from repro.sort.job import MERGE_THROUGHPUT, SORT_THROUGHPUT
 from repro.sort.ops import SortOps
@@ -103,26 +103,19 @@ def _run_stage(
     ops = SortOps(bounds)
     expected_records = sum(rt.peek(ref).num_records for ref in inputs)
     expected_checksum = sum(rt.peek(ref).checksum() for ref in inputs) % 2**64
-    map_options = {"compute": _sort_cost}
-    reduce_options = {"compute": _merge_cost, "output_to_disk": True}
-    if variant == "push":
-        store_bytes = min(
-            node.spec.object_store_bytes for node in rt.cluster.alive_nodes()
-        )
-        map_parallelism = max(1, min(8, store_bytes // (8 * partition_bytes)))
-        out_refs = push_based_shuffle(
-            rt, inputs, ops.map, ops.merge, ops.reduce, parts,
-            map_parallelism=map_parallelism,
-            free_map_outputs=True,
-            map_options=map_options,
-            merge_options={"compute": _merge_cost},
-            reduce_options=reduce_options,
-        )
-    else:
-        out_refs = simple_shuffle(
-            rt, inputs, ops.map, ops.reduce, parts,
-            map_options=map_options, reduce_options=reduce_options,
-        )
+    store_bytes = min(
+        node.spec.object_store_bytes for node in rt.cluster.alive_nodes()
+    )
+    shuffle_ops = ShuffleOps(
+        ops.map, ops.reduce, merge=ops.merge,
+        map_options={"compute": _sort_cost},
+        merge_options={"compute": _merge_cost},
+        reduce_options={"compute": _merge_cost, "output_to_disk": True},
+    )
+    out_refs = submit(
+        rt, variant, inputs, shuffle_ops, parts,
+        map_parallelism=max(1, min(8, store_bytes // (8 * partition_bytes))),
+    )
     rt.wait(out_refs, num_returns=len(out_refs))
     validate_sorted_output(
         rt.get(out_refs), bounds, expected_records, expected_checksum

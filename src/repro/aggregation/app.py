@@ -25,7 +25,7 @@ import numpy as np
 from repro.futures import ObjectRef, Runtime
 from repro.metrics.core import TimeSeries
 from repro.plan import JobShape, ShuffleExpr, planner_for_runtime
-from repro.shuffle import push_based_shuffle, simple_shuffle, streaming_shuffle
+from repro.shuffle import ShuffleOps, streaming_shuffle, submit
 from repro.shuffle.common import chunks
 from repro.workloads.pageviews import PageviewBlock, PageviewDataset
 
@@ -207,20 +207,13 @@ def run_online_aggregation(
                 ),
                 default_rule="empirical",
             )
-            if plan.variant == "push":
-                states = push_based_shuffle(
-                    rt, inputs, map_fn, batch_reduce, batch_reduce,
-                    num_reduces,
-                    map_options={"compute": map_cost},
-                    merge_options={"compute": _scan_cost},
-                    reduce_options={"compute": _scan_cost},
-                )
-            else:
-                states = simple_shuffle(
-                    rt, inputs, map_fn, batch_reduce, num_reduces,
-                    map_options={"compute": map_cost},
-                    reduce_options={"compute": _scan_cost},
-                )
+            ops = ShuffleOps(
+                map_fn, batch_reduce, merge=batch_reduce,
+                map_options={"compute": map_cost},
+                merge_options={"compute": _scan_cost},
+                reduce_options={"compute": _scan_cost},
+            )
+            states = submit(rt, plan.variant, inputs, ops, num_reduces)
         else:
             rounds = chunks(inputs, hours_per_round)
 

@@ -27,15 +27,7 @@ from repro.cluster import DiskSpec, NicSpec, NodeSpec
 from repro.common.rng import seeded_rng
 from repro.common.units import GIB, MIB
 from repro.futures import Runtime
-from repro.plan import PLAN_VARIANTS
-from repro.shuffle import (
-    magnet_shuffle,
-    push_based_shuffle,
-    riffle_shuffle,
-    riffle_shuffle_dynamic,
-    simple_shuffle,
-    streaming_shuffle,
-)
+from repro.shuffle import ShuffleOps, submit
 
 _MAP_COMPUTE_S = 1.0
 _MERGE_COMPUTE_S = 0.8
@@ -134,48 +126,14 @@ def submit_variant(
         merged.extend(v for block in blocks for v in block)
         return tuple(sorted(merged))
 
-    map_options = {"compute": _MAP_COMPUTE_S}
-    merge_options = {"compute": _MERGE_COMPUTE_S}
-    reduce_options = {"compute": _REDUCE_COMPUTE_S}
-    if variant == "simple":
-        return simple_shuffle(
-            rt, inputs, map_fn, reduce_fn, R,
-            map_options=map_options, reduce_options=reduce_options,
-        )
-    if variant == "riffle":
-        return riffle_shuffle(
-            rt, inputs, map_fn, riffle_merge, reduce_fn, R, merge_factor=2,
-            map_options=map_options, merge_options=merge_options,
-            reduce_options=reduce_options,
-        )
-    if variant == "riffle_dynamic":
-        return riffle_shuffle_dynamic(
-            rt, inputs, map_fn, riffle_merge, reduce_fn, R, merge_factor=2,
-            map_options=map_options, merge_options=merge_options,
-            reduce_options=reduce_options,
-        )
-    if variant == "magnet":
-        return magnet_shuffle(
-            rt, inputs, map_fn, merge_one, reduce_fn, R, merge_factor=2,
-            map_options=map_options, merge_options=merge_options,
-            reduce_options=reduce_options,
-        )
-    if variant == "push":
-        return push_based_shuffle(
-            rt, inputs, map_fn, merge_one, reduce_fn, R, map_parallelism=2,
-            map_options=map_options, merge_options=merge_options,
-            reduce_options=reduce_options,
-        )
-    if variant == "streaming":
-        rounds = [inputs[: len(inputs) // 2], inputs[len(inputs) // 2:]]
-        rounds = [rnd for rnd in rounds if rnd]
-        return streaming_shuffle(
-            rt, rounds, map_fn, streaming_reduce, R,
-            map_options=map_options, reduce_options=reduce_options,
-        )
-    raise ValueError(
-        f"unknown shuffle variant {variant!r}; expected one of {PLAN_VARIANTS}"
+    ops = ShuffleOps(
+        map_fn, reduce_fn, merge=merge_one, merge_columns=riffle_merge,
+        stream_reduce=streaming_reduce,
+        map_options={"compute": _MAP_COMPUTE_S},
+        merge_options={"compute": _MERGE_COMPUTE_S},
+        reduce_options={"compute": _REDUCE_COMPUTE_S},
     )
+    return submit(rt, variant, inputs, ops, R, merge_factor=2)
 
 
 def run_chaos_shuffle(

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.futures import ObjectRef, Runtime
 from repro.plan import JobShape, ShuffleExpr, ShufflePlan, planner_for_runtime
-from repro.shuffle import push_based_shuffle, simple_shuffle
+from repro.shuffle import ShuffleOps, submit
 from repro.shuffle.common import worker_nodes
 from repro.dataframe.block import FrameBlock, _agg_column_name
 
@@ -337,28 +337,16 @@ class DistributedFrame:
         )
 
     def _run_shuffle(
-        self,
-        plan: ShufflePlan,
-        partitions: List[ObjectRef],
+        self, plan: ShufflePlan, partitions: List[ObjectRef],
         map_fn: Callable[[FrameBlock], List[FrameBlock]],
-        reduce_fn: Callable[..., FrameBlock],
-        num_reduces: int,
+        reduce_fn: Callable[..., FrameBlock], num_reduces: int,
     ) -> List[ObjectRef]:
-        """Execute a lowered plan over ``partitions``."""
-        if plan.variant == "simple":
-            return simple_shuffle(
-                self.rt, partitions, map_fn, reduce_fn, num_reduces
-            )
-        # push_based_shuffle needs a per-reducer merge; concat is correct
-        # for any of our reduce functions since they re-reduce at the end.
-        return push_based_shuffle(
-            self.rt,
-            partitions,
-            map_fn,
-            lambda *blocks: FrameBlock.concat(list(blocks)),
-            reduce_fn,
-            num_reduces,
+        """Execute a lowered plan over ``partitions``.  push's per-reducer
+        merge is a concat: every reduce function here re-reduces."""
+        ops = ShuffleOps(
+            map_fn, reduce_fn, merge=lambda *blocks: FrameBlock.concat(list(blocks))
         )
+        return submit(self.rt, plan.variant, partitions, ops, num_reduces)
 
     def _shuffle(
         self,

@@ -15,19 +15,26 @@ from repro.blocks.layout import DEFAULT_RECORD_BYTES, check_record_bytes
 from repro.cluster import ClusterSpec, FailureInjector, FailurePlan
 from repro.common.errors import ObjectLostError
 from repro.futures import Runtime
-from repro.shuffle import (
-    magnet_shuffle,
-    push_based_shuffle,
-    riffle_shuffle,
-    simple_shuffle,
-)
+from repro.shuffle import ShuffleOps, submit
 from repro.sort.datagen import generate_partitions
 from repro.sort.ops import SortOps
 from repro.sort.partitioner import sample_bounds, uniform_bounds
 from repro.sort.validate import validate_sorted_output
 
-#: The shuffle variants of §5.1.1, keyed by their paper names.
-VARIANTS = ("simple", "merge", "magnet", "push", "push*")
+#: The shuffle variants of §5.1.1 by paper name: the
+#: :func:`repro.shuffle.submit` variant and ``free_map_outputs``.  ES-push
+#: and ES-push* differ only in freeing map outputs (§5.1.4).
+LOWERINGS = {
+    "simple": ("simple", True),
+    "merge": ("riffle", True),
+    "magnet": ("magnet", True),
+    "push": ("push", False),
+    "push*": ("push", True),
+}
+VARIANTS = tuple(LOWERINGS)
+
+#: Map outputs per merge task (merge and magnet).
+MERGE_FACTOR = 4
 
 
 #: Per-operator CPU throughputs (bytes of input+output per core-second).
@@ -52,12 +59,6 @@ class SortJobConfig:
     #: Persist reduce outputs to disk (external sort).  The in-memory
     #: experiment (Fig 4c) turns this off.
     output_to_disk: bool = True
-    merge_factor: int = 4
-    #: Concurrent map tasks per worker per round in the push variants.
-    #: ``None`` auto-sizes so one round's working set (inputs + bundles +
-    #: merged outputs) fits the object store, which is what keeps map
-    #: bundles from spilling before their merge consumes them.
-    map_parallelism: Optional[int] = None
     #: Rounds of merge tasks allowed in flight (push variants).
     pipeline_depth: int = 3
     validate: bool = True
@@ -73,6 +74,8 @@ class SortJobConfig:
         check_record_bytes(self.record_bytes)
         if self.num_partitions < 1 or self.partition_bytes < self.record_bytes:
             raise ValueError("degenerate sort size")
+        if self.num_reduces is not None and self.num_reduces < 1:
+            raise ValueError(f"num_reduces must be >= 1, got {self.num_reduces}")
         if not self.virtual:
             # Real payloads need numpy: load it with the real-block code
             # now, before any event is armed, not inside the run.
@@ -84,7 +87,7 @@ class SortJobConfig:
 
     @property
     def reducers(self) -> int:
-        return self.num_reduces or self.num_partitions
+        return self.num_partitions if self.num_reduces is None else self.num_reduces
 
 
 @dataclass
@@ -181,50 +184,24 @@ def _merge_cost(ctx: Any) -> float:
 def _submit_shuffle(
     rt: Runtime, config: SortJobConfig, parts: List[Any], ops: SortOps
 ) -> List[Any]:
-    map_options = {"compute": _sort_cost}
-    merge_options = {"compute": _merge_cost}
-    reduce_options = {
-        "compute": _merge_cost,
-        "output_to_disk": config.output_to_disk,
-    }
-    if config.variant == "simple":
-        return simple_shuffle(
-            rt, parts, ops.map, ops.reduce, ops.num_reduces,
-            map_options=map_options, reduce_options=reduce_options,
-        )
-    if config.variant == "merge":
-        return riffle_shuffle(
-            rt, parts, ops.map, ops.merge_columns, ops.reduce, ops.num_reduces,
-            merge_factor=config.merge_factor, map_options=map_options,
-            merge_options=merge_options, reduce_options=reduce_options,
-        )
-    if config.variant == "magnet":
-        return magnet_shuffle(
-            rt, parts, ops.map, ops.merge, ops.reduce, ops.num_reduces,
-            merge_factor=config.merge_factor, map_options=map_options,
-            merge_options=merge_options, reduce_options=reduce_options,
-        )
-    # push / push*: identical library, differing only in eager freeing of
-    # map outputs (write amplification vs durability, §5.1.4).
-    if config.map_parallelism is not None:
-        map_parallelism = config.map_parallelism
-    else:
-        store_bytes = min(
-            node.spec.object_store_bytes for node in rt.cluster.alive_nodes()
-        )
-        # A round's per-node working set is roughly (1 + pipeline_depth)
-        # partition-sized pieces per concurrent map (input, outgoing
-        # bundle, in-flight rounds of incoming bundles and merged
-        # outputs); keep it inside the store.
-        pieces = 2 * (1 + config.pipeline_depth)
-        map_parallelism = max(
-            1, min(8, store_bytes // (pieces * config.partition_bytes))
-        )
-    return push_based_shuffle(
-        rt, parts, ops.map, ops.merge, ops.reduce, ops.num_reduces,
-        map_parallelism=map_parallelism,
-        pipeline_depth=config.pipeline_depth,
-        free_map_outputs=(config.variant == "push*"),
-        map_options=map_options, merge_options=merge_options,
-        reduce_options=reduce_options,
+    variant, free_map_outputs = LOWERINGS[config.variant]
+    # A push round's per-node working set is ~2 x (1 + pipeline_depth)
+    # partition-sized pieces per concurrent map (input, bundles, merged
+    # outputs); keeping it inside the object store keeps bundles from
+    # spilling before their merge consumes them.
+    store_bytes = min(n.spec.object_store_bytes for n in rt.cluster.alive_nodes())
+    round_bytes = 2 * (1 + config.pipeline_depth) * config.partition_bytes
+    shuffle_ops = ShuffleOps(
+        ops.map, ops.reduce, merge=ops.merge, merge_columns=ops.merge_columns,
+        map_options={"compute": _sort_cost},
+        merge_options={"compute": _merge_cost},
+        reduce_options={
+            "compute": _merge_cost, "output_to_disk": config.output_to_disk
+        },
+    )
+    return submit(
+        rt, variant, parts, shuffle_ops, ops.num_reduces,
+        merge_factor=MERGE_FACTOR,
+        map_parallelism=max(1, min(8, store_bytes // round_bytes)),
+        pipeline_depth=config.pipeline_depth, free_map_outputs=free_map_outputs,
     )

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.units import MB
 from repro.futures import Runtime
-from repro.sort import SortJobConfig, run_sort
+from repro.sort import VARIANTS, SortJobConfig, run_sort
 
 from tests.conftest import make_node_spec, make_runtime
 
@@ -50,7 +50,7 @@ class TestDeterminism:
 
 @settings(max_examples=12, deadline=None)
 @given(
-    variant=st.sampled_from(["simple", "merge", "magnet", "push", "push*"]),
+    variant=st.sampled_from(VARIANTS),
     num_partitions=st.integers(min_value=1, max_value=10),
     num_nodes=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=1000),

@@ -311,6 +311,43 @@ def test_single_store_check_catches_a_second_store(tmp_path):
     assert all("futures/rogue.py" in v for v in violations)
 
 
+def test_applications_share_one_shuffle_lowering():
+    """No module outside ``repro.shuffle`` imports two shuffle libraries:
+    every application dispatches through ``repro.shuffle.submit``."""
+    lint = _lint()
+    assert lint.check_single_lowering(REPO / "src" / "repro") == []
+
+
+def test_single_lowering_check_catches_a_second_dispatcher(tmp_path):
+    """A synthetic app importing two libraries is flagged; one library
+    (or the shuffle package itself) is not."""
+    lint = _lint()
+    src_root = tmp_path / "src" / "repro"
+    for pkg in ("shuffle", "sort", "ml"):
+        (src_root / pkg).mkdir(parents=True)
+        (src_root / pkg / "__init__.py").write_text("")
+    (src_root / "__init__.py").write_text("")
+    (src_root / "sort" / "job.py").write_text(
+        textwrap.dedent(
+            """
+            from repro.shuffle import simple_shuffle, submit
+            from repro.shuffle.push import push_based_shuffle
+            """
+        )
+    )
+    (src_root / "ml" / "loaders.py").write_text(
+        "from repro.shuffle import simple_shuffle, streaming_shuffle\n"
+    )
+    (src_root / "shuffle" / "__init__.py").write_text(
+        "from repro.shuffle.simple import simple_shuffle\n"
+        "from repro.shuffle.magnet import magnet_shuffle\n"
+    )
+    violations = lint.check_single_lowering(src_root)
+    assert len(violations) == 1
+    assert "sort/job.py" in violations[0]
+    assert "push_based_shuffle, simple_shuffle" in violations[0]
+
+
 def test_size_check_keeps_obs_below_futures(tmp_path):
     """The real tree passes; an ``obs`` as long as ``futures`` fails."""
     lint = _lint()

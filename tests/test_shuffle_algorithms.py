@@ -5,16 +5,15 @@ import pytest
 from repro.blocks import total_records
 from repro.common.units import MB
 from repro.futures import RuntimeConfig
+from repro import shuffle
 from repro.plan import ClusterProfile, JobShape, ShuffleExpr, empirical_variant
-from repro.shuffle import streaming_shuffle
-from repro.sort import SortJobConfig, run_sort, theoretical_sort_seconds
+from repro.shuffle import ShuffleOps, streaming_shuffle, submit
+from repro.sort import VARIANTS, SortJobConfig, run_sort, theoretical_sort_seconds
 
 from tests.conftest import make_node_spec, make_runtime
 
-ALL_VARIANTS = ["simple", "merge", "magnet", "push", "push*"]
 
-
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_sorts_real_data(variant):
     rt = make_runtime(num_nodes=3)
     config = SortJobConfig(
@@ -29,7 +28,7 @@ def test_variant_sorts_real_data(variant):
     assert result.sort_seconds > 0
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_sorts_virtual_data(variant):
     rt = make_runtime(num_nodes=4, store_mib=512)
     config = SortJobConfig(
@@ -101,6 +100,68 @@ def test_sort_more_partitions_than_cluster_slots():
 def test_bad_variant_rejected():
     with pytest.raises(ValueError):
         SortJobConfig(variant="turbo")
+
+
+@pytest.mark.parametrize("num_reduces", [0, -2])
+def test_reducer_count_below_one_rejected(num_reduces):
+    """0 used to run silently with ``num_partitions`` reducers and -2 to
+    fail inside the driver; both are refused by the config."""
+    with pytest.raises(ValueError, match="num_reduces"):
+        SortJobConfig(num_reduces=num_reduces)
+    assert SortJobConfig(num_partitions=4, num_reduces=1).reducers == 1
+    assert SortJobConfig(num_partitions=4).reducers == 4
+
+
+@pytest.mark.parametrize("variant, library", [
+    ("simple", "simple_shuffle"),
+    ("riffle", "riffle_shuffle"),
+    ("riffle_dynamic", "riffle_shuffle_dynamic"),
+    ("magnet", "magnet_shuffle"),
+    ("push", "push_based_shuffle"),
+    ("streaming", "streaming_shuffle"),
+])
+def test_submit_calls_its_library_through_the_package(
+    monkeypatch, variant, library
+):
+    """Each variant name reaches its own library, read from the package
+    namespace at call time: a wrapper installed there sees the call."""
+    calls = []
+    monkeypatch.setattr(
+        shuffle, library, lambda *args, **kwargs: calls.append(library) or []
+    )
+    ops = ShuffleOps(
+        list, list, merge=list, merge_columns=list, stream_reduce=list
+    )
+    assert submit(None, variant, [[1], [2]], ops, 2) == []
+    assert calls == [library]
+
+
+class TestSubmitRejections:
+    """``repro.shuffle.submit`` refuses a bad request before any task."""
+
+    def _submit(self, variant, ops):
+        rt = make_runtime(num_nodes=2)
+
+        def driver():
+            with pytest.raises(ValueError) as raised:
+                submit(rt, variant, [[1, 2], [3, 4]], ops, 2)
+            return str(raised.value)
+
+        message = rt.run(driver)
+        assert rt.bus.events_of("task.submit") == []
+        return message
+
+    def test_unknown_variant(self):
+        ops = ShuffleOps(lambda part: [part, part], lambda *blocks: blocks)
+        assert "'turbo'" in self._submit("turbo", ops)
+
+    def test_ops_missing_the_variants_operator(self):
+        # Frame-style ops: a per-reducer merge, no column merge.
+        ops = ShuffleOps(
+            lambda part: [part, part], lambda *blocks: blocks,
+            merge=lambda *blocks: blocks,
+        )
+        assert "merge_columns" in self._submit("riffle", ops)
 
 
 @pytest.mark.parametrize("virtual", [True, False])

@@ -41,6 +41,11 @@ obs reader, which only reads a finished run.  A virtual run simulates
 from metadata alone, and an eager import anywhere on its path would
 make every run pay for what it never uses.
 
+The one-lowering check keeps a single variant dispatcher: a module
+outside ``repro.shuffle`` that imports two or more of
+:data:`SHUFFLE_LIBRARIES` is choosing among variants itself, which is
+:func:`repro.shuffle.submit`'s job.
+
 The size check keeps ``src/repro/obs`` below ``src/repro/futures`` in
 lines of ``*.py`` (as ``cat ... | wc -l`` counts them) and prints both
 counts.  The observer growing past the runtime it observes is the sign
@@ -118,7 +123,8 @@ PLAN_ALLOWED_PREFIXES = (
 #: planner (or the futures runtime importing it for its duck-typed
 #: ``Runtime.planner`` slot) would create a cycle where the mechanism
 #: depends on the policy that selects it.  There are no exemptions:
-#: callers choose a variant through ``repro.plan`` and then call it.
+#: callers choose a variant through ``repro.plan`` and pass its name to
+#: ``repro.shuffle.submit``.
 PLAN_FORBIDDEN_IMPORTERS = (
     "repro.futures",
     "repro.simcore",
@@ -133,6 +139,17 @@ COUNTERS_OWNERS = (
     "repro.metrics",
     "repro.obs.registry",
     "repro.baselines",
+)
+
+#: The batch shuffle libraries :func:`repro.shuffle.submit` dispatches
+#: over; importing two of them outside ``repro.shuffle`` is a second
+#: dispatcher.
+SHUFFLE_LIBRARIES = (
+    "simple_shuffle",
+    "riffle_shuffle",
+    "riffle_shuffle_dynamic",
+    "magnet_shuffle",
+    "push_based_shuffle",
 )
 
 #: What a run imports: the run packages, then a virtual sort's config.
@@ -486,6 +503,31 @@ def check_single_accounting_store(src_root: Path) -> List[str]:
     return violations
 
 
+def check_single_lowering(src_root: Path) -> List[str]:
+    """Modules outside ``repro.shuffle`` importing two or more of
+    :data:`SHUFFLE_LIBRARIES` (one violation per module)."""
+    violations: List[str] = []
+    for path in sorted(src_root.rglob("*.py")):
+        module = _module_name(path, src_root)
+        if module == "repro.shuffle" or module.startswith("repro.shuffle."):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = sorted({
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[:2] == ["repro", "shuffle"]
+            for alias in node.names
+            if alias.name in SHUFFLE_LIBRARIES
+        })
+        if len(imported) >= 2:
+            violations.append(
+                f"{path}: imports {', '.join(imported)} (dispatch through "
+                f"repro.shuffle.submit instead of a second variant switch)"
+            )
+    return violations
+
+
 def check_run_path_imports(
     src: Path,
     script: str = RUN_PATH_SCRIPT,
@@ -552,6 +594,7 @@ def main(argv: List[str] = None) -> int:
         violations += check_profile_isolation(SRC_ROOT)
         violations += check_plan_isolation(SRC_ROOT)
         violations += check_single_accounting_store(SRC_ROOT)
+        violations += check_single_lowering(SRC_ROOT)
         violations += check_run_path_imports(SRC_ROOT.parent)
         violations += check_obs_below_futures(SRC_ROOT)
     for violation in violations:
