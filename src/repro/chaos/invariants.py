@@ -203,7 +203,7 @@ class InvariantChecker:
             # Live but unavailable: must be rebuildable on demand.
             if not runtime.config.enable_lineage_reconstruction:
                 continue  # loss is expected; get() raises ObjectLostError
-            if record.creator is None and oid not in runtime._object_creator:
+            if directory.creator_of(oid) is None:
                 continue  # put() object: unrecoverable by design
             memo: Dict[ObjectId, bool] = {}
             if not self._reconstructable(oid, memo, set()):
@@ -228,10 +228,7 @@ class InvariantChecker:
         if record is not None and (record.available or record.error is not None):
             memo[oid] = True
             return True
-        creator_id = (
-            record.creator if record is not None and record.creator is not None
-            else runtime._object_creator.get(oid)
-        )
+        creator_id = runtime.directory.creator_of(oid)
         if creator_id is None:
             # An unavailable object with no creating task (put data or
             # truncated lineage) cannot be rebuilt.

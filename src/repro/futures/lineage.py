@@ -150,18 +150,16 @@ class LineageManager:
             cause=cause,
             attempt=spec.attempts + 1,
         )
+        directory = runtime.directory
         for oid in spec.return_ids:
-            dep_record = runtime.directory.maybe_get(oid)
-            if dep_record is not None and not dep_record.available:
-                runtime.directory.mark_uncreated(oid)
+            if oid in directory and not directory.is_available(oid):
+                directory.mark_uncreated(oid)
         held: List[ObjectRef] = []
         for dep in dict.fromkeys(spec.dependency_ids):
-            if dep not in runtime.directory:
-                runtime.directory.register(
-                    dep, creator=runtime._object_creator.get(dep)
-                )
+            if dep not in directory:
+                directory.register(dep, creator=directory.creator_of(dep))
             held.append(make_ref(runtime, dep))
-            if not runtime.directory.is_available(dep):
+            if not directory.is_available(dep):
                 # Recursively arrange for the dependency to exist again.
                 self.ensure_available(dep)
         stale, record.held_refs = record.held_refs, held
@@ -213,14 +211,15 @@ class LineageManager:
         """
         runtime = self.runtime
         event = runtime.env.event()
-        record = runtime.directory.maybe_get(object_id)
-        if record is None:
+        directory = runtime.directory
+        if object_id not in directory:
             return event.fail(ObjectLostError(object_id, "freed"))
-        if record.error is not None:
-            return event.fail(record.error)
-        if record.available:
+        error = directory.error_of(object_id)
+        if error is not None:
+            return event.fail(error)
+        if directory.is_available(object_id):
             return event.succeed()
-        creator_id = record.creator
+        creator_id = directory.creator_of(object_id)
         creator = (
             runtime.tasks.get(creator_id) if creator_id is not None else None
         )
@@ -234,7 +233,7 @@ class LineageManager:
             # Either way the creator must run again.
             if not runtime.config.enable_lineage_reconstruction:
                 return event.fail(ObjectLostError(object_id, "unreconstructable"))
-            runtime.directory.mark_uncreated(object_id)
+            directory.mark_uncreated(object_id)
             # This is a true lineage *recompute* (re-running a finished
             # creator because no copy survives), counted separately from
             # interrupted-task resubmits -- the disaggregated spill tier
@@ -253,5 +252,5 @@ class LineageManager:
             else:
                 event.succeed()
 
-        runtime.directory.on_ready(object_id, on_ready)
+        directory.on_ready(object_id, on_ready)
         return event

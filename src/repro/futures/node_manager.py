@@ -25,7 +25,7 @@ Execution flow per task (one simulation process each):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.cluster.fabric import NodeFailure
 from repro.common.errors import ObjectLostError, TaskExecutionError
@@ -62,6 +62,7 @@ class NodeManager:
             on_pressure=self._on_pressure,
             on_evict_cached=self._on_evict_cached,
             bus=runtime.bus,
+            sizes=runtime.directory.sizes,
         )
         self.spill = SpillManager(
             node,
@@ -317,15 +318,14 @@ class NodeManager:
         """
         directory = self.runtime.directory
         for _attempt in range(200):
-            record = directory.maybe_get(object_id)
-            if record is None:
+            if object_id not in directory:
                 raise ObjectLostError(object_id, "freed while required")
             if self.store.contains(object_id):
                 self.store.pin(object_id)
                 return "memory"
             if self.spill.is_spilled(object_id):
                 if self.store.try_allocate(
-                    object_id, record.size, primary=False, pin=True
+                    object_id, directory.sizes[object_id], primary=False, pin=True
                 ):
                     yield self.spill.restore_read(object_id)
                     directory.add_memory_location(object_id, self.node_id)
@@ -373,9 +373,10 @@ class NodeManager:
     def _fetch_remote_inner(self, object_id: ObjectId) -> Iterator[Event]:
         runtime = self.runtime
         directory = runtime.directory
+        sizes = directory.sizes
         for _attempt in range(100):
-            record = directory.maybe_get(object_id)
-            if record is None:
+            held = directory.holders(object_id)
+            if held is None:
                 raise ObjectLostError(object_id, "freed during fetch")
             if self.store.contains(object_id):
                 self.store.pin(object_id)
@@ -384,27 +385,19 @@ class NodeManager:
                 return False
             # The lowest-numbered alive holder serves: a memory copy if
             # any, else a spilled one.
-            managers = runtime.node_managers
-            sources = [
-                nid
-                for nid in record.memory_nodes
-                if nid != self.node_id and managers[nid].node.alive
-            ]
-            from_memory = bool(sources)
+            memory_nodes, spill_nodes = held
+            source = self._first_alive(memory_nodes)
+            from_memory = source is not None
             if not from_memory:
-                sources = [
-                    nid
-                    for nid in record.spill_nodes
-                    if nid != self.node_id and managers[nid].node.alive
-                ]
-            if not sources:
+                source = self._first_alive(sorted(spill_nodes))
+            if source is None:
                 shared = self.spill.shared
                 if shared is not None and shared.contains(object_id):
                     # The disaggregated spill tier holds the only copy --
                     # the durability win: read it back instead of waiting
                     # for lineage to re-execute the creator.
                     holds_pin = yield from self._fetch_shared(
-                        object_id, record.size
+                        object_id, sizes[object_id]
                     )
                     if holds_pin is not None:
                         return holds_pin
@@ -421,12 +414,11 @@ class NodeManager:
                 # Pinned for the duration of the transfer: a copy that is
                 # still arriving must not be evicted under pressure.
                 allocation = self.store.allocate(
-                    object_id, record.size, primary=False, pin=True
+                    object_id, sizes[object_id], primary=False, pin=True
                 )
                 placement = yield allocation
                 if placement == "resident":
                     return True  # appeared meanwhile; allocate pinned it
-                source = min(sources)
                 if not from_memory:
                     # Spilled at the source: streamed from its disk (§4.2.2).
                     yield runtime.node_managers[source].spill.restore_read(
@@ -437,10 +429,12 @@ class NodeManager:
                     node=self.node_id,
                     obj=object_id,
                     src=source,
-                    bytes=record.size,
+                    bytes=sizes[object_id],
                 )
                 try:
-                    yield runtime.cluster.send(source, self.node_id, record.size)
+                    yield runtime.cluster.send(
+                        source, self.node_id, sizes[object_id]
+                    )
                 except (NodeFailure, IOError):
                     runtime.bus.emit(
                         "transfer.end",
@@ -470,6 +464,14 @@ class NodeManager:
             runtime.counters.add("fetched_objects", 1)
             return False
         raise ObjectLostError(object_id, "fetch retries exhausted")
+
+    def _first_alive(self, node_ids: Iterable[NodeId]) -> Optional[NodeId]:
+        """The first of ``node_ids`` that is another, alive node."""
+        managers = self.runtime.node_managers
+        for node_id in node_ids:
+            if node_id != self.node_id and managers[node_id].node.alive:
+                return node_id
+        return None
 
     def _fetch_shared(self, object_id: ObjectId, size: int) -> Iterator[Event]:
         """Read one object back from the shared spill tier.

@@ -12,10 +12,15 @@ Entries are *primary* (this store holds the authoritative in-memory copy,
 which must be spilled before being dropped) or *cached* (re-fetchable).
 Pins mark entries in active use by an executing task or in-flight
 transfer; pinned entries are never dropped or spilled.
+
+An entry is one small int, ``pins * 2 + primary``; its size lives in a
+column indexed by object id, which a runtime shares with its directory
+(:attr:`~repro.futures.directory.ObjectDirectory.sizes`).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -27,15 +32,6 @@ from repro.futures.policies.base import (
 )
 from repro.futures.policies.defaults import InsertionOrderMemoryPolicy
 from repro.simcore import Environment, Event
-
-
-class _Entry:
-    __slots__ = ("size", "primary", "pins")
-
-    def __init__(self, size: int, primary: bool, pins: int) -> None:
-        self.size = size
-        self.primary = primary
-        self.pins = pins
 
 
 class AllocationRequest:
@@ -70,6 +66,7 @@ class ObjectStore:
         on_evict_cached: Optional[Callable[[ObjectId], None]] = None,
         bus: Optional[object] = None,
         policy: Optional[MemoryPolicy] = None,
+        sizes: Optional["array[int]"] = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("store capacity must be positive")
@@ -86,9 +83,13 @@ class ObjectStore:
         #: Bytes of entries currently pinned by executing/fetching tasks.
         #: The prefetcher gates on this to bound fetch-ahead memory.
         self.pinned_bytes = 0
-        # A plain dict, insertion-ordered, so eviction/spill candidates
-        # come out oldest first, approximating Ray's creation-order spilling.
-        self._entries: Dict[ObjectId, _Entry] = {}
+        #: Object sizes by id: the directory's column in a runtime, a
+        #: private one for a standalone store.  Admission writes it.
+        self._sizes = sizes if sizes is not None else array("q")
+        # Object -> ``pins * 2 + primary``.  A plain dict, insertion-ordered,
+        # so eviction/spill candidates come out oldest first, approximating
+        # Ray's creation-order spilling.
+        self._entries: Dict[ObjectId, int] = {}
         # Entries that are cached (not primary) and unpinned: the eviction
         # scan is skipped while this is zero.
         self._evictable = 0
@@ -107,16 +108,18 @@ class ObjectStore:
 
     def entry_size(self, object_id: ObjectId) -> int:
         """Stored size of a resident entry."""
-        return self._entries[object_id].size
+        if object_id not in self._entries:
+            raise KeyError(object_id)
+        return self._sizes[object_id]
 
     def is_primary(self, object_id: ObjectId) -> bool:
         """True if this store holds the authoritative copy."""
-        return self._entries[object_id].primary
+        return bool(self._entries[object_id] & 1)
 
     def is_pinned(self, object_id: ObjectId) -> bool:
         """True if the resident entry is pinned by an active task or
         in-flight transfer (such entries are never dropped or spilled)."""
-        return self._entries[object_id].pins > 0
+        return self._entries[object_id] > 1
 
     @property
     def spare_bytes(self) -> int:
@@ -188,11 +191,13 @@ class ObjectStore:
     def _serve_resident(self, request: AllocationRequest) -> bool:
         """Upgrade and pin the object's resident entry as ``request``
         asks; False when none (a second entry would double-count)."""
-        entry = self._entries.get(request.object_id)
-        if entry is None:
+        state = self._entries.get(request.object_id)
+        if state is None:
             return False
-        if request.primary:
-            self._make_primary(entry)
+        if request.primary and not state & 1:
+            if state == 0:
+                self._evictable -= 1
+            self._entries[request.object_id] = state | 1
         if request.pin:
             self.pin(request.object_id)
         return True
@@ -208,22 +213,24 @@ class ObjectStore:
         return True
 
     def _admit(self, request: AllocationRequest) -> None:
+        object_id = request.object_id
+        sizes = self._sizes
+        try:
+            sizes[object_id] = request.size
+        except IndexError:  # a standalone store's own column
+            sizes.frombytes(bytes(sizes.itemsize * (object_id + 1 - len(sizes))))
+            sizes[object_id] = request.size
         self.used_bytes += request.size
         if self.used_bytes > self.peak_used_bytes:
             self.peak_used_bytes = self.used_bytes
-        self._entries[request.object_id] = _Entry(
-            request.size, request.primary, 1 if request.pin else 0
+        self._entries[object_id] = (2 if request.pin else 0) + (
+            1 if request.primary else 0
         )
         if request.pin:
             self.pinned_bytes += request.size
         elif not request.primary:
             self._evictable += 1
         request.event.succeed("memory")
-
-    def _make_primary(self, entry: _Entry) -> None:
-        if not entry.primary and entry.pins == 0:
-            self._evictable -= 1
-        entry.primary = True
 
     def _evict_cached(
         self, needed: int, request: Optional[AllocationRequest] = None
@@ -237,10 +244,11 @@ class ObjectStore:
         if self._evictable == 0:
             return 0
         freed = 0
+        entries, sizes = self._entries, self._sizes
         cached = [
-            CachedCopyView(object_id=oid, size=entry.size)
-            for oid, entry in self._entries.items()
-            if not entry.primary and entry.pins == 0
+            CachedCopyView(object_id=oid, size=sizes[oid])
+            for oid, state in entries.items()
+            if state == 0
         ]
         if not cached:
             return 0
@@ -256,13 +264,13 @@ class ObjectStore:
         for victim in self.policy.eviction_order(view, cached):
             if freed >= needed:
                 break
-            entry = self._entries.get(victim.object_id)
-            if entry is None or entry.primary or entry.pins > 0:
+            if entries.get(victim.object_id) != 0:
                 continue  # policy returned something no longer evictable
-            del self._entries[victim.object_id]
+            del entries[victim.object_id]
+            size = sizes[victim.object_id]
             self._evictable -= 1
-            self.used_bytes -= entry.size
-            freed += entry.size
+            self.used_bytes -= size
+            freed += size
             self.cached_evictions += 1
             self._on_evict_cached(victim.object_id)
         return freed
@@ -308,42 +316,44 @@ class ObjectStore:
     # -- pinning -----------------------------------------------------------
     def pin(self, object_id: ObjectId) -> None:
         """Mark an entry in active use (never dropped or spilled)."""
-        entry = self._entries[object_id]
-        if entry.pins == 0:
-            self.pinned_bytes += entry.size
-            if not entry.primary:
+        state = self._entries[object_id]
+        if state < 2:
+            self.pinned_bytes += self._sizes[object_id]
+            if state == 0:
                 self._evictable -= 1
-        entry.pins += 1
+        self._entries[object_id] = state + 2
 
     def unpin(self, object_id: ObjectId) -> None:
         """Release one pin (no-op if absent or unpinned)."""
-        entry = self._entries.get(object_id)
-        if entry is not None and entry.pins > 0:
-            entry.pins -= 1
-            if entry.pins == 0:
-                self.pinned_bytes -= entry.size
-                if not entry.primary:
+        state = self._entries.get(object_id)
+        if state is not None and state > 1:
+            state -= 2
+            self._entries[object_id] = state
+            if state < 2:
+                self.pinned_bytes -= self._sizes[object_id]
+                if state == 0:
                     self._evictable += 1
 
     def demote_to_cached(self, object_id: ObjectId) -> None:
         """Mark an entry re-fetchable (its authoritative copy is elsewhere,
         e.g. it was just spilled to disk)."""
-        entry = self._entries.get(object_id)
-        if entry is not None and entry.primary:
-            entry.primary = False
-            if entry.pins == 0:
+        state = self._entries.get(object_id)
+        if state is not None and state & 1:
+            self._entries[object_id] = state - 1
+            if state == 1:
                 self._evictable += 1
 
     # -- release -----------------------------------------------------------------
     def free(self, object_id: ObjectId) -> bool:
         """Drop an entry unconditionally (GC or post-spill); True if present."""
-        entry = self._entries.pop(object_id, None)
-        if entry is None:
+        state = self._entries.pop(object_id, None)
+        if state is None:
             return False
-        self.used_bytes -= entry.size
-        if entry.pins > 0:
-            self.pinned_bytes -= entry.size
-        elif not entry.primary:
+        size = self._sizes[object_id]
+        self.used_bytes -= size
+        if state > 1:
+            self.pinned_bytes -= size
+        elif state == 0:
             self._evictable -= 1
         self.pump()
         return True
@@ -356,10 +366,9 @@ class ObjectStore:
         :class:`~repro.futures.policies.SpillPolicy`; the policy applies
         target sizing, consumer protection, and batching on top.
         """
+        sizes = self._sizes
         return [
-            (oid, entry.size)
-            for oid, entry in self._entries.items()
-            if entry.primary and entry.pins == 0
+            (oid, sizes[oid]) for oid, state in self._entries.items() if state == 1
         ]
 
     def spill_candidates(

@@ -106,7 +106,6 @@ class Runtime:
         self.release_ref = weak_release(self)
         self.directory = ObjectDirectory(on_refcount_zero=self._evict_object)
         self.tasks: Dict[TaskId, TaskRecord] = {}
-        self._object_creator: Dict[ObjectId, TaskId] = {}
         #: Objects that submitted-but-unfinished tasks will consume.  The
         #: spill managers treat these as spill-of-last-resort: spilling a
         #: block a pending consumer is about to read forces an immediate
@@ -229,7 +228,7 @@ class Runtime:
         to its creating task's job, and the amount is charged globally
         and to that job together."""
         job_id: Optional[str] = None
-        creator = self._object_creator.get(object_id)
+        creator = self.directory.creator_of(object_id)
         if creator is not None:
             record = self.tasks.get(creator)
             if record is not None:
@@ -283,7 +282,6 @@ class Runtime:
         self.tasks[task_id] = record
         for oid in return_ids:
             self.directory.register(oid, creator=task_id)
-            self._object_creator[oid] = task_id
         refs = [make_ref(self, oid) for oid in return_ids]
         self.charge_task(options, "tasks_submitted", 1)
         self._note_task_inflight(record)
@@ -415,20 +413,22 @@ class Runtime:
             self.directory.on_ready(ref.object_id, on_ready)
 
     def _evict_object(self, object_id: ObjectId) -> None:
-        record = self.directory.maybe_get(object_id)
-        if record is None:
+        held = self.directory.holders(object_id)
+        if held is None:
             return
-        for node_id in list(record.memory_nodes):
+        memory_nodes, spill_nodes = held
+        # Each holding store frees once, in ascending node order.
+        for node_id in memory_nodes:
             manager = self.node_managers.get(node_id)
             if manager is not None:
                 manager.store.free(object_id)
-            record.memory_nodes.discard(node_id)
-        for node_id in list(record.spill_nodes):
+        for node_id in list(spill_nodes):
             manager = self.node_managers.get(node_id)
             if manager is not None:
                 manager.spill.forget(object_id)
-        if record.shared and self.shared_store is not None:
-            self.shared_store.forget(object_id)
+        shared_store = self.shared_store
+        if shared_store is not None and self.directory.is_shared(object_id):
+            shared_store.forget(object_id)
         self.payloads.pop(object_id, None)
         self.directory.drop(object_id)
         self.counters.add("objects_evicted", 1)
@@ -452,14 +452,8 @@ class Runtime:
 
     def directory_objects_on(self, node_id: NodeId) -> List[ObjectId]:
         """Objects the directory currently places (in any form) on a node."""
-        found = []
-        for oid in list(self.payloads):
-            record = self.directory.maybe_get(oid)
-            if record is None:
-                continue
-            if node_id in record.memory_nodes or node_id in record.spill_nodes:
-                found.append(oid)
-        return found
+        holds = self.directory.holds
+        return [oid for oid in list(self.payloads) if holds(oid, node_id)]
 
     def resubmit_task(
         self, record: TaskRecord, cause: Optional[int] = None
@@ -756,10 +750,13 @@ class Runtime:
             wake = done
         self._driver.block_on(wake)
         ready, not_ready = [], []
+        directory = self.directory
         for ref in ref_list:
-            record = self.directory.maybe_get(ref.object_id)
+            oid = ref.object_id
             is_ready = (
-                record is None or record.created or record.error is not None
+                oid not in directory
+                or directory.is_created(oid)
+                or directory.error_of(oid) is not None
             )
             (ready if is_ready else not_ready).append(ref)
         return ready, not_ready
@@ -809,8 +806,7 @@ class Runtime:
     ) -> Iterator[Event]:
         for oid in object_ids:
             yield self.ensure_available(oid)
-            record = self.directory.maybe_get(oid)
-            if record is None:
+            if oid not in self.directory:
                 continue
             existing = {
                 nid
@@ -827,7 +823,9 @@ class Runtime:
                 state = yield from manager.ensure_local(oid)
                 # Promote the copy to primary: it now spills under
                 # pressure rather than being dropped.
-                manager.store.try_allocate(oid, record.size, primary=True)
+                manager.store.try_allocate(
+                    oid, self.directory.sizes[oid], primary=True
+                )
                 if state == "memory":
                     manager.store.unpin(oid)
                 self.counters.add("replicas_created", 1)
@@ -914,19 +912,19 @@ class Runtime:
     # -- introspection (§4.3.1 "runtime introspection") -----------------------
     def locations_of(self, ref: ObjectRef) -> List[NodeId]:
         """Where an object currently lives (memory or disk)."""
-        record = self.directory.maybe_get(ref.object_id)
-        if record is None or not record.created:
+        if not self.directory.is_created(ref.object_id):
             return []
-        return sorted(set(record.memory_nodes) | set(record.spill_nodes))
+        return self.directory.location_nodes(ref.object_id)
 
     def object_size(self, ref: ObjectRef) -> int:
         """Size in bytes of a created object (0 if not yet created)."""
-        record = self.directory.maybe_get(ref.object_id)
-        return record.size if record is not None and record.created else 0
+        if not self.directory.is_created(ref.object_id):
+            return 0
+        return self.directory.sizes[ref.object_id]
 
     def task_attempts(self, ref: ObjectRef) -> int:
         """How many times the creating task of ``ref`` has executed."""
-        creator_id = self._object_creator.get(ref.object_id)
+        creator_id = self.directory.creator_of(ref.object_id)
         if creator_id is None:
             return 0
         return self.tasks[creator_id].spec.attempts

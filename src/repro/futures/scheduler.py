@@ -232,17 +232,19 @@ class Scheduler:
         if not alive:
             raise SchedulingError("no alive nodes to schedule on")
         directory = runtime.directory
+        sizes = directory.sizes
         bytes_by_node: Dict[NodeId, int] = defaultdict(int)
         for dep in record.spec.dependency_ids:
-            dep_record = directory.maybe_get(dep)
-            if dep_record is None:
+            held = directory.holders(dep)
+            if held is None:
                 continue
-            for node_id in dep_record.memory_nodes:
+            memory_nodes, spill_nodes = held
+            for node_id in memory_nodes:
                 if node_id in alive:
-                    bytes_by_node[node_id] += dep_record.size
-            for node_id in dep_record.spill_nodes:
+                    bytes_by_node[node_id] += sizes[dep]
+            for node_id in spill_nodes:
                 if node_id in alive:
-                    bytes_by_node[node_id] += dep_record.size
+                    bytes_by_node[node_id] += sizes[dep]
         candidates = tuple(
             NodeCandidate(
                 node_id=node_id,

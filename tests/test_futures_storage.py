@@ -1,12 +1,16 @@
 """Object store, spilling, write fusing, prefetching, and GC behaviour."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.chaos import InvariantChecker
+from repro.common.ids import NodeId, ObjectId, TaskId
 from repro.common.units import MB, MIB
 from repro.futures import RuntimeConfig, register_policy
+from repro.futures.directory import ObjectDirectory
 from repro.futures.policies import (
     AffinityStage,
     BlacklistStage,
@@ -14,6 +18,7 @@ from repro.futures.policies import (
     StagedPlacementPolicy,
 )
 from repro.futures.policies.registry import _REGISTRY
+from repro.sort import SortJobConfig, run_sort
 
 from tests.conftest import make_runtime
 
@@ -390,3 +395,139 @@ class TestIntrospection:
             return rt.task_attempts(ref)
 
         assert rt.run(driver) == 1
+
+
+class TestPerObjectColumns:
+    """The directory and the stores keep per-object state in columns
+    indexed by object id, with memory locations as one node bitmask."""
+
+    def test_locations_past_64_nodes_read_back_ascending(self):
+        directory = ObjectDirectory(on_refcount_zero=lambda oid: None)
+        oid = ObjectId(5)
+        directory.register(oid, creator=TaskId(1))
+        for node in (99, 0, 64, 63):
+            directory.add_memory_location(oid, NodeId(node))
+        nodes = directory.get(oid).memory_nodes
+        assert nodes == (0, 63, 64, 99)
+        assert all(type(node) is NodeId for node in nodes)
+        directory.add_spill_location(oid, NodeId(70), "slot")
+        assert directory.locations(oid) == {0, 63, 64, 70, 99}
+        assert directory.location_nodes(oid) == [0, 63, 64, 70, 99]
+        directory.remove_memory_location(oid, NodeId(64))
+        directory.remove_memory_location(oid, NodeId(0))
+        assert directory.memory_nodes(oid) == (63, 99)
+        assert directory.holds(oid, NodeId(99))
+        assert directory.holds(oid, NodeId(70))
+        assert not directory.holds(oid, NodeId(64))
+        directory.mark_created(oid, 10)
+        for node in (63, 99):
+            directory.remove_memory_location(oid, NodeId(node))
+        directory.remove_spill_location(oid, NodeId(70))
+        assert directory.memory_nodes(oid) == ()
+        assert directory.get(oid).lost
+        # The creator outlives the record; lineage re-registers with it.
+        directory.drop(oid)
+        assert directory.creator_of(oid) == TaskId(1)
+
+    def test_seventy_node_round_leaves_invariants_clean(self):
+        rt = make_runtime(num_nodes=70, store_mib=64)
+        double = rt.remote(lambda x: 2 * x)
+
+        def driver():
+            ref = rt.put(21)
+            outs = [
+                double.options(node=NodeId(node)).remote(ref)
+                for node in (64, 69, 63)
+            ]
+            values = rt.get(outs)
+            locations = rt.locations_of(ref)
+            rt.free(outs + [ref])
+            return values, locations
+
+        values, locations = rt.run(driver)
+        assert values == [42, 42, 42]
+        assert locations == [0, 63, 64, 69]
+        rt.env.run()
+        assert InvariantChecker(rt).check() == []
+        assert len(rt.directory) == 0
+
+    def test_eviction_frees_each_holder_once_in_ascending_node_order(self):
+        rt = make_runtime(num_nodes=70, store_mib=64)
+        freed = []
+        for node_id, manager in rt.node_managers.items():
+
+            def spy(oid, node_id=node_id, free=manager.store.free):
+                freed.append((node_id, oid))
+                return free(oid)
+
+            manager.store.free = spy
+        make = rt.remote(lambda: 7).options(node=NodeId(66))
+        read = rt.remote(lambda x: x)
+
+        def driver():
+            ref = make.remote()
+            outs = [read.options(node=NodeId(n)).remote(ref) for n in (65, 3)]
+            rt.get(outs)
+            rt.free(outs)
+            before = len(freed)
+            rt.free([ref])
+            return ref.object_id, freed[before:]
+
+        oid, evicted = rt.run(driver)
+        assert evicted == [(3, oid), (65, oid), (66, oid)]
+
+    def test_per_object_state_stays_compact(self):
+        """At the peak of a 10-node ``simple`` sort, the directory (whose
+        columns include each object's creator) and the stores hold at
+        most 280 B per live object.  A record with its location set, a
+        store entry object per copy and a creator map cost about 570 B.
+
+        The peak is the engine step where the stores hold the most
+        bytes; a first run finds it, and a replay under tracemalloc
+        snapshots there."""
+
+        def sort_run(on_step):
+            rt = make_runtime(num_nodes=10, store_mib=256)
+            step, steps = rt.env.step, [0]
+
+            def counted():
+                step()
+                steps[0] += 1
+                on_step(rt, steps[0])
+
+            rt.env.step = counted
+            config = SortJobConfig(
+                variant="simple",
+                num_partitions=30,
+                partition_bytes=int(0.3 * 10 * 256 * MIB / 30),
+                virtual=True,
+            )
+            assert run_sort(rt, config).validated
+
+        peak = {"bytes": 0, "step": 0}
+
+        def find_peak(rt, step):
+            used = sum(m.store.used_bytes for m in rt.node_managers.values())
+            if used > peak["bytes"]:
+                peak.update(bytes=used, step=step)
+
+        sort_run(find_peak)
+        sites = [
+            tracemalloc.Filter(True, "*repro/futures/directory.py"),
+            tracemalloc.Filter(True, "*repro/futures/object_store.py"),
+        ]
+        held = {}
+
+        def measure(rt, step):
+            if step == peak["step"]:
+                snapshot = tracemalloc.take_snapshot().filter_traces(sites)
+                held["bytes"] = sum(s.size for s in snapshot.statistics("filename"))
+                held["live"] = len(rt.directory)
+
+        tracemalloc.start()
+        try:
+            sort_run(measure)
+        finally:
+            tracemalloc.stop()
+        assert held["live"] > 900
+        assert held["bytes"] / held["live"] <= 280

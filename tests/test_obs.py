@@ -383,7 +383,7 @@ class TestCausality:
         for task_id, record in rt.tasks.items():
             truth = set()
             for dep in record.spec.dependency_ids:
-                creator = rt._object_creator.get(dep)
+                creator = rt.directory.creator_of(dep)
                 if creator is not None:
                     truth.add(str(creator))
             assert set(derived.get(str(task_id), [])) == truth
