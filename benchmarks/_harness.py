@@ -89,42 +89,41 @@ def set_live_html(enabled: bool) -> None:
     _LIVE_HTML = bool(enabled)
 
 
-#: When true (the ``--profile`` pytest option), every runtime built by
-#: :func:`make_runtime` gets a ``repro.obs.profile.SelfProfiler``
-#: attached, and ``finish_bench`` stamps the aggregated profile
+#: Under the ``--profile`` pytest option, the installed
+#: ``repro.obs.profile.SelfProfiler`` covering the current benchmark:
+#: every engine it runs, one runtime per variant and the baselines' bare
+#: engines alike.  ``finish_bench`` stamps the aggregated profile
 #: (throughput, category fractions, counters) into ``BENCH_*.json`` as
 #: its ``profile`` section plus ``<name>.profile.json`` and a
 #: ``<name>.flame.svg`` flamegraph in the trace dir.  Only the cheap
 #: scoped profiler runs here -- never cProfile, whose per-call hook
 #: would corrupt the very wall-time numbers the trajectory track
 #: follows.
-_PROFILE = False
-
-#: The profiler spanning the current benchmark's runtimes (a figure
-#: bench builds one runtime per variant; the profile aggregates them).
 _PROFILER: Optional[Any] = None
 
 
 def set_profile(enabled: bool) -> None:
-    """Toggle self-profiling of benchmark runs (the ``--profile`` flag)."""
-    global _PROFILE, _PROFILER
-    _PROFILE = bool(enabled)
-    _PROFILER = None
+    """Toggle self-profiling of benchmark runs (the ``--profile`` flag).
+
+    Uninstalls any profiler still installed -- a bench that raised before
+    ``finish_bench`` leaves one -- then installs a fresh one if enabled.
+    """
+    global _PROFILER
+    if _PROFILER is not None:
+        _PROFILER.finish()
+        _PROFILER = None
+    if enabled:
+        from repro.obs.profile import SelfProfiler
+
+        _PROFILER = SelfProfiler()
+        _PROFILER.install()
 
 
 def make_runtime(
     node: NodeSpec, num_nodes: int, config: Optional[RuntimeConfig] = None
 ) -> Runtime:
-    global LAST_RUNTIME, _PROFILER
+    global LAST_RUNTIME
     LAST_RUNTIME = Runtime.create(node, num_nodes, config=config)
-    if _PROFILE:
-        from repro.obs.profile import SelfProfiler
-
-        if _PROFILER is None:
-            _PROFILER = SelfProfiler()
-        else:
-            _PROFILER.detach()  # hop from the previous variant's runtime
-        _PROFILER.attach(LAST_RUNTIME)
     return LAST_RUNTIME
 
 
@@ -292,8 +291,8 @@ def finish_bench(
     keys off the fingerprint to refuse apples-to-oranges comparisons
     and off the critpath summary to attribute regressions.
 
-    Under ``--profile``, the self-profiler attached by
-    :func:`make_runtime` is detached and finalized here, its summary is
+    Under ``--profile``, the self-profiler installed by
+    :func:`set_profile` is uninstalled and finalized here, its summary is
     stamped into the JSON as the ``profile`` section (the non-gating
     trajectory input of ``repro.obs diff``), and ``<name>.profile.json``
     plus a ``<name>.flame.svg`` flamegraph land in the trace dir.
@@ -303,16 +302,16 @@ def finish_bench(
     rt = runtime if runtime is not None else LAST_RUNTIME
     out_dir = _TRACE_DIR if _TRACE_DIR is not None else Path.cwd()
     profiler = _PROFILER
-    _PROFILER = None  # the next make_runtime starts a fresh profile
+    _PROFILER = None
     if profiler is not None:
-        profiler.detach()
+        profiler.uninstall()
     critpath_summary: Optional[Dict[str, Any]] = None
     if rt is not None and rt.bus.events:
         from repro.obs.perf import critical_path
 
         if profiler is not None:
-            # Span derivation is an obs hot path the profiler cannot
-            # reach by instance shadowing; charge it explicitly.
+            # Span derivation is an obs hot path the profiler's class
+            # hooks do not cover; charge it explicitly.
             with profiler.scope("span.derive"):
                 critpath_summary = critical_path(rt.bus.events).to_dict()
         else:
@@ -364,7 +363,7 @@ def finish_bench(
 
         events_path = _TRACE_DIR / f"{name}.events.jsonl"
         chrome_path = _TRACE_DIR / f"{name}.trace.json"
-        record_run(rt, str(events_path))
+        record_run(rt, str(events_path), profile=payload.get("profile"))
         write_chrome_trace(rt.bus.events, str(chrome_path))
         payload["events_jsonl"] = str(events_path)
         payload["chrome_trace"] = str(chrome_path)

@@ -37,7 +37,7 @@ def pytest_addoption(parser):
         "--profile",
         action="store_true",
         default=False,
-        help="attach the self-profiler to every benchmark runtime: "
+        help="install the self-profiler around every benchmark: "
         "stamps a profile section (throughput, category fractions) "
         "into BENCH_*.json and, with --trace-dir, writes "
         "<name>.profile.json and a <name>.flame.svg flamegraph",

@@ -204,8 +204,7 @@ class DriverHost:
             env = self.env
             inf = float("inf")
             # Runs once per engine event: ``outcome`` is read directly
-            # rather than through ``finished``, and ``step`` is looked up on
-            # each pass so an instance shadow (the self-profiler) applies.
+            # rather than through ``finished``.
             while primary.outcome is None:
                 if ready:
                     self._hand_off(heapq.heappop(ready)[1])

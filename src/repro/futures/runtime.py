@@ -146,11 +146,6 @@ class Runtime:
         #: taxes a task attempt with additional latency (straggler
         #: injection).  Installed by :class:`repro.chaos.ChaosInjector`.
         self.task_delay_hook: Optional[Callable[[TaskSpec, NodeId], float]] = None
-        #: Duck-typed self-profiler slot, set by
-        #: ``repro.obs.profile.SelfProfiler.attach`` (like
-        #: :meth:`attach_sampler`, the data plane never imports the
-        #: profiler); ``record_run`` stamps its summary when present.
-        self.self_profiler: Optional[Any] = None
         #: Duck-typed planning-surface slot, set by
         #: :meth:`attach_planner` (normally via
         #: ``repro.plan.planner_for_runtime`` when ``config.replan`` is

@@ -314,7 +314,7 @@ def _cmd_profile(argv) -> int:
         "--workload",
         choices=("chaos",),
         default=None,
-        help="run a built-in workload live with the profiler attached",
+        help="run a built-in workload live with the profiler installed",
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
@@ -341,10 +341,9 @@ def _cmd_profile(argv) -> int:
     prof = SelfProfiler()
     if args.workload:
         rt, driver = _chaos_workload(args.seed)
-        prof.attach(rt)
-        rt.run(driver)
-        rt.env.run()
-        prof.detach()
+        with prof:
+            rt.run(driver)
+            rt.env.run()
         recorded = None
     else:
         prof.start()

@@ -13,7 +13,7 @@ emailed file opens offline and still shows:
 - the critical-path category breakdown and the report's phase table;
 - the Engine self-profile (events/sec throughput and top wall-time
   categories) when the run was recorded with a
-  :class:`repro.obs.profile.SelfProfiler` attached.
+  :class:`repro.obs.profile.SelfProfiler` profile.
 
 The data payload is ``sampler.to_dict()`` + ``RunReport.to_dict()`` +
 ``critical_path(...).to_dict()`` serialised into a ``const DATA``

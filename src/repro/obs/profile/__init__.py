@@ -10,8 +10,8 @@ raw-speed item).
 - :class:`~repro.obs.profile.core.SelfProfiler` -- scoped wall-clock
   accounting with exclusive-time attribution (event-queue pop, handler
   dispatch keyed by subsystem, event-bus publish, metrics charging,
-  driver handoffs), hot-loop counters (events processed, heap ops, bus
-  publications), and the first-class *simulated-events-per-wall-second*
+  driver handoffs), hot-loop counters (events processed, bus
+  publications, metric charges), and the first-class *simulated-events-per-wall-second*
   throughput metric.  The per-category breakdown plus the
   ``untracked`` residue sums to the measured total wall time --
   ``coverage_error()`` mirrors
@@ -21,9 +21,9 @@ raw-speed item).
   flamegraph renderer.  Function-level detail is ``python -m
   cProfile``'s job.
 
-Attachment is strictly one-directional: ``SelfProfiler.attach(runtime)``
-shadows hot methods on the *instances* (``Environment.step``,
-``EventBus.emit``, ...) and ``detach()`` restores them, so
+Installation is strictly one-directional: ``SelfProfiler.install()``
+patches hot methods on their *classes* (``Environment.step``,
+``EventBus.emit``, ...) and ``uninstall()`` restores the originals, so
 :mod:`repro.simcore` and :mod:`repro.futures` never import this package
 (enforced by ``tools/check_layering.py``) and profiling is zero-cost
 when off -- the golden event digests pin that the observer does not

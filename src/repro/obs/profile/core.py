@@ -14,32 +14,35 @@ driver-loop bookkeeping, test harness code, profiler overhead itself).
 identity exactly the way the critical-path analyzer proves *its*
 sums-to-makespan invariant.
 
-Attachment works by shadowing hot methods on *instances* -- never by
-editing classes and never by the data plane importing this module:
+``install()`` patches the hot methods once, on their *classes*, for
+the whole process -- the data plane never imports this module:
 
 - ``Environment.step`` (heap pop plus callback dispatch) is timed
   under the subsystem the next queued event resumes
   (``engine.dispatch.task``, ``engine.dispatch.driver``, ...; a bare
-  callback is ``engine.dispatch.callbackevent``);
-- ``Environment._schedule`` / ``_schedule_callback`` count heap pushes;
+  callback is ``engine.dispatch.callbackevent``).  It is the root of
+  every engine in the process, the Spark and Dask baselines' bare
+  environments included, and each step's ``env.now`` advance adds to
+  the simulated seconds;
 - ``EventBus.emit`` is timed as ``bus.publish``;
 - ``Runtime.charge_task`` / ``charge_object`` and the
   ``MetricRegistry`` write paths are timed as ``metrics.charge``;
 - the driver host's handoffs (driver Python running between blocking
   calls) are timed as ``driver.exec``.
 
-``detach()`` deletes the instance shadows, restoring the pristine class
-methods -- profiling off is therefore *bit-for-bit* absent, which the
-golden digest tests pin.  Overhead when on is a handful of
-``perf_counter`` calls per simulated event, bounded (<5% on realistic
-runs) by ``tests/test_self_profile.py``'s budget test.
+``uninstall()`` puts back the exact object each class attribute held
+-- profiling off is therefore *bit-for-bit* absent, which the golden
+digest tests pin.  Overhead when on is a handful of ``perf_counter``
+calls per simulated event, bounded (<5% on realistic runs) by
+``tests/test_self_profile.py``'s budget test.
 """
 
 from __future__ import annotations
 
+import importlib
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Prefix of the per-subsystem handler-dispatch categories.
 DISPATCH_PREFIX = "engine.dispatch."
@@ -52,6 +55,22 @@ UNTRACKED = "untracked"
 #: one the engine's former ``_CallbackEvent`` wrapper produced, so profiles
 #: from before and after it was removed stay comparable.
 CALLBACK_CATEGORY = DISPATCH_PREFIX + "callbackevent"
+
+#: ``(module, class, methods, category, counter)`` per scoped hook point;
+#: ``Environment.step`` is hooked on its own (its category is named per
+#: event, and it also advances the simulated clock).
+HOOKS: Tuple[Tuple[str, str, Tuple[str, ...], str, str], ...] = (
+    ("repro.obs.events", "EventBus", ("emit",), "bus.publish", "bus_publications"),
+    ("repro.futures.runtime", "Runtime", ("charge_task", "charge_object"),
+     "metrics.charge", "metric_charges"),
+    ("repro.obs.registry", "MetricRegistry", ("counter", "gauge_set", "observe"),
+     "metrics.charge", "metric_charges"),
+    ("repro.futures.driver", "DriverHost", ("_hand_off",), "driver.exec",
+     "driver_handoffs"),
+)
+
+#: The profiler whose hooks are on the classes now (one per process).
+_installed: Optional["SelfProfiler"] = None
 
 
 def _dispatch_category(event: Any) -> str:
@@ -93,56 +112,65 @@ class SelfProfiler:
     ``--profile``)::
 
         prof = SelfProfiler()
-        prof.attach(runtime)        # instruments this runtime's instances
+        prof.install()              # patches the hot methods' classes
         ...run the workload...
-        prof.detach()               # restores the pristine methods
-        prof.finish()               # stops the total-wall clock
+        prof.finish()               # uninstalls, stops the wall clock
         print(prof.render())
 
-    One profiler may attach to several runtimes in sequence (a figure
-    benchmark builds one per variant); categories, counters, and
-    simulated seconds accumulate across attachments, and the total wall
-    clock runs from the first ``start()``/``attach()`` to ``finish()``.
+    ``with SelfProfiler() as prof:`` does the same for one block.
+
+    One install covers every engine the process runs while it lasts (a
+    figure benchmark builds one runtime per variant, plus bare engines
+    for its baselines); categories, counters, and simulated seconds
+    accumulate across them, and the total wall clock runs from the
+    first ``start()``/``install()`` to ``finish()``.  Only one profiler
+    may be installed at a time.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
         #: Exclusive seconds per category.
         self.seconds: Dict[str, float] = {}
-        #: Hot-loop counters (events_processed, heap_pushes,
-        #: bus_publications, metric_charges, driver_handoffs, ...).
+        #: Hot-loop counters (events_processed, bus_publications,
+        #: metric_charges, driver_handoffs, ...).
         self.counts: Dict[str, int] = {}
         #: Exclusive seconds per scope *path* (folded-stack data for the
         #: flamegraph exporter), keyed by the tuple of categories on the
         #: stack at exit time.
         self.folded: Dict[Tuple[str, ...], float] = {}
-        #: Simulated seconds advanced while attached (across runtimes).
+        #: Simulated seconds the engines advanced while installed.
         self.sim_time_s = 0.0
         # Frames are [category, start, child_s, path]; the folded-stack
         # path is built once at enter so exit stays allocation-light.
         self._stack: List[List[Any]] = []
         self._started_at: Optional[float] = None
         self._finished_at: Optional[float] = None
-        self._runtime: Optional[Any] = None
-        self._patched: List[Tuple[Any, str]] = []
-        self._env_now_at_attach = 0.0
+        #: ``(owner, attribute, was_own_attribute, original)`` per patch.
+        self._patches: List[Tuple[Any, str, bool, Any]] = []
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Start the total-wall clock (idempotent; ``attach`` calls it)."""
+        """Start the total-wall clock (idempotent; ``install`` calls it)."""
         if self._started_at is None:
             self._started_at = self.clock()
 
     def finish(self) -> None:
-        """Stop the total-wall clock (detaching first if still attached);
-        idempotent."""
+        """Stop the total-wall clock (uninstalling first); idempotent."""
         if self._finished_at is not None:
             return
-        if self._runtime is not None:
-            self.detach()
+        self.uninstall()
         if self._started_at is None:
             self._started_at = self.clock()
         self._finished_at = self.clock()
+
+    def __enter__(self) -> "SelfProfiler":
+        """``with SelfProfiler() as prof:`` installs for the block and
+        finishes (uninstalling) when it exits, exception or not."""
+        self.install()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.finish()
 
     @property
     def total_wall_s(self) -> float:
@@ -177,7 +205,7 @@ class SelfProfiler:
     def scope(self, category: str) -> Iterator[None]:
         """Time a block under ``category`` (nest freely; exclusive
         accounting keeps the sum identity).  Public entry for obs-side
-        hot paths the instance shadows cannot reach -- the bench harness
+        hot paths the class hooks do not cover -- the bench harness
         wraps span derivation and trace export with it."""
         self.start()
         self._enter(category)
@@ -191,134 +219,73 @@ class SelfProfiler:
         self.counts[name] = self.counts.get(name, 0) + amount
 
     # -- instrumentation ---------------------------------------------------
-    def attach(self, runtime: Any) -> None:
-        """Instrument ``runtime``'s hot paths (engine loop, event bus,
-        metrics charging, driver handoffs) by shadowing the bound
-        methods on the instances.  Also publishes itself as
-        ``runtime.self_profiler`` so :func:`repro.obs.report.record_run`
-        can stamp the profile into the run summary."""
-        if self._runtime is not None:
-            raise RuntimeError("profiler is already attached; detach first")
+    def install(self) -> None:
+        """Patch every hook point on its class (engine loop, event bus,
+        metrics charging, driver handoffs) for the whole process.
+        Refuses while any profiler is installed, and once finished."""
+        global _installed
+        if _installed is not None:
+            raise RuntimeError("a profiler is already installed; uninstall it first")
         if self._finished_at is not None:
             raise RuntimeError("profiler already finished")
+        from repro.simcore.engine import Environment
+
         self.start()
-        self._runtime = runtime
-        env = runtime.env
-        self._env_now_at_attach = env.now
-        queue = env._queue
-        self._shadow(
-            env,
-            "step",
-            self._scoped(
-                env.step,
-                lambda: _dispatch_category(queue[0][2]),
-                "events_processed",
-            ),
-        )
-        self._shadow(env, "_schedule", self._counting(env._schedule, "heap_pushes"))
-        self._shadow(
-            env,
-            "_schedule_callback",
-            self._counting(env._schedule_callback, "heap_pushes"),
-        )
-        self._shadow(
-            runtime.bus,
-            "emit",
-            self._scoped(runtime.bus.emit, "bus.publish", "bus_publications"),
-        )
-        self._shadow(
-            runtime,
-            "charge_task",
-            self._scoped(runtime.charge_task, "metrics.charge", "metric_charges"),
-        )
-        self._shadow(
-            runtime,
-            "charge_object",
-            self._scoped(runtime.charge_object, "metrics.charge", "metric_charges"),
-        )
-        metrics = runtime.metrics
-        for method in ("counter", "gauge_set", "observe"):
-            self._shadow(
-                metrics,
-                method,
-                self._scoped(
-                    getattr(metrics, method), "metrics.charge", "metric_charges"
-                ),
-            )
-        host = getattr(runtime, "_driver", None)
-        if host is not None:
-            self._shadow(
-                host,
-                "_hand_off",
-                self._scoped(host._hand_off, "driver.exec", "driver_handoffs"),
-            )
-        self.count("runtimes_attached", 1)
-        runtime.self_profiler = self
+        self._patch(Environment, "step", self._profiled_step(Environment.step))
+        for module, class_name, methods, category, counter in HOOKS:
+            cls = getattr(importlib.import_module(module), class_name)
+            for name in methods:
+                self._patch(cls, name, self._scoped(getattr(cls, name), category, counter))
+        _installed = self
 
-    def detach(self) -> None:
-        """Remove every instance shadow, restoring the pristine class
-        methods; accumulates the simulated seconds the attachment
-        covered.  Idempotent."""
-        if self._runtime is None:
-            return
-        for obj, name in reversed(self._patched):
-            try:
-                delattr(obj, name)
-            except AttributeError:
-                pass
-        self._patched.clear()
-        self.sim_time_s += self._runtime.env.now - self._env_now_at_attach
-        self._runtime = None
+    def uninstall(self) -> None:
+        """Restore every patched class attribute to the object it held.
+        Idempotent."""
+        global _installed
+        while self._patches:
+            owner, name, had, original = self._patches.pop()
+            if had:
+                setattr(owner, name, original)
+            else:
+                delattr(owner, name)
+        if _installed is self:
+            _installed = None
 
-    @classmethod
-    @contextmanager
-    def attached(cls, runtime: Any) -> Iterator["SelfProfiler"]:
-        """Context manager: attach to ``runtime``, detach + finish on
-        exit, yielding the profiler."""
-        profiler = cls()
-        profiler.attach(runtime)
-        try:
-            yield profiler
-        finally:
-            profiler.finish()
+    def _patch(self, owner: Any, name: str, replacement: Callable) -> None:
+        had = name in vars(owner)
+        self._patches.append((owner, name, had, vars(owner).get(name)))
+        setattr(owner, name, replacement)
 
-    def _shadow(self, obj: Any, name: str, replacement: Callable) -> None:
-        """Install an instance-attribute shadow over a class method."""
-        if name in vars(obj):
-            raise RuntimeError(
-                f"{type(obj).__name__}.{name} already carries an instance "
-                f"shadow; refusing to stack profilers"
-            )
-        setattr(obj, name, replacement)
-        self._patched.append((obj, name))
-
-    def _counting(self, fn: Callable, counter: str) -> Callable:
-        """A pass-through wrapper that only bumps ``counter``."""
-        counts = self.counts
-
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            counts[counter] = counts.get(counter, 0) + 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    def _scoped(
-        self,
-        fn: Callable,
-        category: Union[str, Callable[[], str]],
-        counter: str,
-    ) -> Callable:
-        """A wrapper timing ``fn`` under ``category`` and counting calls.
-        A callable ``category`` names the scope at call time (the engine
-        step keys it by the event about to be popped)."""
+    def _profiled_step(self, step: Callable) -> Callable:
+        """``Environment.step`` timed under the category of the event
+        about to be popped, adding the step's ``env.now`` advance to
+        :attr:`sim_time_s`."""
         counts = self.counts
         enter = self._enter
         exit_ = self._exit
-        dynamic = callable(category)
+        profiler = self
+
+        def profiled_step(env: Any) -> None:
+            counts["events_processed"] = counts.get("events_processed", 0) + 1
+            enter(_dispatch_category(env._queue[0][2]))
+            before = env.now
+            try:
+                step(env)
+            finally:
+                profiler.sim_time_s += env.now - before
+                exit_()
+
+        return profiled_step
+
+    def _scoped(self, fn: Callable, category: str, counter: str) -> Callable:
+        """A wrapper timing ``fn`` under ``category`` and counting calls."""
+        counts = self.counts
+        enter = self._enter
+        exit_ = self._exit
 
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             counts[counter] = counts.get(counter, 0) + 1
-            enter(category() if dynamic else category)
+            enter(category)
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -411,8 +378,8 @@ class SelfProfiler:
         state = (
             "finished"
             if self._finished_at is not None
-            else "attached"
-            if self._runtime is not None
+            else "installed"
+            if self._patches
             else "idle"
         )
         return (

@@ -36,7 +36,9 @@ from repro.obs.events import EventBus, ObsEvent, run_summary
 from repro.obs.trace import FAULT_KINDS, FaultEntry, Span, derive_spans
 
 
-def record_run(runtime: Any, path: str) -> int:
+def record_run(
+    runtime: Any, path: str, profile: Optional[Dict[str, Any]] = None
+) -> int:
     """Export a runtime's event bus to ``path`` as JSONL.
 
     Samples the per-node gauges first, then appends a synthetic
@@ -44,7 +46,9 @@ def record_run(runtime: Any, path: str) -> int:
     counters, and the metric-registry snapshot, so the file is
     self-sufficient for offline reporting.  Returns the number of lines
     written.  ``runtime`` is duck-typed (needs ``bus``, ``stats``,
-    ``job_stats``, ``metrics``, ``sample_gauges``).
+    ``job_stats``, ``metrics``, ``sample_gauges``).  A ``profile``
+    (:meth:`repro.obs.profile.SelfProfiler.to_dict`) is stamped into
+    the summary too; the reporter then renders an Engine section.
     """
     runtime.sample_gauges()
     bus: EventBus = runtime.bus
@@ -54,11 +58,8 @@ def record_run(runtime: Any, path: str) -> int:
         "metrics": runtime.metrics.snapshot(),
         "cluster": runtime.cluster_snapshot(),
     }
-    # Duck-typed: present only when a repro.obs.profile.SelfProfiler is
-    # (or was) attached -- the reporter then renders an Engine section.
-    profiler = getattr(runtime, "self_profiler", None)
-    if profiler is not None:
-        attrs["profile"] = profiler.to_dict()
+    if profile is not None:
+        attrs["profile"] = profile
     summary = ObsEvent(
         seq=bus.next_seq,
         ts=float(bus.clock()),
@@ -439,8 +440,8 @@ class RunReport:
 
     def engine_summary(self, top_k: int = 5) -> Dict[str, Any]:
         """Self-profile of the *simulator itself* from the recorded
-        ``run.summary`` (present when the run was recorded with a
-        :class:`repro.obs.profile.SelfProfiler` attached): wall seconds,
+        ``run.summary`` (present when :func:`record_run` was given a
+        :class:`repro.obs.profile.SelfProfiler` profile): wall seconds,
         simulated-events-per-wall-second throughput, and the top
         wall-time categories with their shares ({} otherwise)."""
         profile = self.summary.get("profile")

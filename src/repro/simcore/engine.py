@@ -75,13 +75,7 @@ class Environment:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Pop and process one event.
-
-        ``run``/``run_until_event`` call ``self.step()``, so an
-        *instance* attribute shadowing this method takes effect for a
-        whole run -- the self-profiler (``repro.obs.profile``) attaches
-        exactly that way and restores the class method on detach.
-        """
+        """Pop and process one event."""
         when, _seq, fn = heapq.heappop(self._queue)
         if when < self.now:
             raise RuntimeError("event queue went backwards in time")

@@ -1,4 +1,7 @@
-"""The benchmark harness's own helpers (scaling, table utilities)."""
+"""The benchmark harness's own helpers (scaling, table utilities,
+profiling teardown)."""
+
+import textwrap
 
 import pytest
 
@@ -13,6 +16,10 @@ from benchmarks._harness import (
 )
 from repro.cluster import D3_2XLARGE, I3_2XLARGE
 from repro.metrics import ResultTable
+
+from tests.test_self_profile import _hooked_attributes
+
+pytest_plugins = ("pytester",)
 
 
 class TestScaling:
@@ -52,3 +59,33 @@ class TestRunHelper:
         )
         assert result.validated
         assert rt.counters.get("tasks_finished") > 0
+
+
+class TestProfiling:
+    def test_bench_that_raises_leaves_no_class_patched(self, pytester):
+        """A ``--profile`` bench body that raises before ``finish_bench``
+        still has its profiler uninstalled by the fixture's teardown."""
+        pristine = _hooked_attributes()
+        pytester.makeconftest(
+            "from benchmarks.conftest import _trace_dir, pytest_addoption\n"
+        )
+        pytester.makepyfile(
+            test_raising_bench=textwrap.dedent(
+                """
+                from benchmarks import _harness
+                from benchmarks._harness import make_runtime, ssd_node
+
+                def test_bench():
+                    assert _harness._PROFILER is not None
+                    rt = make_runtime(ssd_node(), 2)
+                    rt.env.call_later(1.0, lambda: None)
+                    rt.env.run()
+                    assert _harness._PROFILER.counts["events_processed"] == 1
+                    raise RuntimeError("bench body failed")
+                """
+            )
+        )
+        result = pytester.runpytest_inprocess("--profile", "-p", "no:cacheprovider")
+        result.assert_outcomes(failed=1)
+        result.stdout.fnmatch_lines(["*RuntimeError: bench body failed*"])
+        assert _hooked_attributes() == pristine

@@ -192,7 +192,7 @@ def test_lint_main_exit_codes(tmp_path, capsys):
 def test_self_profiler_is_not_imported_by_the_observed_planes():
     """``repro.futures`` / ``repro.simcore`` / ``repro.shuffle`` /
     ``repro.cluster`` never import ``repro.obs.profile`` -- the
-    profiler observes by instance shadowing, so the observed planes
+    profiler patches their classes from outside, so the observed planes
     must stay profiler-free (zero cost when off)."""
     lint = _lint()
     violations = lint.check_profile_isolation(REPO / "src" / "repro")
@@ -272,7 +272,7 @@ def test_profile_isolation_catches_observed_plane_imports(tmp_path):
     violations = lint.check_profile_isolation(src_root)
     assert len(violations) == 3
     assert all("rogue.py" in v for v in violations)
-    assert all("self_profiler" in v for v in violations)
+    assert all("depend on the self-profiler" in v for v in violations)
 
 
 def test_runtime_keeps_a_single_accounting_store():

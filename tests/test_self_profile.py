@@ -8,8 +8,8 @@ Four contracts pin the tier:
   trees with a deterministic clock, and asserted on real runs);
 - **Zero cost when off** -- a profiled run produces the *bit-identical*
   behaviour-defining event stream (the golden sort digest from
-  ``test_policy_golden``), and detaching leaves no instance shadow
-  behind;
+  ``test_policy_golden``), and uninstalling puts back every patched
+  class attribute by identity;
 - **Bounded cost when on** -- <5% wall-time overhead on a realistic
   byte-moving sort (the budget scales with per-event simulation cost:
   instrumentation adds a near-constant handful of microseconds per
@@ -38,13 +38,15 @@ from repro.obs.profile import (
     render_flamegraph_svg,
     write_flamegraph,
 )
-from repro.obs.profile.core import CALLBACK_CATEGORY, _dispatch_category
+from repro.obs.profile.core import CALLBACK_CATEGORY, HOOKS, _dispatch_category
 from repro.obs.profile.flame import folded_lines
 from repro.obs.report import RunReport, record_run
+from repro.baselines.spark import SparkConfig, SparkSortJob
+from repro.cluster import Cluster
 from repro.simcore import Environment
 from repro.sort import SortJobConfig, run_sort
 
-from tests.conftest import make_runtime
+from tests.conftest import make_node_spec, make_runtime
 from tests.test_policy_golden import GOLDEN_SORT_DIGEST, digest_events
 
 
@@ -62,7 +64,7 @@ class FakeClock:
 
 
 def _profiled_sort(**sort_kwargs):
-    """Run the golden fig4c-style sort with a profiler attached."""
+    """Run the golden fig4c-style sort with a profiler installed."""
     config = dict(
         variant="push*",
         num_partitions=12,
@@ -72,9 +74,11 @@ def _profiled_sort(**sort_kwargs):
     config.update(sort_kwargs)
     rt = make_runtime(num_nodes=3, store_mib=256)
     prof = SelfProfiler()
-    prof.attach(rt)
-    result = run_sort(rt, SortJobConfig(**config))
-    prof.finish()
+    prof.install()
+    try:
+        result = run_sort(rt, SortJobConfig(**config))
+    finally:
+        prof.finish()
     return rt, prof, result
 
 
@@ -171,67 +175,152 @@ def test_profiled_run_reproduces_the_golden_sort_digest():
     assert digest_events(rt.bus.events) == GOLDEN_SORT_DIGEST
 
 
+def _hooked_attributes():
+    """``{(class, attribute): object}`` for every hook point, read from
+    the classes' own namespaces."""
+    import importlib
+
+    out = {(Environment, "step"): vars(Environment)["step"]}
+    for module, class_name, methods, _category, _counter in HOOKS:
+        cls = getattr(importlib.import_module(module), class_name)
+        for name in methods:
+            out[(cls, name)] = vars(cls)[name]
+    return out
+
+
+def test_uninstall_restores_every_class_attribute_by_identity():
+    pristine = _hooked_attributes()
+    prof = SelfProfiler()
+    prof.install()
+    try:
+        # Every hook point is patched on its class while installed...
+        patched = _hooked_attributes()
+        assert all(patched[key] is not pristine[key] for key in pristine)
+    finally:
+        prof.uninstall()
+    # ...and the exact original objects are back afterwards.
+    assert all(
+        obj is pristine[key] for key, obj in _hooked_attributes().items()
+    )
+    prof.uninstall()  # idempotent
+
+
 def test_detach_restores_pristine_methods():
+    """Detaching a runtime from the profiler is uninstalling it: the
+    runtime's own namespaces never gain a shadow, and afterwards its
+    methods resolve to the pristine class functions again."""
+    pristine = _hooked_attributes()
     rt = make_runtime(num_nodes=2)
+    owners = (rt.env, rt.bus, rt, rt.metrics, rt._driver)
+    before = [dict(vars(obj)) for obj in owners]
     prof = SelfProfiler()
-    prof.attach(rt)
-    # Instance shadows present while attached...
-    assert "step" in vars(rt.env)
-    assert "emit" in vars(rt.bus)
-    assert "charge_task" in vars(rt)
-    prof.detach()
-    # ...and gone afterwards: the class methods are pristine again.
-    assert "step" not in vars(rt.env)
-    assert "_schedule" not in vars(rt.env)
-    assert "_schedule_callback" not in vars(rt.env)
-    assert "emit" not in vars(rt.bus)
-    assert "charge_task" not in vars(rt)
-    assert "charge_object" not in vars(rt)
-    assert "counter" not in vars(rt.metrics)
-    prof.detach()  # idempotent
-
-
-def test_attach_refuses_stacking_and_reuse():
-    rt = make_runtime(num_nodes=2)
-    prof = SelfProfiler()
-    prof.attach(rt)
-    with pytest.raises(RuntimeError, match="already attached"):
-        prof.attach(rt)
-    second = SelfProfiler()
-    with pytest.raises(RuntimeError, match="refusing to stack"):
-        second.attach(rt)
-    prof.detach()
-    prof.finish()
-    with pytest.raises(RuntimeError, match="already finished"):
-        prof.attach(rt)
-
-
-def test_attached_context_manager_detaches_and_finishes():
-    rt = make_runtime(num_nodes=2)
-    with SelfProfiler.attached(rt) as prof:
-        assert "step" in vars(rt.env)
-        assert rt.self_profiler is prof
-    assert "step" not in vars(rt.env)
-    assert prof.total_wall_s > 0
-    assert prof._finished_at is not None
-
-
-def test_one_profiler_accumulates_across_runtimes():
-    """A figure benchmark builds one runtime per variant; the harness
-    hops a single profiler across them and the totals accumulate."""
-    prof = SelfProfiler()
-    for _ in range(2):
-        rt = make_runtime(num_nodes=2)
-        prof.attach(rt)
+    prof.install()
+    try:
         run_sort(rt, SortJobConfig(
             variant="push", num_partitions=4, partition_bytes=MB,
             virtual=True,
         ))
-        prof.detach()
-    prof.finish()
-    assert prof.counts["runtimes_attached"] == 2
+        # Instance namespaces hold no hook while installed...
+        for obj in owners:
+            assert not {"step", "emit", "charge_task", "charge_object",
+                        "counter", "gauge_set", "observe",
+                        "_hand_off"} & set(vars(obj))
+        assert rt.env.step.__func__ is not pristine[(Environment, "step")]
+    finally:
+        prof.uninstall()
+    # ...and the bound methods are the original functions afterwards.
     assert prof.counts["events_processed"] > 0
-    assert prof.sim_time_s > 0
+    assert rt.env.step.__func__ is pristine[(Environment, "step")]
+    assert type(rt).charge_task is pristine[(type(rt), "charge_task")]
+    assert rt.bus.emit.__func__ is pristine[(type(rt.bus), "emit")]
+    assert set(vars(rt.env)) == set(before[0])
+    prof.uninstall()  # idempotent
+
+
+def test_attached_context_manager_detaches_and_finishes():
+    pristine = _hooked_attributes()
+    with SelfProfiler() as prof:
+        assert _hooked_attributes() != pristine
+        rt = make_runtime(num_nodes=2)
+        rt.env.call_later(1.0, lambda: None)
+        rt.env.run()
+    assert _hooked_attributes() == pristine
+    assert prof.counts["events_processed"] >= 1
+    assert prof.total_wall_s > 0
+    assert prof._finished_at is not None
+    # An exception inside the block still uninstalls and finishes.
+    with pytest.raises(ValueError):
+        with SelfProfiler() as failing:
+            raise ValueError("boom")
+    assert _hooked_attributes() == pristine
+    assert failing._finished_at is not None
+    # finish() alone uninstalls too, and stops the wall clock.
+    prof = SelfProfiler()
+    prof.install()
+    prof.finish()
+    assert _hooked_attributes() == pristine
+    assert prof.total_wall_s > 0
+    assert prof._finished_at is not None
+
+
+def test_second_install_raises_and_leaves_the_first_intact():
+    pristine = _hooked_attributes()
+    prof = SelfProfiler()
+    prof.install()
+    try:
+        installed = _hooked_attributes()
+        with pytest.raises(RuntimeError, match="already installed"):
+            prof.install()
+        second = SelfProfiler()
+        with pytest.raises(RuntimeError, match="already installed"):
+            second.install()
+        assert _hooked_attributes() == installed
+        # The first profiler still sees the engine; the refused one not.
+        env = Environment()
+        env.call_later(1.0, lambda: None)
+        env.run()
+        assert prof.counts["events_processed"] == 1
+        assert second.counts == {}
+    finally:
+        prof.finish()
+    assert _hooked_attributes() == pristine
+    with pytest.raises(RuntimeError, match="already finished"):
+        prof.install()
+    # Once the first is gone, another profiler may install.
+    second.install()
+    second.uninstall()
+    assert _hooked_attributes() == pristine
+
+
+def test_one_profiler_accumulates_across_runtimes():
+    """A figure benchmark builds one runtime per variant and runs its
+    baselines on bare engines; one install covers them all, and the
+    simulated seconds are the sum of every engine's clock."""
+    prof = SelfProfiler()
+    prof.install()
+    try:
+        engines = []
+        for _ in range(2):
+            rt = make_runtime(num_nodes=2)
+            run_sort(rt, SortJobConfig(
+                variant="push", num_partitions=4, partition_bytes=MB,
+                virtual=True,
+            ))
+            engines.append(rt.env)
+        env = Environment()
+        SparkSortJob(
+            Cluster.homogeneous(env, make_node_spec(), 2),
+            config=SparkConfig(),
+            num_partitions=4,
+            partition_bytes=MB,
+        ).run()
+        engines.append(env)
+    finally:
+        prof.finish()
+    assert prof.counts["events_processed"] > 0
+    assert prof.seconds.get("engine.dispatch.spark", 0.0) > 0
+    assert all(e.now > 0 for e in engines)
+    assert prof.sim_time_s == pytest.approx(sum(e.now for e in engines))
 
 
 # -- bounded cost when on --------------------------------------------------
@@ -247,16 +336,19 @@ def _budget_sort_once(profiled: bool) -> float:
     rt = make_runtime(num_nodes=3, store_mib=256)
     prof = SelfProfiler() if profiled else None
     if prof is not None:
-        prof.attach(rt)
+        prof.install()
     start = time.perf_counter()
-    result = run_sort(rt, SortJobConfig(
-        variant="push*", num_partitions=12, partition_bytes=16 * MB,
-        virtual=False,
-    ))
-    elapsed = time.perf_counter() - start
+    try:
+        result = run_sort(rt, SortJobConfig(
+            variant="push*", num_partitions=12, partition_bytes=16 * MB,
+            virtual=False,
+        ))
+        elapsed = time.perf_counter() - start
+    finally:
+        if prof is not None:
+            prof.finish()
     assert result.validated
     if prof is not None:
-        prof.finish()
         assert prof.counts["events_processed"] > 0
     return elapsed
 
@@ -294,7 +386,7 @@ def test_throughput_and_counters():
     assert thr["sim_s_per_wall_s"] > 0
     assert thr["sim_time_s"] == pytest.approx(prof.sim_time_s)
     counts = prof.counts
-    assert counts["heap_pushes"] >= counts["events_processed"] > 0
+    assert counts["events_processed"] > 0
     assert counts["bus_publications"] > 0
     assert counts["metric_charges"] > 0
     payload = prof.to_dict()
@@ -414,9 +506,8 @@ def test_write_flamegraph_and_folded_lines(tmp_path):
 
 def test_record_run_stamps_profile_and_report_renders_engine(tmp_path):
     rt, prof, _result = _profiled_sort()
-    assert rt.self_profiler is prof
     path = tmp_path / "run.events.jsonl"
-    record_run(rt, str(path))
+    record_run(rt, str(path), profile=prof.to_dict())
     report = RunReport.load(str(path))
     engine = report.engine_summary()
     assert engine["events_processed"] == prof.counts["events_processed"]
@@ -449,9 +540,9 @@ def test_report_without_profiler_has_no_engine_section(tmp_path):
 def test_html_explorer_embeds_engine_summary(tmp_path):
     from repro.obs.live import render_html
 
-    rt, _prof, _result = _profiled_sort()
+    rt, prof, _result = _profiled_sort()
     path = tmp_path / "run.events.jsonl"
-    record_run(rt, str(path))
+    record_run(rt, str(path), profile=prof.to_dict())
     html = render_html(EventBus.load_jsonl(str(path)))
     assert "Engine self-profile" in html
     assert "engine_summary" in html
@@ -540,9 +631,9 @@ def test_cli_profile_workload_writes_artifacts(tmp_path, capsys):
 def test_cli_profile_trace_mode_profiles_the_pipeline(tmp_path, capsys):
     from repro.obs.__main__ import main
 
-    rt, _prof, _result = _profiled_sort()
+    rt, prof, _result = _profiled_sort()
     trace = tmp_path / "run.events.jsonl"
-    record_run(rt, str(trace))
+    record_run(rt, str(trace), profile=prof.to_dict())
     rc = main(["profile", str(trace)])
     assert rc == 0
     out = capsys.readouterr().out

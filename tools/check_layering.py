@@ -95,11 +95,11 @@ DATA_PLANE_PACKAGES = (
 
 #: Packages that must never import the self-profiling tier
 #: (``repro.obs.profile``).  The profiler observes the engine by
-#: shadowing methods on *instances* at attach time and restoring them
-#: on detach; the data plane's only contact is the duck-typed
-#: ``Runtime.self_profiler`` slot.  An import in either the data plane
-#: or the cluster fabric would make the observer load-bearing and
-#: break the zero-cost-when-off contract the golden digests pin.
+#: patching hot methods on their *classes* at install time and
+#: restoring the originals on uninstall; the data plane has no contact
+#: with it at all.  An import in either the data plane or the cluster
+#: fabric would make the observer load-bearing and break the
+#: zero-cost-when-off contract the golden digests pin.
 PROFILE_FORBIDDEN_PACKAGES = (
     "repro.futures",
     "repro.simcore",
@@ -393,8 +393,8 @@ def check_profile_isolation(src_root: Path) -> List[str]:
     """Data-plane / cluster modules that import the self-profiling tier.
 
     Same shape as :func:`check_live_isolation`, for
-    ``repro.obs.profile``: the profiler attaches by shadowing instance
-    methods from the outside, so nothing it observes may import it --
+    ``repro.obs.profile``: the profiler patches the classes it observes
+    from the outside, so nothing it observes may import it --
     profiling must stay bit-for-bit absent when off.
     """
     violations: List[str] = []
@@ -420,9 +420,8 @@ def check_profile_isolation(src_root: Path) -> List[str]:
                         f"{path}:{node.lineno}: imports {target!r} "
                         f"(the observed planes -- "
                         f"{', '.join(PROFILE_FORBIDDEN_PACKAGES)} -- must "
-                        f"not depend on the self-profiler; it attaches by "
-                        f"instance shadowing via the duck-typed "
-                        f"self_profiler slot)"
+                        f"not depend on the self-profiler; it patches "
+                        f"their classes from outside)"
                     )
     return violations
 
