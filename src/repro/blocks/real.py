@@ -65,6 +65,8 @@ class RealBlock:
         """(min, max) of present keys; None when empty."""
         if self.keys.size == 0:
             return None
+        if self.sorted:
+            return int(self.keys[0]), int(self.keys[-1])
         return int(self.keys.min()), int(self.keys.max())
 
     @property
@@ -89,28 +91,41 @@ class RealBlock:
 
 
 def partition_real(block: RealBlock, bounds: List[int]) -> List[RealBlock]:
-    """:func:`repro.blocks.ops.partition_block` over materialised keys."""
-    buckets = np.searchsorted(np.asarray(bounds, dtype=np.uint64), block.keys, "right")
-    order = np.argsort(buckets, kind="stable")
-    sorted_buckets = buckets[order]
-    sorted_keys = block.keys[order]
-    splits = np.searchsorted(sorted_buckets, np.arange(1, len(bounds) + 1))
-    pieces = np.split(sorted_keys, splits)
+    """:func:`repro.blocks.ops.partition_block` over materialised keys.
+
+    Sorts the keys once and cuts that run at ``bounds``: every piece is
+    a sorted view of one buffer. A key equal to a bound goes to the
+    upper piece.
+    """
+    keys = block.keys if block.sorted else np.sort(block.keys)
+    cuts = np.searchsorted(keys, np.asarray(bounds, dtype=np.uint64), "left")
+    # Plain slices: np.split measured ~1.5x slower per cut.
+    edges = [0, *cuts.tolist(), keys.size]
     return [
-        RealBlock(piece, record_bytes=block.record_bytes) for piece in pieces
+        RealBlock(keys[a:b], record_bytes=block.record_bytes, is_sorted=True)
+        for a, b in zip(edges, edges[1:])
     ]
 
 
 def sort_real(block: RealBlock) -> RealBlock:
-    """:func:`repro.blocks.ops.sort_block` over materialised keys."""
+    """:func:`repro.blocks.ops.sort_block` over materialised keys.
+
+    A block already sorted comes back as itself, with no copy.
+    """
+    if block.sorted:
+        return block
     return RealBlock(
         np.sort(block.keys), record_bytes=block.record_bytes, is_sorted=True
     )
 
 
 def combine_real(blocks: Sequence[RealBlock], is_sorted: bool) -> RealBlock:
-    """All records of ``blocks`` in one block, sorted if ``is_sorted``."""
+    """All records of ``blocks`` in one block, sorted if ``is_sorted``.
+
+    The merge sorts the fresh concatenation in place with numpy's default
+    kind: a stable (timsort) merge of the sorted runs measured slower.
+    """
     keys = np.concatenate([block.keys for block in blocks])
     if is_sorted:
-        keys = np.sort(keys)
+        keys.sort()
     return RealBlock(keys, record_bytes=blocks[0].record_bytes, is_sorted=is_sorted)

@@ -29,9 +29,12 @@ class TestRealBlock:
         assert block.num_records == 50
 
     def test_key_range(self):
-        block = RealBlock(np.array([5, 2, 9], dtype=np.uint64))
-        assert block.key_range == (2, 9)
+        keys = np.array([5, 2, 9], dtype=np.uint64)
+        assert RealBlock(keys).key_range == (2, 9)
+        assert RealBlock(np.sort(keys), is_sorted=True).key_range == (2, 9)
         assert RealBlock(np.array([], dtype=np.uint64)).key_range is None
+        empty = RealBlock(np.array([], dtype=np.uint64), is_sorted=True)
+        assert empty.key_range is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -92,6 +95,16 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_block(VirtualBlock(10), [5, 3])
 
+    def test_real_map_pieces_share_one_sorted_buffer(self):
+        from repro.sort.ops import SortOps
+
+        block = RealBlock.generate(1000, seed=5, key_space=1000)
+        pieces = SortOps([250, 500, 750]).map(block)
+        assert all(piece.sorted for piece in pieces)
+        buffer = pieces[0].keys.base
+        assert buffer is not None
+        assert all(piece.keys.base is buffer for piece in pieces if piece.num_records)
+
     def test_partition_empty_virtual(self):
         pieces = partition_block(VirtualBlock(0), [10, 20])
         assert len(pieces) == 3
@@ -104,6 +117,13 @@ class TestMergeSortConcat:
         out = sort_block(block)
         assert list(out.keys) == [1, 2, 3]
         assert out.sorted
+
+    def test_sort_real_on_sorted_block_copies_nothing(self):
+        block = RealBlock.generate(100, seed=2)
+        piece = partition_block(block, [KEY_SPACE // 2])[0]
+        out = sort_block(piece)
+        assert out.sorted
+        assert np.shares_memory(out.keys, piece.keys)
 
     def test_merge_sorted_real(self):
         a = sort_block(RealBlock(np.array([1, 5, 9], dtype=np.uint64)))
@@ -157,6 +177,31 @@ def test_property_real_partition_conserves_everything(num_records, bounds, seed)
     assert len(pieces) == len(bounds) + 1
     assert total_records(pieces) == num_records
     assert sum(p.checksum() for p in pieces) % 2**64 == block.checksum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.lists(st.integers(min_value=5, max_value=40), max_size=200),
+    bounds=st.lists(st.integers(min_value=0, max_value=45), max_size=8).map(sorted),
+    presorted=st.booleans(),
+)
+def test_property_real_partition_matches_reference(keys, bounds, presorted):
+    """Each piece holds exactly the keys a bucket-then-sort reference
+    gives it, sorted: a small key space makes duplicate keys, keys equal
+    to a bound, and bounds outside the keys' range common."""
+    keys = np.array(keys, dtype=np.uint64)
+    block = (
+        RealBlock(np.sort(keys), is_sorted=True) if presorted else RealBlock(keys)
+    )
+    pieces = partition_block(block, bounds)
+    buckets = np.searchsorted(np.array(bounds, dtype=np.uint64), keys, "right")
+    assert len(pieces) == len(bounds) + 1
+    for r, piece in enumerate(pieces):
+        expected = np.sort(keys[buckets == r])
+        assert piece.sorted
+        np.testing.assert_array_equal(piece.keys, expected)
+        unsorted = RealBlock(piece.keys[::-1].copy())
+        assert piece.key_range == unsorted.key_range
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,22 @@ from tests.conftest import make_node_spec, make_runtime
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_variant_sorts_real_data(variant):
+def test_variant_sorts_real_data(variant, monkeypatch):
+    """The concatenated outputs equal a reference sort of every input key."""
+    import numpy as np
+
+    from repro.blocks import RealBlock
+    from repro.common.rng import derive_seed
+    from repro.sort import job
+
+    outputs = []
+    validate = job.validate_sorted_output
+
+    def capture(blocks, *args):
+        outputs.extend(blocks)
+        return validate(blocks, *args)
+
+    monkeypatch.setattr(job, "validate_sorted_output", capture)
     rt = make_runtime(num_nodes=3)
     config = SortJobConfig(
         variant=variant,
@@ -26,6 +41,20 @@ def test_variant_sorts_real_data(variant):
     result = run_sort(rt, config)
     assert result.validated
     assert result.sort_seconds > 0
+    records = config.partition_bytes // config.record_bytes
+    inputs = [
+        RealBlock.generate(
+            records,
+            seed=derive_seed(config.seed, "datagen", i),
+            record_bytes=config.record_bytes,
+        ).keys
+        for i in range(config.num_partitions)
+    ]
+    assert len(outputs) == config.reducers
+    np.testing.assert_array_equal(
+        np.concatenate([block.keys for block in outputs]),
+        np.sort(np.concatenate(inputs)),
+    )
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
