@@ -30,12 +30,10 @@ from repro.cluster.specs import (
 from repro.cluster.fabric import Cluster, NodeFailure
 from repro.cluster.failures import FailureInjector, FailurePlan
 from repro.cluster.membership import ClusterMembership
-from repro.cluster.shared_store import SharedStoreBackend
 
 __all__ = [
     "Node",
     "ClusterMembership",
-    "SharedStoreBackend",
     "NodeSpec",
     "DiskSpec",
     "NicSpec",

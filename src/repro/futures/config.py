@@ -3,8 +3,9 @@
 Each field corresponds to a mechanism in §4 of the paper.  A data-plane
 decision is selected in exactly one place: placement, spilling and
 autoscaling by their ``<kind>_policy`` registry names, prefetching by
-``enable_prefetching``.  Memory admission/eviction and task dispatch
-are protocols the store and scheduler take at construction, not knobs.
+``enable_prefetching``.  Task dispatch is a protocol the scheduler
+takes at construction, not a knob; every store evicts cached copies
+oldest first and admits its allocation queue strictly FIFO.
 """
 
 from __future__ import annotations

@@ -23,8 +23,9 @@ Sparse state stays in dicts: the creating task's error, the on-disk
 (spilled) copies (``spill_nodes``: node -> the spill manager's slot
 handle, opaque to the directory) and creation waiters.  ``shared`` marks
 a copy in the disaggregated spill tier (node-agnostic: it survives any
-node's death).  :meth:`ObjectDirectory.get`, ``maybe_get`` and ``items``
-hand out read-only :class:`ObjectRecord` views over these columns.
+node's death); it is the only record of what that tier holds.
+:meth:`ObjectDirectory.get`, ``maybe_get`` and ``items`` hand out
+read-only :class:`ObjectRecord` views over these columns.
 
 An object is *created* once its task has stored it at least once, and
 *available* while any copy survives.  Created-but-unavailable objects are
@@ -368,11 +369,6 @@ class ObjectDirectory:
         unknown)."""
         if object_id in self:
             self._flags[object_id] |= _SHARED
-
-    def remove_shared_location(self, object_id: ObjectId) -> None:
-        """Forget the disaggregated-tier copy (no-op if unknown)."""
-        if object_id in self:
-            self._flags[object_id] &= ~_SHARED
 
     def is_shared(self, object_id: ObjectId) -> bool:
         """True while the disaggregated spill tier holds a copy."""

@@ -61,12 +61,6 @@ class LineageManager:
         if seq is not None:
             self._last_fault_event[node_id] = seq
 
-    def last_fault_event(self, node_id: Optional[NodeId]) -> Optional[int]:
-        """The most recent fault event seq noted for ``node_id``."""
-        if node_id is None:
-            return None
-        return self._last_fault_event.get(node_id)
-
     # -- node death ---------------------------------------------------------
     def on_node_death(self, node: "Node") -> None:
         """A node died: drop its local state now, clean directory

@@ -72,10 +72,8 @@ class NodeManager:
             charge=runtime.charge_object,
             policy=runtime.policies.spill,
             bus=runtime.bus,
+            shared=runtime.shared_store,
         )
-        # Attach the disaggregated spill tier (None under the default
-        # local backend, which keeps seed behaviour byte-for-byte).
-        self.spill.shared = runtime.shared_store
         self.pending_tasks = 0
         self._fetch_sem = Resource(
             self.env,
@@ -390,18 +388,7 @@ class NodeManager:
             from_memory = source is not None
             if not from_memory:
                 source = self._first_alive(sorted(spill_nodes))
-            if source is None:
-                shared = self.spill.shared
-                if shared is not None and shared.contains(object_id):
-                    # The disaggregated spill tier holds the only copy --
-                    # the durability win: read it back instead of waiting
-                    # for lineage to re-execute the creator.
-                    holds_pin = yield from self._fetch_shared(
-                        object_id, sizes[object_id]
-                    )
-                    if holds_pin is not None:
-                        return holds_pin
-                    continue
+            if source is None and not directory.is_shared(object_id):
                 # No *alive* copy: wait for (re)creation.  The directory
                 # may still claim stale locations on dead-but-undetected
                 # nodes (making ensure_available a no-op), so back off and
@@ -419,38 +406,44 @@ class NodeManager:
                 placement = yield allocation
                 if placement == "resident":
                     return True  # appeared meanwhile; allocate pinned it
-                if not from_memory:
+                if source is None:
+                    # The disaggregated spill tier holds the only copy --
+                    # the durability win: read it back instead of waiting
+                    # for lineage to re-execute the creator.
+                    yield self.spill.shared_restore_read(object_id)
+                elif not from_memory:
                     # Spilled at the source: streamed from its disk (§4.2.2).
                     yield runtime.node_managers[source].spill.restore_read(
                         object_id
                     )
-                begin = runtime.bus.emit(
-                    "transfer.begin",
-                    node=self.node_id,
-                    obj=object_id,
-                    src=source,
-                    bytes=sizes[object_id],
-                )
-                try:
-                    yield runtime.cluster.send(
-                        source, self.node_id, sizes[object_id]
+                if source is not None:
+                    begin = runtime.bus.emit(
+                        "transfer.begin",
+                        node=self.node_id,
+                        obj=object_id,
+                        src=source,
+                        bytes=sizes[object_id],
                     )
-                except (NodeFailure, IOError):
+                    try:
+                        yield runtime.cluster.send(
+                            source, self.node_id, sizes[object_id]
+                        )
+                    except (NodeFailure, IOError):
+                        runtime.bus.emit(
+                            "transfer.end",
+                            node=self.node_id,
+                            obj=object_id,
+                            cause=begin,
+                            ok=False,
+                        )
+                        raise
                     runtime.bus.emit(
                         "transfer.end",
                         node=self.node_id,
                         obj=object_id,
                         cause=begin,
-                        ok=False,
+                        ok=True,
                     )
-                    raise
-                runtime.bus.emit(
-                    "transfer.end",
-                    node=self.node_id,
-                    obj=object_id,
-                    cause=begin,
-                    ok=True,
-                )
             except (NodeFailure, IOError):
                 if placement == "memory":
                     self.store.free(object_id)
@@ -472,37 +465,6 @@ class NodeManager:
             if node_id != self.node_id and managers[node_id].node.alive:
                 return node_id
         return None
-
-    def _fetch_shared(self, object_id: ObjectId, size: int) -> Iterator[Event]:
-        """Read one object back from the shared spill tier.
-
-        Returns True (pinned in local memory), False (granted on local
-        disk by the fallback valve), or None (failed mid-read; the
-        caller's retry loop re-checks sources).
-        """
-        runtime = self.runtime
-        placement = None
-        try:
-            # Pinned for the duration of the read, like a remote fetch.
-            allocation = self.store.allocate(
-                object_id, size, primary=False, pin=True
-            )
-            placement = yield allocation
-            if placement == "resident":
-                return True  # appeared meanwhile; allocate pinned it
-            yield self.spill.shared_restore_read(object_id)
-        except (NodeFailure, IOError):
-            if placement == "memory":
-                self.store.free(object_id)
-            yield self.env.timeout(runtime.config.fetch_retry_backoff_s)
-            return None
-        if placement == "memory":
-            runtime.directory.add_memory_location(object_id, self.node_id)
-            runtime.counters.add("fetched_objects", 1)
-            return True
-        # Disk-fallback grant: the bytes landed on our local disk.
-        runtime.counters.add("fetched_objects", 1)
-        return False
 
     def _materialize_args(self, spec: TaskSpec) -> List[Any]:
         payloads = self.runtime.payloads

@@ -25,12 +25,6 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.ids import NodeId, ObjectId
-from repro.futures.policies.base import (
-    AllocationView,
-    CachedCopyView,
-    MemoryPolicy,
-)
-from repro.futures.policies.defaults import InsertionOrderMemoryPolicy
 from repro.simcore import Environment, Event
 
 
@@ -65,16 +59,12 @@ class ObjectStore:
         on_pressure: Optional[Callable[[], None]] = None,
         on_evict_cached: Optional[Callable[[ObjectId], None]] = None,
         bus: Optional[object] = None,
-        policy: Optional[MemoryPolicy] = None,
         sizes: Optional["array[int]"] = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("store capacity must be positive")
         self.env = env
         self.node_id = node_id
-        #: The admission/eviction policy (insertion-order FIFO when not
-        #: overridden, matching Ray's creation-order behaviour).
-        self.policy: MemoryPolicy = policy or InsertionOrderMemoryPolicy()
         #: Optional structured event bus (:class:`repro.obs.EventBus`);
         #: parked allocations publish ``store.pressure`` events into it.
         self.bus = bus
@@ -132,10 +122,6 @@ class ObjectStore:
     @property
     def backlog_bytes(self) -> int:
         return sum(req.size for req in self._queue)
-
-    def head_request(self) -> Optional[AllocationRequest]:
-        """The oldest queued allocation, if any."""
-        return self._queue[0] if self._queue else None
 
     def objects(self) -> List[ObjectId]:
         """Resident object ids in insertion order."""
@@ -204,9 +190,7 @@ class ObjectStore:
 
     def _try_grant(self, request: AllocationRequest) -> bool:
         if request.size > self.capacity - self.used_bytes:
-            self._evict_cached(
-                request.size - (self.capacity - self.used_bytes), request
-            )
+            self._evict_cached(request.size - self.capacity + self.used_bytes)
         if request.size > self.capacity - self.used_bytes:
             return False
         self._admit(request)
@@ -232,80 +216,39 @@ class ObjectStore:
             self._evictable += 1
         request.event.succeed("memory")
 
-    def _evict_cached(
-        self, needed: int, request: Optional[AllocationRequest] = None
-    ) -> int:
-        """Drop unpinned cached copies until ``needed`` bytes are freed.
-
-        The memory policy orders the victims; the default drops oldest
-        (insertion order) first.  Neither the scan nor the policy runs
-        when no entry is cached and unpinned.
-        """
+    def _evict_cached(self, needed: int) -> None:
+        """Drop unpinned cached copies, oldest (insertion order) first,
+        until ``needed`` bytes are freed.  The scan is skipped when no
+        entry is cached and unpinned."""
         if self._evictable == 0:
-            return 0
-        freed = 0
+            return
         entries, sizes = self._entries, self._sizes
-        cached = [
-            CachedCopyView(object_id=oid, size=sizes[oid])
-            for oid, state in entries.items()
-            if state == 0
-        ]
-        if not cached:
-            return 0
-        view = (
-            AllocationView(
-                object_id=request.object_id,
-                size=request.size,
-                primary=request.primary,
-            )
-            if request is not None
-            else None
-        )
-        for victim in self.policy.eviction_order(view, cached):
+        victims: List[ObjectId] = []
+        freed = 0
+        for oid, state in entries.items():
             if freed >= needed:
                 break
-            if entries.get(victim.object_id) != 0:
-                continue  # policy returned something no longer evictable
-            del entries[victim.object_id]
-            size = sizes[victim.object_id]
+            if state == 0:
+                victims.append(oid)
+                freed += sizes[oid]
+        for oid in victims:
+            del entries[oid]
             self._evictable -= 1
-            self.used_bytes -= size
-            freed += size
+            self.used_bytes -= sizes[oid]
             self.cached_evictions += 1
-            self._on_evict_cached(victim.object_id)
-        return freed
+            self._on_evict_cached(oid)
 
     def pump(self) -> None:
         """Grant queued requests that now fit (called after memory frees).
 
-        The memory policy picks which queued request is considered next;
-        the default (``strict_fifo``) always services the queue head, so
-        a request that does not fit blocks everything behind it -- the
-        head-of-line behaviour Ray's store exhibits.
+        Strict FIFO: the queue head is always serviced first, so a request
+        that does not fit blocks everything behind it -- the head-of-line
+        behaviour Ray's store exhibits.
         """
-        if getattr(self.policy, "strict_fifo", True):
-            while self._queue:
-                request = self._queue[0]
-                if not self._grant(request):
-                    break
-                self._queue.popleft()
-        else:
-            while self._queue:
-                views = [
-                    AllocationView(
-                        object_id=req.object_id,
-                        size=req.size,
-                        primary=req.primary,
-                    )
-                    for req in self._queue
-                ]
-                index = self.policy.next_grant(views)
-                if not 0 <= index < len(self._queue):
-                    index = 0
-                request = self._queue[index]
-                if not self._grant(request):
-                    break
-                del self._queue[index]
+        while self._queue:
+            if not self._grant(self._queue[0]):
+                break
+            self._queue.popleft()
         if self._queue:
             self._on_pressure()
 

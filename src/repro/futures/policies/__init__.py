@@ -1,20 +1,16 @@
 """Pluggable data-plane policies (the Exoshuffle thesis, applied inward).
 
-Placement, memory admission/eviction, spill batching, dispatch ordering
-and autoscaling are typed :class:`~typing.Protocol` seams.  Placement,
-spill and autoscale are registry kinds (:data:`POLICY_KINDS`), each
-selected by one ``RuntimeConfig.<kind>_policy`` name; memory and
-dispatch policies are handed to the store and scheduler at
-construction:
+Placement, spill batching, dispatch ordering and autoscaling are typed
+:class:`~typing.Protocol` seams.  Placement, spill and autoscale are
+registry kinds (:data:`POLICY_KINDS`), each selected by one
+``RuntimeConfig.<kind>_policy`` name; only the dispatch policy is
+handed to the scheduler at construction:
 
 - :class:`PlacementPolicy` -- blacklist / affinity / locality / load as
   composable stages (:class:`StagedPlacementPolicy`);
 - :class:`SpillPolicy` -- victim selection, target sizing, write fusing;
 - :class:`AutoscalePolicy` -- when the cluster grows or shrinks between
   configured bounds (``"none"`` holds the seed fixed-shape behaviour);
-- :class:`MemoryPolicy` -- cached-copy eviction order and allocation
-  queue admission (every node's store runs
-  :class:`InsertionOrderMemoryPolicy`);
 - :class:`DispatchPolicy` -- FIFO, or weighted virtual-time fair sharing
   once :class:`repro.jobs.JobManager` installs it.
 
@@ -26,15 +22,12 @@ table and how to add a policy.
 """
 
 from repro.futures.policies.base import (
-    AllocationView,
     AutoscaleDecision,
     AutoscalePolicy,
     AutoscaleView,
-    CachedCopyView,
     DispatchContext,
     DispatchOutcome,
     DispatchPolicy,
-    MemoryPolicy,
     NodeCandidate,
     ParkNote,
     PlacementDecision,
@@ -50,10 +43,8 @@ from repro.futures.policies.defaults import (
     FairShareDispatchPolicy,
     FifoDispatchPolicy,
     FusedSpillPolicy,
-    InsertionOrderMemoryPolicy,
     LeastLoadedStage,
     LocalityStage,
-    NewestFirstMemoryPolicy,
     NoAutoscalePolicy,
     RandomStage,
     StagedPlacementPolicy,
@@ -75,9 +66,6 @@ __all__ = [
     "PlacementRequest",
     "PlacementDecision",
     "NodeCandidate",
-    "MemoryPolicy",
-    "AllocationView",
-    "CachedCopyView",
     "SpillPolicy",
     "SpillCandidate",
     "DispatchPolicy",
@@ -94,8 +82,6 @@ __all__ = [
     "LocalityStage",
     "LeastLoadedStage",
     "RandomStage",
-    "InsertionOrderMemoryPolicy",
-    "NewestFirstMemoryPolicy",
     "FusedSpillPolicy",
     "FifoDispatchPolicy",
     "FairShareDispatchPolicy",

@@ -2,9 +2,8 @@
 
 The Exoshuffle thesis is that shuffle *decisions* belong in swappable
 application-level code; this module gives the data plane the same shape
-internally.  Each hot decision point -- task placement, allocation
-admission and cached-copy eviction, spill victim/batch selection, and
-dispatch ordering -- is a :class:`typing.Protocol` whose implementations
+internally.  Each hot decision point -- task placement, spill
+victim/batch selection, dispatch ordering and autoscaling -- is a :class:`typing.Protocol` whose implementations
 are pure functions over small frozen *view* dataclasses.
 
 Layering is deliberate and lint-enforced (``tools/check_layering.py``):
@@ -99,49 +98,6 @@ class PlacementPolicy(Protocol):
         self, request: PlacementRequest, candidates: Sequence[NodeCandidate]
     ) -> PlacementDecision:
         """Pick one of ``candidates`` (never empty; all alive)."""
-        ...
-
-
-# -- memory ------------------------------------------------------------------
-@dataclass(frozen=True)
-class AllocationView:
-    """A (queued or incoming) store-allocation request, policy-side."""
-
-    object_id: ObjectId
-    size: int
-    #: True when this store would hold the authoritative copy.
-    primary: bool
-
-
-@dataclass(frozen=True)
-class CachedCopyView:
-    """An unpinned cached (re-fetchable) entry eligible for eviction."""
-
-    object_id: ObjectId
-    size: int
-
-
-@runtime_checkable
-class MemoryPolicy(Protocol):
-    """Orders cached-copy eviction and allocation-queue admission."""
-
-    name: str
-    #: True when :meth:`next_grant` always answers 0 (strict FIFO); the
-    #: store then skips building per-iteration queue views.
-    strict_fifo: bool
-
-    def eviction_order(
-        self,
-        request: Optional[AllocationView],
-        cached: Sequence[CachedCopyView],
-    ) -> Sequence[CachedCopyView]:
-        """The order to drop cached copies in; the store stops as soon
-        as enough bytes are freed for ``request``."""
-        ...
-
-    def next_grant(self, queue: Sequence[AllocationView]) -> int:
-        """Index of the queued request to try admitting next; the store
-        stops pumping at the first request that does not fit."""
         ...
 
 

@@ -1,7 +1,7 @@
 """Default policy implementations: the seed data-plane behaviour, ported.
 
 Every class here reproduces a decision rule that used to be hard-coded
-in ``scheduler.py`` / ``object_store.py`` / ``spilling.py`` *exactly*
+in ``scheduler.py`` / ``spilling.py`` *exactly*
 (the golden event-digest test is the proof), plus a few named
 alternatives the ablation benchmarks select from the registry.
 """
@@ -14,10 +14,8 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import seeded_rng
 from repro.futures.policies.base import (
-    AllocationView,
     AutoscaleDecision,
     AutoscaleView,
-    CachedCopyView,
     DispatchContext,
     DispatchOutcome,
     NodeCandidate,
@@ -152,43 +150,6 @@ class StagedPlacementPolicy:
             policy=self.name,
             candidates=len(candidates),
         )
-
-
-# -- memory ------------------------------------------------------------------
-class InsertionOrderMemoryPolicy:
-    """The seed behaviour: evict cached copies oldest first, admit the
-    allocation queue strictly FIFO (approximating Ray's creation-order
-    eviction)."""
-
-    name = "default"
-    strict_fifo = True
-
-    def eviction_order(
-        self,
-        request: Optional[AllocationView],
-        cached: Sequence[CachedCopyView],
-    ) -> Sequence[CachedCopyView]:
-        """Oldest (insertion order) first -- the order given."""
-        return list(cached)
-
-    def next_grant(self, queue: Sequence[AllocationView]) -> int:
-        """Strict FIFO: always the head of the queue."""
-        return 0
-
-
-class NewestFirstMemoryPolicy(InsertionOrderMemoryPolicy):
-    """MRU-flavoured alternative: drop the *newest* cached copies first,
-    preserving long-lived hot copies (useful when re-fetch is cheap)."""
-
-    name = "newest-first"
-
-    def eviction_order(
-        self,
-        request: Optional[AllocationView],
-        cached: Sequence[CachedCopyView],
-    ) -> Sequence[CachedCopyView]:
-        """Newest (most recently inserted) first."""
-        return list(reversed(list(cached)))
 
 
 # -- spilling ----------------------------------------------------------------

@@ -34,7 +34,6 @@ from typing import (
 
 from repro.cluster.fabric import Cluster
 from repro.cluster.membership import ClusterMembership
-from repro.cluster.shared_store import SharedStoreBackend
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.common.errors import ObjectLostError
 from repro.common.ids import IdGenerator, NodeId, ObjectId, TaskId
@@ -59,7 +58,7 @@ from repro.futures.task import (
 )
 from repro.obs.events import EventBus
 from repro.obs.registry import UNATTRIBUTED, MetricRegistry
-from repro.simcore import Environment, Event
+from repro.simcore import BandwidthResource, Environment, Event
 
 #: Job dimension for work carrying no job id (plain single-driver runs,
 #: or background restores not tied to any task).
@@ -111,14 +110,16 @@ class Runtime:
         #: block a pending consumer is about to read forces an immediate
         #: restore (write + read for nothing).
         self._pending_consumers: Dict[ObjectId, int] = {}
-        #: The disaggregated spill tier (``spill_backend="shared"``);
-        #: None keeps the paper's node-local spill behaviour.
-        self.shared_store: Optional[SharedStoreBackend] = None
+        #: The disaggregated spill tier (``spill_backend="shared"``): one
+        #: cluster-wide byte server, tied to no node, whose contents the
+        #: directory's shared flag records.  None spills to local disks.
+        self.shared_store: Optional[BandwidthResource] = None
         if self.config.spill_backend == "shared":
-            self.shared_store = SharedStoreBackend(
+            self.shared_store = BandwidthResource(
                 self.env,
                 self.config.shared_store_bandwidth_bytes_per_sec,
-                per_op_latency_s=self.config.shared_store_latency_s,
+                per_op_latency=self.config.shared_store_latency_s,
+                name="shared-store",
             )
         #: Mid-run cluster elasticity: per-node lifecycle state (active /
         #: draining / removed) behind :meth:`add_node` /
@@ -421,9 +422,6 @@ class Runtime:
             manager = self.node_managers.get(node_id)
             if manager is not None:
                 manager.spill.forget(object_id)
-        shared_store = self.shared_store
-        if shared_store is not None and self.directory.is_shared(object_id):
-            shared_store.forget(object_id)
         self.payloads.pop(object_id, None)
         self.directory.drop(object_id)
         self.counters.add("objects_evicted", 1)
@@ -889,7 +887,7 @@ class Runtime:
     def allocation_backlog(self) -> int:
         """Bytes parked in the allocation queues of active, alive nodes.
 
-        The memory policy's admission queue is where store overload
+        The stores' FIFO allocation queues are where store overload
         shows up first; this aggregate is the data-plane pressure signal
         the streaming tier's backpressure controller (and the threshold
         autoscaler) key off.

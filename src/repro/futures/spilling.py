@@ -14,10 +14,12 @@ the filesystem", §4.2.2).
 
 With ``RuntimeConfig.spill_backend = "shared"`` the spill *destination*
 changes: victim batches stream out the node's NIC into the cluster-wide
-:class:`~repro.cluster.shared_store.SharedStoreBackend` instead of onto
+shared tier (``Runtime.shared_store``, one byte server) instead of onto
 the local disk, and the directory records a node-agnostic shared
 location.  Spilled bytes then survive the node's death -- recovery
 re-reads instead of re-executing lineage (see ``docs/elasticity.md``).
+Both backends run the same write, finish and restore bookkeeping; the
+backend picks only the device and where the durable copy is recorded.
 The liveness fallback stays on the local filesystem under both backends.
 """
 
@@ -32,10 +34,15 @@ from repro.metrics.core import Counters
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
-    from repro.cluster.shared_store import SharedStoreBackend
     from repro.futures.directory import ObjectDirectory
     from repro.futures.object_store import ObjectStore
     from repro.obs.events import EventBus
+    from repro.simcore import BandwidthResource, Event
+
+#: Bus attrs of a spill write or restore by backend: the shared tier
+#: tags its events, the local disk does not.
+_LOCAL: Dict[str, object] = {}
+_SHARED: Dict[str, object] = {"backend": "shared"}
 
 
 class SpillFile:
@@ -88,6 +95,7 @@ class SpillManager:
         charge: Callable[[ObjectId, str, float], None],
         policy: SpillPolicy,
         bus: Optional["EventBus"] = None,
+        shared: Optional["BandwidthResource"] = None,
     ) -> None:
         self.node = node
         self.env = node.env
@@ -105,13 +113,16 @@ class SpillManager:
         self._file_ids = itertools.count()
         self._slots: Dict[ObjectId, SpillSlot] = {}
         self._in_flight = 0
+        #: Bumped by :meth:`clear` (node death): a spill write finishing
+        #: in a later epoch than it started records nothing.
+        self._epoch = 0
         #: Predicate marking objects that queued local tasks will consume;
         #: those are spilled only as a last resort (set by NodeManager).
         self.needed_soon = lambda oid: False
-        #: The disaggregated spill tier, set by the runtime when
-        #: ``config.spill_backend == "shared"``; None keeps the seed
-        #: local-disk behaviour byte-for-byte.
-        self.shared: Optional["SharedStoreBackend"] = None
+        #: The disaggregated spill tier's byte server
+        #: (``config.spill_backend == "shared"``); None spills to the
+        #: local disk.  The directory's shared flag records what it holds.
+        self.shared = shared
 
     # -- queries --------------------------------------------------------------
     def is_spilled(self, object_id: ObjectId) -> bool:
@@ -121,9 +132,9 @@ class SpillManager:
     def _has_durable_copy(self, object_id: ObjectId) -> bool:
         """True if a spilled copy exists locally or in the shared tier
         (either way, dropping the memory copy loses nothing)."""
-        if object_id in self._slots:
-            return True
-        return self.shared is not None and self.shared.contains(object_id)
+        return object_id in self._slots or (
+            self.shared is not None and self.directory.is_shared(object_id)
+        )
 
     def slot(self, object_id: ObjectId) -> SpillSlot:
         """The spill slot of a locally spilled object."""
@@ -209,9 +220,6 @@ class SpillManager:
         return dropped
 
     def _start_spill(self, batch: List[Tuple[ObjectId, int]]) -> None:
-        if self.shared is not None:
-            self._start_spill_shared(batch)
-            return
         total = sum(size for _, size in batch)
         file = SpillFile(
             next(self._file_ids), self.node.node_id, total, len(batch)
@@ -222,7 +230,11 @@ class SpillManager:
         for oid, size in batch:
             self.charge(oid, "spill_bytes_written", size)
         self.counters.add("spill_files", 1)
-        self.counters.add("disk_bytes_written", total)
+        shared = self.shared
+        self.counters.add(
+            "disk_bytes_written" if shared is None else "shared_bytes_written",
+            total,
+        )
         begin = None
         if self.bus is not None:
             begin = self.bus.emit(
@@ -231,108 +243,55 @@ class SpillManager:
                 bytes=total,
                 objects=len(batch),
                 file=file.file_id,
+                **(_LOCAL if shared is None else _SHARED),
             )
-        # One sequential write per file; an unfused "file" per object means
-        # one seek-bearing operation per object.
-        write = self.node.disk.transfer(
-            total,
-            latency=self.node.disk.per_op_latency,
-        )
+        if shared is None:
+            # One sequential write per file; an unfused "file" per object
+            # means one seek-bearing operation per object.
+            disk = self.node.disk
+            write = disk.transfer(total, latency=disk.per_op_latency)
+        else:
+            # Out the NIC into the shared tier: the write lasts as long
+            # as the slower of the two (the tier adds its request latency).
+            write = self.env.all_of(
+                [self.node.nic_out.transfer(total), shared.transfer(total)]
+            )
+        epoch = self._epoch
         write.add_callback(
-            lambda event: self._finish_spill(file, batch, event.ok, begin)
+            lambda event: self._finish_spill(file, batch, event.ok, begin, epoch)
         )
-
-    def _start_spill_shared(self, batch: List[Tuple[ObjectId, int]]) -> None:
-        """Stream a victim batch out the NIC into the shared tier.
-
-        The write pays both the node's NIC egress and the shared store's
-        aggregate bandwidth (plus its per-request latency), whichever is
-        slower; no local disk I/O happens.
-        """
-        total = sum(size for _, size in batch)
-        file_id = next(self._file_ids)
-        for oid, _size in batch:
-            self.store.pin(oid)  # data must stay while being written
-        self._in_flight += 1
-        for oid, size in batch:
-            self.charge(oid, "spill_bytes_written", size)
-        self.counters.add("spill_files", 1)
-        self.counters.add("shared_bytes_written", total)
-        begin = None
-        if self.bus is not None:
-            begin = self.bus.emit(
-                "spill.write.begin",
-                node=self.node.node_id,
-                bytes=total,
-                objects=len(batch),
-                file=file_id,
-                backend="shared",
-            )
-        write = self.env.all_of(
-            [self.node.nic_out.transfer(total), self.shared.write(total)]
-        )
-        write.add_callback(
-            lambda event: self._finish_spill_shared(batch, event.ok, begin)
-        )
-
-    def _finish_spill_shared(
-        self,
-        batch: List[Tuple[ObjectId, int]],
-        ok: bool,
-        begin: Optional[object] = None,
-    ) -> None:
-        for oid, _size in batch:
-            self.store.unpin(oid)
-        if self.bus is not None:
-            self.bus.emit(
-                "spill.write.end",
-                node=self.node.node_id,
-                cause=begin,
-                ok=ok,
-                backend="shared",
-            )
-        if not ok:
-            # The NIC died mid-write (node failure); the bytes never
-            # reached the tier, the store is being cleared by the death
-            # handler.
-            self._in_flight -= 1
-            return
-        for oid, size in batch:
-            if oid not in self.directory:
-                continue  # freed (refcount zero) while the write flew
-            self.shared.add(oid, size)
-            self.directory.add_shared_location(oid)
-            # The memory copy is no longer authoritative; free it now to
-            # relieve pressure.
-            self.directory.remove_memory_location(oid, self.node.node_id)
-            self.store.free(oid)
-        self._in_flight -= 1
-        self.store.pump()
-        self.kick()
 
     def _finish_spill(
         self,
         file: SpillFile,
         batch: List[Tuple[ObjectId, int]],
         ok: bool,
-        begin: Optional[object] = None,
+        begin: Optional[object],
+        epoch: int,
     ) -> None:
-        # Note: ``_in_flight`` stays held until all bookkeeping below is
-        # done; intermediate ``free``/``pump`` calls re-enter ``kick`` and
-        # must not start a new spill that re-selects this batch's objects.
-        for oid, _size in batch:
-            self.store.unpin(oid)
+        # A write issued before this node died (``clear`` moved the epoch
+        # on) lands on a disk or in a tier copy nobody may read: the
+        # store, slots and in-flight count it would touch are gone.
+        stale = epoch != self._epoch
         if self.bus is not None:
             self.bus.emit(
                 "spill.write.end",
                 node=self.node.node_id,
                 cause=begin,
-                ok=ok,
-                file=file.file_id,
+                ok=ok and not stale,
+                **(
+                    {"file": file.file_id} if self.shared is None else _SHARED
+                ),
             )
+        if stale:
+            return
+        # Note: ``_in_flight`` stays held until all bookkeeping below is
+        # done; intermediate ``free``/``pump`` calls re-enter ``kick`` and
+        # must not start a new spill that re-selects this batch's objects.
+        for oid, _size in batch:
+            self.store.unpin(oid)
         if not ok:
-            # The disk died mid-spill (node failure); the store is being
-            # cleared by the death handler, nothing more to do.
+            # The device failed mid-write; nothing was stored.
             self._in_flight -= 1
             return
         for position, (oid, size) in enumerate(batch):
@@ -340,8 +299,11 @@ class SpillManager:
                 # Freed (refcount zero) while the write was in flight.
                 file.live_bytes -= size
                 continue
-            self._slots[oid] = SpillSlot(file, size, index=position)
-            self.directory.add_spill_location(oid, self.node.node_id, self._slots[oid])
+            if self.shared is None:
+                slot = self._slots[oid] = SpillSlot(file, size, index=position)
+                self.directory.add_spill_location(oid, self.node.node_id, slot)
+            else:
+                self.directory.add_shared_location(oid)
             # The memory copy is no longer authoritative; free it now to
             # relieve pressure.
             self.directory.remove_memory_location(oid, self.node.node_id)
@@ -369,14 +331,7 @@ class SpillManager:
         write = self.node.disk_write(request.size, sequential=True)
 
         def done(event: object) -> None:
-            file = SpillFile(
-                next(self._file_ids), self.node.node_id, request.size, 1
-            )
-            slot = SpillSlot(file, request.size)
-            self._slots[request.object_id] = slot
-            self.directory.add_spill_location(
-                request.object_id, self.node.node_id, slot
-            )
+            self.adopt(request.object_id, request.size)
             if not request.event.triggered:
                 request.event.succeed("disk")
             self.store.pump()
@@ -385,8 +340,8 @@ class SpillManager:
 
     def adopt(self, object_id: ObjectId, size: int) -> None:
         """Record an object written straight to disk by its creating task
-        (``output_to_disk`` task option); the disk write was already
-        charged by the caller."""
+        (``output_to_disk`` task option) or by the fallback valve; the
+        disk write was already charged by the caller."""
         file = SpillFile(next(self._file_ids), self.node.node_id, size, 1)
         slot = SpillSlot(file, size)
         self._slots[object_id] = slot
@@ -408,29 +363,13 @@ class SpillManager:
         file = slot.file
         sequential = file.next_index is not None and slot.index == file.next_index
         file.next_index = slot.index + 1
-        latency = 0.0 if sequential else None
-        self.charge(object_id, "spill_bytes_read", slot.size)
-        self.counters.add("disk_bytes_read", slot.size)
-        begin = None
-        if self.bus is not None:
-            begin = self.bus.emit(
-                "spill.restore.begin",
-                node=self.node.node_id,
-                obj=object_id,
-                bytes=slot.size,
-                sequential=sequential,
-            )
-        read = self.node.disk.transfer(slot.size, latency=latency)
-        if self.bus is not None:
-            read.add_callback(
-                lambda _event: self.bus.emit(
-                    "spill.restore.end",
-                    node=self.node.node_id,
-                    obj=object_id,
-                    cause=begin,
-                )
-            )
-        return read
+        read = self.node.disk.transfer(
+            slot.size, latency=0.0 if sequential else None
+        )
+        return self._restore(
+            object_id, slot.size, read, "disk_bytes_read", _LOCAL,
+            sequential=sequential,
+        )
 
     def shared_restore_read(self, object_id: ObjectId):
         """Charge the read bringing a shared-tier object to this node.
@@ -440,29 +379,43 @@ class SpillManager:
         including one that never wrote the object -- which is what makes
         the tier durable against node loss.
         """
-        size = self.shared.size_of(object_id)
+        size = self.directory.sizes[object_id]
+        read = self.env.all_of(
+            [self.node.nic_in.transfer(size), self.shared.transfer(size)]
+        )
+        return self._restore(object_id, size, read, "shared_bytes_read", _SHARED)
+
+    def _restore(
+        self,
+        object_id: ObjectId,
+        size: int,
+        read: "Event",
+        counter: str,
+        tag: Dict[str, object],
+        **begin_attrs: object,
+    ) -> "Event":
+        """Charge ``read`` of a spilled copy and bracket it on the bus;
+        ``tag`` marks both events, ``begin_attrs`` only the begin."""
         self.charge(object_id, "spill_bytes_read", size)
-        self.counters.add("shared_bytes_read", size)
-        begin = None
-        if self.bus is not None:
-            begin = self.bus.emit(
+        self.counters.add(counter, size)
+        bus = self.bus
+        if bus is not None:
+            node_id = self.node.node_id
+            begin = bus.emit(
                 "spill.restore.begin",
-                node=self.node.node_id,
+                node=node_id,
                 obj=object_id,
                 bytes=size,
-                backend="shared",
+                **begin_attrs,
+                **tag,
             )
-        read = self.env.all_of(
-            [self.node.nic_in.transfer(size), self.shared.read(size)]
-        )
-        if self.bus is not None:
             read.add_callback(
-                lambda _event: self.bus.emit(
+                lambda _event: bus.emit(
                     "spill.restore.end",
-                    node=self.node.node_id,
+                    node=node_id,
                     obj=object_id,
                     cause=begin,
-                    backend="shared",
+                    **tag,
                 )
             )
         return read
@@ -480,8 +433,10 @@ class SpillManager:
 
         Directory locations are deliberately left stale; the runtime's
         failure-detection handler removes them after the heartbeat timeout.
+        Writes still in flight belong to the old epoch and record nothing.
         """
         lost = list(self._slots)
         self._slots.clear()
         self._in_flight = 0
+        self._epoch += 1
         return lost

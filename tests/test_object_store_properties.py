@@ -4,11 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.common.ids import NodeId, ObjectId
 from repro.futures.object_store import ObjectStore
-from repro.futures.policies import (
-    CachedCopyView,
-    InsertionOrderMemoryPolicy,
-    NewestFirstMemoryPolicy,
-)
 from repro.simcore import Environment
 
 CAPACITY = 1000
@@ -32,30 +27,17 @@ def _check_invariants(store: ObjectStore) -> None:
     assert store._evictable == len(_cached_copies(store))
 
 
-def _expected_victims(store: ObjectStore, newest_first: bool, size: int) -> list:
+def _expected_victims(store: ObjectStore, size: int) -> list:
     """Reference eviction for admitting ``size`` fresh bytes: cached,
-    unpinned copies in the policy's order until the shortfall is freed."""
+    unpinned copies oldest first until the shortfall is freed."""
     needed = size - store.spare_bytes
-    cached = _cached_copies(store)
-    if newest_first:
-        cached.reverse()
     victims, freed = [], 0
-    for oid, entry_size in cached:
+    for oid, entry_size in _cached_copies(store):
         if freed >= needed:
             break
         victims.append(oid)
         freed += entry_size
     return victims
-
-
-class _NewestQueuedFirstPolicy(InsertionOrderMemoryPolicy):
-    """Admits the allocation queue newest first, so the store pumps in
-    policy order rather than strictly FIFO."""
-
-    strict_fifo = False
-
-    def next_grant(self, queue):
-        return len(queue) - 1
 
 
 # Each step: (op_code, object_index, size, primary)
@@ -91,93 +73,48 @@ step_strategy = st.tuples(
     ]
 )
 def test_store_accounting_invariants_hold_under_any_sequence(steps):
-    for policy_cls in (
-        InsertionOrderMemoryPolicy,
-        NewestFirstMemoryPolicy,
-        _NewestQueuedFirstPolicy,
-    ):
-        env = Environment()
-        victims = []
-        store = ObjectStore(
-            env, NodeId(0), CAPACITY, on_evict_cached=victims.append,
-            policy=policy_cls(),
-        )
-        newest_first = policy_cls is NewestFirstMemoryPolicy
-        for op, index, size, primary in steps:
-            oid = ObjectId(index)
-            resident = store.objects()
-            # Aim pin, unpin, demote and free at entries whose state they change.
-            targets = {
-                "pin": resident,
-                "unpin": [o for o in resident if store.is_pinned(o)],
-                "demote": [o for o in resident if store.is_primary(o)],
-                "free": resident,
-            }.get(op)
-            if targets:
-                oid = targets[index % len(targets)]
-            if op == "evict_alloc":
-                # Just past the spare bytes, so any cached copy must go.
-                oid = ObjectId(100 + index)
-                size = min(CAPACITY, store.spare_bytes + size)
-            expected = None
-            if op in ("alloc", "try_alloc", "evict_alloc") and not store.contains(oid):
-                expected = _expected_victims(store, newest_first, size)
-            victims.clear()
-            if op == "alloc":
-                store.allocate(oid, size, primary=primary)
-            elif op in ("try_alloc", "evict_alloc"):
-                store.try_allocate(oid, size, primary=primary)
-            elif op == "free":
-                store.free(oid)
-            elif op == "pin":
-                if store.contains(oid):
-                    store.pin(oid)
-            elif op == "unpin":
-                store.unpin(oid)
-            elif op == "demote":
-                store.demote_to_cached(oid)
-            elif op == "clear":
-                store.clear()
-            env.run()
-            if expected is not None:
-                assert victims == expected
-            _check_invariants(store)
-
-
-class _StaleViewPolicy(InsertionOrderMemoryPolicy):
-    """Puts views of entries that are not evictable ahead of the real
-    candidates, and names every real candidate twice."""
-
-    def __init__(self, stale):
-        self.stale = stale
-
-    def eviction_order(self, request, cached):
-        return [*self.stale, *(view for view in cached for _ in (0, 1))]
-
-
-def test_eviction_skips_victims_that_are_not_evictable():
     env = Environment()
-    primary, pinned, old, new = (ObjectId(i) for i in range(4))
-    policy = _StaleViewPolicy(
-        [
-            CachedCopyView(object_id=primary, size=300),
-            CachedCopyView(object_id=pinned, size=200),
-        ]
-    )
-    store = ObjectStore(env, NodeId(0), CAPACITY, policy=policy)
-    store.try_allocate(primary, 300, primary=True)
-    store.try_allocate(pinned, 200, primary=False, pin=True)
-    store.try_allocate(old, 200, primary=False)
-    store.try_allocate(new, 200, primary=False)
-    # 100 bytes spare: admitting 400 needs 300 freed, i.e. both copies.
-    assert store.try_allocate(ObjectId(9), 400, primary=True)
-    assert store.contains(primary) and store.is_primary(primary)
-    assert store.contains(pinned) and store.is_pinned(pinned)
-    assert not store.contains(old) and not store.contains(new)
-    assert store.used_bytes == sum(store.entry_size(oid) for oid in store.objects())
-    assert store.pinned_bytes == 200
-    assert store.cached_evictions == 2
-    assert store._evictable == len(_cached_copies(store)) == 0
+    victims = []
+    store = ObjectStore(env, NodeId(0), CAPACITY, on_evict_cached=victims.append)
+    for op, index, size, primary in steps:
+        oid = ObjectId(index)
+        resident = store.objects()
+        # Aim pin, unpin, demote and free at entries whose state they change.
+        targets = {
+            "pin": resident,
+            "unpin": [o for o in resident if store.is_pinned(o)],
+            "demote": [o for o in resident if store.is_primary(o)],
+            "free": resident,
+        }.get(op)
+        if targets:
+            oid = targets[index % len(targets)]
+        if op == "evict_alloc":
+            # Just past the spare bytes, so any cached copy must go.
+            oid = ObjectId(100 + index)
+            size = min(CAPACITY, store.spare_bytes + size)
+        expected = None
+        if op in ("alloc", "try_alloc", "evict_alloc") and not store.contains(oid):
+            expected = _expected_victims(store, size)
+        victims.clear()
+        if op == "alloc":
+            store.allocate(oid, size, primary=primary)
+        elif op in ("try_alloc", "evict_alloc"):
+            store.try_allocate(oid, size, primary=primary)
+        elif op == "free":
+            store.free(oid)
+        elif op == "pin":
+            if store.contains(oid):
+                store.pin(oid)
+        elif op == "unpin":
+            store.unpin(oid)
+        elif op == "demote":
+            store.demote_to_cached(oid)
+        elif op == "clear":
+            store.clear()
+        env.run()
+        if expected is not None:
+            assert victims == expected
+        _check_invariants(store)
 
 
 @settings(max_examples=60, deadline=None)

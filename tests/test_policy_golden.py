@@ -28,6 +28,7 @@ from repro.common.units import MB
 from repro.futures import RetryPolicy, Runtime, RuntimeConfig
 from repro.sort import SortJobConfig, run_sort
 
+from benchmarks.bench_elastic_churn import run_churn_shuffle
 from tests.conftest import make_runtime
 
 #: The event kinds whose stream defines observable data-plane behaviour:
@@ -55,6 +56,10 @@ GOLDEN_SPILL_SHAPE_DIGEST = "cc68b047aeef89b2afe29d0d2f1a83e5c6b861482efd21738c3
 GOLDEN_INMEM_FINE_SHAPE_DIGEST = "f658cc22ce0919d040d6f1394b7aaff891a382033f108a5adb7e5b01f933665e"
 GOLDEN_REAL_SHAPE_DIGEST = "30dc728b90816e557675d78c173366a236134dd6d4728691fcb30eaa56f5fabf"
 GOLDEN_RECOVER_SHAPE_DIGEST = "93d0a62c9f3496daba5847214b455f58adf29e91b7c5311da4a8e6c5374f2336"
+#: The elastic-churn departure under each spill backend, captured while
+#: the shared tier still had its own spill, restore and fetch paths.
+GOLDEN_SHARED_CHURN_DIGEST = "69b2c34fcb471a03564fc5d0885428fce686c6a5968ab2934609c533031b4b85"
+GOLDEN_LOCAL_CHURN_DIGEST = "2f0966e48131c571ea33d5592424c5954cd90125ba26bf1edf8c873766ce0ef2"
 
 
 def digest_events(events) -> str:
@@ -233,3 +238,23 @@ def test_elasticity_merged_but_unused_is_zero_cost():
     assert rt.membership.snapshot() == {
         str(nid): "active" for nid in rt.cluster.node_ids
     }
+
+
+def _churn_digest(spill_backend: str) -> str:
+    """The churn bench's planned departure (no join, three maps per
+    node) under one spill backend: events plus sorted final counters."""
+    metrics = run_churn_shuffle(spill_backend, join=False, maps_per_node=3)
+    assert metrics["correct"]
+    rt = metrics["runtime"]
+    stats = sorted(rt.stats().items())
+    return hashlib.sha256(
+        f"{digest_events(rt.bus.events)}|{stats!r}".encode()
+    ).hexdigest()
+
+
+def test_shared_churn_digest_matches_golden():
+    assert _churn_digest("shared") == GOLDEN_SHARED_CHURN_DIGEST
+
+
+def test_local_churn_digest_matches_golden():
+    assert _churn_digest("local") == GOLDEN_LOCAL_CHURN_DIGEST
