@@ -107,10 +107,6 @@ class Cluster:
         """Restore the directed link ``src -> dst`` (idempotent)."""
         self._down_links.discard((src, dst))
 
-    def link_is_down(self, src: NodeId, dst: NodeId) -> bool:
-        """True while the directed link is administratively dropped."""
-        return (src, dst) in self._down_links
-
     # -- data movement --------------------------------------------------------
     def send(self, src: NodeId, dst: NodeId, nbytes: int) -> Event:
         """Move ``nbytes`` from ``src`` to ``dst``; completes when both

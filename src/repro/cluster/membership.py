@@ -73,14 +73,6 @@ class ClusterMembership:
         return state
 
     # -- queries ------------------------------------------------------------
-    def state_of(self, node_id: NodeId) -> str:
-        """The node's lifecycle state (ValueError for non-members)."""
-        return self._require(node_id)
-
-    def is_member(self, node_id: NodeId) -> bool:
-        """True if the node ever joined (any state, including removed)."""
-        return node_id in self._states
-
     def is_active(self, node_id: NodeId) -> bool:
         """True while the node is a full, schedulable member."""
         return self._states.get(node_id) == "active"

@@ -108,10 +108,6 @@ class ClusterSpec:
     def aggregate_disk_bandwidth(self) -> float:
         return sum(node.disk.bandwidth_bytes_per_sec for node in self.nodes)
 
-    @property
-    def total_object_store_bytes(self) -> int:
-        return sum(node.object_store_bytes for node in self.nodes)
-
 
 def _gbps(gigabits: float) -> float:
     return gigabits * 1e9 / 8

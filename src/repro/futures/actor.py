@@ -17,9 +17,8 @@ safe and deterministic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Type
+from typing import Any, Dict, Type
 
-from repro.common.ids import NodeId
 from repro.futures.refs import ObjectRef
 from repro.futures.remote import RemoteFunction, _reject_nested_refs
 from repro.futures.task import TaskOptions
@@ -88,10 +87,6 @@ class ActorHandle:
         ref = task.remote(self._token, *args)
         self._token = ref
         return ref
-
-    @property
-    def home_node(self) -> Optional[NodeId]:
-        return self._options.node
 
     def __repr__(self) -> str:
         return f"<ActorHandle {self._cls.__name__} node={self._options.node}>"

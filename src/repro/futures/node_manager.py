@@ -25,7 +25,7 @@ Execution flow per task (one simulation process each):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cluster.fabric import NodeFailure
 from repro.common.errors import ObjectLostError, TaskExecutionError
@@ -45,6 +45,11 @@ from repro.simcore import Event, Interrupt, Resource
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.futures.runtime import Runtime
+
+
+class NoLiveCopy(Exception):
+    """No live node and no shared tier holds the object (``args[0]``): the
+    fetch stops, and its caller waits in :meth:`Runtime.await_copy`."""
 
 
 class NodeManager:
@@ -178,21 +183,36 @@ class NodeManager:
         fetch_req = None
         try:
             record.phase = TaskPhase.FETCHING
-            if config.enable_prefetching:
-                # Admission first (while holding nothing), then a fetch
-                # slot: pollers must not starve other tasks' fetches.
-                yield from self._await_admission(spec)
-                fetch_req = self._fetch_sem.request()
-                yield fetch_req
-                arg_state = yield from self._ensure_args(spec, pinned)
+            # One fetch loop for both prefetch modes.  An argument with no
+            # live copy, found before admission or while fetching, sends
+            # the task to wait for it holding no slot, core or pin.
+            while True:
+                lost = self._lost_arg(spec)
+                if lost is None:
+                    if config.enable_prefetching:
+                        # Admission first (while holding nothing), then a
+                        # fetch slot: pollers must not starve other fetches.
+                        yield from self._await_admission(spec)
+                        slot = fetch_req = self._fetch_sem.request()
+                    else:
+                        slot = core_req = self.node.cpu.request()
+                    yield slot
+                    try:
+                        arg_state = yield from self._ensure_args(spec, pinned)
+                        break
+                    except NoLiveCopy as exc:
+                        lost = exc.args[0]
+                    slot.cancel()
+                    fetch_req = core_req = None
+                    for oid in pinned:
+                        self.store.unpin(oid)
+                    pinned.clear()
+                yield from self.runtime.await_copy(lost)
+            if fetch_req is not None:
                 fetch_req.cancel()
                 fetch_req = None
                 core_req = self.node.cpu.request()
                 yield core_req
-            else:
-                core_req = self.node.cpu.request()
-                yield core_req
-                arg_state = yield from self._ensure_args(spec, pinned)
 
             record.phase = TaskPhase.RUNNING
             record.started_at = self.env.now
@@ -273,9 +293,10 @@ class NodeManager:
         ``prefetch_capacity_fraction`` of the store -- unbounded
         fetch-ahead would pin more memory than the store holds and thrash
         it.  Admission happens while the task holds no pins and no fetch
-        slot, so there is no hold-and-wait and no deadlock; a task whose
-        arguments alone exceed the budget is admitted when the store is
-        quiet.
+        slot, and so does every wait for a lost argument (the fetch loop
+        in :meth:`_run_task`), so the whole fetch phase has no
+        hold-and-wait and no deadlock; a task whose arguments alone
+        exceed the budget is admitted when the store is quiet.
         """
         budget = int(
             self.runtime.config.prefetch_capacity_fraction * self.store.capacity
@@ -289,6 +310,19 @@ class NodeManager:
             and self.store.pinned_bytes + demand > budget
         ):
             yield self.env.timeout(0.05)
+
+    def _lost_arg(self, spec: TaskSpec) -> Optional[ObjectId]:
+        """The first argument that is not here and that no live node or
+        shared tier holds, if any."""
+        for oid in spec.dependency_ids:
+            if oid in self.runtime.directory and not (
+                self.store.contains(oid) or self.spill.is_spilled(oid)
+            ):
+                try:
+                    self._source(oid)
+                except NoLiveCopy:
+                    return oid
+        return None
 
     def _ensure_args(
         self, spec: TaskSpec, pinned: List[ObjectId]
@@ -310,153 +344,132 @@ class NodeManager:
     def ensure_local(self, object_id: ObjectId) -> Iterator[Event]:
         """Bring one object to this node; returns ``"memory"`` or ``"disk"``.
 
-        Memory results are pinned (caller must unpin).  Retries around
-        evictions, races, and source failures; gives up only when the
-        object is unrecoverable.
+        One loop: freed -> resident -> spilled here -> wait on another
+        fetch -> choose a source -> pinned allocate -> read/transfer.
+        Memory results are pinned (caller must unpin).  Raises
+        :class:`NoLiveCopy` when nothing live holds the object.
+
+        The first remote attempt registers a handle, a one-slot list for
+        the waiters' wake-up event, which the first waiter creates: an
+        unshared fetch costs no engine step.  It is kept through transfer
+        backoffs and released before a local restore and on every exit.
         """
-        directory = self.runtime.directory
-        for _attempt in range(200):
-            if object_id not in directory:
-                raise ObjectLostError(object_id, "freed while required")
-            if self.store.contains(object_id):
-                self.store.pin(object_id)
-                return "memory"
-            if self.spill.is_spilled(object_id):
-                if self.store.try_allocate(
-                    object_id, directory.sizes[object_id], primary=False, pin=True
-                ):
-                    yield self.spill.restore_read(object_id)
-                    directory.add_memory_location(object_id, self.node_id)
-                    return "memory"
-                return "disk"
-            holds_pin = yield from self._fetch_remote(object_id)
-            if holds_pin:
-                # The fetch allocated the entry pinned on our behalf, so
-                # it cannot have been evicted under memory pressure.
-                return "memory"
-        raise ObjectLostError(object_id, "exceeded fetch attempts")
-
-    def _fetch_remote(self, object_id: ObjectId) -> Iterator[Event]:
-        """Fetch one object from another node, deduplicating in-flight work.
-
-        Returns True when the caller now holds a pin on the local
-        in-memory entry (initiator path); dedup waiters return False and
-        must re-check + pin themselves.
-
-        Each fetch registers its own handle, a one-slot list holding the
-        wake-up event.  The first waiter creates that event; the initiator
-        succeeds it only if one exists, so an unshared fetch costs no
-        engine step.  The handle's identity keeps a fetch from removing a
-        newer fetch's entry after :meth:`kill` cleared the table.
-        """
-        handle = self._inflight_fetches.get(object_id)
-        if handle is not None:
-            done = handle[0]
-            if done is None:
-                done = handle[0] = self.env.event()
-            yield done
-            return False
-        handle = [None]
-        self._inflight_fetches[object_id] = handle
-        try:
-            holds_pin = yield from self._fetch_remote_inner(object_id)
-            return holds_pin
-        finally:
-            if self._inflight_fetches.get(object_id) is handle:
-                del self._inflight_fetches[object_id]
-            done = handle[0]
-            if done is not None and not done.triggered:
-                done.succeed()
-
-    def _fetch_remote_inner(self, object_id: ObjectId) -> Iterator[Event]:
         runtime = self.runtime
         directory = runtime.directory
         sizes = directory.sizes
-        for _attempt in range(100):
-            held = directory.holders(object_id)
-            if held is None:
-                raise ObjectLostError(object_id, "freed during fetch")
-            if self.store.contains(object_id):
-                self.store.pin(object_id)
-                return True
-            if self.spill.is_spilled(object_id):
-                return False
-            # The lowest-numbered alive holder serves: a memory copy if
-            # any, else a spilled one.
-            memory_nodes, spill_nodes = held
-            source = self._first_alive(memory_nodes)
-            from_memory = source is not None
-            if not from_memory:
-                source = self._first_alive(sorted(spill_nodes))
-            if source is None and not directory.is_shared(object_id):
-                # No *alive* copy: wait for (re)creation.  The directory
-                # may still claim stale locations on dead-but-undetected
-                # nodes (making ensure_available a no-op), so back off and
-                # let failure detection catch up before re-checking.
-                yield runtime.ensure_available(object_id)
-                yield self.env.timeout(runtime.config.fetch_retry_backoff_s)
-                continue
-            placement = None
-            try:
-                # Pinned for the duration of the transfer: a copy that is
-                # still arriving must not be evicted under pressure.
-                allocation = self.store.allocate(
-                    object_id, sizes[object_id], primary=False, pin=True
-                )
-                placement = yield allocation
-                if placement == "resident":
-                    return True  # appeared meanwhile; allocate pinned it
-                if source is None:
-                    # The disaggregated spill tier holds the only copy --
-                    # the durability win: read it back instead of waiting
-                    # for lineage to re-execute the creator.
-                    yield self.spill.shared_restore_read(object_id)
-                elif not from_memory:
-                    # Spilled at the source: streamed from its disk (§4.2.2).
-                    yield runtime.node_managers[source].spill.restore_read(
-                        object_id
+        handle = None
+        try:
+            for _attempt in range(200):
+                if object_id not in directory:
+                    raise ObjectLostError(object_id, "freed while required")
+                if self.store.contains(object_id):
+                    self.store.pin(object_id)
+                    return "memory"
+                if self.spill.is_spilled(object_id):
+                    self._release_fetch(object_id, handle)
+                    handle = None
+                    if self.store.try_allocate(
+                        object_id, sizes[object_id], primary=False, pin=True
+                    ):
+                        yield self.spill.restore_read(object_id)
+                        directory.add_memory_location(object_id, self.node_id)
+                        return "memory"
+                    return "disk"
+                if handle is None:
+                    other = self._inflight_fetches.get(object_id)
+                    if other is not None:
+                        if other[0] is None:
+                            other[0] = self.env.event()
+                        yield other[0]
+                        continue
+                    handle = self._inflight_fetches[object_id] = [None]
+                source, from_memory = self._source(object_id)
+                placement = None
+                try:
+                    # Pinned for the duration of the transfer: a copy that
+                    # is still arriving must not be evicted under pressure.
+                    allocation = self.store.allocate(
+                        object_id, sizes[object_id], primary=False, pin=True
                     )
-                if source is not None:
-                    begin = runtime.bus.emit(
-                        "transfer.begin",
-                        node=self.node_id,
-                        obj=object_id,
-                        src=source,
-                        bytes=sizes[object_id],
-                    )
-                    try:
-                        yield runtime.cluster.send(
-                            source, self.node_id, sizes[object_id]
+                    placement = yield allocation
+                    if placement == "resident":
+                        return "memory"  # appeared meanwhile; allocate pinned it
+                    if source is None:
+                        # The disaggregated spill tier holds the only copy --
+                        # the durability win: read it back instead of waiting
+                        # for lineage to re-execute the creator.
+                        yield self.spill.shared_restore_read(object_id)
+                    elif not from_memory:
+                        # Spilled at the source: streamed from its disk (§4.2.2).
+                        yield runtime.node_managers[source].spill.restore_read(
+                            object_id
                         )
-                    except (NodeFailure, IOError):
+                    if source is not None:
+                        begin = runtime.bus.emit(
+                            "transfer.begin",
+                            node=self.node_id,
+                            obj=object_id,
+                            src=source,
+                            bytes=sizes[object_id],
+                        )
+                        try:
+                            yield runtime.cluster.send(
+                                source, self.node_id, sizes[object_id]
+                            )
+                        except (NodeFailure, IOError):
+                            runtime.bus.emit(
+                                "transfer.end",
+                                node=self.node_id,
+                                obj=object_id,
+                                cause=begin,
+                                ok=False,
+                            )
+                            raise
                         runtime.bus.emit(
                             "transfer.end",
                             node=self.node_id,
                             obj=object_id,
                             cause=begin,
-                            ok=False,
+                            ok=True,
                         )
-                        raise
-                    runtime.bus.emit(
-                        "transfer.end",
-                        node=self.node_id,
-                        obj=object_id,
-                        cause=begin,
-                        ok=True,
-                    )
-            except (NodeFailure, IOError):
-                if placement == "memory":
-                    self.store.free(object_id)
-                yield self.env.timeout(runtime.config.fetch_retry_backoff_s)
-                continue
-            if placement == "memory":
-                directory.add_memory_location(object_id, self.node_id)
+                except (NodeFailure, IOError):
+                    if placement == "memory":
+                        self.store.free(object_id)
+                    yield self.env.timeout(runtime.config.fetch_retry_backoff_s)
+                    continue
                 runtime.counters.add("fetched_objects", 1)
-                return True
-            # Disk-fallback grant: the bytes are on our local disk now.
-            runtime.counters.add("fetched_objects", 1)
-            return False
-        raise ObjectLostError(object_id, "fetch retries exhausted")
+                if placement == "memory":
+                    directory.add_memory_location(object_id, self.node_id)
+                    return "memory"
+                # Disk-fallback grant: the bytes are on our local disk now.
+            raise ObjectLostError(object_id, "exceeded fetch attempts")
+        finally:
+            self._release_fetch(object_id, handle)
+
+    def _release_fetch(self, object_id: ObjectId, handle: Any) -> None:
+        """Drop a fetch's entry, unless a newer fetch replaced it after
+        :meth:`kill`, and wake the fetches that waited on it."""
+        if handle is None:
+            return
+        if self._inflight_fetches.get(object_id) is handle:
+            del self._inflight_fetches[object_id]
+        if handle[0] is not None and not handle[0].triggered:
+            handle[0].succeed()
+
+    def _source(self, object_id: ObjectId) -> Tuple[Optional[NodeId], bool]:
+        """``(source, from_memory)`` for a fetch of a known object: the
+        lowest-numbered alive holder, a memory copy if any, else a spilled
+        one; ``(None, False)`` when only the shared tier holds it.  Raises
+        :class:`NoLiveCopy` when nothing live holds it."""
+        directory = self.runtime.directory
+        memory_nodes, spill_nodes = directory.holders(object_id)
+        source = self._first_alive(memory_nodes)
+        if source is not None:
+            return source, True
+        source = self._first_alive(sorted(spill_nodes))
+        if source is None and not directory.is_shared(object_id):
+            raise NoLiveCopy(object_id)
+        return source, False
 
     def _first_alive(self, node_ids: Iterable[NodeId]) -> Optional[NodeId]:
         """The first of ``node_ids`` that is another, alive node."""

@@ -41,7 +41,7 @@ from repro.futures.config import RuntimeConfig
 from repro.futures.directory import ObjectDirectory
 from repro.futures.driver import DriverHandle, DriverHost
 from repro.futures.lineage import LineageManager
-from repro.futures.node_manager import NodeManager
+from repro.futures.node_manager import NodeManager, NoLiveCopy
 from repro.futures.policies.registry import PolicyStack, resolve_policies
 from repro.futures.refs import ObjectRef, make_ref, weak_release
 from repro.futures.remote import RemoteFunction
@@ -456,11 +456,23 @@ class Runtime:
         detection path).  ``cause`` is the triggering fault's event seq."""
         self.lineage.resubmit(record, cause=cause)
 
-    def ensure_available(self, object_id: ObjectId) -> Event:
-        """An event that fires once the object has a live copy somewhere
-        (triggering lineage reconstruction for lost objects; see
-        :meth:`LineageManager.ensure_available`)."""
-        return self.lineage.ensure_available(object_id)
+    def await_copy(self, object_id: ObjectId) -> Iterator[Event]:
+        """The one wait for a lost copy, entered holding nothing: until
+        lineage gives the object a live copy somewhere (see
+        :meth:`LineageManager.ensure_available`), then a
+        ``fetch_retry_backoff_s`` pause, because the directory may still
+        claim stale locations on dead-but-undetected nodes."""
+        yield self.lineage.ensure_available(object_id)
+        yield self.env.timeout(self.config.fetch_retry_backoff_s)
+
+    def _fetch_to(self, manager: NodeManager, object_id: ObjectId) -> Iterator[Event]:
+        """``manager.ensure_local(object_id)``, waiting in :meth:`await_copy`
+        whenever no live copy exists."""
+        while True:
+            try:
+                return (yield from manager.ensure_local(object_id))
+            except NoLiveCopy:
+                yield from self.await_copy(object_id)
 
     # -- cluster elasticity ---------------------------------------------------
     def _note_task_inflight(self, record: TaskRecord) -> None:
@@ -696,8 +708,8 @@ class Runtime:
         manager = self.driver_manager
         values: List[Any] = []
         for oid in object_ids:
-            yield self.ensure_available(oid)
-            state = yield from manager.ensure_local(oid)
+            yield self.lineage.ensure_available(oid)
+            state = yield from self._fetch_to(manager, oid)
             if state == "memory":
                 manager.store.unpin(oid)
             else:
@@ -798,7 +810,7 @@ class Runtime:
         self, object_ids: List[ObjectId], copies: int
     ) -> Iterator[Event]:
         for oid in object_ids:
-            yield self.ensure_available(oid)
+            yield self.lineage.ensure_available(oid)
             if oid not in self.directory:
                 continue
             existing = {
@@ -813,7 +825,7 @@ class Runtime:
             ]
             for nid in targets[: max(0, copies - len(existing))]:
                 manager = self.node_managers[nid]
-                state = yield from manager.ensure_local(oid)
+                state = yield from self._fetch_to(manager, oid)
                 # Promote the copy to primary: it now spills under
                 # pressure rather than being dropped.
                 manager.store.try_allocate(

@@ -155,7 +155,3 @@ class AdmissionController:
         for name in names:
             out.extend(self._queues.get(name, ()))
         return out
-
-    def running_count(self, tenant: str) -> int:
-        """How many of a tenant's jobs are currently admitted or running."""
-        return self._running.get(tenant, 0)

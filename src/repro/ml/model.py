@@ -10,8 +10,6 @@ testable.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 import numpy as np
 
 from repro.common.rng import seeded_rng
@@ -86,12 +84,3 @@ class SGDClassifier:
         """Classification accuracy on the given set."""
         predictions = (self._logits(features) > 0).astype(np.float64)
         return float((predictions == labels).mean())
-
-
-def iterate_batches(
-    features: np.ndarray, labels: np.ndarray, batch_size: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Consecutive mini-batches over an array pair."""
-    for start in range(0, len(labels), batch_size):
-        stop = start + batch_size
-        yield features[start:stop], labels[start:stop]

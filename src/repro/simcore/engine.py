@@ -146,10 +146,6 @@ class Process(Event):
     def __repr__(self) -> str:
         return f"<Process {self.name} waiting_on={self._waiting_on!r}>"
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._state
-
     def _start(self) -> None:
         if self._state:  # interrupted before it ever ran
             return

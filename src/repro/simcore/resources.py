@@ -150,10 +150,6 @@ class BandwidthResource:
     def queue_length(self) -> int:
         return len(self._queue)
 
-    @property
-    def is_busy(self) -> bool:
-        return self._busy
-
     def transfer(self, nbytes: int, latency: Optional[float] = None) -> Event:
         """Enqueue a transfer of ``nbytes``; event succeeds on completion."""
         if nbytes < 0:

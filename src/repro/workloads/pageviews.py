@@ -11,7 +11,7 @@ matching the real dataset's volume.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -33,10 +33,6 @@ class PageviewBlock:
     @property
     def size_bytes(self) -> int:
         return self.declared_bytes
-
-    @property
-    def total_views(self) -> float:
-        return float(sum(c.sum() for c in self.counts.values()))
 
     def __repr__(self) -> str:
         return f"PageviewBlock(hour={self.hour}, langs={len(self.counts)})"
@@ -90,10 +86,6 @@ class PageviewDataset:
                 np.float64
             )
         return PageviewBlock(hour, counts, self.block_bytes)
-
-    def all_blocks(self) -> List[PageviewBlock]:
-        """Every hourly block, in stream order."""
-        return [self.hourly_block(h) for h in range(self.num_hours)]
 
     def final_distribution(self) -> Dict[str, np.ndarray]:
         """The exact end-of-job per-language view shares (ground truth)."""

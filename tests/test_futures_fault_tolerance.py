@@ -189,6 +189,33 @@ class TestLineageReconstruction:
 
 
 class TestFailureDuringShuffleTraffic:
+    def test_task_waiting_on_lost_argument_holds_nothing(self):
+        """A consumer whose second argument dies while it fetches the
+        first waits for the rebuild holding no fetch slot and no pin: a
+        task that kept them could starve the rebuild of both."""
+        rt = make_runtime(num_nodes=3, config=_fast_detect())
+        source, victim, sink = rt.cluster.node_ids
+        big = rt.remote(lambda: _blob(80)).options(node=source)
+        small = rt.remote(lambda: _blob(1)).options(node=victim)
+        consume = rt.remote(lambda x, y: x.nbytes + y.nbytes).options(node=sink)
+        manager = rt.node_managers[sink]
+        held = {}
+
+        def driver():
+            srcs = [big.remote(), small.remote()]
+            rt.wait(srcs, num_returns=len(srcs))
+            out = consume.remote(*srcs)
+            rt.sleep(0.3)  # mid-way through the 0.64 s fetch of ``big``
+            rt.cluster.node(victim).fail()
+            rt.sleep(1.0)  # ``big`` has arrived; ``small`` has no live copy
+            held["slots"] = manager._fetch_sem.in_use
+            held["pinned"] = manager.store.pinned_bytes
+            return rt.get(out)
+
+        assert rt.run(driver) == 81 * MB
+        assert held == {"slots": 0, "pinned": 0}
+        assert rt.counters.get("lineage_reconstructions") == 1
+
     def test_consumer_survives_source_death_mid_job(self):
         """Consumers fetching from a node that dies retry and recover."""
         rt = make_runtime(num_nodes=3, config=_fast_detect())

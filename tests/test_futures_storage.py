@@ -259,33 +259,39 @@ class TestFetchingAndLocality:
 
     @staticmethod
     def _fetch_race(num_fetchers, kill_at=None):
-        """``num_fetchers`` processes on node B fetch one 80 MB object from
-        node A (a 0.64 s transfer) through the deduplicating fetch.  With
-        ``kill_at``, B's manager is killed then and a fresh fetcher starts
-        right after.  Returns the runtime, B's manager, the object's size,
-        the bytes sent, each fetcher's ``(holds_pin, finished_at, table
-        entry at return)`` and probes of the fetch table taken 0.1 s in."""
-        rt = make_runtime(num_nodes=2)
+        """``num_fetchers`` processes on node B call ``ensure_local`` for one
+        80 MB object on node A (a 0.64 s transfer).  B's 100 MiB store
+        holds a 40 MB ballast, so the first fetch's copy is allocated only
+        after the ballast spills (0.2 s); a fetcher arriving meanwhile
+        finds no copy on B and waits on that fetch.  With ``kill_at``, B's
+        manager is killed then and a fresh fetcher starts right after.
+        Returns the runtime, B's manager, the object and its size, the
+        bytes sent, each fetcher's ``(state, finished_at, table entry at
+        return)`` and probes of the fetch table taken 0.1 s in, with the
+        time its wake-up event fired."""
+        rt = make_runtime(num_nodes=2, store_mib=100)
         a, b = rt.cluster.node_ids
-        make = rt.remote(lambda: _blob(80))
+        make = rt.remote(lambda mb: _blob(mb))
 
         def driver():
-            ref = make.options(node=a).remote()
-            rt.wait([ref], num_returns=1)
-            return ref
+            refs = [make.options(node=b).remote(40), make.options(node=a).remote(80)]
+            rt.wait(refs, num_returns=2)
+            return refs
 
-        ref = rt.run(driver)
+        _ballast, ref = rt.run(driver)
         oid, manager, env = ref.object_id, rt.node_managers[b], rt.env
         sent_before = rt.cluster.network_bytes_sent
         results, probes = {}, {}
 
         def fetcher(name):
-            holds_pin = yield from manager._fetch_remote(oid)
-            results[name] = (holds_pin, env.now, manager._inflight_fetches.get(oid))
+            state = yield from manager.ensure_local(oid)
+            results[name] = (state, env.now, manager._inflight_fetches.get(oid))
 
         def probe():
             yield env.timeout(0.1)
-            probes["waiters_event"] = manager._inflight_fetches[oid][0]
+            waiters = probes["waiters_event"] = manager._inflight_fetches[oid][0]
+            if waiters is not None:
+                waiters.add_callback(lambda _: probes.setdefault("woken_at", env.now))
             if kill_at is not None:
                 yield env.timeout(kill_at - 0.1)
                 manager.kill()
@@ -301,6 +307,7 @@ class TestFetchingAndLocality:
         return SimpleNamespace(
             rt=rt,
             manager=manager,
+            oid=oid,
             size=rt.directory.maybe_get(oid).size,
             sent=rt.cluster.network_bytes_sent - sent_before,
             results=results,
@@ -310,31 +317,37 @@ class TestFetchingAndLocality:
     def test_unshared_fetch_creates_no_wakeup_event(self):
         race = self._fetch_race(1)
         assert race.probes["waiters_event"] is None
-        assert race.results[0][0] is True
+        assert race.results[0][0] == "memory"
+        assert race.manager.store.is_pinned(race.oid)
         assert race.sent == race.size
         assert not race.manager._inflight_fetches
 
     def test_second_same_node_fetcher_waits_on_the_first(self):
         race = self._fetch_race(2)
-        results = race.results
+        results, store = race.results, race.manager.store
         # The second fetcher made the wake-up event; the first succeeded it.
         assert race.probes["waiters_event"] is not None
         assert race.probes["waiters_event"].processed
-        # Only the initiator holds a pin; the waiter re-checks and pins.
-        assert [results[i][0] for i in (0, 1)] == [True, False]
+        assert race.probes["woken_at"] == results[0][1]
+        # The waiter re-checks and pins the copy the first fetch brought.
+        assert [results[i][0] for i in (0, 1)] == ["memory", "memory"]
+        store.unpin(race.oid)
+        assert store.is_pinned(race.oid)
+        store.unpin(race.oid)
+        assert not store.is_pinned(race.oid)
         assert results[0][1] == results[1][1] > 0.6
         assert race.sent == race.size
         assert race.rt.stats()["fetched_objects"] == 1
         assert not race.manager._inflight_fetches
 
     def test_kill_mid_transfer_keeps_waiter_and_newer_fetch(self):
-        race = self._fetch_race(2, kill_at=0.2)
+        race = self._fetch_race(2, kill_at=0.5)
         results, probes = race.results, race.probes
         # The waiter on the killed fetch was still woken, and the killed
         # fetch's cleanup left the newer fetch's entry alone.
         assert set(results) == {0, 1, "after-kill"}
         assert probes["waiters_event"].processed
-        assert results[0][1] == results[1][1]
+        assert probes["woken_at"] == results[0][1] == results[1][1]
         assert results[0][2] is probes["newer"]
         assert results["after-kill"][2] is None
         assert results["after-kill"][1] > results[0][1]

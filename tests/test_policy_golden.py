@@ -59,7 +59,13 @@ GOLDEN_RECOVER_SHAPE_DIGEST = "93d0a62c9f3496daba5847214b455f58adf29e91b7c5311da
 #: The elastic-churn departure under each spill backend, captured while
 #: the shared tier still had its own spill, restore and fetch paths.
 GOLDEN_SHARED_CHURN_DIGEST = "69b2c34fcb471a03564fc5d0885428fce686c6a5968ab2934609c533031b4b85"
-GOLDEN_LOCAL_CHURN_DIGEST = "2f0966e48131c571ea33d5592424c5954cd90125ba26bf1edf8c873766ce0ef2"
+#: Re-pinned when a task waiting on a lost argument stopped holding its
+#: fetch slot and pins: reduces that wait on arguments the departure
+#: lost now unpin what they fetched while they wait, and the store spills
+#: it.  The run takes 1.637 simulated seconds instead of 1.557, with 5
+#: spill files instead of 4 and 104.0 MB of spill writes instead of
+#: 96.0 MB (was 2f0966e4...).
+GOLDEN_LOCAL_CHURN_DIGEST = "f4fa81abe9bd7b753236c04552a9d5b5d407f8de977c18739fe6c0f815a8189e"
 
 
 def digest_events(events) -> str:
