@@ -9,8 +9,8 @@ bookkeeping half of that story: a map from node id to lifecycle state
     A full member: the scheduler may place new work on it.
 ``draining``
     Leaving gracefully: it keeps running what it already has, but the
-    scheduler avoids it like a blacklisted node.  When its last task
-    finishes the runtime removes it.
+    scheduler avoids it like a blacklisted node.  An explicit
+    ``remove_node`` completes the departure.
 ``removed``
     Departed: no longer schedulable; its local objects are gone and the
     runtime has already arranged reconstruction (or shared-tier reads)
@@ -95,10 +95,6 @@ class ClusterMembership:
         """Ids of all active members, in join order."""
         return [nid for nid, s in self._states.items() if s == "active"]
 
-    def draining_nodes(self) -> List[NodeId]:
-        """Ids of all draining members, in join order."""
-        return [nid for nid, s in self._states.items() if s == "draining"]
-
     def removed_nodes(self) -> List[NodeId]:
         """Ids of all departed members, in join order."""
         return [nid for nid, s in self._states.items() if s == "removed"]
@@ -107,17 +103,11 @@ class ClusterMembership:
         """How many members are active."""
         return len(self.active_nodes())
 
-    def draining_count(self) -> int:
-        """How many members are draining."""
-        return len(self.draining_nodes())
-
     def snapshot(self) -> Dict[str, str]:
         """State per node id (stringified), for run summaries and tests."""
         return {str(nid): state for nid, state in self._states.items()}
 
     def __repr__(self) -> str:
-        return (
-            f"<ClusterMembership active={self.active_count()} "
-            f"draining={self.draining_count()} "
-            f"removed={len(self.removed_nodes())}>"
-        )
+        states = list(self._states.values())
+        counts = " ".join(f"{s}={states.count(s)}" for s in MEMBER_STATES)
+        return f"<ClusterMembership {counts}>"

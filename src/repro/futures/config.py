@@ -1,8 +1,8 @@
 """Runtime configuration knobs.
 
 Each field corresponds to a mechanism in §4 of the paper.  A data-plane
-decision is selected in exactly one place: placement, spilling and
-autoscaling by their ``<kind>_policy`` registry names, prefetching by
+decision is selected in exactly one place: placement and spilling by
+their ``<kind>_policy`` registry names, prefetching by
 ``enable_prefetching``.  Task dispatch is a protocol the scheduler
 takes at construction, not a knob; every store evicts cached copies
 oldest first and admits its allocation queue strictly FIFO.
@@ -91,32 +91,6 @@ class RuntimeConfig:
     #: ablation).
     spill_policy: str = "default"
 
-    #: Registry name of the autoscale policy.  ``"none"`` (the default)
-    #: never changes the cluster; ``"threshold"`` grows under allocation
-    #: and dispatch queue pressure and shrinks when idle, between
-    #: ``autoscale_min_nodes`` and ``autoscale_max_nodes``.
-    autoscale_policy: str = "none"
-
-    # -- elasticity ----------------------------------------------------------
-    #: Lower bound on cluster size the autoscaler may shrink to.
-    autoscale_min_nodes: int = 1
-
-    #: Upper bound on cluster size the autoscaler may grow to.  0 means
-    #: "the size the cluster was created with" (no growth).
-    autoscale_max_nodes: int = 0
-
-    #: Queued work per available task slot above which the threshold
-    #: autoscaler requests growth.
-    autoscale_grow_pressure: float = 2.0
-
-    #: Queued work per available task slot below which the threshold
-    #: autoscaler drains an idle node (0 shrinks only when fully idle).
-    autoscale_shrink_pressure: float = 0.0
-
-    #: Minimum simulated seconds between autoscaling decisions, so one
-    #: pressure spike does not add a node per queued task.
-    autoscale_interval_s: float = 5.0
-
     # -- spill backend --------------------------------------------------------
     #: Where spilled objects live: ``"local"`` writes to the owning
     #: node's disk (lost with the node, as in the paper); ``"shared"``
@@ -168,23 +142,6 @@ class RuntimeConfig:
         for kind in POLICY_KINDS:
             if not getattr(self, f"{kind}_policy"):
                 raise ValueError(f"{kind}_policy must be a non-empty name")
-        if self.autoscale_min_nodes < 1:
-            raise ValueError("autoscale_min_nodes must be >= 1")
-        if self.autoscale_max_nodes < 0:
-            raise ValueError("autoscale_max_nodes must be >= 0")
-        if (
-            self.autoscale_max_nodes
-            and self.autoscale_max_nodes < self.autoscale_min_nodes
-        ):
-            raise ValueError("autoscale_max_nodes must be >= autoscale_min_nodes")
-        if self.autoscale_grow_pressure <= self.autoscale_shrink_pressure:
-            raise ValueError(
-                "autoscale_grow_pressure must exceed autoscale_shrink_pressure"
-            )
-        if self.autoscale_shrink_pressure < 0:
-            raise ValueError("autoscale_shrink_pressure must be non-negative")
-        if self.autoscale_interval_s < 0:
-            raise ValueError("autoscale_interval_s must be non-negative")
         if self.planner not in ("default", "cost", "empirical"):
             raise ValueError(
                 "planner must be 'default', 'cost', or 'empirical'"

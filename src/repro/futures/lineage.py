@@ -130,10 +130,6 @@ class LineageManager:
             )
             return
         runtime.charge_task(spec.options, "tasks_resubmitted", 1)
-        # A reconstructed task re-enters flight (autoscale pressure);
-        # interrupted casualties never left it, and the guard makes this
-        # a no-op for them.
-        runtime._note_task_inflight(record)
         if cause is None and record.assigned_node is not None:
             cause = self._last_fault_event.get(record.assigned_node)
         runtime.bus.emit(

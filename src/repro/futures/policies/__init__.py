@@ -1,16 +1,14 @@
 """Pluggable data-plane policies (the Exoshuffle thesis, applied inward).
 
-Placement, spill batching, dispatch ordering and autoscaling are typed
-:class:`~typing.Protocol` seams.  Placement, spill and autoscale are
-registry kinds (:data:`POLICY_KINDS`), each selected by one
+Placement, spill batching and dispatch ordering are typed
+:class:`~typing.Protocol` seams.  Placement and spill are registry
+kinds (:data:`POLICY_KINDS`), each selected by one
 ``RuntimeConfig.<kind>_policy`` name; only the dispatch policy is
 handed to the scheduler at construction:
 
 - :class:`PlacementPolicy` -- blacklist / affinity / locality / load as
   composable stages (:class:`StagedPlacementPolicy`);
 - :class:`SpillPolicy` -- victim selection, target sizing, write fusing;
-- :class:`AutoscalePolicy` -- when the cluster grows or shrinks between
-  configured bounds (``"none"`` holds the seed fixed-shape behaviour);
 - :class:`DispatchPolicy` -- FIFO, or weighted virtual-time fair sharing
   once :class:`repro.jobs.JobManager` installs it.
 
@@ -22,9 +20,6 @@ table and how to add a policy.
 """
 
 from repro.futures.policies.base import (
-    AutoscaleDecision,
-    AutoscalePolicy,
-    AutoscaleView,
     DispatchContext,
     DispatchOutcome,
     DispatchPolicy,
@@ -45,10 +40,8 @@ from repro.futures.policies.defaults import (
     FusedSpillPolicy,
     LeastLoadedStage,
     LocalityStage,
-    NoAutoscalePolicy,
     RandomStage,
     StagedPlacementPolicy,
-    ThresholdAutoscalePolicy,
 )
 from repro.futures.policies.registry import (
     POLICY_KINDS,
@@ -72,9 +65,6 @@ __all__ = [
     "DispatchContext",
     "DispatchOutcome",
     "ParkNote",
-    "AutoscalePolicy",
-    "AutoscaleView",
-    "AutoscaleDecision",
     # defaults
     "StagedPlacementPolicy",
     "BlacklistStage",
@@ -85,8 +75,6 @@ __all__ = [
     "FusedSpillPolicy",
     "FifoDispatchPolicy",
     "FairShareDispatchPolicy",
-    "NoAutoscalePolicy",
-    "ThresholdAutoscalePolicy",
     # registry
     "POLICY_KINDS",
     "PolicyStack",

@@ -3,8 +3,9 @@
 The Exoshuffle thesis is that shuffle *decisions* belong in swappable
 application-level code; this module gives the data plane the same shape
 internally.  Each hot decision point -- task placement, spill
-victim/batch selection, dispatch ordering and autoscaling -- is a :class:`typing.Protocol` whose implementations
-are pure functions over small frozen *view* dataclasses.
+victim/batch selection and dispatch ordering -- is a
+:class:`typing.Protocol` whose implementations are pure functions over
+small frozen *view* dataclasses.
 
 Layering is deliberate and lint-enforced (``tools/check_layering.py``):
 this package imports only the task/ref/id value types, never
@@ -141,58 +142,6 @@ class SpillPolicy(Protocol):
     ) -> List[List[SpillCandidate]]:
         """Group victims into files: one batch = one sequential write
         (fused), one victim per batch = one seek-paying write each."""
-        ...
-
-
-# -- autoscaling ---------------------------------------------------------------
-@dataclass(frozen=True)
-class AutoscaleView:
-    """Cluster-pressure inputs to one autoscaling decision.
-
-    Built by the runtime's autoscaler at debounced decision points (task
-    submit/finish); the policy sees only aggregate pressure, never live
-    nodes or queues.
-    """
-
-    #: Simulated time of the decision point.
-    now: float
-    #: Nodes currently accepting work (alive and not draining).
-    active_nodes: int
-    #: Nodes draining toward removal.
-    draining_nodes: int
-    #: Dependency-ready tasks queued or running across the cluster.
-    pending_tasks: int
-    #: Store-allocation requests queued cluster-wide (memory pressure).
-    queued_allocations: int
-    #: Concurrent-task budget of the active nodes.
-    total_slots: int
-    #: Configured lower bound on cluster size.
-    min_nodes: int
-    #: Configured upper bound on cluster size.
-    max_nodes: int
-
-
-@dataclass(frozen=True)
-class AutoscaleDecision:
-    """An autoscale policy's answer: grow, shrink, or hold."""
-
-    #: ``"grow"`` (add nodes), ``"shrink"`` (drain one node), or
-    #: ``"hold"`` (no change).
-    action: str
-    #: How many nodes to add (grow) or drain (shrink).
-    count: int = 0
-    #: Human-readable justification, surfaced in ``policy.decision``.
-    reason: str = ""
-
-
-@runtime_checkable
-class AutoscalePolicy(Protocol):
-    """Decides when the cluster grows or shrinks between bounds."""
-
-    name: str
-
-    def decide(self, view: AutoscaleView) -> AutoscaleDecision:
-        """Grow, shrink, or hold given current cluster pressure."""
         ...
 
 

@@ -14,8 +14,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import seeded_rng
 from repro.futures.policies.base import (
-    AutoscaleDecision,
-    AutoscaleView,
     DispatchContext,
     DispatchOutcome,
     NodeCandidate,
@@ -211,73 +209,6 @@ class FusedSpillPolicy:
         if self.fused:
             return [victims]
         return [[victim] for victim in victims]
-
-
-# -- autoscaling ---------------------------------------------------------------
-class NoAutoscalePolicy:
-    """The seed behaviour: the cluster shape is fixed for the run."""
-
-    name = "none"
-
-    def decide(self, view: AutoscaleView) -> AutoscaleDecision:
-        """Always hold."""
-        return AutoscaleDecision(action="hold", reason="autoscaling disabled")
-
-
-class ThresholdAutoscalePolicy:
-    """Grow under queue pressure, shrink when idle, between bounds.
-
-    Pressure is queued work (dependency-ready tasks plus backlogged
-    store allocations) per available task slot.  Above
-    ``grow_pressure`` the policy adds one node per decision point; at
-    or below ``shrink_pressure`` (0 means fully idle) it drains one.
-    One node per decision keeps the loop stable: each change must take
-    effect (and the debounce interval pass) before the next.
-    """
-
-    name = "threshold"
-
-    def __init__(
-        self, grow_pressure: float = 2.0, shrink_pressure: float = 0.0
-    ) -> None:
-        if grow_pressure <= shrink_pressure:
-            raise ValueError("grow_pressure must exceed shrink_pressure")
-        if shrink_pressure < 0:
-            raise ValueError("shrink_pressure must be non-negative")
-        self.grow_pressure = grow_pressure
-        self.shrink_pressure = shrink_pressure
-
-    def pressure(self, view: AutoscaleView) -> float:
-        """Queued work per available task slot."""
-        queued = view.pending_tasks + view.queued_allocations
-        return queued / max(view.total_slots, 1)
-
-    def decide(self, view: AutoscaleView) -> AutoscaleDecision:
-        """Grow above the high-water mark, shrink when idle enough."""
-        pressure = self.pressure(view)
-        if (
-            pressure > self.grow_pressure
-            and view.max_nodes
-            and view.active_nodes + view.draining_nodes < view.max_nodes
-        ):
-            return AutoscaleDecision(
-                action="grow",
-                count=1,
-                reason=f"pressure {pressure:.2f} > {self.grow_pressure:.2f}",
-            )
-        if (
-            pressure <= self.shrink_pressure
-            and view.draining_nodes == 0
-            and view.active_nodes > view.min_nodes
-        ):
-            return AutoscaleDecision(
-                action="shrink",
-                count=1,
-                reason=f"pressure {pressure:.2f} <= {self.shrink_pressure:.2f}",
-            )
-        return AutoscaleDecision(
-            action="hold", reason=f"pressure {pressure:.2f} within band"
-        )
 
 
 # -- dispatch ----------------------------------------------------------------

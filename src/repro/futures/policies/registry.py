@@ -26,15 +26,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.futures.policies import defaults
-from repro.futures.policies.base import (
-    AutoscalePolicy,
-    PlacementPolicy,
-    SpillPolicy,
-)
+from repro.futures.policies.base import PlacementPolicy, SpillPolicy
 
 #: The config-selected decision points of the data plane, each named by
 #: ``RuntimeConfig.<kind>_policy``.
-POLICY_KINDS: Tuple[str, ...] = ("placement", "spill", "autoscale")
+POLICY_KINDS: Tuple[str, ...] = ("placement", "spill")
 
 #: A policy factory: config in (duck typed), policy instance out.
 PolicyFactory = Callable[[Any], Any]
@@ -78,7 +74,6 @@ class PolicyStack:
 
     placement: PlacementPolicy
     spill: SpillPolicy
-    autoscale: AutoscalePolicy
 
 
 def resolve_policies(config: Any) -> PolicyStack:
@@ -127,19 +122,8 @@ def _unfused_spill(config: Any) -> defaults.FusedSpillPolicy:
     )
 
 
-def _threshold_autoscale(config: Any) -> defaults.ThresholdAutoscalePolicy:
-    return defaults.ThresholdAutoscalePolicy(
-        grow_pressure=config.autoscale_grow_pressure,
-        shrink_pressure=config.autoscale_shrink_pressure,
-    )
-
-
 register_policy("placement", "default", _default_placement)
 register_policy("placement", "load-only", _load_only_placement)
 register_policy("placement", "random", _random_placement)
 register_policy("spill", "default", _default_spill)
 register_policy("spill", "unfused", _unfused_spill)
-register_policy(
-    "autoscale", "none", lambda config: defaults.NoAutoscalePolicy()
-)
-register_policy("autoscale", "threshold", _threshold_autoscale)

@@ -92,9 +92,9 @@ class Runtime:
         #: job axis.
         self.metrics = MetricRegistry()
         self.counters = self.metrics.counters
-        #: The resolved policy stack (placement, spill, autoscale) named
-        #: by the config and instantiated from the registry; the
-        #: scheduler and every node manager consult it.
+        #: The resolved policy stack (placement, spill) named by the
+        #: config and instantiated from the registry; the scheduler and
+        #: every node manager consult it.
         self.policies: PolicyStack = resolve_policies(self.config)
         #: Fault tolerance: node-death handling, retry pacing, and
         #: lineage reconstruction (§4.2.3) live here.
@@ -125,16 +125,6 @@ class Runtime:
         #: draining / removed) behind :meth:`add_node` /
         #: :meth:`drain_node` / :meth:`remove_node`.
         self.membership = ClusterMembership(cluster.node_ids)
-        #: Cluster size at construction; the autoscaler's default growth
-        #: ceiling when ``autoscale_max_nodes`` is 0.
-        self._initial_node_count = len(cluster)
-        #: Submitted-but-unfinished tasks, cluster-wide (autoscale input).
-        self._inflight_tasks = 0
-        #: Whether an autoscale decision point is already scheduled; the
-        #: flag debounces ticks so at most one timer is pending.  Never
-        #: set while ``autoscale_policy == "none"``, so static runs
-        #: schedule no extra simulation events at all.
-        self._autoscaler_armed = False
         self.node_managers: Dict[NodeId, NodeManager] = {}
         for node in cluster:
             manager = NodeManager(self, node)
@@ -280,7 +270,6 @@ class Runtime:
             self.directory.register(oid, creator=task_id)
         refs = [make_ref(self, oid) for oid in return_ids]
         self.charge_task(options, "tasks_submitted", 1)
-        self._note_task_inflight(record)
         self.bus.emit(
             "task.submit",
             task=task_id,
@@ -337,7 +326,6 @@ class Runtime:
     # -- task completion callbacks (from NodeManager) -------------------------
     def task_finished(self, record: TaskRecord) -> None:
         """NodeManager callback: release the finished task's argument refs."""
-        self._note_task_settled(record)
         if record.counted:
             record.counted = False
             self._count_consumers(record, -1)
@@ -348,7 +336,6 @@ class Runtime:
 
     def task_failed(self, record: TaskRecord, error: BaseException) -> None:
         """NodeManager callback: mark returns failed, release arguments."""
-        self._note_task_settled(record)
         record.phase = TaskPhase.FAILED
         record.finished_at = self.env.now
         if record.counted:
@@ -475,22 +462,6 @@ class Runtime:
                 yield from self.await_copy(object_id)
 
     # -- cluster elasticity ---------------------------------------------------
-    def _note_task_inflight(self, record: TaskRecord) -> None:
-        """A task entered (or re-entered) flight: count it toward
-        autoscale pressure and make sure a decision point is pending.
-        Guarded by ``record.in_flight`` so each live episode counts
-        exactly once."""
-        if not record.in_flight:
-            record.in_flight = True
-            self._inflight_tasks += 1
-        self._maybe_arm_autoscaler()
-
-    def _note_task_settled(self, record: TaskRecord) -> None:
-        """A task reached a terminal phase: stop counting it."""
-        if record.in_flight:
-            record.in_flight = False
-            self._inflight_tasks -= 1
-
     def add_node(self, node_spec: Optional[NodeSpec] = None) -> NodeId:
         """Join a new node to the running cluster (elastic scale-up).
 
@@ -518,9 +489,8 @@ class Runtime:
     def drain_node(self, node_id: NodeId) -> None:
         """Begin a graceful departure: the node finishes what it is
         running but receives no new placements (it behaves like a
-        blacklisted node).  The autoscaler -- or an explicit
-        :meth:`remove_node` call -- completes the departure once the
-        node is idle.  The driver node may never drain."""
+        blacklisted node).  An explicit :meth:`remove_node` call
+        completes the departure.  The driver node may never drain."""
         if node_id == self.driver_node_id:
             raise ValueError("cannot drain the driver node")
         self.membership.drain(node_id)
@@ -579,108 +549,6 @@ class Runtime:
                     self.lineage.resubmit(record, cause=seq)
 
         self.env.call_later(0.0, requeue)
-
-    def _maybe_arm_autoscaler(self) -> None:
-        """Schedule one autoscale decision point, if none is pending.
-
-        A no-op under ``autoscale_policy="none"`` -- the elasticity plane
-        then adds zero simulation events, keeping static runs
-        event-for-event identical to the seed (pinned by the golden
-        digest tests).
-        """
-        if self._autoscaler_armed:
-            return
-        if self.policies.autoscale.name == "none":
-            return
-        self._autoscaler_armed = True
-        self.env.call_later(
-            self.config.autoscale_interval_s, self._autoscale_tick
-        )
-
-    def _autoscale_view(self) -> "AutoscaleView":
-        """Aggregate cluster pressure for the autoscale policy."""
-        from repro.futures.policies.base import AutoscaleView
-
-        queued_allocations = sum(
-            manager.store.backlog
-            for node_id, manager in self.node_managers.items()
-            if self.membership.is_active(node_id) and manager.node.alive
-        )
-        return AutoscaleView(
-            now=self.env.now,
-            active_nodes=self.membership.active_count(),
-            draining_nodes=self.membership.draining_count(),
-            pending_tasks=max(0, self._inflight_tasks),
-            queued_allocations=queued_allocations,
-            total_slots=self.scheduler.total_slots,
-            min_nodes=self.config.autoscale_min_nodes,
-            max_nodes=self.config.autoscale_max_nodes
-            or self._initial_node_count,
-        )
-
-    def _autoscale_tick(self) -> None:
-        """One debounced autoscale decision point.
-
-        Completes pending drains whose nodes went idle, asks the policy
-        to grow/shrink/hold, enacts the answer, and re-arms while work
-        (or a drain) is still outstanding -- so the timer chain always
-        terminates and ``env.run()`` can drain the event queue.
-        """
-        self._autoscaler_armed = False
-        self._complete_drains()
-        view = self._autoscale_view()
-        decision = self.policies.autoscale.decide(view)
-        if decision.action not in ("grow", "shrink", "hold"):
-            raise ValueError(
-                f"autoscale policy returned unknown action {decision.action!r}"
-            )
-        if decision.action != "hold":
-            self.bus.emit(
-                "policy.decision",
-                policy=f"autoscale:{self.policies.autoscale.name}",
-                decision=decision.action,
-                count=decision.count,
-                reason=decision.reason,
-            )
-        if decision.action == "grow":
-            for _ in range(max(1, decision.count)):
-                self.add_node()
-        elif decision.action == "shrink":
-            for _ in range(max(1, decision.count)):
-                victim = self._pick_drain_victim()
-                if victim is None:
-                    break
-                self.drain_node(victim)
-        if self._inflight_tasks > 0 or self.membership.draining_count() > 0:
-            self._maybe_arm_autoscaler()
-
-    def _complete_drains(self) -> None:
-        """Remove draining nodes that have finished their resident work."""
-        for node_id in self.membership.draining_nodes():
-            manager = self.node_managers[node_id]
-            if manager.pending_tasks == 0:
-                self.remove_node(node_id)
-
-    def _pick_drain_victim(self) -> Optional[NodeId]:
-        """The active non-driver node to drain on a shrink decision:
-        fewest pending tasks, newest first on ties (scale-in releases
-        the most recently added capacity, like cloud autoscalers)."""
-        candidates = [
-            node_id
-            for node_id in self.membership.active_nodes()
-            if node_id != self.driver_node_id
-            and self.node_managers[node_id].node.alive
-        ]
-        if not candidates:
-            return None
-        order = {node_id: i for i, node_id in enumerate(self.node_managers)}
-        return min(
-            candidates,
-            key=lambda nid: (
-                self.node_managers[nid].pending_tasks,
-                -order[nid],
-            ),
-        )
 
     # -- driver-facing blocking API ------------------------------------------
     def run(self, fn: Any, *args: Any, **kwargs: Any) -> Any:
@@ -901,11 +769,10 @@ class Runtime:
 
         The stores' FIFO allocation queues are where store overload
         shows up first; this aggregate is the data-plane pressure signal
-        the streaming tier's backpressure controller (and the threshold
-        autoscaler) key off.
+        the streaming tier's backpressure controller keys off.
         """
         return sum(
-            manager.store.backlog
+            manager.store.backlog_bytes
             for node_id, manager in self.node_managers.items()
             if self.membership.is_active(node_id) and manager.node.alive
         )

@@ -131,8 +131,3 @@ class TaskRecord:
     #: Whether this task currently contributes to the runtime's
     #: pending-consumer counts (spill protection of its arguments).
     counted: bool = False
-    #: Whether this task currently counts toward the runtime's in-flight
-    #: total (autoscale pressure); guarded on both transitions so a
-    #: record re-entering flight (lineage reconstruction) is counted
-    #: exactly once per live episode.
-    in_flight: bool = False

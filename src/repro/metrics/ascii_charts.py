@@ -10,39 +10,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
-def bar_chart(
-    title: str,
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 50,
-    unit: str = "s",
-) -> str:
-    """Horizontal bars, one per label, scaled to the maximum value.
-
-    Labels are right-aligned into one column and values into another
-    (bars are padded to ``width``), so mixed-width labels still render
-    as three clean columns.
-    """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    if not labels:
-        return title
-    peak = max(values)
-    label_width = max(len(str(label)) for label in labels)
-    value_texts = [f"{value:.1f}{unit}" for value in values]
-    value_width = max(len(text) for text in value_texts)
-    lines = [title, "-" * len(title)]
-    for label, value, text in zip(labels, values, value_texts):
-        bar = "#" * max(1, round(width * value / peak)) if peak > 0 else ""
-        lines.append(
-            f"{str(label):>{label_width}s} | {bar:<{width}s} "
-            f"{text:>{value_width}s}"
-        )
-    return "\n".join(lines)
-
-
 def grouped_bar_chart(
     title: str,
     groups: Mapping[str, Mapping[object, float]],
@@ -119,48 +86,3 @@ def line_chart(
         "legend: " + ", ".join(f"{mark}={name}" for name, mark in legend.items())
     )
     return "\n".join(lines)
-
-
-#: Eight-level block ramp used by :func:`sparkline`, lowest first.
-SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(
-    values: Sequence[float],
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
-) -> str:
-    """One-character-per-sample block sparkline of a value series.
-
-    Scaling is ``[lo, hi]`` when given (samples clamped into the range),
-    else the series' own min/max; a flat series renders as its lowest
-    block so "all zero" and "all saturated" don't look alike when a
-    shared ``hi`` is supplied.
-    """
-    if not values:
-        return ""
-    floor = min(values) if lo is None else lo
-    ceil = max(values) if hi is None else hi
-    span = ceil - floor
-    out = []
-    for value in values:
-        if span <= 0:
-            index = 0
-        else:
-            frac = (value - floor) / span
-            index = round(min(1.0, max(0.0, frac)) * (len(SPARK_BLOCKS) - 1))
-        out.append(SPARK_BLOCKS[index])
-    return "".join(out)
-
-
-def gauge(value: float, maximum: float, width: int = 24) -> str:
-    """A bracketed fill gauge: ``[#####...........]  31%``.
-
-    ``maximum <= 0`` renders an empty gauge at 0% rather than dividing
-    by zero; overfull values clamp at 100%.
-    """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    frac = 0.0 if maximum <= 0 else min(1.0, max(0.0, value / maximum))
-    filled = round(frac * width)
-    return f"[{'#' * filled}{'.' * (width - filled)}] {frac:4.0%}"

@@ -26,8 +26,8 @@ into:
   (``usage``), and the benchmark baseline/regression gate (``diff``);
 - :mod:`repro.obs.live` -- the live ops plane: fixed-interval
   time-series sampling of the bus (live or replayed, bit-for-bit
-  identical), the terminal dashboard (``python -m repro.obs live``),
-  and the single-file offline HTML run explorer (``html``);
+  identical) and the single-file offline HTML run explorer
+  (``python -m repro.obs html``);
 - :mod:`repro.obs.profile` -- the self-observability tier: the
   simulator measuring its *own* wall-clock time
   (:class:`~repro.obs.profile.SelfProfiler` scoped attribution,
@@ -63,7 +63,6 @@ _EXPORTS = {
     "DiffReport": "perf",
     "compare_benches": "perf",
     "TimeSeriesSampler": "live",
-    "LiveDashboard": "live",
     "render_html": "live",
     "write_html": "live",
     "SelfProfiler": "profile",

@@ -11,9 +11,6 @@ performance-analysis subcommands:
 - ``python -m repro.obs bless RESULT...`` -- refresh committed
   baselines from fresh ``BENCH_*.json`` files (volatile fields
   stripped);
-- ``python -m repro.obs live TRACE`` -- terminal ops dashboard frames
-  over a recorded run (``--follow`` samples the built-in chaos
-  workload live);
 - ``python -m repro.obs html TRACE`` -- export the single-file offline
   HTML run explorer;
 - ``python -m repro.obs profile [TRACE | --workload chaos]`` -- the
@@ -47,6 +44,14 @@ from repro.obs.report import RunReport
 from repro.obs.trace import derive_spans
 
 
+def _trace_path(parser: argparse.ArgumentParser, trace: str) -> str:
+    """``trace``, once it names a file; a missing one is a usage error
+    (exit 2) naming the path, not a traceback."""
+    if not Path(trace).is_file():
+        parser.error(f"no such trace file: {trace}")
+    return trace
+
+
 def _cmd_critpath(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs critpath",
@@ -62,7 +67,8 @@ def _cmd_critpath(argv) -> int:
     args = parser.parse_args(argv)
     from repro.obs.perf import critical_path
 
-    path = critical_path(EventBus.load_jsonl(args.trace))
+    events = EventBus.load_jsonl(_trace_path(parser, args.trace))
+    path = critical_path(events)
     if args.json:
         print(json.dumps(path.to_dict(), indent=2))
     else:
@@ -82,7 +88,8 @@ def _cmd_usage(argv) -> int:
     args = parser.parse_args(argv)
     from repro.obs.perf import derive_usage
 
-    print(derive_usage(EventBus.load_jsonl(args.trace)).render(bins=args.bins))
+    events = EventBus.load_jsonl(_trace_path(parser, args.trace))
+    print(derive_usage(events).render(bins=args.bins))
     return 0
 
 
@@ -214,9 +221,8 @@ def _cmd_bless(argv) -> int:
 
 
 def _chaos_workload(seed: int):
-    """The shared chaos demo workload: a push shuffle under a node
-    crash.  Returns ``(runtime, driver)``; the caller decides whether a
-    sampler attaches before ``rt.run(driver)``."""
+    """The chaos demo workload ``profile --workload chaos`` runs: a push
+    shuffle under a node crash.  Returns ``(runtime, driver)``."""
     rt = Runtime.create(
         default_node_spec(),
         4,
@@ -229,72 +235,6 @@ def _chaos_workload(seed: int):
         return rt.get(submit_variant("push", rt, inputs, 4))
 
     return rt, driver
-
-
-def _cmd_live(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs live",
-        description="Terminal ops dashboard over a recorded run "
-        "(or --follow: the built-in chaos workload, sampled live).",
-    )
-    parser.add_argument(
-        "trace", nargs="?", help="a record_run() JSONL file to replay"
-    )
-    parser.add_argument(
-        "--follow",
-        action="store_true",
-        help="run the built-in chaos workload in-process and render "
-        "frames live as it progresses",
-    )
-    parser.add_argument(
-        "--frames", type=int, default=4, help="frames to render"
-    )
-    parser.add_argument(
-        "--interval", type=float, default=0.25, help="sample interval (s)"
-    )
-    parser.add_argument(
-        "--window", type=int, default=48, help="sparkline window (samples)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument(
-        "--clear",
-        action="store_true",
-        help="emit ANSI clear codes between frames (interactive replay)",
-    )
-    args = parser.parse_args(argv)
-    from repro.obs.live import follow_runtime, replay_frames
-    from repro.obs.live.dashboard import ANSI_CLEAR
-
-    separator = ANSI_CLEAR if args.clear else "\n" + "=" * 72 + "\n"
-    if args.follow:
-        rt, driver = _chaos_workload(args.seed)
-
-        def show(frame: str) -> None:
-            print(separator + frame)
-
-        def run():
-            rt.run(driver)
-            rt.env.run()
-
-        follow_runtime(
-            rt,
-            run,
-            interval_s=args.interval,
-            window=args.window,
-            on_frame=show,
-        )
-        return 0
-    if not args.trace:
-        parser.error("expected a trace file or --follow")
-        return 2
-    for frame in replay_frames(
-        EventBus.load_jsonl(args.trace),
-        frames=args.frames,
-        interval_s=args.interval,
-        window=args.window,
-    ):
-        print(separator + frame)
-    return 0
 
 
 def _cmd_profile(argv) -> int:
@@ -346,9 +286,10 @@ def _cmd_profile(argv) -> int:
             rt.env.run()
         recorded = None
     else:
+        trace = _trace_path(parser, args.trace)
         prof.start()
         with prof.scope("trace.load"):
-            events = EventBus.load_jsonl(args.trace)
+            events = EventBus.load_jsonl(trace)
         with prof.scope("span.derive"):
             derive_spans(events)
         with prof.scope("report.render"):
@@ -406,7 +347,7 @@ def _cmd_html(argv) -> int:
     args = parser.parse_args(argv)
     from repro.obs.live import TimeSeriesSampler, write_html
 
-    events = EventBus.load_jsonl(args.trace)
+    events = EventBus.load_jsonl(_trace_path(parser, args.trace))
     sampler = TimeSeriesSampler.replay(events, interval_s=args.interval)
     out = args.out or str(Path(args.trace).with_suffix("")) + ".explorer.html"
     write_html(
@@ -424,7 +365,6 @@ _SUBCOMMANDS = {
     "usage": _cmd_usage,
     "diff": _cmd_diff,
     "bless": _cmd_bless,
-    "live": _cmd_live,
     "html": _cmd_html,
     "profile": _cmd_profile,
 }
@@ -438,7 +378,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Observability-plane run reporter. "
-        "Subcommands: critpath, usage, diff, bless, live, html, profile.",
+        "Subcommands: critpath, usage, diff, bless, html, profile.",
     )
     parser.add_argument(
         "trace",
@@ -456,7 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.trace:
         try:
-            events = EventBus.load_jsonl(args.trace)
+            events = EventBus.load_jsonl(_trace_path(parser, args.trace))
             report = RunReport(events)
             if args.json:
                 print(json.dumps(report.to_dict(top_k=args.top), indent=2))

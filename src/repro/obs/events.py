@@ -65,7 +65,7 @@ EVENT_KINDS: Dict[str, str] = {
     "cluster.membership": (
         "a node's lifecycle changed (attrs: action=join/drain/remove, "
         "active; remove adds casualties/lost_objects; cause: the "
-        "triggering fault or autoscale decision)"
+        "triggering fault)"
     ),
     "executor.failure": "all executors on a node were killed, store intact",
     "driver.spawn": "a subdriver started (attrs: name; job = its label)",

@@ -1,9 +1,9 @@
 """Fixed-interval time-series sampling of the event bus.
 
 :class:`TimeSeriesSampler` turns the run's event stream into
-ring-buffered, fixed-interval series -- the signal surface the terminal
-dashboard, the HTML run explorer, and (eventually) an external
-scheduler or adaptive re-planner consume.  It is a *pure consumer* of
+ring-buffered, fixed-interval series -- the signal surface the HTML
+run explorer and (eventually) an external scheduler or adaptive
+re-planner consume.  It is a *pure consumer* of
 :class:`~repro.obs.events.ObsEvent` records: the same object can be
 
 - attached to a live runtime (``runtime.attach_sampler(sampler)``
@@ -57,8 +57,8 @@ plane stamps on ``job.*`` events and the streaming tier stamps on
 The sampler also keeps a bounded causal *fault feed* of
 :class:`~repro.obs.trace.FaultEntry` lines -- fault / churn / death /
 retry events with their causal chains resolved at arrival time, the
-same lines as the run report's timeline -- which the dashboard scrolls
-and the HTML explorer lists.
+same lines as the run report's timeline -- which the HTML explorer
+lists.
 """
 
 from __future__ import annotations
@@ -462,14 +462,6 @@ class TimeSeriesSampler:
     def get(self, name: str) -> SeriesRing:
         """A series ring by name (an empty ring when never sampled)."""
         return self.series.get(name) or SeriesRing(self.capacity)
-
-    def current(self, name: str) -> float:
-        """The *instantaneous* value of a gauge -- the state after the
-        newest event, which the next boundary sample would record.  The
-        dashboard's "now" numbers read this, so they never lag a
-        partial interval behind the last flushed sample.  The
-        per-interval ``cluster:stall_rate`` exists only as samples."""
-        return self.fold.gauges.get(name, 0.0)
 
     # -- export ----------------------------------------------------------------
     def series_digest(self) -> str:

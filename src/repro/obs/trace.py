@@ -118,7 +118,7 @@ class FaultEntry:
         )
 
     def render(self) -> str:
-        """The one-line form the report and the dashboard print."""
+        """The one-line form the run report prints."""
         detail = f" ({self.detail})" if self.detail is not None else ""
         suffix = "  <= " + " <= ".join(self.chain) if self.chain else ""
         return f"t={self.ts:10.3f}  {self.kind:<18} {self.where}{detail}{suffix}"

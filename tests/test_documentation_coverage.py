@@ -86,7 +86,7 @@ def test_public_items_documented(module):
 #: must cover and the other guides it must cross-link.
 REQUIRED_DOCS = {
     "data_plane.md": (
-        ["spill_backend", "AutoscalePolicy", "stage_boundary"],
+        ["spill_backend", "SpillPolicy", "stage_boundary"],
         ["elasticity.md", "planner.md"],
     ),
     "chaos.md": (
@@ -94,7 +94,7 @@ REQUIRED_DOCS = {
         ["elasticity.md"],
     ),
     "elasticity.md": (
-        ["ClusterMembership", "spill_backend", "threshold", "remove_node"],
+        ["ClusterMembership", "spill_backend", "drain_node", "remove_node"],
         ["chaos.md", "data_plane.md", "observability.md"],
     ),
     "streaming.md": (
@@ -152,7 +152,7 @@ REQUIRED_DOCS = {
             "series_digest",
             "bit-for-bit",
             "attach_sampler",
-            "--follow",
+            "--live-html",
             "self-contained",
         ],
         ["observability.md", "perf.md", "streaming.md", "chaos.md"],

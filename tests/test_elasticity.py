@@ -1,5 +1,4 @@
-"""The churn test plane: elastic membership, autoscaling, shared-tier
-durability.
+"""The churn test plane: elastic membership and shared-tier durability.
 
 Pins the elasticity contract from three directions:
 
@@ -25,8 +24,6 @@ from repro.chaos import InvariantChecker
 from repro.cluster import ClusterMembership
 from repro.common.units import MB
 from repro.futures import RuntimeConfig
-from repro.futures.policies.base import AutoscaleView
-from repro.futures.policies.defaults import ThresholdAutoscalePolicy
 
 from benchmarks.bench_elastic_churn import run_churn_shuffle
 from tests.conftest import make_runtime
@@ -38,7 +35,7 @@ class TestMembershipLifecycle:
         m = ClusterMembership(["a", "b"])
         assert m.active_nodes() == ["a", "b"]
         assert m.is_active("a") and m.schedulable("a")
-        assert m.active_count() == 2 and m.draining_count() == 0
+        assert m.active_count() == 2 and not m.is_draining("a")
 
     def test_join_drain_remove_path(self):
         m = ClusterMembership(["a"])
@@ -158,81 +155,8 @@ class TestRuntimeElasticity:
         assert rt.counters.get("nodes_drained") == 1
         assert rt.counters.get("nodes_removed") == 1
 
-
-# -- threshold autoscaler -----------------------------------------------------
-def _view(**overrides):
-    base = dict(
-        now=0.0, active_nodes=2, draining_nodes=0, pending_tasks=0,
-        queued_allocations=0, total_slots=8, min_nodes=1, max_nodes=4,
-    )
-    base.update(overrides)
-    return AutoscaleView(**base)
-
-
-class TestThresholdAutoscalePolicy:
-    def test_grows_under_pressure(self):
-        policy = ThresholdAutoscalePolicy(grow_pressure=2.0)
-        decision = policy.decide(_view(pending_tasks=40))
-        assert decision.action == "grow" and decision.count == 1
-
-    def test_holds_in_band(self):
-        policy = ThresholdAutoscalePolicy(grow_pressure=2.0)
-        assert policy.decide(_view(pending_tasks=8)).action == "hold"
-
-    def test_shrinks_when_idle(self):
-        policy = ThresholdAutoscalePolicy()
-        assert policy.decide(_view()).action == "shrink"
-
-    def test_respects_bounds(self):
-        policy = ThresholdAutoscalePolicy(grow_pressure=1.0)
-        at_max = _view(pending_tasks=100, active_nodes=4, max_nodes=4)
-        assert policy.decide(at_max).action == "hold"
-        at_min = _view(active_nodes=1, min_nodes=1)
-        assert policy.decide(at_min).action == "hold"
-
-    def test_never_shrinks_while_draining(self):
-        policy = ThresholdAutoscalePolicy()
-        assert policy.decide(_view(draining_nodes=1)).action == "hold"
-
-    def test_allocation_backlog_counts_as_pressure(self):
-        policy = ThresholdAutoscalePolicy(grow_pressure=2.0)
-        decision = policy.decide(_view(queued_allocations=40))
-        assert decision.action == "grow"
-
-
-class TestAutoscaledRun:
-    def _elastic_config(self):
-        return RuntimeConfig(
-            autoscale_policy="threshold",
-            autoscale_min_nodes=2,
-            autoscale_max_nodes=4,
-            autoscale_grow_pressure=1.0,
-            autoscale_interval_s=0.5,
-        )
-
-    def test_burst_grows_then_idle_shrinks_back(self):
-        rt = make_runtime(num_nodes=2, cores=2, config=self._elastic_config())
-        work = rt.remote(lambda i: i).options(compute=3.0)
-
-        def driver():
-            return rt.get([work.remote(i) for i in range(40)])
-
-        assert rt.run(driver) == list(range(40))
-        rt.env.run()  # drain trailing autoscale ticks (scale-in)
-        assert rt.counters.get("nodes_added") >= 1
-        assert len(rt.node_managers) > 2
-        # Scale-in released the extra capacity back down to min_nodes.
-        assert rt.membership.active_count() == 2
-        decisions = [
-            e.attrs["decision"] for e in rt.bus.events
-            if e.kind == "policy.decision"
-            and e.attrs.get("policy") == "autoscale:threshold"
-        ]
-        assert "grow" in decisions and "shrink" in decisions
-        assert not InvariantChecker(rt).check()
-
-    def test_static_run_arms_no_autoscaler(self):
-        rt = make_runtime(num_nodes=2)  # default autoscale_policy="none"
+    def test_static_run_adds_no_node(self):
+        rt = make_runtime(num_nodes=2)
         work = rt.remote(lambda i: i)
         assert rt.run(lambda: rt.get([work.remote(i) for i in range(4)]))
         assert rt.counters.get("nodes_added") == 0
@@ -323,7 +247,7 @@ class TestChurnProperties:
             return rt.get(refs)
 
         assert rt.run(driver) == expected
-        rt.env.run()  # drain restarts/drain completions to quiesce
+        rt.env.run()  # drain restarts to quiesce
         violations = InvariantChecker(rt).check()
         assert not violations, violations
         assert _no_placement_after_departure(rt) == []

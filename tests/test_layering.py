@@ -49,7 +49,7 @@ def test_lint_catches_mechanism_imports(tmp_path):
 
 
 def test_registry_covers_every_policy_kind():
-    """All declared kinds -- autoscale included -- have a built-in."""
+    """Every declared kind has a built-in."""
     lint = _lint()
     root = REPO / "src" / "repro" / "futures" / "policies"
     assert lint.check_registry_coverage(root) == []
@@ -60,7 +60,7 @@ def test_registry_coverage_catches_missing_kind(tmp_path):
     (tmp_path / "registry.py").write_text(
         textwrap.dedent(
             """
-            POLICY_KINDS = ("placement", "autoscale")
+            POLICY_KINDS = ("placement", "spill")
             def register_policy(kind, name, factory):
                 pass
             register_policy("placement", "default", None)
@@ -68,7 +68,7 @@ def test_registry_coverage_catches_missing_kind(tmp_path):
         )
     )
     violations = lint.check_registry_coverage(tmp_path)
-    assert len(violations) == 1 and "'autoscale'" in violations[0]
+    assert len(violations) == 1 and "'spill'" in violations[0]
     # A tree with a registry.py gets the coverage check from main() too.
     assert lint.main([str(tmp_path)]) == 1
 
@@ -163,13 +163,13 @@ def test_live_isolation_catches_data_plane_imports(tmp_path):
             """
             import json
             from repro.obs.live import TimeSeriesSampler
-            import repro.obs.live.dashboard
+            import repro.obs.live.html
             from repro.obs.events import EventBus
             """
         )
     )
     (src_root / "obs" / "cli.py").write_text(
-        "from repro.obs.live import LiveDashboard\n"
+        "from repro.obs.live import render_html\n"
     )
     violations = lint.check_live_isolation(src_root)
     assert len(violations) == 2

@@ -104,7 +104,7 @@ def test_submodules_stay_reachable_as_attributes():
         assert "repro.obs.live" not in sys.modules
         live = repro.obs.live
         assert live is sys.modules["repro.obs.live"]
-        assert live.LiveDashboard is repro.obs.LiveDashboard
+        assert live.TimeSeriesSampler is repro.obs.TimeSeriesSampler
         assert repro.obs.perf.critical_path is repro.obs.critical_path
         """
     )

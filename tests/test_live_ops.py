@@ -1,5 +1,5 @@
 """The live ops plane: sampler replay parity, the golden series digest,
-deterministic dashboard frames, and the offline HTML run explorer.
+the offline HTML run explorer, and the obs CLI's report and html modes.
 
 The load-bearing contract is *exact last-sample semantics*: a sampler
 attached live to the bus and a sampler replaying the recorded JSONL
@@ -24,12 +24,8 @@ from repro.chaos.spec import FaultKind, matrix_plan
 from repro.common.units import MB
 from repro.futures import RetryPolicy, Runtime, RuntimeConfig
 from repro.obs.events import EventBus
-from repro.obs.live import (
-    LiveDashboard,
-    TimeSeriesSampler,
-    render_html,
-    replay_frames,
-)
+from repro.obs.__main__ import main
+from repro.obs.live import TimeSeriesSampler, render_html
 from repro.obs.live.sampler import SeriesRing
 from repro.obs.report import RunReport, record_run
 from repro.sort import SortJobConfig, run_sort
@@ -173,7 +169,7 @@ class TestSamplerSemantics:
         sampler.finish(end=3.0)
         # Interval 1: two stalls; interval 2: none; interval 3: one.
         assert sampler.get("cluster:stall_rate").values() == [2.0, 0.0, 1.0]
-        assert sampler.current("cluster:stalls") == 3.0
+        assert sampler.get("cluster:stalls").last == 3.0
         assert sampler.get("tenant:a:stalls").last == 3.0
 
     def test_invalid_interval_rejected(self):
@@ -262,45 +258,6 @@ def test_fig4c_series_digest_is_golden():
     assert _fig4c_sort_events().series_digest() == GOLDEN_FIG4C_SERIES_DIGEST
 
 
-class TestDashboard:
-    def test_replay_frames_is_deterministic(self, tmp_path):
-        path = tmp_path / "run.events.jsonl"
-        _chaos_run(sampler=TimeSeriesSampler(), record_path=path)
-        events = EventBus.load_jsonl(str(path))
-        first = replay_frames(events, frames=3)
-        second = replay_frames(events, frames=3)
-        assert first == second
-        assert len(first) == 3
-
-    def test_frames_contain_every_panel(self, tmp_path):
-        path = tmp_path / "run.events.jsonl"
-        _chaos_run(sampler=TimeSeriesSampler(), record_path=path)
-        events = EventBus.load_jsonl(str(path))
-        final = replay_frames(events, frames=2)[-1]
-        for marker in (
-            "== repro live ops ==",
-            "-- node utilization ",
-            "tenant fair share",
-            "-- pressure ",
-            "-- fault feed ",
-        ):
-            assert marker in final
-        assert "inflight tasks 0" in final  # the run drained
-
-    def test_pluggable_clock_pins_the_header(self):
-        sampler = TimeSeriesSampler()
-        dashboard = LiveDashboard(sampler, clock=lambda: 42.5)
-        frame = dashboard.render_frame()
-        assert "t=42.500s" in frame
-        assert dashboard.frames_rendered == 1
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            LiveDashboard(TimeSeriesSampler(), window=0)
-        with pytest.raises(ValueError):
-            replay_frames([], frames=0)
-
-
 class TestHtmlExplorer:
     def test_explorer_is_one_offline_file(self, tmp_path):
         path = tmp_path / "run.events.jsonl"
@@ -333,6 +290,27 @@ class TestHtmlExplorer:
         assert data["sampler"]["series"], "sampled series must be embedded"
         assert data["report"]["events"] == len(events)
         assert data["critpath"]["categories"]
+
+
+def test_cli_report_and_html_modes(tmp_path, capsys):
+    trace = tmp_path / "run.events.jsonl"
+    _chaos_run(record_path=trace)
+    assert main([str(trace)]) == 0
+    report = capsys.readouterr().out
+    assert "Phase breakdown" in report and "Critical path:" in report
+    assert main([str(trace), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["events"] > 0
+    out = tmp_path / "explorer.html"
+    assert main(["html", str(trace), "-o", str(out)]) == 0
+    html = out.read_text()
+    assert html.count("<script") == 1 and "<script src=" not in html
+    assert [p.name for p in tmp_path.glob("*.html")] == ["explorer.html"]
+    # The removed ``live`` subcommand now reads as a missing trace.
+    for argv in (["live"], [str(tmp_path / "missing.jsonl")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "missing.jsonl" in capsys.readouterr().err
 
 
 class TestRunReportDict:

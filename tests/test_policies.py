@@ -50,11 +50,10 @@ from repro.futures.task import TaskPhase, TaskRecord
 
 # -- registry -----------------------------------------------------------------
 def test_registry_has_the_builtin_policies():
-    assert POLICY_KINDS == ("placement", "spill", "autoscale")
+    assert POLICY_KINDS == ("placement", "spill")
     assert available_policies() == {
         "placement": ["default", "load-only", "random"],
         "spill": ["default", "unfused"],
-        "autoscale": ["none", "threshold"],
     }
 
 

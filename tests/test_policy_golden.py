@@ -230,10 +230,9 @@ def test_digest_is_deterministic_across_runs():
 
 def test_elasticity_merged_but_unused_is_zero_cost():
     """The elasticity plane is free when off: a static-shape run under
-    the *default* config (``autoscale_policy="none"``, local spill) is
-    event-for-event identical to the pre-elasticity golden stream --
-    membership tracking adds no simulation events, no bus records, and
-    no digest drift."""
+    the *default* config (local spill) is event-for-event identical to
+    the pre-elasticity golden stream -- membership tracking adds no
+    simulation events, no bus records, and no digest drift."""
     digest, rt = _sort_run(RuntimeConfig())
     assert digest == GOLDEN_SORT_DIGEST
     assert not any(e.kind == "cluster.membership" for e in rt.bus.events)

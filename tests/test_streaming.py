@@ -29,7 +29,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aggregation import run_online_aggregation
+from repro.chaos.harness import default_node_spec
 from repro.common.errors import JobControlError
+from repro.common.units import MIB
 from repro.futures import Runtime
 from repro.jobs import JobSpec, StreamSpec, TenantQuota, TenantSpec, job_runner
 from repro.obs.report import RunReport, record_run
@@ -260,6 +262,18 @@ class TestBackpressure:
         rt = make_runtime(num_nodes=1)
         with pytest.raises(ValueError):
             BackpressureController(rt, max_inflight_windows=0)
+
+    def test_allocation_backlog_counts_bytes(self):
+        """The backlog the controller compares to ``backlog_limit_bytes``
+        is the queued bytes, not the number of queued requests."""
+        rt = Runtime.create(default_node_spec(), 2)
+        store = rt.node_managers[rt.driver_node_id].store
+        store.allocate(rt.ids.next_object_id(), store.capacity, primary=True)
+        store.allocate(
+            rt.ids.next_object_id(), store.capacity // 2, primary=True
+        )
+        assert store.backlog == 1
+        assert rt.allocation_backlog() == store.capacity // 2 == 128 * MIB
 
     def test_overload_throttles_and_bounds(self):
         spec = _job_spec(
