@@ -499,15 +499,15 @@ class NodeManager:
             yield from self._run_generator(spec, values, input_bytes)
         else:
             outputs = self._call_plain(spec, values)
-            output_bytes = sum(size_of(value) for value in outputs)
+            sizes = [size_of(value) for value in outputs]
             duration = self._compute_seconds(
-                options.compute, input_bytes, output_bytes, spec
+                options.compute, input_bytes, sum(sizes), spec
             )
             if duration > 0:
                 yield self.env.timeout(duration)
             self.runtime.charge_task(options, "compute_seconds", duration)
-            for object_id, value in zip(spec.return_ids, outputs):
-                yield from self._store_output(object_id, value, options)
+            for object_id, value, size in zip(spec.return_ids, outputs, sizes):
+                yield from self._store_output(object_id, value, size, options)
 
     def _run_generator(
         self, spec: TaskSpec, values: List[Any], input_bytes: int
@@ -535,7 +535,7 @@ class NodeManager:
             if duration > 0:
                 yield self.env.timeout(duration)
             self.runtime.charge_task(spec.options, "compute_seconds", duration)
-            yield from self._store_output(object_id, value, spec.options)
+            yield from self._store_output(object_id, value, item_bytes, spec.options)
         # A well-formed generator is now exhausted.
         try:
             next(generator)
@@ -563,10 +563,10 @@ class NodeManager:
         return list(result)
 
     def _store_output(
-        self, object_id: ObjectId, value: Any, options: Any
+        self, object_id: ObjectId, value: Any, size: int, options: Any
     ) -> Iterator[Event]:
+        """Store one task output of ``size`` bytes (its caller sized it)."""
         directory = self.runtime.directory
-        size = size_of(value)
         if object_id not in directory:
             return  # all refs dropped before the task finished; discard
         self.runtime.payloads[object_id] = value

@@ -29,23 +29,23 @@ from repro.simcore import Environment, Event
 
 
 class AllocationRequest:
-    """A queued claim for store memory."""
+    """A queued claim for store memory (built only when a claim parks)."""
 
     __slots__ = ("object_id", "size", "primary", "pin", "event")
 
     def __init__(
         self,
-        env: Environment,
         object_id: ObjectId,
         size: int,
         primary: bool,
         pin: bool,
+        event: Event,
     ) -> None:
         self.object_id = object_id
         self.size = size
         self.primary = primary
         self.pin = pin
-        self.event = Event(env)
+        self.event = event
 
 
 class ObjectStore:
@@ -141,10 +141,10 @@ class ObjectStore:
         if size < 0:
             raise ValueError("negative allocation size")
         self.total_allocations += 1
-        request = AllocationRequest(self.env, object_id, size, primary, pin)
-        if self._grant(request):
-            return request.event
-        self._queue.append(request)
+        event = Event(self.env)
+        if self._grant(object_id, size, primary, pin, event):
+            return event
+        self._queue.append(AllocationRequest(object_id, size, primary, pin, event))
         if self.bus is not None:
             self.bus.emit(
                 "store.pressure",
@@ -154,7 +154,7 @@ class ObjectStore:
                 backlog=len(self._queue),
             )
         self._on_pressure()
-        return request.event
+        return event
 
     def try_allocate(
         self, object_id: ObjectId, size: int, primary: bool, pin: bool = False
@@ -164,57 +164,59 @@ class ObjectStore:
         Used by restore and prefetch paths that have a cheaper fallback
         (reading through from disk) and must not park in the queue.
         """
-        request = AllocationRequest(self.env, object_id, size, primary, pin)
-        return self._serve_resident(request) or self._try_grant(request)
+        # Nobody waits on the event, but a grant still succeeds one, so the
+        # engine runs the same entries as for any other grant.
+        return self._serve_resident(object_id, primary, pin) or self._try_grant(
+            object_id, size, primary, pin, Event(self.env)
+        )
 
-    def _grant(self, request: AllocationRequest) -> bool:
-        """Grant ``request`` now if its object is resident or it fits."""
-        if self._serve_resident(request):
-            request.event.succeed("resident")
+    def _grant(
+        self, object_id: ObjectId, size: int, primary: bool, pin: bool, event: Event
+    ) -> bool:
+        """Grant the claim now if its object is resident or it fits."""
+        if self._serve_resident(object_id, primary, pin):
+            event.succeed("resident")
             return True
-        return self._try_grant(request)
+        return self._try_grant(object_id, size, primary, pin, event)
 
-    def _serve_resident(self, request: AllocationRequest) -> bool:
-        """Upgrade and pin the object's resident entry as ``request``
-        asks; False when none (a second entry would double-count)."""
-        state = self._entries.get(request.object_id)
+    def _serve_resident(self, object_id: ObjectId, primary: bool, pin: bool) -> bool:
+        """Upgrade and pin the object's resident entry as the claim asks;
+        False when none (a second entry would double-count)."""
+        state = self._entries.get(object_id)
         if state is None:
             return False
-        if request.primary and not state & 1:
+        if primary and not state & 1:
             if state == 0:
                 self._evictable -= 1
-            self._entries[request.object_id] = state | 1
-        if request.pin:
-            self.pin(request.object_id)
+            self._entries[object_id] = state | 1
+        if pin:
+            self.pin(object_id)
         return True
 
-    def _try_grant(self, request: AllocationRequest) -> bool:
-        if request.size > self.capacity - self.used_bytes:
-            self._evict_cached(request.size - self.capacity + self.used_bytes)
-        if request.size > self.capacity - self.used_bytes:
-            return False
-        self._admit(request)
-        return True
-
-    def _admit(self, request: AllocationRequest) -> None:
-        object_id = request.object_id
+    def _try_grant(
+        self, object_id: ObjectId, size: int, primary: bool, pin: bool, event: Event
+    ) -> bool:
+        """Admit the claim if it fits, after dropping cached copies."""
+        if size > self.capacity - self.used_bytes:
+            self._evict_cached(size - self.capacity + self.used_bytes)
+            if size > self.capacity - self.used_bytes:
+                return False
         sizes = self._sizes
         try:
-            sizes[object_id] = request.size
+            sizes[object_id] = size
         except IndexError:  # a standalone store's own column
             sizes.frombytes(bytes(sizes.itemsize * (object_id + 1 - len(sizes))))
-            sizes[object_id] = request.size
-        self.used_bytes += request.size
+            sizes[object_id] = size
+        self.used_bytes += size
         if self.used_bytes > self.peak_used_bytes:
             self.peak_used_bytes = self.used_bytes
-        self._entries[object_id] = (2 if request.pin else 0) + (
-            1 if request.primary else 0
-        )
-        if request.pin:
-            self.pinned_bytes += request.size
-        elif not request.primary:
+        self._entries[object_id] = (2 if pin else 0) + (1 if primary else 0)
+        if pin:
+            self.pinned_bytes += size
+        elif not primary:
             self._evictable += 1
-        request.event.succeed("memory")
+        event.succeed("memory")
+        return True
 
     def _evict_cached(self, needed: int) -> None:
         """Drop unpinned cached copies, oldest (insertion order) first,
@@ -245,10 +247,14 @@ class ObjectStore:
         that does not fit blocks everything behind it -- the head-of-line
         behaviour Ray's store exhibits.
         """
-        while self._queue:
-            if not self._grant(self._queue[0]):
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if not self._grant(
+                head.object_id, head.size, head.primary, head.pin, head.event
+            ):
                 break
-            self._queue.popleft()
+            queue.popleft()
         if self._queue:
             self._on_pressure()
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    Iterable,
     List,
     Optional,
     Protocol,
@@ -129,12 +130,14 @@ class SpillPolicy(Protocol):
 
     def select_victims(
         self,
-        candidates: Sequence[SpillCandidate],
+        candidates: Iterable[SpillCandidate],
         target: int,
         last_resort: bool,
     ) -> List[SpillCandidate]:
         """Victims to write, in order.  ``last_resort`` permits spilling
-        ``needed_soon`` objects to preserve liveness."""
+        ``needed_soon`` objects to preserve liveness.  ``candidates`` is
+        a fresh one-pass iterable, oldest entry first, built lazily: a
+        policy that stops early pays only for what it walked."""
         ...
 
     def make_batches(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.rng import seeded_rng
 from repro.futures.policies.base import (
@@ -176,7 +176,7 @@ class FusedSpillPolicy:
 
     def select_victims(
         self,
-        candidates: Sequence[SpillCandidate],
+        candidates: Iterable[SpillCandidate],
         target: int,
         last_resort: bool,
     ) -> List[SpillCandidate]:

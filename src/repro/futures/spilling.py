@@ -26,7 +26,7 @@ The liveness fallback stays on the local filesystem under both backends.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.ids import NodeId, ObjectId
 from repro.futures.policies.base import SpillCandidate, SpillPolicy
@@ -168,18 +168,10 @@ class SpillManager:
         if self.store.backlog == 0:
             return
         target = self.policy.target_bytes(self.store.backlog_bytes)
-        candidates = [
-            SpillCandidate(
-                object_id=oid,
-                size=size,
-                needed_soon=self.needed_soon(oid),
-                spilled=self._has_durable_copy(oid),
-            )
-            for oid, size in self.store.spillable_entries()
-        ]
+        entries = self.store.spillable_entries()
         last_resort = False
         victims = self.policy.select_victims(
-            candidates, target, last_resort=False
+            self._candidates(entries), target, last_resort=False
         )
         if not victims:
             # Objects already spilled but still in memory can simply be
@@ -189,7 +181,7 @@ class SpillManager:
             # Last resort: spill even soon-needed objects to stay live.
             last_resort = True
             victims = self.policy.select_victims(
-                candidates, target, last_resort=True
+                self._candidates(entries), target, last_resort=True
             )
         if not victims:
             self._fallback_if_stuck()
@@ -201,13 +193,26 @@ class SpillManager:
                 node=self.node.node_id,
                 policy=f"spill:{self.policy.name}",
                 decision="spill-victims",
-                candidates=len(candidates),
+                candidates=len(entries),
                 bytes=sum(victim.size for victim in victims),
                 batches=len(batches),
                 last_resort=last_resort,
             )
         for batch in batches:
             self._start_spill([(v.object_id, v.size) for v in batch])
+
+    def _candidates(
+        self, entries: List[Tuple[ObjectId, int]]
+    ) -> Iterator[SpillCandidate]:
+        """``entries`` as spill candidates, built only as the policy walks
+        them (a policy usually stops long before the end)."""
+        for oid, size in entries:
+            yield SpillCandidate(
+                object_id=oid,
+                size=size,
+                needed_soon=self.needed_soon(oid),
+                spilled=self._has_durable_copy(oid),
+            )
 
     def _drop_already_spilled(self) -> bool:
         dropped = False

@@ -17,8 +17,8 @@ sums-to-makespan invariant.
 ``install()`` patches the hot methods once, on their *classes*, for
 the whole process -- the data plane never imports this module:
 
-- ``Environment.step`` (heap pop plus callback dispatch) is timed
-  under the subsystem the next queued event resumes
+- ``Environment.step`` (entry pop plus callback dispatch) is timed
+  under the subsystem the next entry resumes
   (``engine.dispatch.task``, ``engine.dispatch.driver``, ...; a bare
   callback is ``engine.dispatch.callbackevent``).  It is the root of
   every engine in the process, the Spark and Dask baselines' bare
@@ -50,7 +50,7 @@ DISPATCH_PREFIX = "engine.dispatch."
 #: The residue category: wall time outside every scope.
 UNTRACKED = "untracked"
 
-#: Category of a bare callback on the engine heap (``call_later``, process
+#: Category of a bare engine entry (``call_later``, process
 #: starts, interrupts, late ``add_callback`` deliveries).  The name is the
 #: one the engine's former ``_CallbackEvent`` wrapper produced, so profiles
 #: from before and after it was removed stay comparable.
@@ -74,9 +74,9 @@ _installed: Optional["SelfProfiler"] = None
 
 
 def _dispatch_category(event: Any) -> str:
-    """The ``engine.dispatch.<subsystem>`` category for a heap head.
+    """The ``engine.dispatch.<subsystem>`` category for an engine entry.
 
-    The engine's heap holds zero-argument callables: an event's bound
+    Engine entries are zero-argument callables: an event's bound
     ``_process_callbacks`` is classified by that event, any other callable
     is :data:`CALLBACK_CATEGORY`.  An event may also be passed directly.
 
@@ -257,8 +257,8 @@ class SelfProfiler:
         setattr(owner, name, replacement)
 
     def _profiled_step(self, step: Callable) -> Callable:
-        """``Environment.step`` timed under the category of the event
-        about to be popped, adding the step's ``env.now`` advance to
+        """``Environment.step`` timed under the category of the entry
+        about to run, adding the step's ``env.now`` advance to
         :attr:`sim_time_s`."""
         counts = self.counts
         enter = self._enter
@@ -267,7 +267,7 @@ class SelfProfiler:
 
         def profiled_step(env: Any) -> None:
             counts["events_processed"] = counts.get("events_processed", 0) + 1
-            enter(_dispatch_category(env._queue[0][2]))
+            enter(_dispatch_category(env.next_entry()))
             before = env.now
             try:
                 step(env)

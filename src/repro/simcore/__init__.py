@@ -6,9 +6,11 @@ combinators) and are resumed when those events trigger.  Everything the
 reproduction simulates -- disks, NICs, CPU cores, the distributed-futures
 runtime, failures -- is built from these primitives.
 
-Determinism: the event queue breaks time ties by a monotonically increasing
-sequence number, and no wall-clock or OS randomness is consulted anywhere,
-so a simulation with the same inputs always produces the same trace.
+Determinism: pending entries run in the order they were scheduled at each
+simulated time (a sequence number on the heap, arrival order in the
+same-time FIFO beside it), and no wall-clock or OS randomness is consulted
+anywhere, so a simulation with the same inputs always produces the same
+trace.
 """
 
 from repro.simcore.engine import Environment, Process

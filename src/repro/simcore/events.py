@@ -84,7 +84,9 @@ class Event:
             raise RuntimeError(f"{self!r} already triggered")
         self._value = value
         self._state = _TRIGGERED
-        self.env._schedule(0.0, self)
+        # Due now, so straight onto the FIFO: the one hot scheduling path
+        # that skips Environment._schedule_callback.
+        self.env._due.append(self._process_callbacks)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -95,7 +97,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
         self._state = _TRIGGERED
-        self.env._schedule(0.0, self)
+        self.env._due.append(self._process_callbacks)
         return self
 
     # -- engine internals --------------------------------------------------
@@ -134,28 +136,30 @@ class Timeout(Event):
         self.delay = delay
         self._value = value
         self._state = _TRIGGERED
-        env._schedule(delay, self)
+        env._schedule_callback(delay, self._process_callbacks)
 
 
 class _Condition(Event):
-    """Base for AllOf / AnyOf combinators."""
+    """Base for AllOf / AnyOf combinators.
+
+    ``_pending`` counts the children still to be heard from; each child
+    reaches :meth:`_on_child` exactly once, at construction if it was
+    already processed, else when it is.
+    """
 
     __slots__ = ("_events", "_pending")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._events = list(events)
-        self._pending = 0
-        for event in self._events:
+        self._events = children = list(events)
+        self._pending = len(children)
+        on_child = self._on_child
+        for event in children:
             if event._state == _PROCESSED:
-                self._on_child(event)
+                on_child(event)
             else:
-                self._pending += 1
-                event.add_callback(self._on_child)
-        self._check_empty()
-
-    def _check_empty(self) -> None:
-        if not self._events and not self._state:
+                event.callbacks.append(on_child)
+        if not children:
             self.succeed(self._result())
 
     def _result(self) -> Any:
@@ -175,7 +179,7 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _result(self) -> Any:
-        return [event.value for event in self._events]
+        return [event._value for event in self._events]
 
     def _on_child(self, event: Event) -> None:
         if self._state:
@@ -184,7 +188,7 @@ class AllOf(_Condition):
             self.fail(event._exception)
             return
         self._pending -= 1
-        if self._pending <= 0 and all(e._state for e in self._events):
+        if not self._pending:
             self.succeed(self._result())
 
 
@@ -194,11 +198,10 @@ class AnyOf(_Condition):
     Fails only if *all* children fail, with the first failure observed.
     """
 
-    __slots__ = ("_first_error", "_failed")
+    __slots__ = ("_first_error",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         self._first_error: Optional[BaseException] = None
-        self._failed = 0
         super().__init__(env, events)
 
     def _result(self) -> Any:
@@ -210,8 +213,8 @@ class AnyOf(_Condition):
         if event._exception is None:
             self.succeed(event._value)
             return
-        self._failed += 1
         if self._first_error is None:
             self._first_error = event._exception
-        if self._failed == len(self._events):
+        self._pending -= 1
+        if not self._pending:
             self.fail(self._first_error)  # type: ignore[arg-type]

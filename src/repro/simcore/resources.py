@@ -140,6 +140,10 @@ class BandwidthResource:
         self.rate_factor = 1.0
         self._queue: Deque[_Transfer] = deque()
         self._busy = False
+        # The transfer in service, and the one bound completion callback
+        # every service schedules (built once, not per transfer).
+        self._in_service: Optional[_Transfer] = None
+        self._on_complete = self._complete
         self._failure: Optional[BaseException] = None
         # statistics
         self.busy_seconds = 0.0
@@ -195,9 +199,12 @@ class BandwidthResource:
         self.busy_seconds += duration
         self.bytes_served += xfer.nbytes
         self.ops_served += 1
-        self.env.call_later(duration, lambda: self._complete(xfer))
+        self._in_service = xfer
+        self.env._schedule_callback(duration, self._on_complete)
 
-    def _complete(self, xfer: _Transfer) -> None:
+    def _complete(self) -> None:
+        xfer = self._in_service
+        self._in_service = None
         if not xfer._state:
             xfer.succeed()
         self._serve_next()

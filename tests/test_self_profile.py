@@ -426,7 +426,7 @@ def test_dispatch_category_of_real_heap_heads():
     env = Environment()
 
     def head():
-        return _dispatch_category(env._queue[0][2])
+        return _dispatch_category(env.next_entry())
 
     env.call_later(1.0, lambda: None)
     assert head() == CALLBACK_CATEGORY == "engine.dispatch.callbackevent"
@@ -454,7 +454,7 @@ def test_dispatch_category_of_real_heap_heads():
     assert head() == "engine.dispatch.driver"
     env.run()
     proc.interrupt()  # finished: a no-op, nothing scheduled
-    assert not env._queue
+    assert env.next_entry() is None
 
 
 def test_profiled_run_reports_bare_callbacks_as_callbackevent():

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
-from repro.simcore import Environment, Interrupt
+from repro.simcore import BandwidthResource, Environment, Interrupt
 
 
 def test_timeout_advances_clock():
@@ -393,3 +395,214 @@ def test_yielding_processed_event_resumes_after_earlier_entries():
     env.process(waiter())
     env.run()
     assert log == ["scheduled first", ("resumed", 7)]
+
+
+# -- two structures, one order: the heap and the same-time FIFO -------------
+
+
+def test_heap_entry_due_now_runs_before_entries_scheduled_now():
+    """Entries scheduled at time T for T (zero delay) queue behind every
+    heap entry due at T: those were scheduled earlier, so they come first
+    in scheduling order."""
+    env = Environment()
+    log = []
+    made = {}
+
+    def first():
+        log.append("first")
+        made["zero"] = zero = lambda: log.append("zero-delay")
+        env.call_later(0.0, zero)
+        env.event().add_callback(lambda _e: log.append("unreached"))
+        made["done"] = done = env.event()
+        done.add_callback(lambda _e: log.append("succeed"))
+        done.succeed()
+
+    def second():
+        log.append("second")
+
+    env.call_later(1.0, first)
+    env.call_later(1.0, second)
+    assert env.next_entry() is first
+    env.step()
+    assert (env.now, log) == (1.0, ["first"])
+    assert env.peek() == 1.0
+    # next_entry() names the entry each step() then runs, including the
+    # mixed case of a heap entry due now beside FIFO entries.
+    for entry, logged in [
+        (second, "second"),
+        (made["zero"], "zero-delay"),
+        (made["done"]._process_callbacks, "succeed"),
+    ]:
+        assert env.next_entry() == entry
+        env.step()
+        assert log[-1] == logged
+    assert env.next_entry() is None
+    env.run()
+    assert log == ["first", "second", "zero-delay", "succeed"]
+    assert env.now == 1.0
+
+
+def test_next_entry_names_the_entry_step_runs():
+    """Over a seeded mix of heap and FIFO entries scheduled from inside
+    entries, every step() runs exactly the entry next_entry() named."""
+    rng = random.Random(0)
+    env = Environment()
+    ran = []
+
+    def entry(depth):
+        def fn():
+            ran.append(fn)
+            if depth < 4:
+                for _ in range(rng.randint(0, 3)):
+                    delay = rng.choice([0.0, 0.0, 1e-17, 0.5, 1.0])
+                    env.call_later(delay, entry(depth + 1))
+        return fn
+
+    for _ in range(5):
+        env.call_later(rng.choice([0.0, 1.0]), entry(0))
+    steps = 0
+    while env.next_entry() is not None:
+        expected = env.next_entry()
+        env.step()
+        assert ran[-1] is expected
+        steps += 1
+    assert steps == len(ran) > 20
+
+
+def test_delay_absorbed_by_rounding_goes_to_the_fifo():
+    """``now + delay == now`` is due now whatever ``delay`` is: it runs
+    in scheduling order with the zero-delay entries around it, before a
+    heap entry due at the next representable time."""
+    env = Environment()
+    env.run(until=1.0)
+    tiny = 1e-17
+    assert env.now + tiny == env.now
+    log = []
+    env.call_later(2.3e-16, lambda: log.append(("later", env.now)))
+    env.call_later(0.0, lambda: log.append(("zero", env.now)))
+    env.call_later(tiny, lambda: log.append(("tiny", env.now)))
+    env.timeout(tiny).add_callback(lambda _e: log.append(("timeout", env.now)))
+    assert len(env._queue) == 1 and len(env._due) == 3
+    env.run()
+    assert log == [
+        ("zero", 1.0),
+        ("tiny", 1.0),
+        ("timeout", 1.0),
+        ("later", 1.0 + 2.3e-16),
+    ]
+
+
+def test_zero_byte_zero_latency_transfers_complete_now_in_order():
+    env = Environment()
+    link = BandwidthResource(env, 1e6, per_op_latency=0.0)
+    env.run(until=2.0)
+    log = []
+    first, second = link.transfer(0), link.transfer(0)
+    first.add_callback(lambda _e: log.append(("first", env.now)))
+    second.add_callback(lambda _e: log.append(("second", env.now)))
+    assert not first.triggered  # completion is an engine entry
+    assert not env._queue and env.peek() == 2.0
+    env.run()
+    assert log == [("first", 2.0), ("second", 2.0)]
+    assert (link.ops_served, link.busy_seconds, link.queue_length) == (2, 0.0, 0)
+
+
+def test_run_until_drains_fifo_only_entries():
+    env = Environment()
+    log = []
+    env.call_later(0.0, lambda: log.append("a"))
+    env.event().succeed().add_callback(lambda _e: log.append("b"))
+    env.run(until=0.0)
+    assert log == ["a", "b"] and env.now == 0.0
+    env.call_later(0.0, lambda: log.append("c"))
+    env.run(until=5.0)
+    assert log == ["a", "b", "c"] and env.now == 5.0
+    assert env.next_entry() is None and env.peek() == float("inf")
+
+
+def test_run_until_event_with_fifo_only_entries():
+    env = Environment()
+    env.run(until=3.0)
+    gate = env.event()
+    gate.succeed("value")
+    assert env.run_until_event(gate, limit=3.0) == "value"
+    assert env.now == 3.0
+
+
+def test_run_until_event_reports_deadlock_once_both_structures_drain():
+    """A process whose start and first wait run from the FIFO, then
+    parks on an event nothing triggers: the deadlock is reported at the
+    time the last entry ran."""
+    env = Environment()
+    gate = env.event()
+
+    def waiter():
+        yield env.timeout(0.0)
+        yield env.timeout(2.0)
+        yield gate
+
+    proc = env.process(waiter())
+    with pytest.raises(RuntimeError, match="deadlock: event queue drained at t=2.0"):
+        env.run_until_event(proc)
+    assert env.next_entry() is None
+
+
+# -- AllOf / AnyOf over children processed before construction --------------
+
+
+def test_all_of_waits_for_unprocessed_children_beside_processed_ones():
+    """A processed child counts at construction; a triggered but not yet
+    processed one (a timeout) still has to be processed.  Values come in
+    construction order."""
+    env = Environment()
+    done = env.event().succeed("done")
+    env.run()
+    results = []
+
+    def proc():
+        values = yield env.all_of([env.timeout(2.0, value="timeout"), done])
+        results.append((env.now, values))
+
+    env.process(proc())
+    env.run()
+    assert results == [(2.0, ["timeout", "done"])]
+
+
+def test_all_of_over_processed_children_succeeds_now():
+    env = Environment()
+    first, second = env.event().succeed(1), env.event().succeed(2)
+    env.run(until=4.0)
+    for children, expected in (([first, second], [1, 2]), ([], [])):
+        joined = env.all_of(children)
+        assert joined.triggered and joined.value == expected
+        env.run()
+        assert joined.processed and env.now == 4.0
+
+
+def test_all_of_fails_fast_on_a_processed_failed_child():
+    env = Environment()
+    lost = env.event().fail(KeyError("lost"))
+    env.run()
+    caught = []
+
+    def proc():
+        try:
+            yield env.all_of([env.timeout(100.0), lost])
+        except KeyError as exc:
+            caught.append((env.now, type(exc).__name__))
+
+    env.process(proc())
+    env.run()
+    assert caught == [(0.0, "KeyError")]
+
+
+def test_any_of_fails_only_once_every_child_failed():
+    env = Environment()
+    lost = env.event().fail(KeyError("first"))
+    env.run()
+    late = env.event()
+    env.call_later(3.0, lambda: late.fail(ValueError("second")))
+    either = env.any_of([lost, late])
+    assert not either.triggered
+    env.run()
+    assert isinstance(either.exception, KeyError) and env.now == 3.0
