@@ -149,7 +149,7 @@ def run_staged_sort(
     planner = planner_for_runtime(rt)
     shape = JobShape(total_bytes=data_bytes, num_maps=parts, num_reduces=parts)
     expr = ShuffleExpr(shape=shape, variants=("simple", "push"), label=JOB)
-    plan = planner.plan(expr, default_rule="empirical", job=JOB)
+    plan = planner.plan(expr, rule="empirical", job=JOB)
     variants_run: List[str] = []
 
     def driver() -> None:

@@ -205,7 +205,7 @@ def run_online_aggregation(
                     variants=("simple", "push"),
                     label="aggregation",
                 ),
-                default_rule="empirical",
+                rule="empirical",
             )
             ops = ShuffleOps(
                 map_fn, batch_reduce, merge=batch_reduce,

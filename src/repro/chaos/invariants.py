@@ -18,8 +18,7 @@ validates:
   accounting matches the surviving slots.
 - **Output durability** -- every live object is available (memory or
   disk), carries its creating task's error, or is reconstructable from
-  lineage; ``put()`` objects (no creating task) are exempt, as is
-  everything when lineage reconstruction is disabled by config.
+  lineage; ``put()`` objects (no creating task) are exempt.
 - **Task completion** -- every submitted task reached a terminal phase
   (a task parked in ``WAITING_DEPS``/``QUEUED`` forever is a lost wakeup).
 - **Per-job accounting (metric dimensions)** -- the runtime's
@@ -201,8 +200,6 @@ class InvariantChecker:
                     )
                 continue
             # Live but unavailable: must be rebuildable on demand.
-            if not runtime.config.enable_lineage_reconstruction:
-                continue  # loss is expected; get() raises ObjectLostError
             if directory.creator_of(oid) is None:
                 continue  # put() object: unrecoverable by design
             memo: Dict[ObjectId, bool] = {}

@@ -315,9 +315,7 @@ class DistributedFrame:
 
         Builds an abstract :class:`~repro.plan.ShuffleExpr` restricted
         to the variants the frame executes and lowers it through the
-        runtime's planner -- by default with the empirical two-way rule
-        this method historically hardcoded, so default-config choices
-        are unchanged.
+        runtime's planner with the empirical two-way rule.
         """
         expr = ShuffleExpr(
             shape=JobShape(
@@ -332,9 +330,7 @@ class DistributedFrame:
             variants=_FRAME_VARIANTS,
             label=label,
         )
-        return planner_for_runtime(self.rt).plan(
-            expr, default_rule="empirical"
-        )
+        return planner_for_runtime(self.rt).plan(expr, rule="empirical")
 
     def _run_shuffle(
         self, plan: ShufflePlan, partitions: List[ObjectRef],

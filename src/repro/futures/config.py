@@ -3,9 +3,13 @@
 Each field corresponds to a mechanism in §4 of the paper.  A data-plane
 decision is selected in exactly one place: placement and spilling by
 their ``<kind>_policy`` registry names, prefetching by
-``enable_prefetching``.  Task dispatch is a protocol the scheduler
-takes at construction, not a knob; every store evicts cached copies
-oldest first and admits its allocation queue strictly FIFO.
+``enable_prefetching``.  Some mechanisms are fixed, not knobs: task
+dispatch is a protocol the scheduler takes at construction; every store
+evicts cached copies oldest first and admits its allocation queue
+strictly FIFO; prefetch admission keeps pinned bytes under half the
+store (``PREFETCH_CAPACITY_FRACTION`` in the node manager); a lost
+object is always rebuilt from lineage; and each ``variant="auto"`` call
+site names its own lowering rule.
 """
 
 from __future__ import annotations
@@ -52,15 +56,7 @@ class RuntimeConfig:
     #: Maximum number of in-flight argument prefetches per node.
     prefetch_concurrency: int = 8
 
-    #: Fraction of store capacity that prefetched-but-unexecuted arguments
-    #: may occupy, bounding thrashing from over-eager fetching.
-    prefetch_capacity_fraction: float = 0.5
-
     # -- fault tolerance ------------------------------------------------------
-    #: Reconstruct lost objects by re-executing their creating tasks
-    #: (§4.2.3).  When False, a lost object raises ObjectLostError.
-    enable_lineage_reconstruction: bool = True
-
     #: Seconds between a node dying and the runtime noticing (heartbeat
     #: timeout).  Contributes to the 20-50 s recovery delta in §5.1.5.
     failure_detection_s: float = 10.0
@@ -81,8 +77,8 @@ class RuntimeConfig:
     # -- policy plane -------------------------------------------------------
     #: Registry name of the placement policy (``repro.futures.policies``).
     #: The built-in ``"default"`` stacks blacklist / soft node affinity
-    #: (§4.3.2) / data locality / least-loaded stages; the ablation arms
-    #: select ``"load-only"`` or ``"random"`` here.
+    #: (§4.3.2) / data locality / least-loaded stages; the ablation arm
+    #: selects ``"load-only"`` here.
     placement_policy: str = "default"
 
     #: Registry name of the spill policy (victim selection, target
@@ -106,13 +102,6 @@ class RuntimeConfig:
     shared_store_latency_s: float = 10e-3
 
     # -- planning -------------------------------------------------------------
-    #: Which lowering rule ``variant="auto"`` resolves through
-    #: (:mod:`repro.plan`).  ``"default"`` keeps each surface's legacy
-    #: rule -- jobs lower with the cost model, the dataframe with the
-    #: empirical two-way crossover; ``"cost"`` or ``"empirical"`` force
-    #: one rule everywhere.
-    planner: str = "default"
-
     #: Adaptive mid-job re-planning: ``"off"`` (plans are final; runs
     #: are bit-for-bit identical to builds without the plan layer) or
     #: ``"on"`` (the planner subscribes to the event bus, may re-lower
@@ -133,8 +122,6 @@ class RuntimeConfig:
             raise ValueError("fuse_min_bytes must be positive")
         if self.prefetch_concurrency < 1:
             raise ValueError("prefetch concurrency must be >= 1")
-        if not 0 < self.prefetch_capacity_fraction <= 1:
-            raise ValueError("prefetch capacity fraction must be in (0, 1]")
         if self.failure_detection_s < 0:
             raise ValueError("failure detection delay must be non-negative")
         if self.blacklist_cooldown_s < 0:
@@ -142,10 +129,6 @@ class RuntimeConfig:
         for kind in POLICY_KINDS:
             if not getattr(self, f"{kind}_policy"):
                 raise ValueError(f"{kind}_policy must be a non-empty name")
-        if self.planner not in ("default", "cost", "empirical"):
-            raise ValueError(
-                "planner must be 'default', 'cost', or 'empirical'"
-            )
         if self.replan not in ("off", "on"):
             raise ValueError("replan must be 'off' or 'on'")
         if self.spill_backend not in ("local", "shared"):

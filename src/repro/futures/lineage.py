@@ -196,8 +196,8 @@ class LineageManager:
 
         Triggers lineage reconstruction for lost objects.  Fails with
         :class:`ObjectLostError` when reconstruction is impossible
-        (``put()`` objects, truncated lineage, reconstruction disabled) or
-        with the creating task's error if it failed.
+        (``put()`` objects, truncated lineage) or with the creating
+        task's error if it failed.
         """
         runtime = self.runtime
         event = runtime.env.event()
@@ -221,8 +221,6 @@ class LineageManager:
             # the object was lost to a failure, or its record was dropped
             # (freed) and has been re-registered by a recovering consumer.
             # Either way the creator must run again.
-            if not runtime.config.enable_lineage_reconstruction:
-                return event.fail(ObjectLostError(object_id, "unreconstructable"))
             directory.mark_uncreated(object_id)
             # This is a true lineage *recompute* (re-running a finished
             # creator because no copy survives), counted separately from

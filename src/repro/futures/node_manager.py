@@ -46,6 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.futures.runtime import Runtime
 
+#: Fraction of the store that prefetched-but-unexecuted arguments may
+#: pin (:meth:`NodeManager._await_admission`), bounding thrashing from
+#: over-eager fetching.
+PREFETCH_CAPACITY_FRACTION = 0.5
+
 
 class NoLiveCopy(Exception):
     """No live node and no shared tier holds the object (``args[0]``): the
@@ -290,7 +295,7 @@ class NodeManager:
 
         A task may start fetching arguments only when the bytes currently
         pinned by other fetching/executing tasks leave headroom under
-        ``prefetch_capacity_fraction`` of the store -- unbounded
+        :data:`PREFETCH_CAPACITY_FRACTION` of the store -- unbounded
         fetch-ahead would pin more memory than the store holds and thrash
         it.  Admission happens while the task holds no pins and no fetch
         slot, and so does every wait for a lost argument (the fetch loop
@@ -298,9 +303,7 @@ class NodeManager:
         hold-and-wait and no deadlock; a task whose arguments alone
         exceed the budget is admitted when the store is quiet.
         """
-        budget = int(
-            self.runtime.config.prefetch_capacity_fraction * self.store.capacity
-        )
+        budget = int(PREFETCH_CAPACITY_FRACTION * self.store.capacity)
         task_bytes = self.runtime.directory.total_size(
             dict.fromkeys(spec.dependency_ids)
         )

@@ -40,7 +40,6 @@ from repro.futures.policies.defaults import (
     FusedSpillPolicy,
     LeastLoadedStage,
     LocalityStage,
-    RandomStage,
     StagedPlacementPolicy,
 )
 from repro.futures.policies.registry import (
@@ -71,7 +70,6 @@ __all__ = [
     "AffinityStage",
     "LocalityStage",
     "LeastLoadedStage",
-    "RandomStage",
     "FusedSpillPolicy",
     "FifoDispatchPolicy",
     "FairShareDispatchPolicy",

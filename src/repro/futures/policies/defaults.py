@@ -12,7 +12,6 @@ import heapq
 from collections import defaultdict, deque
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common.rng import seeded_rng
 from repro.futures.policies.base import (
     DispatchContext,
     DispatchOutcome,
@@ -94,23 +93,6 @@ class LeastLoadedStage:
     ) -> NodeCandidate:
         """Decide the least-loaded candidate."""
         return min(candidates, key=lambda c: (c.load, c.node_id))
-
-
-class RandomStage:
-    """Terminal stage: a seeded uniform pick (deterministic per task)."""
-
-    name = "random"
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-
-    def apply(
-        self, request: PlacementRequest, candidates: Sequence[NodeCandidate]
-    ) -> NodeCandidate:
-        """Decide a uniformly random candidate, keyed on (seed, task)."""
-        ordered = sorted(candidates, key=lambda c: c.node_id)
-        rng = seeded_rng(self.seed, "placement", request.task_id.index)
-        return ordered[int(rng.integers(0, len(ordered)))]
 
 
 class StagedPlacementPolicy:

@@ -105,13 +105,6 @@ def _load_only_placement(config: Any) -> defaults.StagedPlacementPolicy:
     )
 
 
-def _random_placement(config: Any) -> defaults.StagedPlacementPolicy:
-    return defaults.StagedPlacementPolicy(
-        "random",
-        [defaults.BlacklistStage(), defaults.RandomStage(config.seed)],
-    )
-
-
 def _default_spill(config: Any) -> defaults.FusedSpillPolicy:
     return defaults.FusedSpillPolicy(config.fuse_min_bytes, name="default")
 
@@ -124,6 +117,5 @@ def _unfused_spill(config: Any) -> defaults.FusedSpillPolicy:
 
 register_policy("placement", "default", _default_placement)
 register_policy("placement", "load-only", _load_only_placement)
-register_policy("placement", "random", _random_placement)
 register_policy("spill", "default", _default_spill)
 register_policy("spill", "unfused", _unfused_spill)

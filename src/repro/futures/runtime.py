@@ -859,28 +859,14 @@ class Runtime:
                 "spilled_bytes", manager.spill.spilled_bytes, node=node_id
             )
 
-    def attach_sampler(self, sampler: Any) -> Callable[[], None]:
-        """Attach a live telemetry consumer to the event bus.
-
-        ``sampler`` is duck-typed (the data plane never imports the obs
-        live package): an optional ``on_attach(runtime)`` hook fires
-        first -- samplers capture the clock and the cluster capacity
-        snapshot there -- then ``on_event`` is subscribed to the bus.
-        Returns the unsubscribe callable.
-        """
-        on_attach = getattr(sampler, "on_attach", None)
-        if on_attach is not None:
-            on_attach(self)
-        return self.bus.subscribe(sampler.on_event)
-
     def attach_planner(self, planner: Any) -> None:
         """Install a planning surface on the duck-typed ``planner`` slot.
 
-        Like :meth:`attach_sampler`, the runtime holds the object
-        without importing its package (``repro.plan`` stays an optional
-        layer above the data plane).  Call sites that resolve
-        ``variant="auto"`` find the shared planner here, and
-        :meth:`stage_boundary` forwards boundary announcements to it.
+        The runtime holds the object without importing its package
+        (``repro.plan`` stays an optional layer above the data plane).
+        Call sites that resolve ``variant="auto"`` find the shared
+        planner here, and :meth:`stage_boundary` forwards boundary
+        announcements to it.
         """
         self.planner = planner
 

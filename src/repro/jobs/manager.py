@@ -81,7 +81,7 @@ class JobManager:
         self.admission = AdmissionController()
         # The planning surface behind ``variant="auto"``: the runtime's
         # shared :class:`repro.plan.AdaptivePlanner` (honouring the
-        # ``planner=`` / ``replan=`` config knobs).
+        # ``replan=`` config knob).
         self.planner = planner_for_runtime(runtime)
         #: Every job ever submitted, keyed by job id, in submission order.
         self.jobs: Dict[str, Job] = {}
@@ -201,7 +201,7 @@ class JobManager:
         A ``spec.plan`` hook wins: an already-lowered plan is executed
         as-is, an expression is lowered by the manager's planner.  Then
         explicit variants pass straight through, and ``"auto"`` lowers
-        the shape-derived expression -- with the cost model by default.
+        the shape-derived expression with the cost model.
         """
         spec = job.spec
         if spec.plan is not None and hasattr(spec.plan, "estimate"):
@@ -240,7 +240,7 @@ class JobManager:
                 ),
                 label=spec.name,
             )
-        job.plan = self.planner.plan(expr, default_rule="cost", job=job.job_id)
+        job.plan = self.planner.plan(expr, rule="cost", job=job.job_id)
         return job.plan.variant
 
     def _run_job(self, job: Job) -> Job:

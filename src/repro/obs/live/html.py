@@ -243,7 +243,7 @@ function seriesPoints(name) {
   const s = DATA.sampler.series[name];
   if (!s) return [];
   const dt = DATA.sampler.interval_s, t0 = DATA.sampler.t0 || 0;
-  return s.values.map((v, i) => [t0 + (s.start + i + 1) * dt, v]);
+  return s.map((v, i) => [t0 + (i + 1) * dt, v]);
 }
 
 function sumSeries(names) {

@@ -1,17 +1,13 @@
 """Fixed-interval time-series sampling of the event bus.
 
-:class:`TimeSeriesSampler` turns the run's event stream into
-ring-buffered, fixed-interval series -- the signal surface the HTML
-run explorer and (eventually) an external scheduler or adaptive
-re-planner consume.  It is a *pure consumer* of
-:class:`~repro.obs.events.ObsEvent` records: the same object can be
-
-- attached to a live runtime (``runtime.attach_sampler(sampler)``
-  subscribes :meth:`on_event` to the bus), or
-- replayed over a recorded ``record_run`` JSONL file
-  (:meth:`TimeSeriesSampler.replay`),
-
-and produces **bit-for-bit identical series** either way, because every
+:class:`TimeSeriesSampler` folds a run's event stream into
+fixed-interval series covering the whole run -- the signal surface the
+HTML run explorer consumes.  It is a pure fold over
+:class:`~repro.obs.events.ObsEvent` records: :meth:`on_event` per
+event, then :meth:`finish` at the end of the run.  Replaying a recorded
+``record_run`` JSONL file (:meth:`TimeSeriesSampler.replay`) and
+subscribing :meth:`on_event` to a runtime's bus, finished at the
+runtime clock, produce **bit-for-bit identical series**, because every
 sample is a deterministic function of the event sequence alone.
 
 Sampling semantics (the contract the golden digest test pins):
@@ -24,11 +20,10 @@ Sampling semantics (the contract the golden digest test pins):
   time, and they count into the boundary they sit on);
 - :meth:`finish` flushes the boundaries up to the end of the run (the
   trailing ``run.summary`` event's timestamp in a recorded file, the
-  runtime clock on a live bus), so live and replayed runs close their
-  series at the same instant;
-- each series is a :class:`SeriesRing` of bounded capacity -- old
-  samples fall off the front, but the retained window, its start
-  index, and the totals stay identical between live and replay.
+  ``end`` the caller passes on a live bus), so live and replayed runs
+  close their series at the same instant;
+- each series is a list with one sample per boundary, from the first
+  to the last: a series born mid-run is backfilled with zeros.
 
 Series maintained (names are ``scope:key:track``):
 
@@ -72,50 +67,6 @@ from repro.obs.trace import FAULT_KINDS, FaultEntry
 
 #: Per-node track names, in display order.
 NODE_TRACKS = ("cpu", "disk", "nic", "store", "spill_queue")
-
-
-class SeriesRing:
-    """A fixed-capacity ring of samples with an absolute start index.
-
-    ``push`` appends; once ``capacity`` is exceeded the oldest sample is
-    dropped and :attr:`start` advances, so sample ``values()[i]`` always
-    belongs to boundary index ``start + i`` regardless of how much
-    history fell off.
-    """
-
-    __slots__ = ("capacity", "start", "_samples")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        #: Absolute boundary index of the oldest retained sample.
-        self.start = 0
-        self._samples: Deque[float] = deque(maxlen=capacity)
-
-    def push(self, value: float) -> None:
-        """Append one sample, dropping the oldest beyond capacity."""
-        if len(self._samples) == self.capacity:
-            self.start += 1
-        self._samples.append(value)
-
-    def values(self) -> List[float]:
-        """Retained samples, oldest first."""
-        return list(self._samples)
-
-    @property
-    def last(self) -> float:
-        """The most recent sample (0.0 before any samples exist)."""
-        return self._samples[-1] if self._samples else 0.0
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __repr__(self) -> str:
-        return (
-            f"<SeriesRing {len(self._samples)}/{self.capacity} "
-            f"start={self.start}>"
-        )
 
 
 class GaugeFold:
@@ -288,18 +239,14 @@ class GaugeFold:
 
 
 class TimeSeriesSampler:
-    """Ring-buffered fixed-interval series derived from the event bus."""
+    """Whole-run fixed-interval series derived from the event bus."""
 
     def __init__(
-        self,
-        interval_s: float = 0.25,
-        capacity: int = 512,
-        feed_capacity: int = 64,
+        self, interval_s: float = 0.25, feed_capacity: int = 64
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
         self.interval_s = float(interval_s)
-        self.capacity = capacity
         #: First event timestamp (None until the first event arrives).
         self.t0: Optional[float] = None
         #: Timestamp sampling was finished at (None while open).
@@ -307,13 +254,13 @@ class TimeSeriesSampler:
         #: Timestamp of the newest event consumed so far.
         self.last_event_ts = 0.0
         self.events_seen = 0
-        self.series: Dict[str, SeriesRing] = {}
+        #: Series name -> one sample per boundary so far.
+        self.series: Dict[str, List[float]] = {}
         self.feed: Deque[FaultEntry] = deque(maxlen=feed_capacity)
-        #: node id -> spec capacities, from ``on_attach`` (live) or the
-        #: trailing ``run.summary`` (replay); display-only -- never an
-        #: input to the sampled values, so live/replay stay bit-equal.
+        #: node id -> spec capacities, from a recorded file's trailing
+        #: ``run.summary``; display-only -- never an input to the sampled
+        #: values.
         self.capacities: Dict[str, Dict[str, Any]] = {}
-        self._clock: Optional[Any] = None
         self._next_boundary: Optional[float] = None
         self._boundary_index = 0
         #: The live state the series sample.
@@ -321,32 +268,21 @@ class TimeSeriesSampler:
         self._stalls_sampled = 0.0  # cluster:stalls at the last boundary
         self._feed_index: Dict[int, ObsEvent] = {}  # seq -> feed-kind event
 
-    # -- wiring ----------------------------------------------------------------
-    def on_attach(self, runtime: Any) -> None:
-        """Runtime hook (duck-typed): capture the clock for
-        :meth:`finish` and the cluster capacities for display."""
-        self._clock = runtime.bus.clock
-        self.capacities = dict(runtime.cluster_snapshot())
-
+    # -- replay ----------------------------------------------------------------
     @classmethod
     def replay(
         cls,
         events: Sequence[ObsEvent],
         interval_s: float = 0.25,
-        capacity: int = 512,
         feed_capacity: int = 64,
     ) -> "TimeSeriesSampler":
         """Sample a recorded event stream end to end.
 
-        Produces series bit-for-bit identical to a live sampler that
-        was attached for the whole run and finished at the recording
-        time (the trailing ``run.summary``'s timestamp).
+        Produces series bit-for-bit identical to a sampler subscribed to
+        the bus for the whole run and finished at the recording time
+        (the trailing ``run.summary``'s timestamp).
         """
-        sampler = cls(
-            interval_s=interval_s,
-            capacity=capacity,
-            feed_capacity=feed_capacity,
-        )
+        sampler = cls(interval_s=interval_s, feed_capacity=feed_capacity)
         for event in events:
             sampler.on_event(event)
         sampler.finish()
@@ -384,17 +320,14 @@ class TimeSeriesSampler:
     def finish(self, end: Optional[float] = None) -> float:
         """Flush samples up to the end of the run and close the sampler.
 
-        ``end`` defaults to the attached clock (live) or the last event
-        timestamp (replay); boundaries at or before ``end`` are emitted.
-        Idempotent-safe: returns the closing timestamp.
+        ``end`` defaults to the last event timestamp; boundaries at or
+        before ``end`` are emitted.  Idempotent-safe: returns the closing
+        timestamp.
         """
         if self.t_end is not None:
             return self.t_end
         if end is None:
-            end = (
-                self._clock() if self._clock is not None
-                else self.last_event_ts
-            )
+            end = self.last_event_ts
         end = max(float(end), self.last_event_ts)
         if self.t0 is not None:
             while self._next_boundary <= end:
@@ -415,28 +348,25 @@ class TimeSeriesSampler:
         self._next_boundary += self.interval_s
 
     def _push(self, name: str, value: float) -> None:
-        ring = self.series.get(name)
-        if ring is None:
-            ring = self.series[name] = SeriesRing(self.capacity)
-            # Backfill zeros so every ring is index-aligned: a series
+        values = self.series.get(name)
+        if values is None:
+            # Backfill zeros so every series is index-aligned: a series
             # born mid-run was zero at all earlier boundaries.
-            for _ in range(min(self._boundary_index, self.capacity)):
-                ring.push(0.0)
-            ring.start = max(0, self._boundary_index - self.capacity)
-        ring.push(value)
+            values = self.series[name] = [0.0] * self._boundary_index
+        values.append(value)
 
     # -- queries ---------------------------------------------------------------
     @property
     def samples_taken(self) -> int:
-        """Boundary samples emitted so far (absolute, pre-ring)."""
+        """Boundary samples emitted so far (the length of every series)."""
         return self._boundary_index
 
-    def sample_times(self, ring: SeriesRing) -> List[float]:
-        """The boundary timestamps of a ring's retained samples."""
+    def sample_times(self) -> List[float]:
+        """The boundary timestamps, one per sample of every series."""
         t0 = self.t0 or 0.0
         return [
-            t0 + (ring.start + i + 1) * self.interval_s
-            for i in range(len(ring))
+            t0 + (i + 1) * self.interval_s
+            for i in range(self._boundary_index)
         ]
 
     def _scoped(self, scope: str) -> List[str]:
@@ -459,42 +389,42 @@ class TimeSeriesSampler:
         """Job ids with at least one per-job series, sorted."""
         return self._scoped("job")
 
-    def get(self, name: str) -> SeriesRing:
-        """A series ring by name (an empty ring when never sampled)."""
-        return self.series.get(name) or SeriesRing(self.capacity)
+    def get(self, name: str) -> List[float]:
+        """A series by name (empty when never sampled)."""
+        return self.series.get(name, [])
 
     # -- export ----------------------------------------------------------------
     def series_digest(self) -> str:
-        """A stable SHA-256 digest of every series (name, start index,
-        and exact sample values) plus the sampling parameters.
+        """A stable SHA-256 digest of every series (name and exact
+        sample values) plus the sampling parameters.
 
         Live-vs-replay equality of this digest is the determinism
         contract :mod:`tests.test_live_ops` pins with a golden value.
+        Each line keeps a ``0`` field (the index of a series' first
+        sample) so digests of earlier runs stay comparable.
         """
         lines = [f"interval={self.interval_s!r}|t0={self.t0!r}"]
         for name in sorted(self.series):
-            ring = self.series[name]
-            values = ",".join(repr(v) for v in ring.values())
-            lines.append(f"{name}|{ring.start}|{values}")
+            values = ",".join(repr(v) for v in self.series[name])
+            lines.append(f"{name}|0|{values}")
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data export: sampling parameters, every series (with
-        its start index), the fault feed, and the capacities snapshot --
-        what the HTML explorer inlines."""
+        """Plain-data export: sampling parameters, every series, the
+        fault feed, and the capacities snapshot -- what the HTML
+        explorer inlines."""
         return {
             "interval_s": self.interval_s,
             "t0": self.t0,
             "t_end": self.t_end,
-            "capacity": self.capacity,
             "samples_taken": self._boundary_index,
             "events_seen": self.events_seen,
             "nodes": self.nodes(),
             "tenants": self.tenants(),
             "jobs": self.jobs(),
             "series": {
-                name: {"start": ring.start, "values": ring.values()}
-                for name, ring in sorted(self.series.items())
+                name: list(values)
+                for name, values in sorted(self.series.items())
             },
             "feed": [entry.to_dict() for entry in self.feed],
             "capacities": self.capacities,

@@ -77,10 +77,8 @@ class PlanSignals:
 class AdaptivePlanner:
     """The one planning surface behind ``variant="auto"`` everywhere.
 
-    ``rule`` selects the default lowering rule: ``"default"`` keeps each
-    call site's legacy rule (jobs lower with the cost model, the
-    dataframe with the empirical crossover), while ``"cost"`` or
-    ``"empirical"`` force one rule for every surface.  ``replan``
+    Each call site names its lowering rule (jobs lower with the cost
+    model, the dataframe with the empirical crossover).  ``replan``
     enables signal accumulation and mid-job re-lowering; off (the
     default) the planner is a pure, silent lowering function.
     """
@@ -89,7 +87,6 @@ class AdaptivePlanner:
         self,
         profile: ClusterProfile,
         *,
-        rule: str = "default",
         replan: bool = False,
         bus: Optional[Any] = None,
         profile_source: Optional[Callable[[], ClusterProfile]] = None,
@@ -97,13 +94,7 @@ class AdaptivePlanner:
         stall_threshold: int = 2,
         pressure_threshold: int = 8,
     ) -> None:
-        if rule not in ("default", "cost", "empirical"):
-            raise ValueError(
-                f"unknown planner rule {rule!r}; expected 'default', "
-                f"'cost', or 'empirical'"
-            )
         self.profile = profile
-        self.rule = rule
         self.replan = replan
         self.bus = bus
         self.profile_source = profile_source
@@ -200,26 +191,22 @@ class AdaptivePlanner:
                 )
         return profile
 
-    def _rule_for(self, default_rule: str) -> str:
-        return default_rule if self.rule == "default" else self.rule
-
     # -- planning -------------------------------------------------------------
     def plan(
         self,
         expr: ShuffleExpr,
         *,
-        default_rule: str = "cost",
+        rule: str = "cost",
         job: Optional[str] = None,
     ) -> ShufflePlan:
-        """Lower an expression to a concrete plan.
+        """Lower an expression to a concrete plan with the call site's
+        ``rule``.
 
-        ``default_rule`` is the call site's legacy rule, used when the
-        planner was built with ``rule="default"``.  With re-planning on,
-        lowering runs against the effective (observed) profile and a
-        ``plan.lower`` event records the decision; off, it runs against
-        the static profile and emits nothing.
+        With re-planning on, lowering runs against the effective
+        (observed) profile and a ``plan.lower`` event records the
+        decision; off, it runs against the static profile and emits
+        nothing.
         """
-        rule = self._rule_for(default_rule)
         profile = self.effective_profile() if self.replan else self.profile
         plan = expr.lower(profile, rule=rule)
         seq: Optional[int] = None
@@ -386,7 +373,7 @@ class AdaptivePlanner:
 
     def __repr__(self) -> str:
         return (
-            f"<AdaptivePlanner rule={self.rule} replan={self.replan} "
+            f"<AdaptivePlanner replan={self.replan} "
             f"plans={len(self.plans)}>"
         )
 
@@ -395,10 +382,10 @@ def planner_for_runtime(rt: Any) -> AdaptivePlanner:
     """The runtime's planning surface, built from its config knobs.
 
     Returns the planner already attached to the runtime when one is
-    (``rt.planner``); otherwise builds one from ``rt.config.planner`` /
-    ``rt.config.replan``.  With ``replan="on"`` the planner subscribes
-    to the bus and registers itself on the runtime's duck-typed slot so
-    stage-boundary hooks find it; with the default ``"off"`` it stays
+    (``rt.planner``); otherwise builds one from ``rt.config.replan``.
+    With ``replan="on"`` the planner subscribes to the bus and registers
+    itself on the runtime's duck-typed slot so stage-boundary hooks find
+    it; with the default ``"off"`` it stays
     detached and silent -- runs are bit-for-bit identical to a build
     without the plan layer.
     """
@@ -406,11 +393,9 @@ def planner_for_runtime(rt: Any) -> AdaptivePlanner:
     if existing is not None:
         return existing
     config = getattr(rt, "config", None)
-    rule = getattr(config, "planner", "default")
     replan = getattr(config, "replan", "off") == "on"
     planner = AdaptivePlanner(
         ClusterProfile.from_runtime(rt),
-        rule=rule,
         replan=replan,
         profile_source=lambda: ClusterProfile.from_runtime(rt),
     )

@@ -26,7 +26,6 @@ PACKAGES = [
     "repro.ml",
     "repro.aggregation",
     "repro.dataframe",
-    "repro.graphs",
     "repro.workloads",
     "repro.metrics",
     "repro.obs",
@@ -151,7 +150,7 @@ REQUIRED_DOCS = {
             "TimeSeriesSampler",
             "series_digest",
             "bit-for-bit",
-            "attach_sampler",
+            "whole-run",
             "--live-html",
             "self-contained",
         ],

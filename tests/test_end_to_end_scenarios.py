@@ -7,7 +7,6 @@ from repro.common.rng import seeded_rng
 from repro.common.units import MB
 from repro.dataframe import DistributedFrame
 from repro.futures import RuntimeConfig
-from repro.graphs import execute_graph
 from repro.obs import RunReport
 from repro.shuffle import simple_shuffle
 from repro.sort import SortJobConfig, cloudsort_cost, run_sort
@@ -85,16 +84,15 @@ class TestGraphDrivenApplication:
         rt = make_runtime(num_nodes=2)
         rng = seeded_rng(9, "g")
         arrays = [rng.normal(size=200) for _ in range(4)]
-        graph = {}
-        for i, arr in enumerate(arrays):
-            graph[f"in{i}"] = arr
-            graph[f"norm{i}"] = (lambda a: (a - a.mean()) / a.std(), f"in{i}")
-            graph[f"score{i}"] = (lambda a: float(np.abs(a).max()), f"norm{i}")
-        graph["worst"] = (
-            lambda *scores: max(scores),
-            *[f"score{i}" for i in range(4)],
-        )
-        worst = rt.run(lambda: execute_graph(rt, graph, "worst"))
+        normalize = rt.remote(lambda a: (a - a.mean()) / a.std())
+        score = rt.remote(lambda a: float(np.abs(a).max()))
+        worst_of = rt.remote(lambda *scores: max(scores))
+
+        def driver():
+            scores = [score.remote(normalize.remote(a)) for a in arrays]
+            return rt.get(worst_of.remote(*scores))
+
+        worst = rt.run(driver)
         expected = max(
             float(np.abs((a - a.mean()) / a.std()).max()) for a in arrays
         )

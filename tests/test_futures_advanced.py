@@ -221,8 +221,6 @@ class TestRuntimeConfigValidation:
         with pytest.raises(ValueError):
             RuntimeConfig(fuse_min_bytes=0)
         with pytest.raises(ValueError):
-            RuntimeConfig(prefetch_capacity_fraction=0.0)
-        with pytest.raises(ValueError):
             RuntimeConfig(failure_detection_s=-1)
 
     def test_runtime_requires_shared_environment(self):

@@ -104,25 +104,6 @@ class TestLineageReconstruction:
         assert rt.run(driver) == 10 * MB
         assert rt.counters.get("tasks_resubmitted") == 0
 
-    def test_reconstruction_disabled_raises_object_lost(self):
-        config = RuntimeConfig(
-            failure_detection_s=2.0, enable_lineage_reconstruction=False
-        )
-        rt = make_runtime(num_nodes=2, config=config)
-        victim = rt.cluster.node_ids[1]
-        make = rt.remote(lambda: 5).options(node=victim)
-
-        def driver():
-            ref = make.remote()
-            rt.wait([ref], num_returns=1)
-            rt.cluster.node(victim).fail()
-            rt.sleep(5.0)
-            with pytest.raises(ObjectLostError):
-                rt.get(ref)
-            return True
-
-        assert rt.run(driver)
-
     def test_lost_put_object_is_unrecoverable(self):
         """put() objects have no lineage; losing them is fatal for get."""
         config = RuntimeConfig(failure_detection_s=2.0)

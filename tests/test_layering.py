@@ -174,7 +174,7 @@ def test_live_isolation_catches_data_plane_imports(tmp_path):
     violations = lint.check_live_isolation(src_root)
     assert len(violations) == 2
     assert all("rogue.py" in v for v in violations)
-    assert all("attach_sampler" in v for v in violations)
+    assert all("subscribe a sampler" in v for v in violations)
 
 
 def test_lint_main_exit_codes(tmp_path, capsys):

@@ -2,7 +2,7 @@
 the offline HTML run explorer, and the obs CLI's report and html modes.
 
 The load-bearing contract is *exact last-sample semantics*: a sampler
-attached live to the bus and a sampler replaying the recorded JSONL
+subscribed to the live bus and a sampler replaying the recorded JSONL
 must produce bit-for-bit identical series.  The Hypothesis property
 checks it for arbitrary sampling intervals over a chaos run, and the
 golden digest pins the Fig 4c sort recipe so a semantics change cannot
@@ -26,7 +26,6 @@ from repro.futures import RetryPolicy, Runtime, RuntimeConfig
 from repro.obs.events import EventBus
 from repro.obs.__main__ import main
 from repro.obs.live import TimeSeriesSampler, render_html
-from repro.obs.live.sampler import SeriesRing
 from repro.obs.report import RunReport, record_run
 from repro.sort import SortJobConfig, run_sort
 
@@ -45,8 +44,8 @@ GOLDEN_FIG4C_SERIES_DIGEST = (
 def _chaos_run(sampler=None, record_path=None):
     """The smoke workload: a push shuffle under an injected node crash.
 
-    Attaches ``sampler`` live (before any work runs) when given, and
-    records the run to ``record_path`` when given.  Deterministic for a
+    Subscribes ``sampler`` to the bus (before any work runs) when given,
+    and records the run to ``record_path`` when given.  Deterministic for a
     fixed seed, so two invocations see identical event streams.
     """
     rt = Runtime.create(
@@ -55,7 +54,7 @@ def _chaos_run(sampler=None, record_path=None):
         config=RuntimeConfig(retry_policy=RetryPolicy(max_attempts=8)),
     )
     if sampler is not None:
-        rt.attach_sampler(sampler)
+        rt.bus.subscribe(sampler.on_event)
     ChaosInjector(rt, matrix_plan(FaultKind.NODE_CRASH, seed=0))
     inputs = make_inputs(0, 8, 24)
 
@@ -67,29 +66,8 @@ def _chaos_run(sampler=None, record_path=None):
     if record_path is not None:
         record_run(rt, str(record_path))
     if sampler is not None:
-        sampler.finish()
+        sampler.finish(rt.env.now)
     return rt
-
-
-class TestSeriesRing:
-    def test_push_and_values(self):
-        ring = SeriesRing(4)
-        for v in (1.0, 2.0, 3.0):
-            ring.push(v)
-        assert ring.values() == [1.0, 2.0, 3.0]
-        assert ring.last == 3.0
-        assert ring.start == 0
-        assert len(ring) == 3
-
-    def test_wraparound_advances_start(self):
-        ring = SeriesRing(3)
-        for v in (1.0, 2.0, 3.0, 4.0, 5.0):
-            ring.push(v)
-        assert ring.values() == [3.0, 4.0, 5.0]
-        assert ring.start == 2
-
-    def test_empty_last_is_zero(self):
-        assert SeriesRing(2).last == 0.0
 
 
 class TestSamplerSemantics:
@@ -107,12 +85,11 @@ class TestSamplerSemantics:
         state["now"] = 2.7
         bus.emit("task.run", task="t1", node="n0")
         sampler.finish(end=3.5)
-        ring = sampler.get("cluster:inflight")
         # Boundaries at 1.5, 2.5, 3.5: inflight=1 throughout.
         assert sampler.t0 == 0.5
         assert sampler.samples_taken == 3
-        assert ring.values() == [1.0, 1.0, 1.0]
-        assert sampler.sample_times(ring) == [1.5, 2.5, 3.5]
+        assert sampler.get("cluster:inflight") == [1.0, 1.0, 1.0]
+        assert sampler.sample_times() == [1.5, 2.5, 3.5]
 
     def test_event_on_boundary_belongs_to_that_sample(self):
         bus, state = self._bus()
@@ -123,7 +100,7 @@ class TestSamplerSemantics:
         bus.emit("task.submit", task="t2", job="j")
         sampler.finish(end=1.0)
         # The boundary-coincident submit counts in the boundary's sample.
-        assert sampler.get("cluster:inflight").values() == [2.0]
+        assert sampler.get("cluster:inflight") == [2.0]
 
     def test_finish_flushes_trailing_boundaries(self):
         bus, state = self._bus()
@@ -154,7 +131,7 @@ class TestSamplerSemantics:
         sampler.finish(end=4.0)
         faults = sampler.get("cluster:faults")
         # Born at the 4th boundary; zero-aligned with the older series.
-        assert faults.values() == [0.0, 0.0, 0.0, 1.0]
+        assert faults == [0.0, 0.0, 0.0, 1.0]
         assert len(faults) == len(sampler.get("cluster:inflight"))
 
     def test_stall_rate_resets_every_interval(self):
@@ -168,9 +145,9 @@ class TestSamplerSemantics:
         bus.emit("stream.backpressure", job="j", reason="window")
         sampler.finish(end=3.0)
         # Interval 1: two stalls; interval 2: none; interval 3: one.
-        assert sampler.get("cluster:stall_rate").values() == [2.0, 0.0, 1.0]
-        assert sampler.get("cluster:stalls").last == 3.0
-        assert sampler.get("tenant:a:stalls").last == 3.0
+        assert sampler.get("cluster:stall_rate") == [2.0, 0.0, 1.0]
+        assert sampler.get("cluster:stalls")[-1] == 3.0
+        assert sampler.get("tenant:a:stalls")[-1] == 3.0
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -187,10 +164,10 @@ class TestLiveReplayParity:
         assert live.samples_taken == replayed.samples_taken
         assert live.samples_taken > 0 and len(live.series) > 0
         # Full structural equality, not just the digest.  Two fields
-        # legitimately differ: capacities arrive at attach time live but
-        # via the trailing run.summary on replay, and that synthetic
-        # summary record itself is never published on the live bus, so
-        # the replay side sees one more event.
+        # legitimately differ: capacities arrive only via the trailing
+        # run.summary on replay, and that synthetic summary record itself
+        # is never published on the live bus, so the replay side sees
+        # one more event.
         live_d, replay_d = live.to_dict(), replayed.to_dict()
         for volatile in ("capacities", "events_seen"):
             live_d.pop(volatile)
@@ -239,7 +216,7 @@ def _fig4c_sort_events():
     sort with store pressure (same shape as ``test_policy_golden``)."""
     rt = make_runtime(num_nodes=3, store_mib=256)
     sampler = TimeSeriesSampler()
-    rt.attach_sampler(sampler)
+    rt.bus.subscribe(sampler.on_event)
     result = run_sort(
         rt,
         SortJobConfig(
@@ -250,12 +227,40 @@ def _fig4c_sort_events():
         ),
     )
     assert result.validated
-    sampler.finish()
+    sampler.finish(rt.env.now)
     return sampler
 
 
 def test_fig4c_series_digest_is_golden():
     assert _fig4c_sort_events().series_digest() == GOLDEN_FIG4C_SERIES_DIGEST
+
+
+def test_replayed_long_run_keeps_every_sample(tmp_path):
+    """A replayed 200 s run keeps all 800 of its samples: every series
+    starts at the first boundary and spans the whole run."""
+    rt = make_runtime(num_nodes=2)
+    step = rt.remote(lambda x: x + 1).options(compute=50.0)
+
+    def driver():
+        ref = 0
+        for _ in range(4):
+            ref = step.remote(ref)
+        return rt.get(ref)
+
+    assert rt.run(driver) == 4
+    assert rt.env.now >= 200.0
+    path = tmp_path / "long.events.jsonl"
+    record_run(rt, str(path))
+    sampler = TimeSeriesSampler.replay_file(str(path))
+    assert sampler.samples_taken >= 800
+    cpu = [sampler.get(f"node:{node}:cpu") for node in sampler.nodes()]
+    assert all(len(series) == sampler.samples_taken for series in cpu)
+    # The first task runs from the start: its busy core is the first
+    # sample, at t0 + one interval.
+    assert max(series[0] for series in cpu) == 1.0
+    times = sampler.sample_times()
+    assert times[0] == sampler.t0 + sampler.interval_s
+    assert times[-1] > sampler.t_end - sampler.interval_s
 
 
 class TestHtmlExplorer:

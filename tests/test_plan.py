@@ -372,13 +372,6 @@ class TestRuntimeWiring:
         # ...and the lowering emitted observable plan events.
         assert any(e.kind == "plan.lower" for e in rt.bus.events)
 
-    def test_config_rule_override_forces_one_rule(self):
-        rt = make_runtime(config=RuntimeConfig(planner="empirical"))
-        planner = planner_for_runtime(rt)
-        shape = JobShape(total_bytes=10**6, num_maps=4, num_reduces=2)
-        plan = planner.plan(ShuffleExpr(shape=shape), default_rule="cost")
-        assert plan.decided_by == "empirical"
-
 
 class TestCallSitesResolveThroughThePlanLayer:
     def test_jobspec_auto_records_a_plan(self):

@@ -52,7 +52,7 @@ from repro.futures.task import TaskPhase, TaskRecord
 def test_registry_has_the_builtin_policies():
     assert POLICY_KINDS == ("placement", "spill")
     assert available_policies() == {
-        "placement": ["default", "load-only", "random"],
+        "placement": ["default", "load-only"],
         "spill": ["default", "unfused"],
     }
 

@@ -83,9 +83,9 @@ STREAMING_IMPORTERS = ("repro.streaming",)
 
 #: Data-plane packages that must never import the live ops plane.  The
 #: live tier (``repro.obs.live``) is a pure *consumer* of the event bus:
-#: the runtime exposes only the duck-typed ``Runtime.attach_sampler``
-#: hook, so dashboards and samplers can be deleted without touching the
-#: data plane.  A data-plane import of the live package would invert
+#: a sampler subscribes to the runtime's bus or replays a recording, so
+#: samplers and the explorer can be deleted without touching the data
+#: plane.  A data-plane import of the live package would invert
 #: that arrow and make telemetry rendering load-bearing.
 DATA_PLANE_PACKAGES = (
     "repro.futures",
@@ -357,8 +357,7 @@ def check_live_isolation(src_root: Path) -> List[str]:
     Walks every module under the :data:`DATA_PLANE_PACKAGES` trees and
     flags any import of ``repro.obs.live`` -- the observer must never
     become a dependency of the observed: the data plane publishes to
-    the bus and exposes the duck-typed ``attach_sampler`` hook, nothing
-    more.
+    the bus, and samplers subscribe to it; nothing more.
     """
     violations: List[str] = []
     for path in sorted(src_root.rglob("*.py")):
@@ -383,8 +382,8 @@ def check_live_isolation(src_root: Path) -> List[str]:
                         f"{path}:{node.lineno}: imports {target!r} "
                         f"(the data plane -- "
                         f"{', '.join(DATA_PLANE_PACKAGES)} -- must not "
-                        f"depend on the live ops plane; use the "
-                        f"duck-typed attach_sampler hook)"
+                        f"depend on the live ops plane; subscribe a "
+                        f"sampler to the runtime's bus instead)"
                     )
     return violations
 
