@@ -109,10 +109,6 @@ class RuntimeConfig:
     #: ``plan.lower`` / ``plan.replan`` events).
     replan: str = "off"
 
-    # -- misc -----------------------------------------------------------------
-    #: Root seed for any stochastic runtime behaviour (tie-breaking).
-    seed: int = 0
-
     def __post_init__(self) -> None:
         if self.cpu_throughput_bytes_per_sec <= 0:
             raise ValueError("cpu throughput must be positive")

@@ -347,8 +347,8 @@ class NodeManager:
     def ensure_local(self, object_id: ObjectId) -> Iterator[Event]:
         """Bring one object to this node; returns ``"memory"`` or ``"disk"``.
 
-        One loop: freed -> resident -> spilled here -> wait on another
-        fetch -> choose a source -> pinned allocate -> read/transfer.
+        One loop: freed -> wait on another fetch -> resident -> spilled
+        here -> choose a source -> pinned allocate -> read/transfer.
         Memory results are pinned (caller must unpin).  Raises
         :class:`NoLiveCopy` when nothing live holds the object.
 
@@ -365,6 +365,15 @@ class NodeManager:
             for _attempt in range(200):
                 if object_id not in directory:
                     raise ObjectLostError(object_id, "freed while required")
+                if handle is None:
+                    # Before the store: another fetch's copy is allocated
+                    # (so resident) while its bytes are still arriving.
+                    other = self._inflight_fetches.get(object_id)
+                    if other is not None:
+                        if other[0] is None:
+                            other[0] = self.env.event()
+                        yield other[0]
+                        continue
                 if self.store.contains(object_id):
                     self.store.pin(object_id)
                     return "memory"
@@ -379,12 +388,6 @@ class NodeManager:
                         return "memory"
                     return "disk"
                 if handle is None:
-                    other = self._inflight_fetches.get(object_id)
-                    if other is not None:
-                        if other[0] is None:
-                            other[0] = self.env.event()
-                        yield other[0]
-                        continue
                     handle = self._inflight_fetches[object_id] = [None]
                 source, from_memory = self._source(object_id)
                 placement = None
@@ -403,10 +406,12 @@ class NodeManager:
                         # for lineage to re-execute the creator.
                         yield self.spill.shared_restore_read(object_id)
                     elif not from_memory:
-                        # Spilled at the source: streamed from its disk (§4.2.2).
-                        yield runtime.node_managers[source].spill.restore_read(
-                            object_id
-                        )
+                        # Spilled at the source: streamed from its disk
+                        # (§4.2.2), unless it died while we queued.
+                        spill = runtime.node_managers[source].spill
+                        if not spill.is_spilled(object_id):
+                            raise NodeFailure(source)
+                        yield spill.restore_read(object_id)
                     if source is not None:
                         begin = runtime.bus.emit(
                             "transfer.begin",

@@ -86,9 +86,6 @@ class ObjectStore:
         self._queue: Deque[AllocationRequest] = deque()
         self._on_pressure = on_pressure or (lambda: None)
         self._on_evict_cached = on_evict_cached or (lambda oid: None)
-        # statistics
-        self.total_allocations = 0
-        self.cached_evictions = 0
         self.peak_used_bytes = 0
 
     # -- queries ------------------------------------------------------------
@@ -140,7 +137,6 @@ class ObjectStore:
         """
         if size < 0:
             raise ValueError("negative allocation size")
-        self.total_allocations += 1
         event = Event(self.env)
         if self._grant(object_id, size, primary, pin, event):
             return event
@@ -237,7 +233,6 @@ class ObjectStore:
             del entries[oid]
             self._evictable -= 1
             self.used_bytes -= sizes[oid]
-            self.cached_evictions += 1
             self._on_evict_cached(oid)
 
     def pump(self) -> None:

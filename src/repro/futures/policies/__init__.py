@@ -1,16 +1,16 @@
 """Pluggable data-plane policies (the Exoshuffle thesis, applied inward).
 
-Placement, spill batching and dispatch ordering are typed
-:class:`~typing.Protocol` seams.  Placement and spill are registry
-kinds (:data:`POLICY_KINDS`), each selected by one
-``RuntimeConfig.<kind>_policy`` name; only the dispatch policy is
-handed to the scheduler at construction:
+Placement and spill batching are typed :class:`~typing.Protocol`
+seams and registry kinds (:data:`POLICY_KINDS`), each selected by one
+``RuntimeConfig.<kind>_policy`` name.  Dispatch ordering has one
+implementation, which every scheduler builds:
 
 - :class:`PlacementPolicy` -- blacklist / affinity / locality / load as
   composable stages (:class:`StagedPlacementPolicy`);
 - :class:`SpillPolicy` -- victim selection, target sizing, write fusing;
-- :class:`DispatchPolicy` -- FIFO, or weighted virtual-time fair sharing
-  once :class:`repro.jobs.JobManager` installs it.
+- :class:`FairShareDispatchPolicy` -- weighted virtual-time fair sharing
+  of task slots among jobs registered by :class:`repro.jobs.JobManager`;
+  unregistered work launches at once.
 
 This package is pure by construction: it imports only task/ref/id value
 types (enforced by ``tools/check_layering.py``), so policies can be
@@ -22,7 +22,6 @@ table and how to add a policy.
 from repro.futures.policies.base import (
     DispatchContext,
     DispatchOutcome,
-    DispatchPolicy,
     NodeCandidate,
     ParkNote,
     PlacementDecision,
@@ -36,7 +35,6 @@ from repro.futures.policies.defaults import (
     AffinityStage,
     BlacklistStage,
     FairShareDispatchPolicy,
-    FifoDispatchPolicy,
     FusedSpillPolicy,
     LeastLoadedStage,
     LocalityStage,
@@ -60,7 +58,6 @@ __all__ = [
     "NodeCandidate",
     "SpillPolicy",
     "SpillCandidate",
-    "DispatchPolicy",
     "DispatchContext",
     "DispatchOutcome",
     "ParkNote",
@@ -71,7 +68,6 @@ __all__ = [
     "LocalityStage",
     "LeastLoadedStage",
     "FusedSpillPolicy",
-    "FifoDispatchPolicy",
     "FairShareDispatchPolicy",
     # registry
     "POLICY_KINDS",

@@ -2,10 +2,10 @@
 
 The Exoshuffle thesis is that shuffle *decisions* belong in swappable
 application-level code; this module gives the data plane the same shape
-internally.  Each hot decision point -- task placement, spill
-victim/batch selection and dispatch ordering -- is a
-:class:`typing.Protocol` whose implementations are pure functions over
-small frozen *view* dataclasses.
+internally.  Task placement and spill victim/batch selection are
+:class:`typing.Protocol` seams whose implementations are pure functions
+over small frozen *view* dataclasses; dispatch ordering has one
+implementation (fair sharing) over the same kind of views.
 
 Layering is deliberate and lint-enforced (``tools/check_layering.py``):
 this package imports only the task/ref/id value types, never
@@ -175,56 +175,5 @@ class DispatchOutcome:
     #: Set when the triggering record was parked instead of launched.
     parked: Optional[ParkNote] = None
     #: Job ids picked by fair queueing this round, in launch order
-    #: (empty for trivial FIFO outcomes).
+    #: (empty when nothing queued was released).
     picks: Tuple[str, ...] = ()
-
-
-@runtime_checkable
-class DispatchPolicy(Protocol):
-    """Decides *when* dependency-ready tasks launch (placement decides
-    *where*)."""
-
-    name: str
-    #: True when the policy manages per-job queues (fair sharing); the
-    #: jobs control plane requires a scheduler whose policy supports it.
-    supports_jobs: bool
-
-    def submit(
-        self,
-        record: TaskRecord,
-        job_id: Optional[str],
-        ctx: DispatchContext,
-    ) -> DispatchOutcome:
-        """A dependency-ready record arrived: launch it, park it, or
-        release other queued work."""
-        ...
-
-    def task_done(
-        self, record: TaskRecord, ctx: DispatchContext
-    ) -> DispatchOutcome:
-        """A dispatched record reached a terminal phase; may free a slot
-        and release queued work."""
-        ...
-
-    def register_job(
-        self,
-        job_id: str,
-        *,
-        weight: float = 1.0,
-        tenant: Optional[str] = None,
-        tenant_task_slots: Optional[int] = None,
-    ) -> None:
-        """Enrol a job for managed dispatch (fair sharing)."""
-        ...
-
-    def unregister_job(self, job_id: str, ctx: DispatchContext) -> DispatchOutcome:
-        """Remove a finished job; stragglers come back as launches."""
-        ...
-
-    def queued_tasks(self, job_id: str) -> int:
-        """How many of a job's tasks are parked awaiting a slot."""
-        ...
-
-    def inflight_tasks(self, job_id: str) -> int:
-        """How many of a job's tasks currently occupy slots."""
-        ...

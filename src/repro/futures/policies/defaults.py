@@ -194,59 +194,9 @@ class FusedSpillPolicy:
 
 
 # -- dispatch ----------------------------------------------------------------
-class FifoDispatchPolicy:
-    """The seed behaviour: every dependency-ready task launches
-    immediately, in arrival order.  Knows nothing about jobs."""
-
-    name = "fifo"
-    supports_jobs = False
-
-    def submit(
-        self,
-        record: TaskRecord,
-        job_id: Optional[str],
-        ctx: DispatchContext,
-    ) -> DispatchOutcome:
-        """Launch immediately."""
-        return DispatchOutcome(launch=[record])
-
-    def task_done(
-        self, record: TaskRecord, ctx: DispatchContext
-    ) -> DispatchOutcome:
-        """No dispatch state to update."""
-        return DispatchOutcome()
-
-    def register_job(
-        self,
-        job_id: str,
-        *,
-        weight: float = 1.0,
-        tenant: Optional[str] = None,
-        tenant_task_slots: Optional[int] = None,
-    ) -> None:
-        """FIFO manages no job queues; registering is an error."""
-        raise ValueError(
-            "the 'fifo' dispatch policy does not manage jobs; run them "
-            "through repro.jobs.JobManager, which installs 'fair-share'"
-        )
-
-    def unregister_job(
-        self, job_id: str, ctx: DispatchContext
-    ) -> DispatchOutcome:
-        """Nothing registered, nothing to do."""
-        return DispatchOutcome()
-
-    def queued_tasks(self, job_id: str) -> int:
-        """FIFO never parks tasks."""
-        return 0
-
-    def inflight_tasks(self, job_id: str) -> int:
-        """FIFO tracks no per-job slots."""
-        return 0
-
-
 class FairShareDispatchPolicy:
-    """Weighted virtual-time fair queueing across concurrent jobs.
+    """Weighted virtual-time fair queueing across concurrent jobs: the
+    runtime's only dispatch policy (every :class:`Scheduler` builds one).
 
     Tasks from *registered* jobs park in per-job FIFO queues; the
     context's slot budget is shared among them by virtual-time weighted
@@ -263,7 +213,6 @@ class FairShareDispatchPolicy:
     """
 
     name = "fair-share"
-    supports_jobs = True
 
     def __init__(self) -> None:
         self._queues: Dict[str, Deque[TaskRecord]] = {}

@@ -12,15 +12,15 @@ The decision rules themselves live in :mod:`repro.futures.policies`:
 the scheduler builds candidate views (alive nodes, blacklist state,
 load, argument bytes), asks the runtime's
 :class:`~repro.futures.policies.PlacementPolicy` *where* and its
-:class:`~repro.futures.policies.DispatchPolicy` *when*, publishes a
-``policy.decision`` event for each choice, and enacts it.  Placement
-happens when a task's dependencies are all created, so locality
-information is fresh.
+:class:`~repro.futures.policies.FairShareDispatchPolicy` *when*,
+publishes a ``policy.decision`` event for each choice, and enacts it.
+Placement happens when a task's dependencies are all created, so
+locality information is fresh.
 
-A scheduler whose dispatch policy ``supports_jobs`` (the
-``"fair-share"`` policy: weighted virtual-time queueing for the
-multi-tenant job control plane, :mod:`repro.jobs`) exposes the job
-surface.
+Fair sharing is the only dispatch path.  Work of a job registered
+through the job surface (the multi-tenant control plane,
+:mod:`repro.jobs`) queues for weighted virtual-time release; all other
+work launches at once and publishes no dispatch decision.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from repro.common.ids import NodeId
 from repro.futures.policies.base import (
     DispatchContext,
     DispatchOutcome,
-    DispatchPolicy,
     NodeCandidate,
     PlacementDecision,
     PlacementPolicy,
     PlacementRequest,
 )
-from repro.futures.policies.defaults import FifoDispatchPolicy
+from repro.futures.policies.defaults import FairShareDispatchPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.futures.runtime import Runtime
@@ -49,26 +48,17 @@ if TYPE_CHECKING:  # pragma: no cover
 class Scheduler:
     """Places and launches dependency-ready tasks via the policy plane."""
 
-    def __init__(
-        self, runtime: "Runtime", policy: Optional[DispatchPolicy] = None
-    ) -> None:
+    def __init__(self, runtime: "Runtime") -> None:
         self.runtime = runtime
         #: Nodes to avoid until the mapped simulated time (cooldown after
         #: a failure); stale entries are pruned lazily during placement.
         self._blacklist_until: Dict[NodeId, float] = {}
         #: Where tasks run (``RuntimeConfig.placement_policy``).
         self.placement_policy: PlacementPolicy = runtime.policies.placement
-        #: When tasks launch: FIFO unless the jobs control plane installs
-        #: fair sharing.
-        self.policy: DispatchPolicy = policy or FifoDispatchPolicy()
+        #: When tasks launch: registered jobs share the slots fairly.
+        self.policy = FairShareDispatchPolicy()
 
     # -- dispatch -----------------------------------------------------------
-    @property
-    def supports_fair_share(self) -> bool:
-        """True when the dispatch policy manages per-job queues (the
-        jobs control plane requires this)."""
-        return self.policy.supports_jobs
-
     @property
     def total_slots(self) -> int:
         """The dispatch budget: one task slot per alive core."""
@@ -155,7 +145,7 @@ class Scheduler:
         )
         self.runtime.node_managers[decision.node_id].submit(record)
 
-    # -- job surface (any supports_jobs dispatch policy) ---------------------
+    # -- job surface ---------------------------------------------------------
     def register_job(
         self,
         job_id: str,

@@ -12,8 +12,8 @@ shuffle libraries themselves:
   aggregate store bytes, task slots) with bounded queueing and
   backpressure;
 - fair-share scheduling -- admitted jobs' tasks dispatch by weighted
-  virtual-time fair queueing (the ``"fair-share"`` dispatch policy)
-  instead of global FIFO, composing with the existing locality/blacklist
+  virtual-time fair queueing (the runtime scheduler's ``"fair-share"``
+  dispatch policy), composing with the existing locality/blacklist
   placement;
 - ``variant="auto"`` -- resolved before launch by lowering a
   :class:`repro.plan.ShuffleExpr` through the runtime's planner (the

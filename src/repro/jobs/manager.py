@@ -6,11 +6,11 @@
 - jobs are submitted against registered tenants and pass through the
   :class:`~repro.jobs.admission.AdmissionController` (typed rejections,
   bounded queues);
-- admitted jobs register with the runtime's fair-share scheduler
-  (weight = tenant weight x job weight, tenant task-slot caps) and run
-  as labeled cooperative subdrivers, so every task they submit is
-  stamped with their job id and both scheduling and accounting see job
-  boundaries;
+- admitted jobs register with the runtime's scheduler, whose dispatch
+  is fair sharing (weight = tenant weight x job weight, tenant
+  task-slot caps), and run as labeled cooperative subdrivers, so every
+  task they submit is stamped with their job id and both scheduling
+  and accounting see job boundaries;
 - ``variant="auto"`` jobs are resolved before launch by lowering a
   :class:`~repro.plan.ShuffleExpr` through the runtime's planner;
 - per-job metrics (queue wait, task-seconds, bytes) accumulate on the
@@ -29,8 +29,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.chaos.harness import make_inputs, submit_variant
 from repro.common.errors import JobControlError
-from repro.futures import DriverHandle, Runtime, Scheduler
-from repro.futures.policies import FairShareDispatchPolicy
+from repro.futures import DriverHandle, Runtime
 from repro.jobs.admission import AdmissionController
 from repro.jobs.spec import Job, JobSpec, JobState, TenantSpec
 from repro.metrics import Histogram
@@ -71,13 +70,9 @@ class JobManager:
 
     def __init__(self, runtime: Runtime) -> None:
         self.runtime = runtime
-        # A second manager on the same runtime shares the fair-share
-        # scheduler the first installed; a FIFO scheduler is replaced.
-        if runtime.scheduler.supports_fair_share:
-            self.fair = runtime.scheduler
-        else:
-            self.fair = Scheduler(runtime, FairShareDispatchPolicy())
-            runtime.scheduler = self.fair
+        #: The runtime's own scheduler, whose dispatch is fair sharing:
+        #: every manager on one runtime registers its jobs with it.
+        self.fair = runtime.scheduler
         self.admission = AdmissionController()
         # The planning surface behind ``variant="auto"``: the runtime's
         # shared :class:`repro.plan.AdaptivePlanner` (honouring the

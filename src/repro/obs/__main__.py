@@ -272,6 +272,7 @@ def _cmd_profile(argv) -> int:
     from repro.obs.profile import (
         SelfProfiler,
         folded_from_profiler,
+        render_profile,
         write_flamegraph,
     )
 
@@ -284,7 +285,7 @@ def _cmd_profile(argv) -> int:
         with prof:
             rt.run(driver)
             rt.env.run()
-        recorded = None
+        recorded = {}
     else:
         trace = _trace_path(parser, args.trace)
         prof.start()
@@ -295,7 +296,7 @@ def _cmd_profile(argv) -> int:
         with prof.scope("report.render"):
             report = RunReport(events)
             report.render()
-        recorded = report.engine_summary()
+        recorded = report.summary.get("profile", {})
     prof.finish()
     if args.json:
         payload = prof.to_dict()
@@ -307,7 +308,7 @@ def _cmd_profile(argv) -> int:
         if recorded:
             print()
             print("recorded run.summary profile")
-            print(report.engine_section())
+            print(render_profile(recorded))
     folded = folded_from_profiler(prof)
     if args.flame:
         out = write_flamegraph(

@@ -9,18 +9,20 @@ emailed file opens offline and still shows:
   over the sampled series;
 - tenant fair-share bars;
 - spill-queue depth and backpressure stall rate;
-- the causal fault -> retry feed;
+- the run report's fault / retry timeline, each line with its causal
+  chain;
 - the critical-path category breakdown and the report's phase table;
-- the Engine self-profile (events/sec throughput and top wall-time
-  categories) when the run was recorded with a
-  :class:`repro.obs.profile.SelfProfiler` profile.
+- the Engine self-profile, printed by
+  :func:`repro.obs.profile.render_profile`, when the run was recorded
+  with a :class:`repro.obs.profile.SelfProfiler` profile.
 
 The data payload is ``sampler.to_dict()`` + ``RunReport.to_dict()`` +
-``critical_path(...).to_dict()`` serialised into a ``const DATA``
-block; a few hundred lines of vanilla JS render it.  Colors follow the
-validated reference palette (categorical slots in fixed order, text in
-ink tokens, one axis per chart, dark mode as its own stepped values
-behind ``prefers-color-scheme`` and a ``data-theme`` override).
+``critical_path(...).to_dict()`` + the rendered profile, serialised
+into a ``const DATA`` block; a few hundred lines of vanilla JS render
+it.  Colors follow the validated reference palette (categorical slots
+in fixed order, text in ink tokens, one axis per chart, dark mode as
+its own stepped values behind ``prefers-color-scheme`` and a
+``data-theme`` override).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import Any, Dict, Optional, Sequence
 from repro.obs.events import ObsEvent
 from repro.obs.live.sampler import TimeSeriesSampler
 from repro.obs.perf.critpath import critical_path
+from repro.obs.profile.core import render_profile
 from repro.obs.report import RunReport
 
 
@@ -51,11 +54,13 @@ def explorer_data(
         sampler = TimeSeriesSampler.replay(events)
     elif sampler.t_end is None:
         sampler.finish()
+    report = RunReport(events)
     return {
         "title": title,
         "sampler": sampler.to_dict(),
-        "report": RunReport(events).to_dict(top_k=top_k),
+        "report": report.to_dict(top_k=top_k),
         "critpath": critical_path(events).to_dict(),
+        "engine": render_profile(report.summary.get("profile", {})),
     }
 
 
@@ -195,9 +200,8 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
 .bar-track { background: transparent; height: 14px; }
 .bar-fill { height: 14px; border-radius: 0 4px 4px 0; min-width: 2px; }
 .bar-row .value { font-variant-numeric: tabular-nums; }
-.feed { font: 12px/1.6 ui-monospace, monospace; white-space: pre;
+.lines { font: 12px/1.6 ui-monospace, monospace; white-space: pre;
         overflow-x: auto; color: var(--text-secondary); }
-.feed .k { color: var(--text-primary); }
 .tip {
   position: fixed; pointer-events: none; display: none;
   background: var(--surface-1); border: 1px solid var(--border);
@@ -217,14 +221,14 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
   <div class="panel" id="tenants"></div>
   <h2>Spill pressure &amp; backpressure</h2>
   <div id="pressure"></div>
-  <h2>Fault &rarr; retry feed</h2>
-  <div class="panel feed" id="feed"></div>
+  <h2>Fault &rarr; retry timeline</h2>
+  <div class="panel lines" id="faults"></div>
   <h2>Critical path by category</h2>
   <div class="panel" id="critpath"></div>
   <h2>Phase table</h2>
   <div class="panel" id="phases"></div>
   <h2>Engine self-profile</h2>
-  <div class="panel" id="engine"></div>
+  <div class="panel lines" id="engine"></div>
 </main>
 <div class="tip" id="tip"></div>
 <script>
@@ -390,15 +394,8 @@ function renderTable(parent, tableData) {
     "stall rate": seriesPoints("cluster:stall_rate"),
   }, "");
 
-  const feed = document.getElementById("feed");
-  if (!S.feed.length) feed.textContent = "(quiet)";
-  else feed.innerHTML = S.feed.map((e) => {
-    const chain = e.chain.length ? "  ⇐ " + e.chain.join(" ⇐ ") : "";
-    const detail = e.detail ? ` (${e.detail})` : "";
-    return `t=${e.ts.toFixed(3).padStart(10)}  ` +
-      `<span class="k">${e.kind.padEnd(18)}</span> ` +
-      `${e.where}${detail}${chain}`;
-  }).join("\\n");
+  document.getElementById("faults").textContent =
+    R.fault_timeline.join("\\n") || "(quiet)";
 
   const crit = document.getElementById("critpath");
   const cats = Object.entries(DATA.critpath.categories || {})
@@ -408,25 +405,9 @@ function renderTable(parent, tableData) {
 
   renderTable(document.getElementById("phases"), R.phase_table);
 
-  const engine = document.getElementById("engine");
-  const E = R.engine_summary || {};
-  if (E.top_categories && E.top_categories.length) {
-    const line = document.createElement("div");
-    line.className = "legend";
-    line.textContent =
-      `${E.events_processed} simulated events in ` +
-      `${E.wall_time_s.toFixed(3)}s wall | ` +
-      `${fmt(E.events_per_wall_s)} events/s | ` +
-      `${fmt(E.sim_s_per_wall_s)} sim-s per wall-s`;
-    engine.appendChild(line);
-    barRows(engine, E.top_categories.map(
-      (r) => [r.category, r.seconds]), "s");
-  } else {
-    engine.innerHTML =
-      '<div class="quiet">run recorded without a self-profiler ' +
-      '(attach one via benchmarks --profile or ' +
-      'python -m repro.obs profile --workload)</div>';
-  }
+  document.getElementById("engine").textContent = DATA.engine ||
+    "run recorded without a self-profiler (attach one via benchmarks " +
+    "--profile or python -m repro.obs profile --workload)";
 })();
 </script>
 </body>

@@ -48,22 +48,14 @@ by point and the other at interval boundaries.
 Tenants are resolved from the ``tenant`` attr that the jobs control
 plane stamps on ``job.*`` events and the streaming tier stamps on
 ``stream.backpressure``; tasks map to tenants through their job.
-
-The sampler also keeps a bounded causal *fault feed* of
-:class:`~repro.obs.trace.FaultEntry` lines -- fault / churn / death /
-retry events with their causal chains resolved at arrival time, the
-same lines as the run report's timeline -- which the HTML explorer
-lists.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EventBus, ObsEvent
-from repro.obs.trace import FAULT_KINDS, FaultEntry
 
 #: Per-node track names, in display order.
 NODE_TRACKS = ("cpu", "disk", "nic", "store", "spill_queue")
@@ -241,9 +233,7 @@ class GaugeFold:
 class TimeSeriesSampler:
     """Whole-run fixed-interval series derived from the event bus."""
 
-    def __init__(
-        self, interval_s: float = 0.25, feed_capacity: int = 64
-    ) -> None:
+    def __init__(self, interval_s: float = 0.25) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
         self.interval_s = float(interval_s)
@@ -256,7 +246,6 @@ class TimeSeriesSampler:
         self.events_seen = 0
         #: Series name -> one sample per boundary so far.
         self.series: Dict[str, List[float]] = {}
-        self.feed: Deque[FaultEntry] = deque(maxlen=feed_capacity)
         #: node id -> spec capacities, from a recorded file's trailing
         #: ``run.summary``; display-only -- never an input to the sampled
         #: values.
@@ -266,15 +255,11 @@ class TimeSeriesSampler:
         #: The live state the series sample.
         self.fold = GaugeFold()
         self._stalls_sampled = 0.0  # cluster:stalls at the last boundary
-        self._feed_index: Dict[int, ObsEvent] = {}  # seq -> feed-kind event
 
     # -- replay ----------------------------------------------------------------
     @classmethod
     def replay(
-        cls,
-        events: Sequence[ObsEvent],
-        interval_s: float = 0.25,
-        feed_capacity: int = 64,
+        cls, events: Sequence[ObsEvent], interval_s: float = 0.25
     ) -> "TimeSeriesSampler":
         """Sample a recorded event stream end to end.
 
@@ -282,7 +267,7 @@ class TimeSeriesSampler:
         the bus for the whole run and finished at the recording time
         (the trailing ``run.summary``'s timestamp).
         """
-        sampler = cls(interval_s=interval_s, feed_capacity=feed_capacity)
+        sampler = cls(interval_s=interval_s)
         for event in events:
             sampler.on_event(event)
         sampler.finish()
@@ -305,11 +290,7 @@ class TimeSeriesSampler:
         while event.ts > self._next_boundary:
             self._emit_sample()
         self.fold.apply(event)
-        if event.kind in FAULT_KINDS:
-            # Chains resolve through feed events only, as at arrival.
-            self._feed_index[event.seq] = event
-            self.feed.append(FaultEntry.of(event, self._feed_index))
-        elif event.kind == "run.summary":
+        if event.kind == "run.summary":
             # Replay of a recorded file: adopt the capacities snapshot.
             cluster = event.attrs.get("cluster")
             if cluster and not self.capacities:
@@ -410,9 +391,8 @@ class TimeSeriesSampler:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data export: sampling parameters, every series, the
-        fault feed, and the capacities snapshot -- what the HTML
-        explorer inlines."""
+        """Plain-data export: sampling parameters, every series and the
+        capacities snapshot -- what the HTML explorer inlines."""
         return {
             "interval_s": self.interval_s,
             "t0": self.t0,
@@ -426,7 +406,6 @@ class TimeSeriesSampler:
                 name: list(values)
                 for name, values in sorted(self.series.items())
             },
-            "feed": [entry.to_dict() for entry in self.feed],
             "capacities": self.capacities,
             "digest": self.series_digest(),
         }

@@ -33,7 +33,7 @@ See ``docs/profiling.md`` for the methodology and
 ``python -m repro.obs profile`` for the CLI.
 """
 
-from repro.obs.profile.core import SelfProfiler
+from repro.obs.profile.core import SelfProfiler, render_profile
 from repro.obs.profile.flame import (
     folded_from_profiler,
     render_flamegraph_svg,
@@ -43,6 +43,7 @@ from repro.obs.profile.flame import (
 __all__ = [
     "SelfProfiler",
     "folded_from_profiler",
+    "render_profile",
     "render_flamegraph_svg",
     "write_flamegraph",
 ]

@@ -351,28 +351,9 @@ class SelfProfiler:
         out["coverage_error"] = self.coverage_error()
         return out
 
-    def render(self, top_k: int = 12) -> str:
-        """A printable breakdown: throughput header, the top categories
-        with shares, and the hot-loop counters."""
-        total = self.total_wall_s
-        thr = self.throughput()
-        parts = [
-            f"Self-profile: {total:.3f}s wall, "
-            f"{int(thr['events_processed'])} events "
-            f"({thr['events_per_wall_s']:,.0f} events/s, "
-            f"{thr['sim_s_per_wall_s']:.2f} sim-s/wall-s; "
-            f"coverage error {100 * self.coverage_error():.3f}%)",
-        ]
-        ranked = sorted(self.breakdown().items(), key=lambda kv: -kv[1])
-        for category, secs in ranked[:top_k]:
-            share = 100.0 * secs / total if total > 0 else 0.0
-            parts.append(f"  {category:<28} {secs:9.4f}s  {share:5.1f}%")
-        if self.counts:
-            counters = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.counts.items())
-            )
-            parts.append(f"  counters: {counters}")
-        return "\n".join(parts)
+    def render(self) -> str:
+        """This profile in :func:`render_profile`'s printable form."""
+        return render_profile(self.to_dict())
 
     def __repr__(self) -> str:
         state = (
@@ -386,3 +367,33 @@ class SelfProfiler:
             f"<SelfProfiler {state}, {len(self.seconds)} categories, "
             f"{self.counts.get('events_processed', 0)} events>"
         )
+
+
+def render_profile(profile: Dict[str, Any]) -> str:
+    """The printable form of a :meth:`SelfProfiler.to_dict` payload:
+    a throughput header, the twelve costliest categories with their
+    shares, and the hot-loop counters ("" for an empty payload).
+
+    The one rendering of a profile: :meth:`SelfProfiler.render`, the run
+    report's Engine section, ``python -m repro.obs profile`` and the
+    HTML explorer all print it.
+    """
+    if not profile:
+        return ""
+    parts = [
+        f"Engine self-profile: {profile['wall_time_s']:.3f}s wall, "
+        f"{int(profile['events_processed'])} events "
+        f"({profile['events_per_wall_s']:,.0f} events/s, "
+        f"{profile['sim_s_per_wall_s']:.2f} sim-s/wall-s; "
+        f"coverage error {100 * profile['coverage_error']:.3f}%)",
+    ]
+    fractions = profile["fractions"]
+    ranked = sorted(profile["categories"].items(), key=lambda kv: -kv[1])
+    for category, secs in ranked[:12]:
+        share = 100.0 * fractions[category]
+        parts.append(f"  {category:<28} {secs:9.4f}s  {share:5.1f}%")
+    counters = profile["counters"]
+    if counters:
+        listed = ", ".join(f"{k}={v}" for k, v in counters.items())
+        parts.append(f"  counters: {listed}")
+    return "\n".join(parts)

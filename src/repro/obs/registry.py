@@ -11,9 +11,8 @@ values sum exactly to the global for every populated axis -- the
 accounting invariant the chaos checker's metric-dimension family
 asserts.  A bare ``rt.counters.add`` charges the global series only.
 
-``snapshot()`` captures everything as plain nested dicts and
-``delta()`` closes a measurement interval against a previous snapshot,
-which is how the run reporter prints phase-scoped counter movement.
+``snapshot()`` captures everything as plain nested dicts, which is
+what ``record_run`` stamps into a recording's ``run.summary``.
 """
 
 from __future__ import annotations
@@ -218,23 +217,6 @@ class MetricRegistry:
                 for (name, axis, dim), hist in self._histograms.items()
             },
         }
-
-    def delta(self, previous: Dict[str, Any]) -> Dict[str, Any]:
-        """Counter movement since ``previous`` (a :meth:`snapshot`).
-
-        Gauges and histograms are point-in-time / cumulative summaries,
-        so the delta reports only counters; untouched series drop out.
-        """
-        prev = previous.get("counters", {})
-        out: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for name, series in self._counter_series().items():
-            for axis, values in series.items():
-                for dim, value in values.items():
-                    before = prev.get(name, {}).get(axis, {}).get(dim, 0.0)
-                    moved = value - before
-                    if moved:
-                        out.setdefault(name, {}).setdefault(axis, {})[dim] = moved
-        return {"counters": out}
 
     def __repr__(self) -> str:
         return (

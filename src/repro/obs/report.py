@@ -32,8 +32,9 @@ from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.metrics.tables import ResultTable
-from repro.obs.events import EventBus, ObsEvent, run_summary
-from repro.obs.trace import FAULT_KINDS, FaultEntry, Span, derive_spans
+from repro.obs.events import EventBus, ObsEvent, causal_chain, run_summary
+from repro.obs.profile.core import render_profile
+from repro.obs.trace import FAULT_KINDS, Span, derive_spans
 
 
 def record_run(
@@ -48,7 +49,8 @@ def record_run(
     written.  ``runtime`` is duck-typed (needs ``bus``, ``stats``,
     ``job_stats``, ``metrics``, ``sample_gauges``).  A ``profile``
     (:meth:`repro.obs.profile.SelfProfiler.to_dict`) is stamped into
-    the summary too; the reporter then renders an Engine section.
+    the summary too; the reporter then prints it as an Engine section
+    (:func:`repro.obs.profile.render_profile`).
     """
     runtime.sample_gauges()
     bus: EventBus = runtime.bus
@@ -353,11 +355,22 @@ class RunReport:
         """Chronological fault / churn / death / retry lines with causal
         chains (membership changes are part of the same story: a drain
         fault causes a membership remove, which causes task retries)."""
-        return [
-            FaultEntry.of(e, self._index).render()
-            for e in self.events
-            if e.kind in FAULT_KINDS
-        ]
+        lines = []
+        for event in self.events:
+            if event.kind not in FAULT_KINDS:
+                continue
+            attrs = event.attrs
+            detail = (
+                attrs.get("fault") or attrs.get("action") or attrs.get("attempt")
+            )
+            chain = [e.kind for e in causal_chain(event, self._index)[1:]]
+            lines.append(
+                f"t={event.ts:10.3f}  {event.kind:<18} "
+                f"{event.node or event.task or event.job or ''}"
+                + ("" if detail is None else f" ({detail})")
+                + ("  <= " + " <= ".join(chain) if chain else "")
+            )
+        return lines
 
     def membership_summary(self) -> Dict[str, int]:
         """Cluster-churn accounting from ``cluster.membership`` events
@@ -438,66 +451,6 @@ class RunReport:
                 add(key[len(tenant_prefix):-1], hists[key])
         return table
 
-    def engine_summary(self, top_k: int = 5) -> Dict[str, Any]:
-        """Self-profile of the *simulator itself* from the recorded
-        ``run.summary`` (present when :func:`record_run` was given a
-        :class:`repro.obs.profile.SelfProfiler` profile): wall seconds,
-        simulated-events-per-wall-second throughput, and the top
-        wall-time categories with their shares ({} otherwise)."""
-        profile = self.summary.get("profile")
-        if not profile:
-            return {}
-        categories = profile.get("categories", {})
-        fractions = profile.get("fractions", {})
-        top = [
-            {
-                "category": category,
-                "seconds": seconds,
-                "share": fractions.get(category, 0.0),
-            }
-            for category, seconds in sorted(
-                categories.items(), key=lambda kv: -kv[1]
-            )[:top_k]
-        ]
-        return {
-            "wall_time_s": profile.get("wall_time_s", 0.0),
-            "sim_time_s": profile.get("sim_time_s", 0.0),
-            "events_processed": int(profile.get("events_processed", 0)),
-            "events_per_wall_s": profile.get("events_per_wall_s", 0.0),
-            "sim_s_per_wall_s": profile.get("sim_s_per_wall_s", 0.0),
-            "coverage_error": profile.get("coverage_error", 0.0),
-            "top_categories": top,
-            "counters": profile.get("counters", {}),
-        }
-
-    def engine_table(self, top_k: int = 5) -> ResultTable:
-        """The Engine section's category rows (empty without a profile)."""
-        table = ResultTable(
-            "Engine self-profile", ["category", "wall_s", "share_pct"]
-        )
-        engine = self.engine_summary(top_k)
-        for row in engine.get("top_categories", []):
-            table.add_row(
-                category=row["category"],
-                wall_s=row["seconds"],
-                share_pct=100.0 * row["share"],
-            )
-        return table
-
-    def engine_section(self) -> str:
-        """The Engine section as printed: the category table plus its
-        throughput line ("" without a profile)."""
-        engine = self.engine_summary()
-        if not engine:
-            return ""
-        return (
-            f"{self.engine_table().render()}\n"
-            f"engine: {engine['events_processed']} events in "
-            f"{engine['wall_time_s']:.3f}s wall "
-            f"({engine['events_per_wall_s']:,.0f} events/s, "
-            f"{engine['sim_s_per_wall_s']:.2f} sim-s/wall-s)"
-        )
-
     # -- export ---------------------------------------------------------------
     def to_dict(self, top_k: int = 10) -> Dict[str, Any]:
         """Every section as plain JSON-safe data -- the machine-readable
@@ -522,7 +475,7 @@ class RunReport:
             "membership_summary": self.membership_summary(),
             "streaming_summary": self.streaming_summary(),
             "streaming_latency_table": self.streaming_latency_table().to_dict(),
-            "engine_summary": self.engine_summary(),
+            "engine_summary": self.summary.get("profile", {}),
         }
 
     # -- rendering ------------------------------------------------------------
@@ -596,7 +549,7 @@ class RunReport:
                 f"{membership['removes']} removes, "
                 f"{membership['reconstructions']} lineage recomputes"
             )
-        engine = self.engine_section()
+        engine = render_profile(self.summary.get("profile", {}))
         if engine:
             parts.append("")
             parts.append(engine)

@@ -32,14 +32,13 @@ events ("ph": "s"/"f") drawing the fault -> retried-attempt arrows.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import ObsEvent, causal_chain
 
-#: Fault / churn / death / retry kinds: the report's fault timeline and
-#: the live sampler's fault feed.
+#: Fault / churn / death / retry kinds: the report's fault timeline.
 FAULT_KINDS = (
     "chaos.fault",
     "cluster.membership",
@@ -87,45 +86,6 @@ class Span:
     def duration(self) -> float:
         """Span length in (simulated) seconds."""
         return self.end - self.start
-
-
-@dataclass(frozen=True)
-class FaultEntry:
-    """One line of the report's fault timeline and of the live fault
-    feed: the event plus its resolved causal chain."""
-
-    ts: float
-    kind: str
-    where: str
-    detail: Optional[str]
-    #: Ancestor kinds, nearest cause first (excludes the event itself).
-    chain: Tuple[str, ...]
-
-    @classmethod
-    def of(cls, event: ObsEvent, index: Dict[int, ObsEvent]) -> "FaultEntry":
-        """The entry for ``event``, its chain walked through ``index``."""
-        detail = (
-            event.attrs.get("fault")
-            or event.attrs.get("action")
-            or event.attrs.get("attempt")
-        )
-        return cls(
-            event.ts,
-            event.kind,
-            str(event.node or event.task or event.job or ""),
-            None if detail is None else str(detail),
-            tuple(e.kind for e in causal_chain(event, index)[1:]),
-        )
-
-    def render(self) -> str:
-        """The one-line form the run report prints."""
-        detail = f" ({self.detail})" if self.detail is not None else ""
-        suffix = "  <= " + " <= ".join(self.chain) if self.chain else ""
-        return f"t={self.ts:10.3f}  {self.kind:<18} {self.where}{detail}{suffix}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-serialisable form for the HTML explorer."""
-        return {**asdict(self), "chain": list(self.chain)}
 
 
 def task_submits(events: Sequence[ObsEvent]) -> Dict[str, ObsEvent]:

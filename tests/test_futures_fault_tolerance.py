@@ -215,3 +215,34 @@ class TestFailureDuringShuffleTraffic:
             return rt.get(out)
 
         assert rt.run(driver) == sum(range(6))
+
+    def test_spilled_source_dying_while_the_fetch_queues(self):
+        """A fetch picks its source before its allocation is granted.  If
+        that source dies meanwhile, its spill files are gone: the fetch
+        treats it as a failed transfer, backs off and finds the object
+        lost, so lineage rebuilds it and the consumer completes."""
+        rt = make_runtime(num_nodes=3, store_mib=100, config=_fast_detect())
+        _driver_node, source, sink = rt.cluster.node_ids
+        make = rt.remote(lambda: _blob(60))
+        consume = rt.remote(lambda x: x.nbytes).options(node=sink)
+        observed = {}
+
+        def driver():
+            spilled = make.options(node=source).remote()
+            rt.wait([spilled], num_returns=1)
+            # A second 60 MB object spills the first; a ballast on the
+            # sink makes the fetch's allocation queue behind its spill.
+            others = [make.options(node=node).remote() for node in (source, sink)]
+            rt.wait(others, num_returns=2)
+            observed["on_disk_only"] = rt.node_managers[source].spill.is_spilled(
+                spilled.object_id
+            ) and not rt.node_managers[source].store.contains(spilled.object_id)
+            out = consume.remote(spilled)
+            rt.sleep(0.05)
+            observed["queued"] = len(rt.node_managers[sink].store._queue)
+            rt.cluster.node(source).fail()
+            return rt.get(out)
+
+        assert rt.run(driver) == 60 * MB
+        assert observed == {"on_disk_only": True, "queued": 1}
+        assert rt.counters.get("lineage_reconstructions") == 1

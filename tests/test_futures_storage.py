@@ -258,13 +258,15 @@ class TestFetchingAndLocality:
         assert rt.cluster.network_bytes_sent < 2 * 80 * MB
 
     @staticmethod
-    def _fetch_race(num_fetchers, kill_at=None):
+    def _fetch_race(num_fetchers, kill_at=None, ballast=True, stagger=0.0):
         """``num_fetchers`` processes on node B call ``ensure_local`` for one
-        80 MB object on node A (a 0.64 s transfer).  B's 100 MiB store
-        holds a 40 MB ballast, so the first fetch's copy is allocated only
-        after the ballast spills (0.2 s); a fetcher arriving meanwhile
-        finds no copy on B and waits on that fetch.  With ``kill_at``, B's
-        manager is killed then and a fresh fetcher starts right after.
+        80 MB object on node A (a 0.64 s transfer), fetcher ``i`` starting
+        ``i * stagger`` in.  B's 100 MiB store holds a 40 MB ballast
+        unless ``ballast`` is false, so the first fetch's copy is
+        allocated only after the ballast spills (0.2 s); a fetcher
+        arriving meanwhile finds no copy on B and waits on that fetch.
+        With ``kill_at``, B's manager is killed then and a fresh fetcher
+        starts right after.
         Returns the runtime, B's manager, the object and its size, the
         bytes sent, each fetcher's ``(state, finished_at, table entry at
         return)`` and probes of the fetch table taken 0.1 s in, with the
@@ -274,16 +276,19 @@ class TestFetchingAndLocality:
         make = rt.remote(lambda mb: _blob(mb))
 
         def driver():
-            refs = [make.options(node=b).remote(40), make.options(node=a).remote(80)]
-            rt.wait(refs, num_returns=2)
+            refs = [make.options(node=b).remote(40)] if ballast else []
+            refs.append(make.options(node=a).remote(80))
+            rt.wait(refs, num_returns=len(refs))
             return refs
 
-        _ballast, ref = rt.run(driver)
+        ref = rt.run(driver)[-1]
         oid, manager, env = ref.object_id, rt.node_managers[b], rt.env
         sent_before = rt.cluster.network_bytes_sent
         results, probes = {}, {}
 
-        def fetcher(name):
+        def fetcher(name, start=0.0):
+            if start:
+                yield env.timeout(start)
             state = yield from manager.ensure_local(oid)
             results[name] = (state, env.now, manager._inflight_fetches.get(oid))
 
@@ -301,7 +306,7 @@ class TestFetchingAndLocality:
                 probes["newer"] = manager._inflight_fetches[oid]
 
         for i in range(num_fetchers):
-            env.process(fetcher(i))
+            env.process(fetcher(i, i * stagger))
         env.process(probe())
         env.run()
         return SimpleNamespace(
@@ -340,6 +345,16 @@ class TestFetchingAndLocality:
         assert race.rt.stats()["fetched_objects"] == 1
         assert not race.manager._inflight_fetches
 
+    def test_fetcher_arriving_mid_transfer_waits_for_the_bytes(self):
+        race = self._fetch_race(2, ballast=False, stagger=0.3)
+        results = race.results
+        # The first fetch's copy is allocated (so resident) at once, but
+        # the second fetcher returns only when its bytes have landed.
+        assert [results[i][0] for i in (0, 1)] == ["memory", "memory"]
+        assert results[1][1] == results[0][1] > 0.6
+        assert race.sent == race.size
+        assert not race.manager._inflight_fetches
+
     def test_kill_mid_transfer_keeps_waiter_and_newer_fetch(self):
         race = self._fetch_race(2, kill_at=0.5)
         results, probes = race.results, race.probes
@@ -347,7 +362,10 @@ class TestFetchingAndLocality:
         # fetch's cleanup left the newer fetch's entry alone.
         assert set(results) == {0, 1, "after-kill"}
         assert probes["waiters_event"].processed
-        assert probes["woken_at"] == results[0][1] == results[1][1]
+        assert probes["woken_at"] == results[0][1]
+        # Woken, the waiter finds the newer fetch in flight (its copy
+        # allocated but still arriving) and returns when that one lands.
+        assert results[1][1] == results["after-kill"][1]
         assert results[0][2] is probes["newer"]
         assert results["after-kill"][2] is None
         assert results["after-kill"][1] > results[0][1]

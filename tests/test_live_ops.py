@@ -25,7 +25,7 @@ from repro.common.units import MB
 from repro.futures import RetryPolicy, Runtime, RuntimeConfig
 from repro.obs.events import EventBus
 from repro.obs.__main__ import main
-from repro.obs.live import TimeSeriesSampler, render_html
+from repro.obs.live import TimeSeriesSampler, explorer_data, render_html
 from repro.obs.report import RunReport, record_run
 from repro.sort import SortJobConfig, run_sort
 
@@ -197,18 +197,17 @@ class TestLiveReplayParity:
         assert live.series_digest() == replayed.series_digest()
 
     def test_feed_chains_fault_to_retry(self, tmp_path):
+        """The explorer's fault list is the report's timeline."""
         path = tmp_path / "run.events.jsonl"
-        live = TimeSeriesSampler()
-        _chaos_run(sampler=live, record_path=path)
-        retries = [e for e in live.feed if e.kind == "task.retry"]
+        _chaos_run(record_path=path)
+        events = EventBus.load_jsonl(str(path))
+        timeline = explorer_data(events)["report"]["fault_timeline"]
+        assert timeline == RunReport(events).fault_timeline()
+        retries = [line for line in timeline if " task.retry " in line]
         assert retries, "the injected crash must surface retries"
-        assert any("node.death" in e.render() for e in retries), (
-            "retry feed entries must chain back to the killing event"
+        assert any("node.death" in line for line in retries), (
+            "retry lines must chain back to the killing event"
         )
-        replayed = TimeSeriesSampler.replay_file(str(path))
-        assert [e.to_dict() for e in live.feed] == [
-            e.to_dict() for e in replayed.feed
-        ]
 
 
 def _fig4c_sort_events():

@@ -468,7 +468,6 @@ class TestMetricDimensions:
     def test_registry_snapshot_and_delta(self):
         reg = MetricRegistry()
         reg.counter("bytes", 10, node="N0", job="j1")
-        before = reg.snapshot()
         reg.counter("bytes", 5, node="N1", job="j1")
         reg.gauge_set("occupancy", 7.0, node="N0")
         reg.observe("latency", 0.25, job="j1")
@@ -477,12 +476,6 @@ class TestMetricDimensions:
         assert snap["counters"]["bytes"]["node"] == {"N0": 10.0, "N1": 5.0}
         assert snap["gauges"]["occupancy"][GLOBAL_DIM][GLOBAL_DIM] == 7.0
         assert snap["histograms"]["latency[job=j1]"]["count"] == 1.0
-        moved = reg.delta(before)
-        assert moved["counters"]["bytes"][GLOBAL_DIM][GLOBAL_DIM] == 5
-        assert moved["counters"]["bytes"]["node"] == {"N1": 5.0}
-        assert "job" not in moved["counters"]["bytes"] or moved["counters"][
-            "bytes"
-        ]["job"] == {"j1": 5.0}
 
     def test_observe_many_matches_per_sample_observe(self):
         import random
@@ -676,34 +669,30 @@ class TestRunReport:
 #: sha256 of ``json.dumps(..., sort_keys=True, default=str)`` of each
 #: post-hoc reader's output over a recorded run (the two runs behind
 #: ``tests/test_perf.py::USAGE_GOLDEN``; the chaos run has five fault
-#: lines).  Pins the fault timeline, the critical-path segments, the
-#: Chrome events and the fault feed, which no other test pins.  A
+#: lines).  Pins the fault timeline, the critical-path segments and the
+#: Chrome events, which no other test pins.  A
 #: reader change that moves one of them must update the pin on purpose.
 READER_GOLDEN = {
     "chaos": {
         "report": "3f6091ebb011aa722d347be59f86cdc7bb204bb77165d33f2fb6be42f45be82a",
         "critpath": "84d4822492a458d9eb73bfd3908aab693072fc0bb1ed471dc44786dc2e2ab793",
         "chrome": "771411cd388c585f4ed49a7e64935e1a2ff1c221f47424a5088f84a126821e30",
-        "feed": "26af91ffa84257d648cbc921aa39cb28349bc78ee8bda97491ef0bbdf579eb54",
     },
     "sort": {
         "report": "7192f110d26b89007824f4aa821c474498ff9897dd3fbab8193dd6b0b9557ff8",
         "critpath": "a87cf25c85044dbf0c3553ede424a09bb5693a63c2add8803d5ce68a37bf507e",
         "chrome": "d7e0fde567e27e7b3d82f332b11c4d8ad2eadc53b6c740a9a7790954be83430e",
-        "feed": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     },
 }
 
 
 def _reader_outputs(events):
-    from repro.obs.live import TimeSeriesSampler
     from repro.obs.perf import critical_path, usage_chrome_events
 
     return {
         "report": RunReport(events).to_dict(),
         "critpath": [s.to_dict() for s in critical_path(events).segments],
         "chrome": span_chrome_events(events) + usage_chrome_events(events),
-        "feed": [e.to_dict() for e in TimeSeriesSampler.replay(events).feed],
     }
 
 

@@ -36,6 +36,7 @@ from repro.obs.profile import (
     SelfProfiler,
     folded_from_profiler,
     render_flamegraph_svg,
+    render_profile,
     write_flamegraph,
 )
 from repro.obs.profile.core import CALLBACK_CATEGORY, HOOKS, _dispatch_category
@@ -509,19 +510,22 @@ def test_record_run_stamps_profile_and_report_renders_engine(tmp_path):
     path = tmp_path / "run.events.jsonl"
     record_run(rt, str(path), profile=prof.to_dict())
     report = RunReport.load(str(path))
-    engine = report.engine_summary()
-    assert engine["events_processed"] == prof.counts["events_processed"]
-    assert engine["events_per_wall_s"] > 0
-    assert engine["coverage_error"] < 0.01
-    assert engine["top_categories"]
-    top = engine["top_categories"][0]
-    assert set(top) == {"category", "seconds", "share"}
-    rendered = report.render()
-    assert "Engine self-profile" in rendered
-    assert "events/s" in rendered
-    table = report.engine_table()
-    assert table.rows and table.rows[0]["share_pct"] <= 100.0
-    assert report.to_dict()["engine_summary"] == engine
+    recorded = report.to_dict()["engine_summary"]
+    assert recorded == prof.to_dict()
+    assert recorded["events_processed"] == prof.counts["events_processed"]
+    assert recorded["events_per_wall_s"] > 0
+    assert recorded["coverage_error"] < 0.01
+    # One rendering: the report prints what the live profiler prints.
+    engine = render_profile(recorded)
+    assert engine == prof.render()
+    assert engine in report.render()
+    assert engine.startswith("Engine self-profile") and "events/s" in engine
+    # Category lines come costliest first, each with its share of wall.
+    lines = [line for line in engine.splitlines()[1:] if line.endswith("%")]
+    categories = recorded["categories"]
+    assert lines[0].split()[0] == max(categories, key=categories.get)
+    shares = [float(line.split()[-1].rstrip("%")) for line in lines]
+    assert all(0.0 <= share <= 100.0 for share in shares)
 
 
 def test_report_without_profiler_has_no_engine_section(tmp_path):
@@ -532,22 +536,25 @@ def test_report_without_profiler_has_no_engine_section(tmp_path):
     path = tmp_path / "plain.events.jsonl"
     record_run(rt, str(path))
     report = RunReport.load(str(path))
-    assert report.engine_summary() == {}
-    assert not report.engine_table().rows
+    assert report.to_dict()["engine_summary"] == {}
+    assert render_profile(report.summary.get("profile", {})) == ""
     assert "Engine self-profile" not in report.render()
 
 
 def test_html_explorer_embeds_engine_summary(tmp_path):
-    from repro.obs.live import render_html
+    from repro.obs.live import explorer_data, render_html
 
     rt, prof, _result = _profiled_sort()
     path = tmp_path / "run.events.jsonl"
     record_run(rt, str(path), profile=prof.to_dict())
-    html = render_html(EventBus.load_jsonl(str(path)))
+    events = EventBus.load_jsonl(str(path))
+    html = render_html(events)
     assert "Engine self-profile" in html
     assert "engine_summary" in html
     # The recorded throughput numbers ride inside the data payload.
     assert "events_per_wall_s" in html
+    # The explorer prints the profile the way the report does.
+    assert explorer_data(events)["engine"] == render_profile(prof.to_dict())
 
 
 # -- the non-gating perf trajectory ----------------------------------------
