@@ -6,11 +6,12 @@ rather than in :mod:`repro.blocks.real`, which imports numpy.
 """
 
 #: The sort benchmark's record layout: 10-byte key, 90-byte value.  Keys
-#: are modelled as uint64 draws from a bounded key space.
+#: are integer draws from a bounded key space; a real block holds them as
+#: uint32 when the key space fits 32 bits and as uint64 otherwise.
 DEFAULT_RECORD_BYTES = 100
 KEY_SPACE = 2**32
 
-#: A record holds at least its uint64 key.
+#: A record holds at least a uint64 key.
 MIN_RECORD_BYTES = 8
 
 

@@ -28,13 +28,20 @@ def total_records(blocks: Sequence[Block]) -> int:
 
 
 def _check_uniform(blocks: Sequence[Block]) -> bool:
-    """All real or all virtual; returns True when virtual."""
+    """One kind and one record width; returns True when virtual.
+
+    A result is sized from one record width, so mixed widths would
+    mis-size it.
+    """
     if not blocks:
         raise ValueError("no blocks given")
-    kinds = {block.is_virtual for block in blocks}
-    if len(kinds) != 1:
-        raise TypeError("cannot mix real and virtual blocks in one operation")
-    return blocks[0].is_virtual
+    virtual, width = blocks[0].is_virtual, blocks[0].record_bytes
+    for block in blocks:
+        if block.is_virtual != virtual:
+            raise TypeError("cannot mix real and virtual blocks in one operation")
+        if block.record_bytes != width:
+            raise ValueError("cannot mix record widths in one operation")
+    return virtual
 
 
 def partition_block(block: Block, bounds: Sequence[int]) -> List[Block]:
@@ -42,7 +49,9 @@ def partition_block(block: Block, bounds: Sequence[int]) -> List[Block]:
 
     ``bounds`` are ascending cut points; partition ``r`` receives keys in
     ``[bounds[r-1], bounds[r])`` (with open ends).  This is the map-side
-    operation of a range-partitioned sort.
+    operation of a range-partitioned sort, and every piece comes back
+    sorted: a real one is a sorted view of one buffer, a virtual one is
+    marked so.
     """
     bounds = list(bounds)
     if any(a > b for a, b in zip(bounds, bounds[1:])):
@@ -58,7 +67,9 @@ def _partition_virtual(block: VirtualBlock, bounds: List[int]) -> List[Block]:
     num_parts = len(bounds) + 1
     if block.key_range is None:  # empty block
         return [
-            VirtualBlock(0, record_bytes=block.record_bytes, key_range=None)
+            VirtualBlock(
+                0, record_bytes=block.record_bytes, key_range=None, is_sorted=True
+            )
             for _ in range(num_parts)
         ]
     lo, hi = block.key_range
@@ -73,7 +84,12 @@ def _partition_virtual(block: VirtualBlock, bounds: List[int]) -> List[Block]:
         else:
             key_range = (edges[i], max(edges[i], edges[i + 1] - 1))
         out.append(
-            VirtualBlock(count, record_bytes=block.record_bytes, key_range=key_range)
+            VirtualBlock(
+                count,
+                record_bytes=block.record_bytes,
+                key_range=key_range,
+                is_sorted=True,
+            )
         )
     return out
 

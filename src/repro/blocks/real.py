@@ -11,7 +11,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blocks.layout import DEFAULT_RECORD_BYTES, KEY_SPACE, check_record_bytes
+from repro.blocks.layout import (
+    DEFAULT_RECORD_BYTES,
+    KEY_SPACE,
+    MIN_RECORD_BYTES,
+    check_record_bytes,
+)
+
+#: The dtypes a block keeps its keys in, as given; anything else is cast
+#: to uint64.
+_KEY_DTYPES = (np.dtype(np.uint32), np.dtype(np.uint64))
+_UINT32_MAX = 2**32 - 1
 
 
 class RealBlock:
@@ -19,7 +29,9 @@ class RealBlock:
 
     Only keys are materialised (values are never inspected by sort or
     aggregation), but ``size_bytes`` accounts for full records so the
-    storage layer sees realistic volumes.
+    storage layer sees realistic volumes. Keys are a 1-D ``uint32`` or
+    ``uint64`` array: :meth:`generate` picks the narrower width whenever
+    the key space fits it, so sorts and merges move half the bytes.
     """
 
     __slots__ = ("keys", "record_bytes", "sorted")
@@ -30,8 +42,11 @@ class RealBlock:
         record_bytes: int = DEFAULT_RECORD_BYTES,
         is_sorted: bool = False,
     ) -> None:
-        check_record_bytes(record_bytes)
-        keys = np.asarray(keys, dtype=np.uint64)
+        if record_bytes < MIN_RECORD_BYTES:
+            # Compared inline, as in VirtualBlock: every map piece passes here.
+            check_record_bytes(record_bytes)
+        if not isinstance(keys, np.ndarray) or keys.dtype not in _KEY_DTYPES:
+            keys = np.asarray(keys, dtype=np.uint64)
         if keys.ndim != 1:
             raise ValueError("keys must be one-dimensional")
         self.keys = keys
@@ -46,9 +61,15 @@ class RealBlock:
         record_bytes: int = DEFAULT_RECORD_BYTES,
         key_space: int = KEY_SPACE,
     ) -> "RealBlock":
-        """Uniform random records, as the sort benchmark's gensort does."""
+        """Uniform random records, as the sort benchmark's gensort does.
+
+        The keys are uint64 draws, stored as uint32 when ``key_space``
+        fits in 32 bits: the same values either way.
+        """
         rng = np.random.default_rng(seed)
         keys = rng.integers(0, key_space, size=num_records, dtype=np.uint64)
+        if key_space <= _UINT32_MAX + 1:
+            keys = keys.astype(np.uint32)
         return cls(keys, record_bytes=record_bytes)
 
     # -- the Block interface -------------------------------------------------
@@ -77,7 +98,8 @@ class RealBlock:
         """Additive content fingerprint, mod 2**64.
 
         Sums compose across any re-grouping of records, so the total over
-        all blocks is conserved by partition/merge/sort.
+        all blocks is conserved by partition/merge/sort. Summed in uint64
+        whatever the key width.
         """
         with np.errstate(over="ignore"):
             key_sum = int(np.sum(self.keys, dtype=np.uint64))
@@ -98,7 +120,13 @@ def partition_real(block: RealBlock, bounds: List[int]) -> List[RealBlock]:
     upper piece.
     """
     keys = block.keys if block.sorted else np.sort(block.keys)
-    cuts = np.searchsorted(keys, np.asarray(bounds, dtype=np.uint64), "left")
+    # Probe in the keys' own dtype: a uint64 probe makes numpy cast every
+    # uint32 key. A bound past 2**32 - 1 (sample_bounds nudges duplicate
+    # quantiles upward) only fits the wide probe.
+    dtype = keys.dtype
+    if bounds and bounds[-1] > _UINT32_MAX:
+        dtype = np.uint64
+    cuts = np.searchsorted(keys, np.asarray(bounds, dtype=dtype), "left")
     # Plain slices: np.split measured ~1.5x slower per cut.
     edges = [0, *cuts.tolist(), keys.size]
     return [
@@ -124,6 +152,7 @@ def combine_real(blocks: Sequence[RealBlock], is_sorted: bool) -> RealBlock:
 
     The merge sorts the fresh concatenation in place with numpy's default
     kind: a stable (timsort) merge of the sorted runs measured slower.
+    Keys of mixed widths concatenate to uint64.
     """
     keys = np.concatenate([block.keys for block in blocks])
     if is_sorted:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import importlib
 import time
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Prefix of the per-subsystem handler-dispatch categories.
@@ -98,10 +99,15 @@ def _dispatch_category(event: Any) -> str:
             owner = getattr(callbacks[0], "__self__", None)
             name = getattr(owner, "name", None)
     if isinstance(name, str) and name:
-        stem = name.split("-", 1)[0].split(":", 1)[0] or "process"
-    else:
-        stem = type(event).__name__.strip("_").lower()
-    return DISPATCH_PREFIX + stem
+        return _named_category(name)
+    return DISPATCH_PREFIX + type(event).__name__.strip("_").lower()
+
+
+@lru_cache(maxsize=4096)
+def _named_category(name: str) -> str:
+    """The category of a process name; cached, as a process resumes
+    many times under one name."""
+    return DISPATCH_PREFIX + (name.split("-", 1)[0].split(":", 1)[0] or "process")
 
 
 class SelfProfiler:
@@ -129,19 +135,16 @@ class SelfProfiler:
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
-        #: Exclusive seconds per category.
-        self.seconds: Dict[str, float] = {}
         #: Hot-loop counters (events_processed, bus_publications,
         #: metric_charges, driver_handoffs, ...).
         self.counts: Dict[str, int] = {}
-        #: Exclusive seconds per scope *path* (folded-stack data for the
-        #: flamegraph exporter), keyed by the tuple of categories on the
-        #: stack at exit time.
-        self.folded: Dict[Tuple[str, ...], float] = {}
         #: Simulated seconds the engines advanced while installed.
         self.sim_time_s = 0.0
-        # Frames are [category, start, child_s, path]; the folded-stack
-        # path is built once at enter so exit stays allocation-light.
+        # One node per scope path, [exclusive_s, {category: child node}],
+        # top-level paths here: entering a scope looks up one child and
+        # leaving adds to one float, so a hook hashes no path tuple.
+        self._roots: Dict[str, List[Any]] = {}
+        # Frames are [node, start, child_s].
         self._stack: List[List[Any]] = []
         self._started_at: Optional[float] = None
         self._finished_at: Optional[float] = None
@@ -181,23 +184,41 @@ class SelfProfiler:
         end = self._finished_at if self._finished_at is not None else self.clock()
         return end - self._started_at
 
+    @property
+    def folded(self) -> Dict[Tuple[str, ...], float]:
+        """Exclusive seconds per scope *path* (folded-stack data for the
+        flamegraph exporter), keyed by the tuple of categories on the
+        stack."""
+        out: Dict[Tuple[str, ...], float] = {}
+        pending = [((category,), node) for category, node in self._roots.items()]
+        while pending:
+            path, (secs, children) = pending.pop()
+            out[path] = secs
+            pending.extend((path + (c,), child) for c, child in children.items())
+        return out
+
+    @property
+    def seconds(self) -> Dict[str, float]:
+        """Exclusive seconds per category."""
+        out: Dict[str, float] = {}
+        for path, secs in self.folded.items():
+            out[path[-1]] = out.get(path[-1], 0.0) + secs
+        return out
+
     # -- the scope stack ---------------------------------------------------
     def _enter(self, category: str) -> None:
         stack = self._stack
-        path = stack[-1][3] + (category,) if stack else (category,)
-        stack.append([category, self.clock(), 0.0, path])
+        children = stack[-1][0][1] if stack else self._roots
+        node = children.get(category)
+        if node is None:
+            node = children[category] = [0.0, {}]
+        stack.append([node, self.clock(), 0.0])
 
     def _exit(self) -> None:
         stack = self._stack
         frame = stack.pop()
         elapsed = self.clock() - frame[1]
-        exclusive = elapsed - frame[2]
-        category = frame[0]
-        seconds = self.seconds
-        seconds[category] = seconds.get(category, 0.0) + exclusive
-        folded = self.folded
-        path = frame[3]
-        folded[path] = folded.get(path, 0.0) + exclusive
+        frame[0][0] += elapsed - frame[2]
         if stack:
             stack[-1][2] += elapsed
 

@@ -8,11 +8,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.blocks import (
-    merge_sorted_blocks,
-    partition_block,
-    sort_block,
-)
+from repro.blocks import merge_sorted_blocks, partition_block
 from repro.blocks.ops import Block
 
 
@@ -25,8 +21,11 @@ class SortOps:
 
     # -- operators ---------------------------------------------------------
     def map(self, part: Block) -> List[Block]:
-        """Range-partition one input into per-reducer sorted runs."""
-        return [sort_block(piece) for piece in partition_block(part, self.bounds)]
+        """Range-partition one input into per-reducer sorted runs.
+
+        :func:`partition_block` already returns sorted pieces.
+        """
+        return partition_block(part, self.bounds)
 
     def merge_columns(self, *blocks: Block) -> List[Block]:
         """Riffle merge: F x R map-major blocks -> R column-merged blocks."""

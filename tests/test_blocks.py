@@ -42,6 +42,34 @@ class TestRealBlock:
         with pytest.raises(ValueError):
             RealBlock(np.array([1]), record_bytes=4)
 
+    @pytest.mark.parametrize(
+        "key_space, dtype",
+        [(1000, np.uint32), (KEY_SPACE, np.uint32), (KEY_SPACE + 1, np.uint64),
+         (2**40, np.uint64)],
+    )
+    def test_generate_key_width_follows_key_space(self, key_space, dtype):
+        block = RealBlock.generate(500, seed=11, key_space=key_space)
+        reference = np.random.default_rng(11).integers(
+            0, key_space, 500, dtype=np.uint64
+        )
+        assert block.keys.dtype == dtype
+        np.testing.assert_array_equal(block.keys.astype(np.uint64), reference)
+
+    def test_checksum_and_key_range_equal_across_widths(self):
+        keys = np.random.default_rng(12).integers(0, KEY_SPACE, 300, dtype=np.uint64)
+        keys[0] = KEY_SPACE - 1
+        wide, narrow = RealBlock(keys), RealBlock(keys.astype(np.uint32))
+        assert narrow.keys.dtype == np.uint32
+        assert narrow.checksum() == wide.checksum()
+        assert narrow.key_range == wide.key_range
+        assert narrow.key_range[1] == KEY_SPACE - 1
+
+    def test_key_dtypes_kept_others_widened(self):
+        narrow = np.array([3, 1], dtype=np.uint32)
+        assert RealBlock(narrow).keys is narrow
+        assert RealBlock([3, 1]).keys.dtype == np.uint64
+        assert RealBlock(np.array([3, 1], dtype=np.int64)).keys.dtype == np.uint64
+
 
 class TestVirtualBlock:
     def test_basic_properties(self):
@@ -105,6 +133,23 @@ class TestPartition:
         assert buffer is not None
         assert all(piece.keys.base is buffer for piece in pieces if piece.num_records)
 
+    def test_virtual_map_returns_partition_pieces_sorted(self, monkeypatch):
+        import repro.sort.ops as sort_ops
+
+        returned = []
+
+        def recording(block, bounds):
+            returned.extend(partition_block(block, bounds))
+            return returned
+
+        monkeypatch.setattr(sort_ops, "partition_block", recording)
+        pieces = sort_ops.SortOps([250, 500, 750]).map(
+            VirtualBlock(1000, key_range=(0, 999))
+        )
+        assert len(pieces) == 4
+        assert all(piece.sorted for piece in pieces)
+        assert all(a is b for a, b in zip(pieces, returned))
+
     def test_partition_empty_virtual(self):
         pieces = partition_block(VirtualBlock(0), [10, 20])
         assert len(pieces) == 3
@@ -154,6 +199,32 @@ class TestMergeSortConcat:
         with pytest.raises(ValueError):
             merge_sorted_blocks([])
 
+    def test_mixing_real_record_widths_rejected(self):
+        """The result is sized from one width: 2 x 100 B + 1 x 1,000 B
+        would have read 300 B."""
+        narrow = RealBlock(np.array([1, 2], dtype=np.uint64), record_bytes=100)
+        wide = RealBlock(np.array([3], dtype=np.uint64), record_bytes=1000)
+        with pytest.raises(ValueError):
+            merge_sorted_blocks([narrow, wide])
+        with pytest.raises(ValueError):
+            concat_blocks([narrow, wide])
+
+    def test_mixing_virtual_record_widths_rejected(self):
+        """10 x 100 B + 10 x 200 B would have read 2,000 B."""
+        narrow = VirtualBlock(10, record_bytes=100)
+        wide = VirtualBlock(10, record_bytes=200)
+        with pytest.raises(ValueError):
+            concat_blocks([narrow, wide])
+        with pytest.raises(ValueError):
+            merge_sorted_blocks([narrow, wide])
+
+    def test_merge_of_mixed_key_widths_is_uint64(self):
+        narrow = RealBlock(np.array([1, 7], dtype=np.uint32), is_sorted=True)
+        wide = RealBlock(np.array([2**40], dtype=np.uint64), is_sorted=True)
+        merged = merge_sorted_blocks([narrow, wide])
+        assert merged.keys.dtype == np.uint64
+        assert list(merged.keys) == [1, 7, 2**40]
+
 
 # -- property-based invariants -------------------------------------------
 
@@ -179,20 +250,29 @@ def test_property_real_partition_conserves_everything(num_records, bounds, seed)
     assert sum(p.checksum() for p in pieces) % 2**64 == block.checksum()
 
 
+key_dtypes = st.sampled_from([np.uint32, np.uint64])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     keys=st.lists(st.integers(min_value=5, max_value=40), max_size=200),
     bounds=st.lists(st.integers(min_value=0, max_value=45), max_size=8).map(sorted),
     presorted=st.booleans(),
+    dtype=key_dtypes,
 )
-def test_property_real_partition_matches_reference(keys, bounds, presorted):
+def test_property_real_partition_matches_reference(keys, bounds, presorted, dtype):
     """Each piece holds exactly the keys a bucket-then-sort reference
     gives it, sorted: a small key space makes duplicate keys, keys equal
-    to a bound, and bounds outside the keys' range common."""
+    to a bound, and bounds outside the keys' range common. The reference
+    works in uint64 whatever width the block holds."""
     keys = np.array(keys, dtype=np.uint64)
+    narrowed = keys.astype(dtype)
     block = (
-        RealBlock(np.sort(keys), is_sorted=True) if presorted else RealBlock(keys)
+        RealBlock(np.sort(narrowed), is_sorted=True)
+        if presorted
+        else RealBlock(narrowed)
     )
+    assert block.keys.dtype == dtype
     pieces = partition_block(block, bounds)
     buckets = np.searchsorted(np.array(bounds, dtype=np.uint64), keys, "right")
     assert len(pieces) == len(bounds) + 1
@@ -225,18 +305,16 @@ def test_property_virtual_partition_conserves_records(num_records, bounds):
 @given(
     sizes=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=8),
     seed=st.integers(min_value=0, max_value=2**31),
+    dtype=key_dtypes,
 )
-def test_property_merge_equals_global_sort(sizes, seed):
+def test_property_merge_equals_global_sort(sizes, seed, dtype):
     rng = np.random.default_rng(seed)
-    blocks = [
-        sort_block(
-            RealBlock(rng.integers(0, 10**6, size=n, dtype=np.uint64))
-        )
-        for n in sizes
-    ]
+    drawn = [rng.integers(0, 10**6, size=n, dtype=np.uint64) for n in sizes]
+    blocks = [sort_block(RealBlock(keys.astype(dtype))) for keys in drawn]
     merged = merge_sorted_blocks(blocks)
-    reference = np.sort(np.concatenate([b.keys for b in blocks]))
-    assert (merged.keys == reference).all()
+    reference = np.sort(np.concatenate(drawn))
+    assert merged.keys.dtype == dtype
+    np.testing.assert_array_equal(merged.keys, reference)
 
 
 @settings(max_examples=40, deadline=None)

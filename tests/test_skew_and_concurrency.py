@@ -70,6 +70,26 @@ class TestSkew:
         pieces = partition_block(block, bounds)
         assert total_records(pieces) == 5000
 
+    def test_hot_top_key_bounds_past_uint32_do_not_wrap(self):
+        """Duplicate quantiles at the top key nudge bounds past 2**32 - 1;
+        a uint32 block must cut exactly where its uint64 twin does."""
+        rng = np.random.default_rng(3)
+        keys = rng.integers(0, 2**32, size=4000, dtype=np.uint64)
+        keys[:3600] = 2**32 - 1
+        wide, narrow = RealBlock(keys), RealBlock(keys.astype(np.uint32))
+        assert narrow.keys.dtype == np.uint32
+        bounds = sample_bounds([narrow], 8, seed=0)
+        assert bounds == sample_bounds([wide], 8, seed=0)
+        assert bounds[-1] > 2**32 - 1
+        ops = SortOps(bounds)
+        pieces, reference = ops.map(narrow), ops.map(wide)
+        for piece, expected in zip(pieces, reference):
+            np.testing.assert_array_equal(
+                piece.keys.astype(np.uint64), expected.keys
+            )
+        assert pieces[-1].num_records == 0
+        validate_sorted_output(pieces, bounds, 4000, wide.checksum())
+
 
 class TestConcurrentJobs:
     def test_two_shuffles_share_one_runtime(self):
