@@ -6,14 +6,14 @@
 2. Library-level backpressure (Listing 3's wait): with an effectively
    unbounded pipeline depth, map bundles pile up faster than merges drain
    them and spill traffic grows.
-3. Spill write fusing: the ``"unfused"`` spill policy from the
-   ``repro.futures.policies`` registry writes one seek-paying file per
-   object instead of fused >=100 MB files, so the same push* run cannot
-   be faster than the fused default.
+3. Spill write fusing: the ``"unfused"`` spill policy (one of the
+   names in ``repro.futures.policies.SPILL_POLICIES``) writes one
+   seek-paying file per object instead of fused >=100 MB files, so the
+   same push* run cannot be faster than the fused default.
 
 Every arm is a (variant, pipeline depth, spill-policy name) triple --
-the spill behaviour is selected purely by registry name, with no
-per-arm branching inside the data plane.
+the spill behaviour is selected purely by ``RuntimeConfig.spill_policy``,
+with no per-arm branching inside the data plane.
 """
 
 import pytest

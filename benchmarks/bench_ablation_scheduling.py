@@ -1,8 +1,8 @@
 """Ablation: locality-aware scheduling and soft node affinity (§4.3.2).
 
 The push shuffle pins merge tasks per worker and relies on locality for
-the reduce stage.  Each arm is a named placement policy from the
-``repro.futures.policies`` registry -- ``"default"`` composes the
+the reduce stage.  Each arm is a named placement policy from
+``repro.futures.policies.PLACEMENT_POLICIES`` -- ``"default"`` composes the
 blacklist / affinity / locality / least-loaded stages, ``"load-only"``
 places purely by load -- so no per-arm branching reaches the data
 plane.  Under load-only placement, merged blocks end up remote from
@@ -19,7 +19,7 @@ from benchmarks._harness import SCALED_TB, hdd_node, finish_bench, run_es_sort
 NUM_NODES = 10
 PARTITIONS = 200
 
-#: (table label, placement-policy registry name) per ablation arm.
+#: (table label, ``RuntimeConfig.placement_policy`` name) per ablation arm.
 ARMS = [
     ("locality+affinity", "default"),
     ("load-only", "load-only"),

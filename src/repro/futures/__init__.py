@@ -23,12 +23,6 @@ from repro.futures.actor import ActorClass, ActorHandle
 from repro.futures.config import RuntimeConfig
 from repro.futures.driver import DriverHandle
 from repro.futures.lineage import LineageManager
-from repro.futures.policies import (
-    POLICY_KINDS,
-    available_policies,
-    create_policy,
-    register_policy,
-)
 from repro.futures.refs import ObjectRef
 from repro.futures.remote import RemoteFunction
 from repro.futures.retry import RetryPolicy
@@ -51,8 +45,4 @@ __all__ = [
     "Scheduler",
     "LineageManager",
     "UNATTRIBUTED_JOB",
-    "POLICY_KINDS",
-    "register_policy",
-    "create_policy",
-    "available_policies",
 ]

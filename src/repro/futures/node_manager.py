@@ -30,7 +30,9 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional,
 from repro.cluster.fabric import NodeFailure
 from repro.common.errors import ObjectLostError, TaskExecutionError
 from repro.common.ids import NodeId, ObjectId
+from repro.common.units import MB
 from repro.futures.object_store import ObjectStore
+from repro.futures.policies.defaults import SPILL_POLICIES
 from repro.futures.spilling import SpillManager
 from repro.futures.task import (
     CostContext,
@@ -50,6 +52,27 @@ if TYPE_CHECKING:  # pragma: no cover
 #: pin (:meth:`NodeManager._await_admission`), bounding thrashing from
 #: over-eager fetching.
 PREFETCH_CAPACITY_FRACTION = 0.5
+
+#: Bytes of task input+output one core processes per second when a task
+#: declares no explicit compute cost.  Calibrated so that sort-style
+#: record processing is somewhat faster than a d3 node's disk, making
+#: disk the bottleneck as the paper observes (§5.1.1).
+CPU_THROUGHPUT_BYTES_PER_SEC = 500 * MB
+
+#: Fixed scheduling/launch overhead per task, seconds.  Models RPC and
+#: worker lease costs.
+TASK_OVERHEAD_S = 2e-3
+
+#: Metadata cost per task argument and per return object, seconds.  A
+#: distributed-futures system tracks every object individually, so a
+#: simple shuffle's M x R blocks cost O(M x R) metadata work -- the
+#: paper's main scalability limitation (§7) and a driver of ES-simple's
+#: degradation at high partition counts (§5.1.2).  Monolithic systems
+#: share per-stage metadata and do not pay this.
+PER_OBJECT_OVERHEAD_S = 0.1e-3
+
+#: Backoff before retrying a fetch whose source died mid-transfer.
+FETCH_RETRY_BACKOFF_S = 1.0
 
 
 class NoLiveCopy(Exception):
@@ -80,7 +103,9 @@ class NodeManager:
             runtime.directory,
             runtime.counters,
             charge=runtime.charge_object,
-            policy=runtime.policies.spill,
+            policy=SPILL_POLICIES[runtime.config.spill_policy](
+                runtime.config.fuse_min_bytes
+            ),
             bus=runtime.bus,
             shared=runtime.shared_store,
         )
@@ -229,11 +254,10 @@ class NodeManager:
                 attempt=spec.attempts,
                 fn=spec.fn_name,
             )
-            overhead = config.task_overhead_s + config.per_object_overhead_s * (
-                len(spec.args) + len(spec.return_ids)
+            yield self.env.timeout(
+                TASK_OVERHEAD_S
+                + PER_OBJECT_OVERHEAD_S * (len(spec.args) + len(spec.return_ids))
             )
-            if overhead > 0:
-                yield self.env.timeout(overhead)
             # Chaos straggler injection: an installed hook may tax this
             # attempt with extra latency (deterministic under its seed).
             delay_hook = self.runtime.task_delay_hook
@@ -443,7 +467,7 @@ class NodeManager:
                 except (NodeFailure, IOError):
                     if placement == "memory":
                         self.store.free(object_id)
-                    yield self.env.timeout(runtime.config.fetch_retry_backoff_s)
+                    yield self.env.timeout(FETCH_RETRY_BACKOFF_S)
                     continue
                 runtime.counters.add("fetched_objects", 1)
                 if placement == "memory":
@@ -631,8 +655,11 @@ class NodeManager:
     ) -> float:
         dilation = self.node.compute_dilation
         if compute is None:
-            throughput = self.runtime.config.cpu_throughput_bytes_per_sec
-            return dilation * (input_bytes + output_bytes) / throughput
+            return (
+                dilation
+                * (input_bytes + output_bytes)
+                / CPU_THROUGHPUT_BYTES_PER_SEC
+            )
         if callable(compute):
             context = CostContext(
                 input_bytes=int(input_bytes),

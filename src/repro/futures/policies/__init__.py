@@ -1,9 +1,9 @@
 """Pluggable data-plane policies (the Exoshuffle thesis, applied inward).
 
 Placement and spill batching are typed :class:`~typing.Protocol`
-seams and registry kinds (:data:`POLICY_KINDS`), each selected by one
-``RuntimeConfig.<kind>_policy`` name.  Dispatch ordering has one
-implementation, which every scheduler builds:
+seams, each selected by one ``RuntimeConfig.<kind>_policy`` name from a
+fixed table (:data:`PLACEMENT_POLICIES`, :data:`SPILL_POLICIES`).
+Dispatch ordering has one implementation, which every scheduler builds:
 
 - :class:`PlacementPolicy` -- blacklist / affinity / locality / load as
   composable stages (:class:`StagedPlacementPolicy`);
@@ -20,7 +20,6 @@ table and how to add a policy.
 """
 
 from repro.futures.policies.base import (
-    DispatchContext,
     DispatchOutcome,
     NodeCandidate,
     ParkNote,
@@ -32,6 +31,8 @@ from repro.futures.policies.base import (
     SpillPolicy,
 )
 from repro.futures.policies.defaults import (
+    PLACEMENT_POLICIES,
+    SPILL_POLICIES,
     AffinityStage,
     BlacklistStage,
     FairShareDispatchPolicy,
@@ -39,14 +40,6 @@ from repro.futures.policies.defaults import (
     LeastLoadedStage,
     LocalityStage,
     StagedPlacementPolicy,
-)
-from repro.futures.policies.registry import (
-    POLICY_KINDS,
-    PolicyStack,
-    available_policies,
-    create_policy,
-    register_policy,
-    resolve_policies,
 )
 
 __all__ = [
@@ -58,7 +51,6 @@ __all__ = [
     "NodeCandidate",
     "SpillPolicy",
     "SpillCandidate",
-    "DispatchContext",
     "DispatchOutcome",
     "ParkNote",
     # defaults
@@ -69,11 +61,7 @@ __all__ = [
     "LeastLoadedStage",
     "FusedSpillPolicy",
     "FairShareDispatchPolicy",
-    # registry
-    "POLICY_KINDS",
-    "PolicyStack",
-    "register_policy",
-    "create_policy",
-    "available_policies",
-    "resolve_policies",
+    # names
+    "PLACEMENT_POLICIES",
+    "SPILL_POLICIES",
 ]

@@ -150,14 +150,6 @@ class SpillPolicy(Protocol):
 
 # -- dispatch ----------------------------------------------------------------
 @dataclass(frozen=True)
-class DispatchContext:
-    """Cluster-side inputs to one dispatch decision."""
-
-    #: The concurrent-task budget (alive cores times slots-per-core).
-    total_slots: int
-
-
-@dataclass(frozen=True)
 class ParkNote:
     """Record of a task parked behind its job's fair-share queue."""
 

@@ -3,17 +3,26 @@
 Every class here reproduces a decision rule that used to be hard-coded
 in ``scheduler.py`` / ``spilling.py`` *exactly*
 (the golden event-digest test is the proof), plus a few named
-alternatives the ablation benchmarks select from the registry.
+alternatives the ablation benchmarks select by name from
+:data:`PLACEMENT_POLICIES` and :data:`SPILL_POLICIES`.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.futures.policies.base import (
-    DispatchContext,
     DispatchOutcome,
     NodeCandidate,
     ParkNote,
@@ -199,8 +208,8 @@ class FairShareDispatchPolicy:
     runtime's only dispatch policy (every :class:`Scheduler` builds one).
 
     Tasks from *registered* jobs park in per-job FIFO queues; the
-    context's slot budget is shared among them by virtual-time weighted
-    fair queueing: each launch advances the job's virtual time by
+    caller's ``total_slots`` budget is shared among them by virtual-time
+    weighted fair queueing: each launch advances the job's virtual time by
     ``1 / weight``, and the job with the smallest virtual time launches
     next.  A briefly idle job rejoins at the current virtual clock
     rather than catching up on "missed" service.  Tenancy composes on
@@ -256,9 +265,7 @@ class FairShareDispatchPolicy:
         # Join at the current virtual clock: no retroactive catch-up.
         self._vtime[job_id] = self._vclock
 
-    def unregister_job(
-        self, job_id: str, ctx: DispatchContext
-    ) -> DispatchOutcome:
+    def unregister_job(self, job_id: str, total_slots: int) -> DispatchOutcome:
         """Remove a finished job; stragglers launch immediately."""
         queue = self._queues.pop(job_id, None)
         if queue is None:
@@ -273,7 +280,7 @@ class FairShareDispatchPolicy:
             for record in queue
             if record.phase not in (TaskPhase.FINISHED, TaskPhase.FAILED)
         ]
-        pumped = self._pump(ctx)
+        pumped = self._pump(total_slots)
         return DispatchOutcome(
             launch=stragglers + pumped.launch, picks=pumped.picks
         )
@@ -292,7 +299,7 @@ class FairShareDispatchPolicy:
         self,
         record: TaskRecord,
         job_id: Optional[str],
-        ctx: DispatchContext,
+        total_slots: int,
     ) -> DispatchOutcome:
         """Park a registered job's task for fair release; everything
         else (unregistered jobs, retries of slot-holding tasks) launches
@@ -308,13 +315,11 @@ class FairShareDispatchPolicy:
         if len(queue) == 1:
             heapq.heappush(self._ready, (self._vtime[job_id], job_id))
         note = ParkNote(job_id=job_id, queued=len(queue))
-        outcome = self._pump(ctx)
+        outcome = self._pump(total_slots)
         outcome.parked = note
         return outcome
 
-    def task_done(
-        self, record: TaskRecord, ctx: DispatchContext
-    ) -> DispatchOutcome:
+    def task_done(self, record: TaskRecord, total_slots: int) -> DispatchOutcome:
         """Free the task's slot (terminal phase) and release more work."""
         job_id = self._inflight.pop(record, None)
         if job_id is None:
@@ -327,16 +332,16 @@ class FairShareDispatchPolicy:
         tenant = self._tenant_of.get(job_id)
         if tenant is not None and self._inflight_by_tenant.get(tenant, 0) > 0:
             self._inflight_by_tenant[tenant] -= 1
-        return self._pump(ctx)
+        return self._pump(total_slots)
 
-    def _pump(self, ctx: DispatchContext) -> DispatchOutcome:
+    def _pump(self, total_slots: int) -> DispatchOutcome:
         """Release queued tasks while slots remain, smallest virtual
         time first (ties broken by job id for determinism)."""
         launch: List[TaskRecord] = []
         picks: List[str] = []
         ready = self._ready
         capped: List[Tuple[float, str]] = []
-        while ready and len(self._inflight) < ctx.total_slots:
+        while ready and len(self._inflight) < total_slots:
             entry = heapq.heappop(ready)
             vtime, job = entry
             queue = self._queues.get(job)
@@ -370,3 +375,25 @@ class FairShareDispatchPolicy:
         for entry in capped:
             heapq.heappush(ready, entry)
         return DispatchOutcome(launch=launch, picks=tuple(picks))
+
+
+# -- names ---------------------------------------------------------------------
+#: Placement policies by ``RuntimeConfig.placement_policy`` name.
+PLACEMENT_POLICIES: Dict[str, Callable[[], StagedPlacementPolicy]] = {
+    "default": lambda: StagedPlacementPolicy(
+        "default",
+        [BlacklistStage(), AffinityStage(), LocalityStage(), LeastLoadedStage()],
+    ),
+    "load-only": lambda: StagedPlacementPolicy(
+        "load-only", [BlacklistStage(), LeastLoadedStage()]
+    ),
+}
+
+#: Spill policies by ``RuntimeConfig.spill_policy`` name, each built
+#: for ``RuntimeConfig.fuse_min_bytes``.
+SPILL_POLICIES: Dict[str, Callable[[int], FusedSpillPolicy]] = {
+    "default": lambda fuse_min_bytes: FusedSpillPolicy(fuse_min_bytes),
+    "unfused": lambda fuse_min_bytes: FusedSpillPolicy(
+        fuse_min_bytes, fused=False, name="unfused"
+    ),
+}

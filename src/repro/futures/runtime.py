@@ -37,12 +37,16 @@ from repro.cluster.membership import ClusterMembership
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.common.errors import ObjectLostError
 from repro.common.ids import IdGenerator, NodeId, ObjectId, TaskId
+from repro.common.units import MB
 from repro.futures.config import RuntimeConfig
 from repro.futures.directory import ObjectDirectory
 from repro.futures.driver import DriverHandle, DriverHost
 from repro.futures.lineage import LineageManager
-from repro.futures.node_manager import NodeManager, NoLiveCopy
-from repro.futures.policies.registry import PolicyStack, resolve_policies
+from repro.futures.node_manager import (
+    FETCH_RETRY_BACKOFF_S,
+    NodeManager,
+    NoLiveCopy,
+)
 from repro.futures.refs import ObjectRef, make_ref, weak_release
 from repro.futures.remote import RemoteFunction
 from repro.futures.scheduler import Scheduler
@@ -63,6 +67,13 @@ from repro.simcore import BandwidthResource, Environment, Event
 #: Job dimension for work carrying no job id (plain single-driver runs,
 #: or background restores not tied to any task).
 UNATTRIBUTED_JOB = UNATTRIBUTED
+
+#: Aggregate bandwidth of the shared spill store, bytes/second.
+SHARED_STORE_BANDWIDTH_BYTES_PER_SEC = 1000 * MB
+
+#: Per-operation latency of the shared spill store, seconds (models the
+#: request round-trip of a remote blob/object service).
+SHARED_STORE_LATENCY_S = 10e-3
 
 
 class Runtime:
@@ -92,10 +103,6 @@ class Runtime:
         #: job axis.
         self.metrics = MetricRegistry()
         self.counters = self.metrics.counters
-        #: The resolved policy stack (placement, spill) named by the
-        #: config and instantiated from the registry; the scheduler and
-        #: every node manager consult it.
-        self.policies: PolicyStack = resolve_policies(self.config)
         #: Fault tolerance: node-death handling, retry pacing, and
         #: lineage reconstruction (§4.2.3) live here.
         self.lineage = LineageManager(self)
@@ -117,8 +124,8 @@ class Runtime:
         if self.config.spill_backend == "shared":
             self.shared_store = BandwidthResource(
                 self.env,
-                self.config.shared_store_bandwidth_bytes_per_sec,
-                per_op_latency=self.config.shared_store_latency_s,
+                SHARED_STORE_BANDWIDTH_BYTES_PER_SEC,
+                per_op_latency=SHARED_STORE_LATENCY_S,
                 name="shared-store",
             )
         #: Mid-run cluster elasticity: per-node lifecycle state (active /
@@ -447,10 +454,10 @@ class Runtime:
         """The one wait for a lost copy, entered holding nothing: until
         lineage gives the object a live copy somewhere (see
         :meth:`LineageManager.ensure_available`), then a
-        ``fetch_retry_backoff_s`` pause, because the directory may still
+        ``FETCH_RETRY_BACKOFF_S`` pause, because the directory may still
         claim stale locations on dead-but-undetected nodes."""
         yield self.lineage.ensure_available(object_id)
-        yield self.env.timeout(self.config.fetch_retry_backoff_s)
+        yield self.env.timeout(FETCH_RETRY_BACKOFF_S)
 
     def _fetch_to(self, manager: NodeManager, object_id: ObjectId) -> Iterator[Event]:
         """``manager.ensure_local(object_id)``, waiting in :meth:`await_copy`

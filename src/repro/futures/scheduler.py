@@ -10,7 +10,7 @@ cooldown window (``RuntimeConfig.blacklist_cooldown_s``).
 
 The decision rules themselves live in :mod:`repro.futures.policies`:
 the scheduler builds candidate views (alive nodes, blacklist state,
-load, argument bytes), asks the runtime's
+load, argument bytes), asks its
 :class:`~repro.futures.policies.PlacementPolicy` *where* and its
 :class:`~repro.futures.policies.FairShareDispatchPolicy` *when*,
 publishes a ``policy.decision`` event for each choice, and enacts it.
@@ -31,14 +31,16 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from repro.common.errors import SchedulingError
 from repro.common.ids import NodeId
 from repro.futures.policies.base import (
-    DispatchContext,
     DispatchOutcome,
     NodeCandidate,
     PlacementDecision,
     PlacementPolicy,
     PlacementRequest,
 )
-from repro.futures.policies.defaults import FairShareDispatchPolicy
+from repro.futures.policies.defaults import (
+    PLACEMENT_POLICIES,
+    FairShareDispatchPolicy,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.futures.runtime import Runtime
@@ -54,7 +56,9 @@ class Scheduler:
         #: a failure); stale entries are pruned lazily during placement.
         self._blacklist_until: Dict[NodeId, float] = {}
         #: Where tasks run (``RuntimeConfig.placement_policy``).
-        self.placement_policy: PlacementPolicy = runtime.policies.placement
+        self.placement_policy: PlacementPolicy = PLACEMENT_POLICIES[
+            runtime.config.placement_policy
+        ]()
         #: When tasks launch: registered jobs share the slots fairly.
         self.policy = FairShareDispatchPolicy()
 
@@ -70,21 +74,18 @@ class Scheduler:
         )
         return max(1, cores)
 
-    def _ctx(self) -> DispatchContext:
-        return DispatchContext(total_slots=self.total_slots)
-
     def dispatch(self, record: "TaskRecord") -> None:
         """A task became dependency-ready: let the dispatch policy
         launch it, park it, or release other queued work."""
         outcome = self.policy.submit(
-            record, record.spec.options.job_id, self._ctx()
+            record, record.spec.options.job_id, self.total_slots
         )
         self._enact(record, outcome)
 
     def task_done(self, record: "TaskRecord") -> None:
         """Hook: a dispatched task reached a terminal phase; the policy
         may free a slot and release queued work."""
-        outcome = self.policy.task_done(record, self._ctx())
+        outcome = self.policy.task_done(record, self.total_slots)
         self._enact(None, outcome)
 
     def _enact(
@@ -164,7 +165,7 @@ class Scheduler:
 
     def unregister_job(self, job_id: str) -> None:
         """Remove a finished job; any stragglers launch immediately."""
-        outcome = self.policy.unregister_job(job_id, self._ctx())
+        outcome = self.policy.unregister_job(job_id, self.total_slots)
         self._enact(None, outcome)
 
     def queued_tasks(self, job_id: str) -> int:

@@ -32,7 +32,7 @@ into:
   simulator measuring its *own* wall-clock time
   (:class:`~repro.obs.profile.SelfProfiler` scoped attribution,
   hot-loop counters, events-per-wall-second throughput, flamegraph
-  export; ``python -m repro.obs profile``).
+  export; ``pytest benchmarks/... --profile``).
 
 See ``docs/observability.md`` for the event taxonomy and span model,
 ``docs/perf.md`` for the analysis methodology, ``docs/live.md``

@@ -12,19 +12,15 @@ performance-analysis subcommands:
   baselines from fresh ``BENCH_*.json`` files (volatile fields
   stripped);
 - ``python -m repro.obs html TRACE`` -- export the single-file offline
-  HTML run explorer;
-- ``python -m repro.obs profile [TRACE | --workload chaos]`` -- the
-  simulator profiles *itself*: wall-clock attribution by category
-  (engine dispatch, bus publish, metrics charging, span derivation),
-  hot-loop counters, events-per-wall-second throughput, and
-  standalone-SVG flamegraph export (``--flame``; ``python -m cProfile``
-  gives function-level detail).
+  HTML run explorer.
 
 Report mode loads a :func:`repro.obs.report.record_run` JSONL file and
 prints the full run story (phase breakdown, slowest tasks, jobs and
-fairness, spill amplification, fault/retry timeline), followed by the
+fairness, spill amplification, fault/retry timeline, and any
+self-profile recorded in its run summary), followed by the
 critical-path and usage summaries; ``--json`` prints
-:meth:`RunReport.to_dict` instead.
+:meth:`RunReport.to_dict` instead.  The simulator profiles itself under
+``pytest benchmarks/... --profile`` (see ``docs/profiling.md``).
 """
 
 from __future__ import annotations
@@ -35,13 +31,8 @@ import os
 import sys
 from pathlib import Path
 
-from repro.chaos.harness import default_node_spec, make_inputs, submit_variant
-from repro.chaos.injector import ChaosInjector
-from repro.chaos.spec import FaultKind, matrix_plan
-from repro.futures import RetryPolicy, Runtime, RuntimeConfig
 from repro.obs.events import EventBus
 from repro.obs.report import RunReport
-from repro.obs.trace import derive_spans
 
 
 def _trace_path(parser: argparse.ArgumentParser, trace: str) -> str:
@@ -220,112 +211,6 @@ def _cmd_bless(argv) -> int:
     return 0
 
 
-def _chaos_workload(seed: int):
-    """The chaos demo workload ``profile --workload chaos`` runs: a push
-    shuffle under a node crash.  Returns ``(runtime, driver)``."""
-    rt = Runtime.create(
-        default_node_spec(),
-        4,
-        config=RuntimeConfig(retry_policy=RetryPolicy(max_attempts=8)),
-    )
-    ChaosInjector(rt, matrix_plan(FaultKind.NODE_CRASH, seed=seed))
-    inputs = make_inputs(seed, 8, 24)
-
-    def driver():
-        return rt.get(submit_variant("push", rt, inputs, 4))
-
-    return rt, driver
-
-
-def _cmd_profile(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs profile",
-        description="Self-profile the simulator: wall-clock attribution "
-        "by engine/bus/metrics category, hot-loop counters, events-per-"
-        "wall-second throughput, and flamegraph export.  With TRACE, "
-        "profiles the offline analysis pipeline over that recording "
-        "(and prints any profile recorded in its run.summary); with "
-        "--workload, runs the built-in chaos workload instrumented.",
-    )
-    parser.add_argument(
-        "trace", nargs="?", help="a record_run() JSONL file to analyze"
-    )
-    parser.add_argument(
-        "--workload",
-        choices=("chaos",),
-        default=None,
-        help="run a built-in workload live with the profiler installed",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument(
-        "--flame", default=None, help="write a standalone SVG flamegraph here"
-    )
-    parser.add_argument(
-        "--folded",
-        default=None,
-        help="write collapsed-stack text (for external flamegraph tools)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="print the profile as JSON"
-    )
-    args = parser.parse_args(argv)
-    from repro.obs.profile import (
-        SelfProfiler,
-        folded_from_profiler,
-        render_profile,
-        write_flamegraph,
-    )
-
-    if args.trace is None and args.workload is None:
-        parser.error("expected a trace file or --workload")
-        return 2
-    prof = SelfProfiler()
-    if args.workload:
-        rt, driver = _chaos_workload(args.seed)
-        with prof:
-            rt.run(driver)
-            rt.env.run()
-        recorded = {}
-    else:
-        trace = _trace_path(parser, args.trace)
-        prof.start()
-        with prof.scope("trace.load"):
-            events = EventBus.load_jsonl(trace)
-        with prof.scope("span.derive"):
-            derive_spans(events)
-        with prof.scope("report.render"):
-            report = RunReport(events)
-            report.render()
-        recorded = report.summary.get("profile", {})
-    prof.finish()
-    if args.json:
-        payload = prof.to_dict()
-        if recorded:
-            payload["recorded_profile"] = recorded
-        print(json.dumps(payload, indent=2))
-    else:
-        print(prof.render())
-        if recorded:
-            print()
-            print("recorded run.summary profile")
-            print(render_profile(recorded))
-    folded = folded_from_profiler(prof)
-    if args.flame:
-        out = write_flamegraph(
-            folded,
-            Path(args.flame),
-            title="self-profile (category scopes)",
-            folded_path=Path(args.folded) if args.folded else None,
-        )
-        print(f"wrote {out}")
-    elif args.folded:
-        from repro.obs.profile.flame import folded_lines
-
-        Path(args.folded).write_text("\n".join(folded_lines(folded)) + "\n")
-        print(f"wrote {args.folded}")
-    return 0
-
-
 def _cmd_html(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs html",
@@ -367,7 +252,6 @@ _SUBCOMMANDS = {
     "diff": _cmd_diff,
     "bless": _cmd_bless,
     "html": _cmd_html,
-    "profile": _cmd_profile,
 }
 
 
@@ -379,7 +263,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Observability-plane run reporter. "
-        "Subcommands: critpath, usage, diff, bless, html, profile.",
+        "Subcommands: critpath, usage, diff, bless, html.",
     )
     parser.add_argument(
         "trace",

@@ -357,14 +357,6 @@ class EventBus:
             if e.kind == prefix or e.kind.startswith(dotted)
         ]
 
-    def by_seq(self) -> Dict[int, ObsEvent]:
-        """Recorded events indexed by ``seq``."""
-        return {e.seq: e for e in self.events}
-
-    def causal_chain(self, event: ObsEvent) -> List[ObsEvent]:
-        """The event plus its transitive causes, effect first."""
-        return causal_chain(event, self.by_seq())
-
     def clear(self) -> None:
         """Drop recorded events (sequence numbers keep increasing)."""
         self._events.clear()

@@ -407,7 +407,7 @@ function renderTable(parent, tableData) {
 
   document.getElementById("engine").textContent = DATA.engine ||
     "run recorded without a self-profiler (attach one via benchmarks " +
-    "--profile or python -m repro.obs profile --workload)";
+    "--profile)";
 })();
 </script>
 </body>

@@ -55,7 +55,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.events import EventBus, ObsEvent
+from repro.obs.events import ObsEvent
 
 #: Per-node track names, in display order.
 NODE_TRACKS = ("cpu", "disk", "nic", "store", "spill_queue")
@@ -272,11 +272,6 @@ class TimeSeriesSampler:
             sampler.on_event(event)
         sampler.finish()
         return sampler
-
-    @classmethod
-    def replay_file(cls, path: str, **kwargs: Any) -> "TimeSeriesSampler":
-        """Sample a ``record_run`` JSONL file end to end."""
-        return cls.replay(EventBus.load_jsonl(path), **kwargs)
 
     # -- sampling core ---------------------------------------------------------
     def on_event(self, event: ObsEvent) -> None:

@@ -29,8 +29,8 @@ patches hot methods on their *classes* (``Environment.step``,
 when off -- the golden event digests pin that the observer does not
 perturb the observed.
 
-See ``docs/profiling.md`` for the methodology and
-``python -m repro.obs profile`` for the CLI.
+See ``docs/profiling.md`` for the methodology; ``pytest
+benchmarks/... --profile`` writes each bench's profile and flamegraph.
 """
 
 from repro.obs.profile.core import SelfProfiler, render_profile

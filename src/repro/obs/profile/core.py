@@ -396,8 +396,7 @@ def render_profile(profile: Dict[str, Any]) -> str:
     shares, and the hot-loop counters ("" for an empty payload).
 
     The one rendering of a profile: :meth:`SelfProfiler.render`, the run
-    report's Engine section, ``python -m repro.obs profile`` and the
-    HTML explorer all print it.
+    report's Engine section and the HTML explorer all print it.
     """
     if not profile:
         return ""

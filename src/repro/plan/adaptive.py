@@ -113,21 +113,13 @@ class AdaptivePlanner:
         self._write_begins: Dict[int, Any] = {}
         self._stalls_mark = 0
         self._pressure_mark = 0
-        self._unsubscribe: Optional[Callable[[], None]] = None
 
     # -- wiring ---------------------------------------------------------------
     def attach(self, bus: Any) -> Callable[[], None]:
         """Subscribe to a bus for signal accumulation and event emission;
         returns the unsubscribe callable."""
         self.bus = bus
-        self._unsubscribe = bus.subscribe(self.on_event)
-        return self._unsubscribe
-
-    def detach(self) -> None:
-        """Stop watching the bus (plans already made stay valid)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
+        return bus.subscribe(self.on_event)
 
     # -- signal accumulation --------------------------------------------------
     def on_event(self, event: Any) -> None:

@@ -4,9 +4,12 @@ from typing import List
 
 import pytest
 
+from repro.chaos.harness import default_node_spec, make_inputs, submit_variant
+from repro.chaos.injector import ChaosInjector
+from repro.chaos.spec import FaultKind, matrix_plan
 from repro.cluster import DiskSpec, NicSpec, NodeSpec
 from repro.common.units import GIB, MIB
-from repro.futures import Runtime, RuntimeConfig
+from repro.futures import RetryPolicy, Runtime, RuntimeConfig
 
 #: Registries currently collecting runtimes for post-test invariant
 #: checking; ``make_runtime`` appends every runtime it builds to each
@@ -43,6 +46,23 @@ def make_runtime(
     for registry in _active_invariant_registries:
         registry.append(runtime)
     return runtime
+
+
+def _chaos_workload(seed: int):
+    """The chaos demo workload: a push shuffle under a node crash.
+    Returns ``(runtime, driver)``."""
+    rt = Runtime.create(
+        default_node_spec(),
+        4,
+        config=RuntimeConfig(retry_policy=RetryPolicy(max_attempts=8)),
+    )
+    ChaosInjector(rt, matrix_plan(FaultKind.NODE_CRASH, seed=seed))
+    inputs = make_inputs(seed, 8, 24)
+
+    def driver():
+        return rt.get(submit_variant("push", rt, inputs, 4))
+
+    return rt, driver
 
 
 @pytest.fixture

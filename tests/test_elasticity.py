@@ -24,6 +24,7 @@ from repro.chaos import InvariantChecker
 from repro.cluster import ClusterMembership
 from repro.common.units import MB
 from repro.futures import RuntimeConfig
+from repro.obs.events import causal_chain
 
 from benchmarks.bench_elastic_churn import run_churn_shuffle
 from tests.conftest import make_runtime
@@ -294,12 +295,13 @@ class TestSharedTierDurability:
         # Every retry chains causally back to the departure event.
         retries = [e for e in rt.bus.events if e.kind == "task.retry"]
         assert retries
+        index = {e.seq: e for e in rt.bus.events}
         chained = [
             e for e in retries
             if any(
                 parent.kind == "cluster.membership"
                 and parent.attrs.get("action") == "remove"
-                for parent in rt.bus.causal_chain(e)
+                for parent in causal_chain(e, index)
             )
         ]
         assert chained, "task.retry must link causally to the departure"

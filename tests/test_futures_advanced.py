@@ -215,10 +215,6 @@ class TestPeekAndIntrospection:
 class TestRuntimeConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            RuntimeConfig(cpu_throughput_bytes_per_sec=0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(task_overhead_s=-1)
-        with pytest.raises(ValueError):
             RuntimeConfig(fuse_min_bytes=0)
         with pytest.raises(ValueError):
             RuntimeConfig(failure_detection_s=-1)

@@ -9,7 +9,7 @@ import pytest
 from repro.chaos import InvariantChecker
 from repro.common.ids import NodeId, ObjectId, TaskId
 from repro.common.units import MB, MIB
-from repro.futures import RuntimeConfig, register_policy
+from repro.futures import RuntimeConfig
 from repro.futures.directory import ObjectDirectory
 from repro.futures.policies import (
     AffinityStage,
@@ -17,7 +17,6 @@ from repro.futures.policies import (
     LeastLoadedStage,
     StagedPlacementPolicy,
 )
-from repro.futures.policies.registry import _REGISTRY
 from repro.sort import SortJobConfig, run_sort
 
 from tests.conftest import make_runtime
@@ -193,22 +192,15 @@ class TestFetchingAndLocality:
         assert rt.cluster.network_bytes_sent >= 50 * MB
 
     def test_locality_scheduling_avoids_network(self):
-        # The default placement minus its LocalityStage, registered
-        # through the test seam so the stage's effect shows end to end.
-        register_policy(
-            "placement",
-            "no-locality",
-            lambda config: StagedPlacementPolicy(
-                "no-locality",
-                [BlacklistStage(), AffinityStage(), LeastLoadedStage()],
-            ),
-        )
-
+        # The default placement minus its LocalityStage, set at the
+        # scheduler's seam so the stage's effect shows end to end.
         def run(locality):
-            config = RuntimeConfig(
-                placement_policy="default" if locality else "no-locality"
-            )
-            rt = make_runtime(num_nodes=4, config=config)
+            rt = make_runtime(num_nodes=4)
+            if not locality:
+                rt.scheduler.placement_policy = StagedPlacementPolicy(
+                    "no-locality",
+                    [BlacklistStage(), AffinityStage(), LeastLoadedStage()],
+                )
             make = rt.remote(lambda: _blob(50))
             consume = rt.remote(lambda x: x.nbytes)
             node = rt.cluster.node_ids[2]
@@ -221,14 +213,11 @@ class TestFetchingAndLocality:
             rt.run(driver)
             return rt.cluster.network_bytes_sent
 
-        try:
-            # With locality only the tiny final result crosses the network.
-            assert run(locality=True) < 1000
-            # Without locality the consumer lands on the least-loaded node
-            # (node 0 by id order) and must pull the bytes.
-            assert run(locality=False) >= 50 * MB
-        finally:
-            del _REGISTRY[("placement", "no-locality")]
+        # With locality only the tiny final result crosses the network.
+        assert run(locality=True) < 1000
+        # Without locality the consumer lands on the least-loaded node
+        # (node 0 by id order) and must pull the bytes.
+        assert run(locality=False) >= 50 * MB
 
     def test_node_affinity_is_soft_when_node_dead(self):
         rt = make_runtime(num_nodes=3)

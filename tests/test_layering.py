@@ -48,62 +48,6 @@ def test_lint_catches_mechanism_imports(tmp_path):
                         "'repro.simcore'"]
 
 
-def test_registry_covers_every_policy_kind():
-    """Every declared kind has a built-in."""
-    lint = _lint()
-    root = REPO / "src" / "repro" / "futures" / "policies"
-    assert lint.check_registry_coverage(root) == []
-
-
-def test_registry_coverage_catches_missing_kind(tmp_path):
-    lint = _lint()
-    (tmp_path / "registry.py").write_text(
-        textwrap.dedent(
-            """
-            POLICY_KINDS = ("placement", "spill")
-            def register_policy(kind, name, factory):
-                pass
-            register_policy("placement", "default", None)
-            """
-        )
-    )
-    violations = lint.check_registry_coverage(tmp_path)
-    assert len(violations) == 1 and "'spill'" in violations[0]
-    # A tree with a registry.py gets the coverage check from main() too.
-    assert lint.main([str(tmp_path)]) == 1
-
-
-def test_registry_coverage_pairs_kinds_with_config_selectors(tmp_path):
-    lint = _lint()
-    policies = tmp_path / "policies"
-    policies.mkdir()
-    (policies / "registry.py").write_text(
-        textwrap.dedent(
-            """
-            POLICY_KINDS = ("placement", "spill")
-            def register_policy(kind, name, factory):
-                pass
-            register_policy("placement", "default", None)
-            register_policy("spill", "default", None)
-            """
-        )
-    )
-    (tmp_path / "config.py").write_text(
-        textwrap.dedent(
-            """
-            class RuntimeConfig:
-                placement_policy: str = "default"
-                memory_policy: str = "default"
-                retry_policy: RetryPolicy = None
-            """
-        )
-    )
-    violations = lint.check_registry_coverage(policies)
-    assert len(violations) == 2
-    assert "RuntimeConfig.memory_policy selects no kind" in violations[0]
-    assert "'spill' has no RuntimeConfig.spill_policy" in violations[1]
-
-
 def test_streaming_tier_is_not_imported_by_the_core():
     """Nothing in the data-plane core imports ``repro.streaming``."""
     lint = _lint()

@@ -159,7 +159,7 @@ class TestLiveReplayParity:
         path = tmp_path / "run.events.jsonl"
         live = TimeSeriesSampler()
         _chaos_run(sampler=live, record_path=path)
-        replayed = TimeSeriesSampler.replay_file(str(path))
+        replayed = TimeSeriesSampler.replay(EventBus.load_jsonl(str(path)))
         assert live.series_digest() == replayed.series_digest()
         assert live.samples_taken == replayed.samples_taken
         assert live.samples_taken > 0 and len(live.series) > 0
@@ -191,8 +191,8 @@ class TestLiveReplayParity:
             path = Path(tmp) / "run.events.jsonl"
             live = TimeSeriesSampler(interval_s=interval_s)
             _chaos_run(sampler=live, record_path=path)
-            replayed = TimeSeriesSampler.replay_file(
-                str(path), interval_s=interval_s
+            replayed = TimeSeriesSampler.replay(
+                EventBus.load_jsonl(str(path)), interval_s=interval_s
             )
         assert live.series_digest() == replayed.series_digest()
 
@@ -250,7 +250,7 @@ def test_replayed_long_run_keeps_every_sample(tmp_path):
     assert rt.env.now >= 200.0
     path = tmp_path / "long.events.jsonl"
     record_run(rt, str(path))
-    sampler = TimeSeriesSampler.replay_file(str(path))
+    sampler = TimeSeriesSampler.replay(EventBus.load_jsonl(str(path)))
     assert sampler.samples_taken >= 800
     cpu = [sampler.get(f"node:{node}:cpu") for node in sampler.nodes()]
     assert all(len(series) == sampler.samples_taken for series in cpu)

@@ -37,6 +37,7 @@ from repro.obs import (
     span_chrome_events,
     write_chrome_trace,
 )
+from repro.obs.events import causal_chain
 from repro.obs.trace import lineage_parents
 
 from tests.conftest import make_runtime
@@ -140,7 +141,7 @@ class TestEventBus:
             "transfer.begin", node=NodeId(1), obj=ObjectId(9), cause=0, src="N002"
         )
         assert [e.seq for e in seen] == [seq]
-        recorded = bus.by_seq()[seq]
+        recorded = {e.seq: e for e in bus.events}[seq]
         assert recorded == seen[0] and recorded is seen[0]
         assert (recorded.ts, recorded.node, recorded.obj) == (2.0, "N001", "O00009")
         assert type(recorded.ts) is float
@@ -392,8 +393,9 @@ class TestCausality:
         rt = _chaos_runtime()
         retries = rt.bus.events_of("task.retry")
         assert retries
+        index = {e.seq: e for e in rt.bus.events}
         for retry in retries:
-            kinds = [e.kind for e in rt.bus.causal_chain(retry)]
+            kinds = [e.kind for e in causal_chain(retry, index)]
             assert "node.death" in kinds and "chaos.fault" in kinds
 
     def test_reexecuted_attempt_span_parents_the_retry(self):
@@ -419,7 +421,7 @@ class TestCausality:
         spans = derive_spans(rt.bus.events)
         spill_spans = [s for s in spans if s.cat == "spill"]
         assert spill_spans
-        index = rt.bus.by_seq()
+        index = {e.seq: e for e in rt.bus.events}
         for span in spill_spans:
             begin = index[span.parent]
             assert begin.kind.endswith(".begin")
@@ -644,7 +646,7 @@ class TestRunReport:
         assert sum(per_job.values()) == total
 
     def test_policy_decisions_reconstruct_affinity_offline(self, tmp_path):
-        from repro.obs.__main__ import _chaos_workload
+        from tests.conftest import _chaos_workload
 
         rt, driver = _chaos_workload(0)
         rt.run(driver)

@@ -245,7 +245,7 @@ USAGE_GOLDEN = {
 def _recorded_run(name):
     """Run one pinned workload; returns its runtime."""
     if name == "chaos":
-        from repro.obs.__main__ import _chaos_workload
+        from tests.conftest import _chaos_workload
 
         rt, driver = _chaos_workload(0)
         rt.run(driver)

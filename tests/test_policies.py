@@ -1,7 +1,7 @@
-"""The policy plane: registry contents and placement-policy properties.
+"""The policy plane: its name tables and placement-policy properties.
 
-The property tests run over *every* registered placement policy, so a
-newly registered policy is automatically held to the same contract:
+The property tests run over *every* named placement policy, so a
+newly named policy is automatically held to the same contract:
 return only (alive) candidates, honour the blacklist when alternatives
 exist, and fall through gracefully when all candidates are blacklisted
 or the affinity hint is dead.  A chaos-matrix integration test then
@@ -26,17 +26,10 @@ from repro.chaos.harness import (
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.spec import FaultKind, matrix_plan
 from repro.common.ids import NodeId, TaskId
-from repro.futures import (
-    POLICY_KINDS,
-    RetryPolicy,
-    Runtime,
-    RuntimeConfig,
-    available_policies,
-    create_policy,
-    register_policy,
-)
+from repro.futures import RetryPolicy, Runtime, RuntimeConfig
 from repro.futures.policies import (
-    DispatchContext,
+    PLACEMENT_POLICIES,
+    SPILL_POLICIES,
     DispatchOutcome,
     NodeCandidate,
     PlacementDecision,
@@ -44,31 +37,36 @@ from repro.futures.policies import (
     StagedPlacementPolicy,
 )
 from repro.futures.policies.defaults import FairShareDispatchPolicy
-from repro.futures.policies.registry import _REGISTRY
 from repro.futures.task import TaskPhase, TaskRecord
 
 
-# -- registry -----------------------------------------------------------------
+# -- names --------------------------------------------------------------------
 def test_registry_has_the_builtin_policies():
-    assert POLICY_KINDS == ("placement", "spill")
-    assert available_policies() == {
-        "placement": ["default", "load-only"],
-        "spill": ["default", "unfused"],
-    }
+    assert list(PLACEMENT_POLICIES) == ["default", "load-only"]
+    assert list(SPILL_POLICIES) == ["default", "unfused"]
+    for name, make in PLACEMENT_POLICIES.items():
+        assert make().name == name
+    for name, make in SPILL_POLICIES.items():
+        assert make(1).name == name
 
 
 def test_unknown_policy_name_is_a_typed_error():
-    with pytest.raises(ValueError, match="unknown placement policy"):
-        create_policy("placement", "nope", RuntimeConfig())
-    with pytest.raises(ValueError, match="unknown policy kind"):
-        register_policy("steering", "x", lambda config: None)
-    with pytest.raises(ValueError, match="unknown spill policy 'nope'"):
-        Runtime.create(
-            default_node_spec(), 2, config=RuntimeConfig(spill_policy="nope")
-        )
+    """``RuntimeConfig`` itself rejects a name no table holds, listing
+    the known ones, before any runtime is built."""
+    with pytest.raises(
+        ValueError,
+        match=r"unknown placement policy 'nope'; known: default, load-only$",
+    ):
+        RuntimeConfig(placement_policy="nope")
+    with pytest.raises(
+        ValueError, match=r"unknown spill policy 'typo'; known: default, unfused$"
+    ):
+        RuntimeConfig(spill_policy="typo")
 
 
 def test_custom_policy_registers_and_resolves_through_config():
+    """Any object with the :class:`PlacementPolicy` shape can stand in
+    at the scheduler's seam, and its decisions reach the bus."""
     class FirstNodePolicy:
         name = "first-node"
 
@@ -81,33 +79,19 @@ def test_custom_policy_registers_and_resolves_through_config():
                 candidates=len(candidates),
             )
 
-    register_policy("placement", "first-node", lambda config: FirstNodePolicy())
-    try:
-        rt = Runtime.create(
-            default_node_spec(),
-            2,
-            config=RuntimeConfig(placement_policy="first-node"),
-        )
-        assert rt.policies.placement.name == "first-node"
-        double = rt.remote(lambda x: 2 * x)
+    rt = Runtime.create(default_node_spec(), 2)
+    rt.scheduler.placement_policy = FirstNodePolicy()
+    double = rt.remote(lambda x: 2 * x)
 
-        def driver():
-            return rt.get([double.remote(i) for i in range(4)])
+    def driver():
+        return rt.get([double.remote(i) for i in range(4)])
 
-        assert rt.run(driver) == [0, 2, 4, 6]
-        places = rt.bus.events_of("policy.decision")
-        assert any(
-            e.attrs.get("policy") == "placement:first-node" for e in places
-        )
-    finally:
-        del _REGISTRY[("placement", "first-node")]
+    assert rt.run(driver) == [0, 2, 4, 6]
+    places = rt.bus.events_of("policy.decision")
+    assert any(e.attrs.get("policy") == "placement:first-node" for e in places)
 
 
 # -- placement-policy properties ----------------------------------------------
-def _placement_policies() -> List[str]:
-    return available_policies("placement")["placement"]
-
-
 def _make_candidates(
     blacklisted: List[bool], loads: List[int], arg_bytes: List[int]
 ) -> List[NodeCandidate]:
@@ -141,11 +125,11 @@ candidate_lists = st.integers(min_value=1, max_value=8).flatmap(
 )
 
 
-@pytest.mark.parametrize("policy_name", _placement_policies())
+@pytest.mark.parametrize("policy_name", list(PLACEMENT_POLICIES))
 @given(data=candidate_lists)
 @settings(max_examples=60, deadline=None)
 def test_placement_contract(policy_name: str, data) -> None:
-    """Every registered placement policy: alive-only, blacklist-aware,
+    """Every named placement policy: alive-only, blacklist-aware,
     graceful fall-through."""
     blacklisted, loads, arg_bytes, hint_index, hinted = data
     candidates = _make_candidates(blacklisted, loads, arg_bytes)
@@ -154,7 +138,7 @@ def test_placement_contract(policy_name: str, data) -> None:
     request = PlacementRequest(
         task_id=TaskId(7), affinity=affinity, job_id=None
     )
-    policy = create_policy("placement", policy_name, RuntimeConfig())
+    policy = PLACEMENT_POLICIES[policy_name]()
     decision = policy.place(request, candidates)
 
     by_id = {c.node_id: c for c in candidates}
@@ -178,7 +162,7 @@ def test_default_placement_affinity_semantics(data) -> None:
     candidates = _make_candidates(blacklisted, loads, arg_bytes)
     hint = NodeId(hint_index)
     request = PlacementRequest(task_id=TaskId(0), affinity=hint, job_id=None)
-    policy = create_policy("placement", "default", RuntimeConfig())
+    policy = PLACEMENT_POLICIES["default"]()
     decision = policy.place(request, candidates)
     survivors = [c for c in candidates if not c.blacklisted] or candidates
     if any(c.node_id == hint for c in survivors):
@@ -220,9 +204,9 @@ class _BruteForceFairShare(FairShareDispatchPolicy):
         cap = self._tenant_caps.get(tenant) if tenant is not None else None
         return cap is None or self._inflight_by_tenant[tenant] < cap
 
-    def _pump(self, ctx):
+    def _pump(self, total_slots):
         launch, picks = [], []
-        while len(self._inflight) < ctx.total_slots:
+        while len(self._inflight) < total_slots:
             eligible = [
                 job for job, queue in self._queues.items()
                 if queue and self._has_room(job)
@@ -330,31 +314,34 @@ def test_fair_share_picks_match_brute_force(ops):
             job, slots = args
             record = TaskRecord(spec=None)
             job_of[record] = job
-            ctx = DispatchContext(total_slots=slots)
-            outcome = heap.submit(record, job, ctx)
+            outcome = heap.submit(record, job, slots)
             if outcome.parked is not None:
                 parked.append(record)
-            check(outcome, reference.submit(record, job, ctx))
+            check(outcome, reference.submit(record, job, slots))
         elif op in ("done", "retry") and inflight:
             index, slots = args
-            ctx = DispatchContext(total_slots=slots)
             if op == "done":
                 record = inflight.pop(index % len(inflight))
                 record.phase = TaskPhase.FINISHED
-                check(heap.task_done(record, ctx), reference.task_done(record, ctx))
+                check(
+                    heap.task_done(record, slots),
+                    reference.task_done(record, slots),
+                )
             else:
                 record = inflight.pop(index % len(inflight))
                 job = job_of[record]
-                outcome = heap.submit(record, job, ctx)
+                outcome = heap.submit(record, job, slots)
                 if outcome.parked is not None:  # a straggler, queued afresh
                     parked.append(record)
-                check(outcome, reference.submit(record, job, ctx))
+                check(outcome, reference.submit(record, job, slots))
         elif op == "fail_parked" and parked:
             parked.pop(args[0] % len(parked)).phase = TaskPhase.FAILED
         elif op == "unregister":
             job, slots = args
-            ctx = DispatchContext(total_slots=slots)
-            check(heap.unregister_job(job, ctx), reference.unregister_job(job, ctx))
+            check(
+                heap.unregister_job(job, slots),
+                reference.unregister_job(job, slots),
+            )
 
 
 # -- chaos matrix integration -------------------------------------------------

@@ -19,7 +19,6 @@ Four contracts pin the tier:
   diffs as a perf-trajectory track but never flip the regression gate.
 """
 
-import json
 import time
 
 import pytest
@@ -392,6 +391,9 @@ def test_throughput_and_counters():
     assert counts["metric_charges"] > 0
     payload = prof.to_dict()
     assert payload["coverage_error"] < 0.01
+    assert sum(payload["categories"].values()) == pytest.approx(
+        payload["wall_time_s"], rel=0.01
+    )
     assert set(payload["categories"]) == set(payload["fractions"])
     assert sum(payload["fractions"].values()) == pytest.approx(1.0, abs=0.02)
 
@@ -467,7 +469,7 @@ def test_profiled_run_reports_bare_callbacks_as_callbackevent():
 # -- flamegraph export -----------------------------------------------------
 
 
-def test_flamegraph_svg_is_standalone():
+def test_flamegraph_svg_is_standalone(tmp_path):
     _rt, prof, _result = _profiled_sort()
     folded = folded_from_profiler(prof)
     assert folded, "profiled run must yield folded stacks"
@@ -481,6 +483,11 @@ def test_flamegraph_svg_is_standalone():
     # The only URL anywhere is the SVG XML namespace itself.
     stripped = svg.replace("http://www.w3.org/2000/svg", "")
     assert "http://" not in stripped and "https://" not in stripped
+    # A real run's stacks written out: the SVG plus the folded text.
+    svg_path, folded_path = tmp_path / "run.svg", tmp_path / "run.folded"
+    write_flamegraph(folded, svg_path, folded_path=folded_path)
+    assert svg_path.read_text().startswith("<svg")
+    assert folded_path.read_text().splitlines() == folded_lines(folded)
 
 
 def test_write_flamegraph_and_folded_lines(tmp_path):
@@ -608,45 +615,3 @@ def test_trajectory_rows_survive_missing_profile_sections():
     assert {r["metric"] for r in trajectory_rows(bare, bare)} == {
         "wall_time_s"
     }
-
-
-# -- the CLI ---------------------------------------------------------------
-
-
-def test_cli_profile_workload_writes_artifacts(tmp_path, capsys):
-    from repro.obs.__main__ import main
-
-    flame = tmp_path / "chaos.flame.svg"
-    folded = tmp_path / "chaos.folded"
-    rc = main([
-        "profile", "--workload", "chaos", "--seed", "0",
-        "--flame", str(flame), "--folded", str(folded), "--json",
-    ])
-    assert rc == 0
-    out = capsys.readouterr().out
-    # The JSON payload comes first; "wrote <path>" lines follow it.
-    payload = json.loads(out.partition("\nwrote ")[0])
-    assert payload["events_processed"] > 0
-    assert payload["coverage_error"] < 0.01
-    assert sum(payload["categories"].values()) == pytest.approx(
-        payload["wall_time_s"], rel=0.01
-    )
-    assert flame.read_text().startswith("<svg")
-    assert folded.read_text().strip()
-
-
-def test_cli_profile_trace_mode_profiles_the_pipeline(tmp_path, capsys):
-    from repro.obs.__main__ import main
-
-    rt, prof, _result = _profiled_sort()
-    trace = tmp_path / "run.events.jsonl"
-    record_run(rt, str(trace), profile=prof.to_dict())
-    rc = main(["profile", str(trace)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    # Self-profile of the offline pipeline over the recording...
-    assert "trace.load" in out
-    # ...plus the engine profile recorded inside the trace itself.
-    _pipeline, marker, recorded = out.partition("recorded run.summary profile")
-    assert marker
-    assert "engine.dispatch." in recorded

@@ -34,6 +34,7 @@ from repro.common.errors import JobControlError
 from repro.common.units import MIB
 from repro.futures import Runtime
 from repro.jobs import JobSpec, StreamSpec, TenantQuota, TenantSpec, job_runner
+from repro.obs.events import causal_chain
 from repro.obs.report import RunReport, record_run
 from repro.obs.trace import derive_spans
 from repro.shuffle import RoundDriver, streaming_shuffle
@@ -388,7 +389,7 @@ class TestStreamingEvents:
         rt.run(run_streaming_job, rt, spec, job_id="ch")
         ends = [e for e in rt.bus.events if e.kind == "stream.agg.end"]
         assert ends
-        chain = rt.bus.causal_chain(ends[0])
+        chain = causal_chain(ends[0], {e.seq: e for e in rt.bus.events})
         kinds = [e.kind for e in chain]
         assert kinds[:4] == [
             "stream.agg.end", "stream.agg.begin", "stream.window.close",

@@ -1,55 +1,44 @@
 #!/usr/bin/env python
-"""Layering lint: the policy plane must stay mechanism-free, the
-streaming tier must stay optional, counters live in one store, and the
+"""Layering lint: each plane imports only what its role allows, counters
+live in one store, one module lowers shuffle variants, and the
 observability plane stays smaller than the runtime it observes.
 
-``repro.futures.policies`` holds pure decision rules; the refactor that
-extracted them is only worth keeping if they *stay* extracted.  This
-tool walks every module under ``src/repro/futures/policies`` with
-:mod:`ast` and reports any import that is not
+Run as ``python tools/check_layering.py`` (CI does; nonzero exit on any
+violation).  With a tree argument it runs the policy-plane import check
+on that tree alone; with none it checks ``src/repro/futures/policies``
+and then the whole source tree:
 
-- the Python standard library,
-- ``repro.common`` (ids, errors, rng, units -- value types and helpers),
-- ``repro.futures.task`` / ``repro.futures.refs`` (task/ref value types),
-- the policies package itself (absolute or relative).
-
-In particular ``Runtime``, ``NodeManager``, ``ObjectStore``,
-``Scheduler``, and ``repro.simcore`` are mechanism layers and must
-never be imported here -- policies receive frozen view dataclasses, not
-live runtime state.
-
-The second check runs in the opposite direction: ``repro.streaming``
-may depend on the jobs/futures/obs planes, but nothing outside the
-tier (:data:`STREAMING_IMPORTERS`) may import ``repro.streaming``.
-A core module importing the tier
-would make it load-bearing in batch-only runs, breaking the
-zero-cost-when-off contract the golden digest tests pin.  Run as
-``python tools/check_layering.py`` (CI does; nonzero exit on
-violation).
-
-The last check keeps the runtime's accounting in one place: the
-:class:`~repro.obs.registry.MetricRegistry` holds every counter, and
-only the modules in :data:`COUNTERS_OWNERS` may build a ``Counters``.
-A second store elsewhere would need its own proof that it agrees with
-the first.
-
-The run-path import check runs what a driver script runs -- import
-the run packages (:data:`RUN_PATH_SCRIPT`), build a virtual sort's
-config -- in a fresh interpreter and fails if it loaded a module in
-:data:`RUN_PATH_FORBIDDEN`: numpy, which only real payloads need, or an
-obs reader, which only reads a finished run.  A virtual run simulates
-from metadata alone, and an eager import anywhere on its path would
-make every run pay for what it never uses.
-
-The one-lowering check keeps a single variant dispatcher: a module
-outside ``repro.shuffle`` that imports two or more of
-:data:`SHUFFLE_LIBRARIES` is choosing among variants itself, which is
-:func:`repro.shuffle.submit`'s job.
-
-The size check keeps ``src/repro/obs`` below ``src/repro/futures`` in
-lines of ``*.py`` (as ``cat ... | wc -l`` counts them) and prints both
-counts.  The observer growing past the runtime it observes is the sign
-that a reader derives a fact some other reader already derives.
+- Policy plane.  ``repro.futures.policies`` holds pure decision rules,
+  and every module under it (walked with :mod:`ast`) may import only
+  the standard library, ``repro.common``, the task/ref value types
+  (``repro.futures.task`` / ``repro.futures.refs``) and the policies
+  package itself.  ``Runtime``, ``NodeManager``, ``ObjectStore``,
+  ``Scheduler`` and ``repro.simcore`` are mechanism layers: policies
+  receive frozen view dataclasses, not live runtime state.
+- Optional tiers.  Nothing outside ``repro.streaming``
+  (:data:`STREAMING_IMPORTERS`) imports it, the data plane never
+  imports the live ops plane, the data plane and the cluster fabric
+  never import the self-profiler, and ``repro.plan`` imports only value
+  helpers and itself.  A core module importing a tier would make it
+  load-bearing in runs that do not use it, breaking the
+  zero-cost-when-off contract the golden digests pin.
+- One accounting store.  The
+  :class:`~repro.obs.registry.MetricRegistry` holds every counter, and
+  only the modules in :data:`COUNTERS_OWNERS` may build a ``Counters``.
+  A second store would need its own proof that it agrees with the
+  first.
+- One lowering.  A module outside ``repro.shuffle`` that imports two
+  or more of :data:`SHUFFLE_LIBRARIES` is choosing among variants
+  itself, which is :func:`repro.shuffle.submit`'s job.
+- Run-path imports.  What a driver script runs -- import the run
+  packages (:data:`RUN_PATH_SCRIPT`), build a virtual sort's config --
+  runs in a fresh interpreter and must load no module in
+  :data:`RUN_PATH_FORBIDDEN`: numpy, which only real payloads need, or
+  an obs reader, which only reads a finished run.
+- Size.  ``src/repro/obs`` stays below ``src/repro/futures`` in lines
+  of ``*.py`` (as ``cat ... | wc -l`` counts them), and both counts are
+  printed.  The observer growing past the runtime it observes is the
+  sign that a reader derives a fact some other reader already derives.
 """
 
 from __future__ import annotations
@@ -211,98 +200,6 @@ def check_tree(root: Path) -> List[str]:
     for path in sorted(root.rglob("*.py")):
         violations.extend(check_file(path))
     return violations
-
-
-def check_registry_coverage(root: Path) -> List[str]:
-    """One registry kind per config selector, each with a built-in.
-
-    Walks ``registry.py`` with :mod:`ast`, reads the ``POLICY_KINDS``
-    tuple and all module-level ``register_policy(kind, name, ...)``
-    calls, and reports kinds with no built-in: such a kind would fail
-    config resolution at runtime, so the lint catches it before any
-    test builds a Runtime.  When ``config.py`` sits next to the package
-    (``root.parent``), it also walks ``RuntimeConfig``'s ``str`` fields
-    named ``<kind>_policy`` and reports a field whose kind is not in
-    ``POLICY_KINDS`` and a kind with no such field -- each decision the
-    registry serves is selected by exactly one config name.
-    """
-    registry = root / "registry.py"
-    if not registry.is_file():
-        return [f"{registry}: missing (policy registry moved?)"]
-    tree = ast.parse(registry.read_text(), filename=str(registry))
-    declared: List[str] = []
-    registered: List[str] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            if isinstance(node, ast.AnnAssign):
-                targets = [node.target.id] if isinstance(
-                    node.target, ast.Name
-                ) else []
-            else:
-                targets = [
-                    t.id for t in node.targets if isinstance(t, ast.Name)
-                ]
-            if "POLICY_KINDS" in targets and isinstance(
-                node.value, (ast.Tuple, ast.List)
-            ):
-                declared = [
-                    element.value
-                    for element in node.value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)
-                ]
-        elif isinstance(node, ast.Call):
-            fn = node.func
-            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", "")
-            if name == "register_policy" and node.args:
-                first = node.args[0]
-                if isinstance(first, ast.Constant) and isinstance(
-                    first.value, str
-                ):
-                    registered.append(first.value)
-    if not declared:
-        return [f"{registry}: POLICY_KINDS tuple not found"]
-    violations = [
-        f"{registry}: policy kind {kind!r} has no registered built-in"
-        for kind in declared
-        if kind not in registered
-    ]
-    config = root.parent / "config.py"
-    if config.is_file():
-        selectors = _config_policy_kinds(config)
-        violations += [
-            f"{config}: RuntimeConfig.{kind}_policy selects no kind in "
-            f"POLICY_KINDS"
-            for kind in selectors
-            if kind not in declared
-        ]
-        violations += [
-            f"{registry}: policy kind {kind!r} has no "
-            f"RuntimeConfig.{kind}_policy selector"
-            for kind in declared
-            if kind not in selectors
-        ]
-    return violations
-
-
-def _config_policy_kinds(config: Path) -> List[str]:
-    """Kinds named by ``RuntimeConfig``'s ``<kind>_policy: str`` fields
-    (``retry_policy``, a ``RetryPolicy`` value, is not a selector)."""
-    tree = ast.parse(config.read_text(), filename=str(config))
-    kinds: List[str] = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.ClassDef) and node.name == "RuntimeConfig"):
-            continue
-        for field in node.body:
-            if (
-                isinstance(field, ast.AnnAssign)
-                and isinstance(field.target, ast.Name)
-                and field.target.id.endswith("_policy")
-                and isinstance(field.annotation, ast.Name)
-                and field.annotation.id == "str"
-            ):
-                kinds.append(field.target.id[: -len("_policy")])
-    return kinds
 
 
 def _module_name(path: Path, src_root: Path) -> str:
@@ -579,11 +476,6 @@ def main(argv: List[str] = None) -> int:
         print(f"layering: no such tree {root}", file=sys.stderr)
         return 2
     violations = check_tree(root)
-    # Registry completeness applies to the real policy plane (or any tree
-    # that ships a registry.py); ad-hoc trees passed for import linting
-    # alone are not required to carry one.
-    if root == DEFAULT_ROOT or (root / "registry.py").is_file():
-        violations += check_registry_coverage(root)
     # Streaming isolation spans the whole source tree; run it whenever
     # the default tree is being checked (i.e. the full CI invocation).
     if root == DEFAULT_ROOT and SRC_ROOT.exists():
