@@ -12,16 +12,16 @@ blocks restore in scattered order and hit the seek wall (the Fig 7
 access-pattern model), while push's merged runs restore near-
 sequentially and its fewer tasks pipeline the stalled disk.
 
-Both arms lower the same expression through :mod:`repro.plan` with the
-empirical crossover rule (:func:`repro.plan.empirical_variant`:
-in-memory below 150 partitions -> simple) and pick ``simple`` on the healthy cluster.  The
+Both arms lower the same expression through :mod:`repro.plan`, whose
+one rule (:func:`repro.plan.empirical_variant`: in memory below 150
+partitions -> simple) picks ``simple`` on the healthy cluster.  The
 static arm (``replan="off"``) keeps that plan to the end.  The adaptive
 arm (``replan="on"``) re-lowers the remaining stages at the stage
-boundary against the *effective* profile -- a fresh sample of the
-shrunken membership -- and switches to ``push``.  The headline signals
-are the causal ``plan.replan`` event (post-estimate beating the
-pre-estimate) and the makespan split: the adaptive arm must finish no
-later than the static arm.
+boundary against a fresh sample of the shrunken membership's store
+capacity and switches to ``push``.  The headline signals are the causal
+``plan.replan`` event (carrying the sampled ``store_bytes``, in which
+the stage's data no longer fits) and the makespan split: the adaptive
+arm must finish no later than the static arm.
 
 Scale: 4 nodes with 64 MiB stores moving 80 MB per stage keeps the
 data:aggregate-memory ratio healthy (~0.3) before the departures and
@@ -40,7 +40,7 @@ from repro.cluster import DiskSpec, NicSpec, NodeSpec
 from repro.common.units import MB, MIB
 from repro.futures import Runtime, RuntimeConfig
 from repro.metrics import ResultTable
-from repro.plan import JobShape, ShuffleExpr, planner_for_runtime
+from repro.plan import JobShape, ShuffleExpr, fits_in_memory, planner_for_runtime
 from repro.shuffle import ShuffleOps, submit
 from repro.sort.datagen import generate_partitions
 from repro.sort.job import MERGE_THROUGHPUT, SORT_THROUGHPUT
@@ -92,8 +92,7 @@ def _run_stage(
     Mirrors :func:`repro.sort.job.run_sort`'s driver body, minus the
     nested ``rt.run`` (all stages share one driver so the planner sees
     one continuous run).  The push arm frees map bundles eagerly
-    (the paper's ES-push*, §5.1.4) -- the single-intermediate-copy
-    behaviour the cost model's disk term assumes.
+    (the paper's ES-push*, §5.1.4).
     """
     partition_bytes = data_bytes // parts
     inputs = generate_partitions(
@@ -148,8 +147,7 @@ def run_staged_sort(
     rt = make_runtime(_bench_node(), NUM_NODES, config=RuntimeConfig(replan=replan))
     planner = planner_for_runtime(rt)
     shape = JobShape(total_bytes=data_bytes, num_maps=parts, num_reduces=parts)
-    expr = ShuffleExpr(shape=shape, variants=("simple", "push"), label=JOB)
-    plan = planner.plan(expr, rule="empirical", job=JOB)
+    plan = planner.plan(ShuffleExpr(shape=shape, label=JOB), job=JOB)
     variants_run: List[str] = []
 
     def driver() -> None:
@@ -173,8 +171,9 @@ def run_staged_sort(
         "variants": "+".join(variants_run),
         "seconds": rt.env.now,
         "replans": len(replans),
-        "est_before": replans[0].attrs["est_before"] if replans else None,
-        "est_after": replans[0].attrs["est_after"] if replans else None,
+        "replan_store_mb": (
+            replans[0].attrs["store_bytes"] / MIB if replans else None
+        ),
         "spill_gb_written": rt.counters.get("spill_bytes_written") / 1e9,
     }
 
@@ -186,7 +185,7 @@ def _run_figure(
         "Adaptive re-planning: static vs re-lowered plan across chaos",
         [
             "replan", "variants", "seconds", "replans",
-            "est_before", "est_after", "spill_gb_written",
+            "replan_store_mb", "spill_gb_written",
         ],
     )
     for replan in ("off", "on"):
@@ -210,9 +209,9 @@ def assert_replan_split(table: ResultTable) -> None:
     assert "push" in adaptive["variants"], (
         "seek-dominated spilling must flip the remaining stages to push"
     )
-    assert adaptive["est_after"] < adaptive["est_before"], (
-        "a switch must be justified by a better post-estimate"
-    )
+    assert not fits_in_memory(
+        int(adaptive["replan_store_mb"] * MIB), DATA_MB * MB
+    ), "a switch must be justified: the data no longer fits the sampled store"
     assert adaptive["seconds"] <= static["seconds"], (
         "the re-lowered plan must finish no later than the static one"
     )

@@ -5,7 +5,8 @@ in memory.  Paper shape: ES-simple is 20-70% *faster* than ES-push* at 80
 partitions (merging only adds overhead when disk I/O is free), and
 ES-push* wins once partitions reach 200+ (better pipelining of many small
 tasks).  This crossover is the motivation for run-time shuffle selection
-(`repro.plan.empirical_variant`, the plan layer's ``rule="empirical"``).
+(`repro.plan.empirical_variant`, the plan layer's one lowering rule;
+``benchmarks/bench_lowering_regret.py`` scores it against every variant).
 """
 
 import pytest

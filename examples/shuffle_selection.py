@@ -5,8 +5,8 @@ The most performant shuffle depends on data size, layout, and hardware.
 Because every algorithm here is just a library function over the same
 data plane, an application can pick per job -- no second system to
 deploy.  This demo sweeps data sizes on one cluster and shows the
-paper's empirical rule (``repro.plan.empirical_variant``, the
-``rule="empirical"`` lowering) switching algorithms right where the
+paper's empirical rule (``repro.plan.empirical_variant``, the plan
+layer's one lowering rule) switching algorithms right where the
 measured crossover is.
 
 Run:  python examples/shuffle_selection.py

@@ -202,10 +202,8 @@ def run_online_aggregation(
                         num_reduces=num_reduces,
                     ),
                     backend=variant,
-                    variants=("simple", "push"),
                     label="aggregation",
                 ),
-                rule="empirical",
             )
             ops = ShuffleOps(
                 map_fn, batch_reduce, merge=batch_reduce,

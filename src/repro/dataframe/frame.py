@@ -21,11 +21,6 @@ from repro.shuffle import ShuffleOps, submit
 from repro.shuffle.common import worker_nodes
 from repro.dataframe.block import FrameBlock, _agg_column_name
 
-#: The variants the frame's operators are wired to execute: every
-#: shuffle-backed method lowers its expression against this restriction,
-#: so planning can never pick a variant the dataframe cannot run.
-_FRAME_VARIANTS = ("simple", "push")
-
 
 class DistributedFrame:
     """A table partitioned across the cluster as FrameBlock objects."""
@@ -313,9 +308,9 @@ class DistributedFrame:
     ) -> ShufflePlan:
         """Lower this frame's exchange through the plan surface (§7).
 
-        Builds an abstract :class:`~repro.plan.ShuffleExpr` restricted
-        to the variants the frame executes and lowers it through the
-        runtime's planner with the empirical two-way rule.
+        Builds an abstract :class:`~repro.plan.ShuffleExpr` and lowers
+        it through the runtime's planner; the empirical two-way rule
+        picks one of the two variants the frame executes.
         """
         expr = ShuffleExpr(
             shape=JobShape(
@@ -327,10 +322,9 @@ class DistributedFrame:
                 ),
                 num_reduces=num_reduces,
             ),
-            variants=_FRAME_VARIANTS,
             label=label,
         )
-        return planner_for_runtime(self.rt).plan(expr, rule="empirical")
+        return planner_for_runtime(self.rt).plan(expr)
 
     def _run_shuffle(
         self, plan: ShufflePlan, partitions: List[ObjectRef],

@@ -9,8 +9,8 @@ dispatch is a protocol the scheduler takes at construction; every store
 evicts cached copies oldest first and admits its allocation queue
 strictly FIFO; prefetch admission keeps pinned bytes under half the
 store (``PREFETCH_CAPACITY_FRACTION`` in the node manager); a lost
-object is always rebuilt from lineage; and each ``variant="auto"`` call
-site names its own lowering rule.  The cost model's constants live
+object is always rebuilt from lineage; and every ``variant="auto"`` call
+site lowers with the plan layer's one rule.  The cost model's constants live
 beside their readers: per-task and per-object overheads, CPU throughput
 and the fetch retry backoff in the node manager, the shared spill
 store's bandwidth and latency in the runtime.

@@ -17,7 +17,8 @@ shuffle libraries themselves:
   placement;
 - ``variant="auto"`` -- resolved before launch by lowering a
   :class:`repro.plan.ShuffleExpr` through the runtime's planner (the
-  cost-model lowering rule by default);
+  paper's empirical rule: simple in memory at few partitions, else
+  push);
 - per-job/per-tenant metrics -- every charge lands in the global
   series *and* the owning job's series of the runtime's metric
   registry, an exact-sum invariant the chaos checker asserts.

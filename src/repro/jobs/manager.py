@@ -33,7 +33,7 @@ from repro.futures import DriverHandle, Runtime
 from repro.jobs.admission import AdmissionController
 from repro.jobs.spec import Job, JobSpec, JobState, TenantSpec
 from repro.metrics import Histogram
-from repro.plan import JobShape, ShuffleExpr, planner_for_runtime
+from repro.plan import JobShape, ShuffleExpr, ShufflePlan, planner_for_runtime
 
 
 #: Pluggable job-runner bodies keyed by mode name.  A runner is called
@@ -196,19 +196,19 @@ class JobManager:
         A ``spec.plan`` hook wins: an already-lowered plan is executed
         as-is, an expression is lowered by the manager's planner.  Then
         explicit variants pass straight through, and ``"auto"`` lowers
-        the shape-derived expression with the cost model.
+        the shape-derived expression with the paper's empirical rule.
         """
         spec = job.spec
-        if spec.plan is not None and hasattr(spec.plan, "estimate"):
+        if isinstance(spec.plan, ShufflePlan):
             job.plan = spec.plan
             return spec.plan.variant
         if spec.plan is not None:
             expr = spec.plan
         elif spec.stream is not None:
             # Streaming jobs are pinned to the streaming tier, but still
-            # lower through the plan surface so the shape and estimate
-            # are recorded (and ``plan.lower`` emitted when re-planning
-            # is on).  Total bytes = every record the sources will emit.
+            # lower through the plan surface so the shape is recorded
+            # (and ``plan.lower`` emitted when re-planning is on).
+            # Total bytes = every record the sources will emit.
             expr = ShuffleExpr(
                 shape=JobShape(
                     total_bytes=int(
@@ -235,7 +235,7 @@ class JobManager:
                 ),
                 label=spec.name,
             )
-        job.plan = self.planner.plan(expr, rule="cost", job=job.job_id)
+        job.plan = self.planner.plan(expr, job=job.job_id)
         return job.plan.variant
 
     def _run_job(self, job: Job) -> Job:

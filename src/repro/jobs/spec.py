@@ -137,8 +137,9 @@ class JobSpec:
 
     ``variant`` names a :data:`repro.plan.PLAN_VARIANTS` entry or
     ``"auto"`` to let the plan layer choose (a
-    :class:`~repro.plan.ShuffleExpr` lowered with the cost-model rule).  ``weight`` multiplies the owning
-    tenant's weight for fair sharing.  ``store_bytes_estimate`` feeds
+    :class:`~repro.plan.ShuffleExpr` lowered with the paper's empirical
+    rule, which picks ``simple`` or ``push``).  ``weight`` multiplies
+    the owning tenant's weight for fair sharing.  ``store_bytes_estimate`` feeds
     admission control; when ``None`` a size heuristic from the job shape
     is used.
     """
@@ -157,7 +158,7 @@ class JobSpec:
     stream: Optional[StreamSpec] = None
     #: Optional pre-built plan hook: a :class:`repro.plan.ShuffleExpr`
     #: to lower in place of the shape-derived one (callers that want
-    #: custom variant restrictions or expression rewrites), or an
+    #: an explicit backend or expression rewrites), or an
     #: already-lowered :class:`repro.plan.ShufflePlan` to execute as-is.
     #: Duck-typed so the spec layer stays plan-free.
     plan: Optional[Any] = None

@@ -106,14 +106,13 @@ EVENT_KINDS: Dict[str, str] = {
     # plan layer (repro.plan; emitted only with re-planning enabled)
     "plan.lower": (
         "an abstract shuffle expression was lowered to a concrete "
-        "variant (attrs: variant, decided_by, rule, est_seconds, shape, "
-        "ranking)"
+        "variant (attrs: variant, decided_by, label, shape)"
     ),
     "plan.replan": (
         "the remaining plan was re-lowered mid-job (cause: the original "
         "plan.lower or previous replan; attrs: boundary, "
-        "variant_before/after, est_before/after, gain, or the adjusted "
-        "param for bound changes)"
+        "variant_before/after and the sampled store_bytes, or the "
+        "adjusted param for bound changes)"
     ),
     # chaos
     "chaos.fault": "the injector fired a fault (attrs: fault)",

@@ -15,8 +15,8 @@ renders the sections behind ``python -m repro.obs``:
 - policy decisions (per-policy counts from ``policy.decision`` events,
   with placement affinity honoured-vs-fell-through accounting);
 - the planning story (``plan.lower`` / ``plan.replan`` events: what each
-  expression lowered to, and any mid-job switches or bound adjustments
-  with their estimated gains) when re-planning was enabled;
+  expression lowered to, and any mid-job switches or bound adjustments)
+  when re-planning was enabled;
 - the fault/retry timeline, each retry annotated with its causal chain
   back to the fault that triggered it;
 - cluster churn accounting (joins / drains / removes and the lineage
@@ -304,51 +304,37 @@ class RunReport:
         }
 
     def plan_table(self) -> ResultTable:
-        """One row per planning event: lowers with the decided variant,
-        rule, and estimate; replans with the before->after change and
-        its estimated fractional gain."""
+        """One row per planning event: lowers with the decided variant
+        and how it was decided; replans with the before->after change
+        and the boundary that triggered it."""
         table = ResultTable(
-            "Plan",
-            ["t", "job", "action", "variant", "decided_by", "est_s", "gain"],
+            "Plan", ["t", "job", "action", "variant", "decided_by"]
         )
         for event in self.events:
+            attrs = event.attrs
             if event.kind == "plan.lower":
-                table.add_row(
-                    t=event.ts,
-                    job=event.job or "-",
-                    action="lower",
-                    variant=str(event.attrs.get("variant", "?")),
-                    decided_by=(
-                        f"{event.attrs.get('rule', '?')}/"
-                        f"{event.attrs.get('decided_by', '?')}"
-                    ),
-                    est_s=float(event.attrs.get("est_seconds", 0.0)),
-                    gain=0.0,
-                )
+                action = "lower"
+                variant = str(attrs.get("variant", "?"))
+                decided_by = str(attrs.get("decided_by", "?"))
             elif event.kind == "plan.replan":
-                if event.attrs.get("param") is not None:
-                    change = (
-                        f"{event.attrs['param']} "
-                        f"{event.attrs.get('inflight_before')}->"
-                        f"{event.attrs.get('inflight_after')}"
+                action = "replan"
+                if attrs.get("param") is not None:
+                    variant = (
+                        f"{attrs['param']} {attrs.get('inflight_before')}->"
+                        f"{attrs.get('inflight_after')}"
                     )
-                    est_s = gain = 0.0
                 else:
-                    change = (
-                        f"{event.attrs.get('variant_before')}->"
-                        f"{event.attrs.get('variant_after')}"
+                    variant = (
+                        f"{attrs.get('variant_before')}->"
+                        f"{attrs.get('variant_after')}"
                     )
-                    est_s = float(event.attrs.get("est_after", 0.0))
-                    gain = float(event.attrs.get("gain", 0.0))
-                table.add_row(
-                    t=event.ts,
-                    job=event.job or "-",
-                    action="replan",
-                    variant=change,
-                    decided_by=str(event.attrs.get("boundary", "?")),
-                    est_s=est_s,
-                    gain=gain,
-                )
+                decided_by = str(attrs.get("boundary", "?"))
+            else:
+                continue
+            table.add_row(
+                t=event.ts, job=event.job or "-", action=action,
+                variant=variant, decided_by=decided_by,
+            )
         return table
 
     def fault_timeline(self) -> List[str]:

@@ -5,13 +5,10 @@ The :class:`AdaptivePlanner` is the session object behind
 :class:`~repro.plan.ir.ShuffleExpr` nodes and get concrete
 :class:`~repro.plan.ir.ShufflePlan` objects back.  When re-planning is
 enabled it also *watches the run*: subscribed to the event bus, it
-accumulates the signals the obs plane already publishes -- spill write
-spans (measured disk throughput and seek pressure), spill/restore and
-object-creation byte counts (spill amplification), ``store.pressure``
-parks and ``stream.backpressure`` stalls (memory pressure), chaos
-faults and membership changes -- and at stage/round boundaries may
-re-lower the remaining work against an *effective* profile that folds
-those observations into the nominal hardware numbers.
+counts ``store.pressure`` parks and ``stream.backpressure`` stalls
+(memory pressure), and at stage/round boundaries it may re-lower the
+remaining work against a fresh sample of the alive cluster's store
+capacity, or shrink a streaming job's in-flight window bound.
 
 Every verdict emits a ``policy.decision`` event; an accepted switch
 additionally emits a causal ``plan.replan`` whose ``cause`` is the
@@ -24,63 +21,35 @@ tests pin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.plan.cost import estimate_variant
 from repro.plan.ir import ShuffleExpr, ShufflePlan
 from repro.plan.profile import ClusterProfile, JobShape
+
+#: Backpressure stalls since the last round boundary that count as
+#: memory pressure (shrink the in-flight window bound).
+STALL_THRESHOLD = 2
+
+#: ``store.pressure`` parks since the last round boundary that do.
+PRESSURE_THRESHOLD = 8
 
 
 @dataclass
 class PlanSignals:
     """Mutable accumulator of the obs signals re-planning consumes."""
 
-    #: Bytes written by spill (and direct disk) writes, and the summed
-    #: begin->end span seconds behind them (measured disk throughput).
-    disk_bytes: float = 0.0
-    disk_busy_s: float = 0.0
-    disk_writes: int = 0
-    #: Bytes of objects created (the denominator of spill amplification).
-    produced_bytes: float = 0.0
-    #: Bytes that went through spill writes specifically.
-    spill_bytes: float = 0.0
     #: Allocation parks in the store queue (memory pressure).
     store_pressure: int = 0
-    #: Streaming backpressure throttles and windows closed.
+    #: Streaming backpressure throttles.
     backpressure_stalls: int = 0
-    windows_closed: int = 0
-    #: Chaos faults observed, and how many were disk faults.
-    faults: int = 0
-    disk_faults: int = 0
-    #: Node deaths + membership changes (the profile may be stale).
-    membership_changes: int = 0
-
-    def spill_amplification(self) -> Optional[float]:
-        """Spilled bytes per produced byte (``None`` before any output)."""
-        if self.produced_bytes <= 0:
-            return None
-        return self.spill_bytes / self.produced_bytes
-
-    def measured_disk_bandwidth(self) -> Optional[float]:
-        """Observed bytes/second across spill and disk write spans
-        (``None`` until a write has completed)."""
-        if self.disk_busy_s <= 0 or self.disk_writes == 0:
-            return None
-        return self.disk_bytes / self.disk_busy_s
-
-    def stall_rate(self) -> float:
-        """Backpressure stalls per closed window."""
-        return self.backpressure_stalls / max(1, self.windows_closed)
 
 
 class AdaptivePlanner:
     """The one planning surface behind ``variant="auto"`` everywhere.
 
-    Each call site names its lowering rule (jobs lower with the cost
-    model, the dataframe with the empirical crossover).  ``replan``
-    enables signal accumulation and mid-job re-lowering; off (the
-    default) the planner is a pure, silent lowering function.
+    ``replan`` enables signal accumulation and mid-job re-lowering;
+    off (the default) the planner is a pure, silent lowering function.
     """
 
     def __init__(
@@ -90,27 +59,15 @@ class AdaptivePlanner:
         replan: bool = False,
         bus: Optional[Any] = None,
         profile_source: Optional[Callable[[], ClusterProfile]] = None,
-        min_gain: float = 0.05,
-        stall_threshold: int = 2,
-        pressure_threshold: int = 8,
     ) -> None:
         self.profile = profile
         self.replan = replan
         self.bus = bus
         self.profile_source = profile_source
-        #: Fractional improvement of the re-lowered estimate over the
-        #: current variant's re-estimate required to switch mid-job.
-        self.min_gain = min_gain
-        #: Backpressure stalls since the last round boundary that count
-        #: as memory pressure (shrink the in-flight window bound).
-        self.stall_threshold = stall_threshold
-        #: ``store.pressure`` parks since the last boundary that do.
-        self.pressure_threshold = pressure_threshold
         self.signals = PlanSignals()
         #: Every plan this planner produced, in order (lowered + replanned).
         self.plans: List[ShufflePlan] = []
         self._plan_seq: Dict[int, Optional[int]] = {}
-        self._write_begins: Dict[int, Any] = {}
         self._stalls_mark = 0
         self._pressure_mark = 0
 
@@ -124,83 +81,35 @@ class AdaptivePlanner:
     # -- signal accumulation --------------------------------------------------
     def on_event(self, event: Any) -> None:
         """Fold one obs event into the running signals."""
-        kind = event.kind
-        s = self.signals
-        if kind in ("spill.write.begin", "disk.write.begin"):
-            self._write_begins[event.seq] = event
-        elif kind in ("spill.write.end", "disk.write.end"):
-            begin = (
-                self._write_begins.pop(event.cause, None)
-                if event.cause is not None
-                else None
-            )
-            if begin is not None:
-                bytes_written = float(begin.attrs.get("bytes", 0.0))
-                s.disk_bytes += bytes_written
-                s.disk_busy_s += max(0.0, event.ts - begin.ts)
-                s.disk_writes += 1
-                if kind == "spill.write.end":
-                    s.spill_bytes += bytes_written
-        elif kind == "object.create":
-            s.produced_bytes += float(event.attrs.get("bytes", 0.0))
-        elif kind == "store.pressure":
-            s.store_pressure += 1
-        elif kind == "stream.backpressure":
-            s.backpressure_stalls += 1
-        elif kind == "stream.window.close":
-            s.windows_closed += 1
-        elif kind == "chaos.fault":
-            s.faults += 1
-            if "disk" in str(event.attrs.get("fault", "")):
-                s.disk_faults += 1
-        elif kind in ("node.death", "cluster.membership"):
-            s.membership_changes += 1
+        if event.kind == "store.pressure":
+            self.signals.store_pressure += 1
+        elif event.kind == "stream.backpressure":
+            self.signals.backpressure_stalls += 1
 
     # -- profiles -------------------------------------------------------------
     def effective_profile(self) -> ClusterProfile:
-        """The nominal profile corrected by what the run has shown.
-
-        Starts from a fresh sample of the (possibly shrunk) alive
-        cluster when a ``profile_source`` was given, then folds in the
-        measured disk throughput: when completed spill/disk writes ran
-        slower than one nominal disk, both the aggregate bandwidth and
-        the seek latency are scaled by the observed degradation --
-        a stalled disk seeks as slowly as it streams.
-        """
-        profile = (
-            self.profile_source() if self.profile_source is not None
-            else self.profile
-        )
-        measured = self.signals.measured_disk_bandwidth()
-        if measured is not None and profile.num_nodes > 0:
-            per_node = profile.disk_bandwidth / profile.num_nodes
-            if 0 < measured < per_node:
-                scale = measured / per_node
-                profile = replace(
-                    profile,
-                    disk_bandwidth=profile.disk_bandwidth * scale,
-                    disk_seek_s=profile.disk_seek_s / scale,
-                )
-        return profile
+        """A fresh sample of the (possibly shrunk) alive cluster when a
+        ``profile_source`` was given, else the nominal profile."""
+        if self.profile_source is not None:
+            return self.profile_source()
+        return self.profile
 
     # -- planning -------------------------------------------------------------
     def plan(
         self,
         expr: ShuffleExpr,
         *,
-        rule: str = "cost",
         job: Optional[str] = None,
     ) -> ShufflePlan:
-        """Lower an expression to a concrete plan with the call site's
-        ``rule``.
+        """Lower an expression to a concrete plan.
 
         With re-planning on, lowering runs against the effective
-        (observed) profile and a ``plan.lower`` event records the
+        (re-sampled) profile and a ``plan.lower`` event records the
         decision; off, it runs against the static profile and emits
         nothing.
         """
         profile = self.effective_profile() if self.replan else self.profile
-        plan = expr.lower(profile, rule=rule)
+        plan = expr.lower(profile)
         seq: Optional[int] = None
         if self.replan and self.bus is not None:
             seq = self.bus.emit("plan.lower", job=job, **plan.to_dict())
@@ -209,9 +118,7 @@ class AdaptivePlanner:
                 job=job,
                 policy="planner",
                 decision=plan.variant,
-                rule=rule,
                 decided_by=plan.decided_by,
-                est_seconds=plan.estimate.est_seconds,
             )
         self.plans.append(plan)
         self._plan_seq[id(plan)] = seq
@@ -227,33 +134,19 @@ class AdaptivePlanner:
     ) -> Optional[ShufflePlan]:
         """Re-lower the remaining work at a stage/round boundary.
 
-        Returns a new plan only when the re-lowered variant differs and
-        its estimate beats re-estimating the *current* variant under the
-        same observed conditions by at least ``min_gain``; otherwise
+        Returns a new plan when the rule, run against a fresh sample of
+        the store capacity, picks a different variant; otherwise
         ``None`` (keep going).  Either way the verdict is a
         ``policy.decision``; a switch also emits ``plan.replan`` caused
-        by the plan's original ``plan.lower``.
+        by the plan's original ``plan.lower``, carrying the sampled
+        ``store_bytes`` the rule decided against.
         """
         if not self.replan:
             return None
         shape = remaining_shape if remaining_shape is not None else plan.shape
         profile = self.effective_profile()
-        expr = ShuffleExpr(
-            shape=shape,
-            variants=plan.variants,
-            merge_factor=plan.merge_factor,
-            label=plan.label,
-        )
-        candidate = expr.lower(profile, rule=plan.rule)
-        current = estimate_variant(
-            profile, shape, plan.variant, plan.merge_factor
-        )
-        est_before = current.est_seconds
-        est_after = candidate.estimate.est_seconds
-        gain = (
-            (est_before - est_after) / est_before if est_before > 0 else 0.0
-        )
-        switch = candidate.variant != plan.variant and gain >= self.min_gain
+        candidate = ShuffleExpr(shape=shape, label=plan.label).lower(profile)
+        switch = candidate.variant != plan.variant
         if self.bus is not None:
             self.bus.emit(
                 "policy.decision",
@@ -263,9 +156,7 @@ class AdaptivePlanner:
                 boundary=boundary,
                 variant_before=plan.variant,
                 variant_after=candidate.variant,
-                est_before=est_before,
-                est_after=est_after,
-                gain=gain,
+                store_bytes=profile.store_bytes,
             )
         if not switch:
             return None
@@ -278,15 +169,7 @@ class AdaptivePlanner:
                 boundary=boundary,
                 variant_before=plan.variant,
                 variant_after=candidate.variant,
-                est_before=est_before,
-                est_after=est_after,
-                gain=gain,
-                spill_amplification=self.signals.spill_amplification(),
-                measured_disk_bandwidth=(
-                    self.signals.measured_disk_bandwidth()
-                ),
-                membership_changes=self.signals.membership_changes,
-                disk_faults=self.signals.disk_faults,
+                store_bytes=profile.store_bytes,
             )
         self.plans.append(candidate)
         self._plan_seq[id(candidate)] = seq
@@ -311,9 +194,7 @@ class AdaptivePlanner:
         parks = self.signals.store_pressure - self._pressure_mark
         self._stalls_mark = self.signals.backpressure_stalls
         self._pressure_mark = self.signals.store_pressure
-        pressured = (
-            stalls >= self.stall_threshold or parks >= self.pressure_threshold
-        )
+        pressured = stalls >= STALL_THRESHOLD or parks >= PRESSURE_THRESHOLD
         shrink = pressured and current > 1
         if self.bus is not None:
             self.bus.emit(

@@ -1,20 +1,17 @@
-"""The facts planning consumes: cluster profiles and job shapes.
+"""The facts planning consumes, and the one rule that reads them.
 
-Both lowering rules -- the empirical two-way rule and the cost model --
-decide against the same two inputs: a :class:`ClusterProfile` (what the
-hardware can do right now) and a :class:`JobShape` (what the job will
-ask of it).  The plan layer owns this vocabulary; callers import it
-from :mod:`repro.plan`.
-
-The in-memory-fit predicate lives here too, as the single shared
-:func:`fits_in_memory`, so the two rules cannot drift apart on what
-"fits in memory" means.
+The lowering rule decides against two inputs: a :class:`ClusterProfile`
+(what the alive cluster can hold right now) and a :class:`JobShape`
+(what the job will ask of it).  The rule is the paper's two-way
+crossover (§5.1.3, §7), :func:`empirical_variant`: simple when the data
+fits in memory and partitions are few, push otherwise.  The plan layer
+owns this vocabulary; callers import it from :mod:`repro.plan`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, Tuple
 
 #: Fraction of aggregate store memory the working set may occupy and
 #: still count as "fits in memory" (input + shuffled copy + slack).
@@ -24,23 +21,26 @@ MEMORY_HEADROOM = 0.4
 #: (the Fig 4c crossover is between 80 and 200 partitions).
 PARTITION_CROSSOVER = 150
 
+#: The canonical variant names the plan layer can lower to, in canonical
+#: order; the chaos harness and its failure matrix run each of them.
+PLAN_VARIANTS: Tuple[str, ...] = (
+    "simple",
+    "riffle",
+    "magnet",
+    "push",
+    "streaming",
+)
+
 
 @dataclass(frozen=True)
 class ClusterProfile:
-    """The hardware facts the cost model consumes."""
+    """The hardware fact the rule consumes: aggregate store bytes."""
 
-    num_nodes: int
-    total_cores: int
     store_bytes: int
-    disk_bandwidth: float
-    nic_bandwidth: float
-    disk_seek_s: float = 5e-3
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1 or self.total_cores < 1:
-            raise ValueError("cluster must have at least one node and core")
-        if min(self.store_bytes, self.disk_bandwidth, self.nic_bandwidth) <= 0:
-            raise ValueError("cluster capacities must be positive")
+        if self.store_bytes <= 0:
+            raise ValueError("cluster store capacity must be positive")
 
     @classmethod
     def from_runtime(cls, rt: Any) -> "ClusterProfile":
@@ -54,29 +54,18 @@ class ClusterProfile:
         if not nodes:
             raise ValueError("no alive nodes to profile")
         return cls(
-            num_nodes=len(nodes),
-            total_cores=sum(node.spec.cores for node in nodes),
-            store_bytes=sum(node.spec.object_store_bytes for node in nodes),
-            disk_bandwidth=sum(
-                node.spec.disk.bandwidth_bytes_per_sec for node in nodes
-            ),
-            nic_bandwidth=sum(
-                node.spec.nic.bandwidth_bytes_per_sec for node in nodes
-            ),
-            disk_seek_s=max(
-                node.spec.disk.effective_seek_latency_s for node in nodes
-            ),
+            store_bytes=sum(node.spec.object_store_bytes for node in nodes)
         )
 
 
 @dataclass(frozen=True)
 class JobShape:
-    """The job facts the cost model consumes."""
+    """The job facts lowering consumes and plans record."""
 
     total_bytes: int
     num_maps: int
     num_reduces: int
-    #: Whether the input arrives in rounds (makes ``streaming`` feasible).
+    #: Whether the input arrives in rounds (a streaming job).
     streaming: bool = False
 
     def __post_init__(self) -> None:
@@ -86,18 +75,18 @@ class JobShape:
             raise ValueError("job shape dimensions must be >= 1")
 
 
-def fits_in_memory(
-    profile: Union[ClusterProfile, int], shape: Union["JobShape", int]
-) -> bool:
-    """Does the working set fit in aggregate store memory with headroom?
+def fits_in_memory(store_bytes: int, total_bytes: int) -> bool:
+    """Does the working set fit in aggregate store memory with headroom?"""
+    return total_bytes <= MEMORY_HEADROOM * store_bytes
 
-    The one shared in-memory predicate behind both lowering rules.
-    Accepts either the typed inputs or raw byte counts, so the empirical
-    rule (which only ever samples store bytes) can use it without
-    building a full profile.
-    """
-    store = (
-        profile.store_bytes if isinstance(profile, ClusterProfile) else int(profile)
-    )
-    total = shape.total_bytes if isinstance(shape, JobShape) else int(shape)
-    return total <= MEMORY_HEADROOM * store
+
+def empirical_variant(
+    store_bytes: int, total_bytes: int, num_partitions: int
+) -> str:
+    """The paper's two-way rule against a sampled capacity figure:
+    ``"simple"`` when the data fits in memory with headroom and the
+    partition count is below the Fig 4c crossover, else ``"push"``."""
+    in_memory = fits_in_memory(store_bytes, total_bytes)
+    if in_memory and num_partitions < PARTITION_CROSSOVER:
+        return "simple"
+    return "push"

@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.futures import ObjectRef, Runtime
 from repro.shuffle.simple import simple_shuffle
 from repro.shuffle.riffle import riffle_shuffle
-from repro.shuffle.riffle_dynamic import riffle_shuffle_dynamic
 from repro.shuffle.magnet import magnet_shuffle
 from repro.shuffle.push import push_based_shuffle
 from repro.shuffle.streaming import RoundDriver, streaming_shuffle
@@ -49,7 +48,6 @@ __all__ = [
     "submit",
     "simple_shuffle",
     "riffle_shuffle",
-    "riffle_shuffle_dynamic",
     "magnet_shuffle",
     "push_based_shuffle",
     "streaming_shuffle",
@@ -62,7 +60,7 @@ class ShuffleOps:
 
     ``merge(*blocks)`` combines blocks of one reducer (magnet, push);
     ``merge_columns(*blocks)`` turns F map-major rows of R blocks into R
-    merged columns (riffle, riffle_dynamic); ``stream_reduce(state,
+    merged columns (riffle); ``stream_reduce(state,
     *blocks)`` folds a round into the carried state (streaming).
     """
 
@@ -113,9 +111,8 @@ def submit(
         )
     if variant == "magnet":
         library, merge_fn = magnet_shuffle, _operator(ops, "merge", variant)
-    elif variant in ("riffle", "riffle_dynamic"):
-        library = riffle_shuffle if variant == "riffle" else riffle_shuffle_dynamic
-        merge_fn = _operator(ops, "merge_columns", variant)
+    elif variant == "riffle":
+        library, merge_fn = riffle_shuffle, _operator(ops, "merge_columns", variant)
     else:
         raise ValueError(
             f"unknown shuffle variant {variant!r}; expected a "

@@ -116,7 +116,7 @@ REQUIRED_DOCS = {
             "fits_in_memory",
             "plan.replan",
             "policy.decision",
-            "min_gain",
+            "regret",
             'replan="on"',
             'variant="auto"',
             "bit-for-bit",

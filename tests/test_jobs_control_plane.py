@@ -22,13 +22,7 @@ from repro.jobs import (
     mixed_workload,
     run_jobs,
 )
-from repro.plan import (
-    ClusterProfile,
-    JobShape,
-    ShuffleExpr,
-    cheapest_feasible,
-    rank_variants,
-)
+from repro.plan import ClusterProfile, JobShape, ShuffleExpr
 
 
 def make_manager(num_nodes=4, **kwargs):
@@ -53,9 +47,7 @@ class TestLifecycle:
         job = manager.submit(JobSpec(name="j", tenant="t", variant="auto"))
         manager.run()
         assert job.state is JobState.DONE
-        assert job.planned_variant in (
-            "simple", "riffle", "riffle_dynamic", "magnet", "push"
-        )
+        assert job.planned_variant in ("simple", "push")
 
     def test_failed_job_records_error_and_spares_siblings(self):
         manager = make_manager()
@@ -232,7 +224,7 @@ class TestPlanner:
         return ClusterProfile.from_runtime(rt)
 
     def choose(self, shape):
-        return cheapest_feasible(rank_variants(self.profile(), shape)).variant
+        return ShuffleExpr(shape).lower(self.profile()).variant
 
     def test_small_in_memory_few_partitions_prefers_simple(self):
         shape = JobShape(total_bytes=10 * 1024**2, num_maps=8, num_reduces=4)
@@ -251,27 +243,14 @@ class TestPlanner:
         assert self.choose(spill) == "push"
 
     def test_streaming_only_feasible_when_declared(self):
-        profile = self.profile()
-        batch = JobShape(total_bytes=1024**2, num_maps=8, num_reduces=4)
-        ranked = {e.variant: e for e in rank_variants(profile, batch)}
-        assert not ranked["streaming"].feasible
+        """The rule never picks the streaming tier for a shape; only an
+        explicitly declared streaming backend lowers to it."""
         stream = JobShape(
             total_bytes=1024**2, num_maps=8, num_reduces=4, streaming=True
         )
-        assert {e.variant: e for e in rank_variants(profile, stream)}[
-            "streaming"
-        ].feasible
-
-    def test_rank_orders_by_cost_and_explains(self):
-        profile = self.profile()
-        shape = JobShape(total_bytes=1024**2, num_maps=8, num_reduces=4)
-        ranked = rank_variants(profile, shape)
-        feasible = [e for e in ranked if e.feasible]
-        costs = [e.est_seconds for e in feasible]
-        assert costs == sorted(costs)
-        plan = ShuffleExpr(shape).lower(profile)
-        assert plan.variant == feasible[0].variant
-        assert set(plan.explain()) == {e.variant for e in ranked}
+        assert self.choose(stream) != "streaming"
+        declared = ShuffleExpr(stream, backend="streaming").lower(self.profile())
+        assert declared.variant == "streaming"
 
 
 class TestDeterminism:

@@ -676,12 +676,12 @@ class TestRunReport:
 #: reader change that moves one of them must update the pin on purpose.
 READER_GOLDEN = {
     "chaos": {
-        "report": "3f6091ebb011aa722d347be59f86cdc7bb204bb77165d33f2fb6be42f45be82a",
+        "report": "95f2c2ca865918df2778d51a452bb1d45020e5ae4a8ddbeaebc46537c86fef33",
         "critpath": "84d4822492a458d9eb73bfd3908aab693072fc0bb1ed471dc44786dc2e2ab793",
         "chrome": "771411cd388c585f4ed49a7e64935e1a2ff1c221f47424a5088f84a126821e30",
     },
     "sort": {
-        "report": "7192f110d26b89007824f4aa821c474498ff9897dd3fbab8193dd6b0b9557ff8",
+        "report": "96ba98dc24355e96fbdea282bcdb99c73f47e3a5f04e2550f14386fe406ea899",
         "critpath": "a87cf25c85044dbf0c3553ede424a09bb5693a63c2add8803d5ce68a37bf507e",
         "chrome": "d7e0fde567e27e7b3d82f332b11c4d8ad2eadc53b6c740a9a7790954be83430e",
     },

@@ -1,14 +1,10 @@
-"""Extension features: executor failure, replication, dynamic Riffle."""
+"""Extension features: executor failure and replication."""
 
 import numpy as np
 import pytest
 
-from repro.blocks import total_records
 from repro.common.units import MB
 from repro.futures import RuntimeConfig
-from repro.shuffle import riffle_shuffle_dynamic
-from repro.sort import SortOps, uniform_bounds
-from repro.sort.datagen import generate_partitions
 
 from tests.conftest import make_runtime
 
@@ -112,53 +108,3 @@ class TestReplication:
             return rt.locations_of(ref)
 
         assert len(rt.run(driver)) == 2
-
-
-class TestDynamicRiffle:
-    def _run(self, merge_factor=3, merge_threshold_bytes=None):
-        rt = make_runtime(num_nodes=3)
-        num_parts = 9
-        bounds = uniform_bounds(num_parts)
-        ops = SortOps(bounds)
-
-        def driver():
-            parts = generate_partitions(
-                rt, num_parts, 2 * MB, virtual=False, seed=5
-            )
-            expected = sum(rt.peek(p).num_records for p in parts)
-            refs = riffle_shuffle_dynamic(
-                rt, parts, ops.map, ops.merge_columns, ops.reduce,
-                ops.num_reduces, merge_factor=merge_factor,
-                merge_threshold_bytes=merge_threshold_bytes,
-            )
-            outputs = rt.get(refs)
-            return expected, outputs
-
-        expected, outputs = rt.run(driver)
-        return rt, expected, outputs
-
-    def test_produces_correct_sort(self):
-        rt, expected, outputs = self._run()
-        assert total_records(outputs) == expected
-        for block in outputs:
-            keys = block.keys
-            assert (np.sort(keys) == keys).all()
-
-    def test_groups_respect_locality(self):
-        """Merges must run where their map outputs already are: the
-        introspection-grouped variant moves (almost) nothing extra before
-        the reduce stage."""
-        rt, _, _ = self._run()
-        merge_records = [
-            r for r in rt.tasks.values() if "merge" in r.spec.fn_name
-        ]
-        assert merge_records
-        # every merge ran on some node that held its inputs: proxied by
-        # modest total network traffic (reduces must still fetch columns).
-        assert rt.cluster.network_bytes_sent < 2.5 * 9 * 2 * MB
-
-    def test_byte_threshold_flushes_smaller_groups(self):
-        _, _, outputs_small = self._run(
-            merge_factor=100, merge_threshold_bytes=3 * MB
-        )
-        assert total_records(outputs_small) > 0

@@ -144,7 +144,6 @@ def test_reducer_count_below_one_rejected(num_reduces):
 @pytest.mark.parametrize("variant, library", [
     ("simple", "simple_shuffle"),
     ("riffle", "riffle_shuffle"),
-    ("riffle_dynamic", "riffle_shuffle_dynamic"),
     ("magnet", "magnet_shuffle"),
     ("push", "push_based_shuffle"),
     ("streaming", "streaming_shuffle"),
@@ -277,9 +276,7 @@ class TestShuffleSelection:
     def test_describe_choice_reports_inputs(self):
         rt = make_runtime(num_nodes=2)
         shape = JobShape(total_bytes=10 * MB, num_maps=10, num_reduces=10)
-        plan = ShuffleExpr(shape=shape).lower(
-            ClusterProfile.from_runtime(rt), rule="empirical"
-        )
+        plan = ShuffleExpr(shape=shape).lower(ClusterProfile.from_runtime(rt))
         info = plan.to_dict()
         assert info["variant"] == "simple"
         assert info["shape"]["num_reduces"] == 10

@@ -39,7 +39,7 @@ def lower(rt, total, partitions):
         total_bytes=total, num_maps=partitions, num_reduces=partitions
     )
     profile = ClusterProfile.from_runtime(rt)
-    return ShuffleExpr(shape=shape).lower(profile, rule="empirical")
+    return ShuffleExpr(shape=shape).lower(profile)
 
 
 class TestPartitionCrossover:

@@ -136,7 +136,6 @@ COUNTERS_OWNERS = (
 SHUFFLE_LIBRARIES = (
     "simple_shuffle",
     "riffle_shuffle",
-    "riffle_shuffle_dynamic",
     "magnet_shuffle",
     "push_based_shuffle",
 )
