@@ -77,18 +77,6 @@ def set_trace_dir(path: Optional[str]) -> None:
     _TRACE_DIR.mkdir(parents=True, exist_ok=True)
 
 
-#: When true (the ``--live-html`` pytest option), ``finish_bench`` also
-#: exports the single-file HTML run explorer next to the trace files --
-#: the artifact CI attaches to the perf-gate run.
-_LIVE_HTML = False
-
-
-def set_live_html(enabled: bool) -> None:
-    """Toggle HTML run-explorer export alongside bench traces."""
-    global _LIVE_HTML
-    _LIVE_HTML = bool(enabled)
-
-
 #: Under the ``--profile`` pytest option, the installed
 #: ``repro.obs.profile.SelfProfiler`` covering the current benchmark:
 #: every engine it runs, one runtime per variant and the baselines' bare
@@ -339,7 +327,6 @@ def finish_bench(
         },
         "events_jsonl": None,
         "chrome_trace": None,
-        "live_html": None,
     }
     if critpath_summary is not None:
         payload["critpath"] = critpath_summary
@@ -367,21 +354,6 @@ def finish_bench(
         write_chrome_trace(rt.bus.events, str(chrome_path))
         payload["events_jsonl"] = str(events_path)
         payload["chrome_trace"] = str(chrome_path)
-        if _LIVE_HTML:
-            from repro.obs.events import EventBus
-            from repro.obs.live import write_html
-
-            # Re-load the just-written JSONL rather than reading the bus:
-            # record_run appends a run.summary record (cluster capacities,
-            # final counters) that never passes through live subscribers,
-            # and the explorer uses it to scale the store gauges.
-            html_path = _TRACE_DIR / f"{name}.explorer.html"
-            write_html(
-                EventBus.load_jsonl(str(events_path)),
-                str(html_path),
-                title=f"{name} -- {table.title}",
-            )
-            payload["live_html"] = str(html_path)
     payload["written_at"] = time.time()
     json_path = out_dir / f"BENCH_{name}.json"
     json_path.write_text(json.dumps(payload, indent=2, default=str) + "\n")

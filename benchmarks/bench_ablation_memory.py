@@ -7,13 +7,13 @@
    unbounded pipeline depth, map bundles pile up faster than merges drain
    them and spill traffic grows.
 3. Spill write fusing: the ``"unfused"`` spill policy (one of the
-   names in ``repro.futures.policies.SPILL_POLICIES``) writes one
+   names in ``repro.futures.config.SPILL_POLICIES``) writes one
    seek-paying file per object instead of fused >=100 MB files, so the
    same push* run cannot be faster than the fused default.
 
 Every arm is a (variant, pipeline depth, spill-policy name) triple --
 the spill behaviour is selected purely by ``RuntimeConfig.spill_policy``,
-with no per-arm branching inside the data plane.
+with no per-arm branching inside the benchmark.
 """
 
 import pytest

@@ -1,11 +1,11 @@
 """Ablation: locality-aware scheduling and soft node affinity (§4.3.2).
 
 The push shuffle pins merge tasks per worker and relies on locality for
-the reduce stage.  Each arm is a named placement policy from
-``repro.futures.policies.PLACEMENT_POLICIES`` -- ``"default"`` composes the
-blacklist / affinity / locality / least-loaded stages, ``"load-only"``
-places purely by load -- so no per-arm branching reaches the data
-plane.  Under load-only placement, merged blocks end up remote from
+the reduce stage.  Each arm is a placement name from
+``repro.futures.config.PLACEMENT_POLICIES`` -- ``"default"`` avoids
+blacklisted nodes, then honours affinity, then locality, then load;
+``"load-only"`` places purely by load -- so no per-arm branching
+reaches the benchmark.  Under load-only placement, merged blocks end up remote from
 their reducers and extra bytes cross the network, slowing the job.
 """
 

@@ -1,14 +1,12 @@
-"""Benchmark-suite pytest hooks: ``--trace-dir PATH``, ``--live-html``,
-and ``--profile``.
+"""Benchmark-suite pytest hooks: ``--trace-dir PATH`` and ``--profile``.
 
 ``pytest benchmarks/ --trace-dir out/`` makes every figure benchmark export
 its observability record (``<name>.events.jsonl`` + ``<name>.trace.json``
 Chrome trace) and its ``BENCH_<name>.json`` result file into ``PATH``
-via :func:`benchmarks._harness.finish_bench`.  Adding ``--live-html``
-also writes a self-contained ``<name>.explorer.html`` run explorer per
-benchmark (the artifact CI attaches to the perf gate).  Without
-``--trace-dir``, JSON results land in the working directory and trace
-export is skipped.
+via :func:`benchmarks._harness.finish_bench`; the Chrome traces are
+the artifact CI attaches to the perf gate.  Without ``--trace-dir``,
+JSON results land in the working directory and trace export is
+skipped.
 """
 
 import pytest
@@ -17,7 +15,7 @@ from benchmarks import _harness
 
 
 def pytest_addoption(parser):
-    """Register ``--trace-dir PATH`` and ``--live-html`` for the suite."""
+    """Register ``--trace-dir PATH`` and ``--profile`` for the suite."""
     parser.addoption(
         "--trace-dir",
         action="store",
@@ -25,13 +23,6 @@ def pytest_addoption(parser):
         metavar="PATH",
         help="directory to write observability traces and BENCH_*.json "
         "result files into",
-    )
-    parser.addoption(
-        "--live-html",
-        action="store_true",
-        default=False,
-        help="also export a self-contained <name>.explorer.html run "
-        "explorer per benchmark (requires --trace-dir)",
     )
     parser.addoption(
         "--profile",
@@ -51,9 +42,7 @@ def _trace_dir(request):
     without its own runtime never exports a stale trace)."""
     _harness.LAST_RUNTIME = None
     _harness.set_trace_dir(request.config.getoption("--trace-dir"))
-    _harness.set_live_html(request.config.getoption("--live-html"))
     _harness.set_profile(request.config.getoption("--profile"))
     yield
     _harness.set_trace_dir(None)
-    _harness.set_live_html(False)
     _harness.set_profile(False)

@@ -9,7 +9,7 @@ name -> submodule table::
 
 A name is imported from its submodule when first read and then bound on
 the package, so later reads are plain attribute lookups.  The table's
-submodules stay reachable as attributes too (``repro.obs.live`` after
+submodules stay reachable as attributes too (``repro.obs.profile`` after
 ``import repro.obs``), as they were when the package imported them.
 """
 

@@ -2,10 +2,10 @@
 
 Each field corresponds to a mechanism in §4 of the paper.  A data-plane
 decision is selected in exactly one place: placement and spilling by
-their ``<kind>_policy`` names (the tables in
-:mod:`repro.futures.policies.defaults`), prefetching by
-``enable_prefetching``.  Some mechanisms are fixed, not knobs: task
-dispatch is a protocol the scheduler takes at construction; every store
+their ``<kind>_policy`` names (each the default rule or its ablation
+arm, :data:`PLACEMENT_POLICIES` and :data:`SPILL_POLICIES`), prefetching
+by ``enable_prefetching``.  Some mechanisms are fixed, not knobs: task
+dispatch is fair sharing among registered jobs; every store
 evicts cached copies oldest first and admits its allocation queue
 strictly FIFO; prefetch admission keeps pinned bytes under half the
 store (``PREFETCH_CAPACITY_FRACTION`` in the node manager); a lost
@@ -21,8 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.units import MB
-from repro.futures.policies.defaults import PLACEMENT_POLICIES, SPILL_POLICIES
 from repro.futures.retry import RetryPolicy
+
+#: ``RuntimeConfig.placement_policy`` names: the default rule, then the
+#: scheduling ablation's arm (least loaded, no affinity or locality).
+PLACEMENT_POLICIES = ("default", "load-only")
+
+#: ``RuntimeConfig.spill_policy`` names: the default rule, then the
+#: Fig 7 and memory ablations' arm (one file per spilled object).
+SPILL_POLICIES = ("default", "unfused")
 
 
 @dataclass
@@ -56,17 +63,17 @@ class RuntimeConfig:
     #: not keep swallowing work.  0 disables blacklisting.
     blacklist_cooldown_s: float = 0.0
 
-    # -- policy plane -------------------------------------------------------
-    #: Name of the placement policy (``PLACEMENT_POLICIES``).  The
-    #: built-in ``"default"`` stacks blacklist / soft node affinity
-    #: (§4.3.2) / data locality / least-loaded stages; the ablation arm
-    #: selects ``"load-only"`` here.
+    # -- placement and spilling ---------------------------------------------
+    #: Placement rule (:data:`PLACEMENT_POLICIES`).  ``"default"`` avoids
+    #: blacklisted and draining nodes, then honours soft node affinity
+    #: (§4.3.2), then data locality, then least load; the ablation arm
+    #: ``"load-only"`` keeps only the first and last steps.
     placement_policy: str = "default"
 
-    #: Name of the spill policy (``SPILL_POLICIES``: victim selection,
-    #: target sizing, write fusing).  ``"unfused"`` writes every spilled
-    #: object as its own file, paying a seek each (the Fig 7 "fusing
-    #: off" ablation).
+    #: Spill rule (:data:`SPILL_POLICIES`).  ``"default"`` writes each
+    #: round's victims as one fused file; ``"unfused"`` writes every
+    #: spilled object as its own file, paying a seek each (the Fig 7
+    #: "fusing off" ablation).
     spill_policy: str = "default"
 
     # -- spill backend --------------------------------------------------------
@@ -93,14 +100,14 @@ class RuntimeConfig:
             raise ValueError("failure detection delay must be non-negative")
         if self.blacklist_cooldown_s < 0:
             raise ValueError("blacklist cooldown must be non-negative")
-        for kind, name, table in (
+        for kind, name, names in (
             ("placement", self.placement_policy, PLACEMENT_POLICIES),
             ("spill", self.spill_policy, SPILL_POLICIES),
         ):
-            if name not in table:
+            if name not in names:
                 raise ValueError(
                     f"unknown {kind} policy {name!r}; known: "
-                    f"{', '.join(table)}"
+                    f"{', '.join(names)}"
                 )
         if self.replan not in ("off", "on"):
             raise ValueError("replan must be 'off' or 'on'")

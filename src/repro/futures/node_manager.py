@@ -32,7 +32,6 @@ from repro.common.errors import ObjectLostError, TaskExecutionError
 from repro.common.ids import NodeId, ObjectId
 from repro.common.units import MB
 from repro.futures.object_store import ObjectStore
-from repro.futures.policies.defaults import SPILL_POLICIES
 from repro.futures.spilling import SpillManager
 from repro.futures.task import (
     CostContext,
@@ -103,9 +102,8 @@ class NodeManager:
             runtime.directory,
             runtime.counters,
             charge=runtime.charge_object,
-            policy=SPILL_POLICIES[runtime.config.spill_policy](
-                runtime.config.fuse_min_bytes
-            ),
+            fuse_min_bytes=runtime.config.fuse_min_bytes,
+            policy=runtime.config.spill_policy,
             bus=runtime.bus,
             shared=runtime.shared_store,
         )

@@ -304,12 +304,7 @@ class ObjectStore:
 
     def spillable_entries(self) -> List[Tuple[ObjectId, int]]:
         """Every unpinned primary entry as ``(object_id, size)``, in
-        insertion (creation) order.
-
-        This is the raw candidate list handed to the node's
-        :class:`~repro.futures.policies.SpillPolicy`; the policy applies
-        target sizing, consumer protection, and batching on top.
-        """
+        insertion (creation) order: what a spill round may victimise."""
         sizes = self._sizes
         return [
             (oid, sizes[oid]) for oid, state in self._entries.items() if state == 1
@@ -319,16 +314,21 @@ class ObjectStore:
         self,
         max_bytes: int,
         skip: Optional[Callable[[ObjectId], bool]] = None,
+        entries: Optional[List[Tuple[ObjectId, int]]] = None,
     ) -> List[Tuple[ObjectId, int]]:
-        """Oldest unpinned primary entries totalling up to ``max_bytes``.
+        """Oldest unpinned primary entries, taken until they reach
+        ``max_bytes``.
 
         ``skip`` lets the caller protect objects that queued local tasks
         are about to consume -- spilling those would just force an
-        immediate restore.
+        immediate restore.  A caller already holding
+        :meth:`spillable_entries` passes it as ``entries``.
         """
+        if entries is None:
+            entries = self.spillable_entries()
         chosen: List[Tuple[ObjectId, int]] = []
         total = 0
-        for oid, size in self.spillable_entries():
+        for oid, size in entries:
             if total >= max_bytes:
                 break
             if skip is not None and skip(oid):

@@ -1,67 +1,22 @@
-"""Pluggable data-plane policies (the Exoshuffle thesis, applied inward).
+"""Fair-share dispatch, the one data-plane rule kept apart from its
+mechanism.
 
-Placement and spill batching are typed :class:`~typing.Protocol`
-seams, each selected by one ``RuntimeConfig.<kind>_policy`` name from a
-fixed table (:data:`PLACEMENT_POLICIES`, :data:`SPILL_POLICIES`).
-Dispatch ordering has one implementation, which every scheduler builds:
+:class:`FairShareDispatchPolicy` orders the launches of tasks from jobs
+registered by :class:`repro.jobs.JobManager` (weighted virtual-time fair
+sharing of task slots); unregistered work launches at once.  Placement
+and spill-victim selection are fixed rules that live with their
+mechanisms (:func:`repro.futures.scheduler.choose_node` and
+:meth:`repro.futures.spilling.SpillManager.kick`).
 
-- :class:`PlacementPolicy` -- blacklist / affinity / locality / load as
-  composable stages (:class:`StagedPlacementPolicy`);
-- :class:`SpillPolicy` -- victim selection, target sizing, write fusing;
-- :class:`FairShareDispatchPolicy` -- weighted virtual-time fair sharing
-  of task slots among jobs registered by :class:`repro.jobs.JobManager`;
-  unregistered work launches at once.
-
-This package is pure by construction: it imports only task/ref/id value
-types (enforced by ``tools/check_layering.py``), so policies can be
-unit-tested without a runtime and cannot re-tangle with the mechanism
-layers.  See ``docs/data_plane.md`` ("Policy plane") for the interface
-table and how to add a policy.
+This package imports only task/id value types (enforced by
+``tools/check_layering.py``), so the policy is unit-tested without a
+runtime.  See ``docs/data_plane.md`` ("Placement and spill rules").
 """
 
-from repro.futures.policies.base import (
-    DispatchOutcome,
-    NodeCandidate,
-    ParkNote,
-    PlacementDecision,
-    PlacementPolicy,
-    PlacementRequest,
-    PlacementStage,
-    SpillCandidate,
-    SpillPolicy,
-)
 from repro.futures.policies.defaults import (
-    PLACEMENT_POLICIES,
-    SPILL_POLICIES,
-    AffinityStage,
-    BlacklistStage,
+    DispatchOutcome,
     FairShareDispatchPolicy,
-    FusedSpillPolicy,
-    LeastLoadedStage,
-    LocalityStage,
-    StagedPlacementPolicy,
+    ParkNote,
 )
 
-__all__ = [
-    # protocols & views
-    "PlacementPolicy",
-    "PlacementStage",
-    "PlacementRequest",
-    "PlacementDecision",
-    "NodeCandidate",
-    "SpillPolicy",
-    "SpillCandidate",
-    "DispatchOutcome",
-    "ParkNote",
-    # defaults
-    "StagedPlacementPolicy",
-    "BlacklistStage",
-    "AffinityStage",
-    "LocalityStage",
-    "LeastLoadedStage",
-    "FusedSpillPolicy",
-    "FairShareDispatchPolicy",
-    # names
-    "PLACEMENT_POLICIES",
-    "SPILL_POLICIES",
-]
+__all__ = ["DispatchOutcome", "FairShareDispatchPolicy", "ParkNote"]

@@ -1,205 +1,42 @@
-"""Default policy implementations: the seed data-plane behaviour, ported.
+"""Fair-share dispatch: when a dependency-ready task launches.
 
-Every class here reproduces a decision rule that used to be hard-coded
-in ``scheduler.py`` / ``spilling.py`` *exactly*
-(the golden event-digest test is the proof), plus a few named
-alternatives the ablation benchmarks select by name from
-:data:`PLACEMENT_POLICIES` and :data:`SPILL_POLICIES`.
+The scheduler asks :class:`FairShareDispatchPolicy` *when* each task
+launches and enacts the :class:`DispatchOutcome` it returns.  The policy
+is a pure rule over task records and job ids (no runtime state, no
+event bus), so ``tests/test_policies.py`` checks it against a
+brute-force reference without building a runtime.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass, field
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.futures.policies.base import (
-    DispatchOutcome,
-    NodeCandidate,
-    ParkNote,
-    PlacementDecision,
-    PlacementRequest,
-    SpillCandidate,
-)
 from repro.futures.task import TaskPhase, TaskRecord
 
 
-# -- placement stages --------------------------------------------------------
-class BlacklistStage:
-    """Filter out nodes inside their post-failure cooldown window.
+@dataclass(frozen=True)
+class ParkNote:
+    """Record of a task parked behind its job's fair-share queue."""
 
-    Availability beats hygiene: with every candidate blacklisted, pass
-    them all through as if none were.
-    """
-
-    name = "blacklist"
-
-    def apply(
-        self, request: PlacementRequest, candidates: Sequence[NodeCandidate]
-    ) -> Sequence[NodeCandidate]:
-        """Keep non-blacklisted candidates; keep all if none remain."""
-        preferred = [c for c in candidates if not c.blacklisted]
-        return preferred if preferred else list(candidates)
+    job_id: str
+    #: Queue depth right after parking (what ``task.park`` reports).
+    queued: int
 
 
-class AffinityStage:
-    """Honour the task's soft node-affinity hint when it is a candidate.
+@dataclass
+class DispatchOutcome:
+    """What a dispatch-policy call decided: launches and/or a park."""
 
-    Affinity is soft: a hinted node that is dead (not a candidate) or
-    filtered by an earlier stage falls through to the next stage -- this
-    is what lets shuffles survive node failures without library-level
-    handling.
-    """
-
-    name = "affinity"
-
-    def apply(
-        self, request: PlacementRequest, candidates: Sequence[NodeCandidate]
-    ) -> "NodeCandidate | Sequence[NodeCandidate]":
-        """Decide the hinted node if present among candidates."""
-        if request.affinity is not None:
-            for candidate in candidates:
-                if candidate.node_id == request.affinity:
-                    return candidate
-        return candidates
-
-
-class LocalityStage:
-    """Place where the most argument bytes already live, if anywhere.
-
-    Ties break by load then node id for determinism.  When no candidate
-    holds any argument bytes the stage passes through.
-    """
-
-    name = "locality"
-
-    def apply(
-        self, request: PlacementRequest, candidates: Sequence[NodeCandidate]
-    ) -> "NodeCandidate | Sequence[NodeCandidate]":
-        """Decide the byte-richest candidate, or pass when none hold data."""
-        local = [c for c in candidates if c.arg_bytes > 0]
-        if not local:
-            return candidates
-        return min(local, key=lambda c: (-c.arg_bytes, c.load, c.node_id))
-
-
-class LeastLoadedStage:
-    """Terminal stage: spread by queued-tasks-per-core, ties by node id."""
-
-    name = "least-loaded"
-
-    def apply(
-        self, request: PlacementRequest, candidates: Sequence[NodeCandidate]
-    ) -> NodeCandidate:
-        """Decide the least-loaded candidate."""
-        return min(candidates, key=lambda c: (c.load, c.node_id))
-
-
-class StagedPlacementPolicy:
-    """A placement policy as a pipeline of composable stages.
-
-    Each stage either decides (returns one candidate) or narrows the
-    pool for the next stage; a stage that would empty the pool is
-    ignored.  If no stage decides, the smallest node id wins.
-    """
-
-    def __init__(self, name: str, stages: Sequence[object]) -> None:
-        self.name = name
-        self.stages = list(stages)
-
-    def place(
-        self, request: PlacementRequest, candidates: Sequence[NodeCandidate]
-    ) -> PlacementDecision:
-        """Run the stages over ``candidates`` and return the decision."""
-        pool: List[NodeCandidate] = list(candidates)
-        for stage in self.stages:
-            result = stage.apply(request, pool)
-            if isinstance(result, NodeCandidate):
-                return PlacementDecision(
-                    node_id=result.node_id,
-                    stage=stage.name,
-                    policy=self.name,
-                    candidates=len(candidates),
-                )
-            if result:
-                pool = list(result)
-        chosen = min(pool, key=lambda c: c.node_id)
-        return PlacementDecision(
-            node_id=chosen.node_id,
-            stage="fallback",
-            policy=self.name,
-            candidates=len(candidates),
-        )
-
-
-# -- spilling ----------------------------------------------------------------
-class FusedSpillPolicy:
-    """The seed spill behaviour (§4.2.2): oldest-first victim selection
-    protecting soon-needed blocks, sized to cover the backlog but at
-    least ``fuse_min_bytes``, written as one fused file (or one
-    seek-paying file per object when fusing is off)."""
-
-    def __init__(
-        self,
-        fuse_min_bytes: int,
-        fused: bool = True,
-        name: str = "default",
-    ) -> None:
-        if fuse_min_bytes < 1:
-            raise ValueError("fuse_min_bytes must be positive")
-        self.fuse_min_bytes = fuse_min_bytes
-        self.fused = fused
-        self.name = name
-
-    def target_bytes(self, backlog_bytes: int) -> int:
-        """Cover the backlog, but never write files under the fuse
-        minimum (tiny files pay the seek the fusing exists to avoid)."""
-        return max(backlog_bytes, self.fuse_min_bytes)
-
-    def select_victims(
-        self,
-        candidates: Iterable[SpillCandidate],
-        target: int,
-        last_resort: bool,
-    ) -> List[SpillCandidate]:
-        """Accumulate oldest-first until ``target`` bytes are covered.
-
-        ``needed_soon`` candidates are skipped (without counting toward
-        the target) unless ``last_resort``.  Already-``spilled``
-        candidates count toward the target -- dropping their memory copy
-        relieves the same pressure -- but are not written again.
-        """
-        chosen: List[SpillCandidate] = []
-        total = 0
-        for candidate in candidates:
-            if total >= target:
-                break
-            if not last_resort and candidate.needed_soon:
-                continue
-            total += candidate.size
-            if not candidate.spilled:
-                chosen.append(candidate)
-        return chosen
-
-    def make_batches(
-        self, victims: Sequence[SpillCandidate]
-    ) -> List[List[SpillCandidate]]:
-        """One fused batch, or one single-object batch per victim."""
-        victims = list(victims)
-        if not victims:
-            return []
-        if self.fused:
-            return [victims]
-        return [[victim] for victim in victims]
+    #: Records to launch now, in order.
+    launch: List[TaskRecord] = field(default_factory=list)
+    #: Set when the triggering record was parked instead of launched.
+    parked: Optional[ParkNote] = None
+    #: Job ids picked by fair queueing this round, in launch order
+    #: (empty when nothing queued was released).
+    picks: Tuple[str, ...] = ()
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -375,25 +212,3 @@ class FairShareDispatchPolicy:
         for entry in capped:
             heapq.heappush(ready, entry)
         return DispatchOutcome(launch=launch, picks=tuple(picks))
-
-
-# -- names ---------------------------------------------------------------------
-#: Placement policies by ``RuntimeConfig.placement_policy`` name.
-PLACEMENT_POLICIES: Dict[str, Callable[[], StagedPlacementPolicy]] = {
-    "default": lambda: StagedPlacementPolicy(
-        "default",
-        [BlacklistStage(), AffinityStage(), LocalityStage(), LeastLoadedStage()],
-    ),
-    "load-only": lambda: StagedPlacementPolicy(
-        "load-only", [BlacklistStage(), LeastLoadedStage()]
-    ),
-}
-
-#: Spill policies by ``RuntimeConfig.spill_policy`` name, each built
-#: for ``RuntimeConfig.fuse_min_bytes``.
-SPILL_POLICIES: Dict[str, Callable[[int], FusedSpillPolicy]] = {
-    "default": lambda fuse_min_bytes: FusedSpillPolicy(fuse_min_bytes),
-    "unfused": lambda fuse_min_bytes: FusedSpillPolicy(
-        fuse_min_bytes, fused=False, name="unfused"
-    ),
-}

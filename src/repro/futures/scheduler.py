@@ -1,4 +1,4 @@
-"""Global task placement and dispatch: mechanism around the policy plane.
+"""Global task placement and dispatch.
 
 Ray's two-level scheduler balances bin-packing against load-balancing;
 for shuffle what matters is (a) honouring the library's *soft
@@ -8,14 +8,13 @@ already live), and (c) spreading everything else across alive nodes by
 load.  Recently-failed nodes are additionally *blacklisted* for a
 cooldown window (``RuntimeConfig.blacklist_cooldown_s``).
 
-The decision rules themselves live in :mod:`repro.futures.policies`:
-the scheduler builds candidate views (alive nodes, blacklist state,
-load, argument bytes), asks its
-:class:`~repro.futures.policies.PlacementPolicy` *where* and its
-:class:`~repro.futures.policies.FairShareDispatchPolicy` *when*,
-publishes a ``policy.decision`` event for each choice, and enacts it.
-Placement happens when a task's dependencies are all created, so
-locality information is fresh.
+:func:`choose_node` is that placement rule, a pure function over one
+plain row per alive node; the scheduler builds the rows
+(:meth:`Scheduler.placement_view`), asks its
+:class:`~repro.futures.policies.FairShareDispatchPolicy` *when* a task
+launches, publishes a ``policy.decision`` event for each choice, and
+enacts it.  Placement happens when a task's dependencies are all
+created, so locality information is fresh.
 
 Fair sharing is the only dispatch path.  Work of a job registered
 through the job surface (the multi-tenant control plane,
@@ -26,19 +25,12 @@ work launches at once and publishes no dispatch decision.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import SchedulingError
 from repro.common.ids import NodeId
-from repro.futures.policies.base import (
-    DispatchOutcome,
-    NodeCandidate,
-    PlacementDecision,
-    PlacementPolicy,
-    PlacementRequest,
-)
 from repro.futures.policies.defaults import (
-    PLACEMENT_POLICIES,
+    DispatchOutcome,
     FairShareDispatchPolicy,
 )
 
@@ -46,9 +38,43 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.futures.runtime import Runtime
     from repro.futures.task import TaskRecord
 
+#: One alive node as placement sees it: ``(node, avoid, load,
+#: arg_bytes)``.  ``avoid`` marks a node in its post-failure cooldown or
+#: draining; ``load`` is queued tasks per core; ``arg_bytes`` counts the
+#: task's argument bytes resident there (memory or disk).
+PlacementRow = Tuple[NodeId, bool, float, int]
+
+
+def choose_node(
+    rows: Sequence[PlacementRow],
+    affinity: Optional[NodeId],
+    policy: str = "default",
+) -> Tuple[NodeId, str]:
+    """Pick one of ``rows`` (never empty) and name the step that decided.
+
+    Avoided nodes are skipped while any other remains (availability
+    beats hygiene).  Under ``"default"``, a hinted node among the rest
+    wins (``"affinity"``: the hint is soft, so a dead or avoided hint
+    falls through), then the node holding the most argument bytes
+    (``"locality"``, ties by load then id); otherwise, and always under
+    ``"load-only"``, the least-loaded node (``"least-loaded"``, ties by
+    id).
+    """
+    pool = [row for row in rows if not row[1]] or rows
+    if policy == "default":
+        if affinity is not None:
+            for row in pool:
+                if row[0] == affinity:
+                    return row[0], "affinity"
+        local = [row for row in pool if row[3] > 0]
+        if local:
+            best = min(local, key=lambda row: (-row[3], row[2], row[0]))
+            return best[0], "locality"
+    return min(pool, key=lambda row: (row[2], row[0]))[0], "least-loaded"
+
 
 class Scheduler:
-    """Places and launches dependency-ready tasks via the policy plane."""
+    """Places and launches dependency-ready tasks."""
 
     def __init__(self, runtime: "Runtime") -> None:
         self.runtime = runtime
@@ -56,9 +82,7 @@ class Scheduler:
         #: a failure); stale entries are pruned lazily during placement.
         self._blacklist_until: Dict[NodeId, float] = {}
         #: Where tasks run (``RuntimeConfig.placement_policy``).
-        self.placement_policy: PlacementPolicy = PLACEMENT_POLICIES[
-            runtime.config.placement_policy
-        ]()
+        self.placement_policy = runtime.config.placement_policy
         #: When tasks launch: registered jobs share the slots fairly.
         self.policy = FairShareDispatchPolicy()
 
@@ -121,30 +145,30 @@ class Scheduler:
 
     def _launch(self, record: "TaskRecord") -> None:
         """Place one record and hand it to its node manager."""
-        decision = self._place(record)
+        node_id, stage, candidates = self._place(record)
         options = record.spec.options
         attrs = {
-            "policy": f"placement:{decision.policy}",
+            "policy": f"placement:{self.placement_policy}",
             "decision": "place",
-            "stage": decision.stage,
-            "candidates": decision.candidates,
+            "stage": stage,
+            "candidates": candidates,
         }
         if options.node is not None:
             attrs["affinity"] = options.node
         self.runtime.bus.emit(
             "policy.decision",
             task=record.spec.task_id,
-            node=decision.node_id,
+            node=node_id,
             job=options.job_id,
             **attrs,
         )
         self.runtime.bus.emit(
             "task.place",
             task=record.spec.task_id,
-            node=decision.node_id,
+            node=node_id,
             job=options.job_id,
         )
-        self.runtime.node_managers[decision.node_id].submit(record)
+        self.runtime.node_managers[node_id].submit(record)
 
     # -- job surface ---------------------------------------------------------
     def register_job(
@@ -196,25 +220,24 @@ class Scheduler:
     # -- placement ----------------------------------------------------------
     def place(self, record: "TaskRecord") -> NodeId:
         """Choose a node for ``record``; raises if the cluster is empty."""
-        return self._place(record).node_id
+        return self._place(record)[0]
 
-    def _place(self, record: "TaskRecord") -> PlacementDecision:
-        """Build the candidate views and ask the placement policy."""
-        request, candidates = self.placement_view(record)
-        return self.placement_policy.place(request, candidates)
+    def _place(self, record: "TaskRecord") -> Tuple[NodeId, str, int]:
+        """The chosen node, the deciding step and how many rows competed."""
+        rows = self.placement_view(record)
+        node_id, stage = choose_node(
+            rows, record.spec.options.node, self.placement_policy
+        )
+        return node_id, stage, len(rows)
 
-    def placement_view(
-        self, record: "TaskRecord"
-    ) -> Tuple[PlacementRequest, Tuple[NodeCandidate, ...]]:
-        """The policy-side view of one placement: the request plus one
-        candidate per alive node (blacklist state, load, argument bytes
-        resident in memory or on disk)."""
+    def placement_view(self, record: "TaskRecord") -> Tuple[PlacementRow, ...]:
+        """One :data:`PlacementRow` per alive node for ``record``."""
         runtime = self.runtime
         membership = runtime.membership
         # Removed members are out of the candidate pool entirely;
-        # draining members stay in but are flagged blacklisted, so
-        # placement avoids them yet can still fall back to them rather
-        # than fail (exactly how post-failure cooldowns behave).
+        # draining members stay in but are avoided, so placement skips
+        # them yet can still fall back to them rather than fail (exactly
+        # how post-failure cooldowns behave).
         alive = {
             node_id: manager
             for node_id, manager in runtime.node_managers.items()
@@ -236,27 +259,12 @@ class Scheduler:
             for node_id in spill_nodes:
                 if node_id in alive:
                     bytes_by_node[node_id] += sizes[dep]
-        candidates = tuple(
-            NodeCandidate(
-                node_id=node_id,
-                blacklisted=(
-                    self.is_blacklisted(node_id)
-                    or membership.is_draining(node_id)
-                ),
-                load=self._load(manager),
-                arg_bytes=bytes_by_node.get(node_id, 0),
+        return tuple(
+            (
+                node_id,
+                self.is_blacklisted(node_id) or membership.is_draining(node_id),
+                manager.pending_tasks / manager.node.spec.cores,
+                bytes_by_node.get(node_id, 0),
             )
             for node_id, manager in alive.items()
         )
-        options = record.spec.options
-        request = PlacementRequest(
-            task_id=record.spec.task_id,
-            affinity=options.node,
-            job_id=options.job_id,
-        )
-        return request, candidates
-
-    @staticmethod
-    def _load(manager: object) -> float:
-        return manager.pending_tasks / manager.node.spec.cores  # type: ignore[attr-defined]
-

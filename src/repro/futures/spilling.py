@@ -26,10 +26,9 @@ The liveness fallback stays on the local filesystem under both backends.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.common.ids import NodeId, ObjectId
-from repro.futures.policies.base import SpillCandidate, SpillPolicy
 from repro.metrics.core import Counters
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,7 +92,8 @@ class SpillManager:
         directory: "ObjectDirectory",
         counters: Counters,
         charge: Callable[[ObjectId, str, float], None],
-        policy: SpillPolicy,
+        fuse_min_bytes: int,
+        policy: str,
         bus: Optional["EventBus"] = None,
         shared: Optional["BandwidthResource"] = None,
     ) -> None:
@@ -102,7 +102,10 @@ class SpillManager:
         self.store = store
         self.directory = directory
         self.counters = counters
-        #: Victim-selection/batching policy (``RuntimeConfig.spill_policy``).
+        #: A spill round moves at least this many bytes (§4.2.2).
+        self.fuse_min_bytes = fuse_min_bytes
+        #: ``RuntimeConfig.spill_policy``: ``"unfused"`` writes one file
+        #: per victim instead of one per round.
         self.policy = policy
         #: Optional structured event bus; spill writes, restore reads,
         #: and filesystem fallbacks publish begin/end events into it.
@@ -157,22 +160,24 @@ class SpillManager:
     def kick(self) -> None:
         """React to store pressure; called whenever the queue backlogs.
 
-        The spill *policy* decides how much to move, which objects to
-        victimise (soon-needed arguments only as a last resort), and how
-        victims group into files; this method owns the mechanism around
-        it -- the in-flight latch, dropping already-spilled memory
-        copies, and the filesystem fallback that preserves liveness.
+        One round covers the allocation backlog, but moves at least
+        ``fuse_min_bytes`` (tiny files pay the seek fusing exists to
+        avoid).  Victims come oldest first from
+        :meth:`ObjectStore.spill_candidates`, skipping objects a queued
+        local task will read unless nothing else is left (the last
+        resort that keeps the node live).  A victim with a durable copy
+        counts toward the target but is not written again.  The victims
+        go out as one fused file, or one file each under ``"unfused"``.
         """
         if self._in_flight > 0:
             return  # current spill will re-kick on completion
-        if self.store.backlog == 0:
+        store = self.store
+        if store.backlog == 0:
             return
-        target = self.policy.target_bytes(self.store.backlog_bytes)
-        entries = self.store.spillable_entries()
+        target = max(store.backlog_bytes, self.fuse_min_bytes)
+        entries = store.spillable_entries()
         last_resort = False
-        victims = self.policy.select_victims(
-            self._candidates(entries), target, last_resort=False
-        )
+        victims = self._victims(target, entries, self.needed_soon)
         if not victims:
             # Objects already spilled but still in memory can simply be
             # dropped -- their disk copy is authoritative.
@@ -180,39 +185,40 @@ class SpillManager:
                 return
             # Last resort: spill even soon-needed objects to stay live.
             last_resort = True
-            victims = self.policy.select_victims(
-                self._candidates(entries), target, last_resort=True
-            )
+            victims = self._victims(target, entries, None)
         if not victims:
             self._fallback_if_stuck()
             return
-        batches = self.policy.make_batches(victims)
+        if self.policy == "unfused":
+            batches = [[victim] for victim in victims]
+        else:
+            batches = [victims]
         if self.bus is not None:
             self.bus.emit(
                 "policy.decision",
                 node=self.node.node_id,
-                policy=f"spill:{self.policy.name}",
+                policy=f"spill:{self.policy}",
                 decision="spill-victims",
                 candidates=len(entries),
-                bytes=sum(victim.size for victim in victims),
+                bytes=sum(size for _, size in victims),
                 batches=len(batches),
                 last_resort=last_resort,
             )
         for batch in batches:
-            self._start_spill([(v.object_id, v.size) for v in batch])
+            self._start_spill(batch)
 
-    def _candidates(
-        self, entries: List[Tuple[ObjectId, int]]
-    ) -> Iterator[SpillCandidate]:
-        """``entries`` as spill candidates, built only as the policy walks
-        them (a policy usually stops long before the end)."""
-        for oid, size in entries:
-            yield SpillCandidate(
-                object_id=oid,
-                size=size,
-                needed_soon=self.needed_soon(oid),
-                spilled=self._has_durable_copy(oid),
-            )
+    def _victims(
+        self,
+        target: int,
+        entries: List[Tuple[ObjectId, int]],
+        skip: Optional[Callable[[ObjectId], bool]],
+    ) -> List[Tuple[ObjectId, int]]:
+        """The round's candidates less those with a durable copy."""
+        return [
+            (oid, size)
+            for oid, size in self.store.spill_candidates(target, skip, entries)
+            if not self._has_durable_copy(oid)
+        ]
 
     def _drop_already_spilled(self) -> bool:
         dropped = False

@@ -23,11 +23,9 @@ into:
 - :mod:`repro.obs.perf` -- the analysis tier on top of the spans:
   critical-path extraction and bottleneck attribution
   (``python -m repro.obs critpath``), per-node utilization timelines
-  (``usage``), and the benchmark baseline/regression gate (``diff``);
-- :mod:`repro.obs.live` -- the live ops plane: fixed-interval
-  time-series sampling of the bus (live or replayed, bit-for-bit
-  identical) and the single-file offline HTML run explorer
-  (``python -m repro.obs html``);
+  and the run's cluster, tenant and job gauges (``usage``, and counter
+  rows in every Chrome trace), and the benchmark baseline/regression
+  gate (``diff``);
 - :mod:`repro.obs.profile` -- the self-observability tier: the
   simulator measuring its *own* wall-clock time
   (:class:`~repro.obs.profile.SelfProfiler` scoped attribution,
@@ -35,9 +33,8 @@ into:
   export; ``pytest benchmarks/... --profile``).
 
 See ``docs/observability.md`` for the event taxonomy and span model,
-``docs/perf.md`` for the analysis methodology, ``docs/live.md``
-for the live ops plane, and ``docs/profiling.md`` for the
-self-profiler.
+``docs/perf.md`` for the analysis methodology, and
+``docs/profiling.md`` for the self-profiler.
 """
 
 from repro.common.lazy import lazy_exports
@@ -62,9 +59,6 @@ _EXPORTS = {
     "derive_usage": "perf",
     "DiffReport": "perf",
     "compare_benches": "perf",
-    "TimeSeriesSampler": "live",
-    "render_html": "live",
-    "write_html": "live",
     "SelfProfiler": "profile",
 }
 

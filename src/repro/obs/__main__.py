@@ -10,9 +10,7 @@ performance-analysis subcommands:
   (the CI perf gate; nonzero exit on regression or config mismatch);
 - ``python -m repro.obs bless RESULT...`` -- refresh committed
   baselines from fresh ``BENCH_*.json`` files (volatile fields
-  stripped);
-- ``python -m repro.obs html TRACE`` -- export the single-file offline
-  HTML run explorer.
+  stripped).
 
 Report mode loads a :func:`repro.obs.report.record_run` JSONL file and
 prints the full run story (phase breakdown, slowest tasks, jobs and
@@ -211,47 +209,11 @@ def _cmd_bless(argv) -> int:
     return 0
 
 
-def _cmd_html(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs html",
-        description="Export a recorded run as a single self-contained "
-        "HTML explorer (inline JS, opens offline).",
-    )
-    parser.add_argument("trace", help="a record_run() JSONL file")
-    parser.add_argument(
-        "-o",
-        "--out",
-        default=None,
-        help="output path (default: TRACE with .explorer.html)",
-    )
-    parser.add_argument(
-        "--title", default=None, help="document title (default: the trace)"
-    )
-    parser.add_argument(
-        "--interval", type=float, default=0.25, help="sample interval (s)"
-    )
-    args = parser.parse_args(argv)
-    from repro.obs.live import TimeSeriesSampler, write_html
-
-    events = EventBus.load_jsonl(_trace_path(parser, args.trace))
-    sampler = TimeSeriesSampler.replay(events, interval_s=args.interval)
-    out = args.out or str(Path(args.trace).with_suffix("")) + ".explorer.html"
-    write_html(
-        events,
-        out,
-        sampler=sampler,
-        title=args.title or f"run explorer: {Path(args.trace).name}",
-    )
-    print(f"wrote {out}")
-    return 0
-
-
 _SUBCOMMANDS = {
     "critpath": _cmd_critpath,
     "usage": _cmd_usage,
     "diff": _cmd_diff,
     "bless": _cmd_bless,
-    "html": _cmd_html,
 }
 
 
@@ -263,7 +225,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Observability-plane run reporter. "
-        "Subcommands: critpath, usage, diff, bless, html.",
+        "Subcommands: critpath, usage, diff, bless.",
     )
     parser.add_argument(
         "trace",

@@ -35,7 +35,8 @@ DEFAULT_REL_TOLERANCE = 0.10
 
 #: Top-level fields that never participate in a comparison and are
 #: stripped from blessed baselines (pure host-side bookkeeping: write
-#: stamps and export paths).  ``wall_time_s`` is deliberately *not*
+#: stamps and export paths, including the ``live_html`` path older
+#: result files carry).  ``wall_time_s`` is deliberately *not*
 #: here anymore: it is committed into baselines and reported on the
 #: non-gating perf-trajectory track, so wall-clock movement is visible
 #: without ever failing the behavior gate.

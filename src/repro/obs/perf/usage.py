@@ -2,9 +2,9 @@
 
 Every track is a step function reconstructed purely from recorded
 events -- no runtime access needed, so the same analysis runs on a
-live bus or a ``record_run`` JSONL file.  The tracks are the ``node:*``
-gauges of the live sampler's :class:`~repro.obs.live.sampler.GaugeFold`,
-replayed and kept point by point instead of sampled at intervals:
+live bus or a ``record_run`` JSONL file.  :class:`GaugeFold` turns the
+events into gauges; its ``node:*`` gauges, kept point by point, are the
+per-node tracks:
 
 - ``cpu`` -- executing task attempts (``task.run`` opens, the
   attempt's finish, failure, retry or node death closes);
@@ -29,24 +29,207 @@ fractions, slot utilizations against the recorded cluster spec) and
 "what bound the run when" (:meth:`UsageTimeline.intervals` slices the
 makespan and labels each slice with its *binding resource* --
 saturated, or merely the busiest thing while the cluster sat
-blocked).  :func:`usage_chrome_events` renders every track as Chrome
-``"ph": "C"`` counter rows next to the span lanes.
+blocked).  The fold's cluster, tenant and job gauges are kept point by
+point too (:attr:`UsageTimeline.gauges`).  :func:`usage_chrome_events`
+renders every track and gauge as Chrome ``"ph": "C"`` counter rows next
+to the span lanes.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.metrics.tables import ResultTable
 from repro.obs.events import ObsEvent, run_summary
-from repro.obs.live.sampler import NODE_TRACKS, GaugeFold
 from repro.obs.trace import Span, node_pids
 
 #: Cluster utilization at or above this fraction marks a resource
 #: *saturated* (the binding constraint, not just the busiest thing).
 SATURATION_THRESHOLD = 0.85
+
+#: Per-node track names, in display order.
+NODE_TRACKS = ("cpu", "disk", "nic", "store", "spill_queue")
+
+
+class GaugeFold:
+    """A run's current gauges, folded from its events one at a time.
+
+    The one place task, disk, transfer, object-store and spill events
+    become numbers.  :func:`derive_usage` replays the fold and records
+    each write (reported through ``on_change(name, value)``) as a step
+    point.  Gauge names are ``scope:key:track``:
+
+    - ``node:<id>:cpu`` / ``disk`` / ``nic`` / ``store`` /
+      ``spill_queue`` -- the usage tracks (see the module docstring);
+    - ``job:<id>:inflight`` -- submitted-but-unsettled tasks of the
+      job, and ``job:<id>:finished`` its finished tasks;
+    - ``tenant:<name>:finished`` -- cumulative finished tasks (the
+      fair-share signal), and ``tenant:<name>:stalls`` cumulative
+      backpressure stalls;
+    - ``cluster:inflight`` / ``cluster:stalls`` / ``cluster:faults`` /
+      ``cluster:retries``.
+
+    Tenants come from the ``tenant`` attr that the jobs control plane
+    stamps on ``job.*`` events and the streaming tier stamps on
+    ``stream.backpressure``; tasks map to tenants through their job.
+    """
+
+    def __init__(self, on_change: Callable[[str, float], None]) -> None:
+        #: Series name -> current value.
+        self.gauges: Dict[str, float] = {}
+        self.on_change = on_change
+        self._running_on: Dict[str, str] = {}  # task -> node of live attempt
+        self._disk_begin: Dict[int, str] = {}  # begin seq -> node
+        self._nic_begin: Dict[int, Tuple[str, ...]] = {}  # begin seq -> nodes
+        self._begin_bytes: Dict[int, float] = {}  # begin seq -> bytes
+        self._residency: Dict[str, Dict[str, float]] = {}  # obj -> node -> B
+        self._parked: Dict[str, List[str]] = {}  # node -> parked obj ids
+        self._job_tenant: Dict[str, str] = {}  # job id -> tenant
+        self._job_of_task: Dict[str, Optional[str]] = {}
+
+    def _set(self, name: str, value: float) -> None:
+        self.gauges[name] = value
+        self.on_change(name, value)
+
+    def _bump(self, name: str, delta: float) -> None:
+        self._set(name, max(0.0, self.gauges.get(name, 0.0) + delta))
+
+    def _tenant_of(self, event: ObsEvent) -> Optional[str]:
+        tenant = event.attrs.get("tenant")
+        if tenant is not None:
+            return str(tenant)
+        if event.job is not None:
+            return self._job_tenant.get(event.job)
+        return None
+
+    def _end_of_attempt(self, task: Optional[str]) -> None:
+        """Close the running attempt of ``task`` (if any) on its node."""
+        if task is None:
+            return
+        node = self._running_on.pop(task, None)
+        if node is not None:
+            self._bump(f"node:{node}:cpu", -1.0)
+
+    def _kill_node_attempts(self, node: Optional[str]) -> None:
+        """A node died or was removed: its executing attempts vanish."""
+        if node is None:
+            return
+        doomed = [t for t, n in self._running_on.items() if n == node]
+        for task in doomed:
+            del self._running_on[task]
+        if doomed:
+            self._set(f"node:{node}:cpu", 0.0)
+
+    def _settle_task(self, event: ObsEvent) -> None:
+        job = self._job_of_task.pop(event.task, None) if event.task else None
+        self._bump("cluster:inflight", -1.0)
+        if job is not None:
+            self._bump(f"job:{job}:inflight", -1.0)
+
+    def _store_add(
+        self, node: Optional[str], obj: Optional[str], size: float
+    ) -> None:
+        if node is None or size <= 0:
+            return
+        if obj is not None:
+            self._residency.setdefault(obj, {})[node] = size
+        self._bump(f"node:{node}:store", size)
+
+    def _unpark(self, node: Optional[str], obj: Optional[str]) -> None:
+        parked = self._parked.get(node) if node is not None else None
+        if parked and obj in parked:
+            parked.remove(obj)
+            self._bump(f"node:{node}:spill_queue", -1.0)
+
+    def apply(self, event: ObsEvent) -> None:  # noqa: C901 - one dispatch
+        """Fold one event into the gauges."""
+        kind = event.kind
+        attrs = event.attrs
+        tenant = self._tenant_of(event)
+        if kind == "task.submit":
+            self._bump("cluster:inflight", +1.0)
+            if event.task is not None:
+                self._job_of_task[event.task] = event.job
+            if event.job is not None:
+                self._bump(f"job:{event.job}:inflight", +1.0)
+        elif kind == "task.run":
+            if event.task is not None and event.node is not None:
+                self._end_of_attempt(event.task)  # superseded attempt
+                self._running_on[event.task] = event.node
+                self._bump(f"node:{event.node}:cpu", +1.0)
+        elif kind == "task.finish":
+            self._end_of_attempt(event.task)
+            self._settle_task(event)
+            if event.job is not None:
+                self._bump(f"job:{event.job}:finished", +1.0)
+            if tenant is not None:
+                self._bump(f"tenant:{tenant}:finished", +1.0)
+        elif kind == "task.fail":
+            self._end_of_attempt(event.task)
+            self._settle_task(event)
+        elif kind == "task.retry":
+            self._end_of_attempt(event.task)
+            self._bump("cluster:retries", +1.0)
+        elif kind == "chaos.fault":
+            self._bump("cluster:faults", +1.0)
+        elif kind in ("node.death", "executor.failure"):
+            self._kill_node_attempts(event.node)
+        elif kind == "cluster.membership":
+            if attrs.get("action") == "remove":
+                self._kill_node_attempts(event.node)
+        elif kind in (
+            "spill.write.begin", "spill.restore.begin", "disk.write.begin"
+        ):
+            if event.node is not None:
+                self._disk_begin[event.seq] = event.node
+                self._begin_bytes[event.seq] = float(attrs.get("bytes", 0.0))
+                self._bump(f"node:{event.node}:disk", +1.0)
+        elif kind in ("spill.write.end", "spill.restore.end", "disk.write.end"):
+            node = self._disk_begin.pop(event.cause, None) or event.node
+            size = self._begin_bytes.pop(event.cause, 0.0)
+            if node is not None:
+                self._bump(f"node:{node}:disk", -1.0)
+            if kind == "spill.restore.end":
+                self._store_add(event.node, event.obj, size)
+            elif kind == "spill.write.end" and attrs.get("ok", True):
+                if event.node is not None:
+                    self._bump(f"node:{event.node}:store", -size)
+        elif kind == "transfer.begin":
+            nodes = tuple(
+                n for n in (event.node, attrs.get("src")) if n is not None
+            )
+            self._nic_begin[event.seq] = tuple(str(n) for n in nodes)
+            self._begin_bytes[event.seq] = float(attrs.get("bytes", 0.0))
+            for node in nodes:
+                self._bump(f"node:{node}:nic", +1.0)
+        elif kind == "transfer.end":
+            for node in self._nic_begin.pop(event.cause, ()):
+                self._bump(f"node:{node}:nic", -1.0)
+            size = self._begin_bytes.pop(event.cause, 0.0)
+            if attrs.get("ok", True):
+                self._store_add(event.node, event.obj, size)
+        elif kind == "object.create":
+            self._store_add(event.node, event.obj, float(attrs.get("bytes", 0.0)))
+            self._unpark(event.node, event.obj)
+        elif kind == "object.evict":
+            if event.obj is not None:
+                for node, size in self._residency.pop(event.obj, {}).items():
+                    self._bump(f"node:{node}:store", -size)
+        elif kind == "store.pressure":
+            if event.node is not None:
+                self._parked.setdefault(event.node, []).append(event.obj or "")
+                self._bump(f"node:{event.node}:spill_queue", +1.0)
+        elif kind == "spill.fallback":
+            self._unpark(event.node, event.obj)
+        elif kind == "stream.backpressure":
+            self._bump("cluster:stalls", +1.0)
+            if tenant is not None:
+                self._bump(f"tenant:{tenant}:stalls", +1.0)
+        elif kind in ("job.submit", "job.admit", "job.start"):
+            if event.job is not None and attrs.get("tenant") is not None:
+                self._job_tenant[event.job] = str(attrs["tenant"])
 
 
 class StepTrack:
@@ -141,6 +324,7 @@ class UsageTimeline:
         t1: float,
         tracks: Dict[str, Dict[str, StepTrack]],
         capacities: Dict[str, Dict[str, Any]],
+        gauges: Dict[str, StepTrack],
     ) -> None:
         self.t0 = t0
         self.t1 = t1
@@ -149,6 +333,9 @@ class UsageTimeline:
         #: node -> recorded spec fields (``cores``,
         #: ``object_store_bytes``, ...) from the run summary.
         self.capacities = capacities
+        #: The fold's ``cluster:*``, ``tenant:*`` and ``job:*`` gauges by
+        #: name, each a step function.
+        self.gauges = gauges
 
     @property
     def nodes(self) -> List[str]:
@@ -341,13 +528,13 @@ def derive_usage(
     events: Sequence[ObsEvent],
     cluster: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> UsageTimeline:
-    """Build the per-node usage timeline for a recorded run.
+    """Build the usage timeline for a recorded run.
 
-    Replays the live sampler's :class:`~repro.obs.live.sampler.GaugeFold`
-    and records every ``node:*`` gauge write as a step point, so these
-    tracks and the sampler's series are one derivation.  ``cluster``
-    overrides the capacities; by default they come from the trailing
-    ``run.summary`` event (recorded by ``record_run``).
+    Replays :class:`GaugeFold` and records every gauge write as a step
+    point: ``node:*`` gauges as the per-node tracks, the rest as
+    :attr:`UsageTimeline.gauges`.  ``cluster`` overrides the
+    capacities; by default they come from the trailing ``run.summary``
+    event (recorded by ``record_run``).
     """
     capacities: Dict[str, Dict[str, Any]] = dict(
         cluster or run_summary(events).get("cluster", {})
@@ -355,10 +542,14 @@ def derive_usage(
     tracks: Dict[str, Dict[str, StepTrack]] = {
         name: {} for name in NODE_TRACKS
     }
+    gauges: Dict[str, StepTrack] = {}
     now = 0.0
 
     def record(name: str, value: float) -> None:
         if not name.startswith("node:"):
+            if name not in gauges:
+                gauges[name] = StepTrack()
+            gauges[name].set(now, value)
             return
         node, _, track = name[len("node:"):].rpartition(":")
         if track == "store":
@@ -377,7 +568,7 @@ def derive_usage(
         fold.apply(event)
     t0 = events[0].ts if events else 0.0
     t1 = max((e.ts for e in events), default=0.0)
-    return UsageTimeline(t0, t1, tracks, capacities)
+    return UsageTimeline(t0, t1, tracks, capacities, gauges)
 
 
 #: Counter-row display names (and the value key inside ``args``).
@@ -393,32 +584,38 @@ _COUNTER_NAMES = {
 def usage_chrome_events(
     events: Sequence[ObsEvent], spans: Optional[List[Span]] = None
 ) -> List[Dict[str, Any]]:
-    """Chrome ``"ph": "C"`` counter rows for every usage track.
+    """Chrome ``"ph": "C"`` counter rows for every usage track and gauge.
 
     Uses the same node -> pid mapping as the span exporter, so in
     Perfetto each node's counter rows sit directly under its span
     lanes (object-store occupancy next to the tasks that filled it).
-    ``spans`` only feeds that mapping; pass them when already derived.
+    The cluster, tenant and job gauges, named as in :class:`GaugeFold`,
+    ride on the first node's process (pid 0).  ``spans`` only feeds
+    the mapping; pass them when already derived.
     """
     timeline = derive_usage(events)
     pid_of = node_pids(events, spans)
-    out: List[Dict[str, Any]] = []
+    rows: List[Tuple[str, int, str, StepTrack]] = []
     for name, per_node in timeline.tracks.items():
         display, key = _COUNTER_NAMES[name]
         for node, track in sorted(per_node.items()):
-            pid = pid_of.get(node)
-            if pid is None:
-                continue
-            for ts, value in track.points:
-                out.append(
-                    {
-                        "name": display,
-                        "cat": "usage",
-                        "ph": "C",
-                        "pid": pid,
-                        "tid": 0,
-                        "ts": ts * 1e6,
-                        "args": {key: value},
-                    }
-                )
-    return out
+            if node in pid_of:
+                rows.append((display, pid_of[node], key, track))
+    if pid_of:
+        rows.extend(
+            (name, 0, "value", track)
+            for name, track in sorted(timeline.gauges.items())
+        )
+    return [
+        {
+            "name": name,
+            "cat": "usage",
+            "ph": "C",
+            "pid": pid,
+            "tid": 0,
+            "ts": ts * 1e6,
+            "args": {key: value},
+        }
+        for name, pid, key, track in rows
+        for ts, value in track.points
+    ]

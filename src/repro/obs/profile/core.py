@@ -395,8 +395,8 @@ def render_profile(profile: Dict[str, Any]) -> str:
     a throughput header, the twelve costliest categories with their
     shares, and the hot-loop counters ("" for an empty payload).
 
-    The one rendering of a profile: :meth:`SelfProfiler.render`, the run
-    report's Engine section and the HTML explorer all print it.
+    The one rendering of a profile: :meth:`SelfProfiler.render` and the
+    run report's Engine section both print it.
     """
     if not profile:
         return ""

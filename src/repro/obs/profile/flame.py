@@ -11,8 +11,7 @@ cProfile`` and an external flamegraph tool.
 :func:`render_flamegraph_svg` draws the folded data as a single
 self-contained SVG string -- inline styles, embedded JS for hover
 titles via ``<title>`` only, zero external references -- so the file
-opens standalone from disk, matching the offline contract the HTML run
-explorer pins.
+opens standalone from disk.
 """
 
 from __future__ import annotations
@@ -110,8 +109,7 @@ def render_flamegraph_svg(
 
     Pure inline SVG: embedded ``<style>``, per-frame ``<title>`` hover
     tooltips (name, seconds, share), no scripts and no external
-    references -- the file opens directly from disk in any browser,
-    the same offline contract the live HTML explorer pins.
+    references -- the file opens directly from disk in any browser.
     """
     root = _build_tree(folded)
     total = root.value

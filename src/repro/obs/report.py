@@ -440,8 +440,8 @@ class RunReport:
     # -- export ---------------------------------------------------------------
     def to_dict(self, top_k: int = 10) -> Dict[str, Any]:
         """Every section as plain JSON-safe data -- the machine-readable
-        twin of :meth:`render`, consumed by ``report --json`` and the
-        HTML run explorer."""
+        twin of :meth:`render`, printed by ``python -m repro.obs TRACE
+        --json``."""
         return {
             "events": len(self.events),
             "t_end": self.t_end,

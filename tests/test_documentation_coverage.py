@@ -85,7 +85,7 @@ def test_public_items_documented(module):
 #: must cover and the other guides it must cross-link.
 REQUIRED_DOCS = {
     "data_plane.md": (
-        ["spill_backend", "SpillPolicy", "stage_boundary"],
+        ["spill_backend", "choose_node", "stage_boundary"],
         ["elasticity.md", "planner.md"],
     ),
     "chaos.md": (
@@ -126,7 +126,7 @@ REQUIRED_DOCS = {
     ),
     "observability.md": (
         ["p999", "SelfProfiler"],
-        ["streaming.md", "live.md", "profiling.md"],
+        ["streaming.md", "perf.md", "profiling.md"],
     ),
     "profiling.md": (
         [
@@ -139,22 +139,11 @@ REQUIRED_DOCS = {
             "--profile",
             "never gate",
         ],
-        ["perf.md", "observability.md", "live.md"],
+        ["perf.md", "observability.md"],
     ),
     "perf.md": (
-        ["critical_path", "--live-html", "--profile", "trajectory"],
-        ["observability.md", "live.md", "profiling.md"],
-    ),
-    "live.md": (
-        [
-            "TimeSeriesSampler",
-            "series_digest",
-            "bit-for-bit",
-            "whole-run",
-            "--live-html",
-            "self-contained",
-        ],
-        ["observability.md", "perf.md", "streaming.md", "chaos.md"],
+        ["critical_path", "GaugeFold", "--profile", "trajectory"],
+        ["observability.md", "profiling.md"],
     ),
 }
 
@@ -181,11 +170,11 @@ def test_readme_links_streaming_guide():
     assert "docs/streaming.md" in readme.read_text()
 
 
-def test_readme_links_live_guide():
+def test_readme_links_perf_guide():
     from pathlib import Path
 
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    assert "docs/live.md" in readme.read_text()
+    assert "docs/perf.md" in readme.read_text()
 
 
 def test_readme_links_profiling_guide():

@@ -11,12 +11,6 @@ from repro.common.ids import NodeId, ObjectId, TaskId
 from repro.common.units import MB, MIB
 from repro.futures import RuntimeConfig
 from repro.futures.directory import ObjectDirectory
-from repro.futures.policies import (
-    AffinityStage,
-    BlacklistStage,
-    LeastLoadedStage,
-    StagedPlacementPolicy,
-)
 from repro.sort import SortJobConfig, run_sort
 
 from tests.conftest import make_runtime
@@ -192,32 +186,33 @@ class TestFetchingAndLocality:
         assert rt.cluster.network_bytes_sent >= 50 * MB
 
     def test_locality_scheduling_avoids_network(self):
-        # The default placement minus its LocalityStage, set at the
-        # scheduler's seam so the stage's effect shows end to end.
-        def run(locality):
-            rt = make_runtime(num_nodes=4)
-            if not locality:
-                rt.scheduler.placement_policy = StagedPlacementPolicy(
-                    "no-locality",
-                    [BlacklistStage(), AffinityStage(), LeastLoadedStage()],
-                )
+        # The same driver under the default placement and its ablation
+        # arm, which drops affinity and locality.
+        def run(placement_policy):
+            rt = make_runtime(
+                num_nodes=4,
+                config=RuntimeConfig(placement_policy=placement_policy),
+            )
             make = rt.remote(lambda: _blob(50))
+            busy = rt.remote(lambda: None).options(compute=5.0)
             consume = rt.remote(lambda x: x.nbytes)
-            node = rt.cluster.node_ids[2]
 
             def driver():
-                src = make.options(node=node).remote()
+                src = make.remote()
                 rt.wait([src], num_returns=1)
+                # Occupy the producer's node (node 0, first by id) so it
+                # is no longer the least loaded when the consumer places.
+                busy.remote()
                 return rt.get(consume.remote(src))
 
-            rt.run(driver)
+            assert rt.run(driver) == 50 * MB
             return rt.cluster.network_bytes_sent
 
         # With locality only the tiny final result crosses the network.
-        assert run(locality=True) < 1000
-        # Without locality the consumer lands on the least-loaded node
-        # (node 0 by id order) and must pull the bytes.
-        assert run(locality=False) >= 50 * MB
+        assert run("default") < 1000
+        # Without it the consumer lands on the least-loaded node and
+        # must pull the bytes.
+        assert run("load-only") >= 50 * MB
 
     def test_node_affinity_is_soft_when_node_dead(self):
         rt = make_runtime(num_nodes=3)

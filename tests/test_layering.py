@@ -85,42 +85,6 @@ def test_streaming_isolation_catches_core_imports(tmp_path):
     assert sum("app.py" in v for v in violations) == 1
 
 
-def test_live_ops_plane_is_not_imported_by_the_data_plane():
-    """``repro.futures`` / ``repro.simcore`` / ``repro.shuffle`` never
-    import ``repro.obs.live`` -- the observer stays optional."""
-    lint = _lint()
-    violations = lint.check_live_isolation(REPO / "src" / "repro")
-    assert violations == []
-
-
-def test_live_isolation_catches_data_plane_imports(tmp_path):
-    """A synthetic data-plane module importing the live tier is
-    flagged; the obs package itself stays exempt."""
-    lint = _lint()
-    src_root = tmp_path / "src" / "repro"
-    for pkg in ("futures", "obs"):
-        (src_root / pkg).mkdir(parents=True)
-        (src_root / pkg / "__init__.py").write_text("")
-    (src_root / "__init__.py").write_text("")
-    (src_root / "futures" / "rogue.py").write_text(
-        textwrap.dedent(
-            """
-            import json
-            from repro.obs.live import TimeSeriesSampler
-            import repro.obs.live.html
-            from repro.obs.events import EventBus
-            """
-        )
-    )
-    (src_root / "obs" / "cli.py").write_text(
-        "from repro.obs.live import render_html\n"
-    )
-    violations = lint.check_live_isolation(src_root)
-    assert len(violations) == 2
-    assert all("rogue.py" in v for v in violations)
-    assert all("subscribe a sampler" in v for v in violations)
-
-
 def test_lint_main_exit_codes(tmp_path, capsys):
     lint = _lint()
     clean = tmp_path / "clean"
@@ -296,7 +260,7 @@ def test_size_check_keeps_obs_below_futures(tmp_path):
     """The real tree passes; an ``obs`` as long as ``futures`` fails."""
     lint = _lint()
     assert lint.check_obs_below_futures(REPO / "src" / "repro") == []
-    for pkg, lines in (("futures", 3), ("obs", 2), ("obs/live", 1)):
+    for pkg, lines in (("futures", 3), ("obs", 2), ("obs/perf", 1)):
         (tmp_path / pkg).mkdir()
         (tmp_path / pkg / "mod.py").write_text("x = 1\n" * lines)
     violations = lint.check_obs_below_futures(tmp_path)

@@ -95,16 +95,16 @@ def test_packages_load_each_export_on_first_read():
 
 
 def test_submodules_stay_reachable_as_attributes():
-    """``import repro.obs; repro.obs.live`` reaches the submodule, as it
-    did when the package imported it eagerly."""
+    """``import repro.obs; repro.obs.profile`` reaches the submodule, as
+    it did when the package imported it eagerly."""
     result = _fresh(
         """
         import sys
         import repro.obs
-        assert "repro.obs.live" not in sys.modules
-        live = repro.obs.live
-        assert live is sys.modules["repro.obs.live"]
-        assert live.TimeSeriesSampler is repro.obs.TimeSeriesSampler
+        assert "repro.obs.profile" not in sys.modules
+        profile = repro.obs.profile
+        assert profile is sys.modules["repro.obs.profile"]
+        assert profile.SelfProfiler is repro.obs.SelfProfiler
         assert repro.obs.perf.critical_path is repro.obs.critical_path
         """
     )

@@ -667,23 +667,81 @@ class TestRunReport:
         )
         assert "Policy decisions" in report.render()
 
+    def test_fault_timeline_chains_fault_to_retry(self, tmp_path):
+        path = tmp_path / "run.events.jsonl"
+        record_run(_chaos_runtime(), str(path))
+        timeline = RunReport(EventBus.load_jsonl(str(path))).fault_timeline()
+        retries = [line for line in timeline if " task.retry " in line]
+        assert retries, "the injected crash must surface retries"
+        assert any("node.death" in line for line in retries), (
+            "retry lines must chain back to the killing event"
+        )
+
+
+class TestRunReportDict:
+    def test_to_dict_matches_the_rendered_report(self, tmp_path):
+        path = tmp_path / "run.events.jsonl"
+        record_run(_chaos_runtime(), str(path))
+        report = RunReport(EventBus.load_jsonl(str(path)))
+        data = report.to_dict()
+        assert data["events"] == len(report.events)
+        assert data["phase_table"]["rows"], "phase rows must be present"
+        assert json.dumps(data)  # JSON-serializable end to end
+        # The fault timeline survives the dict conversion with chains.
+        assert any(
+            "chaos.fault" in line for line in data["fault_timeline"]
+        )
+
+
+def test_cli_report_mode(tmp_path, capsys):
+    from repro.obs.__main__ import main
+
+    trace = tmp_path / "run.events.jsonl"
+    record_run(_chaos_runtime(), str(trace))
+    assert main([str(trace)]) == 0
+    report = capsys.readouterr().out
+    assert "Phase breakdown" in report and "Critical path:" in report
+    assert main([str(trace), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["events"] > 0
+    # The removed ``live`` and ``html`` subcommands read as missing traces.
+    for argv in (["live"], ["html"], [str(tmp_path / "missing.jsonl")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "missing.jsonl" in capsys.readouterr().err
+
+
+def test_chrome_counters_carry_the_cluster_gauges():
+    """The usage counter rows include the fold's cluster gauges, on the
+    first node's process, settled when the run is."""
+    from repro.obs.perf import usage_chrome_events
+
+    rt = _chaos_runtime()
+    rows = [e for e in usage_chrome_events(rt.bus.events) if ":" in e["name"]]
+    assert rows and {e["pid"] for e in rows} == {0}
+    last = {e["name"]: e["args"]["value"] for e in rows}
+    assert last["cluster:inflight"] == 0.0
+    assert last["cluster:faults"] == len(rt.bus.events_of("chaos.fault"))
+    assert last["cluster:retries"] == len(rt.bus.events_of("task.retry"))
+
 
 #: sha256 of ``json.dumps(..., sort_keys=True, default=str)`` of each
 #: post-hoc reader's output over a recorded run (the two runs behind
 #: ``tests/test_perf.py::USAGE_GOLDEN``; the chaos run has five fault
 #: lines).  Pins the fault timeline, the critical-path segments and the
-#: Chrome events, which no other test pins.  A
-#: reader change that moves one of them must update the pin on purpose.
+#: Chrome events, which no other test pins; the Chrome events' counter
+#: rows carry every gauge value of the fold.  A reader change that moves
+#: one of them must update the pin on purpose.
 READER_GOLDEN = {
     "chaos": {
         "report": "95f2c2ca865918df2778d51a452bb1d45020e5ae4a8ddbeaebc46537c86fef33",
         "critpath": "84d4822492a458d9eb73bfd3908aab693072fc0bb1ed471dc44786dc2e2ab793",
-        "chrome": "771411cd388c585f4ed49a7e64935e1a2ff1c221f47424a5088f84a126821e30",
+        "chrome": "b3023fdff41c4c94b99b0262a567ce930b920ac41cd4280dd374781c0d0fc8e5",
     },
     "sort": {
         "report": "96ba98dc24355e96fbdea282bcdb99c73f47e3a5f04e2550f14386fe406ea899",
         "critpath": "a87cf25c85044dbf0c3553ede424a09bb5693a63c2add8803d5ce68a37bf507e",
-        "chrome": "d7e0fde567e27e7b3d82f332b11c4d8ad2eadc53b6c740a9a7790954be83430e",
+        "chrome": "996249e9c0b226c3141082025dadc8974ff52a5eef9a5827d6c5b2a5b9d0685e",
     },
 }
 

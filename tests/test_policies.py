@@ -1,14 +1,14 @@
-"""The policy plane: its name tables and placement-policy properties.
+"""Placement and dispatch rules: names, properties, brute force.
 
-The property tests run over *every* named placement policy, so a
-newly named policy is automatically held to the same contract:
-return only (alive) candidates, honour the blacklist when alternatives
-exist, and fall through gracefully when all candidates are blacklisted
-or the affinity hint is dead.  A chaos-matrix integration test then
-checks the same alive-nodes-only invariant end to end under every fault
-kind, replaying the event stream against the death/restart timeline.
-Fair-share dispatch is checked against a brute-force reference over
-random job lifecycles.
+The placement property tests run over *both* named placement rules
+(the default and the scheduling ablation's arm), called on plain
+per-node rows: return only (alive) candidates, honour the blacklist
+when alternatives exist, and fall through gracefully when all
+candidates are blacklisted or the affinity hint is dead.  A chaos-matrix
+integration test then checks the same alive-nodes-only invariant end to
+end under every fault kind, replaying the event stream against the
+death/restart timeline.  Fair-share dispatch is checked against a
+brute-force reference over random job lifecycles.
 """
 
 from typing import List, Optional
@@ -25,34 +25,26 @@ from repro.chaos.harness import (
 )
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.spec import FaultKind, matrix_plan
-from repro.common.ids import NodeId, TaskId
+from repro.common.ids import NodeId
 from repro.futures import RetryPolicy, Runtime, RuntimeConfig
-from repro.futures.policies import (
-    PLACEMENT_POLICIES,
-    SPILL_POLICIES,
+from repro.futures.config import PLACEMENT_POLICIES, SPILL_POLICIES
+from repro.futures.policies.defaults import (
     DispatchOutcome,
-    NodeCandidate,
-    PlacementDecision,
-    PlacementRequest,
-    StagedPlacementPolicy,
+    FairShareDispatchPolicy,
 )
-from repro.futures.policies.defaults import FairShareDispatchPolicy
+from repro.futures.scheduler import PlacementRow, choose_node
 from repro.futures.task import TaskPhase, TaskRecord
 
 
 # -- names --------------------------------------------------------------------
 def test_registry_has_the_builtin_policies():
-    assert list(PLACEMENT_POLICIES) == ["default", "load-only"]
-    assert list(SPILL_POLICIES) == ["default", "unfused"]
-    for name, make in PLACEMENT_POLICIES.items():
-        assert make().name == name
-    for name, make in SPILL_POLICIES.items():
-        assert make(1).name == name
+    assert PLACEMENT_POLICIES == ("default", "load-only")
+    assert SPILL_POLICIES == ("default", "unfused")
 
 
 def test_unknown_policy_name_is_a_typed_error():
-    """``RuntimeConfig`` itself rejects a name no table holds, listing
-    the known ones, before any runtime is built."""
+    """``RuntimeConfig`` itself rejects an unknown name, listing the
+    known ones, before any runtime is built."""
     with pytest.raises(
         ValueError,
         match=r"unknown placement policy 'nope'; known: default, load-only$",
@@ -64,44 +56,12 @@ def test_unknown_policy_name_is_a_typed_error():
         RuntimeConfig(spill_policy="typo")
 
 
-def test_custom_policy_registers_and_resolves_through_config():
-    """Any object with the :class:`PlacementPolicy` shape can stand in
-    at the scheduler's seam, and its decisions reach the bus."""
-    class FirstNodePolicy:
-        name = "first-node"
-
-        def place(self, request, candidates):
-            chosen = candidates[0]
-            return PlacementDecision(
-                node_id=chosen.node_id,
-                stage="first",
-                policy=self.name,
-                candidates=len(candidates),
-            )
-
-    rt = Runtime.create(default_node_spec(), 2)
-    rt.scheduler.placement_policy = FirstNodePolicy()
-    double = rt.remote(lambda x: 2 * x)
-
-    def driver():
-        return rt.get([double.remote(i) for i in range(4)])
-
-    assert rt.run(driver) == [0, 2, 4, 6]
-    places = rt.bus.events_of("policy.decision")
-    assert any(e.attrs.get("policy") == "placement:first-node" for e in places)
-
-
-# -- placement-policy properties ----------------------------------------------
-def _make_candidates(
+# -- placement properties -----------------------------------------------------
+def _make_rows(
     blacklisted: List[bool], loads: List[int], arg_bytes: List[int]
-) -> List[NodeCandidate]:
+) -> List[PlacementRow]:
     return [
-        NodeCandidate(
-            node_id=NodeId(i),
-            blacklisted=black,
-            load=load / 4.0,
-            arg_bytes=bytes_,
-        )
+        (NodeId(i), black, load / 4.0, bytes_)
         for i, (black, load, bytes_) in enumerate(
             zip(blacklisted, loads, arg_bytes)
         )
@@ -125,73 +85,45 @@ candidate_lists = st.integers(min_value=1, max_value=8).flatmap(
 )
 
 
-@pytest.mark.parametrize("policy_name", list(PLACEMENT_POLICIES))
+@pytest.mark.parametrize("policy_name", PLACEMENT_POLICIES)
 @given(data=candidate_lists)
 @settings(max_examples=60, deadline=None)
 def test_placement_contract(policy_name: str, data) -> None:
-    """Every named placement policy: alive-only, blacklist-aware,
-    graceful fall-through."""
+    """Both placement rules: alive-only, blacklist-aware, graceful
+    fall-through."""
     blacklisted, loads, arg_bytes, hint_index, hinted = data
-    candidates = _make_candidates(blacklisted, loads, arg_bytes)
+    rows = _make_rows(blacklisted, loads, arg_bytes)
     # hint_index beyond the candidate range models a *dead* hinted node.
     affinity: Optional[NodeId] = NodeId(hint_index) if hinted else None
-    request = PlacementRequest(
-        task_id=TaskId(7), affinity=affinity, job_id=None
-    )
-    policy = PLACEMENT_POLICIES[policy_name]()
-    decision = policy.place(request, candidates)
+    node_id, stage = choose_node(rows, affinity, policy_name)
 
-    by_id = {c.node_id: c for c in candidates}
+    avoid = {row[0]: row[1] for row in rows}
     # Only ever one of the (alive) candidates.
-    assert decision.node_id in by_id
-    assert decision.candidates == len(candidates)
-    chosen = by_id[decision.node_id]
+    assert node_id in avoid
     # Blacklist honoured whenever an alternative exists...
-    if chosen.blacklisted and decision.stage != "affinity":
-        assert all(c.blacklisted for c in candidates)
-    # ...and all-blacklisted pools still place (liveness over hygiene).
-    if all(c.blacklisted for c in candidates):
-        assert decision.node_id in by_id
+    if avoid[node_id] and stage != "affinity":
+        assert all(avoid.values())
+    if policy_name == "load-only":
+        assert stage == "least-loaded"
 
 
 @given(data=candidate_lists)
 @settings(max_examples=60, deadline=None)
 def test_default_placement_affinity_semantics(data) -> None:
-    """The default stack honours live hints and falls through dead ones."""
+    """The default rule honours live hints and falls through dead ones."""
     blacklisted, loads, arg_bytes, hint_index, _ = data
-    candidates = _make_candidates(blacklisted, loads, arg_bytes)
+    rows = _make_rows(blacklisted, loads, arg_bytes)
     hint = NodeId(hint_index)
-    request = PlacementRequest(task_id=TaskId(0), affinity=hint, job_id=None)
-    policy = PLACEMENT_POLICIES["default"]()
-    decision = policy.place(request, candidates)
-    survivors = [c for c in candidates if not c.blacklisted] or candidates
-    if any(c.node_id == hint for c in survivors):
+    node_id, stage = choose_node(rows, hint)
+    survivors = [row for row in rows if not row[1]] or rows
+    if any(row[0] == hint for row in survivors):
         # A live, non-blacklisted hinted node is always honoured.
-        assert decision.node_id == hint
-        assert decision.stage == "affinity"
+        assert node_id == hint
+        assert stage == "affinity"
     else:
         # Dead (or blacklisted-away) hint: soft affinity falls through.
-        assert decision.stage != "affinity"
-        assert decision.node_id in {c.node_id for c in candidates}
-
-
-def test_staged_policy_empty_stage_result_is_ignored():
-    """A stage that would empty the pool is skipped, not fatal."""
-
-    class EmptyStage:
-        name = "empty"
-
-        def apply(self, request, candidates):
-            return []
-
-    policy = StagedPlacementPolicy("test", [EmptyStage()])
-    candidates = _make_candidates([False, False], [1, 0], [0, 0])
-    decision = policy.place(
-        PlacementRequest(task_id=TaskId(1), affinity=None, job_id=None),
-        candidates,
-    )
-    assert decision.stage == "fallback"
-    assert decision.node_id == NodeId(0)
+        assert stage != "affinity"
+        assert node_id in {row[0] for row in rows}
 
 
 # -- fair-share dispatch ------------------------------------------------------

@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.units import MB
-from repro.obs.events import EventBus
 from repro.obs.perf.diff import (
     TRAJECTORY_FIELDS,
     compare_benches,
@@ -509,7 +508,7 @@ def test_write_flamegraph_and_folded_lines(tmp_path):
     assert lines == folded_lines(folded)
 
 
-# -- report + explorer integration -----------------------------------------
+# -- report integration -----------------------------------------------------
 
 
 def test_record_run_stamps_profile_and_report_renders_engine(tmp_path):
@@ -546,22 +545,6 @@ def test_report_without_profiler_has_no_engine_section(tmp_path):
     assert report.to_dict()["engine_summary"] == {}
     assert render_profile(report.summary.get("profile", {})) == ""
     assert "Engine self-profile" not in report.render()
-
-
-def test_html_explorer_embeds_engine_summary(tmp_path):
-    from repro.obs.live import explorer_data, render_html
-
-    rt, prof, _result = _profiled_sort()
-    path = tmp_path / "run.events.jsonl"
-    record_run(rt, str(path), profile=prof.to_dict())
-    events = EventBus.load_jsonl(str(path))
-    html = render_html(events)
-    assert "Engine self-profile" in html
-    assert "engine_summary" in html
-    # The recorded throughput numbers ride inside the data payload.
-    assert "events_per_wall_s" in html
-    # The explorer prints the profile the way the report does.
-    assert explorer_data(events)["engine"] == render_profile(prof.to_dict())
 
 
 # -- the non-gating perf trajectory ----------------------------------------

@@ -8,17 +8,17 @@ violation).  With a tree argument it runs the policy-plane import check
 on that tree alone; with none it checks ``src/repro/futures/policies``
 and then the whole source tree:
 
-- Policy plane.  ``repro.futures.policies`` holds pure decision rules,
-  and every module under it (walked with :mod:`ast`) may import only
-  the standard library, ``repro.common``, the task/ref value types
-  (``repro.futures.task`` / ``repro.futures.refs``) and the policies
-  package itself.  ``Runtime``, ``NodeManager``, ``ObjectStore``,
-  ``Scheduler`` and ``repro.simcore`` are mechanism layers: policies
-  receive frozen view dataclasses, not live runtime state.
+- Policy plane.  ``repro.futures.policies`` holds fair-share
+  dispatch, a pure rule over task records, and every module under it
+  (walked with :mod:`ast`) may import only the standard library,
+  ``repro.common``, the task/ref value types (``repro.futures.task`` /
+  ``repro.futures.refs``) and the policies package itself.
+  ``Runtime``, ``NodeManager``, ``ObjectStore``, ``Scheduler`` and
+  ``repro.simcore`` are mechanism layers: the policy sees task records
+  and job ids, not live runtime state.
 - Optional tiers.  Nothing outside ``repro.streaming``
-  (:data:`STREAMING_IMPORTERS`) imports it, the data plane never
-  imports the live ops plane, the data plane and the cluster fabric
-  never import the self-profiler, and ``repro.plan`` imports only value
+  (:data:`STREAMING_IMPORTERS`) imports it, the data plane and the
+  cluster fabric never import the self-profiler, and ``repro.plan`` imports only value
   helpers and itself.  A core module importing a tier would make it
   load-bearing in runs that do not use it, breaking the
   zero-cost-when-off contract the golden digests pin.
@@ -69,18 +69,6 @@ SRC_ROOT = Path("src") / "repro"
 #: Everything else under ``src/repro`` -- futures, cluster, shuffle,
 #: jobs, obs, chaos, aggregation, ... -- must work with the tier absent.
 STREAMING_IMPORTERS = ("repro.streaming",)
-
-#: Data-plane packages that must never import the live ops plane.  The
-#: live tier (``repro.obs.live``) is a pure *consumer* of the event bus:
-#: a sampler subscribes to the runtime's bus or replays a recording, so
-#: samplers and the explorer can be deleted without touching the data
-#: plane.  A data-plane import of the live package would invert
-#: that arrow and make telemetry rendering load-bearing.
-DATA_PLANE_PACKAGES = (
-    "repro.futures",
-    "repro.simcore",
-    "repro.shuffle",
-)
 
 #: Packages that must never import the self-profiling tier
 #: (``repro.obs.profile``).  The profiler observes the engine by
@@ -150,7 +138,6 @@ repro.sort.SortJobConfig()
 #: and the obs readers (they read a run; the run only publishes).
 RUN_PATH_FORBIDDEN = (
     "numpy",
-    "repro.obs.live",
     "repro.obs.perf",
     "repro.obs.profile",
     "repro.obs.report",
@@ -247,50 +234,14 @@ def check_streaming_isolation(src_root: Path) -> List[str]:
     return violations
 
 
-def check_live_isolation(src_root: Path) -> List[str]:
-    """Data-plane modules that import the live ops plane.
-
-    Walks every module under the :data:`DATA_PLANE_PACKAGES` trees and
-    flags any import of ``repro.obs.live`` -- the observer must never
-    become a dependency of the observed: the data plane publishes to
-    the bus, and samplers subscribe to it; nothing more.
-    """
-    violations: List[str] = []
-    for path in sorted(src_root.rglob("*.py")):
-        module = _module_name(path, src_root)
-        if not any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in DATA_PLANE_PACKAGES
-        ):
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            targets: List[str] = []
-            if isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                targets = [node.module or ""]
-            for target in targets:
-                if target == "repro.obs.live" or target.startswith(
-                    "repro.obs.live."
-                ):
-                    violations.append(
-                        f"{path}:{node.lineno}: imports {target!r} "
-                        f"(the data plane -- "
-                        f"{', '.join(DATA_PLANE_PACKAGES)} -- must not "
-                        f"depend on the live ops plane; subscribe a "
-                        f"sampler to the runtime's bus instead)"
-                    )
-    return violations
-
-
 def check_profile_isolation(src_root: Path) -> List[str]:
     """Data-plane / cluster modules that import the self-profiling tier.
 
-    Same shape as :func:`check_live_isolation`, for
-    ``repro.obs.profile``: the profiler patches the classes it observes
-    from the outside, so nothing it observes may import it --
-    profiling must stay bit-for-bit absent when off.
+    Walks every module under the :data:`PROFILE_FORBIDDEN_PACKAGES`
+    trees and flags any import of ``repro.obs.profile``: the profiler
+    patches the classes it observes from the outside, so nothing it
+    observes may import it -- profiling must stay bit-for-bit absent
+    when off.
     """
     violations: List[str] = []
     for path in sorted(src_root.rglob("*.py")):
@@ -479,7 +430,6 @@ def main(argv: List[str] = None) -> int:
     # the default tree is being checked (i.e. the full CI invocation).
     if root == DEFAULT_ROOT and SRC_ROOT.exists():
         violations += check_streaming_isolation(SRC_ROOT)
-        violations += check_live_isolation(SRC_ROOT)
         violations += check_profile_isolation(SRC_ROOT)
         violations += check_plan_isolation(SRC_ROOT)
         violations += check_single_accounting_store(SRC_ROOT)
