@@ -138,7 +138,7 @@ class ChaosInjector:
         seq = self._log(fault.kind, node.node_id)
         # Note the fault's event seq so the ensuing node.death (and the
         # task.retry events it triggers) link back to this fault causally.
-        self.runtime.note_fault_cause(node.node_id, seq)
+        self.runtime.lineage.note_fault_cause(node.node_id, seq)
         node.fail()
         self.env.call_later(fault.duration, lambda: self._restart(node))
 
@@ -214,13 +214,13 @@ class ChaosInjector:
                 manager.store.free(oid)
                 runtime.directory.remove_memory_location(oid, node.node_id)
                 runtime.maybe_drop_payload(oid)
-                runtime.note_object_fault(oid, fault_seq)
+                runtime.lineage.note_object_fault(oid, fault_seq)
                 lost += 1
         for oid in manager.spill.spilled_objects():
             if rng.random() < fault.severity:
                 manager.spill.forget(oid)
                 runtime.maybe_drop_payload(oid)
-                runtime.note_object_fault(oid, fault_seq)
+                runtime.lineage.note_object_fault(oid, fault_seq)
                 lost += 1
         runtime.counters.add("chaos_objects_lost", lost)
 

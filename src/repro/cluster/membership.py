@@ -9,7 +9,7 @@ bookkeeping half of that story: a map from node id to lifecycle state
     A full member: the scheduler may place new work on it.
 ``draining``
     Leaving gracefully: it keeps running what it already has, but the
-    scheduler avoids it like a blacklisted node.  An explicit
+    scheduler avoids it while any other node remains.  An explicit
     ``remove_node`` completes the departure.
 ``removed``
     Departed: no longer schedulable; its local objects are gone and the
@@ -88,7 +88,7 @@ class ClusterMembership:
     def schedulable(self, node_id: NodeId) -> bool:
         """True if the scheduler may still *run* work here (active or
         draining -- draining nodes finish their queue but are avoided for
-        new placements the way blacklisted nodes are)."""
+        new placements while any other node remains)."""
         return self._states.get(node_id) in ("active", "draining")
 
     def active_nodes(self) -> List[NodeId]:

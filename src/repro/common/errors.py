@@ -35,8 +35,8 @@ class TaskExecutionError(ReproError):
 
 
 class RetryExhaustedError(ReproError):
-    """A task exceeded its :class:`~repro.futures.retry.RetryPolicy`'s
-    maximum execution attempts and will not be retried again."""
+    """A task ran :data:`~repro.futures.lineage.MAX_TASK_ATTEMPTS` times
+    and will not be retried again."""
 
     def __init__(self, task_id: object, attempts: int) -> None:
         super().__init__(
@@ -44,17 +44,6 @@ class RetryExhaustedError(ReproError):
         )
         self.task_id = task_id
         self.attempts = attempts
-
-
-class TaskDeadlineError(ReproError):
-    """A task's per-task deadline elapsed before an attempt succeeded."""
-
-    def __init__(self, task_id: object, deadline_s: float) -> None:
-        super().__init__(
-            f"task {task_id} missed its {deadline_s:g}s deadline"
-        )
-        self.task_id = task_id
-        self.deadline_s = deadline_s
 
 
 class InvariantViolationError(ReproError):

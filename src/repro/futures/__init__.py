@@ -25,7 +25,6 @@ from repro.futures.driver import DriverHandle
 from repro.futures.lineage import LineageManager
 from repro.futures.refs import ObjectRef
 from repro.futures.remote import RemoteFunction
-from repro.futures.retry import RetryPolicy
 from repro.futures.runtime import UNATTRIBUTED_JOB, Runtime
 from repro.futures.scheduler import Scheduler
 from repro.futures.task import CostContext, TaskOptions, TaskPhase
@@ -33,7 +32,6 @@ from repro.futures.task import CostContext, TaskOptions, TaskPhase
 __all__ = [
     "Runtime",
     "RuntimeConfig",
-    "RetryPolicy",
     "ObjectRef",
     "RemoteFunction",
     "ActorClass",

@@ -9,19 +9,21 @@ dispatch is fair sharing among registered jobs; every store
 evicts cached copies oldest first and admits its allocation queue
 strictly FIFO; prefetch admission keeps pinned bytes under half the
 store (``PREFETCH_CAPACITY_FRACTION`` in the node manager); a lost
-object is always rebuilt from lineage; and every ``variant="auto"`` call
-site lowers with the plan layer's one rule.  The cost model's constants live
-beside their readers: per-task and per-object overheads, CPU throughput
-and the fetch retry backoff in the node manager, the shared spill
-store's bandwidth and latency in the runtime.
+object is always rebuilt from lineage, re-executing its creator at once
+after the failure-detection delay, and a task that runs
+``MAX_TASK_ATTEMPTS`` times (in the lineage manager) fails; and every
+``variant="auto"`` call site lowers with the plan layer's one rule.  The
+cost model's constants live beside their readers: per-task and
+per-object overheads, CPU throughput and the fetch retry backoff in the
+node manager, the shared spill store's bandwidth and latency in the
+runtime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.units import MB
-from repro.futures.retry import RetryPolicy
 
 #: ``RuntimeConfig.placement_policy`` names: the default rule, then the
 #: scheduling ablation's arm (least loaded, no affinity or locality).
@@ -53,21 +55,11 @@ class RuntimeConfig:
     #: timeout).  Contributes to the 20-50 s recovery delta in §5.1.5.
     failure_detection_s: float = 10.0
 
-    #: How task re-executions are paced and bounded.  The default policy
-    #: is transparent (unlimited immediate retries, no deadline); chaos
-    #: and production-style runs tighten it.
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-
-    #: Seconds for which the scheduler avoids placing new tasks on a node
-    #: that just failed (even after it restarts), so a flapping node does
-    #: not keep swallowing work.  0 disables blacklisting.
-    blacklist_cooldown_s: float = 0.0
-
     # -- placement and spilling ---------------------------------------------
     #: Placement rule (:data:`PLACEMENT_POLICIES`).  ``"default"`` avoids
-    #: blacklisted and draining nodes, then honours soft node affinity
-    #: (§4.3.2), then data locality, then least load; the ablation arm
-    #: ``"load-only"`` keeps only the first and last steps.
+    #: draining nodes, then honours soft node affinity (§4.3.2), then
+    #: data locality, then least load; the ablation arm ``"load-only"``
+    #: keeps only the first and last steps.
     placement_policy: str = "default"
 
     #: Spill rule (:data:`SPILL_POLICIES`).  ``"default"`` writes each
@@ -98,8 +90,6 @@ class RuntimeConfig:
             raise ValueError("prefetch concurrency must be >= 1")
         if self.failure_detection_s < 0:
             raise ValueError("failure detection delay must be non-negative")
-        if self.blacklist_cooldown_s < 0:
-            raise ValueError("blacklist cooldown must be non-negative")
         for kind, name, names in (
             ("placement", self.placement_policy, PLACEMENT_POLICIES),
             ("spill", self.spill_policy, SPILL_POLICIES),

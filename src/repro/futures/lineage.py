@@ -2,23 +2,18 @@
 
 :class:`LineageManager` owns everything the runtime does about failure:
 reacting to node death, cleaning stale directory metadata after the
-heartbeat timeout, re-executing interrupted or reconstructed tasks under
-the configured :class:`~repro.futures.retry.RetryPolicy`, and the
-chaos-causality plumbing that links retry events back to the fault that
-triggered them.  :class:`~repro.futures.runtime.Runtime` delegates its
-public fault-tolerance surface here, keeping the runtime itself to
-wiring and the driver-facing API.
+heartbeat timeout, re-executing interrupted or reconstructed tasks at
+once (the paper's one recovery rule), and the chaos-causality plumbing
+that links retry events back to the fault that triggered them.  The
+runtime exposes it as ``runtime.lineage``; the chaos injector and
+executor-failure handling call it there directly.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.common.errors import (
-    ObjectLostError,
-    RetryExhaustedError,
-    TaskDeadlineError,
-)
+from repro.common.errors import ObjectLostError, RetryExhaustedError
 from repro.common.ids import NodeId, ObjectId
 from repro.futures.refs import ObjectRef, make_ref
 from repro.futures.task import TaskPhase, TaskRecord
@@ -27,6 +22,11 @@ from repro.simcore import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.futures.runtime import Runtime
+
+#: Executions of one task (first run included) before it fails with
+#: :class:`RetryExhaustedError`: a safety net against a task that can
+#: never finish, well above the two attempts any chaos run needs.
+MAX_TASK_ATTEMPTS = 8
 
 
 class LineageManager:
@@ -78,7 +78,6 @@ class LineageManager:
             lost_objects=len(lost_objects),
         )
         self.note_node_fault_event(node.node_id, death_seq)
-        runtime.scheduler.note_failure(node.node_id)
         runtime.env.call_later(
             runtime.config.failure_detection_s,
             lambda: self._after_failure_detected(
@@ -106,27 +105,16 @@ class LineageManager:
 
     # -- re-execution -------------------------------------------------------
     def resubmit(self, record: TaskRecord, cause: Optional[int] = None) -> None:
-        """Re-execute a task (lineage reconstruction, §4.2.3).
+        """Re-execute a task at once (lineage reconstruction, §4.2.3).
 
-        The configured :class:`~repro.futures.retry.RetryPolicy` governs
-        the re-execution: a task past its attempt budget or per-task
-        deadline fails permanently with a typed error, and retries may be
-        delayed by deterministic exponential backoff.  Every verdict is
-        published as a ``policy.decision`` event.
+        A task that has already run :data:`MAX_TASK_ATTEMPTS` times fails
+        permanently with :class:`RetryExhaustedError` instead.
         """
         runtime = self.runtime
         spec = record.spec
-        policy = runtime.config.retry_policy
-        if not policy.should_retry(spec.attempts):
-            self._emit_decision(record, "give-up-attempts", spec.attempts)
+        if spec.attempts >= MAX_TASK_ATTEMPTS:
             runtime.task_failed(
                 record, RetryExhaustedError(spec.task_id, spec.attempts)
-            )
-            return
-        if policy.deadline_exceeded(record.submitted_at, runtime.env.now):
-            self._emit_decision(record, "give-up-deadline", spec.attempts)
-            runtime.task_failed(
-                record, TaskDeadlineError(spec.task_id, policy.task_deadline_s)
             )
             return
         runtime.charge_task(spec.options, "tasks_resubmitted", 1)
@@ -158,38 +146,7 @@ class LineageManager:
             # attempt's argument refs; release them or the arguments'
             # refcounts stay inflated forever.
             ref.release()
-        delay = policy.backoff_s(max(1, spec.attempts), task_key=spec.task_id.index)
-        self._emit_decision(record, "retry", spec.attempts + 1, backoff_s=delay)
-        if delay > 0:
-            # Claim the record now so racing consumers observing a
-            # FINISHED/FAILED phase cannot double-resubmit it during the
-            # backoff window.
-            record.phase = TaskPhase.WAITING_DEPS
-            runtime.counters.add("retry_backoff_s", delay)
-            runtime.env.call_later(
-                delay, lambda: runtime._schedule_when_ready(record)
-            )
-        else:
-            runtime._schedule_when_ready(record)
-
-    def _emit_decision(
-        self,
-        record: TaskRecord,
-        choice: str,
-        attempt: int,
-        backoff_s: float = 0.0,
-    ) -> None:
-        """Publish one retry-policy verdict on the obs bus."""
-        self.runtime.bus.emit(
-            "policy.decision",
-            task=record.spec.task_id,
-            job=record.spec.options.job_id,
-            node=record.assigned_node,
-            policy="retry",
-            decision=choice,
-            attempt=attempt,
-            backoff_s=backoff_s,
-        )
+        runtime._schedule_when_ready(record)
 
     def ensure_available(self, object_id: ObjectId) -> Event:
         """An event that fires once the object has a live copy somewhere.

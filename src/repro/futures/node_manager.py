@@ -174,7 +174,7 @@ class NodeManager:
             # task processes have finished unwinding.
             for record in casualties:
                 if record.phase not in (TaskPhase.FINISHED, TaskPhase.FAILED):
-                    self.runtime.resubmit_task(record, cause=cause)
+                    self.runtime.lineage.resubmit(record, cause=cause)
 
         self.env.call_later(0.0, requeue)
         return len(casualties)

@@ -103,8 +103,8 @@ class Runtime:
         #: job axis.
         self.metrics = MetricRegistry()
         self.counters = self.metrics.counters
-        #: Fault tolerance: node-death handling, retry pacing, and
-        #: lineage reconstruction (§4.2.3) live here.
+        #: Fault tolerance: node-death handling and lineage
+        #: reconstruction (§4.2.3) live here.
         self.lineage = LineageManager(self)
         self.payloads: Dict[ObjectId, Any] = {}
         #: The release callback shared by every :class:`ObjectRef` this
@@ -271,7 +271,7 @@ class Runtime:
             return_ids=return_ids,
             is_generator=is_generator,
         )
-        record = TaskRecord(spec, held_refs=held_refs, submitted_at=self.env.now)
+        record = TaskRecord(spec, held_refs=held_refs)
         self.tasks[task_id] = record
         for oid in return_ids:
             self.directory.register(oid, creator=task_id)
@@ -426,29 +426,11 @@ class Runtime:
         if not self.directory.is_available(object_id):
             self.payloads.pop(object_id, None)
 
-    # -- fault tolerance (delegated to the LineageManager) --------------------
-    def note_fault_cause(self, node_id: NodeId, seq: Optional[int]) -> None:
-        """Record the event seq of a fault about to kill ``node_id`` so
-        the ensuing ``node.death`` links back to it (chaos injector)."""
-        self.lineage.note_fault_cause(node_id, seq)
-
-    def note_object_fault(self, object_id: ObjectId, seq: Optional[int]) -> None:
-        """Record the fault seq behind an object loss so the eventual
-        reconstruction retry links back to it (chaos injector)."""
-        self.lineage.note_object_fault(object_id, seq)
-
+    # -- fault tolerance ------------------------------------------------------
     def directory_objects_on(self, node_id: NodeId) -> List[ObjectId]:
         """Objects the directory currently places (in any form) on a node."""
         holds = self.directory.holds
         return [oid for oid in list(self.payloads) if holds(oid, node_id)]
-
-    def resubmit_task(
-        self, record: TaskRecord, cause: Optional[int] = None
-    ) -> None:
-        """Public entry for re-executing an interrupted task (used by
-        executor-failure handling; node failures go through the
-        detection path).  ``cause`` is the triggering fault's event seq."""
-        self.lineage.resubmit(record, cause=cause)
 
     def await_copy(self, object_id: ObjectId) -> Iterator[Event]:
         """The one wait for a lost copy, entered holding nothing: until
@@ -495,8 +477,8 @@ class Runtime:
 
     def drain_node(self, node_id: NodeId) -> None:
         """Begin a graceful departure: the node finishes what it is
-        running but receives no new placements (it behaves like a
-        blacklisted node).  An explicit :meth:`remove_node` call
+        running but receives no new placements unless every other node
+        is draining too.  An explicit :meth:`remove_node` call
         completes the departure.  The driver node may never drain."""
         if node_id == self.driver_node_id:
             raise ValueError("cannot drain the driver node")
@@ -517,12 +499,11 @@ class Runtime:
         This is a *planned* removal, unlike a crash: resident work is
         interrupted and resubmitted immediately, and directory metadata
         is cleaned right away -- there is no heartbeat-timeout detection
-        delay and no scheduler blacklisting.  Objects whose only copies
-        lived here become reconstruction work for the lineage manager,
-        unless the shared spill tier still holds them
-        (``spill_backend="shared"``), in which case consumers simply
-        read them back.  ``cause`` optionally links the ensuing retry
-        events to a triggering fault/chaos event.
+        delay.  Objects whose only copies lived here become
+        reconstruction work for the lineage manager, unless the shared
+        spill tier still holds them (``spill_backend="shared"``), in
+        which case consumers simply read them back.  ``cause`` optionally
+        links the ensuing retry events to a triggering fault/chaos event.
         """
         if node_id == self.driver_node_id:
             raise ValueError("cannot remove the driver node")
@@ -663,53 +644,6 @@ class Runtime:
             "object.create", obj=object_id, node=manager.node_id, bytes=size
         )
 
-    def replicate(self, refs: Sequence[ObjectRef], copies: int = 2) -> None:
-        """Ensure each object has at least ``copies`` durable copies on
-        distinct alive nodes (blocking; driver-side).
-
-        This is the §4.2.3 replica-tuning knob the paper sketches as
-        future work: the application chooses extra redundancy for blocks
-        it cannot afford to reconstruct.  Replicas are *primary* entries
-        on their nodes, so memory pressure spills them instead of
-        dropping them.
-        """
-        if copies < 1:
-            raise ValueError("need at least one copy")
-        proc = self.env.process(
-            self._replicate_proc([ref.object_id for ref in refs], copies),
-            name="driver-replicate",
-        )
-        self._driver.block_on(proc)
-
-    def _replicate_proc(
-        self, object_ids: List[ObjectId], copies: int
-    ) -> Iterator[Event]:
-        for oid in object_ids:
-            yield self.lineage.ensure_available(oid)
-            if oid not in self.directory:
-                continue
-            existing = {
-                nid
-                for nid in self.directory.locations(oid)
-                if self.node_managers[nid].node.alive
-            }
-            targets = [
-                nid
-                for nid in sorted(self.node_managers)
-                if nid not in existing and self.node_managers[nid].node.alive
-            ]
-            for nid in targets[: max(0, copies - len(existing))]:
-                manager = self.node_managers[nid]
-                state = yield from self._fetch_to(manager, oid)
-                # Promote the copy to primary: it now spills under
-                # pressure rather than being dropped.
-                manager.store.try_allocate(
-                    oid, self.directory.sizes[oid], primary=True
-                )
-                if state == "memory":
-                    manager.store.unpin(oid)
-                self.counters.add("replicas_created", 1)
-
     def peek(self, ref: ObjectRef) -> Any:
         """Read an object's payload *without* simulating any I/O.
 
@@ -771,19 +705,6 @@ class Runtime:
         """
         self.directory.on_ready(ref.object_id, callback)
 
-    def allocation_backlog(self) -> int:
-        """Bytes parked in the allocation queues of active, alive nodes.
-
-        The stores' FIFO allocation queues are where store overload
-        shows up first; this aggregate is the data-plane pressure signal
-        the streaming tier's backpressure controller keys off.
-        """
-        return sum(
-            manager.store.backlog_bytes
-            for node_id, manager in self.node_managers.items()
-            if self.membership.is_active(node_id) and manager.node.alive
-        )
-
     def timestamp(self) -> float:
         """Current simulated time (driver-side convenience)."""
         return self.env.now
@@ -794,12 +715,6 @@ class Runtime:
         if not self.directory.is_created(ref.object_id):
             return []
         return self.directory.location_nodes(ref.object_id)
-
-    def object_size(self, ref: ObjectRef) -> int:
-        """Size in bytes of a created object (0 if not yet created)."""
-        if not self.directory.is_created(ref.object_id):
-            return 0
-        return self.directory.sizes[ref.object_id]
 
     def task_attempts(self, ref: ObjectRef) -> int:
         """How many times the creating task of ``ref`` has executed."""

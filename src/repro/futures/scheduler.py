@@ -5,8 +5,7 @@ for shuffle what matters is (a) honouring the library's *soft
 node-affinity* hints (merge tasks pinned near their future reduce
 tasks), (b) data locality (run a task where most of its argument bytes
 already live), and (c) spreading everything else across alive nodes by
-load.  Recently-failed nodes are additionally *blacklisted* for a
-cooldown window (``RuntimeConfig.blacklist_cooldown_s``).
+load.  Draining nodes are avoided while any other node remains.
 
 :func:`choose_node` is that placement rule, a pure function over one
 plain row per alive node; the scheduler builds the rows
@@ -39,9 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.futures.task import TaskRecord
 
 #: One alive node as placement sees it: ``(node, avoid, load,
-#: arg_bytes)``.  ``avoid`` marks a node in its post-failure cooldown or
-#: draining; ``load`` is queued tasks per core; ``arg_bytes`` counts the
-#: task's argument bytes resident there (memory or disk).
+#: arg_bytes)``.  ``avoid`` marks a draining node; ``load`` is queued
+#: tasks per core; ``arg_bytes`` counts the task's argument bytes
+#: resident there (memory or disk).
 PlacementRow = Tuple[NodeId, bool, float, int]
 
 
@@ -52,13 +51,13 @@ def choose_node(
 ) -> Tuple[NodeId, str]:
     """Pick one of ``rows`` (never empty) and name the step that decided.
 
-    Avoided nodes are skipped while any other remains (availability
-    beats hygiene).  Under ``"default"``, a hinted node among the rest
-    wins (``"affinity"``: the hint is soft, so a dead or avoided hint
-    falls through), then the node holding the most argument bytes
-    (``"locality"``, ties by load then id); otherwise, and always under
-    ``"load-only"``, the least-loaded node (``"least-loaded"``, ties by
-    id).
+    Avoided (draining) nodes are skipped while any other remains
+    (availability beats a graceful departure).  Under ``"default"``, a
+    hinted node among the rest wins (``"affinity"``: the hint is soft,
+    so a dead or draining hint falls through), then the node holding the
+    most argument bytes (``"locality"``, ties by load then id);
+    otherwise, and always under ``"load-only"``, the least-loaded node
+    (``"least-loaded"``, ties by id).
     """
     pool = [row for row in rows if not row[1]] or rows
     if policy == "default":
@@ -78,9 +77,6 @@ class Scheduler:
 
     def __init__(self, runtime: "Runtime") -> None:
         self.runtime = runtime
-        #: Nodes to avoid until the mapped simulated time (cooldown after
-        #: a failure); stale entries are pruned lazily during placement.
-        self._blacklist_until: Dict[NodeId, float] = {}
         #: Where tasks run (``RuntimeConfig.placement_policy``).
         self.placement_policy = runtime.config.placement_policy
         #: When tasks launch: registered jobs share the slots fairly.
@@ -200,23 +196,6 @@ class Scheduler:
         """How many of a job's tasks currently occupy slots."""
         return self.policy.inflight_tasks(job_id)
 
-    # -- failure feedback ---------------------------------------------------
-    def note_failure(self, node_id: NodeId) -> None:
-        """Record a node failure; blacklist it for the cooldown window."""
-        cooldown = self.runtime.config.blacklist_cooldown_s
-        if cooldown > 0:
-            self._blacklist_until[node_id] = self.runtime.env.now + cooldown
-
-    def is_blacklisted(self, node_id: NodeId) -> bool:
-        """True while ``node_id`` is inside its post-failure cooldown."""
-        until = self._blacklist_until.get(node_id)
-        if until is None:
-            return False
-        if self.runtime.env.now >= until:
-            del self._blacklist_until[node_id]
-            return False
-        return True
-
     # -- placement ----------------------------------------------------------
     def place(self, record: "TaskRecord") -> NodeId:
         """Choose a node for ``record``; raises if the cluster is empty."""
@@ -236,8 +215,7 @@ class Scheduler:
         membership = runtime.membership
         # Removed members are out of the candidate pool entirely;
         # draining members stay in but are avoided, so placement skips
-        # them yet can still fall back to them rather than fail (exactly
-        # how post-failure cooldowns behave).
+        # them yet can still fall back to them rather than fail.
         alive = {
             node_id: manager
             for node_id, manager in runtime.node_managers.items()
@@ -262,7 +240,7 @@ class Scheduler:
         return tuple(
             (
                 node_id,
-                self.is_blacklisted(node_id) or membership.is_draining(node_id),
+                membership.is_draining(node_id),
                 manager.pending_tasks / manager.node.spec.cores,
                 bytes_by_node.get(node_id, 0),
             )

@@ -125,7 +125,6 @@ class TaskRecord:
     #: Live argument refs held while the task is pending, released on
     #: completion so argument objects become evictable.
     held_refs: List[Any] = field(default_factory=list)
-    submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     #: Whether this task currently contributes to the runtime's

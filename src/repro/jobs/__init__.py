@@ -13,7 +13,7 @@ shuffle libraries themselves:
   backpressure;
 - fair-share scheduling -- admitted jobs' tasks dispatch by weighted
   virtual-time fair queueing (the runtime scheduler's ``"fair-share"``
-  dispatch policy), composing with the existing locality/blacklist
+  dispatch policy), composing with the existing affinity/locality
   placement;
 - ``variant="auto"`` -- resolved before launch by lowering a
   :class:`repro.plan.ShuffleExpr` through the runtime's planner (the

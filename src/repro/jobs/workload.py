@@ -25,7 +25,7 @@ from repro.chaos.injector import ChaosInjector
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.spec import ChaosPlan
 from repro.common.rng import JOB_ARRIVAL_STREAM, named_rng
-from repro.futures import RetryPolicy, Runtime, RuntimeConfig
+from repro.futures import Runtime
 from repro.jobs.manager import JobManager
 from repro.jobs.spec import Job, JobSpec, JobState, TenantQuota, TenantSpec
 
@@ -130,7 +130,6 @@ def run_jobs(
     plan: Optional[ChaosPlan] = None,
     *,
     num_nodes: int = 4,
-    retry_policy: Optional[RetryPolicy] = None,
 ) -> JobsRunReport:
     """Run a workload through a fresh cluster, optionally under chaos.
 
@@ -140,8 +139,7 @@ def run_jobs(
     including per-job accounting summing to the global counters -- plus
     every finished job's output against the oracle.
     """
-    config = RuntimeConfig(retry_policy=retry_policy or RetryPolicy())
-    rt = Runtime.create(default_node_spec(), num_nodes, config=config)
+    rt = Runtime.create(default_node_spec(), num_nodes)
     injector = ChaosInjector(rt, plan) if plan is not None else None
     manager = JobManager(rt)
     for tenant in tenants:

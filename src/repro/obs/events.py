@@ -41,8 +41,8 @@ EVENT_KINDS: Dict[str, str] = {
     "task.retry": "the task was resubmitted (cause: the triggering fault)",
     # policy plane
     "policy.decision": (
-        "a data-plane policy chose among candidates "
-        "(attrs: policy, decision, stage/candidates/... per kind)"
+        "placement, dispatch, spill victims or re-planning chose among "
+        "candidates (attrs: policy, decision, stage/candidates/... per kind)"
     ),
     # object lifecycle and movement
     "object.create": "an object became available (attrs: bytes)",
@@ -97,7 +97,7 @@ EVENT_KINDS: Dict[str, str] = {
     ),
     "stream.backpressure": (
         "the streaming job throttled its source (attrs: reason="
-        "inflight_windows/allocation_backlog, inflight, backlog_bytes)"
+        "inflight_windows, inflight)"
     ),
     "stream.source.close": (
         "an unbounded source reached its horizon and closed "

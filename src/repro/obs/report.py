@@ -243,7 +243,7 @@ class RunReport:
         """Placement affinity accounting from ``policy.decision`` events.
 
         ``honoured``: the hint decided placement; ``fell_through``: a
-        hint was set but another stage decided (dead/blacklisted hint);
+        hint was set but another stage decided (dead or draining hint);
         ``no_hint``: placements without an affinity hint.
         """
         honoured = fell_through = no_hint = 0

@@ -5,10 +5,9 @@ is submitted) until its aggregate becomes visible.  The
 :class:`BackpressureController` bounds that count: before a streaming
 job closes another window it must :meth:`admit`, which blocks -- by
 waiting on the *oldest* in-flight window's aggregate ref -- while the
-bound is hit or the data plane's allocation queues are backed up.  Each
-stall is published as a ``stream.backpressure`` bus event carrying the
-reason (``inflight_windows`` or ``allocation_backlog``), so a report can
-show exactly when and why the source was throttled.
+bound is hit.  Each stall is published as a ``stream.backpressure`` bus
+event (reason ``inflight_windows``), so a report can show exactly when
+the source was throttled.
 
 Because the load is open-loop, throttling never deletes work: records
 keep arriving on their pre-drawn timeline and simply wait in the stalled
@@ -34,7 +33,6 @@ class BackpressureController:
         rt: Runtime,
         *,
         max_inflight_windows: int,
-        backlog_limit_bytes: Optional[int] = None,
         job_id: Optional[str] = None,
         tenant: Optional[str] = None,
         enabled: bool = True,
@@ -43,7 +41,6 @@ class BackpressureController:
             raise ValueError("max_inflight_windows must be >= 1")
         self.rt = rt
         self.max_inflight_windows = max_inflight_windows
-        self.backlog_limit_bytes = backlog_limit_bytes
         self.job_id = job_id
         #: Owning tenant, stamped onto every stall event so per-tenant
         #: stall series need no job -> tenant join downstream.
@@ -69,38 +66,25 @@ class BackpressureController:
             self._visible.discard(self._inflight[0][0])
             self._inflight.popleft()
 
-    def _over_backlog(self) -> bool:
-        return (
-            self.backlog_limit_bytes is not None
-            and self.rt.allocation_backlog() > self.backlog_limit_bytes
-        )
-
     def admit(self) -> None:
         """Block until another window may close (no-op when disabled).
 
-        Stalls while the in-flight bound is reached, or while the
-        allocation queues exceed the backlog limit and at least one
-        window is in flight to wait on.
+        Stalls while the in-flight bound is reached.
         """
         if not self.enabled:
             return
         rt = self.rt
         while True:
             self._prune()
-            if len(self._inflight) >= self.max_inflight_windows:
-                reason = "inflight_windows"
-            elif self._inflight and self._over_backlog():
-                reason = "allocation_backlog"
-            else:
+            if len(self._inflight) < self.max_inflight_windows:
                 return
             self.stalls += 1
             rt.bus.emit(
                 "stream.backpressure",
                 job=self.job_id,
-                reason=reason,
+                reason="inflight_windows",
                 tenant=self.tenant,
                 inflight=len(self._inflight),
-                backlog_bytes=rt.allocation_backlog(),
             )
             oldest_ref: ObjectRef = self._inflight[0][1]
             rt.wait([oldest_ref], num_returns=1)

@@ -105,7 +105,6 @@ def run_streaming_job(
     spec: JobSpec,
     *,
     job_id: Optional[str] = None,
-    backlog_limit_bytes: Optional[int] = None,
     map_options: Optional[Dict[str, Any]] = None,
     reduce_options: Optional[Dict[str, Any]] = None,
     aggregate_options: Optional[Dict[str, Any]] = None,
@@ -113,10 +112,8 @@ def run_streaming_job(
     """Run one streaming job to source close + full drain (blocking).
 
     Must be called from driver context (``rt.run`` or a spawned
-    subdriver).  ``backlog_limit_bytes`` arms the controller's
-    allocation-backlog throttle on top of the in-flight window bound;
-    the ``*_options`` dicts override task options (e.g. ``compute``
-    costs) for experiments that need slow reducers.
+    subdriver).  The ``*_options`` dicts override task options (e.g.
+    ``compute`` costs) for experiments that need slow reducers.
     """
     import numpy as np
 
@@ -136,7 +133,6 @@ def run_streaming_job(
     controller = BackpressureController(
         rt,
         max_inflight_windows=stream.max_inflight_windows,
-        backlog_limit_bytes=backlog_limit_bytes,
         job_id=job_id,
         tenant=spec.tenant,
         enabled=stream.backpressure,

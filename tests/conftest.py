@@ -9,7 +9,7 @@ from repro.chaos.injector import ChaosInjector
 from repro.chaos.spec import FaultKind, matrix_plan
 from repro.cluster import DiskSpec, NicSpec, NodeSpec
 from repro.common.units import GIB, MIB
-from repro.futures import RetryPolicy, Runtime, RuntimeConfig
+from repro.futures import Runtime, RuntimeConfig
 
 #: Registries currently collecting runtimes for post-test invariant
 #: checking; ``make_runtime`` appends every runtime it builds to each
@@ -51,11 +51,7 @@ def make_runtime(
 def _chaos_workload(seed: int):
     """The chaos demo workload: a push shuffle under a node crash.
     Returns ``(runtime, driver)``."""
-    rt = Runtime.create(
-        default_node_spec(),
-        4,
-        config=RuntimeConfig(retry_policy=RetryPolicy(max_attempts=8)),
-    )
+    rt = Runtime.create(default_node_spec(), 4)
     ChaosInjector(rt, matrix_plan(FaultKind.NODE_CRASH, seed=seed))
     inputs = make_inputs(seed, 8, 24)
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import ObjectLostError
+from repro.common.errors import ObjectLostError, RetryExhaustedError
 from repro.common.units import MB
-from repro.futures import RuntimeConfig
+from repro.futures import RuntimeConfig, lineage
+from repro.futures.node_manager import FETCH_RETRY_BACKOFF_S
 
 from tests.conftest import make_runtime
 
@@ -246,3 +247,72 @@ class TestFailureDuringShuffleTraffic:
         assert rt.run(driver) == 60 * MB
         assert observed == {"on_disk_only": True, "queued": 1}
         assert rt.counters.get("lineage_reconstructions") == 1
+
+
+class TestRetries:
+    def test_retry_exhaustion_surfaces_typed_error(self, monkeypatch):
+        """Past the attempt cap a lost task fails with a typed error."""
+        monkeypatch.setattr(lineage, "MAX_TASK_ATTEMPTS", 1)
+        rt = make_runtime(num_nodes=3, config=_fast_detect())
+        victim = rt.cluster.node_ids[1]
+        make = rt.remote(lambda: "precious").options(node=victim)
+
+        def driver():
+            ref = make.remote()
+            rt.wait([ref], num_returns=1)
+            rt.cluster.node(victim).fail()
+            with pytest.raises(RetryExhaustedError):
+                rt.get(ref)
+
+        rt.run(driver)
+        assert rt.counters.get("tasks_resubmitted") == 0
+        assert rt.counters.get("tasks_failed") >= 1
+
+    def test_one_crash_is_recovered_by_default(self):
+        """The default config re-executes lost work at once after the
+        detection delay: no option has to be set for recovery."""
+        rt = make_runtime(num_nodes=3, config=_fast_detect())
+        victim = rt.cluster.node_ids[1]
+        make = rt.remote(lambda: "precious").options(node=victim)
+
+        def driver():
+            ref = make.remote()
+            rt.wait([ref], num_returns=1)
+            failed_at = rt.timestamp()
+            rt.cluster.node(victim).fail()
+            return rt.get(ref), rt.timestamp() - failed_at
+
+        value, recovery = rt.run(driver)
+        assert value == "precious"
+        assert rt.counters.get("tasks_resubmitted") == 1
+        # The detection delay, the get's one fetch-retry pause and a
+        # fresh execution: the resubmit itself waits for nothing.
+        assert recovery == pytest.approx(
+            2.0 + FETCH_RETRY_BACKOFF_S, abs=0.01
+        )
+
+    def test_each_resubmit_emits_one_retry_event(self):
+        """A retried task's stream carries one ``task.retry`` per
+        resubmit, each for a new attempt, and no retry verdict."""
+        rt = make_runtime(num_nodes=3, config=_fast_detect())
+        victim = rt.cluster.node_ids[2]
+        base = rt.remote(lambda: 1).options(node=victim)
+        inc = rt.remote(lambda x: x + 1).options(node=victim)
+
+        def driver():
+            c = inc.remote(inc.remote(base.remote()))
+            rt.wait([c], num_returns=1)
+            rt.cluster.node(victim).fail()
+            return rt.get(c)
+
+        assert rt.run(driver) == 3
+        retries = rt.bus.events_of("task.retry")
+        assert len(retries) == rt.counters.get("tasks_resubmitted") == 3
+        attempts = [(e.task, e.attrs["attempt"]) for e in retries]
+        assert len(set(attempts)) == len(attempts)
+        assert all(attempt == 2 for _task, attempt in attempts)
+        assert not [
+            e
+            for e in rt.bus.events_of("policy.decision")
+            if e.attrs.get("policy") == "retry"
+        ]

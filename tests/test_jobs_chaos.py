@@ -9,18 +9,12 @@ the per-job accounting check -- reports nothing.
 import pytest
 
 from repro.chaos import FaultKind, matrix_plan
-from repro.futures import RetryPolicy
 from repro.jobs import mixed_workload, run_jobs
 
 
 def run_under_fault(kind, seed=0, num_jobs=4):
     tenants, specs = mixed_workload(seed, num_jobs=num_jobs)
-    return run_jobs(
-        specs,
-        tenants,
-        plan=matrix_plan(kind, seed=seed),
-        retry_policy=RetryPolicy(max_attempts=8),
-    )
+    return run_jobs(specs, tenants, plan=matrix_plan(kind, seed=seed))
 
 
 @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)

@@ -12,7 +12,6 @@ from repro.common.errors import (
     UnknownTenantError,
 )
 from repro.common.rng import JOB_ARRIVAL_STREAM, named_rng, register_stream
-from repro.futures import RuntimeConfig
 from repro.jobs import (
     JobManager,
     JobSpec,
@@ -175,17 +174,6 @@ class TestFairness:
         rt = make_runtime()
         assert JobManager(rt).fair is rt.scheduler
         assert JobManager(rt).fair is rt.scheduler
-
-    def test_manager_keeps_a_failed_nodes_cooldown(self):
-        rt = make_runtime(
-            num_nodes=3, config=RuntimeConfig(blacklist_cooldown_s=10.0)
-        )
-        victim = rt.cluster.node_ids[1]
-        rt.env.call_later(1.0, rt.cluster.node(victim).fail)
-        rt.env.run(until=2.0)
-        assert rt.scheduler.is_blacklisted(victim)
-        JobManager(rt)
-        assert rt.scheduler.is_blacklisted(victim)
 
     def test_fair_share_grants_one_slot_per_alive_core(self):
         rt = make_runtime(num_nodes=3, store_mib=256)

@@ -23,7 +23,6 @@ from repro.chaos.harness import expected_output, make_inputs, submit_variant
 from repro.chaos.injector import ChaosInjector
 from repro.common.ids import NodeId, ObjectId, TaskId
 from repro.common.units import MIB
-from repro.futures import RetryPolicy, RuntimeConfig
 from repro.metrics import Counters, Histogram
 from repro.obs import (
     EVENT_KINDS,
@@ -73,10 +72,7 @@ def _chain_runtime():
 
 def _chaos_runtime(seed=0):
     """The acceptance scenario: push shuffle with a node crash mid-run."""
-    rt = make_runtime(
-        num_nodes=4,
-        config=RuntimeConfig(retry_policy=RetryPolicy(max_attempts=8)),
-    )
+    rt = make_runtime(num_nodes=4)
     ChaosInjector(rt, matrix_plan(FaultKind.NODE_CRASH, seed=seed))
     inputs = make_inputs(seed, 8, 24)
     values = rt.run(lambda: rt.get(submit_variant("push", rt, inputs, 4)))
@@ -734,9 +730,9 @@ def test_chrome_counters_carry_the_cluster_gauges():
 #: one of them must update the pin on purpose.
 READER_GOLDEN = {
     "chaos": {
-        "report": "95f2c2ca865918df2778d51a452bb1d45020e5ae4a8ddbeaebc46537c86fef33",
+        "report": "cb91e28031f2b14f40efcd48f49b470d875e45edcd1943c9802c4ec76d346b50",
         "critpath": "84d4822492a458d9eb73bfd3908aab693072fc0bb1ed471dc44786dc2e2ab793",
-        "chrome": "b3023fdff41c4c94b99b0262a567ce930b920ac41cd4280dd374781c0d0fc8e5",
+        "chrome": "fa1018bab3d22298dab04c4e6ac103b3932f9c86f345abf599bd99a8cb61f710",
     },
     "sort": {
         "report": "96ba98dc24355e96fbdea282bcdb99c73f47e3a5f04e2550f14386fe406ea899",

@@ -2,9 +2,9 @@
 
 The placement property tests run over *both* named placement rules
 (the default and the scheduling ablation's arm), called on plain
-per-node rows: return only (alive) candidates, honour the blacklist
+per-node rows: return only (alive) candidates, avoid draining nodes
 when alternatives exist, and fall through gracefully when all
-candidates are blacklisted or the affinity hint is dead.  A chaos-matrix
+candidates are draining or the affinity hint is dead.  A chaos-matrix
 integration test then checks the same alive-nodes-only invariant end to
 end under every fault kind, replaying the event stream against the
 death/restart timeline.  Fair-share dispatch is checked against a
@@ -26,7 +26,7 @@ from repro.chaos.harness import (
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.spec import FaultKind, matrix_plan
 from repro.common.ids import NodeId
-from repro.futures import RetryPolicy, Runtime, RuntimeConfig
+from repro.futures import Runtime, RuntimeConfig
 from repro.futures.config import PLACEMENT_POLICIES, SPILL_POLICIES
 from repro.futures.policies.defaults import (
     DispatchOutcome,
@@ -58,12 +58,12 @@ def test_unknown_policy_name_is_a_typed_error():
 
 # -- placement properties -----------------------------------------------------
 def _make_rows(
-    blacklisted: List[bool], loads: List[int], arg_bytes: List[int]
+    draining: List[bool], loads: List[int], arg_bytes: List[int]
 ) -> List[PlacementRow]:
     return [
-        (NodeId(i), black, load / 4.0, bytes_)
-        for i, (black, load, bytes_) in enumerate(
-            zip(blacklisted, loads, arg_bytes)
+        (NodeId(i), avoid, load / 4.0, bytes_)
+        for i, (avoid, load, bytes_) in enumerate(
+            zip(draining, loads, arg_bytes)
         )
     ]
 
@@ -89,10 +89,10 @@ candidate_lists = st.integers(min_value=1, max_value=8).flatmap(
 @given(data=candidate_lists)
 @settings(max_examples=60, deadline=None)
 def test_placement_contract(policy_name: str, data) -> None:
-    """Both placement rules: alive-only, blacklist-aware, graceful
+    """Both placement rules: alive-only, drain-aware, graceful
     fall-through."""
-    blacklisted, loads, arg_bytes, hint_index, hinted = data
-    rows = _make_rows(blacklisted, loads, arg_bytes)
+    draining, loads, arg_bytes, hint_index, hinted = data
+    rows = _make_rows(draining, loads, arg_bytes)
     # hint_index beyond the candidate range models a *dead* hinted node.
     affinity: Optional[NodeId] = NodeId(hint_index) if hinted else None
     node_id, stage = choose_node(rows, affinity, policy_name)
@@ -100,7 +100,7 @@ def test_placement_contract(policy_name: str, data) -> None:
     avoid = {row[0]: row[1] for row in rows}
     # Only ever one of the (alive) candidates.
     assert node_id in avoid
-    # Blacklist honoured whenever an alternative exists...
+    # Draining nodes avoided whenever an alternative exists...
     if avoid[node_id] and stage != "affinity":
         assert all(avoid.values())
     if policy_name == "load-only":
@@ -111,17 +111,17 @@ def test_placement_contract(policy_name: str, data) -> None:
 @settings(max_examples=60, deadline=None)
 def test_default_placement_affinity_semantics(data) -> None:
     """The default rule honours live hints and falls through dead ones."""
-    blacklisted, loads, arg_bytes, hint_index, _ = data
-    rows = _make_rows(blacklisted, loads, arg_bytes)
+    draining, loads, arg_bytes, hint_index, _ = data
+    rows = _make_rows(draining, loads, arg_bytes)
     hint = NodeId(hint_index)
     node_id, stage = choose_node(rows, hint)
     survivors = [row for row in rows if not row[1]] or rows
     if any(row[0] == hint for row in survivors):
-        # A live, non-blacklisted hinted node is always honoured.
+        # A live, non-draining hinted node is always honoured.
         assert node_id == hint
         assert stage == "affinity"
     else:
-        # Dead (or blacklisted-away) hint: soft affinity falls through.
+        # Dead (or draining-away) hint: soft affinity falls through.
         assert stage != "affinity"
         assert node_id in {row[0] for row in rows}
 
@@ -282,11 +282,7 @@ def test_placements_target_alive_nodes_across_failure_matrix(kind):
     """Under every chaos fault kind, each task.place lands on a node not
     currently dead (replayed from the event stream in seq order)."""
     seed = 11
-    rt = Runtime.create(
-        default_node_spec(),
-        4,
-        config=RuntimeConfig(retry_policy=RetryPolicy(max_attempts=8)),
-    )
+    rt = Runtime.create(default_node_spec(), 4)
     ChaosInjector(rt, matrix_plan(kind, seed=seed))
     inputs = make_inputs(seed, 8, 24)
 

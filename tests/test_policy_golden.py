@@ -25,7 +25,7 @@ from repro.chaos.harness import (
 )
 from repro.cluster import D3_2XLARGE, I3_2XLARGE, FailurePlan
 from repro.common.units import MB
-from repro.futures import RetryPolicy, Runtime, RuntimeConfig
+from repro.futures import Runtime, RuntimeConfig
 from repro.sort import SortJobConfig, run_sort
 
 from benchmarks.bench_elastic_churn import run_churn_shuffle
@@ -99,15 +99,8 @@ def _sort_run(config: RuntimeConfig = None) -> tuple:
 
 
 def _chaos_run() -> str:
-    """A push shuffle under a node crash: placements, retries, blacklist."""
-    rt = Runtime.create(
-        default_node_spec(),
-        4,
-        config=RuntimeConfig(
-            retry_policy=RetryPolicy(max_attempts=8),
-            blacklist_cooldown_s=5.0,
-        ),
-    )
+    """A push shuffle under a node crash: placements and retries."""
+    rt = Runtime.create(default_node_spec(), 4)
     ChaosInjector(rt, matrix_plan(FaultKind.NODE_CRASH, seed=0))
     inputs = make_inputs(0, 8, 24)
 

@@ -1,7 +1,6 @@
-"""Extension features: executor failure and replication."""
+"""Extension features: executor failure."""
 
 import numpy as np
-import pytest
 
 from repro.common.units import MB
 from repro.futures import RuntimeConfig
@@ -54,57 +53,3 @@ class TestExecutorFailure:
         # ~1 s elapsed + a fresh 2 s execution; nowhere near the 30 s
         # node-failure detection timeout.
         assert finished_at < 5.0
-
-
-class TestReplication:
-    def test_replicate_creates_copies_on_distinct_nodes(self):
-        rt = make_runtime(num_nodes=3)
-        make = rt.remote(lambda: _blob(5))
-
-        def driver():
-            ref = make.remote()
-            rt.wait([ref], num_returns=1)
-            rt.replicate([ref], copies=3)
-            return rt.locations_of(ref)
-
-        locations = rt.run(driver)
-        assert len(locations) == 3
-        assert rt.counters.get("replicas_created") == 2
-
-    def test_replicated_object_survives_node_loss_without_rerun(self):
-        config = RuntimeConfig(failure_detection_s=2.0)
-        rt = make_runtime(num_nodes=3, config=config)
-        victim = rt.cluster.node_ids[1]
-        make = rt.remote(lambda: "precious").options(node=victim)
-
-        def driver():
-            ref = make.remote()
-            rt.wait([ref], num_returns=1)
-            rt.replicate([ref], copies=2)
-            rt.cluster.node(victim).fail()
-            rt.sleep(5.0)
-            return rt.get(ref)
-
-        assert rt.run(driver) == "precious"
-        assert rt.counters.get("tasks_resubmitted") == 0
-
-    def test_replicate_validates_copies(self):
-        rt = make_runtime(num_nodes=1)
-
-        def driver():
-            ref = rt.put(1)
-            with pytest.raises(ValueError):
-                rt.replicate([ref], copies=0)
-            return True
-
-        assert rt.run(driver)
-
-    def test_replicate_caps_at_cluster_size(self):
-        rt = make_runtime(num_nodes=2)
-
-        def driver():
-            ref = rt.put(_blob(1))
-            rt.replicate([ref], copies=10)
-            return rt.locations_of(ref)
-
-        assert len(rt.run(driver)) == 2

@@ -29,9 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aggregation import run_online_aggregation
-from repro.chaos.harness import default_node_spec
 from repro.common.errors import JobControlError
-from repro.common.units import MIB
 from repro.futures import Runtime
 from repro.jobs import JobSpec, StreamSpec, TenantQuota, TenantSpec, job_runner
 from repro.obs.events import causal_chain
@@ -264,18 +262,6 @@ class TestBackpressure:
         with pytest.raises(ValueError):
             BackpressureController(rt, max_inflight_windows=0)
 
-    def test_allocation_backlog_counts_bytes(self):
-        """The backlog the controller compares to ``backlog_limit_bytes``
-        is the queued bytes, not the number of queued requests."""
-        rt = Runtime.create(default_node_spec(), 2)
-        store = rt.node_managers[rt.driver_node_id].store
-        store.allocate(rt.ids.next_object_id(), store.capacity, primary=True)
-        store.allocate(
-            rt.ids.next_object_id(), store.capacity // 2, primary=True
-        )
-        assert store.backlog == 1
-        assert rt.allocation_backlog() == store.capacity // 2 == 128 * MIB
-
     def test_overload_throttles_and_bounds(self):
         spec = _job_spec(
             rate_hz=4.0, duration_s=16.0, window_s=2.0,
@@ -290,8 +276,7 @@ class TestBackpressure:
         assert result.peak_inflight_windows <= 2
         events = [e for e in rt.bus.events if e.kind == "stream.backpressure"]
         assert events and all(
-            e.attrs["reason"] in ("inflight_windows", "allocation_backlog")
-            for e in events
+            e.attrs["reason"] == "inflight_windows" for e in events
         )
 
     def test_disabled_grows_past_bound(self):
